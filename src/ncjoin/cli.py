@@ -44,6 +44,7 @@ from .gns import (
     point_spectrum,
 )
 from .joinings import (
+    DEFAULT_MAX_ITER,
     build_tensor_context,
     cesaro_diagonal_average,
     diagonal_state,
@@ -52,8 +53,6 @@ from .joinings import (
     graph_joining,
     ornstein_ratio_scan,
 )
-
-DEFAULT_MAX_ITER = 50_000
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +283,9 @@ def _cmd_joinings_find(args):
         "upper": rep.upper,
         "iterations": rep.iterations,
         "oracle_calls": rep.oracle_calls,
+        "certified": rep.certified,
+        "stalled": rep.stalled,
+        "min_margin": rep.min_margin,
         "residuals": jm.residuals,
         "inconclusive": rep.inconclusive,
         "message": rep.message,
@@ -301,6 +303,9 @@ def _cmd_joinings_disjoint(args):
         "verdict": cert.verdict,
         "gap_threshold": cert.gap_threshold,
         "directions_scanned": cert.directions_scanned,
+        "certified": cert.certified,
+        "stalled": cert.stalled,
+        "min_margin": cert.min_margin,
     }
     if cert.verdict == "not_disjoint":
         i, j, wgt = cert.witness_direction

@@ -8,12 +8,21 @@ constraint. Feasibility is solved by Dykstra alternating projections
 between the spectral set {W ⪰ 0, tr W = 1} and the affine constraint
 subspace; linear optimization over the joining set runs a bisection on the
 objective level against that oracle.
+
+An "infeasible" answer of the oracle is a proof whenever it can be: either
+the objective is constant on the affine constraints and the level misses
+that constant, or Dykstra's gap vector gives a separating hyperplane
+between the affine subspace and the spectral set. The certified distance
+is kept as the answer's margin. Only when neither holds does a stalled
+residual decide, as a fallback that carries no margin; solve reports and
+disjointness certificates count both kinds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +48,10 @@ AMBIGUOUS_BAND_FACTOR = 100.0
 _STALL_CHECK_EVERY = 100
 _STALL_WINDOW_CHECKS = 10
 _STALL_RELATIVE_DROP = 1e-3
+# rounding allowance of a certified margin, relative to 1 + ‖x‖
+_CERTIFICATE_SLACK = 1e-9
+# a level row whose part outside the base row space is this small is pinned
+_PINNED_LEVEL = 1e-9
 
 
 @dataclass
@@ -346,7 +359,11 @@ def _real_rows(K: np.ndarray, v: complex, want_imag: bool = True):
 
 
 class _ConstraintSet:
-    """Stacked real affine constraints trace(W K_c) = v_c with projection data."""
+    """Stacked real affine constraints trace(W K_c) = v_c with projection data.
+
+    The projector onto these base constraints is factored once, on first
+    use; every level system of a solve or of a disjointness scan reuses it.
+    """
 
     def __init__(self, ctx: TensorContext):
         self.ctx = ctx
@@ -377,44 +394,68 @@ class _ConstraintSet:
         keep = np.linalg.norm(A, axis=1) > 1e-12
         self.base_A = A[keep]
         self.base_b = b[keep]
+        norms = np.linalg.norm(self.base_A, axis=1)
+        self.A_n = self.base_A / norms[:, None]
+        self.b_n = self.base_b / norms
 
-    def with_level(self, H: np.ndarray | None):
-        """Affine system, optionally extended by the row Re trace(W H) = t."""
-        if H is None:
-            return _AffineSystem(self.base_A, self.base_b, level_row=None)
-        row = _real_rows(H, 0j, want_imag=False)[0][0]
-        return _AffineSystem(
-            np.vstack([self.base_A, row[None, :]]),
-            np.concatenate([self.base_b, [0.0]]),
-            level_row=len(self.base_b),
-        )
-
-
-class _AffineSystem:
-    def __init__(self, A: np.ndarray, b: np.ndarray, level_row: int | None):
-        self.A = A
-        self.b = b.astype(float).copy()
-        self.level_row = level_row
-        norms = np.linalg.norm(A, axis=1)
-        norms[norms == 0] = 1.0
-        self.norms = norms
-        self.A_n = A / norms[:, None]
-        self.pinv = np.linalg.pinv(self.A_n, rcond=1e-12)
-
-    def set_level(self, t: float):
-        if self.level_row is None:
-            raise ValueError("no level row present")
-        self.b[self.level_row] = t
-
-    @property
-    def b_n(self):
-        return self.b / self.norms
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        return np.linalg.pinv(self.A_n, rcond=1e-12)
 
     def project(self, w: np.ndarray) -> np.ndarray:
+        """Orthogonal projection onto the base affine set."""
         return w - self.pinv @ (self.A_n @ w - self.b_n)
 
+    def with_level(self, H: np.ndarray) -> _LevelSystem:
+        """The base constraints extended by the row Re trace(W H) = t."""
+        return _LevelSystem(self, _real_rows(H, 0j, want_imag=False)[0][0])
+
+
+class _LevelSystem:
+    """Base constraints plus one level row h·w = t, projected without a new pinv.
+
+    With h normalized and h⊥ = h − A⁺A h its part orthogonal to the base row
+    space, projecting onto the base set and then moving along h⊥ to the
+    level is the orthogonal projection onto the intersection. On the base
+    set the objective equals c0 + h⊥·w with c0 = h·A⁺b, and |h⊥·w| ≤ ‖h⊥‖
+    for every trace-one PSD w. When ‖h⊥‖ is negligible the level row is
+    implied or contradicted by the base rows: it is left out of the
+    projection and `pinned_margin` decides the level instead.
+    """
+
+    def __init__(self, base: _ConstraintSet, row: np.ndarray):
+        self.base = base
+        self.row = row
+        self.scale = float(np.linalg.norm(row))
+        self.h = row / self.scale
+        h_perp = self.h - base.pinv @ (base.A_n @ self.h)
+        self.perp_norm = float(np.linalg.norm(h_perp))
+        if self.perp_norm <= _PINNED_LEVEL:
+            self.step = None
+            self.c0 = float(self.h @ (base.pinv @ base.b_n))
+        else:
+            self.step = h_perp / self.perp_norm ** 2
+        self.t = 0.0
+
+    def set_level(self, t: float):
+        self.t = t
+
+    def project(self, w: np.ndarray) -> np.ndarray:
+        x = self.base.project(w)
+        if self.step is not None:
+            x = x + self.step * (self.t / self.scale - self.h @ x)
+        return x
+
     def residual(self, w: np.ndarray) -> float:
-        return float(np.max(np.abs(self.A @ w - self.b)))
+        return max(float(np.max(np.abs(self.base.base_A @ w - self.base.base_b))),
+                   abs(float(self.row @ w) - self.t))
+
+    def pinned_margin(self) -> float | None:
+        """Certified distance of a pinned level from every value the objective
+        takes on the base set within the spectral set; None when not pinned."""
+        if self.step is not None:
+            return None
+        return abs(self.t / self.scale - self.c0) - self.perp_norm
 
 
 def _vec(W: np.ndarray) -> np.ndarray:
@@ -452,20 +493,35 @@ class _Feasibility:
     W: np.ndarray | None
     residual: float
     iterations: int
+    margin: float | None = None       # set when infeasibility is certified
+    separator: np.ndarray | None = None   # the gap vector v of a Dykstra certificate
 
 
-def _dykstra(affine: _AffineSystem, D: int, x0: np.ndarray, tol: float,
+def _dykstra(affine: _LevelSystem, D: int, x0: np.ndarray, tol: float,
              max_iter: int) -> _Feasibility:
     """Dykstra between the spectral set and the affine subspace.
 
     The correction term is kept only for the spectral set; for an affine set
     the correction vanishes. Residuals are measured at the spectrally
     projected point, which is exactly PSD with unit trace, so a converged
-    answer violates only the affine part and only below tol. A run that
-    stalls at a residual above the ambiguity band is reported infeasible;
-    a stall or iteration cap inside the band is ambiguous, never silently
-    resolved either way.
+    answer violates only the affine part and only below tol.
+
+    "infeasible" is decided by a certificate whenever one holds. A pinned
+    level (objective constant on the base set) is decided before any
+    iteration by `pinned_margin`. Otherwise each iteration checks the gap
+    v = x − y between the affine projection x and the spectral point y: v
+    lies in the constraint row space, so ⟨v, ·⟩ equals ⟨v, x⟩ on the affine
+    set, while every trace-one PSD W has ⟨v, W⟩ ≤ λ_max(herm V). When
+    (⟨v, x⟩ − λ_max(herm V)) / ‖v‖, a lower bound on the distance between
+    the two sets, exceeds a rounding slack, no joining meets the
+    constraints; that bound is the returned margin. As a fallback, a run
+    that stalls at a residual above the ambiguity band is reported
+    infeasible without a margin; a stall or iteration cap inside the band
+    is ambiguous, never silently resolved either way.
     """
+    margin = affine.pinned_margin()
+    if margin is not None and margin > _CERTIFICATE_SLACK:
+        return _Feasibility("infeasible", None, affine.residual(x0), 0, margin)
     band = AMBIGUOUS_BAND_FACTOR * tol
     x = x0.copy()
     p = np.zeros_like(x)
@@ -484,6 +540,13 @@ def _dykstra(affine: _AffineSystem, D: int, x0: np.ndarray, tol: float,
         if r < tol:
             return _Feasibility("feasible", _unvec(y, D), r, it)
         x = affine.project(y)
+        v = x - y
+        v_norm = float(np.linalg.norm(v))
+        if v_norm > 0:
+            top = float(np.linalg.eigvalsh(_herm(_unvec(v, D)))[-1])
+            margin = (float(v @ x) - top) / v_norm
+            if margin > _CERTIFICATE_SLACK * (1.0 + float(np.linalg.norm(x))):
+                return _Feasibility("infeasible", _unvec(y, D), r, it, margin, v)
         if it % _STALL_CHECK_EVERY == 0:
             history.append(best)
             if len(history) > _STALL_WINDOW_CHECKS:
@@ -509,8 +572,28 @@ class SolveReport:
     upper: float | None = None
     oracle_calls: int = 0
     ambiguous_calls: int = 0
+    certified: int = 0                # infeasible calls proven by a certificate
+    stalled: int = 0                  # infeasible calls ended by the stall rule
+    min_margin: float | None = None   # smallest certified margin
     inconclusive: bool = False
     message: str = ""
+
+
+@dataclass
+class _InfeasibleTally:
+    """How the infeasible oracle answers of one solve or scan were decided."""
+
+    certified: int = 0
+    stalled: int = 0
+    min_margin: float | None = None
+
+    def add(self, out: _Feasibility):
+        if out.margin is None:
+            self.stalled += 1
+            return
+        self.certified += 1
+        if self.min_margin is None or out.margin < self.min_margin:
+            self.min_margin = out.margin
 
 
 def _herm(K: np.ndarray) -> np.ndarray:
@@ -539,6 +622,7 @@ def _maximize(ctx: TensorContext, cons: _ConstraintSet, H: np.ndarray,
     lo = t0
     W_best = W0
     calls = ambiguous = iters = 0
+    tally = _InfeasibleTally()
     while hi - lo > width:
         t = 0.5 * (lo + hi)
         affine.set_level(t)
@@ -552,6 +636,8 @@ def _maximize(ctx: TensorContext, cons: _ConstraintSet, H: np.ndarray,
             hi = t
             if out.status == "ambiguous":
                 ambiguous += 1
+            else:
+                tally.add(out)
     report = SolveReport(
         converged=True,
         iterations=iters,
@@ -561,6 +647,7 @@ def _maximize(ctx: TensorContext, cons: _ConstraintSet, H: np.ndarray,
         upper=hi,
         oracle_calls=calls,
         ambiguous_calls=ambiguous,
+        **vars(tally),
         inconclusive=ambiguous > 0,
         message="bisection complete" if ambiguous == 0 else
                 "bisection complete with ambiguous oracle calls; the maximum may be underestimated",
@@ -575,7 +662,8 @@ def find_joining(ctx: TensorContext, objective=None, tol: float = DEFAULT_TOL,
 
     Without an objective the product state is returned (it is always
     feasible). With one, the level of the objective is bisected to the given
-    width; the report carries iteration counts, residuals and an
+    width; the report carries iteration counts, residuals, how the
+    infeasible oracle calls were decided (certified or stalled) and an
     inconclusive flag whenever an oracle call could not be classified.
     """
     prod = product_joining(ctx)
@@ -606,6 +694,9 @@ class DisjointnessCertificate:
     max_gap_bound: float | None = None
     directions_scanned: int = 0
     ambiguous_directions: list = field(default_factory=list)
+    certified: int = 0                # infeasible probes proven by a certificate
+    stalled: int = 0                  # infeasible probes ended by the stall rule
+    min_margin: float | None = None   # smallest certified margin
 
 
 _WEIGHTS = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -620,15 +711,18 @@ def disjointness_test(ctx: TensorContext, tol: float = DEFAULT_TOL,
     Scans every basis direction together with its i-weighted and negated
     variants, so both real and imaginary deviations in either sign are
     covered. For each direction the feasibility oracle probes the level
-    t0 + threshold; an infeasible probe certifies the direction, a feasible
+    t0 + threshold; an infeasible probe settles the direction, a feasible
     one yields a witness which is then refined by full bisection. Any
-    ambiguous oracle call taints the verdict to inconclusive.
+    ambiguous oracle call taints the verdict to inconclusive. The
+    certificate counts the infeasible probes that were certified and those
+    ended by the stall rule, with the smallest certified margin.
     """
     thr = gap_threshold if gap_threshold is not None else 10.0 * width
     prod = product_joining(ctx)
     cons = _ConstraintSet(ctx)
     scanned = 0
     ambiguous = []
+    tally = _InfeasibleTally()
     for i in range(ctx.dim_a):
         for j in range(ctx.dim_b):
             base = ctx.rep(i, j)
@@ -643,12 +737,14 @@ def disjointness_test(ctx: TensorContext, tol: float = DEFAULT_TOL,
                 affine.set_level(t0 + thr)
                 probe = _dykstra(affine, ctx.dim, _vec(prod.matrix), tol, max_iter)
                 if probe.status == "infeasible":
+                    tally.add(probe)
                     continue
                 if probe.status == "ambiguous":
                     ambiguous.append((i, j, w))
                     return DisjointnessCertificate(
                         verdict="inconclusive", gap_threshold=thr,
                         directions_scanned=scanned, ambiguous_directions=ambiguous,
+                        **vars(tally),
                     )
                 W_best, report = _maximize(
                     ctx, cons, H, t0 + thr, probe.W, tol, max_iter, width)
@@ -657,11 +753,11 @@ def disjointness_test(ctx: TensorContext, tol: float = DEFAULT_TOL,
                 return DisjointnessCertificate(
                     verdict="not_disjoint", gap_threshold=thr,
                     witness_direction=(i, j, w), witness_gap=gap, witness=witness,
-                    directions_scanned=scanned,
+                    directions_scanned=scanned, **vars(tally),
                 )
     return DisjointnessCertificate(
         verdict="disjoint", gap_threshold=thr, max_gap_bound=thr,
-        directions_scanned=scanned,
+        directions_scanned=scanned, **vars(tally),
     )
 
 

@@ -189,8 +189,15 @@ def test_joinings_disjoint_command(capsys):
     code = main(["joinings", "disjoint", "--a", "corpus:c2", "--b", "corpus:c3",
                  "--format", "json"])
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    report = json.loads(text)
     assert report["results"]["verdict"] == "disjoint"
+    assert report["results"]["certified"] == 12
+    assert report["results"]["stalled"] == 0
+    assert report["results"]["min_margin"] > 0
+    main(["joinings", "disjoint", "--a", "corpus:c2", "--b", "corpus:c3",
+          "--format", "json"])
+    assert capsys.readouterr().out == text
 
 
 def test_corpus_commands(tmp_path, capsys):
@@ -213,11 +220,14 @@ def test_joinings_find_objective_file(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["achieved"] == pytest.approx(0.5, abs=1e-5)
+    results = report["results"]
+    assert results["certified"] + results["stalled"] > 0
+    assert results["min_margin"] > 0
 
 
 def test_inconclusive_solver_exits_3(capsys):
-    code = main(["joinings", "disjoint", "--a", "corpus:c2", "--b", "corpus:c3",
-                 "--max-iter", "10", "--format", "json"])
+    code = main(["joinings", "disjoint", "--a", "corpus:c2", "--b", "corpus:c2",
+                 "--max-iter", "1", "--format", "json"])
     assert code == 3
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "inconclusive"

@@ -191,6 +191,26 @@ def test_commutative_cross_check_more_directions(c2):
 # disjointness
 
 
+def _probed_directions(ctx, cert):
+    """Infeasibility probes of a scan that came out infeasible, counted from
+    the directions alone: those scanned whose spectral maximum exceeds the
+    threshold, less the last one when it stopped the scan."""
+    prod = product_joining(ctx).matrix
+    count = scanned = 0
+    for i in range(ctx.dim_a):
+        for j in range(ctx.dim_b):
+            for w in (1, 1j, -1, -1j):
+                scanned += 1
+                if scanned > cert.directions_scanned:
+                    continue
+                H = w * ctx.rep(i, j)
+                H = (H + H.conj().T) / 2
+                t0 = np.trace(prod @ H).real
+                if np.linalg.eigvalsh(H).max() > t0 + cert.gap_threshold:
+                    count += 1
+    return count - (cert.verdict != "disjoint")
+
+
 def test_disjoint_c2_c3(c2, c3):
     cert = disjointness_test(build_tensor_context(c2, c3))
     assert cert.verdict == "disjoint"
@@ -261,11 +281,38 @@ def test_spectrum_disjointness_property(c2, c3, c5):
         assert cert.verdict == "disjoint"
 
 
-def test_iteration_cap_taints_verdict(c2, c3):
-    cert = disjointness_test(build_tensor_context(c2, c3), max_iter=10)
+def test_iteration_cap_taints_verdict(c2):
+    # c2 x c2 needs Dykstra iterations for its feasible levels; a cap of one
+    # stops the first probe, a feasible one, before it reaches a verdict
+    ctx = build_tensor_context(c2, corpus.system("c2"))
+    cert = disjointness_test(ctx, max_iter=1)
     assert cert.verdict == "inconclusive"
-    jm, rep = find_joining(build_tensor_context(c2, c3), objective=(0, 0), max_iter=10)
+    jm, rep = find_joining(ctx, objective=(0, 0), max_iter=1)
     assert rep.inconclusive and rep.ambiguous_calls > 0
+
+
+def test_small_cap_gives_certified_disjointness(c2, c3):
+    ctx = build_tensor_context(c2, c3)
+    cert = disjointness_test(ctx, max_iter=10)
+    assert cert.verdict == "disjoint"
+    assert cert.certified == _probed_directions(ctx, cert) > 0
+    assert cert.stalled == 0 and cert.min_margin > 0
+
+
+def test_infeasible_probes_carry_evidence(c2, c3, c5, id3, pauli, gibbs):
+    idz2 = identity_system([1, 1], GroupDescriptor("Zk", k=2))
+    pairs = [(c5, id3), (c2, c3), (c2, corpus.system("c2")),
+             (pauli, corpus.system("pauli")), (pauli, idz2), (gibbs, c2)]
+    certs = []
+    for a, b in pairs:
+        ctx = build_tensor_context(a, b)
+        cert = disjointness_test(ctx)
+        assert cert.certified + cert.stalled == _probed_directions(ctx, cert)
+        if cert.certified:
+            assert cert.min_margin > 0
+        certs.append(cert)
+    # c5 x id3 and c2 x c3
+    assert certs[0].stalled == certs[1].stalled == 0
 
 
 def test_compact_corpus_scan_finds_witness(c2, c3):
