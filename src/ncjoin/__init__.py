@@ -59,10 +59,10 @@ from .joinings import (
     graph_joining,
     joining_face_dimension,
     joining_residuals,
+    mirror_context,
     ornstein_ratio_scan,
     product_joining,
     scan_compact_disjointness,
-    value_table,
 )
 from .dual import (
     CorrelationSeries,

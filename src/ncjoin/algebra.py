@@ -310,11 +310,17 @@ class Automorphism:
         return Automorphism(self.structure, tuple(inv_perm), conj)
 
     def power(self, n: int) -> "Automorphism":
+        """n-fold composite (inverse for n < 0), by repeated squaring."""
         base = self if n >= 0 else self.inverse()
-        out = identity_automorphism(self.structure)
-        for _ in range(abs(n)):
-            out = base.compose(out)
-        return out
+        out = None
+        n = abs(n)
+        while n:
+            if n & 1:
+                out = base if out is None else base.compose(out)
+            n >>= 1
+            if n:
+                base = base.compose(base)
+        return out if out is not None else identity_automorphism(self.structure)
 
     def unitarity_residual(self) -> float:
         return max(

@@ -51,6 +51,7 @@ from .joinings import (
     disjointness_test,
     find_joining,
     graph_joining,
+    mirror_context,
     ornstein_ratio_scan,
 )
 
@@ -335,8 +336,7 @@ def _cmd_joinings_diagonal(args):
 def _cmd_ornstein(args):
     sysd, rec = _load_system(args.system)
     window = _parse_window(args.window)
-    jm = diagonal_state(sysd)
-    ctx = jm.ctx
+    ctx = mirror_context(sysd)
     if args.elements:
         pairs = []
         for chunk in args.elements.split(";"):
@@ -346,7 +346,7 @@ def _cmd_ornstein(args):
         pairs = [(i, i) for i in range(ctx.dim_a)]
     elements = [ctx.basis_pair(i, j) for i, j in pairs]
     labels = [f"e{i}xf{j}" for i, j in pairs]
-    scan = ornstein_ratio_scan(sysd, elements, window, labels=labels)
+    scan = ornstein_ratio_scan(sysd, elements, window, labels=labels, ctx=ctx)
     results = {
         "period": scan.period,
         "sup_ratio": scan.sup_ratio,

@@ -18,6 +18,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     Automorphism,
+    FaithfulState,
     FiniteSystem,
     require_valid,
 )
@@ -70,17 +71,6 @@ class GnsSpace:
 
     def from_onb(self, x) -> np.ndarray:
         return self.onb_factor_inv @ np.asarray(x, dtype=complex)
-
-    def left_rep_of(self, a: AlgebraElement) -> np.ndarray:
-        coords = a.coords()
-        out = np.zeros((self.dimension, self.dimension), dtype=complex)
-        for c, L in zip(coords, self.left_rep):
-            if c != 0:
-                out += c * L
-        return out
-
-    def left_rep_onb(self, a: AlgebraElement) -> np.ndarray:
-        return self.onb_factor @ self.left_rep_of(a) @ self.onb_factor_inv
 
 
 @dataclass
@@ -404,7 +394,6 @@ class MirrorSystem:
 
     source: FiniteSystem
     commutant_basis: list[np.ndarray]
-    state_values: np.ndarray
     promoted: FiniteSystem
     _space: GnsSpace
     _rep: UnitaryRep
@@ -442,41 +431,22 @@ class MirrorSystem:
 def mirror_system(sys: FiniteSystem) -> MirrorSystem:
     """Commutant of the left representation, with state and dynamics.
 
-    The commutant is computed by solving [X, π(e_i)] = 0 over the canonical
-    basis; its dimension equals the algebra dimension.
+    The commutant of the left regular representation is the algebra of
+    right multiplications, so its basis is R_{e_j} over the canonical basis.
     """
     space, rep = gns_construct(sys)
-    d = space.dimension
-    rows = []
-    ident = np.eye(d, dtype=complex)
-    for L in space.left_rep:
-        # vec(XL - LX) = (L^T ⊗ I - I ⊗ L) vec(X), row-major vec
-        rows.append(np.kron(ident, L) - np.kron(L.T, ident))
-    ns = _null_space(np.vstack(rows))
-    basis = [ns[:, j].reshape(d, d) for j in range(ns.shape[1])]
-    if len(basis) != d:
-        raise NcjoinError(f"commutant dimension {len(basis)} != algebra dimension {d}")
-
     struct = sys.structure
-    density_t = [b.T.copy() for b in sys.state.density]
-    from .algebra import FaithfulState  # local import to avoid cycle noise
-
-    promoted_state = FaithfulState(struct, density_t)
+    promoted_state = FaithfulState(struct, [b.T.copy() for b in sys.state.density])
     promoted_gens = [
         Automorphism(struct, gen.block_perm, [u.conj() for u in gen.conjugator])
         for gen in sys.generators
     ]
     promoted = FiniteSystem(struct, promoted_state, sys.group, promoted_gens)
 
-    m = MirrorSystem(
-        source=sys,
-        commutant_basis=basis,
-        state_values=np.array([0j] * len(basis)),
-        promoted=promoted,
-        _space=space,
-        _rep=rep,
-    )
-    m.state_values = np.array([m.state_of(X) for X in basis])
+    m = MirrorSystem(source=sys, commutant_basis=[], promoted=promoted,
+                     _space=space, _rep=rep)
+    m.commutant_basis = [m.right_mult_matrix(struct.basis_element(j))
+                         for j in range(struct.dimension)]
     return m
 
 

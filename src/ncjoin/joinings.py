@@ -1,13 +1,16 @@
 """Joinings of two systems as a convex feasibility problem.
 
-A joining is represented by a Hermitian matrix W on the tensor product of
-the two orthonormalized GNS spaces, with ω(x) = trace(W · rep(x)). The
-constraints are W ⪰ 0, trace one, both marginals, and invariance under the
-diagonal action; positivity of the state then reduces to a single PSD
-constraint. Feasibility is solved by Dykstra alternating projections
-between the spectral set {W ⪰ 0, tr W = 1} and the affine constraint
-subspace; linear optimization over the joining set runs a bisection on the
-objective level against that oracle.
+A joining is a state ω on A ⊙ B with marginals μ and ν that is invariant
+under the diagonal action. It is stored by its values V[i, j] = ω(e_i ⊗ f_j)
+on the basis pairs. Each pair is a matrix unit E_rs of one block of the
+product algebra ⊕ M_{n_k·n_l}, and ω(E_rs) = ρ[s, r] for the block density
+ρ_ω of ω, so V holds exactly the entries of ρ_ω, blockwise transposed. The
+constraints are linear in V: trace one, both marginals, and Uaᵀ V Ub = V for
+every generator. Positivity of ω is positivity of every density block.
+Feasibility is solved by Dykstra alternating projections between the
+spectral set {ρ ⪰ 0, trace ρ = 1} and the affine constraint subspace; linear
+optimization over the joining set runs a bisection on the objective level
+against that oracle.
 
 An "infeasible" answer of the oracle is a proof whenever it can be: either
 the objective is constant on the affine constraints and the level misses
@@ -31,7 +34,6 @@ from .algebra import (
     BlockStructure,
     FiniteSystem,
     operator_norm,
-    require_valid,
 )
 from .errors import (
     NcjoinError,
@@ -56,11 +58,12 @@ _PINNED_LEVEL = 1e-9
 
 @dataclass
 class TensorContext:
-    """Two systems with the concrete tensor representation of A ⊙ B.
+    """Two systems and the product algebra A ⊙ B in which they are joined.
 
-    The product algebra has one block per pair of blocks; basis element
-    e_i ⊗ f_j is represented by kron(L_A(e_i), L_B(f_j)) acting on the
-    tensor of the orthonormalized GNS spaces.
+    The product algebra has one block per pair of blocks; basis pair
+    e_i ⊗ f_j is its matrix unit pair_index[i, j]. `blocks` groups the
+    product blocks by size N, each group an (m, N, N) array of the flat
+    positions i·dim_b + j of the block's matrix units in a value table.
     """
 
     A: FiniteSystem
@@ -70,12 +73,10 @@ class TensorContext:
     rep_a: UnitaryRep
     space_b: GnsSpace
     rep_b: UnitaryRep
-    left_a: list[np.ndarray]
-    left_b: list[np.ndarray]
     mu: np.ndarray
     nu: np.ndarray
     pair_index: np.ndarray   # (dA, dB) -> canonical index in the product basis
-    index_pair: list[tuple[int, int]]
+    blocks: list[np.ndarray]
 
     @property
     def dim_a(self) -> int:
@@ -88,18 +89,6 @@ class TensorContext:
     @property
     def dim(self) -> int:
         return self.dim_a * self.dim_b
-
-    def rep(self, i: int, j: int) -> np.ndarray:
-        return np.kron(self.left_a[i], self.left_b[j])
-
-    def rep_of(self, x: AlgebraElement) -> np.ndarray:
-        coords = x.coords()
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for p, c in enumerate(coords):
-            if c != 0:
-                i, j = self.index_pair[p]
-                out += c * self.rep(i, j)
-        return out
 
     def basis_pair(self, i: int, j: int) -> AlgebraElement:
         """The element e_i ⊗ f_j of the product algebra."""
@@ -117,86 +106,70 @@ class TensorContext:
 
 
 def build_tensor_context(A: FiniteSystem, B: FiniteSystem) -> TensorContext:
-    require_valid(A)
-    require_valid(B)
+    space_a, rep_a = gns_construct(A)   # validates each leg
+    space_b, rep_b = gns_construct(B)
     if (A.group.kind, A.group.k, A.group.m) != (B.group.kind, B.group.k, B.group.m):
         raise UnsupportedGroupError(
             f"systems act by different groups: {A.group} vs {B.group}")
-    space_a, rep_a = gns_construct(A)
-    space_b, rep_b = gns_construct(B)
-    sizes = []
-    for na in A.structure.block_sizes:
-        for nb in B.structure.block_sizes:
-            sizes.append(na * nb)
-    structure = BlockStructure(tuple(sizes))
+    structure = BlockStructure(tuple(
+        na * nb for na in A.structure.block_sizes for nb in B.structure.block_sizes))
 
     dA, dB = space_a.dimension, space_b.dimension
     mB = B.structure.num_blocks
     pair_index = np.zeros((dA, dB), dtype=int)
-    index_pair: list[tuple[int, int]] = [(-1, -1)] * structure.dimension
     for i in range(dA):
         ka, ra, ca = A.structure.basis_address(i)
         for j in range(dB):
             kb, rb, cb = B.structure.basis_address(j)
             nb = B.structure.block_sizes[kb]
-            K = ka * mB + kb
-            p = structure.basis_index(K, ra * nb + rb, ca * nb + cb)
-            pair_index[i, j] = p
-            index_pair[p] = (i, j)
+            pair_index[i, j] = structure.basis_index(ka * mB + kb, ra * nb + rb, ca * nb + cb)
+    position = np.empty(structure.dimension, dtype=int)
+    position[pair_index.reshape(-1)] = np.arange(structure.dimension)
+    by_size: dict[int, list[np.ndarray]] = {}
+    for off, n in zip(structure.offsets(), structure.block_sizes):
+        by_size.setdefault(n, []).append(position[off:off + n * n].reshape(n, n))
 
-    left_a = [space_a.left_rep_onb(A.structure.basis_element(i)) for i in range(dA)]
-    left_b = [space_b.left_rep_onb(B.structure.basis_element(j)) for j in range(dB)]
     mu = np.array([A.state.value(A.structure.basis_element(i)) for i in range(dA)])
     nu = np.array([B.state.value(B.structure.basis_element(j)) for j in range(dB)])
     return TensorContext(
         A=A, B=B, structure=structure,
         space_a=space_a, rep_a=rep_a, space_b=space_b, rep_b=rep_b,
-        left_a=left_a, left_b=left_b, mu=mu, nu=nu,
-        pair_index=pair_index, index_pair=index_pair,
+        mu=mu, nu=nu, pair_index=pair_index,
+        blocks=[np.array(group) for group in by_size.values()],
     )
 
 
-def value_table(ctx: TensorContext, W: np.ndarray) -> np.ndarray:
-    """ω(e_i ⊗ f_j) for every basis pair."""
-    out = np.zeros((ctx.dim_a, ctx.dim_b), dtype=complex)
-    for i in range(ctx.dim_a):
-        for j in range(ctx.dim_b):
-            out[i, j] = np.trace(W @ ctx.rep(i, j))
-    return out
+def _herm_blocks(z: np.ndarray, ctx: TensorContext):
+    """(positions, Hermitian parts) of the density blocks of a flat value vector,
+    one stack per block size."""
+    for idx in ctx.blocks:
+        X = z[idx]
+        yield idx, (X + X.conj().swapaxes(-1, -2)) / 2
 
 
-def joining_residuals(ctx: TensorContext, W: np.ndarray) -> dict:
-    """Residuals of the joining constraint battery for a candidate W."""
-    herm = operator_norm(W - W.conj().T)
-    Wh = (W + W.conj().T) / 2
-    eigs = np.linalg.eigvalsh(Wh)
-    psd_floor = float(eigs.min())
-    trace_dev = abs(np.trace(Wh).real - 1.0) + abs(np.trace(Wh).imag)
-    ident_b = np.eye(ctx.dim_b, dtype=complex)
-    ident_a = np.eye(ctx.dim_a, dtype=complex)
-    marg_a = max(
-        abs(np.trace(Wh @ np.kron(ctx.left_a[i], ident_b)) - ctx.mu[i])
-        for i in range(ctx.dim_a))
-    marg_b = max(
-        abs(np.trace(Wh @ np.kron(ident_a, ctx.left_b[j])) - ctx.nu[j])
-        for j in range(ctx.dim_b))
-    inv = 0.0
-    for g in range(len(ctx.A.generators)):
-        Ua = ctx.rep_a.matrices[g]
-        Ub = ctx.rep_b.matrices[g]
-        la_g = _transformed_left(ctx.left_a, Ua)
-        lb_g = _transformed_left(ctx.left_b, Ub)
-        for i in range(ctx.dim_a):
-            for j in range(ctx.dim_b):
-                K = np.kron(la_g[i], lb_g[j]) - np.kron(ctx.left_a[i], ctx.left_b[j])
-                inv = max(inv, abs(np.trace(Wh @ K)))
+def joining_residuals(ctx: TensorContext, values) -> dict:
+    """Residuals of the joining constraint battery for a candidate value table."""
+    z = np.asarray(values, dtype=complex).reshape(-1)
+    zh = np.empty_like(z)
+    herm, psd_floor = 0.0, math.inf
+    for idx, Xh in _herm_blocks(z, ctx):
+        zh[idx] = Xh
+        skew = 2 * (z[idx] - Xh)   # X − X*
+        herm = max(herm, float(np.linalg.norm(skew, 2, axis=(-2, -1)).max()))
+        psd_floor = min(psd_floor, float(np.linalg.eigvalsh(Xh).min()))
+    V = zh.reshape(ctx.dim_a, ctx.dim_b)
+    ua = ctx.A.structure.identity().coords()
+    ub = ctx.B.structure.identity().coords()
+    tr = ua @ V @ ub
+    inv = max((float(np.max(np.abs(Ua.T @ V @ Ub - V)))
+               for Ua, Ub in zip(ctx.rep_a.matrices, ctx.rep_b.matrices)), default=0.0)
     return {
         "hermiticity": herm,
         "psd_floor": psd_floor,
-        "trace": trace_dev,
-        "marginal_a": float(marg_a),
-        "marginal_b": float(marg_b),
-        "invariance": float(inv),
+        "trace": abs(tr.real - 1.0) + abs(tr.imag),
+        "marginal_a": float(np.max(np.abs(V @ ub - ctx.mu))),
+        "marginal_b": float(np.max(np.abs(ua @ V - ctx.nu))),
+        "invariance": inv,
     }
 
 
@@ -212,44 +185,22 @@ def residual_magnitude(residuals: dict) -> float:
     )
 
 
-def _transformed_left(left, U):
-    """Left-rep matrices of the transformed basis α(e_i) = Σ_m U[m,i] e_m."""
-    d = len(left)
-    out = []
-    for i in range(d):
-        acc = np.zeros_like(left[0])
-        for m in range(d):
-            c = U[m, i]
-            if c != 0:
-                acc += c * left[m]
-        out.append(acc)
-    return out
-
-
 @dataclass
 class JoiningMatrix:
-    """A state on A ⊙ B carried by a density-style matrix on the tensor space."""
+    """A state on A ⊙ B given by its values on the basis pairs."""
 
     ctx: TensorContext
-    matrix: np.ndarray
+    values: np.ndarray
     label: str
-    values: np.ndarray = field(default=None)
     residuals: dict = field(default=None)
 
     def __post_init__(self):
-        if self.values is None:
-            self.values = value_table(self.ctx, self.matrix)
+        self.values = np.asarray(self.values, dtype=complex)
         if self.residuals is None:
-            self.residuals = joining_residuals(self.ctx, self.matrix)
+            self.residuals = joining_residuals(self.ctx, self.values)
 
     def value(self, x: AlgebraElement) -> complex:
-        coords = x.coords()
-        acc = 0j
-        for p, c in enumerate(coords):
-            if c != 0:
-                i, j = self.ctx.index_pair[p]
-                acc += c * self.values[i, j]
-        return acc
+        return complex(np.sum(x.coords()[self.ctx.pair_index] * self.values))
 
     @property
     def worst_residual(self) -> float:
@@ -258,27 +209,8 @@ class JoiningMatrix:
 
 def joining_from_values(ctx: TensorContext, values, label: str,
                         check_tol: float = CONSTRUCTOR_RESIDUAL_TOL) -> JoiningMatrix:
-    """Canonical PSD lift of a state given by its values on the basis pairs.
-
-    The state's density with respect to the block trace is transported
-    through the representation; block (k, l) carries multiplicity n_k·n_l in
-    the tensor space, hence the weighting.
-    """
-    values = np.asarray(values, dtype=complex)
-    W = np.zeros((ctx.dim, ctx.dim), dtype=complex)
-    for i in range(ctx.dim_a):
-        ka = ctx.A.structure.basis_address(i)[0]
-        na = ctx.A.structure.block_sizes[ka]
-        ti = ctx.A.structure.adjoint_index(i)
-        for j in range(ctx.dim_b):
-            v = values[i, j]
-            if v == 0:
-                continue
-            kb = ctx.B.structure.basis_address(j)[0]
-            nb = ctx.B.structure.block_sizes[kb]
-            tj = ctx.B.structure.adjoint_index(j)
-            W += (v / (na * nb)) * np.kron(ctx.left_a[ti], ctx.left_b[tj])
-    out = JoiningMatrix(ctx=ctx, matrix=W, label=label)
+    """The state with the given values on the basis pairs, checked to be a joining."""
+    out = JoiningMatrix(ctx=ctx, values=values, label=label)
     if residual_magnitude(out.residuals) > check_tol:
         raise NcjoinError(
             f"constructed {label} state violates the joining battery: {out.residuals}")
@@ -291,9 +223,9 @@ def product_joining(ctx: TensorContext) -> JoiningMatrix:
                                check_tol=1e-10)
 
 
-def _mirror_context(sys: FiniteSystem):
-    m = mirror_system(sys)
-    return m, build_tensor_context(sys, m.promoted)
+def mirror_context(sys: FiniteSystem) -> TensorContext:
+    """Tensor context of a system with its promoted mirror."""
+    return build_tensor_context(sys, mirror_system(sys).promoted)
 
 
 def _diagonal_values(sys: FiniteSystem, ctx: TensorContext, power=None) -> np.ndarray:
@@ -330,7 +262,7 @@ def diagonal_state(sys: FiniteSystem) -> JoiningMatrix:
     The mirror leg is the promoted commutant; the constructed state is
     verified to be a joining of the system with its mirror.
     """
-    _, ctx = _mirror_context(sys)
+    ctx = mirror_context(sys)
     return joining_from_values(ctx, _diagonal_values(sys, ctx), label="diagonal")
 
 
@@ -338,59 +270,60 @@ def graph_joining(sys: FiniteSystem, n: int) -> JoiningMatrix:
     """Shifted diagonal state Δ_n(a ⊗ b) = ω_diag(α_n(a) ⊗ b); needs a Z action."""
     if sys.group.kind != "Z":
         raise UnsupportedGroupError("graph joinings need a Z action")
-    _, ctx = _mirror_context(sys)
+    ctx = mirror_context(sys)
     power = sys.generators[0].power(n)
     return joining_from_values(ctx, _diagonal_values(sys, ctx, power), label=f"graph:{n}")
 
 
 # ---------------------------------------------------------------------------
 # feasibility solver
+#
+# The solver works on real vectors w = [Re z; Im z] of length 2·dim_a·dim_b,
+# where z is a value table flattened row-major.
 
 
-def _real_rows(K: np.ndarray, v: complex, want_imag: bool = True):
-    """Real-linear rows for trace(W K) = v over [vec Re W; vec Im W]."""
-    Kt = K.T
-    p = Kt.real.reshape(-1)
-    q = Kt.imag.reshape(-1)
-    rows = [(np.concatenate([p, -q]), v.real)]
-    if want_imag:
-        rows.append((np.concatenate([q, p]), v.imag))
-    return rows
+def _vec(z: np.ndarray) -> np.ndarray:
+    z = z.reshape(-1)
+    return np.concatenate([z.real, z.imag])
+
+
+def _unvec(w: np.ndarray) -> np.ndarray:
+    half = w.size // 2
+    return w[:half] + 1j * w[half:]
+
+
+def _real_row(k: np.ndarray) -> np.ndarray:
+    """Row of w ↦ Re Σ k_q z_q (one row per row of a 2-D k)."""
+    return np.concatenate([k.real, -k.imag], axis=-1)
 
 
 class _ConstraintSet:
-    """Stacked real affine constraints trace(W K_c) = v_c with projection data.
+    """Stacked real affine constraints on value tables, with projection data.
 
-    The projector onto these base constraints is factored once, on first
-    use; every level system of a solve or of a disjointness scan reuses it.
+    The complex constraints are trace one, the marginals V·1 = μ and 1ᵀ·V = ν,
+    and invariance Uaᵀ V Ub = V for every generator; each contributes its
+    real and its imaginary part. The projector onto these base constraints
+    is factored once, on first use; every level system of a solve or of a
+    disjointness scan reuses it.
     """
 
     def __init__(self, ctx: TensorContext):
         self.ctx = ctx
-        D = ctx.dim
-        rows, vals = [], []
-
-        def add(K, v):
-            for r, val in _real_rows(K, v):
-                rows.append(r)
-                vals.append(val)
-
-        add(np.eye(D, dtype=complex), 1.0 + 0j)
-        ib = np.eye(ctx.dim_b, dtype=complex)
-        ia = np.eye(ctx.dim_a, dtype=complex)
-        for i in range(ctx.dim_a):
-            add(np.kron(ctx.left_a[i], ib), complex(ctx.mu[i]))
-        for j in range(ctx.dim_b):
-            add(np.kron(ia, ctx.left_b[j]), complex(ctx.nu[j]))
-        for g in range(len(ctx.A.generators)):
-            la_g = _transformed_left(ctx.left_a, ctx.rep_a.matrices[g])
-            lb_g = _transformed_left(ctx.left_b, ctx.rep_b.matrices[g])
-            for i in range(ctx.dim_a):
-                for j in range(ctx.dim_b):
-                    add(np.kron(la_g[i], lb_g[j]) -
-                        np.kron(ctx.left_a[i], ctx.left_b[j]), 0j)
-        A = np.array(rows)
-        b = np.array(vals)
+        dA, dB, n = ctx.dim_a, ctx.dim_b, ctx.dim
+        ua = ctx.A.structure.identity().coords()
+        ub = ctx.B.structure.identity().coords()
+        K = [np.outer(ua, ub).reshape(1, n),
+             (np.eye(dA)[:, :, None] * ub).reshape(dA, n),
+             (ua[:, None] * np.eye(dB)[:, None, :]).reshape(dB, n)]
+        v = [np.ones(1), ctx.mu, ctx.nu]
+        for Ua, Ub in zip(ctx.rep_a.matrices, ctx.rep_b.matrices):
+            # entry (i, j) of Uaᵀ V Ub is Σ Ua[m, i] Ub[l, j] V[m, l]
+            K.append(np.einsum("mi,lj->ijml", Ua, Ub).reshape(n, n) - np.eye(n))
+            v.append(np.zeros(n))
+        K = np.vstack(K)
+        v = np.concatenate(v).astype(complex)
+        A = np.vstack([_real_row(K), _real_row(-1j * K)])   # Re and Im of K·z
+        b = np.concatenate([v.real, v.imag])
         keep = np.linalg.norm(A, axis=1) > 1e-12
         self.base_A = A[keep]
         self.base_b = b[keep]
@@ -406,9 +339,9 @@ class _ConstraintSet:
         """Orthogonal projection onto the base affine set."""
         return w - self.pinv @ (self.A_n @ w - self.b_n)
 
-    def with_level(self, H: np.ndarray) -> _LevelSystem:
-        """The base constraints extended by the row Re trace(W H) = t."""
-        return _LevelSystem(self, _real_rows(H, 0j, want_imag=False)[0][0])
+    def with_level(self, k: np.ndarray) -> _LevelSystem:
+        """The base constraints extended by the row Re Σ k_q z_q = t."""
+        return _LevelSystem(self, _real_row(k))
 
 
 class _LevelSystem:
@@ -418,15 +351,15 @@ class _LevelSystem:
     space, projecting onto the base set and then moving along h⊥ to the
     level is the orthogonal projection onto the intersection. On the base
     set the objective equals c0 + h⊥·w with c0 = h·A⁺b, and |h⊥·w| ≤ ‖h⊥‖
-    for every trace-one PSD w. When ‖h⊥‖ is negligible the level row is
-    implied or contradicted by the base rows: it is left out of the
+    for every w of the spectral set. When ‖h⊥‖ is negligible the level row
+    is implied or contradicted by the base rows: it is left out of the
     projection and `pinned_margin` decides the level instead.
     """
 
     def __init__(self, base: _ConstraintSet, row: np.ndarray):
         self.base = base
         self.row = row
-        self.scale = float(np.linalg.norm(row))
+        self.scale = float(np.linalg.norm(row)) or 1.0   # a zero objective is pinned at 0
         self.h = row / self.scale
         h_perp = self.h - base.pinv @ (base.A_n @ self.h)
         self.perp_norm = float(np.linalg.norm(h_perp))
@@ -458,22 +391,21 @@ class _LevelSystem:
         return abs(self.t / self.scale - self.c0) - self.perp_norm
 
 
-def _vec(W: np.ndarray) -> np.ndarray:
-    return np.concatenate([W.real.reshape(-1), W.imag.reshape(-1)])
+def _project_spectral(w: np.ndarray, ctx: TensorContext) -> np.ndarray:
+    """Nearest point in {ρ Hermitian, ρ ⪰ 0, trace ρ = 1} (Frobenius).
 
-
-def _unvec(w: np.ndarray, D: int) -> np.ndarray:
-    half = D * D
-    return w[:half].reshape(D, D) + 1j * w[half:].reshape(D, D)
-
-
-def _project_spectral(w: np.ndarray, D: int) -> np.ndarray:
-    """Nearest point in {W Hermitian, W ⪰ 0, trace W = 1} (Frobenius)."""
-    W = _unvec(w, D)
-    W = (W + W.conj().T) / 2
-    vals, vecs = np.linalg.eigh(W)
-    vals = _project_simplex(vals)
-    return _vec((vecs * vals) @ vecs.conj().T)
+    One batched `eigh` per block size, then one simplex projection over the
+    eigenvalues of all blocks.
+    """
+    parts = [(idx, *np.linalg.eigh(X)) for idx, X in _herm_blocks(_unvec(w), ctx)]
+    lam = _project_simplex(np.concatenate([vals.reshape(-1) for _, vals, _ in parts]))
+    out = np.empty(ctx.dim, dtype=complex)
+    pos = 0
+    for idx, vals, vecs in parts:
+        lam_k = lam[pos:pos + vals.size].reshape(vals.shape)
+        pos += vals.size
+        out[idx] = (vecs * lam_k[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return _vec(out)
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -487,17 +419,22 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
+def _top_eigenvalue(w: np.ndarray, ctx: TensorContext) -> float:
+    """Largest eigenvalue over the Hermitian parts of all density blocks."""
+    return max(float(np.linalg.eigvalsh(X).max()) for _, X in _herm_blocks(_unvec(w), ctx))
+
+
 @dataclass
 class _Feasibility:
     status: str          # feasible | infeasible | ambiguous
-    W: np.ndarray | None
+    point: np.ndarray | None   # the spectral point reached, as a real vector
     residual: float
     iterations: int
     margin: float | None = None       # set when infeasibility is certified
     separator: np.ndarray | None = None   # the gap vector v of a Dykstra certificate
 
 
-def _dykstra(affine: _LevelSystem, D: int, x0: np.ndarray, tol: float,
+def _dykstra(affine: _LevelSystem, x0: np.ndarray, tol: float,
              max_iter: int) -> _Feasibility:
     """Dykstra between the spectral set and the affine subspace.
 
@@ -511,14 +448,15 @@ def _dykstra(affine: _LevelSystem, D: int, x0: np.ndarray, tol: float,
     iteration by `pinned_margin`. Otherwise each iteration checks the gap
     v = x − y between the affine projection x and the spectral point y: v
     lies in the constraint row space, so ⟨v, ·⟩ equals ⟨v, x⟩ on the affine
-    set, while every trace-one PSD W has ⟨v, W⟩ ≤ λ_max(herm V). When
-    (⟨v, x⟩ − λ_max(herm V)) / ‖v‖, a lower bound on the distance between
-    the two sets, exceeds a rounding slack, no joining meets the
-    constraints; that bound is the returned margin. As a fallback, a run
-    that stalls at a residual above the ambiguity band is reported
-    infeasible without a margin; a stall or iteration cap inside the band
-    is ambiguous, never silently resolved either way.
+    set, while every state has ⟨v, ρ⟩ ≤ λ_max(herm V) over the density
+    blocks. When (⟨v, x⟩ − λ_max(herm V)) / ‖v‖, a lower bound on the
+    distance between the two sets, exceeds a rounding slack, no joining
+    meets the constraints; that bound is the returned margin. As a
+    fallback, a run that stalls at a residual above the ambiguity band is
+    reported infeasible without a margin; a stall or iteration cap inside
+    the band is ambiguous, never silently resolved either way.
     """
+    ctx = affine.base.ctx
     margin = affine.pinned_margin()
     if margin is not None and margin > _CERTIFICATE_SLACK:
         return _Feasibility("infeasible", None, affine.residual(x0), 0, margin)
@@ -526,27 +464,26 @@ def _dykstra(affine: _LevelSystem, D: int, x0: np.ndarray, tol: float,
     x = x0.copy()
     p = np.zeros_like(x)
     best = math.inf
-    best_W = None
+    best_y = None
     history: list[float] = []
     it = 0
     while it < max_iter:
         it += 1
-        y = _project_spectral(x + p, D)
+        y = _project_spectral(x + p, ctx)
         p = x + p - y
         r = affine.residual(y)
         if r < best:
             best = r
-            best_W = y
+            best_y = y
         if r < tol:
-            return _Feasibility("feasible", _unvec(y, D), r, it)
+            return _Feasibility("feasible", y, r, it)
         x = affine.project(y)
         v = x - y
         v_norm = float(np.linalg.norm(v))
         if v_norm > 0:
-            top = float(np.linalg.eigvalsh(_herm(_unvec(v, D)))[-1])
-            margin = (float(v @ x) - top) / v_norm
+            margin = (float(v @ x) - _top_eigenvalue(v, ctx)) / v_norm
             if margin > _CERTIFICATE_SLACK * (1.0 + float(np.linalg.norm(x))):
-                return _Feasibility("infeasible", _unvec(y, D), r, it, margin, v)
+                return _Feasibility("infeasible", y, r, it, margin, v)
         if it % _STALL_CHECK_EVERY == 0:
             history.append(best)
             if len(history) > _STALL_WINDOW_CHECKS:
@@ -556,10 +493,9 @@ def _dykstra(affine: _LevelSystem, D: int, x0: np.ndarray, tol: float,
                     # keep a positive distance, unless it settled so low that
                     # numerical noise could hide a feasible point
                     status = "infeasible" if best >= band else "ambiguous"
-                    return _Feasibility(status, _unvec(best_W, D), best, it)
+                    return _Feasibility(status, best_y, best, it)
     # iteration cap with the residual still falling: no verdict either way
-    return _Feasibility("ambiguous", _unvec(best_W, D) if best_W is not None else None,
-                        best, it)
+    return _Feasibility("ambiguous", best_y, best, it)
 
 
 @dataclass
@@ -596,52 +532,70 @@ class _InfeasibleTally:
             self.min_margin = out.margin
 
 
-def _herm(K: np.ndarray) -> np.ndarray:
-    return (K + K.conj().T) / 2
+def _basis_direction(ctx: TensorContext, i: int, j: int, w: complex = 1):
+    """Hermitian part of w·(e_i ⊗ f_j) as value coefficients, with a bound on
+    its largest eigenvalue.
+
+    The basis pair is a matrix unit E of the product algebra. On the diagonal
+    the Hermitian part is Re w · E, whose largest eigenvalue is max(Re w, 0)
+    (exact unless A ⊙ B is one-dimensional); off the diagonal its nonzero
+    eigenvalues are ±|w|/2.
+    """
+    ti, tj = ctx.A.structure.adjoint_index(i), ctx.B.structure.adjoint_index(j)
+    k = np.zeros(ctx.dim, dtype=complex)
+    k[i * ctx.dim_b + j] += w / 2
+    k[ti * ctx.dim_b + tj] += np.conj(w) / 2
+    top = max(w.real, 0.0) if (ti, tj) == (i, j) else abs(w) / 2
+    return k, top
 
 
-def _objective_rep(ctx: TensorContext, objective) -> tuple[np.ndarray, str]:
+def _objective(ctx: TensorContext, objective) -> tuple[np.ndarray, float, str]:
+    """Value coefficients of the objective's Hermitian part, its largest
+    eigenvalue (or a bound on it) and a label."""
     if isinstance(objective, AlgebraElement):
-        return ctx.rep_of(objective), "element"
+        h = 0.5 * (objective + objective.adjoint())
+        top = max(float(np.linalg.eigvalsh(b).max()) for b in h.blocks)
+        return h.coords()[ctx.pair_index].reshape(-1), top, "element"
     if isinstance(objective, tuple) and len(objective) == 2:
         i, j = objective
-        return ctx.rep(i, j), f"basis({i},{j})"
+        return *_basis_direction(ctx, i, j), f"basis({i},{j})"
     raise NcjoinError("objective must be an AlgebraElement or a basis index pair")
 
 
-def _maximize(ctx: TensorContext, cons: _ConstraintSet, H: np.ndarray,
-              t0: float, W0: np.ndarray, tol: float, max_iter: int,
-              width: float):
-    """Bisection on the level Re trace(W H) = t with the feasibility oracle.
+def _maximize(affine: _LevelSystem, top: float, lo: float, x0: np.ndarray,
+              tol: float, max_iter: int, width: float, label: str):
+    """Bisection on the level of the affine system's row with the feasibility oracle.
 
-    The feasible endpoint is always kept; the returned matrix is the best
-    verified feasible point, so the achieved value is a sound lower bound.
+    `lo` is a level that x0 attains and `top` bounds the objective over all
+    states. The feasible endpoint is always kept; the returned joining is the
+    best verified feasible point, so the achieved value is a sound lower bound.
     """
-    affine = cons.with_level(H)
-    hi = float(np.linalg.eigvalsh(_herm(H)).max()) + 1e-12
-    lo = t0
-    W_best = W0
+    ctx = affine.base.ctx
+    hi = top + 1e-12
+    x_best = x0
     calls = ambiguous = iters = 0
     tally = _InfeasibleTally()
     while hi - lo > width:
         t = 0.5 * (lo + hi)
         affine.set_level(t)
-        out = _dykstra(affine, ctx.dim, _vec(W_best), tol, max_iter)
+        out = _dykstra(affine, x_best, tol, max_iter)
         calls += 1
         iters += out.iterations
         if out.status == "feasible":
             lo = t
-            W_best = out.W
+            x_best = out.point
         else:
             hi = t
             if out.status == "ambiguous":
                 ambiguous += 1
             else:
                 tally.add(out)
+    jm = JoiningMatrix(ctx=ctx, values=_unvec(x_best).reshape(ctx.dim_a, ctx.dim_b),
+                       label=label)
     report = SolveReport(
         converged=True,
         iterations=iters,
-        residual=residual_magnitude(joining_residuals(ctx, W_best)),
+        residual=jm.worst_residual,
         achieved=lo,
         lower=lo,
         upper=hi,
@@ -652,7 +606,7 @@ def _maximize(ctx: TensorContext, cons: _ConstraintSet, H: np.ndarray,
         message="bisection complete" if ambiguous == 0 else
                 "bisection complete with ambiguous oracle calls; the maximum may be underestimated",
     )
-    return W_best, report
+    return jm, report
 
 
 def find_joining(ctx: TensorContext, objective=None, tol: float = DEFAULT_TOL,
@@ -674,12 +628,11 @@ def find_joining(ctx: TensorContext, objective=None, tol: float = DEFAULT_TOL,
             message="product state is feasible",
         )
         return prod, report
-    H_raw, desc = _objective_rep(ctx, objective)
-    H = _herm(H_raw)
-    t0 = float(np.trace(prod.matrix @ H).real)
-    cons = _ConstraintSet(ctx)
-    W_best, report = _maximize(ctx, cons, H, t0, prod.matrix, tol, max_iter, width)
-    jm = JoiningMatrix(ctx=ctx, matrix=W_best, label=f"solver:{desc}")
+    k, top, desc = _objective(ctx, objective)
+    affine = _ConstraintSet(ctx).with_level(k)
+    x0 = _vec(prod.values)
+    jm, report = _maximize(affine, top, float(affine.row @ x0), x0, tol, max_iter,
+                           width, f"solver:{desc}")
     report.message = f"objective {desc}: " + report.message
     return jm, report
 
@@ -718,24 +671,23 @@ def disjointness_test(ctx: TensorContext, tol: float = DEFAULT_TOL,
     ended by the stall rule, with the smallest certified margin.
     """
     thr = gap_threshold if gap_threshold is not None else 10.0 * width
-    prod = product_joining(ctx)
+    prod = product_joining(ctx).values.reshape(-1)
+    x0 = _vec(prod)
     cons = _ConstraintSet(ctx)
     scanned = 0
     ambiguous = []
     tally = _InfeasibleTally()
     for i in range(ctx.dim_a):
         for j in range(ctx.dim_b):
-            base = ctx.rep(i, j)
             for w in _WEIGHTS:
                 scanned += 1
-                H = _herm(w * base)
-                t0 = float(np.trace(prod.matrix @ H).real)
-                hi = float(np.linalg.eigvalsh(H).max())
-                if hi <= t0 + thr:
+                k, top = _basis_direction(ctx, i, j, w)
+                t0 = float((k @ prod).real)
+                if top <= t0 + thr:
                     continue  # no state at all exceeds the threshold here
-                affine = cons.with_level(H)
+                affine = cons.with_level(k)
                 affine.set_level(t0 + thr)
-                probe = _dykstra(affine, ctx.dim, _vec(prod.matrix), tol, max_iter)
+                probe = _dykstra(affine, x0, tol, max_iter)
                 if probe.status == "infeasible":
                     tally.add(probe)
                     continue
@@ -746,14 +698,12 @@ def disjointness_test(ctx: TensorContext, tol: float = DEFAULT_TOL,
                         directions_scanned=scanned, ambiguous_directions=ambiguous,
                         **vars(tally),
                     )
-                W_best, report = _maximize(
-                    ctx, cons, H, t0 + thr, probe.W, tol, max_iter, width)
-                gap = report.achieved - t0
-                witness = JoiningMatrix(ctx=ctx, matrix=W_best, label=f"witness({i},{j})")
+                witness, report = _maximize(affine, top, t0 + thr, probe.point, tol,
+                                            max_iter, width, f"witness({i},{j})")
                 return DisjointnessCertificate(
                     verdict="not_disjoint", gap_threshold=thr,
-                    witness_direction=(i, j, w), witness_gap=gap, witness=witness,
-                    directions_scanned=scanned, **vars(tally),
+                    witness_direction=(i, j, w), witness_gap=report.achieved - t0,
+                    witness=witness, directions_scanned=scanned, **vars(tally),
                 )
     return DisjointnessCertificate(
         verdict="disjoint", gap_threshold=thr, max_gap_bound=thr,
@@ -816,45 +766,29 @@ def _hermitian_param_basis(r: int) -> list[np.ndarray]:
 
 def joining_face_dimension(ctx: TensorContext, joining: JoiningMatrix,
                            rank_tol: float = 1e-7) -> int:
-    """Dimension of the feasible perturbations of W, seen in state values.
+    """Dimension of the feasible perturbations of the joining's density.
 
-    Directions are Hermitian D with range(D) inside range(W) and all affine
-    constraints mapping D to zero; the returned number is the rank of their
-    images on the represented values. Zero means the state is an extreme
-    point of the joining set as far as the represented values go; coherence
-    directions that change no value do not count.
+    Directions are Hermitian perturbations of each density block with range
+    inside the range of that block that every affine constraint maps to
+    zero. The range of a block of size N is spanned by its eigenvectors with
+    eigenvalue above N·rank_tol. Zero means the state is an extreme point of
+    the joining set.
     """
-    W = (joining.matrix + joining.matrix.conj().T) / 2
-    vals, vecs = np.linalg.eigh(W)
-    keep = vals > rank_tol
-    R = vecs[:, keep]
-    r = R.shape[1]
-    if r == 0:
-        return 0
-    cons = _ConstraintSet(ctx)
-    A = cons.base_A
-    params = _hermitian_param_basis(r)
+    z = joining.values.reshape(-1)
     cols = []
-    dirs = []
-    for E in params:
-        D = R @ E @ R.conj().T
-        dirs.append(D)
-        cols.append(A @ _vec(D))
-    Mcons = np.array(cols).T
-    _, s, vh = np.linalg.svd(Mcons) if Mcons.size else (None, np.array([]), None)
-    rank = int(np.sum(s > 1e-8))
-    null = vh[rank:].conj().T if Mcons.size else np.eye(len(params))
-    if null.shape[1] == 0:
+    for idx, X in _herm_blocks(z, ctx):
+        vals, vecs = np.linalg.eigh(X)
+        for pos, lam, U in zip(idx, vals, vecs):
+            R = U[:, lam > rank_tol * len(lam)]
+            for E in _hermitian_param_basis(R.shape[1]):
+                D = np.zeros(ctx.dim, dtype=complex)
+                D[pos] = R @ E @ R.conj().T
+                cols.append(_vec(D))
+    if not cols:
         return 0
-    rows = []
-    for q in range(null.shape[1]):
-        D = sum(null[m, q] * dirs[m] for m in range(len(dirs)))
-        D = (D + D.conj().T) / 2
-        tab = value_table(ctx, D)
-        rows.append(np.concatenate([tab.real.reshape(-1), tab.imag.reshape(-1)]))
-    Mvals = np.array(rows)
-    sv = np.linalg.svd(Mvals, compute_uv=False)
-    return int(np.sum(sv > rank_tol))
+    images = _ConstraintSet(ctx).base_A @ np.array(cols).T
+    s = np.linalg.svd(images, compute_uv=False)
+    return len(cols) - int(np.sum(s > 1e-8))
 
 
 @dataclass
@@ -873,7 +807,7 @@ def cesaro_diagonal_average(sys: FiniteSystem, n: int) -> CesaroDiagonalResult:
     """
     from .gns import classify_finite
 
-    _, ctx = _mirror_context(sys)
+    ctx = mirror_context(sys)
     elements = sys.group.folner_elements(n)
     acc = np.zeros((ctx.dim_a, ctx.dim_b), dtype=complex)
     for g in elements:
@@ -913,51 +847,40 @@ class OrnsteinScan:
 
 
 def ornstein_ratio_scan(sys: FiniteSystem, test_elements, n_range,
-                        labels=None, degenerate_tol: float = 1e-12) -> OrnsteinScan:
+                        labels=None, degenerate_tol: float = 1e-12,
+                        ctx: TensorContext | None = None) -> OrnsteinScan:
     """Table of Δ_n(c*c) / (μ ⊙ μ̃)(c*c) over a window of shifts.
 
     Elements live in the tensor algebra of the system with its promoted
-    mirror. Nontrivial finite systems recur instead of mixing, so the scan
-    also reports the recurrence period of the dynamics when one exists
-    within the window. Degenerate elements (denominator ~ 0) are skipped
-    with a notice.
+    mirror, whose context `mirror_context(sys)` is built unless given.
+    Nontrivial finite systems recur instead of mixing, so the scan also
+    reports the recurrence period of the dynamics when one exists within
+    the window. Degenerate elements (denominator ~ 0) are skipped with a
+    notice.
     """
     if sys.group.kind != "Z":
         raise UnsupportedGroupError("the ratio scan needs a Z action")
-    _, ctx = _mirror_context(sys)
+    ctx = ctx if ctx is not None else mirror_context(sys)
     ns = list(n_range)
     if not ns:
         raise ValueError("empty scan window")
     gen = sys.generators[0]
-    prod_tab = ctx.product_values().reshape(-1)
-    prod_vec = np.zeros(ctx.structure.dimension, dtype=complex)
-    for i in range(ctx.dim_a):
-        for j in range(ctx.dim_b):
-            prod_vec[ctx.pair_index[i, j]] = ctx.mu[i] * ctx.nu[j]
-
-    tables = {}
-    for n in ns:
-        tab = _diagonal_values(sys, ctx, gen.power(n))
-        vec = np.zeros(ctx.structure.dimension, dtype=complex)
-        for i in range(ctx.dim_a):
-            for j in range(ctx.dim_b):
-                vec[ctx.pair_index[i, j]] = tab[i, j]
-        tables[n] = vec
+    prod_tab = ctx.product_values()
+    tables = {n: _diagonal_values(sys, ctx, gen.power(n)) for n in ns}
 
     labels = labels or [f"element {k}" for k in range(len(test_elements))]
     reports, skipped = [], []
     overall = 0.0
     for c, label in zip(test_elements, labels):
-        csq = c.adjoint() @ c
-        coords = csq.coords()
-        denom = float((coords @ prod_vec).real)
+        coef = (c.adjoint() @ c).coords()[ctx.pair_index]
+        denom = float(np.sum(coef * prod_tab).real)
         if denom <= degenerate_tol:
             skipped.append(label)
             continue
         rows = []
         sup = 0.0
         for n in ns:
-            val = float((coords @ tables[n]).real)
+            val = float(np.sum(coef * tables[n]).real)
             ratio = val / denom
             sup = max(sup, ratio)
             rows.append(OrnsteinRow(n=n, delta_value=val, ratio=ratio))
@@ -966,12 +889,12 @@ def ornstein_ratio_scan(sys: FiniteSystem, test_elements, n_range,
             element_label=label, denominator=denom, rows=rows, sup_ratio=sup))
 
     period = None
-    space, rep = gns_construct(sys)
-    U = rep.matrices[0]
-    P = np.eye(space.dimension, dtype=complex)
-    for p in range(1, max(ns) + 1 if ns else 1):
+    U = ctx.rep_a.matrices[0]
+    ident = np.eye(ctx.dim_a, dtype=complex)
+    P = ident
+    for p in range(1, max(ns) + 1):
         P = U @ P
-        if operator_norm(P - np.eye(space.dimension)) < 1e-9:
+        if operator_norm(P - ident) < 1e-9:
             period = p
             break
     return OrnsteinScan(reports=reports, period=period, skipped=skipped,

@@ -155,3 +155,26 @@ def test_zm_generator_order_validated():
     assert validate_system(good).valid
     bad = FiniteSystem(s, uniform_state(s), GroupDescriptor("Zm", m=2), [gen])
     assert not validate_system(bad).valid
+
+
+def _power_by_loop(alpha, n):
+    base = alpha if n >= 0 else alpha.inverse()
+    out = identity_automorphism(alpha.structure)
+    for _ in range(abs(n)):
+        out = base.compose(out)
+    return out
+
+
+def test_power_matches_compose_loop():
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    q, r = np.linalg.qr(z)
+    m3 = single_block_system(q * (np.diag(r) / abs(np.diag(r))))
+    for sysd in (corpus.system("c5"), corpus.system("pauli"), m3):
+        s = sysd.structure
+        basis = [s.basis_element(i) for i in range(s.dimension)]
+        for alpha in sysd.generators:
+            for n in range(-7, 18):
+                fast, slow = alpha.power(n), _power_by_loop(alpha, n)
+                for e in basis:
+                    assert (fast.apply(e) - slow.apply(e)).norm() <= 1e-12, n

@@ -1,0 +1,38 @@
+"""Every name the benchmark's tracer wraps must exist in the package.
+
+The tracer in perfbench/ patches ncjoin functions and methods by name; a
+rename in the package would otherwise only surface when a traced benchmark
+run fails. The tracer module is loaded from its file and never modified.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACER_MODULE = _tracer()
+
+
+@pytest.mark.parametrize("layer", sorted(TRACER_MODULE.SPANNED))
+def test_spanned_functions_resolve(layer):
+    for mod_name, attr in TRACER_MODULE.SPANNED[layer]:
+        module = importlib.import_module(f"ncjoin.{mod_name}")
+        assert callable(getattr(module, attr, None)), f"ncjoin.{mod_name}.{attr}"
+
+
+@pytest.mark.parametrize("entry", TRACER_MODULE.COUNTED_METHODS, ids=lambda e: e[0])
+def test_counted_methods_resolve(entry):
+    _, mod_name, cls_name, meth = entry
+    cls = getattr(importlib.import_module(f"ncjoin.{mod_name}"), cls_name)
+    assert callable(getattr(cls, meth, None)), f"ncjoin.{mod_name}.{cls_name}.{meth}"

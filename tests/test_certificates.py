@@ -1,7 +1,9 @@
 """Soundness of the "infeasible" certificates of the feasibility oracle.
 
 Each certificate is checked again from the raw constraint rows, with
-least-squares solves of their own instead of the solver's projector.
+least-squares solves of their own instead of the solver's projector, and
+with density blocks rebuilt from the product algebra's coordinates instead
+of the solver's batched block layout.
 """
 
 import numpy as np
@@ -13,8 +15,6 @@ from ncjoin import corpus, joinings
 from ncjoin.joinings import (
     _ConstraintSet,
     _dykstra,
-    _herm,
-    _unvec,
     _vec,
     build_tensor_context,
     disjointness_test,
@@ -26,21 +26,32 @@ from oracles import invariant_transportation_max
 
 
 def _record_certified(monkeypatch):
-    """Wrap the oracle; keep (raw rows, values, answer) of each certified call."""
+    """Wrap the oracle; keep (context, raw rows, values, answer) of each certified call."""
     seen = []
 
-    def recording(affine, D, x0, tol, max_iter):
-        out = _dykstra(affine, D, x0, tol, max_iter)
+    def recording(affine, x0, tol, max_iter):
+        out = _dykstra(affine, x0, tol, max_iter)
         if out.status == "infeasible" and out.margin is not None:
-            seen.append((affine.base.base_A.copy(), affine.base.base_b.copy(),
-                         affine.row.copy(), affine.t, D, out))
+            seen.append((affine.base.ctx, affine.base.base_A.copy(),
+                         affine.base.base_b.copy(), affine.row.copy(), affine.t, out))
         return out
 
     monkeypatch.setattr(joinings, "_dykstra", recording)
     return seen
 
 
-def _verify(base_A, base_b, row, t, D, out):
+def _top_eigenvalue(ctx, v):
+    """Largest eigenvalue of the Hermitian parts of the blocks that the value
+    vector v (basis pairs in row-major order, real then imaginary parts)
+    fills in the product algebra."""
+    n = ctx.dim
+    coords = np.empty(n, dtype=complex)
+    coords[ctx.pair_index.reshape(-1)] = v[:n] + 1j * v[n:]
+    blocks = ctx.structure.from_coords(coords).blocks
+    return max(np.linalg.eigvalsh((b + b.conj().T) / 2).max() for b in blocks)
+
+
+def _verify(ctx, base_A, base_b, row, t, out):
     if out.separator is None:
         # the level row lies in the base row space, so the objective is
         # constant on the base set up to the lstsq residual
@@ -49,7 +60,7 @@ def _verify(base_A, base_b, row, t, D, out):
         assert slack <= 1e-10 * np.linalg.norm(row)
         x_ls, *_ = np.linalg.lstsq(base_A, base_b, rcond=None)
         assert np.max(np.abs(base_A @ x_ls - base_b)) < 1e-10
-        # every trace-one PSD W has Frobenius norm at most one
+        # every state's density has Frobenius norm at most one
         distance = (abs(t - row @ x_ls) - slack) / np.linalg.norm(row)
         assert distance > 0
         assert distance == pytest.approx(out.margin, rel=1e-6, abs=1e-12)
@@ -61,8 +72,7 @@ def _verify(base_A, base_b, row, t, D, out):
     assert np.linalg.norm(A.T @ z - v) <= 1e-10 * np.linalg.norm(v)
     x_ls, *_ = np.linalg.lstsq(A, b, rcond=None)
     assert np.max(np.abs(A @ x_ls - b)) < 1e-10
-    top = np.linalg.eigvalsh(_herm(_unvec(v, D))).max()
-    margin = (v @ x_ls - top) / np.linalg.norm(v)
+    margin = (v @ x_ls - _top_eigenvalue(ctx, v)) / np.linalg.norm(v)
     assert margin > 0
     assert margin == pytest.approx(out.margin, rel=1e-6, abs=1e-12)
 
@@ -95,13 +105,14 @@ def _rotation_optimum(p, i, j):
 def test_feasible_levels_never_certified_infeasible(case, frac):
     name, p, (i, j) = case
     ctx = build_tensor_context(corpus.system(name), corpus.system(name))
-    prod = product_joining(ctx).matrix
-    H = _herm(ctx.rep(i, j))
-    t0 = float(np.trace(prod @ H).real)
+    x0 = _vec(product_joining(ctx).values)
+    e = ctx.basis_pair(i, j)
+    level = (0.5 * (e + e.adjoint())).coords()[ctx.pair_index].reshape(-1)
+    affine = _ConstraintSet(ctx).with_level(level)
+    t0 = float(affine.row @ x0)
     # pauli x pauli: the diagonal witness sits 0.25 above the product value
     best = _rotation_optimum(p, i, j) if p else t0 + 0.25
     t = t0 + frac * (best - 1e-4 - t0)
-    affine = _ConstraintSet(ctx).with_level(H)
     affine.set_level(t)
-    out = _dykstra(affine, ctx.dim, _vec(prod), 1e-9, 50_000)
+    out = _dykstra(affine, x0, 1e-9, 50_000)
     assert out.status != "infeasible", (name, (i, j), t, out.margin)

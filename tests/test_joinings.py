@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,7 @@ def _rotation_images(points):
 
 
 def test_tensor_context_multiplication_table(c2, gibbs):
-    # products of basis pairs match blockwise products on both legs, and the
-    # representation is multiplicative on them
+    # products of basis pairs match blockwise products on both legs
     for sysd in (c2, gibbs):
         ctx = build_tensor_context(sysd, corpus.system("c2") if sysd is c2 else
                                    corpus.system("gibbs"))
@@ -48,7 +49,6 @@ def test_tensor_context_multiplication_table(c2, gibbs):
             ei = sysd.structure.basis_element(i) @ sysd.structure.basis_element(k)
             fj = ctx.B.structure.basis_element(j) @ ctx.B.structure.basis_element(l)
             assert lhs.isclose(ctx.tensor_element(ei, fj))
-            assert np.allclose(ctx.rep(i, j) @ ctx.rep(k, l), ctx.rep_of(lhs))
 
 
 def test_product_joining_values(c2):
@@ -187,6 +187,16 @@ def test_commutative_cross_check_more_directions(c2):
         assert rep.achieved == pytest.approx(oracle, abs=1e-5)
 
 
+def test_zero_objective_is_pinned(c2):
+    # a zero objective is constant on every state: no level row to normalize
+    ctx = build_tensor_context(c2, corpus.system("c2"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jm, rep = find_joining(ctx, objective=ctx.structure.zero())
+    assert rep.achieved == 0.0 and rep.oracle_calls == 0
+    assert residual_magnitude(jm.residuals) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # disjointness
 
@@ -195,7 +205,7 @@ def _probed_directions(ctx, cert):
     """Infeasibility probes of a scan that came out infeasible, counted from
     the directions alone: those scanned whose spectral maximum exceeds the
     threshold, less the last one when it stopped the scan."""
-    prod = product_joining(ctx).matrix
+    prod = product_joining(ctx)
     count = scanned = 0
     for i in range(ctx.dim_a):
         for j in range(ctx.dim_b):
@@ -203,10 +213,11 @@ def _probed_directions(ctx, cert):
                 scanned += 1
                 if scanned > cert.directions_scanned:
                     continue
-                H = w * ctx.rep(i, j)
-                H = (H + H.conj().T) / 2
-                t0 = np.trace(prod @ H).real
-                if np.linalg.eigvalsh(H).max() > t0 + cert.gap_threshold:
+                c = w * ctx.basis_pair(i, j)
+                h = 0.5 * (c + c.adjoint())
+                t0 = prod.value(h).real
+                top = max(np.linalg.eigvalsh(b).max() for b in h.blocks)
+                if top > t0 + cert.gap_threshold:
                     count += 1
     return count - (cert.verdict != "disjoint")
 
@@ -356,11 +367,11 @@ def test_conditional_expectation_maps_cyclic_vectors(c3):
 def test_conditional_expectation_rejects_non_joining(c2):
     ctx = build_tensor_context(c2, corpus.system("c2"))
     prod = product_joining(ctx)
-    bad = prod.matrix.copy()
+    bad = prod.values.copy()
     bad[0, 0] += 0.2
     from ncjoin.joinings import JoiningMatrix
 
-    broken = JoiningMatrix(ctx=ctx, matrix=bad, label="broken")
+    broken = JoiningMatrix(ctx=ctx, values=bad, label="broken")
     with pytest.raises(NonJoiningError):
         conditional_expectation(ctx, broken)
 
