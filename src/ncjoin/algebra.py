@@ -10,12 +10,18 @@ An automorphism is stored in the normal form ``a ↦ u · perm(a) · u*`` where
 Every *-automorphism of a finite direct sum of matrix blocks is of this form.
 The permutation uses the pull convention: output block ``k`` reads input
 block ``perm[k]``.
+
+A `FiniteSystem` is immutable and owns its derived data: its validation
+report, GNS data and mirror system are each built on first use and kept on
+the instance. The builders `validate_system`, `gns.gns_construct` and
+`gns.mirror_system` stay uncached.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +91,13 @@ class BlockStructure:
                 r, c = divmod(i - off, n)
                 return k, r, c
         raise IndexError(f"basis index {i} out of range")
+
+    def addresses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(block, row, col) arrays of every canonical index; basis_address, vectorized."""
+        sizes = np.array(self.block_sizes)
+        k = np.repeat(np.arange(self.num_blocks), sizes ** 2)
+        local = np.arange(self.dimension) - np.array(self.offsets())[k]
+        return k, local // sizes[k], local % sizes[k]
 
     def adjoint_index(self, i: int) -> int:
         """Index of the adjoint of basis element i (matrix-unit transpose)."""
@@ -380,16 +393,17 @@ class GroupDescriptor:
         return [(j,) for j in range(self.m)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiniteSystem:
     """A finite-dimensional dynamical system: algebra, state, group, generators."""
 
     structure: BlockStructure
     state: FaithfulState
     group: GroupDescriptor
-    generators: list[Automorphism]
+    generators: tuple[Automorphism, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "generators", tuple(self.generators))
         if len(self.generators) != self.group.num_generators:
             raise StructureError(
                 f"group {self.group.kind} expects {self.group.num_generators} generators, "
@@ -398,6 +412,22 @@ class FiniteSystem:
     @property
     def dimension(self) -> int:
         return self.structure.dimension
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        return validate_system(self)
+
+    @cached_property
+    def gns(self):
+        """The pair (GnsSpace, UnitaryRep); raises InvalidSystemError if invalid."""
+        from . import gns
+        return gns.gns_construct(self)
+
+    @cached_property
+    def mirror(self):
+        """The MirrorSystem; raises InvalidSystemError if invalid."""
+        from . import gns
+        return gns.mirror_system(self)
 
     def element_automorphism(self, g: tuple[int, ...]) -> Automorphism:
         """Automorphism of a group element given as exponents of the generators.
@@ -509,10 +539,10 @@ def validate_system(sys: FiniteSystem, tol: float = VALIDATION_TOL) -> Validatio
     return report
 
 
-def require_valid(sys: FiniteSystem, tol: float = VALIDATION_TOL) -> None:
-    report = validate_system(sys, tol)
-    if not report.valid:
-        raise InvalidSystemError(report)
+def require_valid(sys: FiniteSystem) -> None:
+    """Raise InvalidSystemError unless the system's (cached) report is clean."""
+    if not sys.validation.valid:
+        raise InvalidSystemError(sys.validation)
 
 
 def state_eval(state: FaithfulState, a: AlgebraElement) -> complex:

@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, fileio
-from .algebra import validate_system
 from .dual import (
     DualSystem,
     classify_dual,
@@ -40,7 +39,6 @@ from .gns import (
     cesaro_correlation,
     classify_finite,
     compactness_net,
-    gns_construct,
     point_spectrum,
 )
 from .joinings import (
@@ -150,9 +148,8 @@ def _load_source(ref: str) -> tuple[str, str]:
 def _load_system(ref: str):
     label, text = _load_source(ref)
     sysd = fileio.load_system(json.loads(text))
-    report = validate_system(sysd)
-    if not report.valid:
-        raise InputFormatError(f"{label}: invalid system: {report}")
+    if not sysd.validation.valid:
+        raise InputFormatError(f"{label}: invalid system: {sysd.validation}")
     return sysd, _input_record(label, text)
 
 
@@ -221,7 +218,7 @@ def _parse_vector(text: str, space):
 
 def _cmd_average(args):
     sysd, rec = _load_system(args.system)
-    space, _ = gns_construct(sysd)
+    space, _ = sysd.gns
     x = _parse_vector(args.x, space)
     y = _parse_vector(args.y, space)
     res = cesaro_correlation(sysd, x, y, args.N)
@@ -285,7 +282,6 @@ def _cmd_joinings_find(args):
         "iterations": rep.iterations,
         "oracle_calls": rep.oracle_calls,
         "certified": rep.certified,
-        "stalled": rep.stalled,
         "min_margin": rep.min_margin,
         "residuals": jm.residuals,
         "inconclusive": rep.inconclusive,
@@ -305,7 +301,6 @@ def _cmd_joinings_disjoint(args):
         "gap_threshold": cert.gap_threshold,
         "directions_scanned": cert.directions_scanned,
         "certified": cert.certified,
-        "stalled": cert.stalled,
         "min_margin": cert.min_margin,
     }
     if cert.verdict == "not_disjoint":
@@ -346,7 +341,7 @@ def _cmd_ornstein(args):
         pairs = [(i, i) for i in range(ctx.dim_a)]
     elements = [ctx.basis_pair(i, j) for i, j in pairs]
     labels = [f"e{i}xf{j}" for i, j in pairs]
-    scan = ornstein_ratio_scan(sysd, elements, window, labels=labels, ctx=ctx)
+    scan = ornstein_ratio_scan(sysd, elements, window, labels=labels)
     results = {
         "period": scan.period,
         "sup_ratio": scan.sup_ratio,

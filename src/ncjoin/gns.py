@@ -5,6 +5,11 @@ antilinear in the first argument. Coordinates are always with respect to the
 canonical matrix-unit basis, so the inner product is the Gram matrix
 G_ij = μ(e_i* e_j). A Cholesky factor C with G = C* C converts to
 orthonormal coordinates where standard numpy eigensolvers apply.
+
+Library functions read a system's GNS pair and mirror from `sys.gns` and
+`sys.mirror`, built once per system object; `gns_construct` and
+`mirror_system` are the uncached builders behind them. Neither a GnsSpace
+nor a MirrorSystem refers back to its system, so the cache forms no cycle.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     Automorphism,
+    BlockStructure,
     FaithfulState,
     FiniteSystem,
     require_valid,
@@ -46,7 +52,7 @@ class GnsSpace:
     onb_factor is the upper-triangular C with gram = C* C.
     """
 
-    system: FiniteSystem
+    structure: BlockStructure
     dimension: int
     gram: np.ndarray
     left_rep: list[np.ndarray]
@@ -58,7 +64,7 @@ class GnsSpace:
         return a.coords()
 
     def element(self, coords) -> AlgebraElement:
-        return self.system.structure.from_coords(coords)
+        return self.structure.from_coords(coords)
 
     def inner(self, x, y) -> complex:
         return complex(np.asarray(x).conj() @ self.gram @ np.asarray(y))
@@ -97,43 +103,36 @@ def gns_construct(sys: FiniteSystem) -> tuple[GnsSpace, UnitaryRep]:
     require_valid(sys)
     struct = sys.structure
     d = struct.dimension
-    rho = sys.state.density
-
-    gram = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        ki, ri, ci = struct.basis_address(i)
-        for j in range(d):
-            kj, rj, cj = struct.basis_address(j)
-            if ki == kj and ri == rj:
-                # e_i* e_j = E_{c_i c_j}, so μ(e_i* e_j) = ρ[c_j, c_i]
-                gram[i, j] = rho[ki][cj, ci]
-
-    left = [np.zeros((d, d), dtype=complex) for _ in range(d)]
-    for i in range(d):
-        ki, ri, ci = struct.basis_address(i)
-        for j in range(d):
-            kj, rj, cj = struct.basis_address(j)
-            if ki == kj and ci == rj:
-                left[i][struct.basis_index(ki, ri, cj), j] = 1.0
+    # row and column of every matrix unit in the block-diagonal embedding
+    k, r, c = struct.addresses()
+    start = np.cumsum((0,) + struct.block_sizes[:-1])[k]
+    rows, cols = start + r, start + c
+    # e_i* e_j = E_{c_i c_j} when e_i, e_j share a row, so μ(e_i* e_j) = ρ[c_j, c_i]
+    rho = sys.state.density_element().block_matrix()
+    gram = np.where(rows[:, None] == rows, rho[cols[None, :], cols[:, None]], 0)
+    # e_i e_j = E_{r_i c_j} when the column of e_i is the row of e_j
+    unit = np.zeros((struct.matrix_size,) * 2, dtype=int)
+    unit[rows, cols] = np.arange(d)
+    left = np.zeros((d, d, d), dtype=complex)
+    i, j = np.nonzero(cols[:, None] == rows)
+    left[i, unit[rows[i], cols[j]], j] = 1.0
 
     chol_lower = np.linalg.cholesky(gram)
     onb = chol_lower.conj().T
     onb_inv = np.linalg.inv(onb)
 
     space = GnsSpace(
-        system=sys,
+        structure=struct,
         dimension=d,
         gram=gram,
-        left_rep=left,
+        left_rep=list(left),
         cyclic_vector=struct.identity().coords(),
         onb_factor=onb,
         onb_factor_inv=onb_inv,
     )
 
-    mats = []
-    for gen in sys.generators:
-        U = np.column_stack([gen.apply(struct.basis_element(j)).coords() for j in range(d)])
-        mats.append(U)
+    mats = [np.column_stack([gen.apply(struct.basis_element(j)).coords() for j in range(d)])
+            for gen in sys.generators]
     rep = UnitaryRep(matrices=mats, onb_matrices=[onb @ U @ onb_inv for U in mats])
     return space, rep
 
@@ -210,7 +209,7 @@ def point_spectrum(sys: FiniteSystem) -> list[PointSpectrumEntry]:
     coordinate. Eigenvector phases are fixed by making the first nonzero
     canonical coordinate real positive.
     """
-    space, rep = gns_construct(sys)
+    space, rep = sys.gns
     leaves = _joint_eigenspaces(rep.onb_matrices)
     entries = []
     for chars, B in leaves:
@@ -245,7 +244,7 @@ def fixed_point_algebra(sys: FiniteSystem) -> list[AlgebraElement]:
     The first basis element is the identity (its μ-norm is 1). The span is
     closed under adjoints since every α_g is *-preserving.
     """
-    space, rep = gns_construct(sys)
+    space, rep = sys.gns
     d = space.dimension
     stacked = np.vstack([U - np.eye(d) for U in rep.onb_matrices])
     ns = _null_space(stacked)
@@ -320,7 +319,7 @@ def compactness_net(sys: FiniteSystem, eps: float = 0.1, cap: int = 512) -> list
     of group elements (all of them for Z_m) and points farther than eps from
     the net extend it.
     """
-    space, rep = gns_construct(sys)
+    space, rep = sys.gns
     d = space.dimension
     group = sys.group
     if group.kind == "Zm":
@@ -361,7 +360,7 @@ def cesaro_correlation(sys: FiniteSystem, x, y, n: int) -> CesaroResult:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    space, rep = gns_construct(sys)
+    space, rep = sys.gns
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     elements = sys.group.folner_elements(n)
@@ -388,13 +387,16 @@ class MirrorSystem:
     commutant consists of right multiplications R_b, and the *-preserving
     identification sends the promoted basis element f to
     R_{ρ^{1/2} transpose(f) ρ^{-1/2}} (the modular conjugation composed with
-    the adjoint of the left action). promoted has density transpose(ρ) and
-    conjugators conj(u); the ρ^{1/2} twist is invisible for tracial states.
+    the adjoint of the left action); column j of `twist` holds the
+    coordinates of that twisted element for f = e_j. promoted has density
+    transpose(ρ) and conjugators conj(u); the ρ^{1/2} twist is invisible for
+    tracial states.
     """
 
-    source: FiniteSystem
+    structure: BlockStructure
     commutant_basis: list[np.ndarray]
     promoted: FiniteSystem
+    twist: np.ndarray
     _space: GnsSpace
     _rep: UnitaryRep
 
@@ -408,7 +410,7 @@ class MirrorSystem:
 
     def right_mult_matrix(self, b: AlgebraElement) -> np.ndarray:
         """Matrix of x ↦ x·b in canonical GNS coordinates."""
-        struct = self.source.structure
+        struct = self.structure
         d = struct.dimension
         out = np.zeros((d, d), dtype=complex)
         for j in range(d):
@@ -423,9 +425,7 @@ class MirrorSystem:
         the modular conjugation with the adjoint of the left action and is a
         unital *-isomorphism onto the commutant.
         """
-        rho_half = _density_power(self.source, 0.5)
-        rho_mhalf = _density_power(self.source, -0.5)
-        return self.right_mult_matrix(rho_half @ f.transpose() @ rho_mhalf)
+        return self.right_mult_matrix(self.structure.from_coords(self.twist @ f.coords()))
 
 
 def mirror_system(sys: FiniteSystem) -> MirrorSystem:
@@ -434,7 +434,7 @@ def mirror_system(sys: FiniteSystem) -> MirrorSystem:
     The commutant of the left regular representation is the algebra of
     right multiplications, so its basis is R_{e_j} over the canonical basis.
     """
-    space, rep = gns_construct(sys)
+    space, rep = sys.gns
     struct = sys.structure
     promoted_state = FaithfulState(struct, [b.T.copy() for b in sys.state.density])
     promoted_gens = [
@@ -443,8 +443,11 @@ def mirror_system(sys: FiniteSystem) -> MirrorSystem:
     ]
     promoted = FiniteSystem(struct, promoted_state, sys.group, promoted_gens)
 
-    m = MirrorSystem(source=sys, commutant_basis=[], promoted=promoted,
-                     _space=space, _rep=rep)
+    rho_half, rho_mhalf = _density_power(sys, 0.5), _density_power(sys, -0.5)
+    twist = np.column_stack([(rho_half @ struct.basis_element(j).transpose() @ rho_mhalf)
+                             .coords() for j in range(struct.dimension)])
+    m = MirrorSystem(structure=struct, commutant_basis=[], promoted=promoted,
+                     twist=twist, _space=space, _rep=rep)
     m.commutant_basis = [m.right_mult_matrix(struct.basis_element(j))
                          for j in range(struct.dimension)]
     return m
@@ -644,7 +647,7 @@ def modular_invariance_check(sys: FiniteSystem, P: AlgebraElement,
     if ident_res > 1e-8:
         raise NonProjectionError(f"P is not a projection (residual {ident_res:.3e})")
     md = modular_data(sys)
-    space, _ = gns_construct(sys)
+    space, _ = sys.gns
     res = max((md.sigma(t, P) - P).norm() for t in t_samples)
     jp = md.apply_conjugation(P.coords())
     vec_res = space.norm(jp - P.coords())

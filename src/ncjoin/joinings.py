@@ -12,13 +12,17 @@ spectral set {ρ ⪰ 0, trace ρ = 1} and the affine constraint subspace; linear
 optimization over the joining set runs a bisection on the objective level
 against that oracle.
 
-An "infeasible" answer of the oracle is a proof whenever it can be: either
-the objective is constant on the affine constraints and the level misses
-that constant, or Dykstra's gap vector gives a separating hyperplane
-between the affine subspace and the spectral set. The certified distance
-is kept as the answer's margin. Only when neither holds does a stalled
-residual decide, as a fallback that carries no margin; solve reports and
-disjointness certificates count both kinds.
+An "infeasible" answer of the oracle is always a proof: either the
+objective is constant on the affine constraints and the level misses that
+constant, or Dykstra's gap vector gives a separating hyperplane between the
+affine subspace and the spectral set. The certified distance is kept as
+the answer's margin. A run that stalls or reaches its iteration cap
+without either answer is "ambiguous", which makes a solve or a
+disjointness scan inconclusive.
+
+The diagonal state of a system with its mirror and its shifts Δ_n are GNS
+quantities: their value tables are Uᵀ·M·T in closed form, from the
+system's cached GNS and mirror data (`_diagonal_values`).
 """
 
 from __future__ import annotations
@@ -40,13 +44,12 @@ from .errors import (
     NonJoiningError,
     UnsupportedGroupError,
 )
-from .gns import GnsSpace, UnitaryRep, gns_construct, mirror_system
+from .gns import GnsSpace, UnitaryRep, classify_finite
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 50_000
 DEFAULT_BISECTION_WIDTH = 1e-6
 CONSTRUCTOR_RESIDUAL_TOL = 1e-8
-AMBIGUOUS_BAND_FACTOR = 100.0
 _STALL_CHECK_EVERY = 100
 _STALL_WINDOW_CHECKS = 10
 _STALL_RELATIVE_DROP = 1e-3
@@ -106,31 +109,31 @@ class TensorContext:
 
 
 def build_tensor_context(A: FiniteSystem, B: FiniteSystem) -> TensorContext:
-    space_a, rep_a = gns_construct(A)   # validates each leg
-    space_b, rep_b = gns_construct(B)
+    """The product context of two systems, from their cached GNS data."""
+    space_a, rep_a = A.gns   # raises for an invalid leg, before the group check
+    space_b, rep_b = B.gns
     if (A.group.kind, A.group.k, A.group.m) != (B.group.kind, B.group.k, B.group.m):
         raise UnsupportedGroupError(
             f"systems act by different groups: {A.group} vs {B.group}")
     structure = BlockStructure(tuple(
         na * nb for na in A.structure.block_sizes for nb in B.structure.block_sizes))
 
-    dA, dB = space_a.dimension, space_b.dimension
-    mB = B.structure.num_blocks
-    pair_index = np.zeros((dA, dB), dtype=int)
-    for i in range(dA):
-        ka, ra, ca = A.structure.basis_address(i)
-        for j in range(dB):
-            kb, rb, cb = B.structure.basis_address(j)
-            nb = B.structure.block_sizes[kb]
-            pair_index[i, j] = structure.basis_index(ka * mB + kb, ra * nb + rb, ca * nb + cb)
+    # e_i ⊗ f_j is the unit (ra·nb + rb, ca·nb + cb) of product block ka·mB + kb
+    ka, ra, ca = (x[:, None] for x in A.structure.addresses())
+    kb, rb, cb = B.structure.addresses()
+    nb = np.array(B.structure.block_sizes)[kb]
+    k = ka * B.structure.num_blocks + kb
+    pair_index = (np.array(structure.offsets())[k]
+                  + (ra * nb + rb) * np.array(structure.block_sizes)[k] + ca * nb + cb)
     position = np.empty(structure.dimension, dtype=int)
     position[pair_index.reshape(-1)] = np.arange(structure.dimension)
     by_size: dict[int, list[np.ndarray]] = {}
     for off, n in zip(structure.offsets(), structure.block_sizes):
         by_size.setdefault(n, []).append(position[off:off + n * n].reshape(n, n))
 
-    mu = np.array([A.state.value(A.structure.basis_element(i)) for i in range(dA)])
-    nu = np.array([B.state.value(B.structure.basis_element(j)) for j in range(dB)])
+    # μ(E_rc) = ρ[c, r]: the state's values are the coordinates of ρᵀ
+    mu = A.state.density_element().transpose().coords()
+    nu = B.state.density_element().transpose().coords()
     return TensorContext(
         A=A, B=B, structure=structure,
         space_a=space_a, rep_a=rep_a, space_b=space_b, rep_b=rep_b,
@@ -225,35 +228,24 @@ def product_joining(ctx: TensorContext) -> JoiningMatrix:
 
 def mirror_context(sys: FiniteSystem) -> TensorContext:
     """Tensor context of a system with its promoted mirror."""
-    return build_tensor_context(sys, mirror_system(sys).promoted)
+    return build_tensor_context(sys, sys.mirror.promoted)
 
 
-def _diagonal_values(sys: FiniteSystem, ctx: TensorContext, power=None) -> np.ndarray:
-    """Values of the (shifted) diagonal state on the basis pairs.
+def _state_products(ctx: TensorContext) -> np.ndarray:
+    """M[p, q] = μ(e_p e_q) = gram[adj(p), q] on the first leg, since e_p = (e_adj(p))*."""
+    return ctx.space_a.gram[[ctx.A.structure.adjoint_index(p) for p in range(ctx.dim_a)]]
 
-    The mirror leg is identified with the commutant through the modular
-    conjugation: promoted element f acts as right multiplication by
-    ρ^{1/2} transpose(f) ρ^{-1/2}. That twist makes the identification
-    *-preserving for a non-tracial density, so the pulled-back functional
-    is an honest state; without it Hermiticity fails off the tracial case.
+
+def _diagonal_values(ctx: TensorContext, shift: np.ndarray) -> np.ndarray:
+    """Values μ(α(e_i) · t_j) of the diagonal state shifted by α, on the basis pairs.
+
+    `shift` is the GNS matrix U of α, or a stack of them. The promoted
+    mirror element f_j acts as right multiplication by the twisted element
+    t_j = ρ^{1/2} transpose(f_j) ρ^{-1/2}, which makes the identification
+    *-preserving for a non-tracial density. With T the coordinates of the
+    t_j (`MirrorSystem.twist`) and M[p, q] = μ(e_p e_q), the table is Uᵀ·M·T.
     """
-    from .gns import _density_power
-
-    dA, dB = ctx.dim_a, ctx.dim_b
-    rho_half = _density_power(sys, 0.5)
-    rho_mhalf = _density_power(sys, -0.5)
-    twisted = [
-        rho_half @ ctx.B.structure.basis_element(j).transpose() @ rho_mhalf
-        for j in range(dB)
-    ]
-    out = np.zeros((dA, dB), dtype=complex)
-    for i in range(dA):
-        e = sys.structure.basis_element(i)
-        if power is not None:
-            e = power.apply(e)
-        for j in range(dB):
-            out[i, j] = sys.state.value(e @ twisted[j])
-    return out
+    return np.swapaxes(shift, -1, -2) @ (_state_products(ctx) @ ctx.A.mirror.twist)
 
 
 def diagonal_state(sys: FiniteSystem) -> JoiningMatrix:
@@ -263,7 +255,8 @@ def diagonal_state(sys: FiniteSystem) -> JoiningMatrix:
     verified to be a joining of the system with its mirror.
     """
     ctx = mirror_context(sys)
-    return joining_from_values(ctx, _diagonal_values(sys, ctx), label="diagonal")
+    return joining_from_values(ctx, _diagonal_values(ctx, np.eye(ctx.dim_a)),
+                               label="diagonal")
 
 
 def graph_joining(sys: FiniteSystem, n: int) -> JoiningMatrix:
@@ -271,8 +264,8 @@ def graph_joining(sys: FiniteSystem, n: int) -> JoiningMatrix:
     if sys.group.kind != "Z":
         raise UnsupportedGroupError("graph joinings need a Z action")
     ctx = mirror_context(sys)
-    power = sys.generators[0].power(n)
-    return joining_from_values(ctx, _diagonal_values(sys, ctx, power), label=f"graph:{n}")
+    values = _diagonal_values(ctx, ctx.rep_a.of_element((n,)))
+    return joining_from_values(ctx, values, label=f"graph:{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +444,14 @@ def _dykstra(affine: _LevelSystem, x0: np.ndarray, tol: float,
     set, while every state has ⟨v, ρ⟩ ≤ λ_max(herm V) over the density
     blocks. When (⟨v, x⟩ − λ_max(herm V)) / ‖v‖, a lower bound on the
     distance between the two sets, exceeds a rounding slack, no joining
-    meets the constraints; that bound is the returned margin. As a
-    fallback, a run that stalls at a residual above the ambiguity band is
-    reported infeasible without a margin; a stall or iteration cap inside
-    the band is ambiguous, never silently resolved either way.
+    meets the constraints; that bound is the returned margin. A run whose
+    residual stalls, or that reaches the iteration cap, without either
+    certificate is ambiguous, never silently resolved either way.
     """
     ctx = affine.base.ctx
     margin = affine.pinned_margin()
     if margin is not None and margin > _CERTIFICATE_SLACK:
         return _Feasibility("infeasible", None, affine.residual(x0), 0, margin)
-    band = AMBIGUOUS_BAND_FACTOR * tol
     x = x0.copy()
     p = np.zeros_like(x)
     best = math.inf
@@ -489,11 +480,9 @@ def _dykstra(affine: _LevelSystem, x0: np.ndarray, tol: float,
             if len(history) > _STALL_WINDOW_CHECKS:
                 old = history[-1 - _STALL_WINDOW_CHECKS]
                 if best > old * (1.0 - _STALL_RELATIVE_DROP):
-                    # the residual has settled at a positive level: the sets
-                    # keep a positive distance, unless it settled so low that
-                    # numerical noise could hide a feasible point
-                    status = "infeasible" if best >= band else "ambiguous"
-                    return _Feasibility(status, best_y, best, it)
+                    # settled without a certificate: a positive distance is
+                    # likely but not proved
+                    return _Feasibility("ambiguous", best_y, best, it)
     # iteration cap with the residual still falling: no verdict either way
     return _Feasibility("ambiguous", best_y, best, it)
 
@@ -508,8 +497,7 @@ class SolveReport:
     upper: float | None = None
     oracle_calls: int = 0
     ambiguous_calls: int = 0
-    certified: int = 0                # infeasible calls proven by a certificate
-    stalled: int = 0                  # infeasible calls ended by the stall rule
+    certified: int = 0                # infeasible calls, each proven by a certificate
     min_margin: float | None = None   # smallest certified margin
     inconclusive: bool = False
     message: str = ""
@@ -517,16 +505,12 @@ class SolveReport:
 
 @dataclass
 class _InfeasibleTally:
-    """How the infeasible oracle answers of one solve or scan were decided."""
+    """The certified infeasible oracle answers of one solve or scan."""
 
     certified: int = 0
-    stalled: int = 0
     min_margin: float | None = None
 
     def add(self, out: _Feasibility):
-        if out.margin is None:
-            self.stalled += 1
-            return
         self.certified += 1
         if self.min_margin is None or out.margin < self.min_margin:
             self.min_margin = out.margin
@@ -616,8 +600,8 @@ def find_joining(ctx: TensorContext, objective=None, tol: float = DEFAULT_TOL,
 
     Without an objective the product state is returned (it is always
     feasible). With one, the level of the objective is bisected to the given
-    width; the report carries iteration counts, residuals, how the
-    infeasible oracle calls were decided (certified or stalled) and an
+    width; the report carries iteration counts, residuals, the number of
+    certified infeasible oracle calls with their smallest margin, and an
     inconclusive flag whenever an oracle call could not be classified.
     """
     prod = product_joining(ctx)
@@ -647,8 +631,7 @@ class DisjointnessCertificate:
     max_gap_bound: float | None = None
     directions_scanned: int = 0
     ambiguous_directions: list = field(default_factory=list)
-    certified: int = 0                # infeasible probes proven by a certificate
-    stalled: int = 0                  # infeasible probes ended by the stall rule
+    certified: int = 0                # infeasible probes, each proven by a certificate
     min_margin: float | None = None   # smallest certified margin
 
 
@@ -667,8 +650,8 @@ def disjointness_test(ctx: TensorContext, tol: float = DEFAULT_TOL,
     t0 + threshold; an infeasible probe settles the direction, a feasible
     one yields a witness which is then refined by full bisection. Any
     ambiguous oracle call taints the verdict to inconclusive. The
-    certificate counts the infeasible probes that were certified and those
-    ended by the stall rule, with the smallest certified margin.
+    certificate counts the infeasible probes, all certified, with the
+    smallest certified margin.
     """
     thr = gap_threshold if gap_threshold is not None else 10.0 * width
     prod = product_joining(ctx).values.reshape(-1)
@@ -732,11 +715,7 @@ def conditional_expectation(ctx: TensorContext, joining: JoiningMatrix,
     if residual_magnitude(joining.residuals) > pre_tol:
         raise NonJoiningError(
             f"matrix violates the joining battery: {joining.residuals}")
-    dA, dB = ctx.dim_a, ctx.dim_b
-    M = np.zeros((dA, dA), dtype=complex)
-    for i in range(dA):
-        M[i, :] = ctx.space_a.gram[ctx.A.structure.adjoint_index(i), :]
-    X = np.linalg.solve(M, joining.values)
+    X = np.linalg.solve(_state_products(ctx), joining.values)
     ca, cb_inv = ctx.space_a.onb_factor, ctx.space_b.onb_factor_inv
     norm = operator_norm(ca @ X @ cb_inv)
     inter = 0.0
@@ -805,15 +784,10 @@ def cesaro_diagonal_average(sys: FiniteSystem, n: int) -> CesaroDiagonalResult:
     product of the state with the mirror state. For a non-ergodic system the
     limit need not be the product; the flag records that.
     """
-    from .gns import classify_finite
-
     ctx = mirror_context(sys)
     elements = sys.group.folner_elements(n)
-    acc = np.zeros((ctx.dim_a, ctx.dim_b), dtype=complex)
-    for g in elements:
-        power = sys.element_automorphism(g)
-        acc += _diagonal_values(sys, ctx, power)
-    acc /= len(elements)
+    average = sum(ctx.rep_a.of_element(g) for g in elements) / len(elements)
+    acc = _diagonal_values(ctx, average)
     deviation = float(np.max(np.abs(acc - ctx.product_values())))
     return CesaroDiagonalResult(values=acc, deviation=deviation,
                                 ergodic=classify_finite(sys).ergodic)
@@ -847,26 +821,24 @@ class OrnsteinScan:
 
 
 def ornstein_ratio_scan(sys: FiniteSystem, test_elements, n_range,
-                        labels=None, degenerate_tol: float = 1e-12,
-                        ctx: TensorContext | None = None) -> OrnsteinScan:
+                        labels=None, degenerate_tol: float = 1e-12) -> OrnsteinScan:
     """Table of Δ_n(c*c) / (μ ⊙ μ̃)(c*c) over a window of shifts.
 
     Elements live in the tensor algebra of the system with its promoted
-    mirror, whose context `mirror_context(sys)` is built unless given.
-    Nontrivial finite systems recur instead of mixing, so the scan also
-    reports the recurrence period of the dynamics when one exists within
-    the window. Degenerate elements (denominator ~ 0) are skipped with a
-    notice.
+    mirror, `mirror_context(sys)`. Nontrivial finite systems recur instead
+    of mixing, so the scan also reports the recurrence period of the
+    dynamics when one exists within the window. Degenerate elements
+    (denominator ~ 0) are skipped with a notice.
     """
     if sys.group.kind != "Z":
         raise UnsupportedGroupError("the ratio scan needs a Z action")
-    ctx = ctx if ctx is not None else mirror_context(sys)
+    ctx = mirror_context(sys)
     ns = list(n_range)
     if not ns:
         raise ValueError("empty scan window")
-    gen = sys.generators[0]
     prod_tab = ctx.product_values()
-    tables = {n: _diagonal_values(sys, ctx, gen.power(n)) for n in ns}
+    tables = dict(zip(ns, _diagonal_values(
+        ctx, np.array([ctx.rep_a.of_element((n,)) for n in ns]))))
 
     labels = labels or [f"element {k}" for k in range(len(test_elements))]
     reports, skipped = [], []
@@ -888,15 +860,9 @@ def ornstein_ratio_scan(sys: FiniteSystem, test_elements, n_range,
         reports.append(OrnsteinElementReport(
             element_label=label, denominator=denom, rows=rows, sup_ratio=sup))
 
-    period = None
-    U = ctx.rep_a.matrices[0]
-    ident = np.eye(ctx.dim_a, dtype=complex)
-    P = ident
-    for p in range(1, max(ns) + 1):
-        P = U @ P
-        if operator_norm(P - ident) < 1e-9:
-            period = p
-            break
+    ident = np.eye(ctx.dim_a)
+    period = next((p for p in range(1, max(ns) + 1)
+                   if operator_norm(ctx.rep_a.of_element((p,)) - ident) < 1e-9), None)
     return OrnsteinScan(reports=reports, period=period, skipped=skipped,
                         sup_ratio=overall)
 

@@ -4,10 +4,15 @@ Both systems diagonal means the joining set is the invariant transportation
 polytope: entrywise nonnegative matrices with prescribed row and column
 sums and a permutation-invariance constraint. Linear optimization over it
 is an ordinary LP, solved here with scipy's HiGHS backend.
+
+The diagonal state's value tables are evaluated one basis pair at a time
+through algebra products, without the GNS matrices.
 """
 
 import numpy as np
 from scipy.optimize import linprog
+
+from ncjoin.algebra import AlgebraElement
 
 
 def invariant_transportation_max(mu, nu, sigma, tau, cost):
@@ -99,3 +104,28 @@ def invariant_segment_vertices(mu, nu, sigma, tau):
         assert np.isfinite(t)
         ts.append(sign * t)
     return [(particular + t * d).reshape(p, q) for t in ts]
+
+
+def diagonal_table(sys, alpha):
+    """Values μ(α(e_i) · t_j) of the diagonal state shifted by the automorphism α.
+
+    t_j = ρ^{1/2} transpose(f_j) ρ^{-1/2} is the twisted mirror element of
+    the basis element f_j; ρ^{±1/2} come from a blockwise eigendecomposition.
+    """
+    struct = sys.structure
+    powers = []
+    for z in (0.5, -0.5):
+        blocks = []
+        for b in sys.state.density:
+            vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
+            blocks.append(vecs @ np.diag(vals ** z) @ vecs.conj().T)
+        powers.append(AlgebraElement(struct, blocks))
+    half, mhalf = powers
+    basis = [struct.basis_element(i) for i in range(struct.dimension)]
+    twisted = [half @ f.transpose() @ mhalf for f in basis]
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    for i, e in enumerate(basis):
+        moved = alpha.apply(e)
+        for j, t in enumerate(twisted):
+            out[i, j] = sys.state.value(moved @ t)
+    return out

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -29,6 +30,8 @@ def test_structure_indexing_roundtrip():
     for i in range(s.dimension):
         k, r, c = s.basis_address(i)
         assert s.basis_index(k, r, c) == i
+    assert [tuple(int(x[i]) for x in s.addresses()) for i in range(s.dimension)] == [
+        s.basis_address(i) for i in range(s.dimension)]
     # adjoint pairing is the transposed matrix unit
     for i in range(s.dimension):
         e = s.basis_element(i)
@@ -178,3 +181,15 @@ def test_power_matches_compose_loop():
                 fast, slow = alpha.power(n), _power_by_loop(alpha, n)
                 for e in basis:
                     assert (fast.apply(e) - slow.apply(e)).norm() <= 1e-12, n
+
+
+def test_system_is_immutable_and_keeps_its_derived_data():
+    sysd = cyclic_rotation_system(3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sysd.state = uniform_state(sysd.structure)
+    assert isinstance(sysd.generators, tuple)
+    assert sysd.validation is sysd.validation and sysd.validation.valid
+    assert sysd.gns is sysd.gns
+    assert sysd.mirror is sysd.mirror
+    # the builder stays uncached: a fresh report per call
+    assert validate_system(sysd) is not sysd.validation

@@ -1,13 +1,33 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from ncjoin import corpus
-from ncjoin.algebra import GroupDescriptor, identity_system
-from ncjoin.errors import NonJoiningError, UnsupportedGroupError
-from ncjoin.gns import gns_construct, point_spectrum, point_spectrum_overlap
+from ncjoin import corpus, joinings
+from ncjoin.algebra import (
+    GroupDescriptor,
+    cyclic_rotation_system,
+    identity_automorphism,
+    identity_system,
+    single_block_system,
+    validate_system,
+)
+from ncjoin.errors import InvalidSystemError, NonJoiningError, UnsupportedGroupError
+from ncjoin.gns import (
+    classify_finite,
+    gns_construct,
+    mirror_system,
+    point_spectrum,
+    point_spectrum_overlap,
+)
 from ncjoin.joinings import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    _ConstraintSet,
+    _dykstra,
+    _objective,
+    _vec,
     build_tensor_context,
     cesaro_diagonal_average,
     conditional_expectation,
@@ -17,13 +37,14 @@ from ncjoin.joinings import (
     graph_joining,
     joining_face_dimension,
     joining_from_values,
+    mirror_context,
     ornstein_ratio_scan,
     product_joining,
     residual_magnitude,
     scan_compact_disjointness,
 )
 
-from oracles import invariant_transportation_max
+from oracles import diagonal_table, invariant_transportation_max
 
 ROTATION_IMAGES = {"c2": 2, "c3": 3, "c5": 5}
 
@@ -49,6 +70,14 @@ def test_tensor_context_multiplication_table(c2, gibbs):
             ei = sysd.structure.basis_element(i) @ sysd.structure.basis_element(k)
             fj = ctx.B.structure.basis_element(j) @ ctx.B.structure.basis_element(l)
             assert lhs.isclose(ctx.tensor_element(ei, fj))
+    # every basis pair is the matrix unit that the blockwise Kronecker product
+    # gives, here with product blocks of sizes 2, 1, 4 and 2
+    a, b = identity_system([1, 2]), identity_system([2, 1])
+    ctx = build_tensor_context(a, b)
+    for i in range(ctx.dim_a):
+        for j in range(ctx.dim_b):
+            assert ctx.basis_pair(i, j).isclose(ctx.tensor_element(
+                a.structure.basis_element(i), b.structure.basis_element(j)), tol=0)
 
 
 def test_product_joining_values(c2):
@@ -307,23 +336,19 @@ def test_small_cap_gives_certified_disjointness(c2, c3):
     cert = disjointness_test(ctx, max_iter=10)
     assert cert.verdict == "disjoint"
     assert cert.certified == _probed_directions(ctx, cert) > 0
-    assert cert.stalled == 0 and cert.min_margin > 0
+    assert cert.min_margin > 0
 
 
 def test_infeasible_probes_carry_evidence(c2, c3, c5, id3, pauli, gibbs):
     idz2 = identity_system([1, 1], GroupDescriptor("Zk", k=2))
     pairs = [(c5, id3), (c2, c3), (c2, corpus.system("c2")),
              (pauli, corpus.system("pauli")), (pauli, idz2), (gibbs, c2)]
-    certs = []
     for a, b in pairs:
         ctx = build_tensor_context(a, b)
         cert = disjointness_test(ctx)
-        assert cert.certified + cert.stalled == _probed_directions(ctx, cert)
+        assert cert.certified == _probed_directions(ctx, cert)
         if cert.certified:
             assert cert.min_margin > 0
-        certs.append(cert)
-    # c5 x id3 and c2 x c3
-    assert certs[0].stalled == certs[1].stalled == 0
 
 
 def test_compact_corpus_scan_finds_witness(c2, c3):
@@ -434,8 +459,7 @@ def test_nontrivial_systems_never_settle():
     # shifted diagonal values keep leaving the product in every period window
     for name in ("c2", "c3", "c5", "id2", "id3", "gibbs"):
         sysd = corpus.system(name)
-        ctx = diagonal_state(sysd).ctx
-        prod = ctx.product_values()
+        prod = diagonal_state(sysd).ctx.product_values()
         space, rep = gns_construct(sysd)
         U = rep.matrices[0]
         period = 1
@@ -444,11 +468,85 @@ def test_nontrivial_systems_never_settle():
             P = U @ P
             period += 1
         windows = max(2, 12 // period)
-        from ncjoin.joinings import _diagonal_values
-
         for w in range(windows):
             gap = 0.0
             for n in range(w * period, (w + 1) * period):
-                tab = _diagonal_values(sysd, ctx, sysd.generators[0].power(n))
+                tab = graph_joining(sysd, n).values
                 gap = max(gap, float(np.max(np.abs(tab - prod))))
             assert gap > 0.01, name
+
+
+def test_uncertified_stall_is_ambiguous(monkeypatch, c2, c3):
+    # with no certificate able to fire, probes that cannot reach their level
+    # stall; a stall proves nothing, so it must not read "infeasible"
+    monkeypatch.setattr(joinings, "_CERTIFICATE_SLACK", math.inf)
+    for b, level in ((corpus.system("c2"), 0.6), (c3, 0.3)):
+        ctx = build_tensor_context(c2, b)
+        k, _, _ = _objective(ctx, (0, 0))
+        affine = _ConstraintSet(ctx).with_level(k)
+        affine.set_level(level)
+        out = _dykstra(affine, _vec(product_joining(ctx).values), DEFAULT_TOL,
+                       DEFAULT_MAX_ITER)
+        assert out.status == "ambiguous" and out.margin is None
+        assert out.iterations < DEFAULT_MAX_ITER   # ended by the stall rule
+    assert disjointness_test(build_tensor_context(c2, c3)).verdict == "inconclusive"
+
+
+def test_invalid_system_rejected_on_every_call():
+    bad = cyclic_rotation_system(3, state_weights=[0.5, 0.3, 0.2])
+    builders = (gns_construct, classify_finite, mirror_system, diagonal_state,
+                lambda s: build_tensor_context(s, cyclic_rotation_system(3)))
+    for build in builders:
+        for _ in range(2):
+            with pytest.raises(InvalidSystemError):
+                build(bad)
+    report = validate_system(bad)
+    assert any(v.kind == "invariance" and v.residual == pytest.approx(0.2)
+               for v in report.violations)
+    from ncjoin.algebra import BlockStructure, FiniteSystem, uniform_state
+
+    s = BlockStructure((1, 1))
+    zm = FiniteSystem(s, uniform_state(s), GroupDescriptor("Zm", m=2),
+                      [cyclic_rotation_system(2).generators[0]])
+    with pytest.raises(InvalidSystemError):
+        build_tensor_context(bad, zm)
+
+
+def _reference_system(name):
+    if name == "C8":
+        return cyclic_rotation_system(8)
+    if name == "M3":
+        rng = np.random.default_rng(1)
+        z = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / math.sqrt(2)
+        q, r = np.linalg.qr(z)
+        return single_block_system(q * (np.diag(r) / abs(np.diag(r))))
+    return corpus.system(name)
+
+
+@pytest.mark.parametrize("name", corpus.FINITE_SYSTEMS + ("C8", "M3"))
+def test_diagonal_tables_match_pairwise_reference(name):
+    sysd = _reference_system(name)
+    tol = 1e-12
+    ident = identity_automorphism(sysd.structure)
+    assert np.max(np.abs(diagonal_state(sysd).values - diagonal_table(sysd, ident))) < tol
+    elements = sysd.group.folner_elements(12)
+    reference = sum(diagonal_table(sysd, sysd.element_automorphism(g))
+                    for g in elements) / len(elements)
+    assert np.max(np.abs(cesaro_diagonal_average(sysd, 12).values - reference)) < tol
+    if sysd.group.kind != "Z":
+        return
+    gen = sysd.generators[0]
+    for n in range(-3, 6):
+        table = diagonal_table(sysd, gen.power(n))
+        assert np.max(np.abs(graph_joining(sysd, n).values - table)) < tol, n
+    ctx = mirror_context(sysd)
+    pairs = [ctx.basis_pair(i, i) for i in range(ctx.dim_a)]
+    scan = ornstein_ratio_scan(sysd, pairs, range(17))
+    assert not scan.skipped
+    prod = ctx.product_values()
+    for c, report in zip(pairs, scan.reports):
+        coef = (c.adjoint() @ c).coords()[ctx.pair_index]
+        denom = float(np.sum(coef * prod).real)
+        for row in report.rows:
+            table = diagonal_table(sysd, gen.power(row.n))
+            assert abs(row.ratio - float(np.sum(coef * table).real) / denom) < tol
