@@ -1,8 +1,8 @@
 """Finite-dimensional dynamical systems over matrix algebras.
 
-Classification of ergodicity and mixing through GNS spectra, joinings as a
-convex feasibility problem with disjointness certificates, and an exact
-combinatorial engine for group-algebra dual systems.
+Classification of ergodicity and mixing through GNS spectra, joinings on
+the tangent space of the product state with rank verdicts and certified
+optima, and an exact combinatorial engine for group-algebra dual systems.
 """
 
 from .algebra import (

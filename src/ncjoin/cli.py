@@ -4,8 +4,8 @@ Every command prints a report, as an aligned table by default or as
 canonical JSON with --format json. JSON reports are deterministic: same
 inputs and seed give byte-identical output. Exit codes: 0 success, 1
 internal invariant violation, 2 malformed input, 3 inconclusive solver
-verdict. The environment variable NCJOIN_MAX_ITER overrides the solver
-iteration cap when --max-iter is not given.
+verdict. The environment variable NCJOIN_MAX_ITER overrides the solver's
+Newton-step cap when --max-iter is not given.
 
 Input files may be replaced by corpus references like ``corpus:c3``.
 """
@@ -13,6 +13,7 @@ Input files may be replaced by corpus references like ``corpus:c3``.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -43,6 +44,7 @@ from .gns import (
 )
 from .joinings import (
     DEFAULT_MAX_ITER,
+    DEFAULT_WIDTH,
     build_tensor_context,
     cesaro_diagonal_average,
     diagonal_state,
@@ -238,7 +240,7 @@ def _solver_kwargs(args):
     max_iter = args.max_iter
     if max_iter is None:
         max_iter = int(os.environ.get("NCJOIN_MAX_ITER", DEFAULT_MAX_ITER))
-    return {"tol": args.tol, "max_iter": max_iter}
+    return {"max_iter": max_iter, "width": args.width}
 
 
 def _parse_objective_file(ctx, ref: str):
@@ -272,17 +274,17 @@ def _cmd_joinings_find(args):
                 f"objective must be 'i,j' basis indices, got {args.objective!r}") from exc
         objective = (i, j)
     kw = _solver_kwargs(args)
-    jm, rep = find_joining(ctx, objective=objective, width=args.width, **kw)
+    jm, rep = find_joining(ctx, objective=objective, **kw)
     status = "inconclusive" if rep.inconclusive else "ok"
     results = {
         "label": jm.label,
         "achieved": rep.achieved,
         "lower": rep.lower,
         "upper": rep.upper,
+        "dual_floor": rep.dual_floor,
+        "tangent_dim": rep.tangent_dim,
         "iterations": rep.iterations,
         "oracle_calls": rep.oracle_calls,
-        "certified": rep.certified,
-        "min_margin": rep.min_margin,
         "residuals": jm.residuals,
         "inconclusive": rep.inconclusive,
         "message": rep.message,
@@ -295,12 +297,11 @@ def _cmd_joinings_disjoint(args):
     B, rec_b = _load_system(args.b)
     ctx = build_tensor_context(A, B)
     kw = _solver_kwargs(args)
-    cert = disjointness_test(ctx, width=args.width, **kw)
+    cert = disjointness_test(ctx, **kw)
     results = {
         "verdict": cert.verdict,
-        "gap_threshold": cert.gap_threshold,
+        "tangent_dim": cert.tangent_dim,
         "directions_scanned": cert.directions_scanned,
-        "certified": cert.certified,
         "min_margin": cert.min_margin,
     }
     if cert.verdict == "not_disjoint":
@@ -562,6 +563,7 @@ def _cmd_corpus(args):
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ncjoin",
@@ -572,10 +574,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("json", "table"), default="table")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--width", type=float, default=1e-6,
-                       help="bisection width for level optimization")
+        p.add_argument("--max-iter", type=int, default=None,
+                       help="Newton-step cap of a joining solve")
+        p.add_argument("--width", type=float, default=DEFAULT_WIDTH,
+                       help="gap tolerance: a joining solve ends when upper - lower <= width")
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("classify", help="classification and point spectrum")
@@ -681,8 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> tuple[dict, int]:
     """Execute one command; returns (report, exit code)."""
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     command = args.command + ("." + args.subcommand if hasattr(args, "subcommand") else "")
     try:
         inputs, results, warnings, status = args.func(args)

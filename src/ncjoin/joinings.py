@@ -1,4 +1,4 @@
-"""Joinings of two systems as a convex feasibility problem.
+"""Joinings of two systems: tangent space, rank verdicts and barrier solves.
 
 A joining is a state ω on A ⊙ B with marginals μ and ν that is invariant
 under the diagonal action. It is stored by its values V[i, j] = ω(e_i ⊗ f_j)
@@ -7,18 +7,26 @@ product algebra ⊕ M_{n_k·n_l}, and ω(E_rs) = ρ[s, r] for the block density
 ρ_ω of ω, so V holds exactly the entries of ρ_ω, blockwise transposed. The
 constraints are linear in V: trace one, both marginals, and Uaᵀ V Ub = V for
 every generator. Positivity of ω is positivity of every density block.
-Feasibility is solved by Dykstra alternating projections between the
-spectral set {ρ ⪰ 0, trace ρ = 1} and the affine constraint subspace; linear
-optimization over the joining set runs a bisection on the objective level
-against that oracle.
 
-An "infeasible" answer of the oracle is always a proof: either the
-objective is constant on the affine constraints and the level misses that
-constant, or Dykstra's gap vector gives a separating hyperplane between the
-affine subspace and the spectral set. The certified distance is kept as
-the answer's margin. A run that stalls or reaches its iteration cap
-without either answer is "ambiguous", which makes a solve or a
-disjointness scan inconclusive.
+The product state μ⊗ν is a joining with a positive definite density ρ⊗.
+Let T be the tangent space: the Hermitian tables that the homogeneous
+constraints (trace 0, zero marginals, invariance) map to zero, found by one
+SVD. The joining set is the spectrahedron {ρ⊗ + Σ t_i V_i ⪰ 0} over an
+orthonormal basis V_i of T. So:
+
+- `disjointness_test` answers "disjoint" exactly when T = {0}: every V ≠ 0
+  in T would give the joinings ρ⊗ ± εV. The evidence is the rank gap, the
+  smallest nonzero singular value of the constraints on Hermitian tables.
+  Otherwise the witness is the optimum along the first basis direction
+  that is not orthogonal to T, and the verdict is "not_disjoint".
+- `find_joining` maximizes a linear objective with a log-barrier Newton
+  path from t = 0 and returns [lower, upper]: `lower` is the value of a
+  joining that passes the battery, `upper` a bound certified by a dual
+  table with PSD blocks.
+
+A solve whose gap upper − lower is still above its width when its Newton
+steps end, or a rank gap too close to rounding to call, answers
+"inconclusive"; no verdict is rounded either way.
 
 The diagonal state of a system with its mirror and its shifts Δ_n are GNS
 quantities: their value tables are Uᵀ·M·T in closed form, from the
@@ -29,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -46,17 +53,11 @@ from .errors import (
 )
 from .gns import GnsSpace, UnitaryRep, classify_finite
 
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITER = 50_000
-DEFAULT_BISECTION_WIDTH = 1e-6
+DEFAULT_MAX_ITER = 500    # Newton steps of one barrier solve
+DEFAULT_WIDTH = 1e-6      # a solve ends when upper − lower ≤ width
 CONSTRUCTOR_RESIDUAL_TOL = 1e-8
-_STALL_CHECK_EVERY = 100
-_STALL_WINDOW_CHECKS = 10
-_STALL_RELATIVE_DROP = 1e-3
-# rounding allowance of a certified margin, relative to 1 + ‖x‖
-_CERTIFICATE_SLACK = 1e-9
-# a level row whose part outside the base row space is this small is pinned
-_PINNED_LEVEL = 1e-9
+# a rank gap or a projection onto T below this is too close to rounding to call
+_RANK_GAP_MIN = 1e-8
 
 
 @dataclass
@@ -269,429 +270,344 @@ def graph_joining(sys: FiniteSystem, n: int) -> JoiningMatrix:
 
 
 # ---------------------------------------------------------------------------
-# feasibility solver
+# tangent space and barrier solver
 #
-# The solver works on real vectors w = [Re z; Im z] of length 2·dim_a·dim_b,
-# where z is a value table flattened row-major.
+# Value tables are handled as flat complex vectors z of length dim_a·dim_b.
+# The real inner product ⟨x, y⟩ = Re Σ conj(x_q) y_q is the Frobenius inner
+# product of the density blocks, and an objective with value coefficients k
+# takes the value Re Σ k_q z_q = ⟨conj(k), z⟩.
 
 
-def _vec(z: np.ndarray) -> np.ndarray:
-    z = z.reshape(-1)
-    return np.concatenate([z.real, z.imag])
+def _constraint_rows(ctx: TensorContext) -> np.ndarray:
+    """Complex rows K of the joining constraints on flat value tables.
 
-
-def _unvec(w: np.ndarray) -> np.ndarray:
-    half = w.size // 2
-    return w[:half] + 1j * w[half:]
-
-
-def _real_row(k: np.ndarray) -> np.ndarray:
-    """Row of w ↦ Re Σ k_q z_q (one row per row of a 2-D k)."""
-    return np.concatenate([k.real, -k.imag], axis=-1)
-
-
-class _ConstraintSet:
-    """Stacked real affine constraints on value tables, with projection data.
-
-    The complex constraints are trace one, the marginals V·1 = μ and 1ᵀ·V = ν,
-    and invariance Uaᵀ V Ub = V for every generator; each contributes its
-    real and its imaginary part. The projector onto these base constraints
-    is factored once, on first use; every level system of a solve or of a
-    disjointness scan reuses it.
+    A joining satisfies K z = (1, μ, ν, 0, …, 0): trace one, the marginals
+    V·1 = μ and 1ᵀ·V = ν, and Uaᵀ V Ub = V for every generator.
     """
-
-    def __init__(self, ctx: TensorContext):
-        self.ctx = ctx
-        dA, dB, n = ctx.dim_a, ctx.dim_b, ctx.dim
-        ua = ctx.A.structure.identity().coords()
-        ub = ctx.B.structure.identity().coords()
-        K = [np.outer(ua, ub).reshape(1, n),
-             (np.eye(dA)[:, :, None] * ub).reshape(dA, n),
-             (ua[:, None] * np.eye(dB)[:, None, :]).reshape(dB, n)]
-        v = [np.ones(1), ctx.mu, ctx.nu]
-        for Ua, Ub in zip(ctx.rep_a.matrices, ctx.rep_b.matrices):
-            # entry (i, j) of Uaᵀ V Ub is Σ Ua[m, i] Ub[l, j] V[m, l]
-            K.append(np.einsum("mi,lj->ijml", Ua, Ub).reshape(n, n) - np.eye(n))
-            v.append(np.zeros(n))
-        K = np.vstack(K)
-        v = np.concatenate(v).astype(complex)
-        A = np.vstack([_real_row(K), _real_row(-1j * K)])   # Re and Im of K·z
-        b = np.concatenate([v.real, v.imag])
-        keep = np.linalg.norm(A, axis=1) > 1e-12
-        self.base_A = A[keep]
-        self.base_b = b[keep]
-        norms = np.linalg.norm(self.base_A, axis=1)
-        self.A_n = self.base_A / norms[:, None]
-        self.b_n = self.base_b / norms
-
-    @cached_property
-    def pinv(self) -> np.ndarray:
-        return np.linalg.pinv(self.A_n, rcond=1e-12)
-
-    def project(self, w: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto the base affine set."""
-        return w - self.pinv @ (self.A_n @ w - self.b_n)
-
-    def with_level(self, k: np.ndarray) -> _LevelSystem:
-        """The base constraints extended by the row Re Σ k_q z_q = t."""
-        return _LevelSystem(self, _real_row(k))
+    dA, dB, n = ctx.dim_a, ctx.dim_b, ctx.dim
+    ua = ctx.A.structure.identity().coords()
+    ub = ctx.B.structure.identity().coords()
+    K = [np.outer(ua, ub).reshape(1, n),
+         (np.eye(dA)[:, :, None] * ub).reshape(dA, n),
+         (ua[:, None] * np.eye(dB)[:, None, :]).reshape(dB, n)]
+    for Ua, Ub in zip(ctx.rep_a.matrices, ctx.rep_b.matrices):
+        # entry (i, j) of Uaᵀ V Ub is Σ Ua[m, i] Ub[l, j] V[m, l]
+        K.append(np.einsum("mi,lj->ijml", Ua, Ub).reshape(n, n) - np.eye(n))
+    return np.vstack(K)
 
 
-class _LevelSystem:
-    """Base constraints plus one level row h·w = t, projected without a new pinv.
+def _hermitian_basis(ctx: TensorContext) -> np.ndarray:
+    """Columns: a real-orthonormal basis of the tables with Hermitian blocks.
 
-    With h normalized and h⊥ = h − A⁺A h its part orthogonal to the base row
-    space, projecting onto the base set and then moving along h⊥ to the
-    level is the orthogonal projection onto the intersection. On the base
-    set the objective equals c0 + h⊥·w with c0 = h·A⁺b, and |h⊥·w| ≤ ‖h⊥‖
-    for every w of the spectral set. When ‖h⊥‖ is negligible the level row
-    is implied or contradicted by the base rows: it is left out of the
-    projection and `pinned_margin` decides the level instead.
+    Per density block: the diagonal units, and (E_ab + E_ba)/√2 and
+    i(E_ab − E_ba)/√2 for a < b.
     """
-
-    def __init__(self, base: _ConstraintSet, row: np.ndarray):
-        self.base = base
-        self.row = row
-        self.scale = float(np.linalg.norm(row)) or 1.0   # a zero objective is pinned at 0
-        self.h = row / self.scale
-        h_perp = self.h - base.pinv @ (base.A_n @ self.h)
-        self.perp_norm = float(np.linalg.norm(h_perp))
-        if self.perp_norm <= _PINNED_LEVEL:
-            self.step = None
-            self.c0 = float(self.h @ (base.pinv @ base.b_n))
-        else:
-            self.step = h_perp / self.perp_norm ** 2
-        self.t = 0.0
-
-    def set_level(self, t: float):
-        self.t = t
-
-    def project(self, w: np.ndarray) -> np.ndarray:
-        x = self.base.project(w)
-        if self.step is not None:
-            x = x + self.step * (self.t / self.scale - self.h @ x)
-        return x
-
-    def residual(self, w: np.ndarray) -> float:
-        return max(float(np.max(np.abs(self.base.base_A @ w - self.base.base_b))),
-                   abs(float(self.row @ w) - self.t))
-
-    def pinned_margin(self) -> float | None:
-        """Certified distance of a pinned level from every value the objective
-        takes on the base set within the spectral set; None when not pinned."""
-        if self.step is not None:
-            return None
-        return abs(self.t / self.scale - self.c0) - self.perp_norm
-
-
-def _project_spectral(w: np.ndarray, ctx: TensorContext) -> np.ndarray:
-    """Nearest point in {ρ Hermitian, ρ ⪰ 0, trace ρ = 1} (Frobenius).
-
-    One batched `eigh` per block size, then one simplex projection over the
-    eigenvalues of all blocks.
-    """
-    parts = [(idx, *np.linalg.eigh(X)) for idx, X in _herm_blocks(_unvec(w), ctx)]
-    lam = _project_simplex(np.concatenate([vals.reshape(-1) for _, vals, _ in parts]))
-    out = np.empty(ctx.dim, dtype=complex)
-    pos = 0
-    for idx, vals, vecs in parts:
-        lam_k = lam[pos:pos + vals.size].reshape(vals.shape)
-        pos += vals.size
-        out[idx] = (vecs * lam_k[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return _vec(out)
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto {x ≥ 0, Σx = 1}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = int(np.nonzero(cond)[0][-1]) + 1
-    tau = css[rho - 1] / rho
-    return np.maximum(v - tau, 0.0)
-
-
-def _top_eigenvalue(w: np.ndarray, ctx: TensorContext) -> float:
-    """Largest eigenvalue over the Hermitian parts of all density blocks."""
-    return max(float(np.linalg.eigvalsh(X).max()) for _, X in _herm_blocks(_unvec(w), ctx))
+    diag, upper, lower = [], [], []
+    for idx in ctx.blocks:
+        a, b = np.triu_indices(idx.shape[-1], 1)
+        diag.append(np.diagonal(idx, axis1=1, axis2=2).reshape(-1))
+        upper.append(idx[:, a, b].reshape(-1))
+        lower.append(idx[:, b, a].reshape(-1))
+    diag, upper, lower = (np.concatenate(x) for x in (diag, upper, lower))
+    H = np.zeros((ctx.dim, ctx.dim), dtype=complex)
+    H[diag, np.arange(diag.size)] = 1.0
+    sym = diag.size + np.arange(upper.size)
+    H[upper, sym] = H[lower, sym] = 1 / math.sqrt(2)
+    H[upper, sym + upper.size] = 1j / math.sqrt(2)
+    H[lower, sym + upper.size] = -1j / math.sqrt(2)
+    return H
 
 
 @dataclass
-class _Feasibility:
-    status: str          # feasible | infeasible | ambiguous
-    point: np.ndarray | None   # the spectral point reached, as a real vector
-    residual: float
-    iterations: int
-    margin: float | None = None       # set when infeasibility is certified
-    separator: np.ndarray | None = None   # the gap vector v of a Dykstra certificate
+class _TangentSpace:
+    """T: the Hermitian tables z with K z = 0, the directions along which a
+    joining can leave the product state."""
+
+    basis: np.ndarray   # (dim T, dim): real-orthonormal rows, each a flat value table
+    rank_gap: float     # smallest nonzero singular value of K on Hermitian tables
 
 
-def _dykstra(affine: _LevelSystem, x0: np.ndarray, tol: float,
-             max_iter: int) -> _Feasibility:
-    """Dykstra between the spectral set and the affine subspace.
+def _tangent_space(ctx: TensorContext) -> _TangentSpace:
+    """T from one SVD of the constraint rows restricted to Hermitian tables.
 
-    The correction term is kept only for the spectral set; for an affine set
-    the correction vanishes. Residuals are measured at the spectrally
-    projected point, which is exactly PSD with unit trace, so a converged
-    answer violates only the affine part and only below tol.
-
-    "infeasible" is decided by a certificate whenever one holds. A pinned
-    level (objective constant on the base set) is decided before any
-    iteration by `pinned_margin`. Otherwise each iteration checks the gap
-    v = x − y between the affine projection x and the spectral point y: v
-    lies in the constraint row space, so ⟨v, ·⟩ equals ⟨v, x⟩ on the affine
-    set, while every state has ⟨v, ρ⟩ ≤ λ_max(herm V) over the density
-    blocks. When (⟨v, x⟩ − λ_max(herm V)) / ‖v‖, a lower bound on the
-    distance between the two sets, exceeds a rounding slack, no joining
-    meets the constraints; that bound is the returned margin. A run whose
-    residual stalls, or that reaches the iteration cap, without either
-    certificate is ambiguous, never silently resolved either way.
+    A singular value counts as zero at the usual numerical-rank cut, largest
+    singular value · matrix size · machine epsilon.
     """
-    ctx = affine.base.ctx
-    margin = affine.pinned_margin()
-    if margin is not None and margin > _CERTIFICATE_SLACK:
-        return _Feasibility("infeasible", None, affine.residual(x0), 0, margin)
-    x = x0.copy()
-    p = np.zeros_like(x)
-    best = math.inf
-    best_y = None
-    history: list[float] = []
-    it = 0
-    while it < max_iter:
-        it += 1
-        y = _project_spectral(x + p, ctx)
-        p = x + p - y
-        r = affine.residual(y)
-        if r < best:
-            best = r
-            best_y = y
-        if r < tol:
-            return _Feasibility("feasible", y, r, it)
-        x = affine.project(y)
-        v = x - y
-        v_norm = float(np.linalg.norm(v))
-        if v_norm > 0:
-            margin = (float(v @ x) - _top_eigenvalue(v, ctx)) / v_norm
-            if margin > _CERTIFICATE_SLACK * (1.0 + float(np.linalg.norm(x))):
-                return _Feasibility("infeasible", y, r, it, margin, v)
-        if it % _STALL_CHECK_EVERY == 0:
-            history.append(best)
-            if len(history) > _STALL_WINDOW_CHECKS:
-                old = history[-1 - _STALL_WINDOW_CHECKS]
-                if best > old * (1.0 - _STALL_RELATIVE_DROP):
-                    # settled without a certificate: a positive distance is
-                    # likely but not proved
-                    return _Feasibility("ambiguous", best_y, best, it)
-    # iteration cap with the residual still falling: no verdict either way
-    return _Feasibility("ambiguous", best_y, best, it)
+    H = _hermitian_basis(ctx)
+    KH = _constraint_rows(ctx) @ H
+    M = np.vstack([KH.real, KH.imag])
+    _, s, vt = np.linalg.svd(M, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(M.shape) * np.finfo(float).eps))
+    return _TangentSpace(basis=vt[rank:] @ H.T, rank_gap=float(s[rank - 1]))
+
+
+def _psd_floor(ctx: TensorContext, z: np.ndarray) -> float:
+    """Smallest eigenvalue over the Hermitian parts of the density blocks of z."""
+    return min(float(np.linalg.eigvalsh(X).min()) for _, X in _herm_blocks(z, ctx))
+
+
+def _newton_terms(ctx: TensorContext, basis: np.ndarray, f: np.ndarray):
+    """Gradient and Hessian of −log det F in tangent coordinates, at the table f.
+
+    With F = L L* per block and W_i = L⁻¹ V_i L⁻*, the gradient of
+    log det F(t) is tr W_i and the Hessian of −log det F(t) is ⟨W_i, W_j⟩.
+    One batched Cholesky per block size; raises LinAlgError when a block of
+    f is not positive definite.
+    """
+    r = len(basis)
+    grad, hess, parts = np.zeros(r), np.zeros((r, r)), []
+    for idx in ctx.blocks:
+        Linv = np.linalg.inv(np.linalg.cholesky(f[idx]))
+        W = Linv @ basis[:, idx] @ Linv.conj().swapaxes(-1, -2)
+        grad += np.trace(W, axis1=-2, axis2=-1).real.sum(axis=-1)
+        G = W.reshape(r, -1)
+        hess += (G.conj() @ G.T).real
+        parts.append((idx, Linv, W))
+    return grad, hess, parts
+
+
+def _newton_dual(ctx: TensorContext, basis: np.ndarray, g: np.ndarray, parts,
+                 dt: np.ndarray, eta: float) -> np.ndarray:
+    """The dual point of a Newton step, as a flat table.
+
+    Z = F⁻¹(F − ΔF)F⁻¹/η with ΔF = Σ dt_i V_i is F⁻¹/η moved onto the dual
+    equalities ⟨c + Z, V_i⟩ = 0 in the barrier's metric; a last Euclidean
+    projection removes what the linear solve left of their residual.
+    """
+    z = np.empty(ctx.dim, dtype=complex)
+    for idx, Linv, W in parts:
+        step = np.tensordot(dt, W, axes=1)   # L⁻¹ ΔF L⁻*
+        Z = Linv.conj().swapaxes(-1, -2) @ (np.eye(idx.shape[-1]) - step) @ Linv / eta
+        z[idx] = (Z + Z.conj().swapaxes(-1, -2)) / 2
+    return z - basis.T @ (g + (basis @ z.conj()).real)
+
+
+def _line_search(lams: np.ndarray, slope: float) -> float:
+    """Minimizer of ψ(s) = −slope·s − Σ log(1 + s·λ_j) over 0 < s < −1/min λ.
+
+    With λ_j the eigenvalues of L⁻¹ΔF L⁻* over all blocks, ψ is the barrier
+    objective along a Newton direction, up to a constant; it is convex and
+    tends to +∞ where F + s·ΔF becomes singular. Safeguarded Newton in s.
+    """
+    if lams.min() >= 0:   # ΔF ⪰ 0 with trace 0: a zero step
+        return 1.0
+    lo, hi = 0.0, -1 / lams.min()
+    s = min(1.0, hi / 2)
+    for _ in range(50):
+        q = lams / (1 + s * lams)
+        d1 = -slope - q.sum()
+        lo, hi = (s, hi) if d1 < 0 else (lo, s)
+        nxt = s - d1 / (q @ q)
+        nxt = nxt if lo < nxt < hi else (lo + hi) / 2
+        if abs(nxt - s) <= 1e-6 * s:
+            return nxt
+        s = nxt
+    return s
+
+
+# the factor by which η grows once the Newton decrement is below 1
+_ETA_GROWTH = 30.0
 
 
 @dataclass
 class SolveReport:
+    """Outcome of one `find_joining` call.
+
+    With an objective, every joining has value in [lower, upper]. `lower`
+    is the value of the returned joining, which passes the battery. `upper`
+    is ⟨c + Z, ρ⊗⟩ + √2·‖P_T(c + Z)‖ for the objective's table c and the
+    table `dual` = Z, whose blocks are PSD: then ⟨c, ρ⟩ ≤ ⟨c + Z, ρ⟩ for a
+    joining ρ, the part of c + Z orthogonal to T is constant on the joining
+    set, and two trace-one densities are at most √2 apart.
+    """
+
     converged: bool
-    iterations: int
+    iterations: int                   # Newton steps
     residual: float
+    tangent_dim: int = 0
     achieved: float | None = None
     lower: float | None = None
     upper: float | None = None
-    oracle_calls: int = 0
-    ambiguous_calls: int = 0
-    certified: int = 0                # infeasible calls, each proven by a certificate
-    min_margin: float | None = None   # smallest certified margin
+    dual: np.ndarray | None = None    # certificate of `upper`, as a value table
+    dual_floor: float | None = None   # smallest eigenvalue of its blocks
+    oracle_calls: int = 0             # barrier solves: 1, or 0 when no solve was needed
+    ambiguous_calls: int = 0          # solves that ended with upper − lower > width
     inconclusive: bool = False
     message: str = ""
 
 
-@dataclass
-class _InfeasibleTally:
-    """The certified infeasible oracle answers of one solve or scan."""
-
-    certified: int = 0
-    min_margin: float | None = None
-
-    def add(self, out: _Feasibility):
-        self.certified += 1
-        if self.min_margin is None or out.margin < self.min_margin:
-            self.min_margin = out.margin
-
-
-def _basis_direction(ctx: TensorContext, i: int, j: int, w: complex = 1):
-    """Hermitian part of w·(e_i ⊗ f_j) as value coefficients, with a bound on
-    its largest eigenvalue.
-
-    The basis pair is a matrix unit E of the product algebra. On the diagonal
-    the Hermitian part is Re w · E, whose largest eigenvalue is max(Re w, 0)
-    (exact unless A ⊙ B is one-dimensional); off the diagonal its nonzero
-    eigenvalues are ±|w|/2.
-    """
-    ti, tj = ctx.A.structure.adjoint_index(i), ctx.B.structure.adjoint_index(j)
-    k = np.zeros(ctx.dim, dtype=complex)
-    k[i * ctx.dim_b + j] += w / 2
-    k[ti * ctx.dim_b + tj] += np.conj(w) / 2
-    top = max(w.real, 0.0) if (ti, tj) == (i, j) else abs(w) / 2
-    return k, top
-
-
 def _objective(ctx: TensorContext, objective) -> tuple[np.ndarray, float, str]:
     """Value coefficients of the objective's Hermitian part, its largest
-    eigenvalue (or a bound on it) and a label."""
-    if isinstance(objective, AlgebraElement):
-        h = 0.5 * (objective + objective.adjoint())
-        top = max(float(np.linalg.eigvalsh(b).max()) for b in h.blocks)
-        return h.coords()[ctx.pair_index].reshape(-1), top, "element"
+    eigenvalue and a label; a basis index pair (i, j) stands for e_i ⊗ f_j."""
+    label = "element"
     if isinstance(objective, tuple) and len(objective) == 2:
-        i, j = objective
-        return *_basis_direction(ctx, i, j), f"basis({i},{j})"
-    raise NcjoinError("objective must be an AlgebraElement or a basis index pair")
+        label = f"basis({objective[0]},{objective[1]})"
+        objective = ctx.basis_pair(*objective)
+    if not isinstance(objective, AlgebraElement):
+        raise NcjoinError("objective must be an AlgebraElement or a basis index pair")
+    h = 0.5 * (objective + objective.adjoint())
+    top = max(float(np.linalg.eigvalsh(b).max()) for b in h.blocks)
+    return h.coords()[ctx.pair_index].reshape(-1), top, label
 
 
-def _maximize(affine: _LevelSystem, top: float, lo: float, x0: np.ndarray,
-              tol: float, max_iter: int, width: float, label: str):
-    """Bisection on the level of the affine system's row with the feasibility oracle.
+def _barrier_solve(ctx: TensorContext, tangent: _TangentSpace, k: np.ndarray, top: float,
+                   label: str, width: float, max_iter: int):
+    """Maximize Re Σ k_q z_q over the joining set ρ⊗ + Σ t_i V_i ⪰ 0.
 
-    `lo` is a level that x0 attains and `top` bounds the objective over all
-    states. The feasible endpoint is always kept; the returned joining is the
-    best verified feasible point, so the achieved value is a sound lower bound.
+    Two certificates need no solve: Z = top·1 − c gives the spectral bound
+    `top`, and Z = 0 gives c0 + √2‖g‖ with g = (⟨c, V_i⟩), since joinings
+    are trace-one densities and lie within √2 of the product. When neither
+    closes the gap, a log-barrier Newton path starts at the product state,
+    whose density is positive definite, so no phase 1 is needed. Each
+    Newton step ends at the exact minimizer of the barrier along its
+    direction, strictly inside the joining set. A step with Newton
+    decrement below 1 is close to the central path: it offers its dual
+    point as a certificate, kept only when it is checked PSD, and the
+    barrier weight η grows.
     """
-    ctx = affine.base.ctx
-    hi = top + 1e-12
-    x_best = x0
-    calls = ambiguous = iters = 0
-    tally = _InfeasibleTally()
-    while hi - lo > width:
-        t = 0.5 * (lo + hi)
-        affine.set_level(t)
-        out = _dykstra(affine, x_best, tol, max_iter)
-        calls += 1
-        iters += out.iterations
-        if out.status == "feasible":
-            lo = t
-            x_best = out.point
-        else:
-            hi = t
-            if out.status == "ambiguous":
-                ambiguous += 1
-            else:
-                tally.add(out)
-    jm = JoiningMatrix(ctx=ctx, values=_unvec(x_best).reshape(ctx.dim_a, ctx.dim_b),
+    basis = tangent.basis
+    prod = ctx.product_values().reshape(-1)
+    c = k.conj()
+    c0 = float((k @ prod).real)
+    g = (basis @ k).real
+    ident = np.outer(ctx.A.structure.identity().coords(),
+                     ctx.B.structure.identity().coords()).reshape(-1)
+    flat = c0 + math.sqrt(2) * float(np.linalg.norm(g))
+    upper, dual = (flat, np.zeros(ctx.dim, dtype=complex)) if flat < top else \
+        (top, top * ident - c)
+    lower, best = c0, np.zeros(len(basis))
+    steps = solves = 0
+    if upper - lower > width:
+        solves = 1
+        nu = sum(idx.shape[0] * idx.shape[1] for idx in ctx.blocks)   # barrier parameter
+        eta = nu / (upper - c0)
+        x = best
+        try:
+            grad, hess, parts = _newton_terms(ctx, basis, prod)
+            while upper - lower > width and steps < max_iter:
+                rhs = eta * g + grad
+                dt = np.linalg.solve(hess, rhs)
+                dec = float(dt @ rhs)   # squared Newton decrement
+                if dec < 1:
+                    z = _newton_dual(ctx, basis, g, parts, dt, eta)
+                    bound = c0 + float(np.vdot(z, prod).real)
+                    if bound < upper and _psd_floor(ctx, z) >= 0:
+                        upper, dual = bound, z
+                    eta *= _ETA_GROWTH   # close enough to the path: move along it
+                    rhs = eta * g + grad
+                    dt = np.linalg.solve(hess, rhs)
+                steps += 1
+                lams = np.concatenate([np.linalg.eigvalsh(np.tensordot(dt, W, axes=1)).ravel()
+                                       for _, _, W in parts])
+                x = x + _line_search(lams, eta * float(g @ dt)) * dt
+                f = prod + basis.T @ x
+                grad, hess, parts = _newton_terms(ctx, basis, f)
+                value = float((k @ f).real)
+                if value > lower:
+                    lower, best = value, x
+        except np.linalg.LinAlgError:
+            pass   # rounding stopped the path; the gap decides below
+    jm = JoiningMatrix(ctx=ctx, values=(prod + basis.T @ best).reshape(ctx.dim_a, ctx.dim_b),
                        label=label)
+    open_gap = upper - lower > width
+    trusted = tangent.rank_gap >= _RANK_GAP_MIN
     report = SolveReport(
-        converged=True,
-        iterations=iters,
+        converged=not open_gap,
+        iterations=steps,
         residual=jm.worst_residual,
-        achieved=lo,
-        lower=lo,
-        upper=hi,
-        oracle_calls=calls,
-        ambiguous_calls=ambiguous,
-        **vars(tally),
-        inconclusive=ambiguous > 0,
-        message="bisection complete" if ambiguous == 0 else
-                "bisection complete with ambiguous oracle calls; the maximum may be underestimated",
+        tangent_dim=len(tangent.basis),
+        achieved=lower,
+        lower=lower,
+        upper=upper,
+        dual=dual.reshape(ctx.dim_a, ctx.dim_b),
+        dual_floor=_psd_floor(ctx, dual),
+        oracle_calls=solves,
+        ambiguous_calls=int(open_gap),
+        inconclusive=open_gap or not trusted,
+        message=("gap closed" if not open_gap else
+                 "gap still open when the Newton steps ended") +
+                ("" if trusted else "; rank gap below rounding, T is uncertain"),
     )
     return jm, report
 
 
-def find_joining(ctx: TensorContext, objective=None, tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER,
-                 width: float = DEFAULT_BISECTION_WIDTH):
+def find_joining(ctx: TensorContext, objective=None, max_iter: int = DEFAULT_MAX_ITER,
+                 width: float = DEFAULT_WIDTH):
     """Feasible joining, optionally maximizing Re ω(c) for a direction c.
 
     Without an objective the product state is returned (it is always
-    feasible). With one, the level of the objective is bisected to the given
-    width; the report carries iteration counts, residuals, the number of
-    certified infeasible oracle calls with their smallest margin, and an
-    inconclusive flag whenever an oracle call could not be classified.
+    feasible). With one, the report brackets the maximum in [lower, upper]
+    (see `SolveReport`); it is inconclusive when the gap upper − lower is
+    still above `width` after `max_iter` Newton steps.
     """
-    prod = product_joining(ctx)
+    tangent = _tangent_space(ctx)
     if objective is None:
-        report = SolveReport(
-            converged=True, iterations=0,
-            residual=residual_magnitude(prod.residuals),
-            message="product state is feasible",
-        )
-        return prod, report
+        prod = product_joining(ctx)
+        return prod, SolveReport(converged=True, iterations=0, residual=prod.worst_residual,
+                                 tangent_dim=len(tangent.basis),
+                                 message="product state is feasible")
     k, top, desc = _objective(ctx, objective)
-    affine = _ConstraintSet(ctx).with_level(k)
-    x0 = _vec(prod.values)
-    jm, report = _maximize(affine, top, float(affine.row @ x0), x0, tol, max_iter,
-                           width, f"solver:{desc}")
+    jm, report = _barrier_solve(ctx, tangent, k, top, f"solver:{desc}", width, max_iter)
     report.message = f"objective {desc}: " + report.message
     return jm, report
 
 
 @dataclass
 class DisjointnessCertificate:
+    """Whether the product state is the only joining, with its evidence.
+
+    "disjoint": T = {0}, proved by `min_margin`, the smallest singular value
+    of the constraints on Hermitian tables (the rank gap). "not_disjoint":
+    `witness` is a joining other than the product, `witness_gap` above it
+    along `witness_direction`. "inconclusive": the rank gap is below
+    rounding, or the witness solve did not close its gap.
+    """
+
     verdict: str                      # disjoint | not_disjoint | inconclusive
-    gap_threshold: float
+    tangent_dim: int
+    min_margin: float | None = None   # the rank gap
+    max_gap_bound: float | None = None
     witness_direction: tuple | None = None
     witness_gap: float | None = None
     witness: JoiningMatrix | None = None
-    max_gap_bound: float | None = None
     directions_scanned: int = 0
-    ambiguous_directions: list = field(default_factory=list)
-    certified: int = 0                # infeasible probes, each proven by a certificate
-    min_margin: float | None = None   # smallest certified margin
 
 
-_WEIGHTS = (1 + 0j, 1j, -1 + 0j, -1j)
-
-
-def disjointness_test(ctx: TensorContext, tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER,
-                      width: float = DEFAULT_BISECTION_WIDTH,
-                      gap_threshold: float | None = None) -> DisjointnessCertificate:
+def disjointness_test(ctx: TensorContext, max_iter: int = DEFAULT_MAX_ITER,
+                      width: float = DEFAULT_WIDTH) -> DisjointnessCertificate:
     """Decide whether the product state is the only joining.
 
-    Scans every basis direction together with its i-weighted and negated
-    variants, so both real and imaginary deviations in either sign are
-    covered. For each direction the feasibility oracle probes the level
-    t0 + threshold; an infeasible probe settles the direction, a feasible
-    one yields a witness which is then refined by full bisection. Any
-    ambiguous oracle call taints the verdict to inconclusive. The
-    certificate counts the infeasible probes, all certified, with the
-    smallest certified margin.
+    μ⊗ν is faithful, so its density is positive definite and every V ≠ 0 in
+    T gives the joinings μ⊗ν ± εV: the product is the only joining iff
+    T = {0}. Otherwise the witness is the first direction w·(e_i ⊗ f_j), in
+    (i, j, w) order with w = 1, i, −1, −i, whose Hermitian part is not
+    orthogonal to T, maximized by `find_joining`'s solver.
     """
-    thr = gap_threshold if gap_threshold is not None else 10.0 * width
-    prod = product_joining(ctx).values.reshape(-1)
-    x0 = _vec(prod)
-    cons = _ConstraintSet(ctx)
-    scanned = 0
-    ambiguous = []
-    tally = _InfeasibleTally()
-    for i in range(ctx.dim_a):
-        for j in range(ctx.dim_b):
-            for w in _WEIGHTS:
-                scanned += 1
-                k, top = _basis_direction(ctx, i, j, w)
-                t0 = float((k @ prod).real)
-                if top <= t0 + thr:
-                    continue  # no state at all exceeds the threshold here
-                affine = cons.with_level(k)
-                affine.set_level(t0 + thr)
-                probe = _dykstra(affine, x0, tol, max_iter)
-                if probe.status == "infeasible":
-                    tally.add(probe)
-                    continue
-                if probe.status == "ambiguous":
-                    ambiguous.append((i, j, w))
-                    return DisjointnessCertificate(
-                        verdict="inconclusive", gap_threshold=thr,
-                        directions_scanned=scanned, ambiguous_directions=ambiguous,
-                        **vars(tally),
-                    )
-                witness, report = _maximize(affine, top, t0 + thr, probe.point, tol,
-                                            max_iter, width, f"witness({i},{j})")
-                return DisjointnessCertificate(
-                    verdict="not_disjoint", gap_threshold=thr,
-                    witness_direction=(i, j, w), witness_gap=report.achieved - t0,
-                    witness=witness, directions_scanned=scanned, **vars(tally),
-                )
-    return DisjointnessCertificate(
-        verdict="disjoint", gap_threshold=thr, max_gap_bound=thr,
-        directions_scanned=scanned, **vars(tally),
-    )
+    tangent = _tangent_space(ctx)
+    cert = DisjointnessCertificate(verdict="inconclusive", tangent_dim=len(tangent.basis),
+                                   min_margin=tangent.rank_gap)
+    if tangent.rank_gap < _RANK_GAP_MIN:
+        return cert
+    if len(tangent.basis) == 0:
+        cert.verdict, cert.max_gap_bound = "disjoint", 0.0
+        cert.directions_scanned = 4 * ctx.dim
+        return cert
+    for pos in range(4 * ctx.dim):
+        (i, j), w = divmod(pos // 4, ctx.dim_b), 1j ** (pos % 4)
+        k, top, _ = _objective(ctx, w * ctx.basis_pair(i, j))
+        if np.linalg.norm((tangent.basis @ k).real) > _RANK_GAP_MIN:
+            break
+    else:
+        cert.directions_scanned = 4 * ctx.dim
+        return cert
+    cert.directions_scanned = pos + 1
+    witness, report = _barrier_solve(ctx, tangent, k, top, f"witness({i},{j})", width, max_iter)
+    if not report.inconclusive:
+        cert.verdict = "not_disjoint"
+        cert.witness_direction = (i, j, w)
+        cert.witness_gap = report.lower - float((k @ ctx.product_values().reshape(-1)).real)
+        cert.witness = witness
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -725,49 +641,28 @@ def conditional_expectation(ctx: TensorContext, joining: JoiningMatrix,
     return ConditionalExpectation(matrix=X, norm=norm, intertwining_residual=inter)
 
 
-def _hermitian_param_basis(r: int) -> list[np.ndarray]:
-    out = []
-    for a in range(r):
-        m = np.zeros((r, r), dtype=complex)
-        m[a, a] = 1.0
-        out.append(m)
-    for a in range(r):
-        for b in range(a + 1, r):
-            m = np.zeros((r, r), dtype=complex)
-            m[a, b] = m[b, a] = 1.0
-            out.append(m)
-            m = np.zeros((r, r), dtype=complex)
-            m[a, b] = 1j
-            m[b, a] = -1j
-            out.append(m)
-    return out
-
-
 def joining_face_dimension(ctx: TensorContext, joining: JoiningMatrix,
                            rank_tol: float = 1e-7) -> int:
-    """Dimension of the feasible perturbations of the joining's density.
+    """Dimension of the face of the joining set that has the joining inside it.
 
-    Directions are Hermitian perturbations of each density block with range
-    inside the range of that block that every affine constraint maps to
-    zero. The range of a block of size N is spanned by its eigenvectors with
-    eigenvalue above N·rank_tol. Zero means the state is an extreme point of
-    the joining set.
+    The face is {t : P⊥·V(t) = 0 on every density block}, with V(t) = Σ t_i V_i
+    a tangent direction and P⊥ the projection onto the kernel of that block
+    of the joining's density: a Hermitian perturbation that vanishes on the
+    kernel keeps its range inside the range of the density. The kernel of a
+    block of size N is spanned by its eigenvectors with eigenvalue at most
+    N·rank_tol. Zero means the state is an extreme point of the joining set.
     """
-    z = joining.values.reshape(-1)
-    cols = []
-    for idx, X in _herm_blocks(z, ctx):
-        vals, vecs = np.linalg.eigh(X)
-        for pos, lam, U in zip(idx, vals, vecs):
-            R = U[:, lam > rank_tol * len(lam)]
-            for E in _hermitian_param_basis(R.shape[1]):
-                D = np.zeros(ctx.dim, dtype=complex)
-                D[pos] = R @ E @ R.conj().T
-                cols.append(_vec(D))
-    if not cols:
+    basis = _tangent_space(ctx).basis
+    if not len(basis):
         return 0
-    images = _ConstraintSet(ctx).base_A @ np.array(cols).T
-    s = np.linalg.svd(images, compute_uv=False)
-    return len(cols) - int(np.sum(s > 1e-8))
+    images = []
+    for idx, X in _herm_blocks(joining.values.reshape(-1), ctx):
+        vals, vecs = np.linalg.eigh(X)
+        kernel = vecs * (vals <= rank_tol * X.shape[-1])[:, None, :]
+        images.append((kernel.conj().swapaxes(-1, -2) @ basis[:, idx]).reshape(len(basis), -1))
+    M = np.concatenate(images, axis=1)
+    s = np.linalg.svd(np.concatenate([M.real, M.imag], axis=1), compute_uv=False)
+    return len(basis) - int(np.sum(s > 1e-8))
 
 
 @dataclass

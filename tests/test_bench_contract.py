@@ -1,8 +1,9 @@
 """Every name the benchmark's tracer wraps must exist in the package.
 
-The tracer in perfbench/ patches ncjoin functions and methods by name; a
-rename in the package would otherwise only surface when a traced benchmark
-run fails. The tracer module is loaded from its file and never modified.
+The tracer in perfbench/ patches ncjoin functions and methods by name, and
+its extractors read fields of the solver reports; a rename in the package
+would otherwise only surface when a traced benchmark run fails. The tracer
+module is loaded from its file and never modified.
 """
 
 import importlib
@@ -36,3 +37,18 @@ def test_counted_methods_resolve(entry):
     _, mod_name, cls_name, meth = entry
     cls = getattr(importlib.import_module(f"ncjoin.{mod_name}"), cls_name)
     assert callable(getattr(cls, meth, None)), f"ncjoin.{mod_name}.{cls_name}.{meth}"
+
+
+def _real_results():
+    from ncjoin import corpus
+    from ncjoin.joinings import build_tensor_context, disjointness_test, find_joining
+
+    ctx = build_tensor_context(corpus.system("c2"), corpus.system("c2"))
+    return {"joinings.find_joining": find_joining(ctx, objective=(0, 0)),
+            "joinings.disjointness_test": disjointness_test(ctx)}
+
+
+@pytest.mark.parametrize("layer", sorted(TRACER_MODULE.EXTRACTORS))
+def test_extractors_read_real_results(layer):
+    info = TRACER_MODULE.EXTRACTORS[layer](_real_results()[layer])
+    assert info and all(isinstance(v, int) and v >= 0 for v in info.values()), info

@@ -1,118 +1,201 @@
-"""Soundness of the "infeasible" certificates of the feasibility oracle.
+"""Soundness of the solver's evidence, re-derived from the raw constraint rows.
 
-Each certificate is checked again from the raw constraint rows, with
-least-squares solves of their own instead of the solver's projector, and
-with density blocks rebuilt from the product algebra's coordinates instead
-of the solver's batched block layout.
+Each dual upper bound of `find_joining` and each rank margin of a
+"disjoint" verdict is checked again here, from constraint rows and a basis
+of Hermitian value tables built in this file, with least-squares solves,
+eigenvalues and singular values of its own, and with density blocks rebuilt
+from the product algebra's coordinates instead of the solver's block layout.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncjoin import corpus, joinings
+from ncjoin import corpus
+from ncjoin.algebra import GroupDescriptor, identity_system
 from ncjoin.joinings import (
-    _ConstraintSet,
-    _dykstra,
-    _vec,
     build_tensor_context,
     disjointness_test,
     find_joining,
-    product_joining,
+    residual_magnitude,
 )
 
 from oracles import invariant_transportation_max
+from test_differential import _ad_context
 
 
-def _record_certified(monkeypatch):
-    """Wrap the oracle; keep (context, raw rows, values, answer) of each certified call."""
-    seen = []
+def _complex_rows(ctx):
+    """K and b of the joining constraints K z = b on flat value tables: trace
+    one, both marginals, and Uaᵀ V Ub = V for every generator."""
+    n, dB = ctx.dim, ctx.dim_b
+    ua = ctx.A.structure.identity().coords()
+    ub = ctx.B.structure.identity().coords()
+    rows, rhs = [np.kron(ua, ub)], [1.0]
+    for i in range(ctx.dim_a):
+        row = np.zeros(n, dtype=complex)
+        row[i * dB:(i + 1) * dB] = ub
+        rows.append(row)
+        rhs.append(ctx.mu[i])
+    for j in range(dB):
+        row = np.zeros(n, dtype=complex)
+        row[j::dB] = ua
+        rows.append(row)
+        rhs.append(ctx.nu[j])
+    for Ua, Ub in zip(ctx.rep_a.matrices, ctx.rep_b.matrices):
+        # (Uaᵀ V Ub)[i, j] = Σ Ua[m, i] Ub[l, j] V[m, l]
+        rows.extend(np.kron(Ua, Ub).T - np.eye(n))
+        rhs.extend([0.0] * n)
+    return np.array(rows), np.array(rhs, dtype=complex)
 
-    def recording(affine, x0, tol, max_iter):
-        out = _dykstra(affine, x0, tol, max_iter)
-        if out.status == "infeasible" and out.margin is not None:
-            seen.append((affine.base.ctx, affine.base.base_A.copy(),
-                         affine.base.base_b.copy(), affine.row.copy(), affine.t, out))
-        return out
 
-    monkeypatch.setattr(joinings, "_dykstra", recording)
-    return seen
+def _adjoint_positions(ctx):
+    dB = ctx.dim_b
+    return np.array([ctx.A.structure.adjoint_index(i) * dB + ctx.B.structure.adjoint_index(j)
+                     for i in range(ctx.dim_a) for j in range(dB)])
 
 
-def _top_eigenvalue(ctx, v):
-    """Largest eigenvalue of the Hermitian parts of the blocks that the value
-    vector v (basis pairs in row-major order, real then imaginary parts)
-    fills in the product algebra."""
+def _real(z):
+    return np.concatenate([z.real, z.imag])
+
+
+def _real_rows(ctx):
+    """Rows R and right-hand side b on w = [Re z; Im z]: the joining
+    constraints and Hermiticity, z_q = conj(z_q*) for the adjoint pair q*."""
+    K, b = _complex_rows(ctx)
     n = ctx.dim
-    coords = np.empty(n, dtype=complex)
-    coords[ctx.pair_index.reshape(-1)] = v[:n] + 1j * v[n:]
+    swap = np.eye(n)[_adjoint_positions(ctx)]
+    zero = np.zeros((n, n))
+    R = np.vstack([np.hstack([K.real, -K.imag]), np.hstack([K.imag, K.real]),
+                   np.hstack([np.eye(n) - swap, zero]), np.hstack([zero, np.eye(n) + swap])])
+    return R, np.concatenate([b.real, b.imag, np.zeros(2 * n)])
+
+
+def _density_floor(ctx, z):
+    """Smallest eigenvalue of the Hermitian parts of the product-algebra blocks
+    that the flat value table z fills."""
+    coords = np.empty(ctx.dim, dtype=complex)
+    coords[ctx.pair_index.reshape(-1)] = z
     blocks = ctx.structure.from_coords(coords).blocks
-    return max(np.linalg.eigvalsh((b + b.conj().T) / 2).max() for b in blocks)
+    return min(np.linalg.eigvalsh((b + b.conj().T) / 2).min() for b in blocks)
 
 
-def _verify(ctx, base_A, base_b, row, t, out):
-    if out.separator is None:
-        # the level row lies in the base row space, so the objective is
-        # constant on the base set up to the lstsq residual
-        z, *_ = np.linalg.lstsq(base_A.T, row, rcond=None)
-        slack = np.linalg.norm(base_A.T @ z - row)
-        assert slack <= 1e-10 * np.linalg.norm(row)
-        x_ls, *_ = np.linalg.lstsq(base_A, base_b, rcond=None)
-        assert np.max(np.abs(base_A @ x_ls - base_b)) < 1e-10
-        # every state's density has Frobenius norm at most one
-        distance = (abs(t - row @ x_ls) - slack) / np.linalg.norm(row)
-        assert distance > 0
-        assert distance == pytest.approx(out.margin, rel=1e-6, abs=1e-12)
-        return
-    v = out.separator
-    A = np.vstack([base_A, row])
-    b = np.append(base_b, t)
-    z, *_ = np.linalg.lstsq(A.T, v, rcond=None)
-    assert np.linalg.norm(A.T @ z - v) <= 1e-10 * np.linalg.norm(v)
-    x_ls, *_ = np.linalg.lstsq(A, b, rcond=None)
-    assert np.max(np.abs(A @ x_ls - b)) < 1e-10
-    margin = (v @ x_ls - _top_eigenvalue(ctx, v)) / np.linalg.norm(v)
-    assert margin > 0
-    assert margin == pytest.approx(out.margin, rel=1e-6, abs=1e-12)
+def _objective_table(ctx, objective):
+    """c with Re ω(h) = ⟨c, z⟩ = Re Σ conj(c_q) z_q for the Hermitian part h."""
+    if isinstance(objective, tuple):
+        objective = ctx.basis_pair(*objective)
+    h = 0.5 * (objective + objective.adjoint())
+    return h.coords()[ctx.pair_index].reshape(-1).conj()
 
 
-def test_certificates_verify_from_raw_constraints(monkeypatch):
-    seen = _record_certified(monkeypatch)
+def _verify_bound(ctx, objective, jm, rep):
+    """Re-derive `upper` from the dual table Z and check the primal side.
+
+    Let c + Z = Rᵀy + e with e orthogonal to every row. For a joining ρ,
+    ⟨c, ρ⟩ ≤ ⟨c + Z, ρ⟩ when Z ⪰ 0, and ⟨c + Z, ρ⟩ = y·b + ⟨e, ρ⟩. As e lies in
+    the tangent space, ⟨e, ρ⟩ = ⟨e, ρ⊗⟩ + ⟨e, ρ − ρ⊗⟩ ≤ ⟨e, ρ⊗⟩ + √2·‖e‖:
+    two trace-one densities are at most √2 apart.
+    """
+    R, b = _real_rows(ctx)
+    c = _objective_table(ctx, objective)
+    z = rep.dual.reshape(-1)
+    assert _density_floor(ctx, z) >= -1e-12
+    assert rep.dual_floor == pytest.approx(_density_floor(ctx, z), abs=1e-12)
+    target = _real(c + z)
+    y, *_ = np.linalg.lstsq(R.T, target, rcond=None)
+    e = target - R.T @ y
+    prod = _real(ctx.product_values().reshape(-1))
+    assert np.max(np.abs(R @ prod - b)) < 1e-12   # the product is a joining
+    bound = y @ b + e @ prod + math.sqrt(2) * np.linalg.norm(e)
+    assert rep.upper == pytest.approx(bound, abs=1e-9)
+    # the lower bound is the value of the returned joining, which is one
+    assert rep.lower == pytest.approx(_real(c) @ _real(jm.values.reshape(-1)), abs=1e-12)
+    assert np.max(np.abs(R @ _real(jm.values.reshape(-1)) - b)) < 1e-9
+    assert _density_floor(ctx, jm.values.reshape(-1)) > -1e-12
+    assert rep.lower <= rep.upper
+
+
+def _constraint_singular_values(ctx):
+    """Singular values of the homogeneous constraints on Hermitian tables."""
+    K, _ = _complex_rows(ctx)
+    n = ctx.dim
+    adj = _adjoint_positions(ctx)
+    spanning = []
+    for q in range(n):
+        for w in (1, 1j):
+            z = np.zeros(n, dtype=complex)
+            z[q] += w
+            z[adj[q]] += np.conj(w)
+            spanning.append(_real(z))
+    u, s, _ = np.linalg.svd(np.array(spanning).T, full_matrices=False)
+    herm = u[:, s > 1e-9]
+    herm = herm[:n] + 1j * herm[n:]
+    assert herm.shape[1] == n
+    images = K @ herm
+    return np.linalg.svd(np.vstack([images.real, images.imag]), compute_uv=False)
+
+
+def _verify_rank(ctx, cert):
+    s = _constraint_singular_values(ctx)
+    kept = s[s > 1e-9 * s.max()]
+    assert cert.tangent_dim == ctx.dim - kept.size
+    assert cert.min_margin == pytest.approx(kept.min(), rel=1e-9)
+    if cert.verdict == "disjoint":
+        assert kept.size == ctx.dim and cert.min_margin > 1e-8
+
+
+def test_certificates_verify_from_raw_constraints():
     s = corpus.system
-    for a, b in (("c2", "c3"), ("c2", "c2"), ("pauli", "pauli"), ("gibbs", "c2")):
-        disjointness_test(build_tensor_context(s(a), s(b)))
-    for a, b, obj in (("c2", "c2", (0, 0)), ("c3", "c3", (0, 1)), ("c2", "id2", (1, 1))):
-        find_joining(build_tensor_context(s(a), s(b)), objective=obj)
-    kinds = {out.separator is None for *_, out in seen}
-    assert kinds == {True, False}   # both certificate kinds were exercised
-    for record in seen:
-        _verify(*record)
+    solves = [(build_tensor_context(s(a), s(b)), obj) for a, b, obj in (
+        ("c2", "c2", (0, 0)), ("c3", "c3", (0, 1)), ("c2", "id2", (1, 1)),
+        ("pauli", "pauli", (0, 0)), ("gibbs", "gibbs", (1, 0)), ("c2", "c3", (1, 2)))]
+    solves += [(_ad_context(2, 2, False), (0, 0)), (_ad_context(3, 1, True), (0, 0))]
+    ctx = build_tensor_context(s("pauli"), s("pauli"))
+    solves.append((ctx, 0.3j * ctx.basis_pair(0, 1) + ctx.basis_pair(3, 2)))
+    kinds = set()
+    for ctx, objective in solves:
+        for max_iter in (2, 500):   # capped solves keep a valid, looser bound
+            jm, rep = find_joining(ctx, objective=objective, max_iter=max_iter)
+            _verify_bound(ctx, objective, jm, rep)
+            kinds.add((rep.oracle_calls, rep.inconclusive))
+    assert kinds == {(0, False), (1, True), (1, False)}
+    idz2 = identity_system([1, 1], GroupDescriptor("Zk", k=2))
+    verdicts = set()
+    for a, b in ((s("c2"), s("c3")), (s("c5"), s("id3")), (s("pauli"), idz2),
+                 (s("gibbs"), s("c2")), (s("c2"), s("c2")), (s("pauli"), s("pauli"))):
+        ctx = build_tensor_context(a, b)
+        cert = disjointness_test(ctx)
+        _verify_rank(ctx, cert)
+        verdicts.add(cert.verdict)
+    assert verdicts == {"disjoint", "not_disjoint"}
 
 
-def _rotation_optimum(p, i, j):
-    images = [(k + 1) % p for k in range(p)]
-    cost = np.zeros((p, p))
+def _rotation_optimum(p, q, i, j):
+    cost = np.zeros((p, q))
     cost[i, j] = 1.0
-    best, _ = invariant_transportation_max([1 / p] * p, [1 / p] * p, images, images, cost)
+    best, _ = invariant_transportation_max(
+        [1 / p] * p, [1 / q] * q, [(k + 1) % p for k in range(p)],
+        [(k + 1) % q for k in range(q)], cost)
     return best
 
 
-@settings(max_examples=12, deadline=None)
-@given(case=st.sampled_from([("c2", 2, (0, 0)), ("c2", 2, (1, 0)), ("c3", 3, (0, 1)),
-                             ("c3", 3, (2, 2)), ("pauli", None, (0, 0))]),
-       frac=st.floats(min_value=0.0, max_value=1.0))
-def test_feasible_levels_never_certified_infeasible(case, frac):
-    name, p, (i, j) = case
-    ctx = build_tensor_context(corpus.system(name), corpus.system(name))
-    x0 = _vec(product_joining(ctx).values)
-    e = ctx.basis_pair(i, j)
-    level = (0.5 * (e + e.adjoint())).coords()[ctx.pair_index].reshape(-1)
-    affine = _ConstraintSet(ctx).with_level(level)
-    t0 = float(affine.row @ x0)
-    # pauli x pauli: the diagonal witness sits 0.25 above the product value
-    best = _rotation_optimum(p, i, j) if p else t0 + 0.25
-    t = t0 + frac * (best - 1e-4 - t0)
-    affine.set_level(t)
-    out = _dykstra(affine, x0, 1e-9, 50_000)
-    assert out.status != "infeasible", (name, (i, j), t, out.margin)
+@settings(max_examples=16, deadline=None)
+@given(case=st.sampled_from([("c2", "c2", (0, 0)), ("c2", "c2", (1, 0)), ("c3", "c3", (0, 1)),
+                             ("c3", "c3", (2, 2)), ("c2", "c3", (1, 2)),
+                             ("pauli", "pauli", (0, 0))]),
+       width=st.floats(min_value=1e-7, max_value=1e-2),
+       max_iter=st.integers(min_value=0, max_value=30))
+def test_feasible_levels_never_certified_infeasible(case, width, max_iter):
+    # `upper` certifies every level above it infeasible, so it may never fall
+    # below a value that a joining attains
+    a, b, (i, j) = case
+    ctx = build_tensor_context(corpus.system(a), corpus.system(b))
+    jm, rep = find_joining(ctx, objective=(i, j), width=width, max_iter=max_iter)
+    # pauli x pauli: the diagonal witness sits 0.25 above the product value 0.25
+    best = 0.5 if a == "pauli" else _rotation_optimum(int(a[1]), int(b[1]), i, j)
+    assert rep.upper >= best - 1e-9, (case, rep.upper, best)
+    assert rep.lower <= best + 1e-9
+    assert residual_magnitude(jm.residuals) < 1e-8
+    assert rep.inconclusive == (rep.upper - rep.lower > width)

@@ -5,7 +5,7 @@ import pytest
 
 from ncjoin import corpus, fileio
 from ncjoin.algebra import validate_system
-from ncjoin.cli import emit_report, main, run
+from ncjoin.cli import build_parser, emit_report, main, run
 from ncjoin.errors import InputFormatError
 
 
@@ -192,7 +192,8 @@ def test_joinings_disjoint_command(capsys):
     text = capsys.readouterr().out
     report = json.loads(text)
     assert report["results"]["verdict"] == "disjoint"
-    assert report["results"]["certified"] == 12
+    assert report["results"]["tangent_dim"] == 0
+    assert report["results"]["directions_scanned"] == 24
     assert report["results"]["min_margin"] > 0
     main(["joinings", "disjoint", "--a", "corpus:c2", "--b", "corpus:c3",
           "--format", "json"])
@@ -220,8 +221,9 @@ def test_joinings_find_objective_file(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["achieved"] == pytest.approx(0.5, abs=1e-5)
     results = report["results"]
-    assert results["certified"] > 0
-    assert results["min_margin"] > 0
+    assert results["lower"] <= 0.5 <= results["upper"] <= results["lower"] + 1e-6
+    assert results["dual_floor"] >= 0
+    assert results["tangent_dim"] == 1
 
 
 def test_inconclusive_solver_exits_3(capsys):
@@ -238,3 +240,17 @@ def test_max_iter_env_override(monkeypatch):
     report, code = run(["joinings", "find", "--a", "corpus:c2", "--b", "corpus:c2",
                         "--format", "json"])
     assert code == 0   # product path does not iterate, but the env must parse
+
+
+def test_reused_parser_matches_fresh_parsers():
+    commands = [
+        ["joinings", "find", "--a", "corpus:c2", "--b", "corpus:c2", "--objective", "0,0",
+         "--width", "1e-3", "--max-iter", "9"],
+        ["classify", "--system", "corpus:c5", "--net", "--format", "json"],
+        ["joinings", "disjoint", "--a", "corpus:c2", "--b", "corpus:c3"],
+        ["dual", "ornstein", "--group", "corpus:dual_shift", "--window", "0..8"],
+    ]
+    shared = build_parser()
+    assert build_parser() is shared
+    for argv in commands + commands[::-1]:
+        assert vars(shared.parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv))

@@ -5,6 +5,9 @@ drawn by Hypothesis and their optima compared with the LP oracle. Seeded
 Ad(u) pairs on M2 and M3 are compared with optima recorded at commit
 7f751cd, whose solver worked on a multiplicity-inflated matrix on the
 tensor of the two GNS spaces rather than on the block density of A ⊗ B.
+The rank verdict of `disjointness_test` is compared with the eigenvalue
+pairs of the GNS unitaries and with the verdicts of the direction scan
+that it replaced.
 """
 
 import math
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncjoin import corpus
 from ncjoin.algebra import (
     Automorphism,
     BlockStructure,
@@ -25,6 +29,7 @@ from ncjoin.algebra import (
 from ncjoin.joinings import (
     build_tensor_context,
     conditional_expectation,
+    disjointness_test,
     find_joining,
     residual_magnitude,
 )
@@ -119,3 +124,68 @@ def test_ad_pairs_match_pinned_optima(n, seed, same, objective, pinned):
     assert float(jm.values[objective].real) == pytest.approx(pinned, abs=PINNED_TOL)
     assert residual_magnitude(jm.residuals) < BATTERY_TOL
     assert conditional_expectation(ctx, jm).norm <= 1 + 1e-8
+
+
+def _ad_context(n, seed, same):
+    rng = np.random.default_rng(seed)
+    u = _haar_unitary(rng, n)
+    v = u if same else _haar_unitary(rng, n)
+    return build_tensor_context(single_block_system(u), single_block_system(v))
+
+
+def test_m3_inconclusive_bound_regression():
+    # the bisection it replaced stopped at [0.22395, 0.22401], inconclusive,
+    # below a joining of value 0.224105802
+    ctx = _ad_context(3, 3, True)
+    jm, rep = find_joining(ctx, objective=(0, 4))
+    assert not rep.inconclusive
+    assert rep.upper - rep.lower <= 1e-6
+    assert rep.upper >= 0.224105802
+    assert float(jm.values[0, 4].real) == pytest.approx(rep.lower, abs=1e-12)
+    assert residual_magnitude(jm.residuals) < BATTERY_TOL
+
+
+def _eigenvalue_pairs(ctx) -> int:
+    """Pairs λ of U_A and λ̄ of U_B, one eigenvalue 1 dropped on each side."""
+    spectra = []
+    for U in (ctx.rep_a.matrices[0], ctx.rep_b.matrices[0]):
+        lam = np.linalg.eigvals(U)
+        spectra.append(np.delete(lam, np.argmin(abs(lam - 1))))
+    la, lb = spectra
+    return int(np.sum(abs(la[:, None] - lb.conj()[None, :]) < 1e-8))
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=permutation_systems(), b=permutation_systems())
+def test_rank_verdict_counts_eigenvalue_pairs(a, b):
+    ctx = build_tensor_context(_permutation_system(*a), _permutation_system(*b))
+    cert = disjointness_test(ctx)
+    assert cert.tangent_dim == _eigenvalue_pairs(ctx)
+    assert cert.verdict == ("disjoint" if cert.tangent_dim == 0 else "not_disjoint")
+
+
+@pytest.mark.parametrize("n, seed, same", [row[:3] for row in AD_PINNED])
+def test_ad_rank_counts_eigenvalue_pairs(n, seed, same):
+    ctx = _ad_context(n, seed, same)
+    assert disjointness_test(ctx).tangent_dim == _eigenvalue_pairs(ctx) > 0
+
+
+# not-disjoint partners among the Z-systems of the corpus, as found by the
+# probe scan at commit 5c42b4e; every other ordered pair was "disjoint"
+SCAN_NOT_DISJOINT = {
+    "c2": {"c2"},
+    "c3": {"c3"},
+    "c5": {"c5"},
+    "id2": {"id2", "id3", "gibbs"},
+    "id3": {"id2", "id3", "gibbs"},
+    "gibbs": {"id2", "id3", "gibbs"},
+}
+
+
+@pytest.mark.parametrize("a", sorted(SCAN_NOT_DISJOINT))
+def test_rank_verdicts_match_the_scan(a):
+    for b in SCAN_NOT_DISJOINT:
+        ctx = build_tensor_context(corpus.system(a), corpus.system(b))
+        cert = disjointness_test(ctx)
+        assert cert.tangent_dim == _eigenvalue_pairs(ctx), b
+        assert cert.verdict == ("not_disjoint" if b in SCAN_NOT_DISJOINT[a] else "disjoint"), b

@@ -22,12 +22,6 @@ from ncjoin.gns import (
     point_spectrum_overlap,
 )
 from ncjoin.joinings import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    _ConstraintSet,
-    _dykstra,
-    _objective,
-    _vec,
     build_tensor_context,
     cesaro_diagonal_average,
     conditional_expectation,
@@ -230,27 +224,6 @@ def test_zero_objective_is_pinned(c2):
 # disjointness
 
 
-def _probed_directions(ctx, cert):
-    """Infeasibility probes of a scan that came out infeasible, counted from
-    the directions alone: those scanned whose spectral maximum exceeds the
-    threshold, less the last one when it stopped the scan."""
-    prod = product_joining(ctx)
-    count = scanned = 0
-    for i in range(ctx.dim_a):
-        for j in range(ctx.dim_b):
-            for w in (1, 1j, -1, -1j):
-                scanned += 1
-                if scanned > cert.directions_scanned:
-                    continue
-                c = w * ctx.basis_pair(i, j)
-                h = 0.5 * (c + c.adjoint())
-                t0 = prod.value(h).real
-                top = max(np.linalg.eigvalsh(b).max() for b in h.blocks)
-                if top > t0 + cert.gap_threshold:
-                    count += 1
-    return count - (cert.verdict != "disjoint")
-
-
 def test_disjoint_c2_c3(c2, c3):
     cert = disjointness_test(build_tensor_context(c2, c3))
     assert cert.verdict == "disjoint"
@@ -332,23 +305,29 @@ def test_iteration_cap_taints_verdict(c2):
 
 
 def test_small_cap_gives_certified_disjointness(c2, c3):
+    # "disjoint" is a rank verdict: it takes no Newton step, so no cap can taint it
     ctx = build_tensor_context(c2, c3)
-    cert = disjointness_test(ctx, max_iter=10)
+    cert = disjointness_test(ctx, max_iter=1)
     assert cert.verdict == "disjoint"
-    assert cert.certified == _probed_directions(ctx, cert) > 0
-    assert cert.min_margin > 0
+    assert cert.tangent_dim == 0 and cert.directions_scanned == 24
+    assert cert.min_margin > 0 and cert.max_gap_bound == 0
 
 
-def test_infeasible_probes_carry_evidence(c2, c3, c5, id3, pauli, gibbs):
+def test_every_verdict_carries_its_evidence(c2, c3, c5, id3, pauli, gibbs):
     idz2 = identity_system([1, 1], GroupDescriptor("Zk", k=2))
     pairs = [(c5, id3), (c2, c3), (c2, corpus.system("c2")),
              (pauli, corpus.system("pauli")), (pauli, idz2), (gibbs, c2)]
     for a, b in pairs:
         ctx = build_tensor_context(a, b)
         cert = disjointness_test(ctx)
-        assert cert.certified == _probed_directions(ctx, cert)
-        if cert.certified:
-            assert cert.min_margin > 0
+        assert cert.min_margin > 0.3   # the rank gap: far from rounding on the corpus
+        if cert.verdict == "disjoint":
+            assert cert.tangent_dim == 0 and cert.max_gap_bound == 0
+            assert cert.directions_scanned == 4 * ctx.dim
+        else:
+            assert cert.verdict == "not_disjoint" and cert.tangent_dim > 0
+            assert cert.witness_gap > 0.1
+            assert residual_magnitude(cert.witness.residuals) < 1e-8
 
 
 def test_compact_corpus_scan_finds_witness(c2, c3):
@@ -419,6 +398,40 @@ def test_face_dimension_trivial_b(c3):
     assert joining_face_dimension(ctx, prod) == 0
 
 
+# face dimensions (product, diagonal, graph 1, graph 2) of every corpus system
+# with its mirror, equal to those of the parametrization by range vectors
+# that the tangent basis replaced, and of four solver optima
+FACE_DIMENSIONS = {
+    "c2": (1, 0, 0, 0), "c3": (2, 0, 0, 0), "c5": (4, 0, 0, 0), "id2": (1, 0, 0, 0),
+    "id3": (4, 0, 0, 0), "pauli": (3, 0, None, None), "gibbs": (3, 0, 0, 0),
+}
+OPTIMUM_FACE_DIMENSIONS = [
+    ("c2", "c2", (0, 0), 0), ("pauli", "pauli", (0, 0), 1),
+    ("c3", "c3", (0, 1), 0), ("gibbs", "gibbs", (0, 0), 0),
+]
+
+
+@pytest.mark.parametrize("name, kind", [(name, kind) for name in FACE_DIMENSIONS
+                                        for kind in range(4)
+                                        if FACE_DIMENSIONS[name][kind] is not None])
+def test_face_dimensions_of_constructed_joinings(name, kind):
+    sysd = corpus.system(name)
+    if kind == 0:
+        ctx = mirror_context(sysd)
+        jm = product_joining(ctx)
+    else:
+        jm = diagonal_state(sysd) if kind == 1 else graph_joining(sysd, kind - 1)
+    assert joining_face_dimension(jm.ctx, jm) == FACE_DIMENSIONS[name][kind]
+
+
+@pytest.mark.parametrize("a, b, objective, dim", OPTIMUM_FACE_DIMENSIONS)
+def test_face_dimensions_of_solver_optima(a, b, objective, dim):
+    ctx = build_tensor_context(corpus.system(a), corpus.system(b))
+    jm, rep = find_joining(ctx, objective=objective)
+    assert not rep.inconclusive
+    assert joining_face_dimension(ctx, jm) == dim
+
+
 # ---------------------------------------------------------------------------
 # averages and ratio scan
 
@@ -476,20 +489,19 @@ def test_nontrivial_systems_never_settle():
             assert gap > 0.01, name
 
 
-def test_uncertified_stall_is_ambiguous(monkeypatch, c2, c3):
-    # with no certificate able to fire, probes that cannot reach their level
-    # stall; a stall proves nothing, so it must not read "infeasible"
-    monkeypatch.setattr(joinings, "_CERTIFICATE_SLACK", math.inf)
-    for b, level in ((corpus.system("c2"), 0.6), (c3, 0.3)):
-        ctx = build_tensor_context(c2, b)
-        k, _, _ = _objective(ctx, (0, 0))
-        affine = _ConstraintSet(ctx).with_level(k)
-        affine.set_level(level)
-        out = _dykstra(affine, _vec(product_joining(ctx).values), DEFAULT_TOL,
-                       DEFAULT_MAX_ITER)
-        assert out.status == "ambiguous" and out.margin is None
-        assert out.iterations < DEFAULT_MAX_ITER   # ended by the stall rule
-    assert disjointness_test(build_tensor_context(c2, c3)).verdict == "inconclusive"
+def test_uncertified_stall_is_ambiguous(monkeypatch, c2):
+    # with no dual point passing its PSD check, nothing certifies a bound
+    # below the one known before the solve, so the gap stays open: the solve
+    # must end inconclusive, never rounded to an optimum
+    monkeypatch.setattr(joinings, "_psd_floor", lambda ctx, z: -1.0)
+    ctx = build_tensor_context(c2, corpus.system("c2"))
+    jm, rep = find_joining(ctx, objective=(0, 0), max_iter=40)
+    _, unsolved = find_joining(ctx, objective=(0, 0), max_iter=0)
+    assert rep.inconclusive and rep.ambiguous_calls == 1 and 0 < rep.iterations <= 40
+    assert rep.upper == unsolved.upper > 0.9 and rep.lower <= 0.5
+    assert residual_magnitude(jm.residuals) < 1e-8
+    cert = disjointness_test(ctx, max_iter=40)
+    assert cert.verdict == "inconclusive" and cert.witness is None
 
 
 def test_invalid_system_rejected_on_every_call():
