@@ -9,7 +9,11 @@ An automorphism is stored in the normal form ``a ↦ u · perm(a) · u*`` where
 ``perm`` permutes blocks of equal size and ``u`` is a block-diagonal unitary.
 Every *-automorphism of a finite direct sum of matrix blocks is of this form.
 The permutation uses the pull convention: output block ``k`` reads input
-block ``perm[k]``.
+block ``perm[k]``. Its coordinate matrix (`Automorphism.matrix`) has the
+block ``kron(u_k, conj(u_k))`` at (output block k, input block perm[k]); it
+is the GNS unitary of the automorphism, and validation reads every
+invariant from it and from the normal form, without applying the map to
+basis elements.
 
 A `FiniteSystem` is immutable and owns its derived data: its validation
 report, GNS data and mirror system are each built on first use and kept on
@@ -158,6 +162,12 @@ def _block_diag(blocks, size):
     return out
 
 
+def sandwich_matrix(left: "AlgebraElement", right: "AlgebraElement") -> np.ndarray:
+    """Coordinate matrix of a ↦ left·a·right: kron(left_k, right_kᵀ) on block k."""
+    return _block_diag([np.kron(x, y.T) for x, y in zip(left.blocks, right.blocks)],
+                       left.structure.dimension)
+
+
 @dataclass
 class AlgebraElement:
     """Element of ``⊕_k M_{n_k}``, stored blockwise. Treated as immutable."""
@@ -240,6 +250,8 @@ class FaithfulState:
             b = _as_complex(b)
             if b.shape != (n, n):
                 raise StructureError(f"density block {k} has shape {b.shape}, expected ({n}, {n})")
+            if not np.isfinite(b).all():
+                raise StructureError(f"density block {k} has non-finite entries")
             fixed.append(b)
         self.density = fixed
 
@@ -293,6 +305,8 @@ class Automorphism:
             u = _as_complex(u)
             if u.shape != (n, n):
                 raise StructureError(f"conjugator block {k} has shape {u.shape}, expected ({n}, {n})")
+            if not np.isfinite(u).all():
+                raise StructureError(f"conjugator block {k} has non-finite entries")
             fixed.append(u)
         self.conjugator = fixed
 
@@ -304,6 +318,19 @@ class Automorphism:
             for u, p in zip(self.conjugator, self.block_perm)
         ]
         return AlgebraElement(self.structure, blocks)
+
+    def matrix(self) -> np.ndarray:
+        """Coordinate matrix: column j holds the coordinates of the image of e_j.
+
+        (u E_ab u*)[i, j] = u[i, a]·conj(u[j, b]), so the block at (output
+        block k, input block perm[k]) is kron(u_k, conj(u_k)) and every
+        other block is zero.
+        """
+        offs = self.structure.offsets()
+        out = np.zeros((self.structure.dimension,) * 2, dtype=complex)
+        for k, (u, p) in enumerate(zip(self.conjugator, self.block_perm)):
+            out[offs[k]:offs[k] + u.size, offs[p]:offs[p] + u.size] = np.kron(u, u.conj())
+        return out
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other: (self.compose(other)).apply(a) == self.apply(other.apply(a))."""
@@ -373,14 +400,6 @@ class GroupDescriptor:
     @property
     def num_generators(self) -> int:
         return self.k if self.kind == "Zk" else 1
-
-    @property
-    def is_abelian(self) -> bool:
-        return True
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "Zm"
 
     def folner_elements(self, n: int):
         """Group elements of the n-th Folner set, as exponent tuples."""
@@ -471,71 +490,64 @@ class ValidationReport:
         return "; ".join(str(v) for v in self.violations)
 
 
+def _column_norm(structure: BlockStructure, X: np.ndarray) -> float:
+    """Largest operator norm of an element whose coordinates are a column of X."""
+    return max(
+        float(np.linalg.norm(X[off:off + n * n].T.reshape(-1, n, n), 2, axis=(-2, -1)).max())
+        for off, n in zip(structure.offsets(), structure.block_sizes))
+
+
 def validate_system(sys: FiniteSystem, tol: float = VALIDATION_TOL) -> ValidationReport:
     """Check every defining invariant, collecting residuals of the failures.
 
     Reported kinds: state_hermiticity, state_trace, faithfulness, unitarity,
-    invariance, multiplicativity, adjoint, unital, commutation (Z^k),
-    generator_order (Z_m). Structural problems (wrong shapes) raise instead.
+    invariance, multiplicativity, unital, commutation (Z^k), generator_order
+    (Z_m). Structural problems (wrong shapes, non-finite entries) raise
+    instead. Each residual has a closed form in the normal form u·perm(a)·u*
+    and the coordinate matrix M of a generator. Invariance at index i is
+    |(μ·M − μ)_i|, with μ_i = μ(e_i). Unitarity and unital are ‖u_k*u_k − 1‖
+    and ‖u_k u_k* − 1‖. Multiplicativity: α(E_ab)α(E_cd) − α(E_ab E_cd) =
+    (u_k*u_k − 1)_bc · u_k E_ad u_k*, of norm |(u_k*u_k − 1)_bc|·‖u_k e_a‖·‖u_k e_d‖,
+    so the worst pair gives max |(u_k*u_k − 1)_bc| · (largest column norm of u_k)².
+    Commutation and generator_order are the largest operator norms over the
+    columns of M_a M_b − M_b M_a and Mᵐ − 1. No "adjoint" residual exists:
+    (u a u*)* = u a* u* holds for every matrix u and rounds identically.
     """
     report = ValidationReport()
-    st = sys.state
-    basis = [sys.structure.basis_element(i) for i in range(sys.dimension)]
 
-    herm = st.hermiticity_residual()
-    if herm > tol:
-        report.violations.append(Violation("state_hermiticity", "density", herm))
-    tr_dev = abs(st.trace() - 1.0)
-    if tr_dev > tol:
-        report.violations.append(Violation("state_trace", "density", tr_dev))
+    def check(kind: str, where: str, residual: float):
+        if residual > tol:
+            report.violations.append(Violation(kind, where, residual))
+
+    st = sys.state
+    check("state_hermiticity", "density", st.hermiticity_residual())
+    check("state_trace", "density", abs(st.trace() - 1.0))
     min_eig = st.min_eigenvalue()
     if min_eig <= FAITHFULNESS_MIN_EIG:
         report.violations.append(Violation("faithfulness", "density", -min_eig))
 
-    for gi, gen in enumerate(sys.generators):
-        ur = gen.unitarity_residual()
-        if ur > tol:
-            report.violations.append(Violation("unitarity", f"generator {gi}", ur))
-        for i, e in enumerate(basis):
-            r = abs(st.value(gen.apply(e)) - st.value(e))
-            if r > tol:
-                report.violations.append(
-                    Violation("invariance", f"generator {gi}, basis {i}", r))
-        # Ad-form automorphisms are multiplicative and *-preserving by
-        # construction; re-verify numerically so a corrupted conjugator
-        # cannot pass silently.
-        images = [gen.apply(e) for e in basis]
-        worst_mult = 0.0
-        for i, j in itertools.product(range(sys.dimension), repeat=2):
-            lhs = gen.apply(basis[i] @ basis[j])
-            worst_mult = max(worst_mult, (lhs - images[i] @ images[j]).norm())
-        if worst_mult > tol:
-            report.violations.append(Violation("multiplicativity", f"generator {gi}", worst_mult))
-        worst_adj = max(
-            (gen.apply(basis[i].adjoint()) - images[i].adjoint()).norm()
-            for i in range(sys.dimension)
-        )
-        if worst_adj > tol:
-            report.violations.append(Violation("adjoint", f"generator {gi}", worst_adj))
-        unital = (gen.apply(sys.structure.identity()) - sys.structure.identity()).norm()
-        if unital > tol:
-            report.violations.append(Violation("unital", f"generator {gi}", unital))
+    mu = st.density_element().transpose().coords()
+    mats = [gen.matrix() for gen in sys.generators]
+    for gi, (gen, M) in enumerate(zip(sys.generators, mats)):
+        where = f"generator {gi}"
+        check("unitarity", where, gen.unitarity_residual())
+        moved = np.abs(mu @ M - mu)
+        for i in np.flatnonzero(moved > tol):
+            check("invariance", f"{where}, basis {i}", float(moved[i]))
+        check("multiplicativity", where, max(
+            float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
+            * float(np.linalg.norm(u, axis=0).max()) ** 2
+            for u in gen.conjugator))
+        check("unital", where, max(
+            operator_norm(u @ u.conj().T - np.eye(len(u))) for u in gen.conjugator))
 
     if sys.group.kind == "Zk":
-        for a_idx, b_idx in itertools.combinations(range(len(sys.generators)), 2):
-            ga, gb = sys.generators[a_idx], sys.generators[b_idx]
-            worst = max(
-                (ga.apply(gb.apply(e)) - gb.apply(ga.apply(e))).norm() for e in basis
-            )
-            if worst > tol:
-                report.violations.append(
-                    Violation("commutation", f"generators {a_idx},{b_idx}", worst))
+        for a, b in itertools.combinations(range(len(mats)), 2):
+            check("commutation", f"generators {a},{b}",
+                  _column_norm(sys.structure, mats[a] @ mats[b] - mats[b] @ mats[a]))
     if sys.group.kind == "Zm":
-        powm = sys.generators[0].power(sys.group.m)
-        worst = max((powm.apply(e) - e).norm() for e in basis)
-        if worst > tol:
-            report.violations.append(
-                Violation("generator_order", f"order {sys.group.m}", worst))
+        check("generator_order", f"order {sys.group.m}", _column_norm(
+            sys.structure, np.linalg.matrix_power(mats[0], sys.group.m) - np.eye(sys.dimension)))
     return report
 
 

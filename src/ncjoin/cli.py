@@ -3,9 +3,10 @@
 Every command prints a report, as an aligned table by default or as
 canonical JSON with --format json. JSON reports are deterministic: same
 inputs and seed give byte-identical output. Exit codes: 0 success, 1
-internal invariant violation, 2 malformed input, 3 inconclusive solver
-verdict. The environment variable NCJOIN_MAX_ITER overrides the solver's
-Newton-step cap when --max-iter is not given.
+internal invariant violation, 2 malformed input (non-finite entries,
+out-of-range arguments, empty windows, unsupported groups), 3 inconclusive
+solver verdict. NCJOIN_MAX_ITER overrides the solver's Newton-step cap
+when --max-iter is not given.
 
 Input files may be replaced by corpus references like ``corpus:c3``.
 """
@@ -35,7 +36,8 @@ from .dual import (
     parse_pair_combination,
     sample_element,
 )
-from .errors import InputFormatError, InvalidSystemError, NcjoinError, StructureError
+from .errors import (InputFormatError, InvalidSystemError, NcjoinError, StructureError,
+                     UnsupportedGroupError)
 from .gns import (
     cesaro_correlation,
     classify_finite,
@@ -162,13 +164,37 @@ def _load_dual(ref: str):
 
 
 def _parse_window(text: str) -> range:
+    lo, sep, hi = text.rpartition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return range(int(lo), int(hi) + 1)
-        return range(0, int(text) + 1)
+        window = range(int(lo) if sep else 0, int(hi) + 1)
     except ValueError as exc:
         raise InputFormatError(f"malformed window {text!r}; use like 0..32") from exc
+    if not window:
+        raise InputFormatError(f"empty window {text!r}; use like 0..32")
+    return window
+
+
+def _index(text, size: int) -> int:
+    """An index below `size`; a non-integer raises ValueError."""
+    i = int(text)
+    if not 0 <= i < size:
+        raise InputFormatError(f"index {i} is out of range 0..{size - 1}")
+    return i
+
+
+def _basis_pair(ctx, text: str) -> tuple[int, int]:
+    """Basis indices 'i,j' of e_i ⊗ f_j."""
+    try:
+        i, j = text.split(",")
+        return _index(i, ctx.dim_a), _index(j, ctx.dim_b)
+    except ValueError as exc:
+        raise InputFormatError(f"basis pair must be 'i,j', got {text!r}") from exc
+
+
+def _folner_index(n: int) -> int:
+    if n < 1:
+        raise InputFormatError(f"--N must be >= 1, got {n}")
+    return n
 
 
 def _classification_dict(c) -> dict:
@@ -207,11 +233,13 @@ def _parse_vector(text: str, space):
     if text == "omega":
         return space.cyclic_vector
     try:
-        return np.eye(space.dimension)[:, int(text)]
+        return np.eye(space.dimension)[:, _index(text, space.dimension)]
     except ValueError:
         pass
-    data = json.loads(text)
-    vec = np.array([fileio._entry_from_json(x) for x in data])
+    try:
+        vec = np.array([fileio._entry_from_json(x) for x in json.loads(text)])
+    except (ValueError, TypeError) as exc:
+        raise InputFormatError("vector must be an index, 'omega' or JSON coefficients") from exc
     if vec.size != space.dimension:
         raise InputFormatError(
             f"vector has {vec.size} coordinates, expected {space.dimension}")
@@ -223,7 +251,7 @@ def _cmd_average(args):
     space, _ = sysd.gns
     x = _parse_vector(args.x, space)
     y = _parse_vector(args.y, space)
-    res = cesaro_correlation(sysd, x, y, args.N)
+    res = cesaro_correlation(sysd, x, y, _folner_index(args.N))
     warnings = []
     if not res.ergodic:
         warnings.append("system is not ergodic; the limit need not be rank one")
@@ -252,9 +280,10 @@ def _parse_objective_file(ctx, ref: str):
     elem = ctx.structure.zero()
     for t in terms:
         try:
-            coef = complex(*t.get("coef", [1.0, 0.0]))
-            elem = elem + coef * ctx.basis_pair(int(t["i"]), int(t["j"]))
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            coef = fileio._entry_from_json(t.get("coef", [1.0, 0.0]))
+            i, j = _index(t["i"], ctx.dim_a), _index(t["j"], ctx.dim_b)
+            elem = elem + coef * ctx.basis_pair(i, j)
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"{label}: malformed objective term {t!r}") from exc
     return elem
 
@@ -267,12 +296,7 @@ def _cmd_joinings_find(args):
     if args.objective_file is not None:
         objective = _parse_objective_file(ctx, args.objective_file)
     elif args.objective is not None:
-        try:
-            i, j = (int(t) for t in args.objective.split(","))
-        except ValueError as exc:
-            raise InputFormatError(
-                f"objective must be 'i,j' basis indices, got {args.objective!r}") from exc
-        objective = (i, j)
+        objective = _basis_pair(ctx, args.objective)
     kw = _solver_kwargs(args)
     jm, rep = find_joining(ctx, objective=objective, **kw)
     status = "inconclusive" if rep.inconclusive else "ok"
@@ -334,15 +358,12 @@ def _cmd_ornstein(args):
     window = _parse_window(args.window)
     ctx = mirror_context(sysd)
     if args.elements:
-        pairs = []
-        for chunk in args.elements.split(";"):
-            i, j = (int(t) for t in chunk.split(","))
-            pairs.append((i, j))
+        pairs = [_basis_pair(ctx, chunk) for chunk in args.elements.split(";")]
     else:
         pairs = [(i, i) for i in range(ctx.dim_a)]
     elements = [ctx.basis_pair(i, j) for i, j in pairs]
     labels = [f"e{i}xf{j}" for i, j in pairs]
-    scan = ornstein_ratio_scan(sysd, elements, window, labels=labels)
+    scan = ornstein_ratio_scan(ctx, elements, window, labels=labels)
     results = {
         "period": scan.period,
         "sup_ratio": scan.sup_ratio,
@@ -363,7 +384,7 @@ def _cmd_ornstein(args):
 
 def _cmd_cesaro_diagonal(args):
     sysd, rec = _load_system(args.system)
-    res = cesaro_diagonal_average(sysd, args.N)
+    res = cesaro_diagonal_average(sysd, _folner_index(args.N))
     warnings = []
     if not res.ergodic:
         warnings.append("system is not ergodic; the average need not approach the product")
@@ -681,32 +702,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _error_report(command: str, message: str) -> dict:
+    return {"command": command, "inputs": {}, "results": {}, "warnings": [],
+            "status": "error", "error": message}
+
+
 def run(argv=None) -> tuple[dict, int]:
     """Execute one command; returns (report, exit code)."""
     args = build_parser().parse_args(argv)
     command = args.command + ("." + args.subcommand if hasattr(args, "subcommand") else "")
     try:
         inputs, results, warnings, status = args.func(args)
-    except (InputFormatError, StructureError, InvalidSystemError) as exc:
-        report = {
-            "command": command,
-            "inputs": {},
-            "results": {},
-            "warnings": [],
-            "status": "error",
-            "error": str(exc),
-        }
-        return report, 2
+    except (InputFormatError, StructureError, InvalidSystemError, UnsupportedGroupError,
+            json.JSONDecodeError) as exc:   # every JSON the CLI parses is input
+        return _error_report(command, str(exc)), 2
     except NcjoinError as exc:
-        report = {
-            "command": command,
-            "inputs": {},
-            "results": {},
-            "warnings": [],
-            "status": "error",
-            "error": f"internal invariant violation: {exc}",
-        }
-        return report, 1
+        return _error_report(command, f"internal invariant violation: {exc}"), 1
     report = {
         "command": command,
         "inputs": inputs,
@@ -714,8 +725,7 @@ def run(argv=None) -> tuple[dict, int]:
         "warnings": warnings,
         "status": status,
     }
-    code = 0 if status == "ok" else 3
-    return report, code
+    return report, 0 if status == "ok" else 3
 
 
 def main(argv=None) -> int:

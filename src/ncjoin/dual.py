@@ -645,9 +645,6 @@ class DualOrnsteinScan:
     strongly_mixing: bool
     max_limsup: Fraction
 
-    def domination_holds(self, k=Fraction(1)) -> bool:
-        return self.max_limsup <= k
-
 
 def ornstein_scan_dual(sys: DualSystem, test_set, n_range,
                        labels=None) -> DualOrnsteinScan:

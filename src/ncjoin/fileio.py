@@ -25,6 +25,7 @@ in words through the returned alias table.
 
 from __future__ import annotations
 
+import cmath
 import json
 import re
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import (
+    AlgebraElement,
     Automorphism,
     BlockStructure,
     FaithfulState,
@@ -44,17 +46,20 @@ from .errors import InputFormatError, StructureError
 
 
 def _entry_from_json(x) -> complex:
-    if isinstance(x, (int, float)):
-        return complex(x)
+    """A number or an [re, im] pair; JSON's NaN and Infinity are rejected."""
     if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
-    raise InputFormatError(f"matrix entry must be a number or [re, im], got {x!r}")
+        x = complex(float(x[0]), float(x[1]))
+    if not isinstance(x, (int, float, complex)):
+        raise InputFormatError(f"matrix entry must be a number or [re, im], got {x!r}")
+    if not cmath.isfinite(x):
+        raise InputFormatError(f"matrix entry {x!r} is not finite")
+    return complex(x)
 
 
 def matrix_from_json(data) -> np.ndarray:
     try:
         rows = [[_entry_from_json(x) for x in row] for row in data]
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed matrix: {exc}") from exc
     m = np.array(rows, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -130,16 +135,11 @@ def dump_system(sys: FiniteSystem) -> dict:
         "state": {"density": matrix_to_json(sys.state.density_element().block_matrix())},
         "group": group,
         "generators": [
-            {"perm": list(g.block_perm), "unitary": _conj_block_matrix(sys, g)}
+            {"perm": list(g.block_perm),
+             "unitary": matrix_to_json(AlgebraElement(sys.structure, g.conjugator).block_matrix())}
             for g in sys.generators
         ],
     }
-
-
-def _conj_block_matrix(sys: FiniteSystem, g: Automorphism):
-    from .algebra import AlgebraElement
-
-    return matrix_to_json(AlgebraElement(sys.structure, g.conjugator).block_matrix())
 
 
 @dataclass
@@ -208,13 +208,3 @@ def load_dual(source) -> DualFile:
     except StructureError as exc:
         raise InputFormatError(str(exc)) from exc
     return DualFile(system=system, aliases=aliases)
-
-
-def dump_dual(sys: DualSystem) -> dict:
-    tracks = []
-    for t in sys.spec.tracks:
-        if t.kind == "cycle":
-            tracks.append({"id": t.id, "kind": "cycle", "m": t.m})
-        else:
-            tracks.append({"id": t.id, "kind": "shift"})
-    return {"family": sys.family, "tracks": tracks}

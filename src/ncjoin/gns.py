@@ -27,6 +27,7 @@ from .algebra import (
     FaithfulState,
     FiniteSystem,
     require_valid,
+    sandwich_matrix,
 )
 from .errors import (
     AmbiguousEigenvalueError,
@@ -131,8 +132,7 @@ def gns_construct(sys: FiniteSystem) -> tuple[GnsSpace, UnitaryRep]:
         onb_factor_inv=onb_inv,
     )
 
-    mats = [np.column_stack([gen.apply(struct.basis_element(j)).coords() for j in range(d)])
-            for gen in sys.generators]
+    mats = [gen.matrix() for gen in sys.generators]
     rep = UnitaryRep(matrices=mats, onb_matrices=[onb @ U @ onb_inv for U in mats])
     return space, rep
 
@@ -381,24 +381,29 @@ def cesaro_correlation(sys: FiniteSystem, x, y, n: int) -> CesaroResult:
 class MirrorSystem:
     """Commutant picture of a system inside its own GNS space.
 
-    commutant_basis spans π(A)'; the mirror state is μ̃(X) = ⟨Ω, XΩ⟩ and the
-    mirror dynamics conjugates by the GNS unitaries. promoted realizes the
-    same data as an ordinary system on the original block structure: the
-    commutant consists of right multiplications R_b, and the *-preserving
-    identification sends the promoted basis element f to
-    R_{ρ^{1/2} transpose(f) ρ^{-1/2}} (the modular conjugation composed with
-    the adjoint of the left action); column j of `twist` holds the
-    coordinates of that twisted element for f = e_j. promoted has density
-    transpose(ρ) and conjugators conj(u); the ρ^{1/2} twist is invisible for
-    tracial states.
+    commutant_basis spans π(A)' and is built only when read; the mirror
+    state is μ̃(X) = ⟨Ω, XΩ⟩ and the mirror dynamics conjugates by the GNS
+    unitaries. promoted realizes the same data as an ordinary system on the
+    original block structure: the commutant consists of right
+    multiplications R_b, and the *-preserving identification sends the
+    promoted basis element f to R_{ρ^{1/2} transpose(f) ρ^{-1/2}} (the
+    modular conjugation composed with the adjoint of the left action);
+    column j of `twist` holds the coordinates of that twisted element for
+    f = e_j. promoted has density transpose(ρ) and conjugators conj(u); the
+    ρ^{1/2} twist is invisible for tracial states.
     """
 
     structure: BlockStructure
-    commutant_basis: list[np.ndarray]
     promoted: FiniteSystem
     twist: np.ndarray
     _space: GnsSpace
     _rep: UnitaryRep
+
+    @property
+    def commutant_basis(self) -> list[np.ndarray]:
+        """R_{e_j} over the canonical basis, built on each read."""
+        return [self.right_mult_matrix(self.structure.basis_element(j))
+                for j in range(self.structure.dimension)]
 
     def automorphism_image(self, gen_index: int, X: np.ndarray) -> np.ndarray:
         U = self._rep.matrices[gen_index]
@@ -410,13 +415,7 @@ class MirrorSystem:
 
     def right_mult_matrix(self, b: AlgebraElement) -> np.ndarray:
         """Matrix of x ↦ x·b in canonical GNS coordinates."""
-        struct = self.structure
-        d = struct.dimension
-        out = np.zeros((d, d), dtype=complex)
-        for j in range(d):
-            ej = struct.basis_element(j)
-            out[:, j] = (ej @ b).coords()
-        return out
+        return sandwich_matrix(self.structure.identity(), b)
 
     def promoted_image(self, f: AlgebraElement) -> np.ndarray:
         """Commutant operator carrying a promoted element.
@@ -443,14 +442,8 @@ def mirror_system(sys: FiniteSystem) -> MirrorSystem:
     ]
     promoted = FiniteSystem(struct, promoted_state, sys.group, promoted_gens)
 
-    rho_half, rho_mhalf = _density_power(sys, 0.5), _density_power(sys, -0.5)
-    twist = np.column_stack([(rho_half @ struct.basis_element(j).transpose() @ rho_mhalf)
-                             .coords() for j in range(struct.dimension)])
-    m = MirrorSystem(structure=struct, commutant_basis=[], promoted=promoted,
-                     twist=twist, _space=space, _rep=rep)
-    m.commutant_basis = [m.right_mult_matrix(struct.basis_element(j))
-                         for j in range(struct.dimension)]
-    return m
+    return MirrorSystem(structure=struct, promoted=promoted, twist=_modular_conjugation(sys),
+                        _space=space, _rep=rep)
 
 
 def eigenoperator(sys: FiniteSystem, chi) -> AlgebraElement:
@@ -616,21 +609,16 @@ def _density_power(sys: FiniteSystem, z: complex) -> AlgebraElement:
     return AlgebraElement(sys.structure, blocks)
 
 
+def _modular_conjugation(sys: FiniteSystem) -> np.ndarray:
+    """Column j: coordinates of ρ^{1/2}·e_j*·ρ^{-1/2}, with e_j* = transpose(e_j)."""
+    adjoint = [sys.structure.adjoint_index(j) for j in range(sys.dimension)]
+    return sandwich_matrix(_density_power(sys, 0.5), _density_power(sys, -0.5))[:, adjoint]
+
+
 def modular_data(sys: FiniteSystem) -> ModularData:
     require_valid(sys)
-    struct = sys.structure
-    d = struct.dimension
-    rho = sys.state.density_element()
-    rho_inv = _density_power(sys, -1)
-    rho_half = _density_power(sys, 0.5)
-    rho_mhalf = _density_power(sys, -0.5)
-    delta = np.zeros((d, d), dtype=complex)
-    conj = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        e = struct.basis_element(j)
-        delta[:, j] = (rho @ e @ rho_inv).coords()
-        conj[:, j] = (rho_half @ e.adjoint() @ rho_mhalf).coords()
-    return ModularData(system=sys, delta_matrix=delta, conj_matrix=conj)
+    delta = sandwich_matrix(sys.state.density_element(), _density_power(sys, -1))
+    return ModularData(system=sys, delta_matrix=delta, conj_matrix=_modular_conjugation(sys))
 
 
 @dataclass

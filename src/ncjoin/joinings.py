@@ -715,19 +715,19 @@ class OrnsteinScan:
         return self.period is not None
 
 
-def ornstein_ratio_scan(sys: FiniteSystem, test_elements, n_range,
+def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
                         labels=None, degenerate_tol: float = 1e-12) -> OrnsteinScan:
     """Table of Δ_n(c*c) / (μ ⊙ μ̃)(c*c) over a window of shifts.
 
-    Elements live in the tensor algebra of the system with its promoted
-    mirror, `mirror_context(sys)`. Nontrivial finite systems recur instead
-    of mixing, so the scan also reports the recurrence period of the
-    dynamics when one exists within the window. Degenerate elements
-    (denominator ~ 0) are skipped with a notice.
+    `ctx` is `mirror_context(sys)`, the tensor algebra of the system
+    `ctx.A` with its promoted mirror, in which the elements live.
+    Nontrivial finite systems recur instead of mixing, so the scan also
+    reports the recurrence period of the dynamics when one exists within
+    the window. Degenerate elements (denominator ~ 0) are skipped with a
+    notice.
     """
-    if sys.group.kind != "Z":
+    if ctx.A.group.kind != "Z":
         raise UnsupportedGroupError("the ratio scan needs a Z action")
-    ctx = mirror_context(sys)
     ns = list(n_range)
     if not ns:
         raise ValueError("empty scan window")

@@ -6,13 +6,16 @@ sums and a permutation-invariance constraint. Linear optimization over it
 is an ordinary LP, solved here with scipy's HiGHS backend.
 
 The diagonal state's value tables are evaluated one basis pair at a time
-through algebra products, without the GNS matrices.
+through algebra products, without the GNS matrices, and system validation
+is re-derived by brute force over the basis elements and their pairs.
 """
+
+import itertools
 
 import numpy as np
 from scipy.optimize import linprog
 
-from ncjoin.algebra import AlgebraElement
+from ncjoin.algebra import FAITHFULNESS_MIN_EIG, VALIDATION_TOL, AlgebraElement
 
 
 def invariant_transportation_max(mu, nu, sigma, tau, cost):
@@ -128,4 +131,54 @@ def diagonal_table(sys, alpha):
         moved = alpha.apply(e)
         for j, t in enumerate(twisted):
             out[i, j] = sys.state.value(moved @ t)
+    return out
+
+
+def _norm(x):
+    """Operator norm of an algebra element; blocks that are exactly zero need no SVD."""
+    return max((float(np.linalg.norm(b, 2)) for b in x.blocks if b.any()), default=0.0)
+
+
+def validation_reference(sys, tol=VALIDATION_TOL):
+    """(kind, where, residual) of every violated invariant, by brute force.
+
+    Applies each generator to every basis element and to every product of
+    two, as the definitions read; same kinds, order and tolerances as
+    `validate_system`, plus the "adjoint" residual.
+    """
+    out = []
+    st = sys.state
+
+    def check(kind, where, residual):
+        if residual > tol:
+            out.append((kind, where, residual))
+
+    basis = [sys.structure.basis_element(i) for i in range(sys.dimension)]
+    check("state_hermiticity", "density", st.hermiticity_residual())
+    check("state_trace", "density", abs(st.trace() - 1.0))
+    min_eig = st.min_eigenvalue()
+    if min_eig <= FAITHFULNESS_MIN_EIG:
+        out.append(("faithfulness", "density", -min_eig))
+    for gi, gen in enumerate(sys.generators):
+        check("unitarity", f"generator {gi}", gen.unitarity_residual())
+        for i, e in enumerate(basis):
+            check("invariance", f"generator {gi}, basis {i}",
+                  abs(st.value(gen.apply(e)) - st.value(e)))
+        images = [gen.apply(e) for e in basis]
+        check("multiplicativity", f"generator {gi}", max(
+            _norm(gen.apply(basis[i] @ basis[j]) - images[i] @ images[j])
+            for i, j in itertools.product(range(sys.dimension), repeat=2)))
+        check("adjoint", f"generator {gi}", max(
+            _norm(gen.apply(e.adjoint()) - im.adjoint()) for e, im in zip(basis, images)))
+        ident = sys.structure.identity()
+        check("unital", f"generator {gi}", _norm(gen.apply(ident) - ident))
+    if sys.group.kind == "Zk":
+        for a, b in itertools.combinations(range(len(sys.generators)), 2):
+            ga, gb = sys.generators[a], sys.generators[b]
+            check("commutation", f"generators {a},{b}", max(
+                _norm(ga.apply(gb.apply(e)) - gb.apply(ga.apply(e))) for e in basis))
+    if sys.group.kind == "Zm":
+        powm = sys.generators[0].power(sys.group.m)
+        check("generator_order", f"order {sys.group.m}",
+              max(_norm(powm.apply(e) - e) for e in basis))
     return out

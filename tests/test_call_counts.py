@@ -31,7 +31,7 @@ TRACER_MODULE = _tracer_module()
 BOUNDS = [
     ("ornstein --system corpus:c3 --window 0..16",
      {"algebra.validate_system": 2, "gns.gns_construct": 2, "gns.mirror_system": 1,
-      "algebra.Automorphism.compose": 0}),
+      "algebra.Automorphism.compose": 0, "joinings.build_tensor_context": 1}),
     ("classify --system corpus:c3",
      {"algebra.validate_system": 1, "gns.gns_construct": 1}),
     ("average --system corpus:c3 --x 0 --y 0 --N 100",

@@ -254,3 +254,66 @@ def test_reused_parser_matches_fresh_parsers():
     assert build_parser() is shared
     for argv in commands + commands[::-1]:
         assert vars(shared.parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    "ornstein --system corpus:c2 --window 0..4 --elements a,b",
+    "ornstein --system corpus:c2 --window 0..4 --elements 0",
+    "ornstein --system corpus:c2 --window 0..4 --elements 0,1,2",
+    "ornstein --system corpus:c2 --window 0..4 --elements 0,99",
+    "ornstein --system corpus:c2 --window 0..4 --elements=-1,0",
+    "ornstein --system corpus:c2 --window 5..2",
+    "dual ornstein --group corpus:dual_cycle2 --window 5..2",
+    "joinings find --a corpus:c2 --b corpus:c2 --objective 0,9",
+    "average --system corpus:c3 --x 9 --y 0 --N 10",
+    "average --system corpus:c3 --x=-1 --y 0 --N 10",
+    "average --system corpus:c3 --x abc --y 0 --N 10",
+    "average --system corpus:c3 --x 0 --y 5.5 --N 10",
+    "average --system corpus:c3 --x 0 --y 0 --N 0",
+    "cesaro-diagonal --system corpus:c3 --N 0",
+    "joinings diagonal --system corpus:pauli --graph-n 1",
+])
+def test_argument_errors_exit_2(argv):
+    report, code = run(argv.split())
+    assert code == 2, report
+    assert report["status"] == "error"
+    assert not report["error"].startswith("internal invariant violation")
+
+
+@pytest.mark.parametrize("name,path,entry", [
+    ("c2", ("state", "density", 0, 0), [float("nan"), 0.0]),
+    ("c2", ("state", "density", 1, 1), float("nan")),
+    ("pauli", ("generators", 0, "unitary", 0, 1), [float("inf"), 0.0]),
+    ("pauli", ("generators", 1, "unitary", 1, 1), [0.0, float("-inf")]),
+])
+def test_non_finite_entries_exit_2(tmp_path, capsys, name, path, entry):
+    data = corpus.raw(name)
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = entry
+    p = tmp_path / "nonfinite.json"
+    p.write_text(json.dumps(data))   # json writes NaN and Infinity, and reads them back
+    assert main(["classify", "--system", str(p)]) == 2
+    assert "not finite" in capsys.readouterr().err
+    with pytest.raises(InputFormatError, match="not finite"):
+        fileio.load_system(json.loads(p.read_text()))
+
+
+@pytest.mark.parametrize("command", ["classify --system", "dual classify --group"])
+def test_invalid_json_file_exits_2(tmp_path, command):
+    p = tmp_path / "bad.json"
+    p.write_text("{bad")
+    report, code = run(command.split() + [str(p)])
+    assert code == 2
+    assert report["status"] == "error"
+
+
+@pytest.mark.parametrize("term", [{"i": -1, "j": 0}, {"i": 0, "j": 9}, {"i": "x", "j": 0},
+                                  {"i": 0, "j": 0, "coef": [float("nan"), 0.0]}])
+def test_malformed_objective_term_exits_2(tmp_path, term):
+    p = tmp_path / "objective.json"
+    p.write_text(json.dumps({"terms": [term]}))
+    report, code = run(["joinings", "find", "--a", "corpus:c2", "--b", "corpus:c2",
+                        "--objective-file", str(p)])
+    assert code == 2, report

@@ -304,6 +304,27 @@ def test_mirror_invariants(gibbs):
         m.promoted_image(f1 @ f2) - m.promoted_image(f1) @ m.promoted_image(f2)) < 1e-10
 
 
+def test_coordinate_matrices_match_basis_loops():
+    # the block-Kronecker forms do the arithmetic of the per-basis products exactly
+    from ncjoin.gns import _density_power
+
+    for name in corpus.FINITE_SYSTEMS:
+        sysd = corpus.system(name)
+        basis = [sysd.structure.basis_element(j) for j in range(sysd.dimension)]
+
+        def columns(f):
+            return np.column_stack([f(e).coords() for e in basis])
+
+        half, mhalf, inv = (_density_power(sysd, z) for z in (0.5, -0.5, -1))
+        rho = sysd.state.density_element()
+        md, m = modular_data(sysd), mirror_system(sysd)
+        assert np.array_equal(m.twist, columns(lambda e: half @ e.transpose() @ mhalf)), name
+        assert np.array_equal(md.conj_matrix, columns(lambda e: half @ e.adjoint() @ mhalf)), name
+        assert np.array_equal(md.delta_matrix, columns(lambda e: rho @ e @ inv)), name
+        for b, R in zip(basis, m.commutant_basis):
+            assert np.array_equal(R, columns(lambda e: e @ b)), name
+
+
 def test_mirror_promoted_valid_for_corpus():
     from ncjoin.algebra import validate_system
 

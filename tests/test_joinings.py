@@ -448,7 +448,7 @@ def test_ornstein_ratio_scan_c2(c2):
     ctx = diagonal_state(c2).ctx
     elems = [ctx.basis_pair(0, 0), ctx.tensor_element(
         c2.structure.identity(), c2.structure.identity())]
-    scan = ornstein_ratio_scan(c2, elems, range(0, 8), labels=["e0xf0", "unit"])
+    scan = ornstein_ratio_scan(ctx, elems, range(0, 8), labels=["e0xf0", "unit"])
     ratios = [r.ratio for r in scan.reports[0].rows]
     assert ratios == pytest.approx([2, 0, 2, 0, 2, 0, 2, 0])
     assert all(r.ratio == pytest.approx(1.0) for r in scan.reports[1].rows)
@@ -457,14 +457,14 @@ def test_ornstein_ratio_scan_c2(c2):
 
 def test_ornstein_scan_skips_degenerate(c2):
     ctx = diagonal_state(c2).ctx
-    scan = ornstein_ratio_scan(c2, [ctx.structure.zero()], range(0, 4), labels=["zero"])
+    scan = ornstein_ratio_scan(ctx, [ctx.structure.zero()], range(0, 4), labels=["zero"])
     assert scan.skipped == ["zero"]
 
 
 def test_ornstein_trivial_system_all_ratios_one():
     triv = identity_system([1])
     ctx = diagonal_state(triv).ctx
-    scan = ornstein_ratio_scan(triv, [ctx.basis_pair(0, 0)], range(0, 5))
+    scan = ornstein_ratio_scan(ctx, [ctx.basis_pair(0, 0)], range(0, 5))
     assert all(r.ratio == pytest.approx(1.0) for r in scan.reports[0].rows)
 
 
@@ -553,7 +553,7 @@ def test_diagonal_tables_match_pairwise_reference(name):
         assert np.max(np.abs(graph_joining(sysd, n).values - table)) < tol, n
     ctx = mirror_context(sysd)
     pairs = [ctx.basis_pair(i, i) for i in range(ctx.dim_a)]
-    scan = ornstein_ratio_scan(sysd, pairs, range(17))
+    scan = ornstein_ratio_scan(ctx, pairs, range(17))
     assert not scan.skipped
     prod = ctx.product_values()
     for c, report in zip(pairs, scan.reports):

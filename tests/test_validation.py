@@ -1,0 +1,165 @@
+"""Closed-form validation against the brute-force reference, and input guards.
+
+`validate_system` reads every invariant from the normal form and the
+coordinate matrix of each generator. The reference in `oracles` applies the
+generators to every basis element and every pair of them. On generated
+systems, valid and invalid, both must report the same (kind, where) list,
+with residuals equal up to 1e-9 relative.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ncjoin import corpus
+from ncjoin.algebra import (
+    Automorphism,
+    BlockStructure,
+    FaithfulState,
+    FiniteSystem,
+    GroupDescriptor,
+    identity_automorphism,
+    uniform_state,
+    validate_system,
+)
+from ncjoin.errors import StructureError
+from ncjoin.gns import gns_construct
+
+from oracles import validation_reference
+
+PERTURBATIONS = (0.0, 1e-10, 1e-6, 0.3)
+# A residual reported near the 1e-9 tolerance carries the ~1e-17 rounding of
+# its O(1) inputs in both computations; relative 1e-9 alone cannot hold there.
+ABS_FLOOR = 1e-15
+
+
+def _haar(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def _noise(rng, n, scale, hermitian=False):
+    """Complex noise of operator norm `scale`."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if hermitian:
+        z = z + z.conj().T
+    return scale * z / np.linalg.norm(z, 2)
+
+
+def _perm(rng, sizes):
+    """A random block permutation that maps each block onto one of its size."""
+    perm = list(range(len(sizes)))
+    for n in set(sizes):
+        same = [k for k, m in enumerate(sizes) if m == n]
+        for k, p in zip(same, rng.permutation(same)):
+            perm[k] = int(p)
+    return tuple(perm)
+
+
+def _generator(rng, structure, kind, order, scale):
+    """A Haar generator, or Ad(u) with u^order = 1 (no block permutation),
+    with conjugators perturbed by noise of norm `scale`."""
+    sizes = structure.block_sizes
+    if kind == "haar":
+        perm, conj = _perm(rng, sizes), [_haar(rng, n) for n in sizes]
+    else:
+        perm, conj = tuple(range(len(sizes))), []
+        for n in sizes:
+            v = _haar(rng, n)
+            roots = np.exp(2j * np.pi * rng.integers(0, order, n) / order)
+            conj.append(v @ np.diag(roots) @ v.conj().T)
+    return Automorphism(structure, perm, [u + _noise(rng, len(u), scale) for u in conj])
+
+
+@st.composite
+def systems(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    structure = BlockStructure(tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))))
+    kind = draw(st.sampled_from(("Z", "Zk", "Zm")))
+    if kind == "Z":
+        group = GroupDescriptor("Z")
+    elif kind == "Zk":
+        group = GroupDescriptor("Zk", k=draw(st.integers(2, 3)))
+    else:
+        group = GroupDescriptor("Zm", m=draw(st.integers(1, 4)))
+    order = group.m or 3
+    scale = draw(st.sampled_from(PERTURBATIONS))
+    gen_kind = draw(st.sampled_from(("haar", "root")))
+    if kind == "Zk" and draw(st.booleans()):
+        # powers of one generator commute; independent draws mostly do not
+        base = _generator(rng, structure, gen_kind, order, scale)
+        gens = [base.power(j + 1) for j in range(group.k)]
+    else:
+        gens = [_generator(rng, structure, draw(st.sampled_from(("haar", "root"))), order, scale)
+                for _ in range(group.num_generators)]
+    state = uniform_state(structure)
+    state_scale = draw(st.sampled_from(PERTURBATIONS))
+    if state_scale:
+        hermitian = draw(st.booleans())
+        state = FaithfulState(structure, [
+            b + _noise(rng, len(b), state_scale / structure.matrix_size, hermitian)
+            for b in state.density])
+    return FiniteSystem(structure, state, group, gens)
+
+
+def _assert_matches_reference(sysd):
+    ref = validation_reference(sysd)
+    # (u a u*)* = u a* u* rounds identically on both sides for finite entries
+    assert all(kind != "adjoint" for kind, _, _ in ref)
+    report = validate_system(sysd)
+    assert [(v.kind, v.where) for v in report.violations] == [(k, w) for k, w, _ in ref]
+    for v, (_, _, r) in zip(report.violations, ref):
+        assert abs(v.residual - r) <= 1e-9 * abs(r) + ABS_FLOOR, (v, r)
+    return report
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(systems())
+def test_closed_forms_match_reference(sysd):
+    _assert_matches_reference(sysd)
+
+
+@pytest.mark.parametrize("name", corpus.FINITE_SYSTEMS)
+def test_closed_forms_match_reference_on_corpus(name):
+    sysd = corpus.system(name)
+    assert _assert_matches_reference(sysd).valid
+    assert _assert_matches_reference(sysd.mirror.promoted).valid
+
+
+def test_validation_and_gns_do_not_apply_generators(monkeypatch):
+    def refuse(self, a):
+        raise AssertionError("Automorphism.apply called")
+
+    monkeypatch.setattr(Automorphism, "apply", refuse)
+    for name in corpus.FINITE_SYSTEMS:
+        sysd = corpus.system(name)
+        assert validate_system(sysd).valid
+        space, rep = gns_construct(sysd)
+        assert len(rep.matrices) == len(sysd.generators)
+
+
+def test_matrix_columns_are_images_of_basis_elements():
+    for name in corpus.FINITE_SYSTEMS:
+        sysd = corpus.system(name)
+        s = sysd.structure
+        for gen in sysd.generators:
+            columns = np.column_stack(
+                [gen.apply(s.basis_element(j)).coords() for j in range(s.dimension)])
+            assert np.array_equal(gen.matrix(), columns), name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_constructors_reject_non_finite_blocks(bad):
+    s = BlockStructure((2, 1))
+    density = [np.eye(2) / 3, np.array([[1 / 3]])]
+    density[0] = density[0].astype(complex)
+    density[0][0, 1] = bad
+    with pytest.raises(StructureError, match="non-finite"):
+        FaithfulState(s, density)
+    conj = [np.eye(2, dtype=complex), np.array([[bad]])]
+    with pytest.raises(StructureError, match="non-finite"):
+        Automorphism(s, (0, 1), conj)
+    # finite data still constructs
+    identity_automorphism(s)
