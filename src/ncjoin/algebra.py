@@ -401,15 +401,15 @@ class GroupDescriptor:
     def num_generators(self) -> int:
         return self.k if self.kind == "Zk" else 1
 
-    def folner_elements(self, n: int):
-        """Group elements of the n-th Folner set, as exponent tuples."""
+    def folner_range(self, n: int) -> range:
+        """Exponents of each generator in the n-th Folner set, which is a box."""
         if n < 1:
             raise ValueError("Folner index must be >= 1")
-        if self.kind == "Z":
-            return [(j,) for j in range(1, n + 1)]
-        if self.kind == "Zk":
-            return [tuple(t) for t in itertools.product(range(1, n + 1), repeat=self.k)]
-        return [(j,) for j in range(self.m)]
+        return range(self.m) if self.kind == "Zm" else range(1, n + 1)
+
+    def folner_elements(self, n: int):
+        """Group elements of the n-th Folner set, as exponent tuples."""
+        return list(itertools.product(self.folner_range(n), repeat=self.num_generators))
 
 
 @dataclass(frozen=True)

@@ -88,9 +88,8 @@ def _jsonify(x):
 
 
 def _sig6(x) -> str:
-    """Complex or real number with 6 significant digits for tables."""
-    if (isinstance(x, (list, tuple)) and len(x) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)):
+    """Number with 6 significant digits for tables; [float, float] is complex."""
+    if isinstance(x, (list, tuple)) and len(x) == 2 and all(isinstance(v, float) for v in x):
         x = complex(x[0], x[1])
     elif isinstance(x, (list, tuple)):
         return "[" + ", ".join(_sig6(v) for v in x) + "]"
@@ -112,11 +111,6 @@ def _flatten(prefix: str, value, rows: list):
     elif isinstance(value, list) and value and isinstance(value[0], dict):
         for i, v in enumerate(value):
             _flatten(f"{prefix}[{i}]", v, rows)
-    elif isinstance(value, list) and len(value) == 2 and all(
-            isinstance(v, float) for v in value):
-        rows.append((prefix, _sig6(value)))
-    elif isinstance(value, list):
-        rows.append((prefix, "[" + ", ".join(_sig6(v) for v in value) + "]"))
     else:
         rows.append((prefix, _sig6(value)))
 
@@ -648,7 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ornstein", help="ratio scan of the shifted diagonal state")
     p.add_argument("--system", required=True)
-    p.add_argument("--window", required=True, help="like 0..32")
+    p.add_argument("--window", required=True,
+                   help="like 0..32; write a negative start as --window=-4..4")
     p.add_argument("--elements", default=None, help="basis pairs 'i,j;i,j'")
     common(p)
     p.set_defaults(func=_cmd_ornstein)
@@ -673,13 +668,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--n", required=True, help="window like 0..64")
+    p.add_argument("--n", required=True,
+                   help="window like 0..64; write a negative start as --n=-4..4")
     common(p)
     p.set_defaults(func=_cmd_dual_correlations)
 
     p = dsub.add_parser("ornstein", help="exact ratio scan with escape bounds")
     p.add_argument("--group", required=True)
-    p.add_argument("--window", required=True)
+    p.add_argument("--window", required=True,
+                   help="like 0..32; write a negative start as --window=-4..4")
     p.add_argument("--elements", default=None,
                    help="pair combination like '1 * x0 | x0; x1 | x1'")
     common(p)

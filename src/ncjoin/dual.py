@@ -590,30 +590,48 @@ class DeltaEvaluation:
     product_square: Fraction
 
 
+def _square_table(sys: DualSystem, c: PairCombination) -> dict:
+    """c*c as {(g₁⁻¹g₂, h₁⁻¹h₂): Σ conj(c₁)·c₂}, equal keys merged, zeros dropped.
+
+    The table does not depend on n, so a scan builds it once per combination;
+    its identity key holds the product-state value Σ |c_{g,h}|².
+    """
+    table: dict = {}
+    for (g1, h1), c1 in c.items():
+        g1i, h1i, c1c = sys.inverse(g1), sys.inverse(h1), c1.conjugate()
+        for (g2, h2), c2 in c.items():
+            key = (sys.multiply(g1i, g2), sys.multiply(h1i, h2))
+            table[key] = table.get(key, QQi()) + c1c * c2
+    return {key: coef for key, coef in table.items() if not coef.is_zero}
+
+
+def _square_at(sys: DualSystem, table: dict, n: int) -> Fraction:
+    """Δ_n(c*c) from the square table: the entries whose key has T^n(w) = v."""
+    square = QQi()
+    for (w, v), coef in table.items():
+        if sys.apply_T(w, n) == v:
+            square = square + coef
+    if square.im != 0:
+        raise NcjoinError("Δ_n(c*c) must be real")
+    return square.re
+
+
 def delta_n_eval(sys: DualSystem, c: PairCombination, n: int) -> DeltaEvaluation:
     """Δ_n on a combination Σ c_{g,h} λ(g) ⊗ ρ(h), and on its square.
 
-    Δ_n(λ(g) ⊗ ρ(h)) = [T^n(g) = h]; the square expands over support pairs
-    through the same indicator and the product state gives Σ |c_{g,h}|².
+    Δ_n(λ(g) ⊗ ρ(h)) = [T^n(g) = h]; the square is read from the square
+    table of c through the same indicator, and the product state gives its
+    identity entry Σ |c_{g,h}|².
     """
     value = QQi()
     for (g, h), coef in c.items():
         if sys.apply_T(g, n) == h:
             value = value + coef
-    square = QQi()
-    items = list(c.items())
-    for (g1, h1), c1 in items:
-        for (g2, h2), c2 in items:
-            w = sys.multiply(sys.inverse(g1), g2)
-            v = sys.multiply(sys.inverse(h1), h2)
-            if sys.apply_T(w, n) == v:
-                square = square + c1.conjugate() * c2
-    if square.im != 0:
-        raise NcjoinError("Δ_n(c*c) must be real")
+    table = _square_table(sys, c)
     return DeltaEvaluation(
         value=value,
-        square_value=square.re,
-        product_square=_norm2_squared(c),
+        square_value=_square_at(sys, table, n),
+        product_square=table.get((sys.identity(),) * 2, QQi()).re,
     )
 
 
@@ -650,6 +668,9 @@ def ornstein_scan_dual(sys: DualSystem, test_set, n_range,
                        labels=None) -> DualOrnsteinScan:
     """Exact ratios Δ_n(c*c) / Σ|c|² over a window, with escape analysis.
 
+    Each combination's square table is built once; a window then costs one
+    T^n test per distinct key of the table and n, with no pair products.
+
     On an all-shift system the support of any nonidentity word escapes, so
     past the index span of the support the indicator collapses to the
     diagonal pairs and the ratio is exactly one; the report records that
@@ -668,10 +689,8 @@ def ornstein_scan_dual(sys: DualSystem, test_set, n_range,
         if denom == 0:
             skipped.append(label)
             continue
-        ratios = []
-        for n in ns:
-            ev = delta_n_eval(sys, c, n)
-            ratios.append((n, ev.square_value / denom))
+        table = _square_table(sys, c)
+        ratios = [(n, _square_at(sys, table, n) / denom) for n in ns]
         limsup = max(r for _, r in ratios)
         bound = _index_span(sys, c) if all_shift else None
         eventual = Fraction(1) if all_shift else None

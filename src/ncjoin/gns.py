@@ -14,6 +14,7 @@ nor a MirrorSystem refers back to its system, so the cache forms no cycle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -82,21 +83,44 @@ class GnsSpace:
 
 @dataclass
 class UnitaryRep:
-    """One matrix per generator, acting on canonical GNS coordinates."""
+    """One matrix per generator, acting on canonical GNS coordinates.
+
+    Group elements get their matrices from power tables: a generator's
+    powers over an exponent range cost one `matrix_power` at its start and
+    one matmul per further step.
+    """
 
     matrices: list[np.ndarray]
     onb_matrices: list[np.ndarray]
 
-    def of_element(self, g: tuple[int, ...], onb: bool = False) -> np.ndarray:
-        mats = self.onb_matrices if onb else self.matrices
-        d = mats[0].shape[0]
-        out = np.eye(d, dtype=complex)
-        for U, e in zip(mats, g):
-            if e >= 0:
-                out = out @ np.linalg.matrix_power(U, e)
-            else:
-                out = out @ np.linalg.matrix_power(U.conj().T if onb else np.linalg.inv(U), -e)
+    def powers(self, k: int, lo: int, hi: int, onb: bool = False) -> np.ndarray:
+        """Stack of U_k^j for j = lo..hi, built by running products."""
+        U = (self.onb_matrices if onb else self.matrices)[k]
+        table = np.empty((hi - lo + 1,) + U.shape, dtype=complex)
+        base = U if lo >= 0 else U.conj().T if onb else np.linalg.inv(U)
+        table[0] = np.linalg.matrix_power(base, abs(lo))
+        for s in range(1, len(table)):
+            table[s] = table[s - 1] @ U
+        return table
+
+    def of_elements(self, elements, onb: bool = False) -> np.ndarray:
+        """Stack of U_g over exponent tuples g, one power table per generator."""
+        exps = np.array(elements, dtype=int).reshape(len(elements), -1)
+        out = None
+        for k, col in enumerate(exps.T):
+            step = self.powers(k, col.min(), col.max(), onb)[col - col.min()]
+            out = step if out is None else out @ step
         return out
+
+    def folner_mean(self, group, n: int) -> np.ndarray:
+        """Mean of U_g over the n-th Folner set, a box of exponent ranges.
+
+        By distributivity the mean of the products U_1^{g_1}⋯U_k^{g_k} over
+        a box is the product of the generators' mean powers.
+        """
+        box = group.folner_range(n)
+        return functools.reduce(np.matmul, (
+            self.powers(k, box[0], box[-1]).mean(axis=0) for k in range(len(self.matrices))))
 
 
 def gns_construct(sys: FiniteSystem) -> tuple[GnsSpace, UnitaryRep]:
@@ -330,12 +354,12 @@ def compactness_net(sys: FiniteSystem, eps: float = 0.1, cap: int = 512) -> list
         side = max(2, int(round(cap ** (1.0 / group.k))))
         rng = range(-side, side + 1)
         exponents = [tuple(t) for t in itertools.product(rng, repeat=group.k)]
+    orbit = rep.of_elements(exponents, onb=True)
     sizes = []
     for i in range(d):
         x = space.to_onb(np.eye(d)[:, i])
         net: list[np.ndarray] = []
-        for g in exponents:
-            y = rep.of_element(g, onb=True) @ x
+        for y in orbit @ x:
             if all(np.linalg.norm(y - z) > eps for z in net):
                 net.append(y)
         sizes.append(len(net))
@@ -363,12 +387,7 @@ def cesaro_correlation(sys: FiniteSystem, x, y, n: int) -> CesaroResult:
     space, rep = sys.gns
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    elements = sys.group.folner_elements(n)
-    total = 0.0 + 0.0j
-    for g in elements:
-        Ug = rep.of_element(g)
-        total += space.inner(Ug @ x, y)
-    value = total / len(elements)
+    value = space.inner(rep.folner_mean(sys.group, n) @ x, y)
     omega = space.cyclic_vector
     limit = space.inner(x, omega) * space.inner(omega, y)
     deviation = abs(value - limit)
@@ -651,29 +670,12 @@ def asymptotic_abelianness_profile(sys: FiniteSystem, a: AlgebraElement,
     """Averages (1/|Λ_n|) Σ_{g in Λ_n} ‖[a, α_g(b)]‖ for n = 1..n_max.
 
     The norm is the operator norm, exact via singular values. Folner boxes
-    follow the group descriptor.
+    follow the group descriptor and are nested, so the norms are computed
+    once on the largest box, with α_g(b) from the GNS power tables.
     """
-    require_valid(sys)
-    group = sys.group
-
-    def commutator_norm(g):
-        bg = sys.element_automorphism(g).apply(b)
-        return (a @ bg - bg @ a).norm()
-
-    out = []
-    if group.kind == "Z":
-        cache = []
-        cur = b
-        gen = sys.generators[0]
-        for _ in range(n_max):
-            cur = gen.apply(cur)
-            cache.append((a @ cur - cur @ a).norm())
-        acc = 0.0
-        for n in range(1, n_max + 1):
-            acc += cache[n - 1]
-            out.append(acc / n)
-    else:
-        for n in range(1, n_max + 1):
-            elems = group.folner_elements(n)
-            out.append(sum(commutator_norm(g) for g in elems) / len(elems))
-    return out
+    group, (_, rep) = sys.group, sys.gns
+    images = rep.of_elements(group.folner_elements(n_max)) @ b.coords()
+    norms = np.array([(a @ bg - bg @ a).norm() for bg in map(sys.structure.from_coords, images)])
+    norms = norms.reshape((len(group.folner_range(n_max)),) * group.num_generators)
+    return [float(np.mean(norms[(slice(len(group.folner_range(n))),) * norms.ndim]))
+            for n in range(1, n_max + 1)]

@@ -265,7 +265,7 @@ def graph_joining(sys: FiniteSystem, n: int) -> JoiningMatrix:
     if sys.group.kind != "Z":
         raise UnsupportedGroupError("graph joinings need a Z action")
     ctx = mirror_context(sys)
-    values = _diagonal_values(ctx, ctx.rep_a.of_element((n,)))
+    values = _diagonal_values(ctx, ctx.rep_a.of_elements([(n,)])[0])
     return joining_from_values(ctx, values, label=f"graph:{n}")
 
 
@@ -680,9 +680,7 @@ def cesaro_diagonal_average(sys: FiniteSystem, n: int) -> CesaroDiagonalResult:
     limit need not be the product; the flag records that.
     """
     ctx = mirror_context(sys)
-    elements = sys.group.folner_elements(n)
-    average = sum(ctx.rep_a.of_element(g) for g in elements) / len(elements)
-    acc = _diagonal_values(ctx, average)
+    acc = _diagonal_values(ctx, ctx.rep_a.folner_mean(sys.group, n))
     deviation = float(np.max(np.abs(acc - ctx.product_values())))
     return CesaroDiagonalResult(values=acc, deviation=deviation,
                                 ergodic=classify_finite(sys).ergodic)
@@ -732,8 +730,10 @@ def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
     if not ns:
         raise ValueError("empty scan window")
     prod_tab = ctx.product_values()
-    tables = dict(zip(ns, _diagonal_values(
-        ctx, np.array([ctx.rep_a.of_element((n,)) for n in ns]))))
+    # one power table serves the shifted tables and the period search
+    lo = min(min(ns), 1)
+    powers = ctx.rep_a.powers(0, lo, max(ns))
+    tables = dict(zip(ns, _diagonal_values(ctx, powers[np.array(ns) - lo])))
 
     labels = labels or [f"element {k}" for k in range(len(test_elements))]
     reports, skipped = [], []
@@ -757,7 +757,7 @@ def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
 
     ident = np.eye(ctx.dim_a)
     period = next((p for p in range(1, max(ns) + 1)
-                   if operator_norm(ctx.rep_a.of_element((p,)) - ident) < 1e-9), None)
+                   if operator_norm(powers[p - lo] - ident) < 1e-9), None)
     return OrnsteinScan(reports=reports, period=period, skipped=skipped,
                         sup_ratio=overall)
 

@@ -8,6 +8,10 @@ is an ordinary LP, solved here with scipy's HiGHS backend.
 The diagonal state's value tables are evaluated one basis pair at a time
 through algebra products, without the GNS matrices, and system validation
 is re-derived by brute force over the basis elements and their pairs.
+
+Group-element matrices are rebuilt one element at a time from matrix
+powers, and the dual-system square Δ_n(c*c) by the full pair loop at each
+n, as the package computed them before their power and square tables.
 """
 
 import itertools
@@ -16,6 +20,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ncjoin.algebra import FAITHFULNESS_MIN_EIG, VALIDATION_TOL, AlgebraElement
+from ncjoin.dual import DeltaEvaluation, QQi
 
 
 def invariant_transportation_max(mu, nu, sigma, tau, cost):
@@ -182,3 +187,82 @@ def validation_reference(sys, tol=VALIDATION_TOL):
         check("generator_order", f"order {sys.group.m}",
               max(_norm(powm.apply(e) - e) for e in basis))
     return out
+
+
+def element_matrix_reference(rep, g, onb=False):
+    """U_g as the ordered product of one fresh matrix power per generator."""
+    mats = rep.onb_matrices if onb else rep.matrices
+    out = np.eye(mats[0].shape[0], dtype=complex)
+    for U, e in zip(mats, g):
+        if e >= 0:
+            out = out @ np.linalg.matrix_power(U, e)
+        else:
+            out = out @ np.linalg.matrix_power(U.conj().T if onb else np.linalg.inv(U), -e)
+    return out
+
+
+def folner_mean_reference(sys, n):
+    """Mean of U_g over the n-th Folner set, one element matrix at a time."""
+    _, rep = sys.gns
+    elements = sys.group.folner_elements(n)
+    return sum(element_matrix_reference(rep, g) for g in elements) / len(elements)
+
+
+def cesaro_correlation_reference(sys, x, y, n):
+    """Deviation of the mean of ⟨U_g x, y⟩ from ⟨x, Ω⟩⟨Ω, y⟩, summed per element."""
+    space, rep = sys.gns
+    elements = sys.group.folner_elements(n)
+    value = sum(space.inner(element_matrix_reference(rep, g) @ x, y)
+                for g in elements) / len(elements)
+    omega = space.cyclic_vector
+    return abs(value - space.inner(x, omega) * space.inner(omega, y))
+
+
+def recurrence_period_reference(sys, n_max):
+    """Least p in 1..n_max with U^p = 1 (to 1e-9 in operator norm), else None."""
+    _, rep = sys.gns
+    ident = np.eye(sys.dimension)
+    return next((p for p in range(1, n_max + 1)
+                 if np.linalg.norm(element_matrix_reference(rep, (p,)) - ident, 2) < 1e-9),
+                None)
+
+
+def compactness_net_reference(sys, eps=0.1, cap=512):
+    """Greedy eps-net sizes of the basis-vector orbits, one element matrix per point."""
+    space, rep = sys.gns
+    d, group = space.dimension, sys.group
+    if group.kind == "Zm":
+        exponents = [(j,) for j in range(group.m)]
+    elif group.kind == "Z":
+        exponents = [(j,) for j in range(-cap // 2, cap // 2 + 1)]
+    else:
+        side = max(2, int(round(cap ** (1.0 / group.k))))
+        exponents = list(itertools.product(range(-side, side + 1), repeat=group.k))
+    sizes = []
+    for i in range(d):
+        x = space.to_onb(np.eye(d)[:, i])
+        net = []
+        for g in exponents:
+            y = element_matrix_reference(rep, g, onb=True) @ x
+            if all(np.linalg.norm(y - z) > eps for z in net):
+                net.append(y)
+        sizes.append(len(net))
+    return sizes
+
+
+def delta_n_reference(sys, c, n):
+    """Δ_n(c) and Δ_n(c*c) of a dual pair combination by the full pair loop."""
+    value = QQi()
+    for (g, h), coef in c.items():
+        if sys.apply_T(g, n) == h:
+            value = value + coef
+    square = QQi()
+    for (g1, h1), c1 in c.items():
+        for (g2, h2), c2 in c.items():
+            w = sys.multiply(sys.inverse(g1), g2)
+            v = sys.multiply(sys.inverse(h1), h2)
+            if sys.apply_T(w, n) == v:
+                square = square + c1.conjugate() * c2
+    assert square.im == 0
+    product = sum((coef.abs2() for coef in c.values()), QQi().re)
+    return DeltaEvaluation(value=value, square_value=square.re, product_square=product)

@@ -11,9 +11,11 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ncjoin import cli
+from ncjoin.dual import DualSystem
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -60,3 +62,44 @@ def test_builds_per_command(command, bounds):
     assert calls["algebra.validate_system"] >= 1
     for layer, bound in bounds.items():
         assert calls[layer] <= bound, (layer, calls[layer])
+
+
+# work that does not depend on n is done once per scan: (class or module,
+# attribute, command with a small window, same command with a large one)
+WINDOW_PAIRS = [
+    (DualSystem, "multiply", "dual ornstein --group corpus:dual_cycle2 --window 0..8",
+     "dual ornstein --group corpus:dual_cycle2 --window 0..512"),
+    (DualSystem, "multiply", "dual ornstein --group corpus:dual_finperm_shift --window 0..8",
+     "dual ornstein --group corpus:dual_finperm_shift --window 0..512"),
+    (np.linalg, "matrix_power", "average --system corpus:c3 --x 0 --y 0 --N 10",
+     "average --system corpus:c3 --x 0 --y 0 --N 1000"),
+    (np.linalg, "matrix_power", "average --system corpus:pauli --x 1 --y 2 --N 10",
+     "average --system corpus:pauli --x 1 --y 2 --N 60"),
+    (np.linalg, "matrix_power", "ornstein --system corpus:c3 --window 0..4",
+     "ornstein --system corpus:c3 --window 0..64"),
+    (np.linalg, "matrix_power", "cesaro-diagonal --system corpus:c3 --N 4",
+     "cesaro-diagonal --system corpus:c3 --N 64"),
+]
+
+
+def _calls(monkeypatch, owner, attr, command):
+    original = getattr(owner, attr)
+    calls = Counter()
+
+    def counted(*args, **kwargs):
+        calls[attr] += 1
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(owner, attr, counted)
+        _, code = cli.run(command.split())
+    assert code == 0
+    return calls[attr]
+
+
+@pytest.mark.parametrize("owner,attr,small,large", WINDOW_PAIRS,
+                         ids=[f"{a}:{s}" for _, a, s, _ in WINDOW_PAIRS])
+def test_window_independent_work_does_not_grow(monkeypatch, owner, attr, small, large):
+    count = _calls(monkeypatch, owner, attr, small)
+    assert count >= 1
+    assert _calls(monkeypatch, owner, attr, large) == count

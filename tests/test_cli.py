@@ -166,6 +166,20 @@ def test_dual_joining_command_with_experiment(capsys):
     assert report["results"]["witness"]["joining_value"] == "1"
 
 
+def test_table_reads_only_float_pairs_as_complex(capsys):
+    table = emit_report({"row": [1, 0.0], "z": complex(0.5, -2.0), "ij": [0, 1]}, "table")
+    assert table.splitlines() == ["row  [1, 0]", "z    0.5-2i", "ij   [0, 1]"]
+    assert main(["ornstein", "--system", "corpus:gibbs", "--window", "0..1"]) == 0
+    assert "[[0, 1.5], [1, 1.5]]" in capsys.readouterr().out
+    assert main(["classify", "--system", "corpus:c3"]) == 0
+    assert "[-0.5+0.866025i]" in capsys.readouterr().out
+    assert main(["ornstein", "--system", "corpus:c3", "--window", "0..1",
+                 "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["elements"][0]["ratios"]
+    assert [[type(v) for v in row] for row in rows] == [[int, float]] * 2
+    assert [n for n, _ in rows] == [0, 1] and rows[1][1] == 0.0
+
+
 def test_average_command(capsys):
     code = main(["average", "--system", "corpus:c3", "--x", "0", "--y", "0",
                  "--N", "3", "--format", "json"])

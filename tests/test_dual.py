@@ -25,7 +25,9 @@ from ncjoin.dual import (
     word_inverse,
     word_multiply,
 )
+from ncjoin import corpus
 from ncjoin.errors import InputFormatError
+from oracles import delta_n_reference
 
 
 @pytest.fixture(scope="module")
@@ -345,6 +347,41 @@ def test_ornstein_scan_unit_element(dual_shift, dual_cycle2):
 def test_ornstein_scan_skips_degenerate(dual_shift):
     scan = ornstein_scan_dual(dual_shift, [{}], range(0, 3), labels=["empty"])
     assert scan.skipped == ["empty"]
+
+
+def _random_pair_combination(sysd, rng):
+    """1-5 terms λ(g) ⊗ ρ(h) with random Gaussian-rational coefficients."""
+    def frac():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    c = {}
+    for _ in range(rng.randint(1, 5)):
+        key = (sample_element(sysd, rng), sample_element(sysd, rng))
+        c[key] = c.get(key, QQi()) + QQi(frac(), frac())
+    return c
+
+
+@pytest.mark.parametrize("name", corpus.DUAL_SYSTEMS)
+def test_square_table_matches_pair_loop(name):
+    sysd = corpus.dual(name).system
+    rng = random.Random(sum(map(ord, name)))
+    window = range(-7, 13)
+    for _ in range(30):
+        c = _random_pair_combination(sysd, rng)
+        refs = [delta_n_reference(sysd, c, n) for n in window]
+        for n, ref in zip(window, refs):
+            ev = delta_n_eval(sysd, c, n)
+            assert isinstance(ev.square_value, Fraction)
+            assert (ev.value, ev.square_value, ev.product_square) == (
+                ref.value, ref.square_value, ref.product_square), n
+        scan = ornstein_scan_dual(sysd, [c], window, labels=["c"])
+        denom = refs[0].product_square
+        if denom == 0:
+            assert scan.skipped == ["c"]
+            continue
+        assert scan.reports[0].denominator == denom
+        assert scan.reports[0].ratios == [
+            (n, ref.square_value / denom) for n, ref in zip(window, refs)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,127 @@
+"""Power tables against one fresh matrix power per group element.
+
+`UnitaryRep.of_elements` and `UnitaryRep.folner_mean` build each
+generator's powers by running products; the references in `oracles.py`
+compute every element's matrix on its own, as the package did before.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from ncjoin import cli, corpus
+from ncjoin.algebra import FiniteSystem, GroupDescriptor, cyclic_rotation_system, uniform_state
+from ncjoin.gns import asymptotic_abelianness_profile, cesaro_correlation, compactness_net
+from ncjoin.joinings import (_diagonal_values, cesaro_diagonal_average, mirror_context,
+                             ornstein_ratio_scan)
+from oracles import (
+    cesaro_correlation_reference,
+    compactness_net_reference,
+    element_matrix_reference,
+    folner_mean_reference,
+    recurrence_period_reference,
+)
+
+TOL = 1e-12
+
+
+def _zm_system(m):
+    rot = cyclic_rotation_system(m)
+    return FiniteSystem(rot.structure, uniform_state(rot.structure),
+                        GroupDescriptor("Zm", m=m), rot.generators)
+
+
+SYSTEMS = {name: corpus.system(name) for name in corpus.FINITE_SYSTEMS}
+SYSTEMS["Z4m"] = _zm_system(4)
+
+
+def _windows(sysd):
+    """Exponent sets with negative and positive entries, and a Folner set."""
+    group = sysd.group
+    if group.kind == "Z":
+        sets = [[(j,) for j in range(-9, 10)], [(-5,)], [(7,), (-2,), (7,)]]
+    elif group.kind == "Zk":
+        sets = [list(itertools.product(range(-3, 4), repeat=group.k)), [(-4, 2)]]
+    else:
+        sets = [[(j,) for j in range(-group.m, 2 * group.m)]]
+    return sets + [group.folner_elements(6)]
+
+
+def _close(a, b):
+    return np.linalg.norm(a - b) <= TOL * max(1.0, np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("onb", [False, True])
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_of_elements_matches_per_element_powers(name, onb):
+    sysd = SYSTEMS[name]
+    _, rep = sysd.gns
+    for elements in _windows(sysd):
+        stack = rep.of_elements(elements, onb=onb)
+        assert stack.shape == (len(elements), sysd.dimension, sysd.dimension)
+        for g, U in zip(elements, stack):
+            assert _close(U, element_matrix_reference(rep, g, onb=onb)), (g, onb)
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_folner_averages_match_reference(name):
+    sysd = SYSTEMS[name]
+    _, rep = sysd.gns
+    d = sysd.dimension
+    x, y = np.eye(d)[:, 0], np.eye(d)[:, d - 1]
+    for n in (1, 5, 40):
+        assert _close(rep.folner_mean(sysd.group, n), folner_mean_reference(sysd, n))
+        dev = cesaro_correlation(sysd, x, y, n).deviation
+        assert abs(dev - cesaro_correlation_reference(sysd, x, y, n)) <= TOL
+    ctx = mirror_context(sysd)
+    for n in (1, 12):
+        ref = _diagonal_values(ctx, folner_mean_reference(sysd, n))
+        ref_dev = float(np.max(np.abs(ref - ctx.product_values())))
+        assert abs(cesaro_diagonal_average(sysd, n).deviation - ref_dev) <= TOL
+
+
+@pytest.mark.parametrize("name", [n for n, s in SYSTEMS.items() if s.group.kind == "Z"])
+def test_ornstein_scan_matches_reference(name):
+    sysd = SYSTEMS[name]
+    ctx = mirror_context(sysd)
+    pairs = [ctx.basis_pair(i, i) for i in range(ctx.dim_a)]
+    _, rep = sysd.gns
+    for window in (range(-4, 5), range(0, 17), range(5, 10), range(-6, 0)):
+        scan = ornstein_ratio_scan(ctx, pairs, window)
+        assert scan.period == recurrence_period_reference(sysd, max(window))
+        tables = _diagonal_values(ctx, np.array(
+            [element_matrix_reference(rep, (n,)) for n in window]))
+        prod = ctx.product_values()
+        for c, report in zip(pairs, scan.reports):
+            coef = (c.adjoint() @ c).coords()[ctx.pair_index]
+            denom = float(np.sum(coef * prod).real)
+            for row, table in zip(report.rows, tables):
+                assert abs(row.ratio - float(np.sum(coef * table).real) / denom) <= TOL
+
+
+def test_ornstein_negative_window_command():
+    report, code = cli.run(["ornstein", "--system", "corpus:c3", "--window=-4..4"])
+    assert code == 0
+    assert report["results"]["period"] == recurrence_period_reference(SYSTEMS["c3"], 4) == 3
+    assert [row[0] for row in report["results"]["elements"][0]["ratios"]] == list(range(-4, 5))
+
+
+@pytest.mark.parametrize("name", ["c3", "c5", "id2", "pauli", "gibbs", "Z4m"])
+def test_compactness_net_matches_reference(name):
+    sysd = SYSTEMS[name]
+    assert compactness_net(sysd, 0.1) == compactness_net_reference(sysd, 0.1)
+
+
+@pytest.mark.parametrize("name", ["c3", "pauli", "gibbs", "Z4m"])
+def test_abelianness_profile_matches_automorphisms(name):
+    sysd = SYSTEMS[name]
+    rng = np.random.default_rng(2)
+    a, b = (sysd.structure.from_coords(rng.standard_normal(sysd.dimension)
+                                       + 1j * rng.standard_normal(sysd.dimension))
+            for _ in range(2))
+    profile = asymptotic_abelianness_profile(sysd, a, b, 5)
+    for n, value in enumerate(profile, start=1):
+        images = [sysd.element_automorphism(g).apply(b) for g in sysd.group.folner_elements(n)]
+        ref = np.mean([(a @ bg - bg @ a).norm() for bg in images])
+        assert abs(value - ref) <= TOL * max(1.0, ref)
