@@ -42,7 +42,6 @@ from .gns import (
     cesaro_correlation,
     classify_finite,
     compactness_net,
-    point_spectrum,
 )
 from .joinings import (
     DEFAULT_MAX_ITER,
@@ -210,12 +209,11 @@ def _classification_dict(c) -> dict:
 def _cmd_classify(args):
     sysd, rec = _load_system(args.system)
     cls = classify_finite(sysd)
-    spec = point_spectrum(sysd)
     results = {
         "classification": _classification_dict(cls),
         "point_spectrum": [
             {"eigenvalue": list(e.eigenvalue), "multiplicity": e.multiplicity}
-            for e in spec
+            for e in cls.point_spectrum
         ],
     }
     if args.net:

@@ -14,6 +14,7 @@ values reduce to Δ_n(λ(g) ⊗ ρ(h)) = [T^n(g) = h].
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -187,15 +188,6 @@ def _reduce(seq) -> FreeWord:
         else:
             stack.append((letter, e))
     return tuple(stack)
-
-
-def word_from_letters(spec: TrackSpec, seq) -> FreeWord:
-    norm = []
-    for letter, e in seq:
-        if e not in (1, -1):
-            raise InputFormatError(f"letter exponent must be ±1, got {e}")
-        norm.append((spec.normalize(letter), e))
-    return _reduce(norm)
 
 
 def word_multiply(spec: TrackSpec, w1: FreeWord, w2: FreeWord) -> FreeWord:
@@ -392,6 +384,15 @@ class DualSystem:
             return [letter for letter, _ in g]
         return list(g.support)
 
+    @functools.cached_property
+    def _alphabet(self) -> tuple[Letter, ...]:
+        """The normalized letters `sample_element` draws from."""
+        letters = []
+        for t in self.spec.tracks:
+            span = range(t.m) if t.kind == "cycle" else range(-4, 5)
+            letters.extend((t.id, i) for i in span)
+        return tuple(letters)
+
     def orbit_length(self, g) -> "OrbitCertificate":
         """Exact orbit analysis, no iteration bound needed.
 
@@ -548,9 +549,70 @@ class CorrelationSeries:
     norm_b2: Fraction
 
     def bound_satisfied(self) -> bool:
-        """Cauchy-Schwarz: |centered value|² ≤ ‖a‖₂²‖b‖₂², exactly."""
+        """Cauchy-Schwarz: |centered value|² ≤ ‖a‖₂²‖b‖₂², exactly, per distinct value."""
         cap = self.norm_a2 * self.norm_b2
-        return all(v.abs2() <= cap for v in self.centered)
+        return all(v.abs2() <= cap for v in set(self.centered))
+
+
+def _shift_times(sys: DualSystem, w, v) -> tuple[int, int] | None:
+    """The exact set {n : T^n(w) = v}: (r, 0) for the single time r, (r, p)
+    for r + pℤ, None when it is empty.
+
+    T moves a shift-track letter monotonically, so an element with one meets
+    v at most once, at the index difference of that letter: at the same
+    position of a free word, and at the smallest support index on that
+    track of a permutation (T keeps the letter count of every track, so the
+    sorted supports put it at the same position). Otherwise the orbit of w
+    has period p, and r is the one residue in [0, p) that T^r(w) = v, tried
+    only where T^r moves the first letter of w onto a letter of v.
+    """
+    lw, lv = sys._letters_of(w), sys._letters_of(v)
+    if len(lw) != len(lv):
+        return None
+    if not lw:
+        return (0, 1)
+    cert = sys.orbit_length(w)
+    if cert.kind == "infinite":
+        i = lw.index(cert.escaping)
+        if lv[i][0] != lw[i][0]:
+            return None
+        n0 = lv[i][1] - lw[i][1]
+        return (n0, 0) if sys.apply_T(w, n0) == v else None
+    first, targets = lw[0], set(lv)
+    r = next((r for r in range(cert.period) if sys.spec.advance(first, r) in targets
+              and sys.apply_T(w, r) == v), None)
+    return None if r is None else (r, cert.period)
+
+
+def _window_sums(sys: DualSystem, table: dict, ns, finish=lambda total: total) -> list:
+    """finish(Σ of the coefficients whose key (w, v) has T^n(w) = v) for each n of ns.
+
+    Each key's shift times are solved once; the periodic ones are summed
+    into one residue row per period. The sum at n depends only on n's
+    residues and on whether n is a single shift time, so each distinct sum
+    is added up and finished once, and the n that share it share the object.
+    """
+    single: dict[int, QQi] = {}
+    rows: dict[int, list[QQi]] = {}
+    for (w, v), coef in table.items():
+        times = _shift_times(sys, w, v)
+        if times is None:
+            continue
+        r, p = times
+        if p == 0:
+            single[r] = single.get(r, QQi()) + coef
+        else:
+            row = rows.setdefault(p, [QQi()] * p)
+            row[r] = row[r] + coef
+    finished: dict = {}
+    out = []
+    for n in ns:
+        key = (tuple(n % p for p in rows), n if n in single else None)
+        if key not in finished:
+            finished[key] = finish(sum((row[k] for row, k in zip(rows.values(), key[0])),
+                                       single.get(n, QQi())))
+        out.append(finished[key])
+    return out
 
 
 def correlation_series(sys: DualSystem, a: Combination, b: Combination,
@@ -558,22 +620,21 @@ def correlation_series(sys: DualSystem, a: Combination, b: Combination,
     """Exact centered correlations μ(α^n(a) b) − μ(a) μ(b).
 
     Coefficients are Gaussian rationals; the Haar state picks the identity
-    coefficient, so each term is a finite indicator sum.
+    coefficient, so the value at n sums c_g·d_h over the pairs with
+    T^n(g) = h⁻¹, read from the shift times of the keys (g, h⁻¹).
     """
     if not a or not b:
         raise InputFormatError("combinations must have nonempty support")
     mean = _haar(sys, a) * _haar(sys, b)
-    ns, raw, centered = [], [], []
-    for n in n_range:
-        acc = QQi()
-        for g, cg in a.items():
-            target = sys.inverse(sys.apply_T(g, n))
-            dh = b.get(target)
-            if dh is not None:
-                acc = acc + cg * dh
-        ns.append(n)
-        raw.append(acc)
-        centered.append(acc - mean)
+    table: dict = {}
+    for g, cg in a.items():
+        for h, dh in b.items():
+            key = (g, sys.inverse(h))
+            table[key] = table.get(key, QQi()) + cg * dh
+    ns = list(n_range)
+    pairs = _window_sums(sys, table, ns, lambda total: (total, total - mean))
+    raw = [value for value, _ in pairs]
+    centered = [value for _, value in pairs]
     return CorrelationSeries(
         ns=ns, raw=raw, centered=centered,
         norm_a2=_norm2_squared(a), norm_b2=_norm2_squared(b),
@@ -605,32 +666,23 @@ def _square_table(sys: DualSystem, c: PairCombination) -> dict:
     return {key: coef for key, coef in table.items() if not coef.is_zero}
 
 
-def _square_at(sys: DualSystem, table: dict, n: int) -> Fraction:
-    """Δ_n(c*c) from the square table: the entries whose key has T^n(w) = v."""
-    square = QQi()
-    for (w, v), coef in table.items():
-        if sys.apply_T(w, n) == v:
-            square = square + coef
-    if square.im != 0:
+def _real_square(total: QQi) -> Fraction:
+    if total.im != 0:
         raise NcjoinError("Δ_n(c*c) must be real")
-    return square.re
+    return total.re
 
 
 def delta_n_eval(sys: DualSystem, c: PairCombination, n: int) -> DeltaEvaluation:
     """Δ_n on a combination Σ c_{g,h} λ(g) ⊗ ρ(h), and on its square.
 
-    Δ_n(λ(g) ⊗ ρ(h)) = [T^n(g) = h]; the square is read from the square
-    table of c through the same indicator, and the product state gives its
-    identity entry Σ |c_{g,h}|².
+    Δ_n(λ(g) ⊗ ρ(h)) = [T^n(g) = h], read from the shift times of the keys
+    of c; the square is read the same way from the square table of c, and
+    the product state gives its identity entry Σ |c_{g,h}|².
     """
-    value = QQi()
-    for (g, h), coef in c.items():
-        if sys.apply_T(g, n) == h:
-            value = value + coef
     table = _square_table(sys, c)
     return DeltaEvaluation(
-        value=value,
-        square_value=_square_at(sys, table, n),
+        value=_window_sums(sys, c, [n])[0],
+        square_value=_window_sums(sys, table, [n], _real_square)[0],
         product_square=table.get((sys.identity(),) * 2, QQi()).re,
     )
 
@@ -668,8 +720,8 @@ def ornstein_scan_dual(sys: DualSystem, test_set, n_range,
                        labels=None) -> DualOrnsteinScan:
     """Exact ratios Δ_n(c*c) / Σ|c|² over a window, with escape analysis.
 
-    Each combination's square table is built once; a window then costs one
-    T^n test per distinct key of the table and n, with no pair products.
+    Each combination's square table is built once and the shift times of
+    each of its keys are solved once, so a window costs one lookup per n.
 
     On an all-shift system the support of any nonidentity word escapes, so
     past the index span of the support the indicator collapses to the
@@ -690,7 +742,8 @@ def ornstein_scan_dual(sys: DualSystem, test_set, n_range,
             skipped.append(label)
             continue
         table = _square_table(sys, c)
-        ratios = [(n, _square_at(sys, table, n) / denom) for n in ns]
+        ratios = list(zip(ns, _window_sums(
+            sys, table, ns, lambda total: _real_square(total) / denom)))
         limsup = max(r for _, r in ratios)
         bound = _index_span(sys, c) if all_shift else None
         eventual = Fraction(1) if all_shift else None
@@ -770,17 +823,11 @@ def opposite_group_joining(sys: DualSystem) -> OppositeJoining:
 
 def sample_element(sys: DualSystem, rng, max_len: int = 6):
     """Random reduced word or finitary permutation, exact and seedable."""
-    letters = []
-    for t in sys.spec.tracks:
-        if t.kind == "cycle":
-            letters.extend((t.id, i) for i in range(t.m))
-        else:
-            letters.extend((t.id, i) for i in range(-4, 5))
+    letters = sys._alphabet
     if sys.family == "free":
         n = rng.randrange(0, max_len + 1)
-        seq = [(letters[rng.randrange(len(letters))], rng.choice((1, -1)))
-               for _ in range(n)]
-        return word_from_letters(sys.spec, seq)
+        return _reduce([(letters[rng.randrange(len(letters))], rng.choice((1, -1)))
+                        for _ in range(n)])
     k = rng.randrange(0, min(max_len, len(letters)) + 1)
     if k < 2:
         return IDENTITY_PERM

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -295,6 +295,9 @@ class Classification:
     fixed_algebra_dimension: int
     h0_dimension: int
     notes: tuple[str, ...] = ()
+    # the joint eigenspaces the flags were read from, as `point_spectrum` gives them
+    point_spectrum: list[PointSpectrumEntry] = field(default_factory=list, compare=False,
+                                                     repr=False)
 
 
 def classify_finite(sys: FiniteSystem) -> Classification:
@@ -332,6 +335,7 @@ def classify_finite(sys: FiniteSystem) -> Classification:
         fixed_algebra_dimension=fixed_dim,
         h0_dimension=h0,
         notes=notes,
+        point_spectrum=spec,
     )
 
 

@@ -729,35 +729,37 @@ def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
     ns = list(n_range)
     if not ns:
         raise ValueError("empty scan window")
-    prod_tab = ctx.product_values()
     # one power table serves the shifted tables and the period search
     lo = min(min(ns), 1)
     powers = ctx.rep_a.powers(0, lo, max(ns))
-    tables = dict(zip(ns, _diagonal_values(ctx, powers[np.array(ns) - lo])))
+    tables = _diagonal_values(ctx, powers[np.array(ns) - lo]).reshape(len(ns), -1)
 
+    # value tables of every c*c: the density blocks of c, squared as Xᴴ·X per block size
     labels = labels or [f"element {k}" for k in range(len(test_elements))]
+    coords = np.array([c.coords()[ctx.pair_index] for c in test_elements],
+                      dtype=complex).reshape(len(test_elements), ctx.dim)
+    squares = np.zeros_like(coords)
+    for idx in ctx.blocks:
+        X = coords[:, idx]
+        squares[:, idx] = X.conj().swapaxes(-1, -2) @ X
+    denoms = (squares @ ctx.product_values().reshape(-1)).real
+    values = (squares @ tables.T).real
+
     reports, skipped = [], []
     overall = 0.0
-    for c, label in zip(test_elements, labels):
-        coef = (c.adjoint() @ c).coords()[ctx.pair_index]
-        denom = float(np.sum(coef * prod_tab).real)
+    for label, denom, vals in zip(labels, denoms.tolist(), values.tolist()):
         if denom <= degenerate_tol:
             skipped.append(label)
             continue
-        rows = []
-        sup = 0.0
-        for n in ns:
-            val = float(np.sum(coef * tables[n]).real)
-            ratio = val / denom
-            sup = max(sup, ratio)
-            rows.append(OrnsteinRow(n=n, delta_value=val, ratio=ratio))
+        rows = [OrnsteinRow(n=n, delta_value=val, ratio=val / denom) for n, val in zip(ns, vals)]
+        sup = max(0.0, max(row.ratio for row in rows))
         overall = max(overall, sup)
         reports.append(OrnsteinElementReport(
             element_label=label, denominator=denom, rows=rows, sup_ratio=sup))
 
-    ident = np.eye(ctx.dim_a)
-    period = next((p for p in range(1, max(ns) + 1)
-                   if operator_norm(powers[p - lo] - ident) < 1e-9), None)
+    # the first p with ‖U^p − 1‖ < 1e-9, from one batched norm over the powers 1..max
+    recur = np.linalg.norm(powers[1 - lo:] - np.eye(ctx.dim_a), ord=2, axis=(1, 2)) < 1e-9
+    period = int(np.argmax(recur)) + 1 if recur.any() else None
     return OrnsteinScan(reports=reports, period=period, skipped=skipped,
                         sup_ratio=overall)
 

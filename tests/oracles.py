@@ -12,6 +12,10 @@ is re-derived by brute force over the basis elements and their pairs.
 Group-element matrices are rebuilt one element at a time from matrix
 powers, and the dual-system square Δ_n(c*c) by the full pair loop at each
 n, as the package computed them before their power and square tables.
+The finite Ornstein ratios are summed one element and one n at a time, the
+dual correlations are tested one n at a time, and elements are drawn by the
+sampler that rebuilt its alphabet on every call, as the package did before
+it solved shift times once per key and batched the finite scan.
 """
 
 import itertools
@@ -20,7 +24,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ncjoin.algebra import FAITHFULNESS_MIN_EIG, VALIDATION_TOL, AlgebraElement
-from ncjoin.dual import DeltaEvaluation, QQi
+from ncjoin.dual import IDENTITY_PERM, DeltaEvaluation, FinPerm, QQi, word_multiply
+from ncjoin.joinings import _diagonal_values
 
 
 def invariant_transportation_max(mu, nu, sigma, tau, cost):
@@ -266,3 +271,51 @@ def delta_n_reference(sys, c, n):
     assert square.im == 0
     product = sum((coef.abs2() for coef in c.values()), QQi().re)
     return DeltaEvaluation(value=value, square_value=square.re, product_square=product)
+
+
+def ornstein_ratio_reference(ctx, c, window):
+    """(denominator, Δ_n values) of one element of a mirror context, one sum per n."""
+    _, rep = ctx.A.gns
+    coef = (c.adjoint() @ c).coords()[ctx.pair_index]
+    tables = _diagonal_values(ctx, np.array(
+        [element_matrix_reference(rep, (n,)) for n in window]))
+    return (float(np.sum(coef * ctx.product_values()).real),
+            [float(np.sum(coef * table).real) for table in tables])
+
+
+def correlation_reference(sys, a, b, n_range):
+    """(raw, centered) correlations μ(α^n(a) b), testing every g of a at every n."""
+    mean = a.get(sys.identity(), QQi()) * b.get(sys.identity(), QQi())
+    raw = []
+    for n in n_range:
+        acc = QQi()
+        for g, cg in a.items():
+            dh = b.get(sys.inverse(sys.apply_T(g, n)))
+            if dh is not None:
+                acc = acc + cg * dh
+        raw.append(acc)
+    return raw, [v - mean for v in raw]
+
+
+def sample_element_reference(sys, rng, max_len=6):
+    """A random element, drawn after rebuilding and normalizing the alphabet."""
+    letters = []
+    for t in sys.spec.tracks:
+        if t.kind == "cycle":
+            letters.extend((t.id, i) for i in range(t.m))
+        else:
+            letters.extend((t.id, i) for i in range(-4, 5))
+    if sys.family == "free":
+        n = rng.randrange(0, max_len + 1)
+        word = ()
+        for _ in range(n):
+            letter = sys.spec.normalize(letters[rng.randrange(len(letters))])
+            word = word_multiply(sys.spec, word, ((letter, rng.choice((1, -1))),))
+        return word
+    k = rng.randrange(0, min(max_len, len(letters)) + 1)
+    if k < 2:
+        return IDENTITY_PERM
+    chosen = rng.sample(letters, k)
+    images = chosen[:]
+    rng.shuffle(images)
+    return FinPerm(tuple(zip(chosen, images)))

@@ -8,13 +8,15 @@ command.
 """
 
 import importlib.util
+import json
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ncjoin import cli
+from ncjoin import cli, fileio
+from ncjoin.algebra import single_block_system
 from ncjoin.dual import DualSystem
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -35,7 +37,7 @@ BOUNDS = [
      {"algebra.validate_system": 2, "gns.gns_construct": 2, "gns.mirror_system": 1,
       "algebra.Automorphism.compose": 0, "joinings.build_tensor_context": 1}),
     ("classify --system corpus:c3",
-     {"algebra.validate_system": 1, "gns.gns_construct": 1}),
+     {"algebra.validate_system": 1, "gns.gns_construct": 1, "gns.point_spectrum": 1}),
     ("average --system corpus:c3 --x 0 --y 0 --N 100",
      {"algebra.validate_system": 1, "gns.gns_construct": 1}),
     ("cesaro-diagonal --system corpus:c3 --N 12",
@@ -71,6 +73,13 @@ WINDOW_PAIRS = [
      "dual ornstein --group corpus:dual_cycle2 --window 0..512"),
     (DualSystem, "multiply", "dual ornstein --group corpus:dual_finperm_shift --window 0..8",
      "dual ornstein --group corpus:dual_finperm_shift --window 0..512"),
+    (DualSystem, "apply_T", "dual ornstein --group corpus:dual_cycle2 --window 0..8",
+     "dual ornstein --group corpus:dual_cycle2 --window 0..512"),
+    (DualSystem, "apply_T", "dual ornstein --group corpus:dual_finperm_shift --window 0..8",
+     "dual ornstein --group corpus:dual_finperm_shift --window 0..512"),
+    (DualSystem, "apply_T",
+     "dual correlations --group corpus:dual_mixed --a x0;y1 --b x3^-1;y0^-1 --n 0..8",
+     "dual correlations --group corpus:dual_mixed --a x0;y1 --b x3^-1;y0^-1 --n 0..512"),
     (np.linalg, "matrix_power", "average --system corpus:c3 --x 0 --y 0 --N 10",
      "average --system corpus:c3 --x 0 --y 0 --N 1000"),
     (np.linalg, "matrix_power", "average --system corpus:pauli --x 1 --y 2 --N 10",
@@ -103,3 +112,22 @@ def test_window_independent_work_does_not_grow(monkeypatch, owner, attr, small, 
     count = _calls(monkeypatch, owner, attr, small)
     assert count >= 1
     assert _calls(monkeypatch, owner, attr, large) == count
+
+
+def test_period_search_norms_do_not_grow(monkeypatch, tmp_path):
+    """The period search takes one batched norm, also where it finds no period.
+
+    A generic Ad(u) on M3 has no exact period, so the search covers the
+    whole window.
+    """
+    z = np.random.default_rng(4).standard_normal((3, 3, 2)) @ [1, 1j]
+    q, r = np.linalg.qr(z)
+    path = tmp_path / "m3.json"
+    path.write_text(json.dumps(fileio.dump_system(
+        single_block_system(q * (np.diag(r) / abs(np.diag(r)))))))
+    small, large = (f"ornstein --system {path} --window 0..{n}" for n in (4, 64))
+    report, _ = cli.run(large.split())
+    assert report["results"]["period"] is None
+    count = _calls(monkeypatch, np.linalg, "norm", small)
+    assert count >= 1
+    assert _calls(monkeypatch, np.linalg, "norm", large) == count

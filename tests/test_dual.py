@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from ncjoin import cli
 from ncjoin.dual import (
+    CorrelationSeries,
     DualSystem,
     FinPerm,
     QQi,
@@ -24,10 +26,23 @@ from ncjoin.dual import (
     sample_element,
     word_inverse,
     word_multiply,
+    _shift_times,
 )
 from ncjoin import corpus
 from ncjoin.errors import InputFormatError
-from oracles import delta_n_reference
+from oracles import correlation_reference, delta_n_reference, sample_element_reference
+
+
+def _mixed23(family):
+    """Cycle tracks of coprime lengths 2 and 3 next to a shift track."""
+    return DualSystem(family, TrackSpec((
+        Track("x", "cycle", 2), Track("y", "cycle", 3), Track("z", "shift"))))
+
+
+# the corpus dual systems and two generated ones whose orbits mix residue classes
+DUAL_SYSTEMS = {name: corpus.dual(name).system for name in corpus.DUAL_SYSTEMS}
+DUAL_SYSTEMS.update({f"{family}_2_3_shift": _mixed23(family)
+                     for family in ("free", "finperm")})
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +298,65 @@ def test_correlation_series_periodic_no_decay(dual_cycle2):
     assert [v.re for v in s.raw] == [1 if n % 3 == 0 else 0 for n in range(10)]
 
 
+def _random_combination(sysd, rng):
+    """1-4 terms λ(g) with random Gaussian-rational coefficients."""
+    c = {}
+    for _ in range(rng.randint(1, 4)):
+        g = sample_element(sysd, rng, max_len=3)
+        coef = QQi(Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
+                   Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
+        c[g] = c.get(g, QQi()) + coef
+    return c
+
+
+@pytest.mark.parametrize("name", DUAL_SYSTEMS)
+def test_correlation_series_matches_per_n_loop(name):
+    sysd = DUAL_SYSTEMS[name]
+    rng = random.Random(sum(map(ord, name)) + 2)
+    for window in (range(-9, 15), range(-20, -11), range(40, 47)):
+        for _ in range(15):
+            a, b = _random_combination(sysd, rng), _random_combination(sysd, rng)
+            if rng.random() < 0.3:   # an identity term makes the mean nonzero
+                a[sysd.identity()] = QQi(Fraction(1, 2))
+                b[sysd.identity()] = QQi(Fraction(-2), Fraction(1))
+            series = correlation_series(sysd, a, b, window)
+            raw, centered = correlation_reference(sysd, a, b, window)
+            assert series.ns == list(window)
+            assert series.raw == raw
+            assert series.centered == centered
+            cap = series.norm_a2 * series.norm_b2
+            assert series.bound_satisfied() == all(v.abs2() <= cap for v in centered)
+
+
+def test_bound_satisfied_flags_one_violating_value():
+    ok, bad = QQi(Fraction(1, 2)), QQi(Fraction(1), Fraction(1))
+    series = CorrelationSeries(ns=list(range(9)), raw=[ok] * 9, centered=[ok] * 8 + [bad],
+                               norm_a2=Fraction(1), norm_b2=Fraction(1))
+    assert not series.bound_satisfied()
+    series.centered = [ok] * 9
+    assert series.bound_satisfied()
+
+
+@pytest.mark.parametrize("name", corpus.DUAL_SYSTEMS)
+def test_sampler_matches_reference(name):
+    sysd = corpus.dual(name).system
+    for seed in (0, 1, 7, 42):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for max_len in (6, 3, 6):
+            for _ in range(100):
+                assert sample_element(sysd, ours, max_len) == sample_element_reference(
+                    sysd, ref, max_len)
+        ref = random.Random(seed)
+        kinds = [sysd.orbit_length(sample_element_reference(sysd, ref)).kind
+                 for _ in range(300)]
+        report, code = cli.run(["dual", "classify", "--group", f"corpus:{name}",
+                                "--samples", "300", "--seed", str(seed)])
+        assert code == 0
+        coherence = report["results"]["coherence"]
+        assert (coherence["finite_orbits"], coherence["infinite_orbits"]) == (
+            kinds.count("finite"), kinds.count("infinite"))
+
+
 def test_correlation_series_empty_support(dual_shift):
     with pytest.raises(InputFormatError):
         correlation_series(dual_shift, {}, {(): QQi(Fraction(1))}, range(3))
@@ -361,9 +435,33 @@ def _random_pair_combination(sysd, rng):
     return c
 
 
-@pytest.mark.parametrize("name", corpus.DUAL_SYSTEMS)
+@pytest.mark.parametrize("name", DUAL_SYSTEMS)
+def test_shift_times_match_brute_force(name):
+    sysd = DUAL_SYSTEMS[name]
+    rng = random.Random(sum(map(ord, name)) + 1)
+    window = range(-30, 31)
+    for _ in range(60):
+        w = sample_element(sysd, rng)
+        # half the keys are reachable from w, half are independent draws
+        if rng.random() < 0.5:
+            v = sysd.apply_T(w, rng.randint(-12, 12))
+        else:
+            v = sample_element(sysd, rng)
+        times = _shift_times(sysd, w, v)
+        hits = [n for n in window if sysd.apply_T(w, n) == v]
+        if times is None:
+            assert hits == []
+        elif times[1] == 0:
+            assert hits == [times[0]]
+        else:
+            r, p = times
+            assert 0 <= r < p == sysd.orbit_length(w).period
+            assert hits == [n for n in window if (n - r) % p == 0]
+
+
+@pytest.mark.parametrize("name", DUAL_SYSTEMS)
 def test_square_table_matches_pair_loop(name):
-    sysd = corpus.dual(name).system
+    sysd = DUAL_SYSTEMS[name]
     rng = random.Random(sum(map(ord, name)))
     window = range(-7, 13)
     for _ in range(30):

@@ -20,6 +20,7 @@ from oracles import (
     compactness_net_reference,
     element_matrix_reference,
     folner_mean_reference,
+    ornstein_ratio_reference,
     recurrence_period_reference,
 )
 
@@ -85,19 +86,22 @@ def test_folner_averages_match_reference(name):
 def test_ornstein_scan_matches_reference(name):
     sysd = SYSTEMS[name]
     ctx = mirror_context(sysd)
-    pairs = [ctx.basis_pair(i, i) for i in range(ctx.dim_a)]
-    _, rep = sysd.gns
+    rng = np.random.default_rng(3)
+    # basis pairs, then elements with every coordinate nonzero
+    elements = [ctx.basis_pair(i, i) for i in range(ctx.dim_a)] + [
+        ctx.structure.from_coords(rng.standard_normal(ctx.dim)
+                                  + 1j * rng.standard_normal(ctx.dim)) for _ in range(3)]
     for window in (range(-4, 5), range(0, 17), range(5, 10), range(-6, 0)):
-        scan = ornstein_ratio_scan(ctx, pairs, window)
+        scan = ornstein_ratio_scan(ctx, elements, window)
         assert scan.period == recurrence_period_reference(sysd, max(window))
-        tables = _diagonal_values(ctx, np.array(
-            [element_matrix_reference(rep, (n,)) for n in window]))
-        prod = ctx.product_values()
-        for c, report in zip(pairs, scan.reports):
-            coef = (c.adjoint() @ c).coords()[ctx.pair_index]
-            denom = float(np.sum(coef * prod).real)
-            for row, table in zip(report.rows, tables):
-                assert abs(row.ratio - float(np.sum(coef * table).real) / denom) <= TOL
+        assert not scan.skipped
+        for c, report in zip(elements, scan.reports):
+            denom, values = ornstein_ratio_reference(ctx, c, window)
+            assert abs(report.denominator - denom) <= TOL * denom
+            for n, row, value in zip(window, report.rows, values):
+                assert row.n == n
+                assert abs(row.delta_value - value) <= TOL * denom
+                assert abs(row.ratio - value / denom) <= TOL
 
 
 def test_ornstein_negative_window_command():
