@@ -497,7 +497,7 @@ def _column_norm(structure: BlockStructure, X: np.ndarray) -> float:
         for off, n in zip(structure.offsets(), structure.block_sizes))
 
 
-def validate_system(sys: FiniteSystem, tol: float = VALIDATION_TOL) -> ValidationReport:
+def validate_system(sys: FiniteSystem) -> ValidationReport:
     """Check every defining invariant, collecting residuals of the failures.
 
     Reported kinds: state_hermiticity, state_trace, faithfulness, unitarity,
@@ -516,7 +516,7 @@ def validate_system(sys: FiniteSystem, tol: float = VALIDATION_TOL) -> Validatio
     report = ValidationReport()
 
     def check(kind: str, where: str, residual: float):
-        if residual > tol:
+        if residual > VALIDATION_TOL:
             report.violations.append(Violation(kind, where, residual))
 
     st = sys.state
@@ -532,7 +532,7 @@ def validate_system(sys: FiniteSystem, tol: float = VALIDATION_TOL) -> Validatio
         where = f"generator {gi}"
         check("unitarity", where, gen.unitarity_residual())
         moved = np.abs(mu @ M - mu)
-        for i in np.flatnonzero(moved > tol):
+        for i in np.flatnonzero(moved > VALIDATION_TOL):
             check("invariance", f"{where}, basis {i}", float(moved[i]))
         check("multiplicativity", where, max(
             float(np.abs(u.conj().T @ u - np.eye(len(u))).max())

@@ -2,11 +2,13 @@
 
 Every command prints a report, as an aligned table by default or as
 canonical JSON with --format json. JSON reports are deterministic: same
-inputs and seed give byte-identical output. Exit codes: 0 success, 1
-internal invariant violation, 2 malformed input (non-finite entries,
-out-of-range arguments, empty windows, unsupported groups), 3 inconclusive
-solver verdict. NCJOIN_MAX_ITER overrides the solver's Newton-step cap
-when --max-iter is not given.
+inputs and seed give byte-identical output. Each command takes only the
+options its handler reads: --format everywhere, the solver's --max-iter
+and --width on `joinings find` and `joinings disjoint`, and --seed on
+`dual classify`. Exit codes: 0 success, 1 internal invariant violation,
+2 malformed input (non-finite entries, out-of-range arguments, empty
+windows, unsupported groups, options a command does not take), 3
+inconclusive solver verdict.
 
 Input files may be replaced by corpus references like ``corpus:c3``.
 """
@@ -17,7 +19,7 @@ import argparse
 import functools
 import hashlib
 import json
-import os
+import math
 import random
 import sys as _sys
 from fractions import Fraction
@@ -256,26 +258,19 @@ def _cmd_average(args):
     return {"system": rec}, results, warnings, "ok"
 
 
-def _solver_kwargs(args):
-    max_iter = args.max_iter
-    if max_iter is None:
-        max_iter = int(os.environ.get("NCJOIN_MAX_ITER", DEFAULT_MAX_ITER))
-    return {"max_iter": max_iter, "width": args.width}
-
-
 def _parse_objective_file(ctx, ref: str):
     label, text = _load_source(ref)
-    try:
-        terms = json.loads(text)["terms"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise InputFormatError(f"{label}: objective file needs a 'terms' list") from exc
+    data = json.loads(text)
+    terms = data.get("terms") if isinstance(data, dict) else None
+    if not isinstance(terms, list):
+        raise InputFormatError(f"{label}: objective file needs a 'terms' list")
     elem = ctx.structure.zero()
     for t in terms:
         try:
             coef = fileio._entry_from_json(t.get("coef", [1.0, 0.0]))
             i, j = _index(t["i"], ctx.dim_a), _index(t["j"], ctx.dim_b)
             elem = elem + coef * ctx.basis_pair(i, j)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"{label}: malformed objective term {t!r}") from exc
     return elem
 
@@ -289,8 +284,7 @@ def _cmd_joinings_find(args):
         objective = _parse_objective_file(ctx, args.objective_file)
     elif args.objective is not None:
         objective = _basis_pair(ctx, args.objective)
-    kw = _solver_kwargs(args)
-    jm, rep = find_joining(ctx, objective=objective, **kw)
+    jm, rep = find_joining(ctx, objective=objective, max_iter=args.max_iter, width=args.width)
     status = "inconclusive" if rep.inconclusive else "ok"
     results = {
         "label": jm.label,
@@ -312,8 +306,7 @@ def _cmd_joinings_disjoint(args):
     A, rec_a = _load_system(args.a)
     B, rec_b = _load_system(args.b)
     ctx = build_tensor_context(A, B)
-    kw = _solver_kwargs(args)
-    cert = disjointness_test(ctx, **kw)
+    cert = disjointness_test(ctx, max_iter=args.max_iter, width=args.width)
     results = {
         "verdict": cert.verdict,
         "tangent_dim": cert.tangent_dim,
@@ -576,6 +569,20 @@ def _cmd_corpus(args):
 # parser
 
 
+def _ranged(convert, ok, need: str):
+    """An argparse type: `convert`, then reject values for which `ok` fails."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+    parse.__name__ = convert.__name__   # argparse names the type in its messages
+    return parse
+
+
+_COUNT = _ranged(int, lambda n: n >= 0, ">= 0")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -585,114 +592,101 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(parent, name, func, summary):
+        p = parent.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--format", choices=("json", "table"), default="table")
-        p.add_argument("--max-iter", type=int, default=None,
-                       help="Newton-step cap of a joining solve")
-        p.add_argument("--width", type=float, default=DEFAULT_WIDTH,
-                       help="gap tolerance: a joining solve ends when upper - lower <= width")
-        p.add_argument("--seed", type=int, default=0)
+        return p
 
-    p = sub.add_parser("classify", help="classification and point spectrum")
+    def solver_options(p):
+        p.add_argument("--max-iter", type=_COUNT, default=DEFAULT_MAX_ITER,
+                       help="Newton-step cap of a joining solve")
+        p.add_argument("--width", type=_ranged(float, lambda w: math.isfinite(w) and w > 0,
+                                               "finite and positive"),
+                       default=DEFAULT_WIDTH,
+                       help="gap tolerance: a joining solve ends when upper - lower <= width")
+
+    p = command(sub, "classify", _cmd_classify, "classification and point spectrum")
     p.add_argument("--system", required=True)
     p.add_argument("--net", action="store_true",
                    help="also compute epsilon-net sizes for the orbit closures")
-    common(p)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("average", help="Cesaro average of a GNS correlation")
+    p = command(sub, "average", _cmd_average, "Cesaro average of a GNS correlation")
     p.add_argument("--system", required=True)
     p.add_argument("--x", required=True, help="basis index, 'omega', or JSON coefficients")
     p.add_argument("--y", required=True)
     p.add_argument("--N", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_average)
 
-    p = sub.add_parser("cesaro-diagonal", help="averaged diagonal state vs the product")
+    p = command(sub, "cesaro-diagonal", _cmd_cesaro_diagonal,
+                "averaged diagonal state vs the product")
     p.add_argument("--system", required=True)
     p.add_argument("--N", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_cesaro_diagonal)
 
     pj = sub.add_parser("joinings", help="joining solver commands")
     jsub = pj.add_subparsers(dest="subcommand", required=True)
 
-    p = jsub.add_parser("find", help="feasible joining, optionally maximizing a direction")
+    p = command(jsub, "find", _cmd_joinings_find,
+                "feasible joining, optionally maximizing a direction")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--objective", default=None, help="basis direction as 'i,j'")
     p.add_argument("--objective-file", default=None,
                    help="JSON file {'terms': [{'i':0,'j':0,'coef':[re,im]}, ...]}")
-    common(p)
-    p.set_defaults(func=_cmd_joinings_find)
+    solver_options(p)
 
-    p = jsub.add_parser("disjoint", help="disjointness certificate")
+    p = command(jsub, "disjoint", _cmd_joinings_disjoint, "disjointness certificate")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_joinings_disjoint)
+    solver_options(p)
 
-    p = jsub.add_parser("diagonal", help="diagonal state or its graph shift")
+    p = command(jsub, "diagonal", _cmd_joinings_diagonal, "diagonal state or its graph shift")
     p.add_argument("--system", required=True)
     p.add_argument("--graph-n", type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_joinings_diagonal)
 
-    p = sub.add_parser("ornstein", help="ratio scan of the shifted diagonal state")
+    p = command(sub, "ornstein", _cmd_ornstein, "ratio scan of the shifted diagonal state")
     p.add_argument("--system", required=True)
     p.add_argument("--window", required=True,
                    help="like 0..32; write a negative start as --window=-4..4")
     p.add_argument("--elements", default=None, help="basis pairs 'i,j;i,j'")
-    common(p)
-    p.set_defaults(func=_cmd_ornstein)
 
     pd = sub.add_parser("dual", help="exact dual-system commands")
     dsub = pd.add_subparsers(dest="subcommand", required=True)
 
-    p = dsub.add_parser("classify", help="exact orbit classification")
+    p = command(dsub, "classify", _cmd_dual_classify, "exact orbit classification")
     p.add_argument("--group", required=True)
-    p.add_argument("--samples", type=int, default=0,
+    p.add_argument("--samples", type=_COUNT, default=0,
                    help="sampled coherence checks between orbits and flags")
-    common(p)
-    p.set_defaults(func=_cmd_dual_classify)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled elements")
 
-    p = dsub.add_parser("orbit", help="orbit certificate of one element")
+    p = command(dsub, "orbit", _cmd_dual_orbit, "orbit certificate of one element")
     p.add_argument("--group", required=True)
     p.add_argument("--word", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_dual_orbit)
 
-    p = dsub.add_parser("correlations", help="exact centered correlation series")
+    p = command(dsub, "correlations", _cmd_dual_correlations,
+                "exact centered correlation series")
     p.add_argument("--group", required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--n", required=True,
                    help="window like 0..64; write a negative start as --n=-4..4")
-    common(p)
-    p.set_defaults(func=_cmd_dual_correlations)
 
-    p = dsub.add_parser("ornstein", help="exact ratio scan with escape bounds")
+    p = command(dsub, "ornstein", _cmd_dual_ornstein, "exact ratio scan with escape bounds")
     p.add_argument("--group", required=True)
     p.add_argument("--window", required=True,
                    help="like 0..32; write a negative start as --window=-4..4")
     p.add_argument("--elements", default=None,
                    help="pair combination like '1 * x0 | x0; x1 | x1'")
-    common(p)
-    p.set_defaults(func=_cmd_dual_ornstein)
 
-    p = dsub.add_parser("joining", help="finite-orbit joining with the opposite group")
+    p = command(dsub, "joining", _cmd_dual_joining,
+                "finite-orbit joining with the opposite group")
     p.add_argument("--group", required=True)
     p.add_argument("--experiment", action="store_true",
                    help="scan compact candidates for an ergodic input; draws no conclusion")
-    common(p)
-    p.set_defaults(func=_cmd_dual_joining)
 
-    p = sub.add_parser("corpus", help="bundled example corpus")
+    p = command(sub, "corpus", _cmd_corpus, "bundled example corpus")
     p.add_argument("action", choices=("list", "show", "export"))
     p.add_argument("name", nargs="?", default=None,
                    help="corpus entry for 'show', directory for 'export'")
-    common(p)
-    p.set_defaults(func=_cmd_corpus)
 
     return ap
 
@@ -702,9 +696,7 @@ def _error_report(command: str, message: str) -> dict:
             "status": "error", "error": message}
 
 
-def run(argv=None) -> tuple[dict, int]:
-    """Execute one command; returns (report, exit code)."""
-    args = build_parser().parse_args(argv)
+def _execute(args) -> tuple[dict, int]:
     command = args.command + ("." + args.subcommand if hasattr(args, "subcommand") else "")
     try:
         inputs, results, warnings, status = args.func(args)
@@ -723,18 +715,16 @@ def run(argv=None) -> tuple[dict, int]:
     return report, 0 if status == "ok" else 3
 
 
+def run(argv=None) -> tuple[dict, int]:
+    """Execute one command; returns (report, exit code)."""
+    return _execute(build_parser().parse_args(argv))
+
+
 def main(argv=None) -> int:
-    report, code = run(argv)
-    fmt = "table"
-    argv_list = list(argv) if argv is not None else _sys.argv[1:]
-    for pos, tok in enumerate(argv_list):
-        if tok == "--format" and pos + 1 < len(argv_list):
-            fmt = argv_list[pos + 1]
-        elif tok.startswith("--format="):
-            fmt = tok.split("=", 1)[1]
-    out = emit_report(report, fmt)
+    args = build_parser().parse_args(argv)
+    report, code = _execute(args)
     stream = _sys.stderr if report["status"] == "error" else _sys.stdout
-    print(out, file=stream)
+    print(emit_report(report, args.format), file=stream)
     return code
 
 

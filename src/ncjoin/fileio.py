@@ -26,10 +26,8 @@ in words through the returned alias table.
 from __future__ import annotations
 
 import cmath
-import json
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -71,14 +69,12 @@ def matrix_to_json(m: np.ndarray):
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _read(source) -> dict:
-    if isinstance(source, dict):
-        return source
-    text = Path(source).read_text()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{source}: not valid JSON ({exc})") from exc
+def _expect(value, kind: type, what: str):
+    """`value`, which must be a JSON object (dict) or array (list)."""
+    if not isinstance(value, kind):
+        raise InputFormatError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, "
+                               f"got {type(value).__name__}")
+    return value
 
 
 def load_group(data) -> GroupDescriptor:
@@ -97,26 +93,27 @@ def load_group(data) -> GroupDescriptor:
     raise InputFormatError(f"unknown group kind {kind!r}")
 
 
-def load_system(source) -> FiniteSystem:
-    data = _read(source)
+def load_system(data) -> FiniteSystem:
+    """The system of a parsed system file."""
+    _expect(data, dict, "a system file")
     try:
         structure = BlockStructure(tuple(int(n) for n in data["blocks"]))
-    except (KeyError, TypeError, StructureError) as exc:
+    except (KeyError, TypeError, ValueError, StructureError) as exc:
         raise InputFormatError(f"malformed blocks: {exc}") from exc
     try:
         density_m = matrix_from_json(data["state"]["density"])
         density = structure.from_block_matrix(density_m)
-    except (KeyError, StructureError) as exc:
+    except (KeyError, TypeError, StructureError) as exc:
         raise InputFormatError(f"malformed state: {exc}") from exc
     state = FaithfulState(structure, density.blocks)
     group = load_group(data.get("group", {"kind": "Z"}))
     gens = []
-    for gi, g in enumerate(data.get("generators", [])):
+    for gi, g in enumerate(_expect(data.get("generators", []), list, "'generators'")):
         try:
             perm = tuple(int(p) for p in g["perm"])
             unitary = structure.from_block_matrix(matrix_from_json(g["unitary"]))
             gens.append(Automorphism(structure, perm, unitary.blocks))
-        except (KeyError, TypeError, StructureError) as exc:
+        except (KeyError, TypeError, ValueError, StructureError) as exc:
             raise InputFormatError(f"malformed generator {gi}: {exc}") from exc
     try:
         return FiniteSystem(structure, state, group, gens)
@@ -159,13 +156,14 @@ class DualFile:
         return re.sub(r"[A-Za-z_]+(?![-\d])", sub, text)
 
 
-def load_dual(source) -> DualFile:
-    data = _read(source)
+def load_dual(data) -> DualFile:
+    """The group of a parsed dual-system file, with its 'h' aliases."""
+    _expect(data, dict, "a dual-system file")
     family = data.get("family")
     if family not in ("free", "finperm"):
         raise InputFormatError(f"family must be 'free' or 'finperm', got {family!r}")
     tracks = []
-    for t in data.get("tracks", []):
+    for t in _expect(data.get("tracks", []), list, "'tracks'"):
         try:
             kind = t["kind"]
             if kind == "cycle":
@@ -174,13 +172,13 @@ def load_dual(source) -> DualFile:
                 tracks.append(Track(t["id"], "shift"))
             else:
                 raise InputFormatError(f"unknown track kind {kind!r}")
-        except (KeyError, TypeError, StructureError) as exc:
+        except (KeyError, TypeError, ValueError, StructureError) as exc:
             raise InputFormatError(f"malformed track {t!r}: {exc}") from exc
     aliases: dict[str, str] = {}
     if "h" in data and data["h"] is not None:
         if family != "finperm":
             raise InputFormatError("'h' is only meaningful for the finperm family")
-        cycles = data["h"].get("cycles", [])
+        cycles = _expect(_expect(data["h"], dict, "'h'").get("cycles", []), list, "'h' cycles")
         for ci, cyc in enumerate(cycles):
             # track ids must be purely alphabetic; digits belong to indices
             suffix = ""
@@ -193,7 +191,7 @@ def load_dual(source) -> DualFile:
             tid = f"h{suffix}"
             if any(t.id == tid for t in tracks):
                 raise InputFormatError(f"track id {tid} collides with an 'h' cycle")
-            names = [str(x) for x in cyc]
+            names = [str(x) for x in _expect(cyc, list, "an 'h' cycle")]
             for name in names:
                 if not re.fullmatch(r"[A-Za-z_]+", name):
                     raise InputFormatError(

@@ -42,7 +42,8 @@ from .errors import (
 
 EIG_CLUSTER_TOL = 1e-8
 NULLSPACE_TOL = 1e-8
-DEFAULT_SIGMA_SAMPLES = (0.1, 0.7, 1.3)
+SIGMA_SAMPLES = (0.1, 0.7, 1.3)   # the times t at which σ_t(P) = P is checked
+NET_WINDOW = 512                  # group elements of an infinite orbit in compactness_net
 
 
 @dataclass
@@ -161,31 +162,31 @@ def gns_construct(sys: FiniteSystem) -> tuple[GnsSpace, UnitaryRep]:
     return space, rep
 
 
-def _null_space(m: np.ndarray, tol: float = NULLSPACE_TOL) -> np.ndarray:
+def _null_space(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the null space, via SVD."""
     if m.size == 0:
         return np.zeros((m.shape[1], 0), dtype=complex)
     _, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > tol))
+    rank = int(np.sum(s > NULLSPACE_TOL))
     return vh[rank:].conj().T
 
 
-def _cluster_values(values, tol):
-    """Group complex values into clusters of diameter ~tol; returns means."""
+def _cluster_values(values):
+    """Group complex values into clusters of diameter ~EIG_CLUSTER_TOL; returns means."""
     reps: list[complex] = []
     for v in sorted(values, key=lambda z: (round(z.real, 12), round(z.imag, 12))):
         for i, r in enumerate(reps):
-            if abs(v - r) < tol:
+            if abs(v - r) < EIG_CLUSTER_TOL:
                 break
         else:
             reps.append(complex(v))
     return reps
 
 
-def _fix_phase(col: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Make the first coordinate of magnitude > tol real positive."""
+def _fix_phase(col: np.ndarray) -> np.ndarray:
+    """Make the first coordinate of magnitude > 1e-10 real positive."""
     for entry in col:
-        if abs(entry) > tol:
+        if abs(entry) > 1e-10:
             return col * (abs(entry) / entry)
     return col
 
@@ -206,7 +207,7 @@ def _joint_eigenspaces(onb_unitaries: list[np.ndarray]):
         for chars, B in spaces:
             comp = B.conj().T @ U @ B
             cands = [v for v in np.linalg.eigvals(comp) if abs(abs(v) - 1.0) < 1e-6]
-            for v in _cluster_values(cands, EIG_CLUSTER_TOL):
+            for v in _cluster_values(cands):
                 ns = _null_space(U @ B - v * B)
                 if ns.shape[1] == 0:
                     continue
@@ -250,13 +251,13 @@ def point_spectrum(sys: FiniteSystem) -> list[PointSpectrumEntry]:
     return entries
 
 
-def point_spectrum_overlap(entries_a, entries_b, tol: float = EIG_CLUSTER_TOL):
-    """Character tuples occurring in both spectra (compared within tol)."""
+def point_spectrum_overlap(entries_a, entries_b):
+    """Character tuples occurring in both spectra (compared within EIG_CLUSTER_TOL)."""
     common = []
     for ea in entries_a:
         for eb in entries_b:
             if len(ea.eigenvalue) == len(eb.eigenvalue) and all(
-                    abs(x - y) < tol for x, y in zip(ea.eigenvalue, eb.eigenvalue)):
+                    abs(x - y) < EIG_CLUSTER_TOL for x, y in zip(ea.eigenvalue, eb.eigenvalue)):
                 common.append(ea.eigenvalue)
                 break
     return common
@@ -339,13 +340,13 @@ def classify_finite(sys: FiniteSystem) -> Classification:
     )
 
 
-def compactness_net(sys: FiniteSystem, eps: float = 0.1, cap: int = 512) -> list[int]:
+def compactness_net(sys: FiniteSystem, eps: float = 0.1) -> list[int]:
     """Greedy eps-net sizes for the orbits of the basis vectors.
 
     Exercises total boundedness directly instead of quoting the
     finite-dimension shortcut. Orbits are enumerated over a symmetric window
-    of group elements (all of them for Z_m) and points farther than eps from
-    the net extend it.
+    of about NET_WINDOW group elements (all of them for Z_m) and points
+    farther than eps from the net extend it.
     """
     space, rep = sys.gns
     d = space.dimension
@@ -353,9 +354,9 @@ def compactness_net(sys: FiniteSystem, eps: float = 0.1, cap: int = 512) -> list
     if group.kind == "Zm":
         exponents = [(j,) for j in range(group.m)]
     elif group.kind == "Z":
-        exponents = [(j,) for j in range(-cap // 2, cap // 2 + 1)]
+        exponents = [(j,) for j in range(-NET_WINDOW // 2, NET_WINDOW // 2 + 1)]
     else:
-        side = max(2, int(round(cap ** (1.0 / group.k))))
+        side = max(2, int(round(NET_WINDOW ** (1.0 / group.k))))
         rng = range(-side, side + 1)
         exponents = [tuple(t) for t in itertools.product(rng, repeat=group.k)]
     orbit = rep.of_elements(exponents, onb=True)
@@ -396,7 +397,7 @@ def cesaro_correlation(sys: FiniteSystem, x, y, n: int) -> CesaroResult:
     limit = space.inner(x, omega) * space.inner(omega, y)
     deviation = abs(value - limit)
     bound = 2.0 / n * space.norm(x) * space.norm(y)
-    ergodic = classify_finite(sys).ergodic
+    ergodic = len(fixed_point_algebra(sys)) == 1
     return CesaroResult(value=value, deviation=deviation, bound=bound, ergodic=ergodic)
 
 
@@ -506,16 +507,15 @@ def eigenoperator(sys: FiniteSystem, chi) -> AlgebraElement:
     return u
 
 
-def spectral_atoms(u: AlgebraElement, cluster_tol: float = EIG_CLUSTER_TOL,
-                   unitary_tol: float = 1e-8):
+def spectral_atoms(u: AlgebraElement):
     """Spectral decomposition of a unitary element: [(value, projector), ...].
 
-    Eigenvalues closer than cluster_tol count as one atom. Projectors are
+    Eigenvalues closer than EIG_CLUSTER_TOL count as one atom. Projectors are
     Hermitian idempotents obtained blockwise; degenerate clusters are
     re-orthonormalized.
     """
     ident = u.structure.identity()
-    if (u.adjoint() @ u - ident).norm() > unitary_tol:
+    if (u.adjoint() @ u - ident).norm() > 1e-8:
         raise NonUnitaryError("element is not unitary within tolerance")
     all_vals = []
     per_block = []
@@ -523,12 +523,12 @@ def spectral_atoms(u: AlgebraElement, cluster_tol: float = EIG_CLUSTER_TOL,
         vals, vecs = np.linalg.eig(b)
         per_block.append((vals, vecs))
         all_vals.extend(vals)
-    atoms = _cluster_values(all_vals, cluster_tol)
+    atoms = _cluster_values(all_vals)
     out = []
     for v in atoms:
         blocks = []
         for (vals, vecs), n in zip(per_block, [blk.shape[0] for blk in u.blocks]):
-            sel = [j for j in range(len(vals)) if abs(vals[j] - v) < cluster_tol]
+            sel = [j for j in range(len(vals)) if abs(vals[j] - v) < EIG_CLUSTER_TOL]
             if not sel:
                 blocks.append(np.zeros((n, n), dtype=complex))
                 continue
@@ -651,21 +651,20 @@ class ModularInvarianceResult:
     t_samples: tuple[float, ...]
 
 
-def modular_invariance_check(sys: FiniteSystem, P: AlgebraElement,
-                             t_samples=DEFAULT_SIGMA_SAMPLES) -> ModularInvarianceResult:
+def modular_invariance_check(sys: FiniteSystem, P: AlgebraElement) -> ModularInvarianceResult:
     """max_t ‖σ_t(P) - P‖ for a projection P, plus the J P Ω = P Ω residual."""
     ident_res = max((P @ P - P).norm(), (P.adjoint() - P).norm())
     if ident_res > 1e-8:
         raise NonProjectionError(f"P is not a projection (residual {ident_res:.3e})")
     md = modular_data(sys)
     space, _ = sys.gns
-    res = max((md.sigma(t, P) - P).norm() for t in t_samples)
+    res = max((md.sigma(t, P) - P).norm() for t in SIGMA_SAMPLES)
     jp = md.apply_conjugation(P.coords())
     vec_res = space.norm(jp - P.coords())
     return ModularInvarianceResult(
         sigma_residual=res,
         conjugation_vector_residual=vec_res,
-        t_samples=tuple(t_samples),
+        t_samples=SIGMA_SAMPLES,
     )
 
 

@@ -51,7 +51,7 @@ from .errors import (
     NonJoiningError,
     UnsupportedGroupError,
 )
-from .gns import GnsSpace, UnitaryRep, classify_finite
+from .gns import GnsSpace, UnitaryRep, fixed_point_algebra
 
 DEFAULT_MAX_ITER = 500    # Newton steps of one barrier solve
 DEFAULT_WIDTH = 1e-6      # a solve ends when upper − lower ≤ width
@@ -451,7 +451,7 @@ def _objective(ctx: TensorContext, objective) -> tuple[np.ndarray, float, str]:
 
 
 def _barrier_solve(ctx: TensorContext, tangent: _TangentSpace, k: np.ndarray, top: float,
-                   label: str, width: float, max_iter: int):
+                   label: str, width: float, max_iter: int, beat_product: bool = False):
     """Maximize Re Σ k_q z_q over the joining set ρ⊗ + Σ t_i V_i ⪰ 0.
 
     Two certificates need no solve: Z = top·1 − c gives the spectral bound
@@ -463,7 +463,8 @@ def _barrier_solve(ctx: TensorContext, tangent: _TangentSpace, k: np.ndarray, to
     direction, strictly inside the joining set. A step with Newton
     decrement below 1 is close to the central path: it offers its dual
     point as a certificate, kept only when it is checked PSD, and the
-    barrier weight η grows.
+    barrier weight η grows. With `beat_product` the steps also go on until
+    the value exceeds the product's, as a witness must.
     """
     basis = tangent.basis
     prod = ctx.product_values().reshape(-1)
@@ -476,15 +477,16 @@ def _barrier_solve(ctx: TensorContext, tangent: _TangentSpace, k: np.ndarray, to
     upper, dual = (flat, np.zeros(ctx.dim, dtype=complex)) if flat < top else \
         (top, top * ident - c)
     lower, best = c0, np.zeros(len(basis))
+    floor = c0 if beat_product else -math.inf
     steps = solves = 0
-    if upper - lower > width:
+    if upper - lower > width or lower <= floor:
         solves = 1
         nu = sum(idx.shape[0] * idx.shape[1] for idx in ctx.blocks)   # barrier parameter
         eta = nu / (upper - c0)
         x = best
         try:
             grad, hess, parts = _newton_terms(ctx, basis, prod)
-            while upper - lower > width and steps < max_iter:
+            while (upper - lower > width or lower <= floor) and steps < max_iter:
                 rhs = eta * g + grad
                 dt = np.linalg.solve(hess, rhs)
                 dec = float(dt @ rhs)   # squared Newton decrement
@@ -531,6 +533,11 @@ def _barrier_solve(ctx: TensorContext, tangent: _TangentSpace, k: np.ndarray, to
     return jm, report
 
 
+def _check_solver_options(max_iter: int, width: float):
+    if not (max_iter >= 0 and math.isfinite(width) and width > 0):
+        raise ValueError(f"need max_iter >= 0 and a finite width > 0, got {max_iter}, {width}")
+
+
 def find_joining(ctx: TensorContext, objective=None, max_iter: int = DEFAULT_MAX_ITER,
                  width: float = DEFAULT_WIDTH):
     """Feasible joining, optionally maximizing Re ω(c) for a direction c.
@@ -540,6 +547,7 @@ def find_joining(ctx: TensorContext, objective=None, max_iter: int = DEFAULT_MAX
     (see `SolveReport`); it is inconclusive when the gap upper − lower is
     still above `width` after `max_iter` Newton steps.
     """
+    _check_solver_options(max_iter, width)
     tangent = _tangent_space(ctx)
     if objective is None:
         prod = product_joining(ctx)
@@ -560,7 +568,8 @@ class DisjointnessCertificate:
     of the constraints on Hermitian tables (the rank gap). "not_disjoint":
     `witness` is a joining other than the product, `witness_gap` above it
     along `witness_direction`. "inconclusive": the rank gap is below
-    rounding, or the witness solve did not close its gap.
+    rounding, or the witness solve did not close its gap or did not get
+    above the product.
     """
 
     verdict: str                      # disjoint | not_disjoint | inconclusive
@@ -581,8 +590,10 @@ def disjointness_test(ctx: TensorContext, max_iter: int = DEFAULT_MAX_ITER,
     T gives the joinings μ⊗ν ± εV: the product is the only joining iff
     T = {0}. Otherwise the witness is the first direction w·(e_i ⊗ f_j), in
     (i, j, w) order with w = 1, i, −1, −i, whose Hermitian part is not
-    orthogonal to T, maximized by `find_joining`'s solver.
+    orthogonal to T, maximized by `find_joining`'s solver until its value
+    exceeds the product's.
     """
+    _check_solver_options(max_iter, width)
     tangent = _tangent_space(ctx)
     cert = DisjointnessCertificate(verdict="inconclusive", tangent_dim=len(tangent.basis),
                                    min_margin=tangent.rank_gap)
@@ -601,11 +612,13 @@ def disjointness_test(ctx: TensorContext, max_iter: int = DEFAULT_MAX_ITER,
         cert.directions_scanned = 4 * ctx.dim
         return cert
     cert.directions_scanned = pos + 1
-    witness, report = _barrier_solve(ctx, tangent, k, top, f"witness({i},{j})", width, max_iter)
-    if not report.inconclusive:
+    witness, report = _barrier_solve(ctx, tangent, k, top, f"witness({i},{j})", width, max_iter,
+                                     beat_product=True)
+    gap = report.lower - float((k @ ctx.product_values().reshape(-1)).real)
+    if not report.inconclusive and gap > 0:
         cert.verdict = "not_disjoint"
         cert.witness_direction = (i, j, w)
-        cert.witness_gap = report.lower - float((k @ ctx.product_values().reshape(-1)).real)
+        cert.witness_gap = gap
         cert.witness = witness
     return cert
 
@@ -621,14 +634,13 @@ class ConditionalExpectation:
     intertwining_residual: float
 
 
-def conditional_expectation(ctx: TensorContext, joining: JoiningMatrix,
-                            pre_tol: float = 1e-6) -> ConditionalExpectation:
+def conditional_expectation(ctx: TensorContext, joining: JoiningMatrix) -> ConditionalExpectation:
     """Operator P* with ⟨γ_μ(a*), P* γ_ν(b)⟩ = ω(a ⊗ b).
 
     For a joining this is a contraction intertwining the two unitary
     representations; the product state yields the rank-one map b ↦ ν(b) Ω.
     """
-    if residual_magnitude(joining.residuals) > pre_tol:
+    if residual_magnitude(joining.residuals) > 1e-6:
         raise NonJoiningError(
             f"matrix violates the joining battery: {joining.residuals}")
     X = np.linalg.solve(_state_products(ctx), joining.values)
@@ -641,8 +653,7 @@ def conditional_expectation(ctx: TensorContext, joining: JoiningMatrix,
     return ConditionalExpectation(matrix=X, norm=norm, intertwining_residual=inter)
 
 
-def joining_face_dimension(ctx: TensorContext, joining: JoiningMatrix,
-                           rank_tol: float = 1e-7) -> int:
+def joining_face_dimension(ctx: TensorContext, joining: JoiningMatrix) -> int:
     """Dimension of the face of the joining set that has the joining inside it.
 
     The face is {t : P⊥·V(t) = 0 on every density block}, with V(t) = Σ t_i V_i
@@ -650,7 +661,7 @@ def joining_face_dimension(ctx: TensorContext, joining: JoiningMatrix,
     of the joining's density: a Hermitian perturbation that vanishes on the
     kernel keeps its range inside the range of the density. The kernel of a
     block of size N is spanned by its eigenvectors with eigenvalue at most
-    N·rank_tol. Zero means the state is an extreme point of the joining set.
+    N·1e-7. Zero means the state is an extreme point of the joining set.
     """
     basis = _tangent_space(ctx).basis
     if not len(basis):
@@ -658,7 +669,7 @@ def joining_face_dimension(ctx: TensorContext, joining: JoiningMatrix,
     images = []
     for idx, X in _herm_blocks(joining.values.reshape(-1), ctx):
         vals, vecs = np.linalg.eigh(X)
-        kernel = vecs * (vals <= rank_tol * X.shape[-1])[:, None, :]
+        kernel = vecs * (vals <= 1e-7 * X.shape[-1])[:, None, :]
         images.append((kernel.conj().swapaxes(-1, -2) @ basis[:, idx]).reshape(len(basis), -1))
     M = np.concatenate(images, axis=1)
     s = np.linalg.svd(np.concatenate([M.real, M.imag], axis=1), compute_uv=False)
@@ -683,7 +694,7 @@ def cesaro_diagonal_average(sys: FiniteSystem, n: int) -> CesaroDiagonalResult:
     acc = _diagonal_values(ctx, ctx.rep_a.folner_mean(sys.group, n))
     deviation = float(np.max(np.abs(acc - ctx.product_values())))
     return CesaroDiagonalResult(values=acc, deviation=deviation,
-                                ergodic=classify_finite(sys).ergodic)
+                                ergodic=len(fixed_point_algebra(sys)) == 1)
 
 
 @dataclass
@@ -714,15 +725,15 @@ class OrnsteinScan:
 
 
 def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
-                        labels=None, degenerate_tol: float = 1e-12) -> OrnsteinScan:
+                        labels=None) -> OrnsteinScan:
     """Table of Δ_n(c*c) / (μ ⊙ μ̃)(c*c) over a window of shifts.
 
     `ctx` is `mirror_context(sys)`, the tensor algebra of the system
     `ctx.A` with its promoted mirror, in which the elements live.
     Nontrivial finite systems recur instead of mixing, so the scan also
     reports the recurrence period of the dynamics when one exists within
-    the window. Degenerate elements (denominator ~ 0) are skipped with a
-    notice.
+    the window. Degenerate elements (denominator at most 1e-12) are skipped
+    with a notice.
     """
     if ctx.A.group.kind != "Z":
         raise UnsupportedGroupError("the ratio scan needs a Z action")
@@ -748,7 +759,7 @@ def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
     reports, skipped = [], []
     overall = 0.0
     for label, denom, vals in zip(labels, denoms.tolist(), values.tolist()):
-        if denom <= degenerate_tol:
+        if denom <= 1e-12:
             skipped.append(label)
             continue
         rows = [OrnsteinRow(n=n, delta_value=val, ratio=val / denom) for n, val in zip(ns, vals)]
@@ -764,8 +775,7 @@ def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
                         sup_ratio=overall)
 
 
-def scan_compact_disjointness(sys: FiniteSystem, candidates,
-                              **solver_kwargs) -> list[dict]:
+def scan_compact_disjointness(sys: FiniteSystem, candidates) -> list[dict]:
     """Disjointness of `sys` from each named candidate system.
 
     A finite corpus scan only; disjointness from every member of a corpus
@@ -775,7 +785,7 @@ def scan_compact_disjointness(sys: FiniteSystem, candidates,
     rows = []
     for name, cand in candidates:
         ctx = build_tensor_context(sys, cand)
-        cert = disjointness_test(ctx, **solver_kwargs)
+        cert = disjointness_test(ctx)
         rows.append({
             "candidate": name,
             "verdict": cert.verdict,

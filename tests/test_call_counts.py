@@ -39,10 +39,10 @@ BOUNDS = [
     ("classify --system corpus:c3",
      {"algebra.validate_system": 1, "gns.gns_construct": 1, "gns.point_spectrum": 1}),
     ("average --system corpus:c3 --x 0 --y 0 --N 100",
-     {"algebra.validate_system": 1, "gns.gns_construct": 1}),
+     {"algebra.validate_system": 1, "gns.gns_construct": 1, "gns.point_spectrum": 0}),
     ("cesaro-diagonal --system corpus:c3 --N 12",
      {"algebra.validate_system": 2, "gns.gns_construct": 2,
-      "algebra.Automorphism.compose": 0}),
+      "algebra.Automorphism.compose": 0, "gns.point_spectrum": 0}),
     ("joinings disjoint --a corpus:c2 --b corpus:c3",
      {"algebra.validate_system": 2, "gns.gns_construct": 2}),
     ("joinings diagonal --system corpus:c2 --graph-n 1",

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from ncjoin import corpus, fileio
 from ncjoin.algebra import validate_system
 from ncjoin.cli import build_parser, emit_report, main, run
 from ncjoin.errors import InputFormatError
+from ncjoin.joinings import residual_magnitude
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +95,9 @@ def test_json_report_roundtrips(capsys):
 
 def test_reports_are_deterministic():
     r1, c1 = run(["dual", "ornstein", "--group", "corpus:dual_cycle2",
-                  "--window", "0..8", "--format", "json", "--seed", "3"])
+                  "--window", "0..8", "--format", "json"])
     r2, c2 = run(["dual", "ornstein", "--group", "corpus:dual_cycle2",
-                  "--window", "0..8", "--format", "json", "--seed", "3"])
+                  "--window", "0..8", "--format", "json"])
     assert c1 == c2 == 0
     assert emit_report(r1, "json") == emit_report(r2, "json")
 
@@ -249,13 +251,6 @@ def test_inconclusive_solver_exits_3(capsys):
     assert report["results"]["verdict"] == "inconclusive"
 
 
-def test_max_iter_env_override(monkeypatch):
-    monkeypatch.setenv("NCJOIN_MAX_ITER", "777")
-    report, code = run(["joinings", "find", "--a", "corpus:c2", "--b", "corpus:c2",
-                        "--format", "json"])
-    assert code == 0   # product path does not iterate, but the env must parse
-
-
 def test_reused_parser_matches_fresh_parsers():
     commands = [
         ["joinings", "find", "--a", "corpus:c2", "--b", "corpus:c2", "--objective", "0,0",
@@ -331,3 +326,98 @@ def test_malformed_objective_term_exits_2(tmp_path, term):
     report, code = run(["joinings", "find", "--a", "corpus:c2", "--b", "corpus:c2",
                         "--objective-file", str(p)])
     assert code == 2, report
+
+
+@pytest.mark.parametrize("name,content", [
+    ("classify --system", []),
+    ("dual classify --group", []),
+    ("classify --system", {**corpus.raw("c2"), "generators": 5}),
+    ("classify --system", {**corpus.raw("c2"), "state": 5}),
+    ("classify --system", {**corpus.raw("c2"), "blocks": ["a", 1]}),
+    ("dual classify --group", {"family": "free", "tracks": [{"id": "y", "kind": "cycle",
+                                                               "m": "x"}]}),
+    ("dual classify --group", {"family": "finperm", "tracks": 5}),
+    ("dual classify --group", {"family": "finperm", "tracks": [], "h": 5}),
+    ("dual classify --group", {"family": "finperm", "tracks": [], "h": {"cycles": [3]}}),
+    ("joinings find --a corpus:c2 --b corpus:c2 --objective-file", {"terms": 5}),
+    ("joinings find --a corpus:c2 --b corpus:c2 --objective-file", {"terms": [1]}),
+    ("joinings find --a corpus:c2 --b corpus:c2 --objective-file", []),
+])
+def test_malformed_json_shapes_exit_2(tmp_path, name, content):
+    p = tmp_path / "shape.json"
+    p.write_text(json.dumps(content))
+    report, code = run(name.split() + [str(p)])
+    assert code == 2, report
+    assert report["status"] == "error"
+    assert not report["error"].startswith("internal invariant violation")
+
+
+# the options of every subcommand: a new option shows up as a change to this table
+OPTIONS = {
+    "classify": {"--system", "--net"},
+    "average": {"--system", "--x", "--y", "--N"},
+    "cesaro-diagonal": {"--system", "--N"},
+    "joinings find": {"--a", "--b", "--objective", "--objective-file", "--max-iter", "--width"},
+    "joinings disjoint": {"--a", "--b", "--max-iter", "--width"},
+    "joinings diagonal": {"--system", "--graph-n"},
+    "ornstein": {"--system", "--window", "--elements"},
+    "dual classify": {"--group", "--samples", "--seed"},
+    "dual orbit": {"--group", "--word"},
+    "dual correlations": {"--group", "--a", "--b", "--n"},
+    "dual ornstein": {"--group", "--window", "--elements"},
+    "dual joining": {"--group", "--experiment"},
+    "corpus": {"action", "name"},
+}
+
+
+def _subcommands(parser, prefix=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommands(sub, prefix + (name,))
+            return
+    yield " ".join(prefix), parser
+
+
+def test_each_subcommand_takes_its_own_options():
+    surface = {
+        name: {opt for a in p._actions if not isinstance(a, argparse._HelpAction)
+               for opt in a.option_strings or [a.dest]}
+        for name, p in _subcommands(build_parser())
+    }
+    assert surface == {name: opts | {"--format"} for name, opts in OPTIONS.items()}
+
+
+def test_format_abbreviation_is_read_by_the_parser(capsys):
+    assert main(["classify", "--system", "corpus:c2", "--form", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+
+@pytest.mark.parametrize("argv", [
+    "classify --system corpus:c2 --width 1e-3",
+    "ornstein --system corpus:c2 --window 0..4 --max-iter 9",
+    "dual ornstein --group corpus:dual_cycle2 --window 0..8 --seed 3",
+    "joinings find --a corpus:c2 --b corpus:c2 --objective 0,0 --width nan",
+    "joinings find --a corpus:c2 --b corpus:c2 --objective 0,0 --width inf",
+    "joinings find --a corpus:c2 --b corpus:c2 --objective 0,0 --width 0",
+    "joinings find --a corpus:c2 --b corpus:c2 --objective 0,0 --width=-1e-3",
+    "joinings find --a corpus:c2 --b corpus:c2 --objective 0,0 --max-iter=-1",
+    "joinings disjoint --a corpus:c2 --b corpus:c2 --width nan",
+    "joinings disjoint --a corpus:c2 --b corpus:c2 --max-iter=-1",
+    "dual classify --group corpus:dual_shift --samples=-3",
+])
+def test_foreign_or_out_of_range_options_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["c2", "pauli"])
+def test_wide_witness_exceeds_the_product(name, capsys):
+    assert main(["joinings", "disjoint", "--a", f"corpus:{name}", "--b", f"corpus:{name}",
+                 "--width", "1", "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["verdict"] == "not_disjoint"
+    assert results["witness"]["gap"] > 0.1
+    assert residual_magnitude(results["witness"]["residuals"]) < 1e-8

@@ -171,6 +171,28 @@ def test_find_joining_without_objective(c2, c3):
     assert rep.residual < 1e-12
 
 
+@pytest.mark.parametrize("options", [
+    {"width": math.nan}, {"width": math.inf}, {"width": 0.0}, {"width": -1e-3},
+    {"max_iter": -1},
+])
+def test_solver_options_out_of_range_raise(c2, options):
+    ctx = build_tensor_context(c2, corpus.system("c2"))
+    with pytest.raises(ValueError):
+        find_joining(ctx, objective=(0, 0), **options)
+    with pytest.raises(ValueError):
+        disjointness_test(ctx, **options)
+
+
+def test_witness_exceeds_the_product_at_any_width(c2):
+    ctx = build_tensor_context(c2, corpus.system("c2"))
+    product = product_joining(ctx).values[0, 0].real
+    for width in (1.0, 10.0):
+        cert = disjointness_test(ctx, width=width)
+        assert cert.verdict == "not_disjoint"
+        assert cert.witness_gap > 0
+        assert cert.witness.values[0, 0].real == pytest.approx(product + cert.witness_gap)
+
+
 def test_find_joining_c2xc2_matches_lp_oracle(c2):
     ctx = build_tensor_context(c2, corpus.system("c2"))
     jm, rep = find_joining(ctx, objective=(0, 0))
