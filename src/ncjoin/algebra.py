@@ -15,6 +15,13 @@ is the GNS unitary of the automorphism, and validation reads every
 invariant from it and from the normal form, without applying the map to
 basis elements.
 
+Blockwise kernels run once per block size, not once per block: a
+`BlockStructure` groups its blocks by size (`size_groups`), and norms,
+eigenvalues and Kronecker products act on one ``(m, n, n)`` stack per size.
+So the number of numpy calls of validation, the GNS unitaries and the
+mirror does not grow with the number of blocks. A stack of 1×1 blocks
+takes ``abs`` where a larger one takes an SVD.
+
 A `FiniteSystem` is immutable and owns its derived data: its validation
 report, GNS data and mirror system are each built on first use and kept on
 the instance. The builders `validate_system`, `gns.gns_construct` and
@@ -26,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +55,33 @@ def operator_norm(m: np.ndarray) -> float:
     """Largest singular value."""
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def _operator_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of an (m, n, n) stack."""
+    if stack.shape[-1] == 1:
+        return np.abs(stack[:, 0, 0])
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
+def _adjoints(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
+
+
+def _kron_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """kron(x_k, y_k) for each k of two (m, n, n) stacks, as one (m, n², n²) array."""
+    m, n, _ = x.shape
+    return (x[:, :, None, :, None] * y[:, None, :, None, :]).reshape(m, n * n, n * n)
+
+
+class SizeGroup(NamedTuple):
+    """The blocks of one size n, in ascending order, and the canonical
+    indices of their matrix units: row k of `units` lists block blocks[k]."""
+
+    size: int
+    blocks: np.ndarray   # (m,)
+    units: np.ndarray    # (m, n²)
 
 
 @dataclass(frozen=True)
@@ -77,12 +111,28 @@ class BlockStructure:
         """Side length of the block-diagonal matrix embedding."""
         return sum(self.block_sizes)
 
-    def offsets(self) -> list[int]:
-        offs, acc = [], 0
-        for n in self.block_sizes:
-            offs.append(acc)
-            acc += n * n
-        return offs
+    @cached_property
+    def _offsets(self) -> tuple[int, ...]:
+        return tuple(itertools.accumulate((n * n for n in self.block_sizes[:-1]), initial=0))
+
+    def offsets(self) -> tuple[int, ...]:
+        """Canonical index of the first matrix unit of every block."""
+        return self._offsets
+
+    @cached_property
+    def size_groups(self) -> tuple[SizeGroup, ...]:
+        """The blocks grouped by size, sizes in order of first appearance."""
+        by_size: dict[int, list[int]] = {}
+        for k, n in enumerate(self.block_sizes):
+            by_size.setdefault(n, []).append(k)
+        offs = self.offsets()
+        return tuple(
+            SizeGroup(n, np.array(ks), np.array([offs[k] for k in ks])[:, None] + np.arange(n * n))
+            for n, ks in by_size.items())
+
+    def stacks(self, blocks) -> list[np.ndarray]:
+        """One (m, n, n) array per size group of a list of blocks."""
+        return [np.array([blocks[k] for k in g.blocks.tolist()]) for g in self.size_groups]
 
     def basis_index(self, block: int, row: int, col: int) -> int:
         n = self.block_sizes[block]
@@ -103,10 +153,15 @@ class BlockStructure:
         local = np.arange(self.dimension) - np.array(self.offsets())[k]
         return k, local // sizes[k], local % sizes[k]
 
+    @cached_property
+    def adjoint_indices(self) -> np.ndarray:
+        """Index of the adjoint (matrix-unit transpose) of every basis element."""
+        k, r, c = self.addresses()
+        return np.array(self.offsets())[k] + c * np.array(self.block_sizes)[k] + r
+
     def adjoint_index(self, i: int) -> int:
-        """Index of the adjoint of basis element i (matrix-unit transpose)."""
-        k, r, c = self.basis_address(i)
-        return self.basis_index(k, c, r)
+        """Index of the adjoint of basis element i."""
+        return int(self.adjoint_indices[i])
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, [np.zeros((n, n), dtype=complex) for n in self.block_sizes])
@@ -164,8 +219,11 @@ def _block_diag(blocks, size):
 
 def sandwich_matrix(left: "AlgebraElement", right: "AlgebraElement") -> np.ndarray:
     """Coordinate matrix of a ↦ left·a·right: kron(left_k, right_kᵀ) on block k."""
-    return _block_diag([np.kron(x, y.T) for x, y in zip(left.blocks, right.blocks)],
-                       left.structure.dimension)
+    s = left.structure
+    out = np.zeros((s.dimension,) * 2, dtype=complex)
+    for g, x, y in zip(s.size_groups, left.stacks(), right.stacks()):
+        out[g.units[:, :, None], g.units[:, None, :]] = _kron_stack(x, y.swapaxes(-1, -2))
+    return out
 
 
 @dataclass
@@ -216,12 +274,15 @@ class AlgebraElement:
     def coords(self) -> np.ndarray:
         return self.structure.coords(self)
 
+    def stacks(self) -> list[np.ndarray]:
+        return self.structure.stacks(self.blocks)
+
     def transpose(self) -> "AlgebraElement":
         return AlgebraElement(self.structure, [b.T.copy() for b in self.blocks])
 
     def norm(self) -> float:
         """Operator norm: max over blocks of the largest singular value."""
-        return max(operator_norm(b) for b in self.blocks)
+        return max(float(_operator_norms(x).max()) for x in self.stacks())
 
     def block_matrix(self) -> np.ndarray:
         return _block_diag(self.blocks, self.structure.matrix_size)
@@ -263,14 +324,20 @@ class FaithfulState:
     def density_element(self) -> AlgebraElement:
         return AlgebraElement(self.structure, [b.copy() for b in self.density])
 
+    def stacks(self) -> list[np.ndarray]:
+        return self.structure.stacks(self.density)
+
     def min_eigenvalue(self) -> float:
-        return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min()) for b in self.density)
+        return min(float(np.linalg.eigvalsh((x + _adjoints(x)) / 2).min()) for x in self.stacks())
 
     def trace(self) -> float:
-        return float(sum(np.trace(b).real for b in self.density))
+        traces = np.empty(self.structure.num_blocks)
+        for g, x in zip(self.structure.size_groups, self.stacks()):
+            traces[g.blocks] = np.trace(x, axis1=-2, axis2=-1).real
+        return float(sum(traces.tolist()))   # in block order, whatever the grouping
 
     def hermiticity_residual(self) -> float:
-        return max(operator_norm(b - b.conj().T) for b in self.density)
+        return max(float(_operator_norms(x - _adjoints(x)).max()) for x in self.stacks())
 
 
 def uniform_state(structure: BlockStructure) -> FaithfulState:
@@ -326,10 +393,12 @@ class Automorphism:
         block k, input block perm[k]) is kron(u_k, conj(u_k)) and every
         other block is zero.
         """
-        offs = self.structure.offsets()
-        out = np.zeros((self.structure.dimension,) * 2, dtype=complex)
-        for k, (u, p) in enumerate(zip(self.conjugator, self.block_perm)):
-            out[offs[k]:offs[k] + u.size, offs[p]:offs[p] + u.size] = np.kron(u, u.conj())
+        s = self.structure
+        source = np.array(s.offsets())[list(self.block_perm)]   # first unit of the input block
+        out = np.zeros((s.dimension,) * 2, dtype=complex)
+        for g, u in zip(s.size_groups, self.stacks()):
+            read = source[g.blocks, None] + np.arange(g.size ** 2)
+            out[g.units[:, :, None], read[:, None, :]] = _kron_stack(u, u.conj())
         return out
 
     def compose(self, other: "Automorphism") -> "Automorphism":
@@ -362,11 +431,12 @@ class Automorphism:
                 base = base.compose(base)
         return out if out is not None else identity_automorphism(self.structure)
 
+    def stacks(self) -> list[np.ndarray]:
+        return self.structure.stacks(self.conjugator)
+
     def unitarity_residual(self) -> float:
-        return max(
-            operator_norm(u.conj().T @ u - np.eye(u.shape[0]))
-            for u in self.conjugator
-        )
+        return max(float(_operator_norms(_adjoints(u) @ u - np.eye(u.shape[-1])).max())
+                   for u in self.stacks())
 
 
 def identity_automorphism(structure: BlockStructure) -> Automorphism:
@@ -493,8 +563,8 @@ class ValidationReport:
 def _column_norm(structure: BlockStructure, X: np.ndarray) -> float:
     """Largest operator norm of an element whose coordinates are a column of X."""
     return max(
-        float(np.linalg.norm(X[off:off + n * n].T.reshape(-1, n, n), 2, axis=(-2, -1)).max())
-        for off, n in zip(structure.offsets(), structure.block_sizes))
+        float(_operator_norms(X[g.units].swapaxes(1, 2).reshape(-1, g.size, g.size)).max())
+        for g in structure.size_groups)
 
 
 def validate_system(sys: FiniteSystem) -> ValidationReport:
@@ -534,12 +604,14 @@ def validate_system(sys: FiniteSystem) -> ValidationReport:
         moved = np.abs(mu @ M - mu)
         for i in np.flatnonzero(moved > VALIDATION_TOL):
             check("invariance", f"{where}, basis {i}", float(moved[i]))
+        stacks = gen.stacks()
         check("multiplicativity", where, max(
-            float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
-            * float(np.linalg.norm(u, axis=0).max()) ** 2
-            for u in gen.conjugator))
+            float((np.abs(_adjoints(u) @ u - np.eye(u.shape[-1])).max(axis=(1, 2))
+                   * np.linalg.norm(u, axis=1).max(axis=1) ** 2).max())
+            for u in stacks))
         check("unital", where, max(
-            operator_norm(u @ u.conj().T - np.eye(len(u))) for u in gen.conjugator))
+            float(_operator_norms(u @ _adjoints(u) - np.eye(u.shape[-1])).max())
+            for u in stacks))
 
     if sys.group.kind == "Zk":
         for a, b in itertools.combinations(range(len(mats)), 2):

@@ -8,7 +8,8 @@ and --width on `joinings find` and `joinings disjoint`, and --seed on
 `dual classify`. Exit codes: 0 success, 1 internal invariant violation,
 2 malformed input (non-finite entries, out-of-range arguments, empty
 windows, unsupported groups, options a command does not take), 3
-inconclusive solver verdict.
+inconclusive solver verdict. A reader that closes the output early, as
+`| head` does, ends the command quietly with its own exit code.
 
 Input files may be replaced by corpus references like ``corpus:c3``.
 """
@@ -20,6 +21,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import random
 import sys as _sys
 from fractions import Fraction
@@ -724,7 +726,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     report, code = _execute(args)
     stream = _sys.stderr if report["status"] == "error" else _sys.stdout
-    print(emit_report(report, args.format), file=stream)
+    try:
+        print(emit_report(report, args.format), file=stream, flush=True)
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): what is left of the report is
+        # dropped, and so is the interpreter's own final flush of the stream
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return code
 
 

@@ -77,6 +77,13 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; a float, boolean or string is an error, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputFormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def load_group(data) -> GroupDescriptor:
     if not isinstance(data, dict) or "kind" not in data:
         raise InputFormatError("group must be an object with a 'kind'")
@@ -85,9 +92,9 @@ def load_group(data) -> GroupDescriptor:
         if kind == "Z":
             return GroupDescriptor("Z")
         if kind == "Zk":
-            return GroupDescriptor("Zk", k=int(data["k"]))
+            return GroupDescriptor("Zk", k=_integer(data["k"], "group k"))
         if kind == "Zm":
-            return GroupDescriptor("Zm", m=int(data["m"]))
+            return GroupDescriptor("Zm", m=_integer(data["m"], "group m"))
     except (KeyError, ValueError, StructureError) as exc:
         raise InputFormatError(f"malformed group descriptor: {exc}") from exc
     raise InputFormatError(f"unknown group kind {kind!r}")
@@ -97,7 +104,7 @@ def load_system(data) -> FiniteSystem:
     """The system of a parsed system file."""
     _expect(data, dict, "a system file")
     try:
-        structure = BlockStructure(tuple(int(n) for n in data["blocks"]))
+        structure = BlockStructure(tuple(_integer(n, "a block size") for n in data["blocks"]))
     except (KeyError, TypeError, ValueError, StructureError) as exc:
         raise InputFormatError(f"malformed blocks: {exc}") from exc
     try:
@@ -110,7 +117,7 @@ def load_system(data) -> FiniteSystem:
     gens = []
     for gi, g in enumerate(_expect(data.get("generators", []), list, "'generators'")):
         try:
-            perm = tuple(int(p) for p in g["perm"])
+            perm = tuple(_integer(p, "a perm entry") for p in g["perm"])
             unitary = structure.from_block_matrix(matrix_from_json(g["unitary"]))
             gens.append(Automorphism(structure, perm, unitary.blocks))
         except (KeyError, TypeError, ValueError, StructureError) as exc:
@@ -167,7 +174,7 @@ def load_dual(data) -> DualFile:
         try:
             kind = t["kind"]
             if kind == "cycle":
-                tracks.append(Track(t["id"], "cycle", int(t["m"])))
+                tracks.append(Track(t["id"], "cycle", _integer(t["m"], "track m")))
             elif kind == "shift":
                 tracks.append(Track(t["id"], "shift"))
             else:

@@ -128,9 +128,6 @@ def build_tensor_context(A: FiniteSystem, B: FiniteSystem) -> TensorContext:
                   + (ra * nb + rb) * np.array(structure.block_sizes)[k] + ca * nb + cb)
     position = np.empty(structure.dimension, dtype=int)
     position[pair_index.reshape(-1)] = np.arange(structure.dimension)
-    by_size: dict[int, list[np.ndarray]] = {}
-    for off, n in zip(structure.offsets(), structure.block_sizes):
-        by_size.setdefault(n, []).append(position[off:off + n * n].reshape(n, n))
 
     # μ(E_rc) = ρ[c, r]: the state's values are the coordinates of ρᵀ
     mu = A.state.density_element().transpose().coords()
@@ -139,7 +136,7 @@ def build_tensor_context(A: FiniteSystem, B: FiniteSystem) -> TensorContext:
         A=A, B=B, structure=structure,
         space_a=space_a, rep_a=rep_a, space_b=space_b, rep_b=rep_b,
         mu=mu, nu=nu, pair_index=pair_index,
-        blocks=[np.array(group) for group in by_size.values()],
+        blocks=[position[g.units].reshape(-1, g.size, g.size) for g in structure.size_groups],
     )
 
 
@@ -234,7 +231,7 @@ def mirror_context(sys: FiniteSystem) -> TensorContext:
 
 def _state_products(ctx: TensorContext) -> np.ndarray:
     """M[p, q] = μ(e_p e_q) = gram[adj(p), q] on the first leg, since e_p = (e_adj(p))*."""
-    return ctx.space_a.gram[[ctx.A.structure.adjoint_index(p) for p in range(ctx.dim_a)]]
+    return ctx.space_a.gram[ctx.A.structure.adjoint_indices]
 
 
 def _diagonal_values(ctx: TensorContext, shift: np.ndarray) -> np.ndarray:
@@ -446,7 +443,7 @@ def _objective(ctx: TensorContext, objective) -> tuple[np.ndarray, float, str]:
     if not isinstance(objective, AlgebraElement):
         raise NcjoinError("objective must be an AlgebraElement or a basis index pair")
     h = 0.5 * (objective + objective.adjoint())
-    top = max(float(np.linalg.eigvalsh(b).max()) for b in h.blocks)
+    top = max(float(np.linalg.eigvalsh(x).max()) for x in h.stacks())
     return h.coords()[ctx.pair_index].reshape(-1), top, label
 
 

@@ -5,6 +5,10 @@ built, so one command validates and builds the GNS data of each system it
 loads (and of the mirror system it promotes) once. The tracer in perfbench/
 is loaded from its file and never modified; it is uninstalled after each
 command.
+
+Work that should not grow with a window or with the number of blocks is
+counted by wrapping numpy functions and comparing a small input with a
+large one.
 """
 
 import importlib.util
@@ -16,8 +20,14 @@ import numpy as np
 import pytest
 
 from ncjoin import cli, fileio
-from ncjoin.algebra import single_block_system
+from ncjoin.algebra import (
+    cyclic_rotation_system,
+    identity_system,
+    single_block_system,
+    validate_system,
+)
 from ncjoin.dual import DualSystem
+from ncjoin.gns import mirror_system
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -131,3 +141,36 @@ def test_period_search_norms_do_not_grow(monkeypatch, tmp_path):
     count = _calls(monkeypatch, np.linalg, "norm", small)
     assert count >= 1
     assert _calls(monkeypatch, np.linalg, "norm", large) == count
+
+
+# numpy kernels that a per-block loop would call once per block
+BLOCK_KERNELS = [(np.linalg, "norm"), (np.linalg, "svd"), (np.linalg, "eigvalsh"),
+                 (np.linalg, "eigh"), (np, "kron")]
+
+
+def _kernel_calls(monkeypatch, sysd):
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for owner, attr in BLOCK_KERNELS:
+            m.setattr(owner, attr, counted(attr, getattr(owner, attr)))
+        assert validate_system(sysd).valid
+        mirror_system(sysd)
+    return calls
+
+
+@pytest.mark.parametrize("small,large", [
+    (cyclic_rotation_system(4), cyclic_rotation_system(24)),
+    (identity_system((2, 1, 3)), identity_system((2, 1, 3) * 8)),
+], ids=["C4-C24", "sizes-2-1-3-x1-x8"])
+def test_block_kernels_run_once_per_block_size(monkeypatch, small, large):
+    """Validation and the mirror make as many kernel calls for 24 blocks as for 4."""
+    count = _kernel_calls(monkeypatch, small)
+    assert sum(count.values()) >= 1
+    assert _kernel_calls(monkeypatch, large) == count

@@ -1,9 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ncjoin
 from ncjoin import corpus, fileio
 from ncjoin.algebra import validate_system
 from ncjoin.cli import build_parser, emit_report, main, run
@@ -352,6 +357,39 @@ def test_malformed_json_shapes_exit_2(tmp_path, name, content):
     assert not report["error"].startswith("internal invariant violation")
 
 
+# integer fields: (command, corpus file, path to the field, value the loader accepts)
+INTEGER_FIELDS = [
+    ("classify --system", "c2", ("blocks", 0), 1),
+    ("classify --system", "c2", ("generators", 0, "perm", 0), 1),
+    ("classify --system", "pauli", ("group", "k"), 2),
+    ("classify --system", "c2", ("group", "m"), 2),
+    ("dual classify --group", "dual_cycle2", ("tracks", 0, "m"), 2),
+]
+
+
+@pytest.mark.parametrize("command,name,path,valid", INTEGER_FIELDS,
+                         ids=[".".join(map(str, p)) for _, _, p, _ in INTEGER_FIELDS])
+@pytest.mark.parametrize("bad", ["half", "bool"])
+def test_non_integer_fields_exit_2(tmp_path, command, name, path, valid, bad):
+    """A float is not truncated and a boolean is not read as 0 or 1."""
+    data = corpus.raw(name)
+    if path[:2] == ("group", "m"):
+        data["group"] = {"kind": "Zm", "m": valid}
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    assert target[path[-1]] == valid
+    p = tmp_path / "ints.json"
+    p.write_text(json.dumps(data))
+    report, code = run(command.split() + [str(p)])
+    assert code == 0, report
+    target[path[-1]] = valid + 0.5 if bad == "half" else valid == 1
+    p.write_text(json.dumps(data))
+    report, code = run(command.split() + [str(p)])
+    assert code == 2, report
+    assert "must be an integer" in report["error"]
+
+
 # the options of every subcommand: a new option shows up as a change to this table
 OPTIONS = {
     "classify": {"--system", "--net"},
@@ -421,3 +459,20 @@ def test_wide_witness_exceeds_the_product(name, capsys):
     assert results["verdict"] == "not_disjoint"
     assert results["witness"]["gap"] > 0.1
     assert residual_magnitude(results["witness"]["residuals"]) < 1e-8
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that goes away before the report is written (`| head`) gets
+    no traceback, and the command keeps its exit code."""
+    src = str(Path(ncjoin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ncjoin.cli", "classify", "--system", "corpus:c2",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()   # before the interpreter has even imported numpy
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
