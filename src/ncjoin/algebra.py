@@ -20,7 +20,10 @@ Blockwise kernels run once per block size, not once per block: a
 eigenvalues and Kronecker products act on one ``(m, n, n)`` stack per size.
 So the number of numpy calls of validation, the GNS unitaries and the
 mirror does not grow with the number of blocks. A stack of 1×1 blocks
-takes ``abs`` where a larger one takes an SVD.
+takes ``abs`` where a larger one takes an SVD. An `AlgebraElement` is one
+flat coordinate vector: sums and scalar multiples act on it directly, the
+adjoint and transpose are one permutation of it, and its stacks are one
+fancy index per size.
 
 A `FiniteSystem` is immutable and owns its derived data: its validation
 report, GNS data and mirror system are each built on first use and kept on
@@ -138,13 +141,17 @@ class BlockStructure:
         n = self.block_sizes[block]
         return self.offsets()[block] + row * n + col
 
+    def _check_index(self, i: int) -> None:
+        if not 0 <= i < self.dimension:
+            raise IndexError(f"basis index {i} out of range 0..{self.dimension - 1}")
+
     def basis_address(self, i: int) -> tuple[int, int, int]:
         """Inverse of basis_index: canonical index -> (block, row, col)."""
+        self._check_index(i)
         for k, (off, n) in enumerate(zip(self.offsets(), self.block_sizes)):
             if i < off + n * n:
                 r, c = divmod(i - off, n)
                 return k, r, c
-        raise IndexError(f"basis index {i} out of range")
 
     def addresses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(block, row, col) arrays of every canonical index; basis_address, vectorized."""
@@ -163,32 +170,29 @@ class BlockStructure:
         """Index of the adjoint of basis element i."""
         return int(self.adjoint_indices[i])
 
+    @cached_property
+    def _identity_coords(self) -> np.ndarray:
+        _, r, c = self.addresses()
+        return (r == c).astype(complex)
+
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, [np.zeros((n, n), dtype=complex) for n in self.block_sizes])
+        return AlgebraElement.of_vector(self, np.zeros(self.dimension, dtype=complex))
 
     def identity(self) -> "AlgebraElement":
-        return AlgebraElement(self, [np.eye(n, dtype=complex) for n in self.block_sizes])
+        return AlgebraElement.of_vector(self, self._identity_coords.copy())
 
     def basis_element(self, i: int) -> "AlgebraElement":
-        k, r, c = self.basis_address(i)
-        a = self.zero()
-        a.blocks[k][r, c] = 1.0
-        return a
-
-    def coords(self, a: "AlgebraElement") -> np.ndarray:
-        """Coordinates in the canonical matrix-unit basis (length ``dimension``)."""
-        return np.concatenate([b.reshape(-1) for b in a.blocks])
+        self._check_index(i)
+        v = np.zeros(self.dimension, dtype=complex)
+        v[i] = 1.0
+        return AlgebraElement.of_vector(self, v)
 
     def from_coords(self, v) -> "AlgebraElement":
-        v = _as_complex(v).reshape(-1)
+        v = np.array(v, dtype=complex).reshape(-1)
         if v.size != self.dimension:
             raise DimensionMismatchError(
                 f"coordinate vector has length {v.size}, expected {self.dimension}")
-        blocks, pos = [], 0
-        for n in self.block_sizes:
-            blocks.append(v[pos:pos + n * n].reshape(n, n).copy())
-            pos += n * n
-        return AlgebraElement(self, blocks)
+        return AlgebraElement.of_vector(self, v)
 
     def from_block_matrix(self, m, tol: float = VALIDATION_TOL) -> "AlgebraElement":
         """Slice a block-diagonal matrix into blocks; off-block mass is an error."""
@@ -226,23 +230,37 @@ def sandwich_matrix(left: "AlgebraElement", right: "AlgebraElement") -> np.ndarr
     return out
 
 
-@dataclass
 class AlgebraElement:
-    """Element of ``⊕_k M_{n_k}``, stored blockwise. Treated as immutable."""
+    """Element of ``⊕_k M_{n_k}``, stored as its canonical coordinate vector.
 
-    structure: BlockStructure
-    blocks: list[np.ndarray]
+    `blocks` are (n, n) views of that vector, built on first read. The
+    linear operations act on the vector, and products act on one stack per
+    block size. Treated as immutable.
+    """
 
-    def __post_init__(self):
-        if len(self.blocks) != self.structure.num_blocks:
+    def __init__(self, structure: BlockStructure, blocks):
+        if len(blocks) != structure.num_blocks:
             raise StructureError("block count mismatch")
-        fixed = []
-        for k, (b, n) in enumerate(zip(self.blocks, self.structure.block_sizes)):
+        flat = []
+        for k, (b, n) in enumerate(zip(blocks, structure.block_sizes)):
             b = _as_complex(b)
             if b.shape != (n, n):
                 raise StructureError(f"block {k} has shape {b.shape}, expected ({n}, {n})")
-            fixed.append(b)
-        self.blocks = fixed
+            flat.append(b.reshape(-1))
+        self.structure = structure
+        self._coords = np.concatenate(flat)
+
+    @classmethod
+    def of_vector(cls, structure: BlockStructure, v: np.ndarray) -> "AlgebraElement":
+        """Wrap a complex coordinate vector of length ``dimension``; not copied."""
+        a = cls.__new__(cls)
+        a.structure, a._coords = structure, v
+        return a
+
+    @cached_property
+    def blocks(self) -> list[np.ndarray]:
+        v, s = self._coords, self.structure
+        return [v[off:off + n * n].reshape(n, n) for off, n in zip(s.offsets(), s.block_sizes)]
 
     def _check_same(self, other: "AlgebraElement"):
         if self.structure.block_sizes != other.structure.block_sizes:
@@ -250,35 +268,43 @@ class AlgebraElement:
                 f"block structures differ: {self.structure.block_sizes} vs "
                 f"{other.structure.block_sizes}")
 
+    def _same(self, v: np.ndarray) -> "AlgebraElement":
+        return AlgebraElement.of_vector(self.structure, v)
+
     def __add__(self, other):
         self._check_same(other)
-        return AlgebraElement(self.structure, [a + b for a, b in zip(self.blocks, other.blocks)])
+        return self._same(self._coords + other._coords)
 
     def __sub__(self, other):
         self._check_same(other)
-        return AlgebraElement(self.structure, [a - b for a, b in zip(self.blocks, other.blocks)])
+        return self._same(self._coords - other._coords)
 
     def __neg__(self):
-        return AlgebraElement(self.structure, [-b for b in self.blocks])
+        return self._same(-self._coords)
 
     def __rmul__(self, scalar):
-        return AlgebraElement(self.structure, [complex(scalar) * b for b in self.blocks])
+        return self._same(complex(scalar) * self._coords)
 
     def __matmul__(self, other):
         self._check_same(other)
-        return AlgebraElement(self.structure, [a @ b for a, b in zip(self.blocks, other.blocks)])
+        out = np.empty_like(self._coords)
+        for g, x, y in zip(self.structure.size_groups, self.stacks(), other.stacks()):
+            out[g.units] = (x @ y).reshape(len(g.blocks), -1)
+        return self._same(out)
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.structure, [b.conj().T for b in self.blocks])
+        return self._same(self._coords[self.structure.adjoint_indices].conj())
 
     def coords(self) -> np.ndarray:
-        return self.structure.coords(self)
+        return self._coords.copy()
 
     def stacks(self) -> list[np.ndarray]:
-        return self.structure.stacks(self.blocks)
+        """One (m, n, n) array per size group, each one fancy index of the vector."""
+        return [self._coords[g.units].reshape(-1, g.size, g.size)
+                for g in self.structure.size_groups]
 
     def transpose(self) -> "AlgebraElement":
-        return AlgebraElement(self.structure, [b.T.copy() for b in self.blocks])
+        return self._same(self._coords[self.structure.adjoint_indices])
 
     def norm(self) -> float:
         """Operator norm: max over blocks of the largest singular value."""
@@ -322,7 +348,7 @@ class FaithfulState:
         return complex(sum(np.trace(r @ b) for r, b in zip(self.density, a.blocks)))
 
     def density_element(self) -> AlgebraElement:
-        return AlgebraElement(self.structure, [b.copy() for b in self.density])
+        return AlgebraElement(self.structure, self.density)
 
     def stacks(self) -> list[np.ndarray]:
         return self.structure.stacks(self.density)

@@ -24,6 +24,7 @@ import math
 import os
 import random
 import sys as _sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -380,24 +381,27 @@ def _cmd_cesaro_diagonal(args):
 
 
 def _dual_coherence(sysd: DualSystem, samples: int, seed: int) -> dict:
-    """Sampled cross-checks between orbits, classification and correlations."""
+    """Sampled cross-checks between orbits, classification and correlations.
+
+    Each distinct sample is checked once and counts as often as it was drawn.
+    """
     rng = random.Random(seed)
     cls = classify_dual(sysd)
     finite_seen = infinite_seen = 0
     violations = 0
-    for _ in range(samples):
-        g = sample_element(sysd, rng)
+    drawn = Counter(sample_element(sysd, rng) for _ in range(samples))
+    for g, count in drawn.items():
         cert = sysd.orbit_length(g)
         if cert.kind == "finite":
-            finite_seen += 1
+            finite_seen += count
             if sysd.apply_T(g, cert.period) != g:
-                violations += 1
+                violations += count
             if cls.ergodic and not sysd.is_identity(g):
-                violations += 1
+                violations += count
         else:
-            infinite_seen += 1
+            infinite_seen += count
             if cls.compact:
-                violations += 1
+                violations += count
     return {
         "samples": samples,
         "seed": seed,

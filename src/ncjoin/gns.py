@@ -88,7 +88,8 @@ class UnitaryRep:
 
     Group elements get their matrices from power tables: a generator's
     powers over an exponent range cost one `matrix_power` at its start and
-    one matmul per further step.
+    one matmul per further step. Følner means need only each generator's
+    power sum over its box, which doubling gets in O(log N) matmuls.
     """
 
     matrices: list[np.ndarray]
@@ -113,6 +114,23 @@ class UnitaryRep:
             out = step if out is None else out @ step
         return out
 
+    def power_sum(self, k: int, lo: int, hi: int) -> np.ndarray:
+        """Σ U_k^j over j = lo..hi (0 ≤ lo ≤ hi), by binary doubling.
+
+        Reading the bits of the count m = hi − lo + 1 from the top, the sum
+        S_m = Σ_{j<m} U^j and the power U^m double as S_2m = S_m + U^m·S_m,
+        and a set bit adds U^2m; so the sum takes O(log m) matmuls.
+        """
+        U = self.matrices[k]
+        total, power = np.eye(len(U), dtype=complex), U
+        for bit in bin(hi - lo + 1)[3:]:
+            total = total + power @ total
+            power = power @ power
+            if bit == "1":
+                total = total + power
+                power = power @ U
+        return np.linalg.matrix_power(U, lo) @ total
+
     def folner_mean(self, group, n: int) -> np.ndarray:
         """Mean of U_g over the n-th Folner set, a box of exponent ranges.
 
@@ -121,7 +139,7 @@ class UnitaryRep:
         """
         box = group.folner_range(n)
         return functools.reduce(np.matmul, (
-            self.powers(k, box[0], box[-1]).mean(axis=0) for k in range(len(self.matrices))))
+            self.power_sum(k, box[0], box[-1]) / len(box) for k in range(len(self.matrices))))
 
 
 def gns_construct(sys: FiniteSystem) -> tuple[GnsSpace, UnitaryRep]:

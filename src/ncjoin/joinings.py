@@ -44,6 +44,7 @@ from .algebra import (
     AlgebraElement,
     BlockStructure,
     FiniteSystem,
+    _operator_norms,
     operator_norm,
 )
 from .errors import (
@@ -96,14 +97,16 @@ class TensorContext:
 
     def basis_pair(self, i: int, j: int) -> AlgebraElement:
         """The element e_i ⊗ f_j of the product algebra."""
+        if not (0 <= i < self.dim_a and 0 <= j < self.dim_b):
+            raise IndexError(f"basis pair ({i}, {j}) out of range "
+                             f"0..{self.dim_a - 1} × 0..{self.dim_b - 1}")
         return self.structure.basis_element(int(self.pair_index[i, j]))
 
     def tensor_element(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-        blocks = []
-        for ka in range(self.A.structure.num_blocks):
-            for kb in range(self.B.structure.num_blocks):
-                blocks.append(np.kron(a.blocks[ka], b.blocks[kb]))
-        return AlgebraElement(self.structure, blocks)
+        """a ⊗ b: its coordinate at pair_index[i, j] is a_i·b_j."""
+        v = np.empty(self.dim, dtype=complex)
+        v[self.pair_index] = np.outer(a.coords(), b.coords())
+        return AlgebraElement.of_vector(self.structure, v)
 
     def product_values(self) -> np.ndarray:
         return np.outer(self.mu, self.nu)
@@ -156,7 +159,7 @@ def joining_residuals(ctx: TensorContext, values) -> dict:
     for idx, Xh in _herm_blocks(z, ctx):
         zh[idx] = Xh
         skew = 2 * (z[idx] - Xh)   # X − X*
-        herm = max(herm, float(np.linalg.norm(skew, 2, axis=(-2, -1)).max()))
+        herm = max(herm, float(_operator_norms(skew).max()))
         psd_floor = min(psd_floor, float(np.linalg.eigvalsh(Xh).min()))
     V = zh.reshape(ctx.dim_a, ctx.dim_b)
     ua = ctx.A.structure.identity().coords()
@@ -766,7 +769,7 @@ def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
             element_label=label, denominator=denom, rows=rows, sup_ratio=sup))
 
     # the first p with ‖U^p − 1‖ < 1e-9, from one batched norm over the powers 1..max
-    recur = np.linalg.norm(powers[1 - lo:] - np.eye(ctx.dim_a), ord=2, axis=(1, 2)) < 1e-9
+    recur = _operator_norms(powers[1 - lo:] - np.eye(ctx.dim_a)) < 1e-9
     period = int(np.argmax(recur)) + 1 if recur.any() else None
     return OrnsteinScan(reports=reports, period=period, skipped=skipped,
                         sup_ratio=overall)

@@ -20,15 +20,23 @@ The finite Ornstein ratios are summed one element and one n at a time, the
 dual correlations are tested one n at a time, and elements are drawn by the
 sampler that rebuilt its alphabet on every call, as the package did before
 it solved shift times once per key and batched the finite scan.
+
+Algebra elements are sliced into blocks and multiplied one block at a time,
+Følner means sum one power per step, and the sampled coherence counts of
+`dual classify` check every sample on its own, as the package did before it
+stored elements as flat vectors, summed powers by doubling and checked each
+distinct sample once.
 """
 
 import itertools
+import random
 
 import numpy as np
 from scipy.optimize import linprog
 
 from ncjoin.algebra import FAITHFULNESS_MIN_EIG, VALIDATION_TOL, AlgebraElement
-from ncjoin.dual import IDENTITY_PERM, DeltaEvaluation, FinPerm, QQi, word_multiply
+from ncjoin.dual import (IDENTITY_PERM, DeltaEvaluation, FinPerm, QQi, classify_dual,
+                         word_multiply)
 from ncjoin.joinings import _diagonal_values
 
 
@@ -208,6 +216,27 @@ def sandwich_matrix_reference(left, right):
     return out
 
 
+def blocks_reference(structure, v):
+    """The (n, n) blocks of a coordinate vector, sliced and copied one block at a time."""
+    blocks, pos = [], 0
+    for n in structure.block_sizes:
+        blocks.append(np.array(v[pos:pos + n * n], dtype=complex).reshape(n, n))
+        pos += n * n
+    return blocks
+
+
+def product_blocks_reference(a, b):
+    """Blocks of a·b, one matmul per block."""
+    return [x @ y for x, y in zip(blocks_reference(a.structure, a.coords()),
+                                  blocks_reference(b.structure, b.coords()))]
+
+
+def tensor_blocks_reference(a, b):
+    """Blocks of a ⊗ b in the product algebra: one kron per pair of blocks."""
+    return [np.kron(x, y) for x in blocks_reference(a.structure, a.coords())
+            for y in blocks_reference(b.structure, b.coords())]
+
+
 def density_power_reference(sys, z):
     blocks = []
     for b in sys.state.density:
@@ -328,6 +357,20 @@ def folner_mean_reference(sys, n):
     return sum(element_matrix_reference(rep, g) for g in elements) / len(elements)
 
 
+def folner_mean_running_reference(rep, group, n):
+    """Mean of U_g over the n-th Folner set, each generator's box of powers
+    summed by running products, one matmul per power."""
+    box = group.folner_range(n)
+    out = None
+    for U in rep.matrices:
+        power, total = np.linalg.matrix_power(U, box[0]), np.zeros_like(U)
+        for _ in box:
+            total = total + power
+            power = power @ U
+        out = total / len(box) if out is None else out @ (total / len(box))
+    return out
+
+
 def cesaro_correlation_reference(sys, x, y, n):
     """Deviation of the mean of ⟨U_g x, y⟩ from ⟨x, Ω⟩⟨Ω, y⟩, summed per element."""
     space, rep = sys.gns
@@ -434,3 +477,22 @@ def sample_element_reference(sys, rng, max_len=6):
     images = chosen[:]
     rng.shuffle(images)
     return FinPerm(tuple(zip(chosen, images)))
+
+
+def dual_coherence_reference(sys, samples, seed):
+    """The sampled coherence counts of `dual classify`, checked one sample at a time."""
+    rng = random.Random(seed)
+    cls = classify_dual(sys)
+    finite = infinite = violations = 0
+    for _ in range(samples):
+        g = sample_element_reference(sys, rng)
+        cert = sys.orbit_length(g)
+        if cert.kind == "finite":
+            finite += 1
+            violations += (sys.apply_T(g, cert.period) != g) + (
+                cls.ergodic and not sys.is_identity(g))
+        else:
+            infinite += 1
+            violations += cls.compact
+    return {"samples": samples, "seed": seed, "finite_orbits": finite,
+            "infinite_orbits": infinite, "violations": violations}

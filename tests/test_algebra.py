@@ -11,14 +11,18 @@ from ncjoin.algebra import (
     FiniteSystem,
     GroupDescriptor,
     apply_automorphism,
+    AlgebraElement,
     cyclic_rotation_system,
     identity_automorphism,
+    identity_system,
     single_block_system,
     state_eval,
     uniform_state,
     validate_system,
 )
 from ncjoin.errors import DimensionMismatchError, StructureError
+from ncjoin.joinings import build_tensor_context
+from oracles import blocks_reference, product_blocks_reference, tensor_blocks_reference
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -36,6 +40,79 @@ def test_structure_indexing_roundtrip():
     for i in range(s.dimension):
         e = s.basis_element(i)
         assert e.adjoint().isclose(s.basis_element(s.adjoint_index(i)))
+
+
+def test_out_of_range_basis_indices_raise():
+    """Negative indices do not wrap around to the last basis elements."""
+    pauli = corpus.system("pauli")
+    s = pauli.structure
+    for i in (-1, -s.dimension, s.dimension):
+        with pytest.raises(IndexError):
+            s.basis_address(i)
+        with pytest.raises(IndexError):
+            s.basis_element(i)
+    ctx = build_tensor_context(pauli, pauli)
+    for i, j in ((-1, 0), (0, -1), (ctx.dim_a, 0), (0, ctx.dim_b)):
+        with pytest.raises(IndexError):
+            ctx.basis_pair(i, j)
+
+
+def _random_element(s, rng):
+    return s.from_coords(rng.standard_normal(s.dimension) + 1j * rng.standard_normal(s.dimension))
+
+
+def test_coords_and_from_coords_copy():
+    s = BlockStructure((2, 1))
+    v = np.arange(s.dimension, dtype=complex)
+    a = s.from_coords(v)
+    v[0] = 7
+    out = a.coords()
+    out[:] = -1
+    assert np.array_equal(a.coords(), np.arange(s.dimension))
+    assert np.array_equal(a.blocks[0], [[0, 1], [2, 3]])
+    ident = s.identity()
+    ident.coords()[0] = 5
+    assert np.array_equal(s.identity().coords(), [1, 0, 0, 1, 1])
+
+
+@pytest.mark.parametrize("sizes", [(1,), (3,), (2, 1, 3), (1, 1, 1, 1), (3, 2, 2, 1, 2)])
+def test_element_views_match_per_block_construction(sizes):
+    s = BlockStructure(sizes)
+    rng = np.random.default_rng(len(sizes))
+    a, b = _random_element(s, rng), _random_element(s, rng)
+    ref = blocks_reference(s, a.coords())
+
+    def same(element, blocks):
+        return all(np.array_equal(x, y) for x, y in zip(element.blocks, blocks, strict=True))
+
+    assert same(a, ref)
+    assert same(AlgebraElement(s, ref), ref)
+    for x, g in zip(a.stacks(), s.size_groups):
+        assert np.array_equal(x, np.array([ref[k] for k in g.blocks]))
+    assert same(a.adjoint(), [x.conj().T for x in ref])
+    assert same(a.transpose(), [x.T for x in ref])
+    assert same(a + b, [x + y for x, y in zip(ref, b.blocks)])
+    assert same(a - b, [x - y for x, y in zip(ref, b.blocks)])
+    assert same(-a, [-x for x in ref])
+    assert same(0.5j * a, [0.5j * x for x in ref])
+    for x, y in zip((a @ b).blocks, product_blocks_reference(a, b), strict=True):
+        assert np.allclose(x, y, rtol=1e-14, atol=1e-14)
+    assert same(s.zero(), [np.zeros((n, n)) for n in sizes])
+    assert same(s.identity(), [np.eye(n) for n in sizes])
+    for i in range(s.dimension):
+        k, r, c = s.basis_address(i)
+        assert s.basis_element(i).blocks[k][r, c] == 1 and s.basis_element(i).norm() == 1
+    with pytest.raises(StructureError):
+        AlgebraElement(s, ref[:-1] + [np.zeros((sizes[-1] + 1,) * 2)])
+
+
+def test_tensor_element_matches_per_block_kron():
+    A, B = identity_system((2, 1)), identity_system((1, 3, 2))
+    ctx = build_tensor_context(A, B)
+    rng = np.random.default_rng(8)
+    a, b = _random_element(A.structure, rng), _random_element(B.structure, rng)
+    for x, y in zip(ctx.tensor_element(a, b).blocks, tensor_blocks_reference(a, b), strict=True):
+        assert np.array_equal(x, y)
 
 
 def test_structure_rejects_bad_blocks():

@@ -28,6 +28,7 @@ from ncjoin.algebra import (
 )
 from ncjoin.dual import DualSystem
 from ncjoin.gns import mirror_system
+from ncjoin.joinings import mirror_context
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -125,7 +126,7 @@ def test_window_independent_work_does_not_grow(monkeypatch, owner, attr, small, 
 
 
 def test_period_search_norms_do_not_grow(monkeypatch, tmp_path):
-    """The period search takes one batched norm, also where it finds no period.
+    """The period search takes one batched SVD, also where it finds no period.
 
     A generic Ad(u) on M3 has no exact period, so the search covers the
     whole window.
@@ -138,9 +139,9 @@ def test_period_search_norms_do_not_grow(monkeypatch, tmp_path):
     small, large = (f"ornstein --system {path} --window 0..{n}" for n in (4, 64))
     report, _ = cli.run(large.split())
     assert report["results"]["period"] is None
-    count = _calls(monkeypatch, np.linalg, "norm", small)
+    count = _calls(monkeypatch, np.linalg, "svd", small)
     assert count >= 1
-    assert _calls(monkeypatch, np.linalg, "norm", large) == count
+    assert _calls(monkeypatch, np.linalg, "svd", large) == count
 
 
 # numpy kernels that a per-block loop would call once per block
@@ -174,3 +175,27 @@ def test_block_kernels_run_once_per_block_size(monkeypatch, small, large):
     count = _kernel_calls(monkeypatch, small)
     assert sum(count.values()) >= 1
     assert _kernel_calls(monkeypatch, large) == count
+
+
+def _zeros_calls(monkeypatch, ctx):
+    calls = Counter()
+    original = np.zeros
+
+    def counted(*args, **kwargs):
+        calls["zeros"] += 1
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "zeros", counted)
+        for i, j in ((0, 0), (1, 2), (3, 3)):
+            ctx.basis_pair(i, j).coords()
+    return calls["zeros"]
+
+
+def test_basis_pairs_allocate_once_per_element(monkeypatch):
+    """An element is one coordinate vector: a basis pair of the 576-block C24
+    mirror context allocates as often as one of the 16-block C4 context."""
+    small, large = (mirror_context(cyclic_rotation_system(p)) for p in (4, 24))
+    count = _zeros_calls(monkeypatch, small)
+    assert count >= 1
+    assert _zeros_calls(monkeypatch, large) == count

@@ -30,7 +30,8 @@ from ncjoin.dual import (
 )
 from ncjoin import corpus
 from ncjoin.errors import InputFormatError
-from oracles import correlation_reference, delta_n_reference, sample_element_reference
+from oracles import (correlation_reference, delta_n_reference, dual_coherence_reference,
+                     sample_element_reference)
 
 
 def _mixed23(family):
@@ -337,15 +338,32 @@ def test_bound_satisfied_flags_one_violating_value():
     assert series.bound_satisfied()
 
 
-@pytest.mark.parametrize("name", corpus.DUAL_SYSTEMS)
+# free alphabets of 8, 9, 16 and 17 letters: a power of two and one above it,
+# where the rejection rule draws one bit more (a shift track has 9 letters)
+EDGE_ALPHABETS = {
+    "cycle8": (Track("x", "cycle", 8),),
+    "cycle9": (Track("x", "cycle", 9),),
+    "cycle7_shift": (Track("x", "cycle", 7), Track("y", "shift")),
+    "cycle8_shift": (Track("x", "cycle", 8), Track("y", "shift")),
+}
+
+
+@pytest.mark.parametrize("name", list(corpus.DUAL_SYSTEMS) + list(EDGE_ALPHABETS))
 def test_sampler_matches_reference(name):
-    sysd = corpus.dual(name).system
+    """Same elements, and the same stream consumed, for lengths up to 0, 1, 7 and 8 too."""
+    if name in EDGE_ALPHABETS:
+        sysd = DualSystem("free", TrackSpec(EDGE_ALPHABETS[name]))
+    else:
+        sysd = corpus.dual(name).system
     for seed in (0, 1, 7, 42):
         ours, ref = random.Random(seed), random.Random(seed)
-        for max_len in (6, 3, 6):
+        for max_len in (6, 3, 6, 0, 1, 7, 8):
             for _ in range(100):
                 assert sample_element(sysd, ours, max_len) == sample_element_reference(
                     sysd, ref, max_len)
+            assert ours.getstate() == ref.getstate()
+        if name in EDGE_ALPHABETS:
+            continue
         ref = random.Random(seed)
         kinds = [sysd.orbit_length(sample_element_reference(sysd, ref)).kind
                  for _ in range(300)]
@@ -355,6 +373,16 @@ def test_sampler_matches_reference(name):
         coherence = report["results"]["coherence"]
         assert (coherence["finite_orbits"], coherence["infinite_orbits"]) == (
             kinds.count("finite"), kinds.count("infinite"))
+
+
+@pytest.mark.parametrize("name", corpus.DUAL_SYSTEMS)
+def test_coherence_matches_per_sample_loop(name):
+    """Checking each distinct sample once gives the per-sample counts."""
+    sysd = corpus.dual(name).system
+    for seed in (0, 5, 19):
+        for samples in (1, 400):
+            assert cli._dual_coherence(sysd, samples, seed) == dual_coherence_reference(
+                sysd, samples, seed)
 
 
 def test_correlation_series_empty_support(dual_shift):

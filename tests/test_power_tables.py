@@ -1,8 +1,9 @@
 """Power tables against one fresh matrix power per group element.
 
-`UnitaryRep.of_elements` and `UnitaryRep.folner_mean` build each
-generator's powers by running products; the references in `oracles.py`
-compute every element's matrix on its own, as the package did before.
+`UnitaryRep.of_elements` builds each generator's powers by running
+products, and `UnitaryRep.folner_mean` sums them by doubling; the
+references in `oracles.py` compute every element's matrix on its own, or
+sum one power per step, as the package did before.
 """
 
 import itertools
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 from ncjoin import cli, corpus
-from ncjoin.algebra import FiniteSystem, GroupDescriptor, cyclic_rotation_system, uniform_state
-from ncjoin.gns import asymptotic_abelianness_profile, cesaro_correlation, compactness_net
+from ncjoin.algebra import (FiniteSystem, GroupDescriptor, cyclic_rotation_system,
+                            single_block_system, uniform_state)
+from ncjoin.gns import (UnitaryRep, asymptotic_abelianness_profile, cesaro_correlation,
+                        compactness_net)
 from ncjoin.joinings import (_diagonal_values, cesaro_diagonal_average, mirror_context,
                              ornstein_ratio_scan)
 from oracles import (
@@ -20,6 +23,7 @@ from oracles import (
     compactness_net_reference,
     element_matrix_reference,
     folner_mean_reference,
+    folner_mean_running_reference,
     ornstein_ratio_reference,
     recurrence_period_reference,
 )
@@ -80,6 +84,56 @@ def test_folner_averages_match_reference(name):
         ref = _diagonal_values(ctx, folner_mean_reference(sysd, n))
         ref_dev = float(np.max(np.abs(ref - ctx.product_values())))
         assert abs(cesaro_diagonal_average(sysd, n).deviation - ref_dev) <= TOL
+
+
+def _haar_m3(seed):
+    z = np.random.default_rng(seed).standard_normal((3, 3, 2)) @ [1, 1j]
+    q, r = np.linalg.qr(z)
+    return single_block_system(q * (np.diag(r) / abs(np.diag(r))))
+
+
+# Z, Z^k, Z_m and an Ad(u) on M3 without an exact period
+DOUBLING_SYSTEMS = {"c5": SYSTEMS["c5"], "pauli": SYSTEMS["pauli"], "Z4m": SYSTEMS["Z4m"],
+                    "M3": _haar_m3(4)}
+FOLNER_NS = (1, 2, 7, 8, 100, 1000)
+
+
+@pytest.mark.parametrize("name", DOUBLING_SYSTEMS)
+def test_folner_mean_by_doubling_matches_running_products(name):
+    sysd = DOUBLING_SYSTEMS[name]
+    _, rep = sysd.gns
+    for n in FOLNER_NS:
+        got = rep.folner_mean(sysd.group, n)
+        assert np.abs(got - folner_mean_running_reference(rep, sysd.group, n)).max() <= TOL, n
+
+
+class _MatmulCounter(np.ndarray):
+    """An array whose matmuls, and those of every array derived from it, are counted."""
+
+    matmuls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _MatmulCounter.matmuls += 1
+        plain = tuple(x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs)
+        if "out" in kwargs:
+            kwargs["out"] = tuple(x.view(np.ndarray) for x in kwargs["out"])
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return result.view(_MatmulCounter) if isinstance(result, np.ndarray) else result
+
+
+@pytest.mark.parametrize("name", DOUBLING_SYSTEMS)
+def test_folner_mean_matmuls_grow_as_log_n(name):
+    sysd = DOUBLING_SYSTEMS[name]
+    _, rep = sysd.gns
+    counted = UnitaryRep(matrices=[U.view(_MatmulCounter) for U in rep.matrices],
+                         onb_matrices=rep.onb_matrices)
+    k = len(rep.matrices)
+    for n in FOLNER_NS + (4096,):
+        _MatmulCounter.matmuls = 0
+        counted.folner_mean(sysd.group, n)
+        box = len(sysd.group.folner_range(n))
+        assert 1 <= _MatmulCounter.matmuls <= k * (3 * box.bit_length() + 2), (n, box)
 
 
 @pytest.mark.parametrize("name", [n for n, s in SYSTEMS.items() if s.group.kind == "Z"])
