@@ -55,14 +55,29 @@ def _entry_from_json(x) -> complex:
 
 
 def matrix_from_json(data) -> np.ndarray:
+    """A square complex matrix from rows of [re, im] pairs or bare real numbers.
+
+    One numpy conversion reads the whole matrix: pairs give an (n, n, 2)
+    float array, bare numbers an (n, n) one. Rows that mix the two are
+    ragged to numpy; their bare numbers are then written as pairs first.
+    """
     try:
-        rows = [[_entry_from_json(x) for x in row] for row in data]
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"malformed matrix: {exc}") from exc
-    m = np.array(rows, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputFormatError(f"matrix must be square, got shape {m.shape}")
-    return m
+        a = np.array(data)
+    except ValueError:
+        try:
+            a = np.array([[x if isinstance(x, list) else [x, 0] for x in row] for row in data])
+        except (TypeError, ValueError) as exc:
+            raise InputFormatError(f"malformed matrix: {exc}") from exc
+    if a.dtype.kind not in "biuf":   # strings, nulls, objects, integers beyond int64
+        raise InputFormatError("matrix entries must be numbers or [re, im] pairs of numbers")
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise InputFormatError(f"matrix entry {float(a[~finite][0])!r} is not finite")
+    if a.ndim == 3 and a.shape[2] == 2:
+        a = np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InputFormatError(f"matrix must be square, got shape {a.shape}")
+    return a.astype(complex, copy=False)
 
 
 def matrix_to_json(m: np.ndarray):

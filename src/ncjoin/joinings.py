@@ -346,22 +346,33 @@ def _psd_floor(ctx: TensorContext, z: np.ndarray) -> float:
     return min(float(np.linalg.eigvalsh(X).min()) for _, X in _herm_blocks(z, ctx))
 
 
-def _newton_terms(ctx: TensorContext, basis: np.ndarray, f: np.ndarray):
-    """Gradient and Hessian of −log det F in tangent coordinates, at the table f.
+def _block_stacks(ctx: TensorContext, basis: np.ndarray, prod: np.ndarray):
+    """Per block size: positions, the tangent basis and the product density
+    on those blocks, and the flat identity stack that reads off traces.
+
+    Built once per solve, so that a Newton step forms each iterate's blocks
+    with one matmul per block size and indexes no flat table.
+    """
+    return [(idx, basis[:, idx], prod[idx], np.tile(np.eye(idx.shape[-1]).ravel(), len(idx)))
+            for idx in ctx.blocks]
+
+
+def _newton_terms(stacks, x: np.ndarray):
+    """Gradient and Hessian of −log det F in tangent coordinates, at the
+    iterate F = ρ⊗ + Σ x_i V_i.
 
     With F = L L* per block and W_i = L⁻¹ V_i L⁻*, the gradient of
     log det F(t) is tr W_i and the Hessian of −log det F(t) is ⟨W_i, W_j⟩.
     One batched Cholesky per block size; raises LinAlgError when a block of
-    f is not positive definite.
+    F is not positive definite. Each part keeps L⁻¹ and the rows W_i, flat.
     """
-    r = len(basis)
+    r = len(x)
     grad, hess, parts = np.zeros(r), np.zeros((r, r)), []
-    for idx in ctx.blocks:
-        Linv = np.linalg.inv(np.linalg.cholesky(f[idx]))
-        W = Linv @ basis[:, idx] @ Linv.conj().swapaxes(-1, -2)
-        grad += np.trace(W, axis1=-2, axis2=-1).real.sum(axis=-1)
-        G = W.reshape(r, -1)
-        hess += (G.conj() @ G.T).real
+    for idx, B, P, ident in stacks:
+        Linv = np.linalg.inv(np.linalg.cholesky(P + (x @ B.reshape(r, -1)).reshape(P.shape)))
+        W = (Linv @ B @ Linv.conj().swapaxes(-1, -2)).reshape(r, -1)
+        grad += (W @ ident).real
+        hess += (W.conj() @ W.T).real
         parts.append((idx, Linv, W))
     return grad, hess, parts
 
@@ -376,8 +387,8 @@ def _newton_dual(ctx: TensorContext, basis: np.ndarray, g: np.ndarray, parts,
     """
     z = np.empty(ctx.dim, dtype=complex)
     for idx, Linv, W in parts:
-        step = np.tensordot(dt, W, axes=1)   # L⁻¹ ΔF L⁻*
-        Z = Linv.conj().swapaxes(-1, -2) @ (np.eye(idx.shape[-1]) - step) @ Linv / eta
+        step = (dt @ W).reshape(Linv.shape)   # L⁻¹ ΔF L⁻*
+        Z = Linv.conj().swapaxes(-1, -2) @ (Linv - step @ Linv) / eta
         z[idx] = (Z + Z.conj().swapaxes(-1, -2)) / 2
     return z - basis.T @ (g + (basis @ z.conj()).real)
 
@@ -387,18 +398,23 @@ def _line_search(lams: np.ndarray, slope: float) -> float:
 
     With λ_j the eigenvalues of L⁻¹ΔF L⁻* over all blocks, ψ is the barrier
     objective along a Newton direction, up to a constant; it is convex and
-    tends to +∞ where F + s·ΔF becomes singular. Safeguarded Newton in s.
+    tends to +∞ where F + s·ΔF becomes singular, at the pole −1/min λ.
+    Safeguarded Newton on φ(s) = (pole − s)·ψ′(s), which has the sign of ψ′
+    but no pole, so a minimizer close to the pole is reached without first
+    bisecting towards it.
     """
     if lams.min() >= 0:   # ΔF ⪰ 0 with trace 0: a zero step
         return 1.0
-    lo, hi = 0.0, -1 / lams.min()
+    pole = -1 / lams.min()
+    lo, hi = 0.0, pole
     s = min(1.0, hi / 2)
     for _ in range(50):
         q = lams / (1 + s * lams)
-        d1 = -slope - q.sum()
+        d1 = -slope - float(q.sum())           # ψ′(s)
         lo, hi = (s, hi) if d1 < 0 else (lo, s)
-        nxt = s - d1 / (q @ q)
-        nxt = nxt if lo < nxt < hi else (lo + hi) / 2
+        dphi = (pole - s) * float(q @ q) - d1   # φ′(s), with ψ″(s) = Σ q²
+        nxt = s - (pole - s) * d1 / dphi if dphi > 0 else math.nan
+        nxt = nxt if lo <= nxt <= hi else (lo + hi) / 2   # bisect, also for NaN
         if abs(nxt - s) <= 1e-6 * s:
             return nxt
         s = nxt
@@ -484,27 +500,26 @@ def _barrier_solve(ctx: TensorContext, tangent: _TangentSpace, k: np.ndarray, to
         nu = sum(idx.shape[0] * idx.shape[1] for idx in ctx.blocks)   # barrier parameter
         eta = nu / (upper - c0)
         x = best
+        stacks = _block_stacks(ctx, basis, prod)
         try:
-            grad, hess, parts = _newton_terms(ctx, basis, prod)
+            grad, hess, parts = _newton_terms(stacks, x)
             while (upper - lower > width or lower <= floor) and steps < max_iter:
-                rhs = eta * g + grad
-                dt = np.linalg.solve(hess, rhs)
-                dec = float(dt @ rhs)   # squared Newton decrement
-                if dec < 1:
+                # dt(η) = η·H⁻¹g + H⁻¹∇ is linear in η: one solve serves both η
+                hg, hgrad = np.linalg.solve(hess, np.array([g, grad]).T).T
+                dt = eta * hg + hgrad
+                if float(dt @ (eta * g + grad)) < 1:   # squared Newton decrement
                     z = _newton_dual(ctx, basis, g, parts, dt, eta)
                     bound = c0 + float(np.vdot(z, prod).real)
                     if bound < upper and _psd_floor(ctx, z) >= 0:
                         upper, dual = bound, z
                     eta *= _ETA_GROWTH   # close enough to the path: move along it
-                    rhs = eta * g + grad
-                    dt = np.linalg.solve(hess, rhs)
+                    dt = eta * hg + hgrad
                 steps += 1
-                lams = np.concatenate([np.linalg.eigvalsh(np.tensordot(dt, W, axes=1)).ravel()
-                                       for _, _, W in parts])
+                lams = np.concatenate([np.linalg.eigvalsh((dt @ W).reshape(Linv.shape)).ravel()
+                                       for _, Linv, W in parts])
                 x = x + _line_search(lams, eta * float(g @ dt)) * dt
-                f = prod + basis.T @ x
-                grad, hess, parts = _newton_terms(ctx, basis, f)
-                value = float((k @ f).real)
+                grad, hess, parts = _newton_terms(stacks, x)
+                value = c0 + float(g @ x)   # = Re Σ k_q f_q at f = ρ⊗ + Σ x_i V_i
                 if value > lower:
                     lower, best = value, x
         except np.linalg.LinAlgError:

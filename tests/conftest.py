@@ -1,6 +1,11 @@
+import math
+import random
+
+import numpy as np
 import pytest
 
 from ncjoin import corpus
+from ncjoin.algebra import single_block_system
 
 
 @pytest.fixture(scope="session")
@@ -56,3 +61,15 @@ def dual_mixed():
 @pytest.fixture(scope="session")
 def dual_finperm():
     return corpus.dual("dual_finperm_shift").system
+
+
+@pytest.fixture(scope="session")
+def ladder_m2():
+    """The Ad(u) M2 system of the benchmark's ladder at seed 1: a fixed Haar
+    unitary conjugated by a seeded diagonal phase."""
+    rng = np.random.default_rng(2008)
+    z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    u0 = q * (np.diag(r) / abs(np.diag(r)))
+    phase = np.diag([1.0, np.exp(1j * random.Random(1).uniform(0, 2 * math.pi))])
+    return single_block_system(phase @ u0 @ phase.conj().T)

@@ -26,6 +26,9 @@ Følner means sum one power per step, and the sampled coherence counts of
 `dual classify` check every sample on its own, as the package did before it
 stored elements as flat vectors, summed powers by doubling and checked each
 distinct sample once.
+
+The barrier line search is kept as safeguarded Newton on ψ′ itself, as
+the solver ran it before it removed the pole of ψ′ at the step bound.
 """
 
 import itertools
@@ -496,3 +499,22 @@ def dual_coherence_reference(sys, samples, seed):
             violations += cls.compact
     return {"samples": samples, "seed": seed, "finite_orbits": finite,
             "infinite_orbits": infinite, "violations": violations}
+
+
+def line_search_reference(lams, slope):
+    """Minimizer of ψ(s) = −slope·s − Σ log(1 + s·λ_j) over 0 < s < −1/min λ,
+    by safeguarded Newton on ψ′(s), with the pole of ψ′ inside its bracket."""
+    if lams.min() >= 0:
+        return 1.0
+    lo, hi = 0.0, -1 / lams.min()
+    s = min(1.0, hi / 2)
+    for _ in range(50):
+        q = lams / (1 + s * lams)
+        d1 = -slope - q.sum()
+        lo, hi = (s, hi) if d1 < 0 else (lo, s)
+        nxt = s - d1 / (q @ q)
+        nxt = nxt if lo < nxt < hi else (lo + hi) / 2
+        if abs(nxt - s) <= 1e-6 * s:
+            return nxt
+        s = nxt
+    return s

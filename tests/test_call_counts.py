@@ -8,7 +8,7 @@ command.
 
 Work that should not grow with a window or with the number of blocks is
 counted by wrapping numpy functions and comparing a small input with a
-large one.
+large one. A barrier solve makes one linear solve per Newton step.
 """
 
 import importlib.util
@@ -28,7 +28,7 @@ from ncjoin.algebra import (
 )
 from ncjoin.dual import DualSystem
 from ncjoin.gns import mirror_system
-from ncjoin.joinings import mirror_context
+from ncjoin.joinings import build_tensor_context, find_joining, mirror_context
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -199,3 +199,29 @@ def test_basis_pairs_allocate_once_per_element(monkeypatch):
     count = _zeros_calls(monkeypatch, small)
     assert count >= 1
     assert _zeros_calls(monkeypatch, large) == count
+
+
+def _solver_calls(monkeypatch, ctx, objective):
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+        m.setattr(np, "tensordot", counted("tensordot", np.tensordot))
+        _, report = find_joining(ctx, objective=objective)
+    return calls, report
+
+
+@pytest.mark.parametrize("name", ["C4xC4", "M2xM2"])
+def test_one_linear_solve_per_newton_step(monkeypatch, request, name):
+    """dt(η) is linear in η: a step that grows η solves no second system."""
+    sysd = cyclic_rotation_system(4) if name == "C4xC4" else request.getfixturevalue("ladder_m2")
+    calls, report = _solver_calls(monkeypatch, build_tensor_context(sysd, sysd), (0, 0))
+    assert report.iterations > 0 and not report.inconclusive
+    assert calls["solve"] == report.iterations
+    assert calls["tensordot"] == 0

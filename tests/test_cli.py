@@ -40,6 +40,55 @@ def test_matrix_entries_accept_bare_numbers():
     assert m[1, 1] == 1j
 
 
+def test_mixed_rows_read_like_pairs():
+    pairs = fileio.matrix_from_json([[[0.5, 0], [0, -0.25]], [[0, 0.25], [0.5, 0]]])
+    mixed = fileio.matrix_from_json([[0.5, [0, -0.25]], [[0, 0.25], 0.5]])
+    assert np.array_equal(mixed, pairs) and mixed.dtype == complex
+
+
+def test_matrix_conversion_keeps_every_bit():
+    x = np.random.default_rng(7).standard_normal((3, 3, 2))
+    x[0, 0] = -0.0
+    m = fileio.matrix_from_json(x.tolist())
+    assert np.array_equal(m.view(float).reshape(3, 3, 2), x)
+    assert np.signbit(m[0, 0].real) and np.signbit(m[0, 0].imag)
+
+
+NAN, INF = float("nan"), float("inf")
+# (kind, a value for c2's 2×2 density, message)
+MALFORMED_MATRICES = [
+    ("nan-pair", [[[NAN, 0], [0, 0]], [[0, 0], [0.5, 0]]], "not finite"),
+    ("nan-bare", [[0.5, 0], [0, NAN]], "not finite"),
+    ("infinity-imaginary", [[[0.5, -INF], [0, 0]], [[0, 0], [0.5, 0]]], "not finite"),
+    ("string-entry", [[[0.5, 0], [0, 0]], [[0, 0], ["0.5", 0]]], "numbers"),
+    ("string-pair", [["0.5", [0, 0]], [[0, 0], [0.5, 0]]], "numbers"),
+    ("null-entry", [[0.5, None], [0, 0.5]], "numbers"),
+    ("object-entry", [[0.5, {"re": 0}], [0, 0.5]], "numbers"),
+    ("beyond-float", [[10 ** 400, 0], [0, 0.5]], "numbers"),
+    ("string-matrix", "identity", "numbers"),
+    ("ragged-rows", [[0.5, 0], [0.5]], "malformed"),
+    ("row-not-a-list", [[0.5, 0], 0.5], "malformed"),
+    ("three-part-entry", [[[0.5, 0, 0], [0, 0, 0]], [[0, 0, 0], [0.5, 0, 0]]], "square"),
+    ("not-square", [[0.5, 0, 0], [0, 0.5, 0]], "square"),
+    ("one-row-of-pairs", [[[0.5, 0], [0.5, 0]]], "square"),
+    ("number", 0.5, "square"),
+    ("empty", [], "square"),
+]
+
+
+@pytest.mark.parametrize("kind,matrix,message", MALFORMED_MATRICES,
+                         ids=[k for k, _, _ in MALFORMED_MATRICES])
+def test_malformed_matrices_exit_2(tmp_path, capsys, kind, matrix, message):
+    with pytest.raises(InputFormatError, match=message):
+        fileio.matrix_from_json(matrix)
+    data = corpus.raw("c2")
+    data["state"]["density"] = matrix
+    p = tmp_path / "matrix.json"
+    p.write_text(json.dumps(data))
+    assert main(["classify", "--system", str(p)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_corpus_integrity():
     for name in corpus.FINITE_SYSTEMS:
         assert validate_system(corpus.system(name)).valid, name

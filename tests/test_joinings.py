@@ -317,8 +317,8 @@ def test_spectrum_disjointness_property(c2, c3, c5):
 
 
 def test_iteration_cap_taints_verdict(c2):
-    # c2 x c2 needs Dykstra iterations for its feasible levels; a cap of one
-    # stops the first probe, a feasible one, before it reaches a verdict
+    # c2 x c2 takes five Newton steps to close the gap of a solve, the
+    # witness solve included; a cap of one step leaves both gaps open
     ctx = build_tensor_context(c2, corpus.system("c2"))
     cert = disjointness_test(ctx, max_iter=1)
     assert cert.verdict == "inconclusive"
