@@ -20,10 +20,10 @@ Blockwise kernels run once per block size, not once per block: a
 eigenvalues and Kronecker products act on one ``(m, n, n)`` stack per size.
 So the number of numpy calls of validation, the GNS unitaries and the
 mirror does not grow with the number of blocks. A stack of 1×1 blocks
-takes ``abs`` where a larger one takes an SVD. An `AlgebraElement` is one
-flat coordinate vector: sums and scalar multiples act on it directly, the
-adjoint and transpose are one permutation of it, and its stacks are one
-fancy index per size.
+reads norms, eigenvalues and inverse Cholesky factors off its entries
+where a larger one calls LAPACK. An `AlgebraElement` is one flat vector:
+sums and scalar multiples act on it directly, the adjoint and transpose
+are one permutation of it, and its stacks are one fancy index per size.
 
 A `FiniteSystem` is immutable and owns its derived data: its validation
 report, GNS data and mirror system are each built on first use and kept on
@@ -68,6 +68,24 @@ def _operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
+def _eigvalsh(stack: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian matrix of a stack, as `eigvalsh`."""
+    if stack.shape[-1] == 1:
+        return stack[..., 0].real
+    return np.linalg.eigvalsh(stack)
+
+
+def _inv_cholesky(stack: np.ndarray) -> np.ndarray:
+    """L⁻¹ for the Cholesky factor F = L L* of each matrix of a stack; raises
+    LinAlgError, as `cholesky` does, when one is not positive definite."""
+    if stack.shape[-1] == 1:
+        f = stack.real
+        if not (f > 0).all():
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return 1 / np.sqrt(f)
+    return np.linalg.inv(np.linalg.cholesky(stack))
+
+
 def _adjoints(stack: np.ndarray) -> np.ndarray:
     return stack.conj().swapaxes(-1, -2)
 
@@ -105,7 +123,7 @@ class BlockStructure:
     def num_blocks(self) -> int:
         return len(self.block_sizes)
 
-    @property
+    @cached_property
     def dimension(self) -> int:
         return sum(n * n for n in self.block_sizes)
 
@@ -153,12 +171,17 @@ class BlockStructure:
                 r, c = divmod(i - off, n)
                 return k, r, c
 
-    def addresses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(block, row, col) arrays of every canonical index; basis_address, vectorized."""
+    @cached_property
+    def _addresses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         sizes = np.array(self.block_sizes)
         k = np.repeat(np.arange(self.num_blocks), sizes ** 2)
         local = np.arange(self.dimension) - np.array(self.offsets())[k]
         return k, local // sizes[k], local % sizes[k]
+
+    def addresses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(block, row, col) arrays of every canonical index; basis_address, vectorized.
+        Computed once per structure and shared: callers do not write to them."""
+        return self._addresses
 
     @cached_property
     def adjoint_indices(self) -> np.ndarray:
@@ -204,8 +227,8 @@ class BlockStructure:
         for n in self.block_sizes:
             blocks.append(m[pos:pos + n, pos:pos + n].copy())
             pos += n
-        rebuilt = _block_diag([b for b in blocks], size)
-        off = operator_norm(m - rebuilt)
+        rest = m - _block_diag(blocks, size)
+        off = operator_norm(rest) if rest.any() else 0.0   # no SVD of a zero remainder
         if off > tol:
             raise StructureError(f"matrix has off-block entries of norm {off:.3e}")
         return AlgebraElement(self, blocks)

@@ -44,10 +44,13 @@ from .algebra import (
     AlgebraElement,
     BlockStructure,
     FiniteSystem,
+    _eigvalsh,
+    _inv_cholesky,
     _operator_norms,
     operator_norm,
 )
 from .errors import (
+    DimensionMismatchError,
     NcjoinError,
     NonJoiningError,
     UnsupportedGroupError,
@@ -160,7 +163,7 @@ def joining_residuals(ctx: TensorContext, values) -> dict:
         zh[idx] = Xh
         skew = 2 * (z[idx] - Xh)   # X − X*
         herm = max(herm, float(_operator_norms(skew).max()))
-        psd_floor = min(psd_floor, float(np.linalg.eigvalsh(Xh).min()))
+        psd_floor = min(psd_floor, float(_eigvalsh(Xh).min()))
     V = zh.reshape(ctx.dim_a, ctx.dim_b)
     ua = ctx.A.structure.identity().coords()
     ub = ctx.B.structure.identity().coords()
@@ -296,28 +299,6 @@ def _constraint_rows(ctx: TensorContext) -> np.ndarray:
     return np.vstack(K)
 
 
-def _hermitian_basis(ctx: TensorContext) -> np.ndarray:
-    """Columns: a real-orthonormal basis of the tables with Hermitian blocks.
-
-    Per density block: the diagonal units, and (E_ab + E_ba)/√2 and
-    i(E_ab − E_ba)/√2 for a < b.
-    """
-    diag, upper, lower = [], [], []
-    for idx in ctx.blocks:
-        a, b = np.triu_indices(idx.shape[-1], 1)
-        diag.append(np.diagonal(idx, axis1=1, axis2=2).reshape(-1))
-        upper.append(idx[:, a, b].reshape(-1))
-        lower.append(idx[:, b, a].reshape(-1))
-    diag, upper, lower = (np.concatenate(x) for x in (diag, upper, lower))
-    H = np.zeros((ctx.dim, ctx.dim), dtype=complex)
-    H[diag, np.arange(diag.size)] = 1.0
-    sym = diag.size + np.arange(upper.size)
-    H[upper, sym] = H[lower, sym] = 1 / math.sqrt(2)
-    H[upper, sym + upper.size] = 1j / math.sqrt(2)
-    H[lower, sym + upper.size] = -1j / math.sqrt(2)
-    return H
-
-
 @dataclass
 class _TangentSpace:
     """T: the Hermitian tables z with K z = 0, the directions along which a
@@ -328,22 +309,34 @@ class _TangentSpace:
 
 
 def _tangent_space(ctx: TensorContext) -> _TangentSpace:
-    """T from one SVD of the constraint rows restricted to Hermitian tables.
+    """T from one SVD of the constraint rows K on Hermitian tables.
 
-    A singular value counts as zero at the usual numerical-rank cut, largest
-    singular value · matrix size · machine epsilon.
+    Their real-orthonormal basis H (the diagonal units, (E_ab + E_ba)/√2 and
+    i(E_ab − E_ba)/√2 for a < b) makes K·H and the null rows mapped back by
+    H column gathers. A singular value counts as zero at the usual
+    numerical-rank cut, largest singular value · size · machine epsilon.
     """
-    H = _hermitian_basis(ctx)
-    KH = _constraint_rows(ctx) @ H
+    _, r, c = ctx.structure.addresses()
+    position = np.empty(ctx.dim, dtype=int)   # canonical index -> flat table position
+    position[ctx.pair_index.reshape(-1)] = np.arange(ctx.dim)
+    upper = np.flatnonzero(r < c)
+    diag, upper, lower = (position[q] for q in (
+        np.flatnonzero(r == c), upper, ctx.structure.adjoint_indices[upper]))
+    K, h = _constraint_rows(ctx), 1 / math.sqrt(2)
+    K_up, K_lo = h * K[:, upper], h * K[:, lower]
+    KH = np.hstack([K[:, diag], K_up + K_lo, 1j * (K_up - K_lo)])
     M = np.vstack([KH.real, KH.imag])
     _, s, vt = np.linalg.svd(M, full_matrices=False)
     rank = int(np.sum(s > s[0] * max(M.shape) * np.finfo(float).eps))
-    return _TangentSpace(basis=vt[rank:] @ H.T, rank_gap=float(s[rank - 1]))
+    v_d, v_s, v_a = np.split(vt[rank:], [diag.size, diag.size + upper.size], axis=1)
+    v_up, basis = h * (v_s + 1j * v_a), np.empty((len(v_d), ctx.dim), dtype=complex)
+    basis[:, diag], basis[:, upper], basis[:, lower] = v_d, v_up, v_up.conj()
+    return _TangentSpace(basis=basis, rank_gap=float(s[rank - 1]))
 
 
 def _psd_floor(ctx: TensorContext, z: np.ndarray) -> float:
     """Smallest eigenvalue over the Hermitian parts of the density blocks of z."""
-    return min(float(np.linalg.eigvalsh(X).min()) for _, X in _herm_blocks(z, ctx))
+    return min(float(_eigvalsh(X).min()) for _, X in _herm_blocks(z, ctx))
 
 
 def _block_stacks(ctx: TensorContext, basis: np.ndarray, prod: np.ndarray):
@@ -363,13 +356,14 @@ def _newton_terms(stacks, x: np.ndarray):
 
     With F = L L* per block and W_i = L⁻¹ V_i L⁻*, the gradient of
     log det F(t) is tr W_i and the Hessian of −log det F(t) is ⟨W_i, W_j⟩.
-    One batched Cholesky per block size; raises LinAlgError when a block of
-    F is not positive definite. Each part keeps L⁻¹ and the rows W_i, flat.
+    One batched Cholesky per block size above 1 (`_inv_cholesky`); raises
+    LinAlgError when a block of F is not positive definite. Each part keeps
+    L⁻¹ and the rows W_i, flat.
     """
     r = len(x)
     grad, hess, parts = np.zeros(r), np.zeros((r, r)), []
     for idx, B, P, ident in stacks:
-        Linv = np.linalg.inv(np.linalg.cholesky(P + (x @ B.reshape(r, -1)).reshape(P.shape)))
+        Linv = _inv_cholesky(P + (x @ B.reshape(r, -1)).reshape(P.shape))
         W = (Linv @ B @ Linv.conj().swapaxes(-1, -2)).reshape(r, -1)
         grad += (W @ ident).real
         hess += (W.conj() @ W.T).real
@@ -461,8 +455,11 @@ def _objective(ctx: TensorContext, objective) -> tuple[np.ndarray, float, str]:
         objective = ctx.basis_pair(*objective)
     if not isinstance(objective, AlgebraElement):
         raise NcjoinError("objective must be an AlgebraElement or a basis index pair")
+    if objective.structure.block_sizes != ctx.structure.block_sizes:
+        raise DimensionMismatchError(f"objective has blocks {objective.structure.block_sizes}, "
+                                     f"A ⊙ B has {ctx.structure.block_sizes}")
     h = 0.5 * (objective + objective.adjoint())
-    top = max(float(np.linalg.eigvalsh(x).max()) for x in h.stacks())
+    top = max(float(_eigvalsh(x).max()) for x in h.stacks())
     return h.coords()[ctx.pair_index].reshape(-1), top, label
 
 
@@ -515,7 +512,7 @@ def _barrier_solve(ctx: TensorContext, tangent: _TangentSpace, k: np.ndarray, to
                     eta *= _ETA_GROWTH   # close enough to the path: move along it
                     dt = eta * hg + hgrad
                 steps += 1
-                lams = np.concatenate([np.linalg.eigvalsh((dt @ W).reshape(Linv.shape)).ravel()
+                lams = np.concatenate([_eigvalsh((dt @ W).reshape(Linv.shape)).ravel()
                                        for _, Linv, W in parts])
                 x = x + _line_search(lams, eta * float(g @ dt)) * dt
                 grad, hess, parts = _newton_terms(stacks, x)

@@ -29,6 +29,11 @@ distinct sample once.
 
 The barrier line search is kept as safeguarded Newton on ψ′ itself, as
 the solver ran it before it removed the pole of ψ′ at the step bound.
+
+The tangent space is built from the dense (dim × dim) matrix H of a
+real-orthonormal basis of the tables with Hermitian blocks, multiplied
+into the constraint rows, as the solver built it before it gathered the
+columns of K·H from K.
 """
 
 import itertools
@@ -40,7 +45,7 @@ from scipy.optimize import linprog
 from ncjoin.algebra import FAITHFULNESS_MIN_EIG, VALIDATION_TOL, AlgebraElement
 from ncjoin.dual import (IDENTITY_PERM, DeltaEvaluation, FinPerm, QQi, classify_dual,
                          word_multiply)
-from ncjoin.joinings import _diagonal_values
+from ncjoin.joinings import _constraint_rows, _diagonal_values
 
 
 def invariant_transportation_max(mu, nu, sigma, tau, cost):
@@ -518,3 +523,35 @@ def line_search_reference(lams, slope):
             return nxt
         s = nxt
     return s
+
+
+def hermitian_basis_reference(ctx):
+    """Columns: a real-orthonormal basis of the tables with Hermitian blocks.
+
+    Per density block: the diagonal units, and (E_ab + E_ba)/√2 and
+    i(E_ab − E_ba)/√2 for a < b.
+    """
+    diag, upper, lower = [], [], []
+    for idx in ctx.blocks:
+        a, b = np.triu_indices(idx.shape[-1], 1)
+        diag.append(np.diagonal(idx, axis1=1, axis2=2).reshape(-1))
+        upper.append(idx[:, a, b].reshape(-1))
+        lower.append(idx[:, b, a].reshape(-1))
+    diag, upper, lower = (np.concatenate(x) for x in (diag, upper, lower))
+    H = np.zeros((ctx.dim, ctx.dim), dtype=complex)
+    H[diag, np.arange(diag.size)] = 1.0
+    sym = diag.size + np.arange(upper.size)
+    H[upper, sym] = H[lower, sym] = 1 / np.sqrt(2)
+    H[upper, sym + upper.size] = 1j / np.sqrt(2)
+    H[lower, sym + upper.size] = -1j / np.sqrt(2)
+    return H
+
+
+def tangent_space_reference(ctx):
+    """(basis, rank gap) of T from the SVD of K·H with the dense H."""
+    H = hermitian_basis_reference(ctx)
+    KH = _constraint_rows(ctx) @ H
+    M = np.vstack([KH.real, KH.imag])
+    _, s, vt = np.linalg.svd(M, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(M.shape) * np.finfo(float).eps))
+    return vt[rank:] @ H.T, float(s[rank - 1])

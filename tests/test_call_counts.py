@@ -8,7 +8,8 @@ command.
 
 Work that should not grow with a window or with the number of blocks is
 counted by wrapping numpy functions and comparing a small input with a
-large one. A barrier solve makes one linear solve per Newton step.
+large one. A barrier solve makes one linear solve per Newton step, and on
+1×1 density blocks it calls no Cholesky, inverse or eigenvalue routine.
 """
 
 import importlib.util
@@ -19,8 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncjoin import cli, fileio
+from ncjoin import cli, corpus, fileio, joinings
 from ncjoin.algebra import (
+    BlockStructure,
     cyclic_rotation_system,
     identity_system,
     single_block_system,
@@ -225,3 +227,65 @@ def test_one_linear_solve_per_newton_step(monkeypatch, request, name):
     assert report.iterations > 0 and not report.inconclusive
     assert calls["solve"] == report.iterations
     assert calls["tensordot"] == 0
+
+
+LAPACK_KERNELS = ("cholesky", "inv", "eigvalsh")
+
+
+def _lapack_calls(monkeypatch, ctx, objective):
+    calls, terms = Counter(), Counter()
+
+    def counted(counter, name, original):
+        def wrapper(*args, **kwargs):
+            counter[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for name in LAPACK_KERNELS:
+            m.setattr(np.linalg, name, counted(calls, name, getattr(np.linalg, name)))
+        m.setattr(joinings, "_newton_terms",
+                  counted(terms, "newton_terms", joinings._newton_terms))
+        _, report = find_joining(ctx, objective=objective)
+    assert not report.inconclusive
+    return calls, terms["newton_terms"], report
+
+
+@pytest.mark.parametrize("a,b,objective,steps", [
+    ("C4", "C4", (1, 0), 5),
+    ("c3", "id3", (1, 1), 0),
+], ids=["C4xC4", "c3xid3"])
+def test_one_by_one_blocks_call_no_lapack(monkeypatch, a, b, objective, steps):
+    """Every density block of these products is 1×1: the factor, the
+    eigenvalues and the PSD floors are read off the diagonal."""
+    legs = [cyclic_rotation_system(4) if n == "C4" else corpus.system(n) for n in (a, b)]
+    calls, _, report = _lapack_calls(monkeypatch, build_tensor_context(*legs), objective)
+    assert report.iterations == steps
+    assert sum(calls.values()) == 0, calls
+
+
+def test_larger_blocks_take_one_cholesky_per_newton_terms(monkeypatch, ladder_m2):
+    calls, terms, report = _lapack_calls(
+        monkeypatch, build_tensor_context(ladder_m2, ladder_m2), (0, 0))
+    assert report.iterations > 0
+    assert calls["cholesky"] == terms > report.iterations
+
+
+def test_addresses_are_computed_once_per_structure(monkeypatch):
+    """A context build on fresh systems, and a solve on it, read the (block,
+    row, col) arrays of each structure from one computation."""
+    results = {}   # id of a structure -> (the structure, every result it returned)
+    original = BlockStructure.addresses
+
+    def recorded(self):
+        out = original(self)
+        results.setdefault(id(self), (self, []))[1].append(out)
+        return out
+
+    monkeypatch.setattr(BlockStructure, "addresses", recorded)
+    legs = (cyclic_rotation_system(3), single_block_system(np.eye(2)))
+    ctx = build_tensor_context(legs[0], legs[0])
+    find_joining(ctx, objective=(0, 1))
+    find_joining(build_tensor_context(legs[1], legs[1]), objective=(0, 1))
+    assert {id(s.structure) for s in legs} | {id(ctx.structure)} <= set(results)
+    assert all(out is outs[0] for _, outs in results.values() for out in outs)

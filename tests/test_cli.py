@@ -363,6 +363,24 @@ def test_non_finite_entries_exit_2(tmp_path, capsys, name, path, entry):
         fileio.load_system(json.loads(p.read_text()))
 
 
+@pytest.mark.parametrize("path", [("state", "density", 0, 1), ("generators", 0, "unitary", 1, 0)])
+@pytest.mark.parametrize("entry,code", [([1e-6, 0.0], 2), ([1e-12, 0.0], 0), ([0.0, 1e-12], 0)])
+def test_off_block_entries_are_checked_against_the_tolerance(tmp_path, capsys, path, entry,
+                                                             code):
+    """A zero remainder outside the blocks takes no SVD; any other remainder
+    is measured in operator norm against the loader's 1e-9."""
+    data = corpus.raw("c2")
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = entry
+    p = tmp_path / "offblock.json"
+    p.write_text(json.dumps(data))
+    assert main(["classify", "--system", str(p)]) == code
+    if code:
+        assert "off-block entries of norm 1.000e-06" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["classify --system", "dual classify --group"])
 def test_invalid_json_file_exits_2(tmp_path, command):
     p = tmp_path / "bad.json"

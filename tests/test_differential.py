@@ -7,7 +7,9 @@ Ad(u) pairs on M2 and M3 are compared with optima recorded at commit
 tensor of the two GNS spaces rather than on the block density of A ⊗ B.
 The rank verdict of `disjointness_test` is compared with the eigenvalue
 pairs of the GNS unitaries and with the verdicts of the direction scan
-that it replaced.
+that it replaced. The tangent space, whose constraint rows on Hermitian
+tables are gathered from columns of K, is compared with the one from the
+dense Hermitian basis matrix (`oracles.tangent_space_reference`).
 """
 
 import math
@@ -24,9 +26,12 @@ from ncjoin.algebra import (
     FaithfulState,
     FiniteSystem,
     GroupDescriptor,
+    cyclic_rotation_system,
+    identity_system,
     single_block_system,
 )
 from ncjoin.joinings import (
+    _tangent_space,
     build_tensor_context,
     conditional_expectation,
     disjointness_test,
@@ -34,7 +39,7 @@ from ncjoin.joinings import (
     residual_magnitude,
 )
 
-from oracles import invariant_transportation_max
+from oracles import invariant_transportation_max, tangent_space_reference
 
 BATTERY_TOL = 1e-8
 LP_TOL = 2e-6
@@ -189,3 +194,55 @@ def test_rank_verdicts_match_the_scan(a):
         cert = disjointness_test(ctx)
         assert cert.tangent_dim == _eigenvalue_pairs(ctx), b
         assert cert.verdict == ("not_disjoint" if b in SCAN_NOT_DISJOINT[a] else "disjoint"), b
+
+
+def _spectral_pair(rng, n, order, weights):
+    """(u, ρ): u = V·diag(roots of unity of that order)·V* for a Haar V, and the
+    invariant density ρ = V·diag(weights)·V*, or the trace state when weights is None."""
+    v = _haar_unitary(rng, n)
+    u = (v * np.exp(2j * math.pi * rng.integers(0, order, n) / order)) @ v.conj().T
+    rho = np.eye(n) / n if weights is None else (v * (weights / sum(weights))) @ v.conj().T
+    return u, rho
+
+
+@st.composite
+def z_systems(draw):
+    """A Z-system: a rotation C_p, Ad(u) on M_n with a tracial or a
+    non-tracial invariant density, or Ad(1 ⊕ u) on C ⊕ M_2."""
+    kind = draw(st.sampled_from(["rotation", "matrix", "c+m2"]))
+    if kind == "rotation":
+        return cyclic_rotation_system(draw(st.integers(min_value=2, max_value=6)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = 2 if kind == "c+m2" else draw(st.integers(min_value=2, max_value=3))
+    weights = draw(st.none() | st.lists(st.integers(min_value=1, max_value=4),
+                                        min_size=n, max_size=n).map(np.array))
+    u, rho = _spectral_pair(rng, n, draw(st.integers(min_value=1, max_value=4)), weights)
+    if kind == "matrix":
+        return single_block_system(u, density=rho)
+    s = BlockStructure((1, 2))
+    w = draw(st.integers(min_value=1, max_value=4)) / 5
+    state = FaithfulState(s, [np.array([[w]]), (1 - w) * rho])
+    gen = Automorphism(s, (0, 1), [np.eye(1), u])
+    return FiniteSystem(s, state, GroupDescriptor("Z"), [gen])
+
+
+PAULI_PARTNERS = [corpus.system("pauli"),
+                  identity_system((2,), GroupDescriptor("Zk", k=2)),
+                  identity_system((1, 1), GroupDescriptor("Zk", k=2))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.tuples(z_systems(), z_systems())
+       | st.tuples(st.just(PAULI_PARTNERS[0]), st.sampled_from(PAULI_PARTNERS)))
+def test_gathered_tangent_space_matches_dense_reference(pair):
+    ctx = build_tensor_context(*pair)
+    tangent = _tangent_space(ctx)
+    basis, gap = tangent_space_reference(ctx)
+    assert tangent.basis.shape == basis.shape
+
+    def projector(rows):   # onto the span of the rows, as real vectors
+        real = np.hstack([rows.real, rows.imag])
+        return real.T @ real
+
+    assert np.abs(projector(tangent.basis) - projector(basis)).max() <= 1e-12
+    assert abs(tangent.rank_gap - gap) <= 1e-12 * max(1.0, gap)

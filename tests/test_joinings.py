@@ -13,7 +13,12 @@ from ncjoin.algebra import (
     single_block_system,
     validate_system,
 )
-from ncjoin.errors import InvalidSystemError, NonJoiningError, UnsupportedGroupError
+from ncjoin.errors import (
+    DimensionMismatchError,
+    InvalidSystemError,
+    NonJoiningError,
+    UnsupportedGroupError,
+)
 from ncjoin.gns import (
     classify_finite,
     gns_construct,
@@ -181,6 +186,16 @@ def test_solver_options_out_of_range_raise(c2, options):
         find_joining(ctx, objective=(0, 0), **options)
     with pytest.raises(ValueError):
         disjointness_test(ctx, **options)
+
+
+@pytest.mark.parametrize("foreign", ["pauli", "c2"])
+def test_objective_from_another_algebra_is_rejected(c2, foreign):
+    """An element of M2 has the dimension of c2 ⊙ c2 but not its blocks; one
+    of c2 is too short. Neither is an objective on the product algebra."""
+    ctx = build_tensor_context(c2, corpus.system("c2"))
+    objective = corpus.system(foreign).structure.basis_element(1)
+    with pytest.raises(DimensionMismatchError):
+        find_joining(ctx, objective=objective)
 
 
 def test_witness_exceeds_the_product_at_any_width(c2):
