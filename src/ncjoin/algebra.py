@@ -26,9 +26,10 @@ sums and scalar multiples act on it directly, the adjoint and transpose
 are one permutation of it, and its stacks are one fancy index per size.
 
 A `FiniteSystem` is immutable and owns its derived data: its validation
-report, GNS data and mirror system are each built on first use and kept on
-the instance. The builders `validate_system`, `gns.gns_construct` and
-`gns.mirror_system` stay uncached.
+report, GNS data, joint point spectrum and mirror system are each built on
+first use and kept on the instance. The builders `validate_system`,
+`gns.gns_construct`, `gns.joint_spectrum` and `gns.mirror_system` stay
+uncached.
 """
 
 from __future__ import annotations
@@ -184,6 +185,13 @@ class BlockStructure:
         return self._addresses
 
     @cached_property
+    def block_mask(self) -> np.ndarray:
+        """The entries of the blocks in the block-diagonal matrix. Read in
+        row-major order, they are the matrix units in canonical order."""
+        block = np.repeat(np.arange(self.num_blocks), self.block_sizes)
+        return block[:, None] == block
+
+    @cached_property
     def adjoint_indices(self) -> np.ndarray:
         """Index of the adjoint (matrix-unit transpose) of every basis element."""
         k, r, c = self.addresses()
@@ -218,30 +226,38 @@ class BlockStructure:
         return AlgebraElement.of_vector(self, v)
 
     def from_block_matrix(self, m, tol: float = VALIDATION_TOL) -> "AlgebraElement":
-        """Slice a block-diagonal matrix into blocks; off-block mass is an error."""
+        """Read the blocks off a block-diagonal matrix; off-block mass is an error."""
         m = _as_complex(m)
         size = self.matrix_size
         if m.shape != (size, size):
             raise StructureError(f"matrix shape {m.shape} does not match blocks {self.block_sizes}")
-        blocks, pos = [], 0
-        for n in self.block_sizes:
-            blocks.append(m[pos:pos + n, pos:pos + n].copy())
-            pos += n
-        rest = m - _block_diag(blocks, size)
+        rest = np.where(self.block_mask, 0, m)
         off = operator_norm(rest) if rest.any() else 0.0   # no SVD of a zero remainder
         if off > tol:
             raise StructureError(f"matrix has off-block entries of norm {off:.3e}")
-        return AlgebraElement(self, blocks)
+        return AlgebraElement.of_vector(self, m[self.block_mask])
 
 
-def _block_diag(blocks, size):
-    out = np.zeros((size, size), dtype=complex)
-    pos = 0
-    for b in blocks:
-        n = b.shape[0]
-        out[pos:pos + n, pos:pos + n] = b
-        pos += n
-    return out
+def _checked_blocks(structure: BlockStructure, blocks, what: str) -> list[np.ndarray]:
+    """The blocks as complex arrays, checked against the structure.
+
+    Raises StructureError for a wrong block count, and otherwise names the
+    first block, in block order, that has the wrong shape or a non-finite
+    entry. Finiteness is checked once for all blocks; only a failure goes
+    through them one by one to find the block it names.
+    """
+    if len(blocks) != structure.num_blocks:
+        raise StructureError(f"{what} block count mismatch")
+    out = [_as_complex(b) for b in blocks]
+    sizes = structure.block_sizes
+    if all(b.shape == (n, n) for b, n in zip(out, sizes)) and \
+            np.isfinite(np.concatenate([b.reshape(-1) for b in out])).all():
+        return out
+    for k, (b, n) in enumerate(zip(out, sizes)):
+        if b.shape != (n, n):
+            raise StructureError(f"{what} block {k} has shape {b.shape}, expected ({n}, {n})")
+        if not np.isfinite(b).all():
+            raise StructureError(f"{what} block {k} has non-finite entries")
 
 
 def sandwich_matrix(left: "AlgebraElement", right: "AlgebraElement") -> np.ndarray:
@@ -334,7 +350,9 @@ class AlgebraElement:
         return max(float(_operator_norms(x).max()) for x in self.stacks())
 
     def block_matrix(self) -> np.ndarray:
-        return _block_diag(self.blocks, self.structure.matrix_size)
+        out = np.zeros((self.structure.matrix_size,) * 2, dtype=complex)
+        out[self.structure.block_mask] = self._coords
+        return out
 
     def isclose(self, other, tol=1e-10) -> bool:
         self._check_same(other)
@@ -353,17 +371,7 @@ class FaithfulState:
     density: list[np.ndarray]
 
     def __post_init__(self):
-        if len(self.density) != self.structure.num_blocks:
-            raise StructureError("density block count mismatch")
-        fixed = []
-        for k, (b, n) in enumerate(zip(self.density, self.structure.block_sizes)):
-            b = _as_complex(b)
-            if b.shape != (n, n):
-                raise StructureError(f"density block {k} has shape {b.shape}, expected ({n}, {n})")
-            if not np.isfinite(b).all():
-                raise StructureError(f"density block {k} has non-finite entries")
-            fixed.append(b)
-        self.density = fixed
+        self.density = _checked_blocks(self.structure, self.density, "density")
 
     def value(self, a: AlgebraElement) -> complex:
         if a.structure.block_sizes != self.structure.block_sizes:
@@ -416,15 +424,7 @@ class Automorphism:
                     f"block_perm maps block {perm[k]} (size {sizes[perm[k]]}) onto "
                     f"block {k} (size {sizes[k]})")
         object.__setattr__(self, "block_perm", perm)
-        fixed = []
-        for k, (u, n) in enumerate(zip(self.conjugator, sizes)):
-            u = _as_complex(u)
-            if u.shape != (n, n):
-                raise StructureError(f"conjugator block {k} has shape {u.shape}, expected ({n}, {n})")
-            if not np.isfinite(u).all():
-                raise StructureError(f"conjugator block {k} has non-finite entries")
-            fixed.append(u)
-        self.conjugator = fixed
+        self.conjugator = _checked_blocks(self.structure, self.conjugator, "conjugator")
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
         if a.structure.block_sizes != self.structure.block_sizes:
@@ -560,6 +560,12 @@ class FiniteSystem:
         """The pair (GnsSpace, UnitaryRep); raises InvalidSystemError if invalid."""
         from . import gns
         return gns.gns_construct(self)
+
+    @cached_property
+    def spectrum(self):
+        """The joint point spectrum (gns.Spectrum); raises InvalidSystemError if invalid."""
+        from . import gns
+        return gns.joint_spectrum(self)
 
     @cached_property
     def mirror(self):

@@ -6,10 +6,14 @@ canonical matrix-unit basis, so the inner product is the Gram matrix
 G_ij = μ(e_i* e_j). A Cholesky factor C with G = C* C converts to
 orthonormal coordinates where standard numpy eigensolvers apply.
 
-Library functions read a system's GNS pair and mirror from `sys.gns` and
-`sys.mirror`, built once per system object; `gns_construct` and
-`mirror_system` are the uncached builders behind them. Neither a GnsSpace
-nor a MirrorSystem refers back to its system, so the cache forms no cycle.
+Library functions read a system's GNS pair, joint point spectrum and
+mirror from `sys.gns`, `sys.spectrum` and `sys.mirror`, built once per
+system object; `gns_construct`, `joint_spectrum` and `mirror_system` are
+the uncached builders behind them. The spectrum takes one `eigh` of a
+Hermitian combination of the GNS unitaries; it classifies the system and
+gives the eigenvectors from which a joining's tangent space is built.
+Neither a GnsSpace, a Spectrum nor a MirrorSystem refers back to its
+system, so the cache forms no cycle.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ from .errors import (
 
 EIG_CLUSTER_TOL = 1e-8
 NULLSPACE_TOL = 1e-8
+SPLIT_WINDOW = 1e-6   # eigh eigenvalues this close may share a cluster that mixes characters
+POLISH_MIN = 1e-13    # a first-order eigenvector correction below this is not taken
 SIGMA_SAMPLES = (0.1, 0.7, 1.3)   # the times t at which σ_t(P) = P is checked
 NET_WINDOW = 512                  # group elements of an infinite orbit in compactness_net
 
@@ -147,10 +153,7 @@ def gns_construct(sys: FiniteSystem) -> tuple[GnsSpace, UnitaryRep]:
     require_valid(sys)
     struct = sys.structure
     d = struct.dimension
-    # row and column of every matrix unit in the block-diagonal embedding
-    k, r, c = struct.addresses()
-    start = np.cumsum((0,) + struct.block_sizes[:-1])[k]
-    rows, cols = start + r, start + c
+    rows, cols = np.nonzero(struct.block_mask)   # of the matrix units, in canonical order
     # e_i* e_j = E_{c_i c_j} when e_i, e_j share a row, so μ(e_i* e_j) = ρ[c_j, c_i]
     rho = sys.state.density_element().block_matrix()
     gram = np.where(rows[:, None] == rows, rho[cols[None, :], cols[:, None]], 0)
@@ -201,43 +204,6 @@ def _cluster_values(values):
     return reps
 
 
-def _fix_phase(col: np.ndarray) -> np.ndarray:
-    """Make the first coordinate of magnitude > 1e-10 real positive."""
-    for entry in col:
-        if abs(entry) > 1e-10:
-            return col * (abs(entry) / entry)
-    return col
-
-
-def _joint_eigenspaces(onb_unitaries: list[np.ndarray]):
-    """Iterated eigenspace refinement for a family of unitaries.
-
-    Returns a list of (character tuple, orthonormal basis columns) covering
-    exactly the joint eigenvectors. The unitaries need not commute; a vector
-    survives refinement by U only if it is an honest eigenvector of U, which
-    is detected through modulus-one eigenvalues of the compression of U to
-    the current subspace.
-    """
-    d = onb_unitaries[0].shape[0]
-    spaces: list[tuple[tuple[complex, ...], np.ndarray]] = [((), np.eye(d, dtype=complex))]
-    for U in onb_unitaries:
-        refined = []
-        for chars, B in spaces:
-            comp = B.conj().T @ U @ B
-            cands = [v for v in np.linalg.eigvals(comp) if abs(abs(v) - 1.0) < 1e-6]
-            for v in _cluster_values(cands):
-                ns = _null_space(U @ B - v * B)
-                if ns.shape[1] == 0:
-                    continue
-                Bv = B @ ns
-                # polish the eigenvalue with a Rayleigh quotient
-                chi = complex(np.mean(np.diagonal(Bv.conj().T @ U @ Bv)))
-                chi /= abs(chi)
-                refined.append((chars + (chi,), Bv))
-        spaces = refined
-    return spaces
-
-
 @dataclass
 class PointSpectrumEntry:
     eigenvalue: tuple[complex, ...]
@@ -245,28 +211,142 @@ class PointSpectrumEntry:
     eigenvectors: np.ndarray  # canonical GNS coordinates, Gram-orthonormal columns
 
 
+@dataclass
+class Spectrum:
+    """Joint eigenbasis of a system's GNS unitaries.
+
+    Column j of `onb` is a joint eigenvector in orthonormal coordinates,
+    with characters `chars[j]`, one per generator. `entries` groups the
+    columns by character, as `point_spectrum` reports them; it is built on
+    first read, since the tangent space of a joining reads only the columns.
+    """
+
+    onb: np.ndarray      # (d, d) unitary
+    chars: np.ndarray    # (d, number of generators), of modulus 1
+    space: GnsSpace
+
+    @functools.cached_property
+    def entries(self) -> list[PointSpectrumEntry]:
+        """Columns grouped by character within EIG_CLUSTER_TOL, each group
+        with its normalized mean character, sorted lexicographically by
+        (Re, Im) of each generator coordinate."""
+        chars = self.chars
+        # canonical coordinates, phases fixed: the first entry above 1e-10 of
+        # each column is made real positive, exactly
+        V = self.space.from_onb(self.onb)
+        first, cols = np.argmax(abs(V) > 1e-10, axis=0), np.arange(V.shape[1])
+        lead = V[first, cols]
+        V = V * (abs(lead) / lead)
+        V[first, cols] = abs(lead)
+        near = abs(chars[:, None, :] - chars[None, :, :]).max(axis=2) < EIG_CLUSTER_TOL
+        group = np.argmax(near, axis=1)   # each column joins the first column near it
+        members = group == np.flatnonzero(group == np.arange(len(group)))[:, None]
+        sums = members @ chars
+        entries = [PointSpectrumEntry(eigenvalue=tuple(chi), multiplicity=m,
+                                      eigenvectors=V[:, cols])
+                   for chi, m, cols in zip((sums / abs(sums)).tolist(),
+                                           members.sum(axis=1).tolist(), members)]
+        entries.sort(key=lambda e: tuple(
+            (round(v.real, 10), round(v.imag, 10)) for v in e.eigenvalue))
+        return entries
+
+
+def _compressions(W: np.ndarray, Q: np.ndarray):
+    """C_k = Q*·W_k·Q for a unitary Q and a (k, d, d) stack W, with the
+    characters (the diagonals, one row per column of Q) and each column's
+    residual ‖W_k q − χ_k q‖, the norm of its off-diagonal part, largest
+    over the generators."""
+    C = Q.conj().T @ (W @ Q)
+    chars = np.diagonal(C, axis1=1, axis2=2).T
+    off = C * (1 - np.eye(len(Q)))
+    return C, chars, np.linalg.norm(off, axis=1).max(axis=0)
+
+
+def _split(W: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning B in which every W_k is diagonal.
+
+    B spans a sum of joint eigenspaces. The Hermitian and skew-Hermitian
+    parts of each W_k, compressed to B, are diagonalised in turn, and every
+    split keeps eigenvalues closer than EIG_CLUSTER_TOL together.
+    """
+    spaces = [B]
+    for U in W:
+        for part in ((U + U.conj().T) / 2, (U - U.conj().T) / 2j):
+            refined = []
+            for S in spaces:
+                vals, V = np.linalg.eigh(S.conj().T @ part @ S)
+                cuts = np.flatnonzero(np.diff(vals) > EIG_CLUSTER_TOL) + 1
+                refined.extend(np.split(S @ V, cuts, axis=1))
+            spaces = refined
+    return np.hstack(spaces)
+
+
+def _polish(Q: np.ndarray, C: np.ndarray, chars: np.ndarray) -> np.ndarray | None:
+    """One first-order step towards joint eigenvectors, made orthonormal
+    again; None when every entry of the step is below POLISH_MIN, since
+    the eigenspaces are then already that close to exact ones.
+
+    Column j gains Σ_i q_i·C_ij/(χ_j − χ_i) over the columns i whose
+    characters differ from its own by EIG_CLUSTER_TOL or more, with the
+    generator k that separates the two most. Two eigenvectors of the
+    Hermitian combination whose eigenvalues lie g apart mix by about
+    ε/g; the step leaves that mixing squared.
+    """
+    diff = chars[None, :, :] - chars[:, None, :]   # [i, j, k] = χ_k(j) − χ_k(i)
+    i, j = np.indices(diff.shape[:2])
+    k = abs(diff).argmax(axis=2)
+    sep = diff[i, j, k]
+    Z = np.divide(C[k, i, j], sep, out=np.zeros_like(sep), where=abs(sep) >= EIG_CLUSTER_TOL)
+    if abs(Z).max() < POLISH_MIN:
+        return None
+    return np.linalg.qr(Q + Q @ Z)[0]
+
+
+def joint_spectrum(sys: FiniteSystem) -> Spectrum:
+    """The joint point spectrum from one `eigh`; read it as `sys.spectrum`.
+
+    The Hermitian H = Σ_k Re(e^{-ik}·W_k) over the orthonormal-coordinate
+    unitaries W_k (generators counted from k = 1) has eigenvalue
+    Σ_k cos(θ_k − k) on the joint eigenvector of characters e^{iθ_k}. The
+    angles are k radians, so no two roots of unity give one eigenvalue of
+    H. The characters are the Rayleigh quotients of its eigenvectors. A
+    vector that is not an eigenvector of every W_k to NULLSPACE_TOL comes
+    from a cluster of H that mixes characters: the eigenvectors of H within
+    SPLIT_WINDOW of it are split by `_split`. A first-order step
+    (`_polish`) then removes what rounding mixed across nearby eigenvalues
+    of H, and the residuals are checked again.
+    """
+    space, rep = sys.gns
+    W = np.array(rep.onb_matrices)
+    X = np.exp(-1j * np.arange(1, len(W) + 1))[:, None, None] * W
+    vals, Q = np.linalg.eigh(((X + X.conj().swapaxes(-1, -2)) / 2).sum(axis=0))
+    C, chars, residual = _compressions(W, Q)
+    if (residual > NULLSPACE_TOL).any():
+        runs = np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > SPLIT_WINDOW) + 1)
+        for run in runs:
+            if (residual[run] > NULLSPACE_TOL).any():
+                Q[:, run] = _split(W, Q[:, run])
+        C, chars, residual = _compressions(W, Q)
+    polished = _polish(Q, C, chars)
+    if polished is not None:
+        Q = polished
+        _, chars, residual = _compressions(W, Q)
+    if (residual > NULLSPACE_TOL).any():
+        raise NcjoinError(
+            f"joint eigenvectors have residual {residual.max():.3e} > {NULLSPACE_TOL}; "
+            "the generators do not share an eigenbasis")
+    return Spectrum(onb=Q, chars=chars / abs(chars), space=space)
+
+
 def point_spectrum(sys: FiniteSystem) -> list[PointSpectrumEntry]:
     """Joint eigenvalues of the GNS unitaries, with eigenspaces.
 
     Entries are sorted lexicographically by (Re, Im) of each generator
     coordinate. Eigenvector phases are fixed by making the first nonzero
-    canonical coordinate real positive.
+    canonical coordinate real positive. Read from the system's cached
+    `spectrum`.
     """
-    space, rep = sys.gns
-    leaves = _joint_eigenspaces(rep.onb_matrices)
-    entries = []
-    for chars, B in leaves:
-        cols = []
-        for j in range(B.shape[1]):
-            cols.append(_fix_phase(space.from_onb(B[:, j])))
-        entries.append(PointSpectrumEntry(
-            eigenvalue=tuple(chars),
-            multiplicity=B.shape[1],
-            eigenvectors=np.column_stack(cols),
-        ))
-    entries.sort(key=lambda e: tuple(
-        (round(v.real, 10), round(v.imag, 10)) for v in e.eigenvalue))
-    return entries
+    return list(sys.spectrum.entries)
 
 
 def point_spectrum_overlap(entries_a, entries_b):
@@ -325,7 +405,8 @@ def classify_finite(sys: FiniteSystem) -> Classification:
     In finite dimension every orbit closure is compact, so the compactness
     flag is always true. All supported group descriptors are abelian, so
     discrete spectrum and compactness must agree; the joint eigenvectors of
-    commuting unitaries span everything and h0 equals the full dimension.
+    commuting unitaries span everything and h0 equals the full dimension
+    (`joint_spectrum` raises when its eigenvectors are not joint ones).
     """
     spec = point_spectrum(sys)
     h0 = sum(e.multiplicity for e in spec)
@@ -338,10 +419,6 @@ def classify_finite(sys: FiniteSystem) -> Classification:
             f"fixed-space dimension {fixed_dim} disagrees with trivial-character "
             f"multiplicity {trivial_mult}")
     d = sys.dimension
-    if h0 != d:
-        raise NcjoinError(
-            f"joint eigenvectors span dimension {h0} < {d} for an abelian action; "
-            "eigenspace refinement is incomplete")
     notes = (
         "finite dimension: compact is automatic (every bounded orbit is totally bounded)",
         "abelian action: discrete spectrum equals compactness, both hold",

@@ -10,15 +10,20 @@ every generator. Positivity of ω is positivity of every density block.
 
 The product state μ⊗ν is a joining with a positive definite density ρ⊗.
 Let T be the tangent space: the Hermitian tables that the homogeneous
-constraints (trace 0, zero marginals, invariance) map to zero, found by one
-SVD. The joining set is the spectrahedron {ρ⊗ + Σ t_i V_i ⪰ 0} over an
-orthonormal basis V_i of T. So:
+constraints (trace 0, zero marginals, invariance) map to zero. The
+invariant tables are spanned by the products x yᵀ of leg eigenvectors
+whose characters multiply to 1, read off each system's cached point
+spectrum, as in the paper's disjointness theorem; two small SVDs then take
+their Hermitian parts and impose zero marginals. The joining set is the
+spectrahedron {ρ⊗ + Σ t_i V_i ⪰ 0} over an orthonormal basis V_i of T. So:
 
 - `disjointness_test` answers "disjoint" exactly when T = {0}: every V ≠ 0
-  in T would give the joinings ρ⊗ ± εV. The evidence is the rank gap, the
-  smallest nonzero singular value of the constraints on Hermitian tables.
-  Otherwise the witness is the optimum along the first basis direction
-  that is not orthogonal to T, and the verdict is "not_disjoint".
+  in T would give the joinings ρ⊗ ± εV. The evidence is the rank gap
+  min(δ, σ): δ is the smallest distance ‖χψ − 1‖ from 1 of a product of
+  leg characters left unpaired, σ the smallest nonzero singular value of
+  the marginal rows on the invariant Hermitian tables. Otherwise the
+  witness is the optimum along the first basis direction that is not
+  orthogonal to T, and the verdict is "not_disjoint".
 - `find_joining` maximizes a linear objective with a log-barrier Newton
   path from t = 0 and returns [lower, upper]: `lower` is the value of a
   joining that passes the battery, `upper` a bound certified by a dual
@@ -35,6 +40,7 @@ system's cached GNS and mirror data (`_diagonal_values`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -72,6 +78,10 @@ class TensorContext:
     e_i ⊗ f_j is its matrix unit pair_index[i, j]. `blocks` groups the
     product blocks by size N, each group an (m, N, N) array of the flat
     positions i·dim_b + j of the block's matrix units in a value table.
+    `hermitian_positions` lists the flat positions of the diagonal units
+    and of the units above the diagonal and their adjoints, block by block.
+    These depend only on the two block structures and are shared by every
+    context over them.
     """
 
     A: FiniteSystem
@@ -85,6 +95,7 @@ class TensorContext:
     nu: np.ndarray
     pair_index: np.ndarray   # (dA, dB) -> canonical index in the product basis
     blocks: list[np.ndarray]
+    hermitian_positions: tuple[np.ndarray, np.ndarray, np.ndarray]   # diagonal, upper, lower
 
     @property
     def dim_a(self) -> int:
@@ -115,6 +126,31 @@ class TensorContext:
         return np.outer(self.mu, self.nu)
 
 
+@functools.lru_cache(maxsize=64)
+def _product_layout(sizes_a: tuple[int, ...], sizes_b: tuple[int, ...]):
+    """(structure, pair_index, blocks, hermitian_positions) of A ⊙ B, one per
+    pair of block-size tuples; the arrays are shared, so they are read-only."""
+    sa, sb = BlockStructure(sizes_a), BlockStructure(sizes_b)
+    structure = BlockStructure(tuple(na * nb for na in sizes_a for nb in sizes_b))
+    # e_i ⊗ f_j is the unit (ra·nb + rb, ca·nb + cb) of product block ka·mB + kb
+    ka, ra, ca = (x[:, None] for x in sa.addresses())
+    kb, rb, cb = sb.addresses()
+    nb = np.array(sizes_b)[kb]
+    k = ka * sb.num_blocks + kb
+    pair_index = (np.array(structure.offsets())[k]
+                  + (ra * nb + rb) * np.array(structure.block_sizes)[k] + ca * nb + cb)
+    position = np.empty(structure.dimension, dtype=int)   # canonical index -> flat position
+    position[pair_index.reshape(-1)] = np.arange(structure.dimension)
+    blocks = [position[g.units].reshape(-1, g.size, g.size) for g in structure.size_groups]
+    _, r, c = structure.addresses()
+    upper = np.flatnonzero(r < c)
+    hermitian = tuple(position[q] for q in (
+        np.flatnonzero(r == c), upper, structure.adjoint_indices[upper]))
+    for shared in (pair_index, *blocks, *hermitian):
+        shared.flags.writeable = False
+    return structure, pair_index, blocks, hermitian
+
+
 def build_tensor_context(A: FiniteSystem, B: FiniteSystem) -> TensorContext:
     """The product context of two systems, from their cached GNS data."""
     space_a, rep_a = A.gns   # raises for an invalid leg, before the group check
@@ -122,27 +158,15 @@ def build_tensor_context(A: FiniteSystem, B: FiniteSystem) -> TensorContext:
     if (A.group.kind, A.group.k, A.group.m) != (B.group.kind, B.group.k, B.group.m):
         raise UnsupportedGroupError(
             f"systems act by different groups: {A.group} vs {B.group}")
-    structure = BlockStructure(tuple(
-        na * nb for na in A.structure.block_sizes for nb in B.structure.block_sizes))
-
-    # e_i ⊗ f_j is the unit (ra·nb + rb, ca·nb + cb) of product block ka·mB + kb
-    ka, ra, ca = (x[:, None] for x in A.structure.addresses())
-    kb, rb, cb = B.structure.addresses()
-    nb = np.array(B.structure.block_sizes)[kb]
-    k = ka * B.structure.num_blocks + kb
-    pair_index = (np.array(structure.offsets())[k]
-                  + (ra * nb + rb) * np.array(structure.block_sizes)[k] + ca * nb + cb)
-    position = np.empty(structure.dimension, dtype=int)
-    position[pair_index.reshape(-1)] = np.arange(structure.dimension)
-
+    structure, pair_index, blocks, hermitian = _product_layout(
+        A.structure.block_sizes, B.structure.block_sizes)
     # μ(E_rc) = ρ[c, r]: the state's values are the coordinates of ρᵀ
     mu = A.state.density_element().transpose().coords()
     nu = B.state.density_element().transpose().coords()
     return TensorContext(
         A=A, B=B, structure=structure,
         space_a=space_a, rep_a=rep_a, space_b=space_b, rep_b=rep_b,
-        mu=mu, nu=nu, pair_index=pair_index,
-        blocks=[position[g.units].reshape(-1, g.size, g.size) for g in structure.size_groups],
+        mu=mu, nu=nu, pair_index=pair_index, blocks=blocks, hermitian_positions=hermitian,
     )
 
 
@@ -281,57 +305,67 @@ def graph_joining(sys: FiniteSystem, n: int) -> JoiningMatrix:
 # takes the value Re Σ k_q z_q = ⟨conj(k), z⟩.
 
 
-def _constraint_rows(ctx: TensorContext) -> np.ndarray:
-    """Complex rows K of the joining constraints on flat value tables.
-
-    A joining satisfies K z = (1, μ, ν, 0, …, 0): trace one, the marginals
-    V·1 = μ and 1ᵀ·V = ν, and Uaᵀ V Ub = V for every generator.
-    """
-    dA, dB, n = ctx.dim_a, ctx.dim_b, ctx.dim
-    ua = ctx.A.structure.identity().coords()
-    ub = ctx.B.structure.identity().coords()
-    K = [np.outer(ua, ub).reshape(1, n),
-         (np.eye(dA)[:, :, None] * ub).reshape(dA, n),
-         (ua[:, None] * np.eye(dB)[:, None, :]).reshape(dB, n)]
-    for Ua, Ub in zip(ctx.rep_a.matrices, ctx.rep_b.matrices):
-        # entry (i, j) of Uaᵀ V Ub is Σ Ua[m, i] Ub[l, j] V[m, l]
-        K.append(np.einsum("mi,lj->ijml", Ua, Ub).reshape(n, n) - np.eye(n))
-    return np.vstack(K)
-
-
 @dataclass
 class _TangentSpace:
     """T: the Hermitian tables z with K z = 0, the directions along which a
     joining can leave the product state."""
 
     basis: np.ndarray   # (dim T, dim): real-orthonormal rows, each a flat value table
-    rank_gap: float     # smallest nonzero singular value of K on Hermitian tables
+    rank_gap: float     # min(δ, σ), see `_tangent_space`
 
 
 def _tangent_space(ctx: TensorContext) -> _TangentSpace:
-    """T from one SVD of the constraint rows K on Hermitian tables.
+    """T from the joint eigenvectors of the two legs (`FiniteSystem.spectrum`).
 
-    Their real-orthonormal basis H (the diagonal units, (E_ab + E_ba)/√2 and
-    i(E_ab − E_ba)/√2 for a < b) makes K·H and the null rows mapped back by
-    H column gathers. A singular value counts as zero at the usual
-    numerical-rank cut, largest singular value · size · machine epsilon.
+    With q a joint eigenvector of the orthonormal-coordinate unitaries and
+    C the GNS Cholesky factor, x = Cᵀ·conj(q) has Uᵀx = χx. For such x of A
+    and y of B, Uaᵀ(x yᵀ)Ub = χψ·x yᵀ, and the tables x yᵀ span all tables,
+    so the invariant ones are spanned by the pairs with χψ = 1 for every
+    generator. A pair counts as one when ‖χψ − 1‖ is at the numerical-rank
+    cut, 2√k · dim · machine epsilon for k generators. Two small SVDs give
+    T: one takes the Hermitian parts of the paired tables and of i times
+    them, in coordinates on the real-orthonormal basis of the Hermitian
+    tables (the diagonal units, (E_ab + E_ba)/√2 and i(E_ab − E_ba)/√2 for
+    a < b), which the gathers of `hermitian_positions` read off. These span
+    a space of dimension f, the number of paired pairs; the other imposes
+    zero marginals, which imply trace 0.
+
+    The rank gap is min(δ, σ): δ is the smallest ‖χψ − 1‖ over the unpaired
+    pairs, σ the smallest nonzero singular value of the marginal rows on
+    the invariant Hermitian tables.
     """
-    _, r, c = ctx.structure.addresses()
-    position = np.empty(ctx.dim, dtype=int)   # canonical index -> flat table position
-    position[ctx.pair_index.reshape(-1)] = np.arange(ctx.dim)
-    upper = np.flatnonzero(r < c)
-    diag, upper, lower = (position[q] for q in (
-        np.flatnonzero(r == c), upper, ctx.structure.adjoint_indices[upper]))
-    K, h = _constraint_rows(ctx), 1 / math.sqrt(2)
-    K_up, K_lo = h * K[:, upper], h * K[:, lower]
-    KH = np.hstack([K[:, diag], K_up + K_lo, 1j * (K_up - K_lo)])
-    M = np.vstack([KH.real, KH.imag])
-    _, s, vt = np.linalg.svd(M, full_matrices=False)
-    rank = int(np.sum(s > s[0] * max(M.shape) * np.finfo(float).eps))
-    v_d, v_s, v_a = np.split(vt[rank:], [diag.size, diag.size + upper.size], axis=1)
-    v_up, basis = h * (v_s + 1j * v_a), np.empty((len(v_d), ctx.dim), dtype=complex)
-    basis[:, diag], basis[:, upper], basis[:, lower] = v_d, v_up, v_up.conj()
-    return _TangentSpace(basis=basis, rank_gap=float(s[rank - 1]))
+    sa, sb = ctx.A.spectrum, ctx.B.spectrum
+    dist = np.linalg.norm(sa.chars[:, None, :] * sb.chars[None, :, :] - 1, axis=2)
+    eps = np.finfo(float).eps
+    paired = dist <= 2 * math.sqrt(sa.chars.shape[1]) * ctx.dim * eps
+    delta = float(dist[~paired].min(initial=math.inf))
+    X = ctx.space_a.onb_factor.T @ sa.onb.conj()
+    Y = ctx.space_b.onb_factor.T @ sb.onb.conj()
+    X, Y = X / np.linalg.norm(X, axis=0), Y / np.linalg.norm(Y, axis=0)
+    i, j = np.nonzero(paired)
+    f = len(i)
+    G = (X[:, None, i] * Y[None, :, j]).reshape(ctx.dim, f)   # column s: x_i y_jᵀ, flat
+    diag, upper, lower = ctx.hermitian_positions
+    h = 1 / math.sqrt(2)
+    Gd, Gs, Ga = G[diag], h * (G[upper] + G[lower]), h * (G[upper] - G[lower])
+    # coordinates of the Hermitian parts of the tables G (left) and i·G (right)
+    R = np.concatenate([np.concatenate([Gd.real, Gs.real, Ga.imag]),
+                        -np.concatenate([Gd.imag, Gs.imag, -Ga.real])], axis=1)
+    E = np.linalg.svd(R, full_matrices=False)[0][:, :f]
+    v_d, v_s, v_a = np.split(E, [diag.size, diag.size + upper.size])
+    tables = np.empty((ctx.dim, f), dtype=complex)
+    tables[diag], tables[upper] = v_d, h * (v_s + 1j * v_a)
+    tables[lower] = tables[upper].conj()
+    V = tables.reshape(ctx.dim_a, ctx.dim_b, f)
+    ua = ctx.A.structure.identity().coords()
+    ub = ctx.B.structure.identity().coords()
+    marg = np.vstack([np.einsum("ijs,j->is", V, ub), np.einsum("ijs,i->js", V, ua)])
+    M = np.vstack([marg.real, marg.imag])
+    _, s, vt = np.linalg.svd(M)
+    rank = int(np.sum(s > s[0] * max(M.shape) * eps))
+    null = vt[rank:]
+    basis = null @ tables.T
+    return _TangentSpace(basis=basis, rank_gap=min(delta, float(s[rank - 1])))
 
 
 def _psd_floor(ctx: TensorContext, z: np.ndarray) -> float:
@@ -576,8 +610,8 @@ def find_joining(ctx: TensorContext, objective=None, max_iter: int = DEFAULT_MAX
 class DisjointnessCertificate:
     """Whether the product state is the only joining, with its evidence.
 
-    "disjoint": T = {0}, proved by `min_margin`, the smallest singular value
-    of the constraints on Hermitian tables (the rank gap). "not_disjoint":
+    "disjoint": T = {0}, proved by `min_margin`, the rank gap min(δ, σ) of
+    `_tangent_space`. "not_disjoint":
     `witness` is a joining other than the product, `witness_gap` above it
     along `witness_direction`. "inconclusive": the rank gap is below
     rounding, or the witness solve did not close its gap or did not get

@@ -30,10 +30,13 @@ distinct sample once.
 The barrier line search is kept as safeguarded Newton on ψ′ itself, as
 the solver ran it before it removed the pole of ψ′ at the step bound.
 
-The tangent space is built from the dense (dim × dim) matrix H of a
-real-orthonormal basis of the tables with Hermitian blocks, multiplied
-into the constraint rows, as the solver built it before it gathered the
-columns of K·H from K.
+The tangent space is built from the dense constraint rows K on the dense
+(dim × dim) matrix H of a real-orthonormal basis of the tables with
+Hermitian blocks, as the solver built it before it gathered the columns
+of K·H from K and before it took T from the two legs' point spectra. The
+joint point spectrum is found by iterated eigenspace refinement, one
+null-space SVD per eigenvalue cluster of each unitary, as the package
+found it before it took one `eigh` per system.
 """
 
 import itertools
@@ -45,7 +48,7 @@ from scipy.optimize import linprog
 from ncjoin.algebra import FAITHFULNESS_MIN_EIG, VALIDATION_TOL, AlgebraElement
 from ncjoin.dual import (IDENTITY_PERM, DeltaEvaluation, FinPerm, QQi, classify_dual,
                          word_multiply)
-from ncjoin.joinings import _constraint_rows, _diagonal_values
+from ncjoin.joinings import _diagonal_values
 
 
 def invariant_transportation_max(mu, nu, sigma, tau, cost):
@@ -547,11 +550,69 @@ def hermitian_basis_reference(ctx):
     return H
 
 
+def constraint_rows_reference(ctx):
+    """Complex rows K of the joining constraints on flat value tables.
+
+    A joining satisfies K z = (1, μ, ν, 0, …, 0): trace one, the marginals
+    V·1 = μ and 1ᵀ·V = ν, and Uaᵀ V Ub = V for every generator.
+    """
+    dA, dB, n = ctx.dim_a, ctx.dim_b, ctx.dim
+    ua = ctx.A.structure.identity().coords()
+    ub = ctx.B.structure.identity().coords()
+    K = [np.outer(ua, ub).reshape(1, n),
+         (np.eye(dA)[:, :, None] * ub).reshape(dA, n),
+         (ua[:, None] * np.eye(dB)[:, None, :]).reshape(dB, n)]
+    for Ua, Ub in zip(ctx.rep_a.matrices, ctx.rep_b.matrices):
+        # entry (i, j) of Uaᵀ V Ub is Σ Ua[m, i] Ub[l, j] V[m, l]
+        K.append(np.einsum("mi,lj->ijml", Ua, Ub).reshape(n, n) - np.eye(n))
+    return np.vstack(K)
+
+
 def tangent_space_reference(ctx):
     """(basis, rank gap) of T from the SVD of K·H with the dense H."""
     H = hermitian_basis_reference(ctx)
-    KH = _constraint_rows(ctx) @ H
+    KH = constraint_rows_reference(ctx) @ H
     M = np.vstack([KH.real, KH.imag])
     _, s, vt = np.linalg.svd(M, full_matrices=False)
     rank = int(np.sum(s > s[0] * max(M.shape) * np.finfo(float).eps))
     return vt[rank:] @ H.T, float(s[rank - 1])
+
+
+def _null_space(m):
+    _, s, vh = np.linalg.svd(m)
+    return vh[int(np.sum(s > 1e-8)):].conj().T
+
+
+def _cluster_values(values, tol=1e-8):
+    reps = []
+    for v in sorted(values, key=lambda z: (round(z.real, 12), round(z.imag, 12))):
+        if all(abs(v - r) >= tol for r in reps):
+            reps.append(complex(v))
+    return reps
+
+
+def joint_eigenspaces_reference(onb_unitaries):
+    """(character tuple, orthonormal basis columns) of every joint eigenspace.
+
+    Iterated eigenspace refinement, as the package computed the point
+    spectrum before it took one `eigh`: each unitary in turn splits every
+    space found so far by the null spaces of U − v at the modulus-one
+    eigenvalues v of its compression.
+    """
+    d = onb_unitaries[0].shape[0]
+    spaces = [((), np.eye(d, dtype=complex))]
+    for U in onb_unitaries:
+        refined = []
+        for chars, B in spaces:
+            comp = B.conj().T @ U @ B
+            cands = [v for v in np.linalg.eigvals(comp) if abs(abs(v) - 1.0) < 1e-6]
+            for v in _cluster_values(cands):
+                ns = _null_space(U @ B - v * B)
+                if ns.shape[1] == 0:
+                    continue
+                Bv = B @ ns
+                # polish the eigenvalue with a Rayleigh quotient
+                chi = complex(np.mean(np.diagonal(Bv.conj().T @ U @ Bv)))
+                refined.append((chars + (chi / abs(chi),), Bv))
+        spaces = refined
+    return spaces

@@ -10,17 +10,21 @@ Work that should not grow with a window or with the number of blocks is
 counted by wrapping numpy functions and comparing a small input with a
 large one. A barrier solve makes one linear solve per Newton step, and on
 1×1 density blocks it calls no Cholesky, inverse or eigenvalue routine.
+A system's point spectrum takes one `eigh`, however many classifications
+and joining solves read it, and contexts over one pair of block-size
+tuples share one product structure.
 """
 
 import importlib.util
 import json
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ncjoin import cli, corpus, fileio, joinings
+from ncjoin import cli, corpus, fileio, gns, joinings
 from ncjoin.algebra import (
     BlockStructure,
     cyclic_rotation_system,
@@ -29,8 +33,13 @@ from ncjoin.algebra import (
     validate_system,
 )
 from ncjoin.dual import DualSystem
-from ncjoin.gns import mirror_system
-from ncjoin.joinings import build_tensor_context, find_joining, mirror_context
+from ncjoin.gns import classify_finite, mirror_system
+from ncjoin.joinings import (
+    build_tensor_context,
+    disjointness_test,
+    find_joining,
+    mirror_context,
+)
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -283,9 +292,60 @@ def test_addresses_are_computed_once_per_structure(monkeypatch):
         return out
 
     monkeypatch.setattr(BlockStructure, "addresses", recorded)
+    joinings._product_layout.cache_clear()   # so that the product structures are built here
     legs = (cyclic_rotation_system(3), single_block_system(np.eye(2)))
     ctx = build_tensor_context(legs[0], legs[0])
     find_joining(ctx, objective=(0, 1))
     find_joining(build_tensor_context(legs[1], legs[1]), objective=(0, 1))
     assert {id(s.structure) for s in legs} | {id(ctx.structure)} <= set(results)
     assert all(out is outs[0] for _, outs in results.values() for out in outs)
+
+
+def test_contexts_over_one_pair_of_block_sizes_share_one_product_structure(monkeypatch):
+    """Five contexts over one pair of systems, with a solve on each, compute
+    the addresses of the product structure once."""
+    computed, original = Counter(), BlockStructure._addresses.func
+
+    def counted(self):
+        computed[self.block_sizes] += 1
+        return original(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(BlockStructure, "_addresses")
+    monkeypatch.setattr(BlockStructure, "_addresses", prop)
+    joinings._product_layout.cache_clear()
+    legs = (identity_system((1, 2)), identity_system((2,)))
+    contexts = [build_tensor_context(*legs) for _ in range(5)]
+    for ctx in contexts:
+        find_joining(ctx, objective=(0, 1))
+    assert all(ctx.structure is contexts[0].structure for ctx in contexts)
+    assert computed[(2, 4)] == 1
+
+
+def test_one_eigh_per_system(monkeypatch):
+    """classify, find_joining and disjointness_test read one cached spectrum
+    per system: one `eigh` each for pauli and two C3 systems."""
+    calls = Counter()
+    original = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls["eigh"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    pauli, c3, rot3 = corpus.system("pauli"), corpus.system("c3"), cyclic_rotation_system(3)
+    for _ in range(3):
+        for sysd in (pauli, c3, rot3):
+            classify_finite(sysd)
+        for a, b in ((pauli, pauli), (c3, rot3), (rot3, c3), (c3, c3)):
+            ctx = build_tensor_context(a, b)
+            find_joining(ctx, objective=(0, 1))
+            disjointness_test(ctx)
+    assert calls["eigh"] == 3
+
+
+def test_one_path_to_the_spectrum_and_the_tangent_space():
+    """The dense constraint rows and the iterated eigenspace refinement are
+    references in tests/oracles.py only."""
+    assert not hasattr(joinings, "_constraint_rows")
+    assert not hasattr(gns, "_joint_eigenspaces")

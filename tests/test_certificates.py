@@ -5,6 +5,9 @@ Each dual upper bound of `find_joining` and each rank margin of a
 of Hermitian value tables built in this file, with least-squares solves,
 eigenvalues and singular values of its own, and with density blocks rebuilt
 from the product algebra's coordinates instead of the solver's block layout.
+The rank margin min(δ, σ) is re-derived from `np.linalg.eig` of the raw GNS
+matrices (δ) and from the marginal rows on the dense null space of the
+invariance rows (σ), and dim T from the dense SVD of all the rows.
 """
 
 import math
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncjoin import corpus
-from ncjoin.algebra import GroupDescriptor, identity_system
+from ncjoin.algebra import GroupDescriptor, identity_system, single_block_system
 from ncjoin.joinings import (
     build_tensor_context,
     disjointness_test,
@@ -117,9 +120,9 @@ def _verify_bound(ctx, objective, jm, rep):
     assert rep.lower <= rep.upper
 
 
-def _constraint_singular_values(ctx):
-    """Singular values of the homogeneous constraints on Hermitian tables."""
-    K, _ = _complex_rows(ctx)
+def _hermitian_tables(ctx):
+    """Columns: a real-orthonormal basis of the tables with Hermitian blocks,
+    from the SVD of the spanning set z ↦ w·e_q + conj(w)·e_q* over w = 1, i."""
     n = ctx.dim
     adj = _adjoint_positions(ctx)
     spanning = []
@@ -133,15 +136,56 @@ def _constraint_singular_values(ctx):
     herm = u[:, s > 1e-9]
     herm = herm[:n] + 1j * herm[n:]
     assert herm.shape[1] == n
-    images = K @ herm
+    return herm
+
+
+def _singular_values(rows, tables):
+    """Singular values of complex rows on real-orthonormal tables, as a real map."""
+    images = rows @ tables
     return np.linalg.svd(np.vstack([images.real, images.imag]), compute_uv=False)
+
+
+def _constraint_singular_values(ctx):
+    """Singular values of the homogeneous constraints on Hermitian tables."""
+    K, _ = _complex_rows(ctx)
+    return _singular_values(K, _hermitian_tables(ctx))
+
+
+def _pair_gap(ctx):
+    """δ: the smallest ‖χψ − 1‖ over the pairs of leg characters whose
+    product is not 1 (more than 1e-9 from it).
+
+    A leg's joint characters come from `np.linalg.eig` of a generic real
+    combination of its raw GNS matrices: its eigenvectors v are joint
+    eigenvectors, and U's character on v is v*Uv / v*v.
+    """
+    chars = []
+    for rep in (ctx.rep_a, ctx.rep_b):
+        mats = np.array(rep.matrices)
+        _, vecs = np.linalg.eig(np.tensordot(np.sqrt(np.arange(2, len(mats) + 2)), mats, 1))
+        chars.append(np.einsum("ij,kij->jk", vecs.conj(), mats @ vecs)
+                     / np.sum(abs(vecs) ** 2, axis=0)[:, None])
+    dist = np.linalg.norm(chars[0][:, None, :] * chars[1][None, :, :] - 1, axis=2)
+    return dist[dist > 1e-9].min(initial=math.inf)
+
+
+def _marginal_gap(ctx):
+    """σ: the smallest nonzero singular value of the marginal rows on the
+    invariant Hermitian tables, the dense null space of the invariance rows."""
+    K, _ = _complex_rows(ctx)
+    herm = _hermitian_tables(ctx)
+    invariance = K[1 + ctx.dim_a + ctx.dim_b:] @ herm
+    _, s, vt = np.linalg.svd(np.vstack([invariance.real, invariance.imag]))
+    invariant = herm @ vt[np.sum(s > 1e-9 * s.max()):].T
+    s = _singular_values(K[1:1 + ctx.dim_a + ctx.dim_b], invariant)
+    return s[s > 1e-9 * s.max()].min()
 
 
 def _verify_rank(ctx, cert):
     s = _constraint_singular_values(ctx)
     kept = s[s > 1e-9 * s.max()]
     assert cert.tangent_dim == ctx.dim - kept.size
-    assert cert.min_margin == pytest.approx(kept.min(), rel=1e-9)
+    assert cert.min_margin == pytest.approx(min(_pair_gap(ctx), _marginal_gap(ctx)), rel=1e-9)
     if cert.verdict == "disjoint":
         assert kept.size == ctx.dim and cert.min_margin > 1e-8
 
@@ -170,6 +214,25 @@ def test_certificates_verify_from_raw_constraints():
         _verify_rank(ctx, cert)
         verdicts.add(cert.verdict)
     assert verdicts == {"disjoint", "not_disjoint"}
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-9])
+def test_near_paired_characters_stay_unpaired(eps):
+    """Ad(diag(1, e^{i})) against Ad(diag(1, e^{-i(1+eps)})): the characters
+    e^{±i} and e^{∓i(1+eps)} multiply to e^{∓i·eps}, eps from 1. The pair
+    stays out of T and sets the margin; at 1e-9 that is below the 1e-8 a
+    verdict needs."""
+    ctx = build_tensor_context(single_block_system(np.diag([1, np.exp(1j)])),
+                               single_block_system(np.diag([1, np.exp(-1j * (1 + eps))])))
+    cert = disjointness_test(ctx)
+    assert cert.tangent_dim == 1   # from the fixed diagonals alone
+    assert cert.min_margin == pytest.approx(eps, rel=1e-6)
+    _, rep = find_joining(ctx, objective=(0, 0))
+    if eps == 1e-7:
+        _verify_rank(ctx, cert)
+        assert cert.verdict == "not_disjoint" and not rep.inconclusive
+    else:
+        assert cert.verdict == "inconclusive" and rep.inconclusive
 
 
 def _rotation_optimum(p, q, i, j):

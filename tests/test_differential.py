@@ -7,19 +7,21 @@ Ad(u) pairs on M2 and M3 are compared with optima recorded at commit
 tensor of the two GNS spaces rather than on the block density of A ⊗ B.
 The rank verdict of `disjointness_test` is compared with the eigenvalue
 pairs of the GNS unitaries and with the verdicts of the direction scan
-that it replaced. The tangent space, whose constraint rows on Hermitian
-tables are gathered from columns of K, is compared with the one from the
-dense Hermitian basis matrix (`oracles.tangent_space_reference`).
+that it replaced. The tangent space, built from the two legs' joint
+eigenvectors, is compared with the null space of the dense constraint rows
+on the dense Hermitian basis matrix (`oracles.tangent_space_reference`).
+The joint point spectrum from one `eigh` is compared with the iterated
+eigenspace refinement it replaced (`oracles.joint_eigenspaces_reference`).
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ncjoin import corpus
+from ncjoin import corpus, gns
 from ncjoin.algebra import (
     Automorphism,
     BlockStructure,
@@ -39,7 +41,11 @@ from ncjoin.joinings import (
     residual_magnitude,
 )
 
-from oracles import invariant_transportation_max, tangent_space_reference
+from oracles import (
+    invariant_transportation_max,
+    joint_eigenspaces_reference,
+    tangent_space_reference,
+)
 
 BATTERY_TOL = 1e-8
 LP_TOL = 2e-6
@@ -245,4 +251,90 @@ def test_gathered_tangent_space_matches_dense_reference(pair):
         return real.T @ real
 
     assert np.abs(projector(tangent.basis) - projector(basis)).max() <= 1e-12
-    assert abs(tangent.rank_gap - gap) <= 1e-12 * max(1.0, gap)
+
+
+def _conjugated(rng, n, phases):
+    """V·diag(e^{iφ})·V* for a Haar V."""
+    v = _haar_unitary(rng, n)
+    return (v * np.exp(1j * np.asarray(phases))) @ v.conj().T
+
+
+def _weyl_pair(n):
+    """Shift and clock on C^n: ZX = ωXZ, so Ad(X) and Ad(Z) commute."""
+    shift = np.roll(np.eye(n), 1, axis=0)
+    clock = np.diag(np.exp(2j * math.pi * np.arange(n) / n))
+    return shift, clock
+
+
+def _separated(u, tol=1e-3):
+    """The characters λ_a·conj(λ_b) of Ad(u) either coincide or lie tol apart."""
+    lam = np.linalg.eigvals(u)
+    chars = (lam[:, None] * lam.conj()[None, :]).reshape(-1)
+    gaps = abs(chars[:, None] - chars[None, :])
+    return bool(np.all((gaps < 1e-12) | (gaps > tol)))
+
+
+@st.composite
+def spectral_systems(draw):
+    """Systems whose spectra test the one-eigh construction: identity systems
+    of Z and Z^2, Z^2 Weyl (Pauli-like) pairs on M_n, rotations C_p up to
+    p = 24, Ad(u) with an eigenvalue of multiplicity 3, Haar Ad(u) on M_n,
+    and Ad(u) with pairs of characters mirrored, or nearly, about the angle
+    1 radian of the first generator, which the Hermitian combination H
+    cannot tell apart. Distinct characters lie at least 1e-3 apart: both
+    constructions resolve closer ones only to about ε over their distance."""
+    kind = draw(st.sampled_from(["identity", "weyl", "rotation", "triple", "haar", "mirror"]))
+    if kind == "identity":
+        sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3))
+        group = draw(st.sampled_from([GroupDescriptor("Z"), GroupDescriptor("Zk", k=2)]))
+        return identity_system(sizes, group)
+    if kind == "rotation":
+        return cyclic_rotation_system(draw(st.integers(min_value=2, max_value=24)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "weyl":
+        n = draw(st.integers(min_value=2, max_value=4))
+        v = _haar_unitary(rng, n)
+        return single_block_system([v @ w @ v.conj().T for w in _weyl_pair(n)])
+    if kind == "triple":
+        u = _conjugated(rng, 5, [0.4, 0.4, 0.4, 1.7, -2.2])
+    elif kind == "haar":
+        u = _haar_unitary(rng, draw(st.integers(min_value=2, max_value=4)))
+        assume(_separated(u))
+    else:
+        # Ad(u) has e^{i(1+a)}, e^{i(1-a+b)}, e^{i(2+b)} and 1: two pairs b from
+        # mirrored, which H cannot tell apart at b = 0 and mixes by ~ε/b above
+        a = draw(st.floats(min_value=0.2, max_value=0.8))
+        b = draw(st.sampled_from([0.0, 1e-9, 1e-7, 1e-5]))
+        u = _conjugated(rng, 3, [0.0, 1 + a, 2.0 + b])
+    return single_block_system(u)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sysd=spectral_systems())
+def test_one_eigh_spectrum_matches_eigenspace_refinement(sysd):
+    space, rep = sysd.gns
+    reference = joint_eigenspaces_reference(rep.onb_matrices)
+    entries = sysd.spectrum.entries
+    assert len(entries) == len(reference)
+    for entry in entries:
+        chars, B = min(reference, key=lambda r: max(
+            abs(np.array(r[0]) - entry.eigenvalue)))
+        assert entry.multiplicity == B.shape[1]
+        assert max(abs(np.array(chars) - entry.eigenvalue)) <= 1e-12
+        Q = space.onb_factor @ entry.eigenvectors   # orthonormal coordinates
+        assert abs(Q @ Q.conj().T - B @ B.conj().T).max() <= 1e-12
+
+
+def test_mirrored_characters_force_the_split(monkeypatch):
+    """Ad(u) with u of eigenvalues 1 and e^{2i}: the characters 1 and e^{2i}
+    give one eigenvalue cos 1 of the Hermitian combination, and the split
+    separates them."""
+    splits, split = [], gns._split
+    monkeypatch.setattr(gns, "_split", lambda W, B: splits.append(B.shape[1]) or split(W, B))
+    v = np.array([[1, 1j], [1j, 1]]) / math.sqrt(2)
+    sysd = single_block_system(v @ np.diag([1, np.exp(2j)]) @ v.conj().T)
+    got = [(e.eigenvalue[0], e.multiplicity) for e in sysd.spectrum.entries]
+    want = [(np.exp(-2j), 1), (np.exp(2j), 1), (1, 2)]   # sorted by (Re, Im)
+    assert [m for _, m in got] == [m for _, m in want]
+    assert max(abs(a - b) for (a, _), (b, _) in zip(got, want)) <= 1e-12
+    assert splits == [3]   # the eigenvalue cos 1 of H: e^{2i} and the two 1's

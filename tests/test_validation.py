@@ -150,6 +150,22 @@ def test_matrix_columns_are_images_of_basis_elements():
             assert np.array_equal(gen.matrix(), columns), name
 
 
+@pytest.mark.parametrize("blocks,message", [
+    ([np.full((2, 2), np.nan), np.eye(2), np.eye(3)], "block 0 has non-finite entries"),
+    ([np.eye(2), np.full((2, 2), np.inf), np.eye(2)], "block 1 has non-finite entries"),
+    ([np.full((2, 2), np.nan), np.eye(2), np.eye(2)], "block 0 has non-finite entries"),
+    ([np.eye(3), np.full((2, 2), np.nan), np.eye(2)], r"block 0 has shape \(3, 3\)"),
+    ([np.eye(2), np.eye(2), np.eye(3)], r"block 2 has shape \(3, 3\), expected \(2, 2\)"),
+], ids=["nan-then-shape", "inf-in-middle", "nan-first", "shape-then-nan", "shape-last"])
+def test_constructors_name_the_first_failing_block(blocks, message):
+    """Shape and finiteness are checked in block order, shape first within a block."""
+    s = BlockStructure((2, 2, 2))
+    with pytest.raises(StructureError, match="density " + message):
+        FaithfulState(s, blocks)
+    with pytest.raises(StructureError, match="conjugator " + message):
+        Automorphism(s, (0, 1, 2), blocks)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
 def test_constructors_reject_non_finite_blocks(bad):
     s = BlockStructure((2, 1))
