@@ -56,15 +56,14 @@ NET_WINDOW = 512                  # group elements of an infinite orbit in compa
 class GnsSpace:
     """Inner-product space carrying the left representation of the algebra.
 
-    gram[i, j] = μ(e_i* e_j); left_rep[i] is the matrix of left
-    multiplication by e_i in canonical coordinates; cyclic_vector is γ(1).
-    onb_factor is the upper-triangular C with gram = C* C.
+    gram[i, j] = μ(e_i* e_j); cyclic_vector is γ(1). onb_factor is the
+    upper-triangular C with gram = C* C. Left multiplication by a is
+    `sandwich_matrix(a, 1)` in canonical coordinates.
     """
 
     structure: BlockStructure
     dimension: int
     gram: np.ndarray
-    left_rep: list[np.ndarray]
     cyclic_vector: np.ndarray
     onb_factor: np.ndarray
     onb_factor_inv: np.ndarray
@@ -152,17 +151,10 @@ def gns_construct(sys: FiniteSystem) -> tuple[GnsSpace, UnitaryRep]:
     """Build the GNS data and the unitaries U_g γ(a) = γ(α_g(a))."""
     require_valid(sys)
     struct = sys.structure
-    d = struct.dimension
     rows, cols = np.nonzero(struct.block_mask)   # of the matrix units, in canonical order
     # e_i* e_j = E_{c_i c_j} when e_i, e_j share a row, so μ(e_i* e_j) = ρ[c_j, c_i]
     rho = sys.state.density_element().block_matrix()
     gram = np.where(rows[:, None] == rows, rho[cols[None, :], cols[:, None]], 0)
-    # e_i e_j = E_{r_i c_j} when the column of e_i is the row of e_j
-    unit = np.zeros((struct.matrix_size,) * 2, dtype=int)
-    unit[rows, cols] = np.arange(d)
-    left = np.zeros((d, d, d), dtype=complex)
-    i, j = np.nonzero(cols[:, None] == rows)
-    left[i, unit[rows[i], cols[j]], j] = 1.0
 
     chol_lower = np.linalg.cholesky(gram)
     onb = chol_lower.conj().T
@@ -170,9 +162,8 @@ def gns_construct(sys: FiniteSystem) -> tuple[GnsSpace, UnitaryRep]:
 
     space = GnsSpace(
         structure=struct,
-        dimension=d,
+        dimension=struct.dimension,
         gram=gram,
-        left_rep=list(left),
         cyclic_vector=struct.identity().coords(),
         onb_factor=onb,
         onb_factor_inv=onb_inv,
@@ -183,25 +174,22 @@ def gns_construct(sys: FiniteSystem) -> tuple[GnsSpace, UnitaryRep]:
     return space, rep
 
 
-def _null_space(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space, via SVD."""
-    if m.size == 0:
-        return np.zeros((m.shape[1], 0), dtype=complex)
-    _, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > NULLSPACE_TOL))
-    return vh[rank:].conj().T
+def _linkage(points: np.ndarray) -> np.ndarray:
+    """Single-linkage classes of the rows of an (n, k) array at EIG_CLUSTER_TOL.
 
-
-def _cluster_values(values):
-    """Group complex values into clusters of diameter ~EIG_CLUSTER_TOL; returns means."""
-    reps: list[complex] = []
-    for v in sorted(values, key=lambda z: (round(z.real, 12), round(z.imag, 12))):
-        for i, r in enumerate(reps):
-            if abs(v - r) < EIG_CLUSTER_TOL:
-                break
-        else:
-            reps.append(complex(v))
-    return reps
+    Two rows share a class when a chain of rows links them, each step
+    closer than EIG_CLUSTER_TOL in every coordinate, so every row lies in
+    exactly one class. Each row is labelled with the smallest row index of
+    its class: the least label among a row's neighbours spreads until no
+    label changes.
+    """
+    near = abs(points[:, None, :] - points[None, :, :]).max(axis=2) < EIG_CLUSTER_TOL
+    labels = np.arange(len(points))
+    while True:
+        spread = np.where(near, labels, len(points)).min(axis=1)
+        if (spread == labels).all():
+            return labels
+        labels = spread
 
 
 @dataclass
@@ -216,9 +204,11 @@ class Spectrum:
     """Joint eigenbasis of a system's GNS unitaries.
 
     Column j of `onb` is a joint eigenvector in orthonormal coordinates,
-    with characters `chars[j]`, one per generator. `entries` groups the
-    columns by character, as `point_spectrum` reports them; it is built on
-    first read, since the tangent space of a joining reads only the columns.
+    with characters `chars[j]`, one per generator. `classes` partitions the
+    columns by character; every question of equal characters, and of
+    characters equal to 1, reads it. `entries` groups the columns by class,
+    as `point_spectrum` reports them; both are built on first read, since
+    the tangent space of a joining reads only the columns.
     """
 
     onb: np.ndarray      # (d, d) unitary
@@ -226,11 +216,23 @@ class Spectrum:
     space: GnsSpace
 
     @functools.cached_property
+    def classes(self) -> np.ndarray:
+        """Class label of each column: single linkage of the characters at
+        EIG_CLUSTER_TOL (`_linkage`)."""
+        return _linkage(self.chars)
+
+    @property
+    def fixed(self) -> np.ndarray:
+        """Indices of the columns that span the fixed space: the class of
+        the column whose characters lie nearest 1."""
+        nearest = abs(self.chars - 1).max(axis=1).argmin()
+        return np.flatnonzero(self.classes == self.classes[nearest])
+
+    @functools.cached_property
     def entries(self) -> list[PointSpectrumEntry]:
-        """Columns grouped by character within EIG_CLUSTER_TOL, each group
-        with its normalized mean character, sorted lexicographically by
-        (Re, Im) of each generator coordinate."""
-        chars = self.chars
+        """Columns grouped by class, each group with its normalized mean
+        character, sorted lexicographically by (Re, Im) of each generator
+        coordinate."""
         # canonical coordinates, phases fixed: the first entry above 1e-10 of
         # each column is made real positive, exactly
         V = self.space.from_onb(self.onb)
@@ -238,10 +240,9 @@ class Spectrum:
         lead = V[first, cols]
         V = V * (abs(lead) / lead)
         V[first, cols] = abs(lead)
-        near = abs(chars[:, None, :] - chars[None, :, :]).max(axis=2) < EIG_CLUSTER_TOL
-        group = np.argmax(near, axis=1)   # each column joins the first column near it
-        members = group == np.flatnonzero(group == np.arange(len(group)))[:, None]
-        sums = members @ chars
+        labels = self.classes
+        members = labels == np.flatnonzero(labels == np.arange(len(labels)))[:, None]
+        sums = members @ self.chars
         entries = [PointSpectrumEntry(eigenvalue=tuple(chi), multiplicity=m,
                                       eigenvectors=V[:, cols])
                    for chi, m, cols in zip((sums / abs(sums)).tolist(),
@@ -364,25 +365,19 @@ def point_spectrum_overlap(entries_a, entries_b):
 def fixed_point_algebra(sys: FiniteSystem) -> list[AlgebraElement]:
     """Gram-orthonormal basis of {a : α_g(a) = a for all generators}.
 
+    It spans the fixed-space columns of `sys.spectrum` (`Spectrum.fixed`).
     The first basis element is the identity (its μ-norm is 1). The span is
     closed under adjoints since every α_g is *-preserving.
     """
-    space, rep = sys.gns
-    d = space.dimension
-    stacked = np.vstack([U - np.eye(d) for U in rep.onb_matrices])
-    ns = _null_space(stacked)
-    omega_on = space.to_onb(space.cyclic_vector)
-    # rotate the fixed-space basis so it starts with γ(1)
-    cols = [omega_on]
-    for j in range(ns.shape[1]):
-        v = ns[:, j]
-        for c in cols:
-            v = v - c * (c.conj() @ v)
-        n = np.linalg.norm(v)
-        if n > 1e-10:
-            cols.append(v / n)
-    basis = np.column_stack(cols)
-    return [space.element(space.from_onb(basis[:, j])) for j in range(basis.shape[1])]
+    space, spec = sys.gns[0], sys.spectrum
+    F = spec.onb[:, spec.fixed]
+    omega = space.to_onb(space.cyclic_vector)
+    # Ω takes the place of the column it overlaps most, which keeps the span;
+    # QR with a positive diagonal then starts the basis with Ω
+    j = abs(omega.conj() @ F).argmax()
+    q, r = np.linalg.qr(np.column_stack([omega, np.delete(F, j, axis=1)]))
+    q = q * (np.diagonal(r) / abs(np.diagonal(r)))
+    return [space.element(v) for v in space.from_onb(q).T]
 
 
 @dataclass
@@ -402,22 +397,17 @@ class Classification:
 def classify_finite(sys: FiniteSystem) -> Classification:
     """Classify by fixed-point dimension and the span of joint eigenvectors.
 
-    In finite dimension every orbit closure is compact, so the compactness
-    flag is always true. All supported group descriptors are abelian, so
-    discrete spectrum and compactness must agree; the joint eigenvectors of
-    commuting unitaries span everything and h0 equals the full dimension
+    The fixed-point dimension is the size of the fixed class of the
+    spectrum (`Spectrum.fixed`). In finite dimension every orbit closure is
+    compact, so the compactness flag is always true. All supported group
+    descriptors are abelian, so discrete spectrum and compactness must
+    agree; the joint eigenvectors of commuting unitaries span everything
+    and h0 equals the full dimension
     (`joint_spectrum` raises when its eigenvectors are not joint ones).
     """
     spec = point_spectrum(sys)
     h0 = sum(e.multiplicity for e in spec)
-    fixed = fixed_point_algebra(sys)
-    fixed_dim = len(fixed)
-    trivial = [e for e in spec if all(abs(v - 1.0) < EIG_CLUSTER_TOL for v in e.eigenvalue)]
-    trivial_mult = sum(e.multiplicity for e in trivial)
-    if trivial_mult != fixed_dim:
-        raise NcjoinError(
-            f"fixed-space dimension {fixed_dim} disagrees with trivial-character "
-            f"multiplicity {trivial_mult}")
+    fixed_dim = len(sys.spectrum.fixed)
     d = sys.dimension
     notes = (
         "finite dimension: compact is automatic (every bounded orbit is totally bounded)",
@@ -492,7 +482,7 @@ def cesaro_correlation(sys: FiniteSystem, x, y, n: int) -> CesaroResult:
     limit = space.inner(x, omega) * space.inner(omega, y)
     deviation = abs(value - limit)
     bound = 2.0 / n * space.norm(x) * space.norm(y)
-    ergodic = len(fixed_point_algebra(sys)) == 1
+    ergodic = len(sys.spectrum.fixed) == 1
     return CesaroResult(value=value, deviation=deviation, bound=bound, ergodic=ergodic)
 
 
@@ -605,32 +595,30 @@ def eigenoperator(sys: FiniteSystem, chi) -> AlgebraElement:
 def spectral_atoms(u: AlgebraElement):
     """Spectral decomposition of a unitary element: [(value, projector), ...].
 
-    Eigenvalues closer than EIG_CLUSTER_TOL count as one atom. Projectors are
-    Hermitian idempotents obtained blockwise; degenerate clusters are
-    re-orthonormalized.
+    The eigenvalues of all blocks are partitioned by single linkage at
+    EIG_CLUSTER_TOL (`_linkage`), so each lies in exactly one atom. Atoms
+    come in lexicographic (Re, Im) order, each valued at its first
+    eigenvalue in that order. Projectors are Hermitian idempotents obtained
+    blockwise; degenerate clusters are re-orthonormalized.
     """
     ident = u.structure.identity()
     if (u.adjoint() @ u - ident).norm() > 1e-8:
         raise NonUnitaryError("element is not unitary within tolerance")
-    all_vals = []
-    per_block = []
-    for b in u.blocks:
-        vals, vecs = np.linalg.eig(b)
-        per_block.append((vals, vecs))
-        all_vals.extend(vals)
-    atoms = _cluster_values(all_vals)
+    per_block = [np.linalg.eig(b) for b in u.blocks]
+    vals = np.concatenate([v for v, _ in per_block])
+    order = sorted(range(len(vals)), key=lambda j: (round(vals[j].real, 12),
+                                                    round(vals[j].imag, 12)))
+    first = _linkage(vals[order, None])   # the sorted position of each atom's first value
+    labels = np.empty_like(first)
+    labels[order] = first
+    per_block_labels = np.split(labels, np.cumsum(u.structure.block_sizes)[:-1])
     out = []
-    for v in atoms:
+    for atom in np.flatnonzero(first == np.arange(len(first))):
         blocks = []
-        for (vals, vecs), n in zip(per_block, [blk.shape[0] for blk in u.blocks]):
-            sel = [j for j in range(len(vals)) if abs(vals[j] - v) < EIG_CLUSTER_TOL]
-            if not sel:
-                blocks.append(np.zeros((n, n), dtype=complex))
-                continue
-            cols = vecs[:, sel]
-            q, _ = np.linalg.qr(cols)
+        for (_, vecs), lab in zip(per_block, per_block_labels):
+            q, _ = np.linalg.qr(vecs[:, lab == atom])
             blocks.append(q @ q.conj().T)
-        out.append((v, AlgebraElement(u.structure, blocks)))
+        out.append((complex(vals[order[atom]]), AlgebraElement(u.structure, blocks)))
     return out
 
 

@@ -61,7 +61,7 @@ from .errors import (
     NonJoiningError,
     UnsupportedGroupError,
 )
-from .gns import GnsSpace, UnitaryRep, fixed_point_algebra
+from .gns import GnsSpace, UnitaryRep
 
 DEFAULT_MAX_ITER = 500    # Newton steps of one barrier solve
 DEFAULT_WIDTH = 1e-6      # a solve ends when upper − lower ≤ width
@@ -740,7 +740,7 @@ def cesaro_diagonal_average(sys: FiniteSystem, n: int) -> CesaroDiagonalResult:
     acc = _diagonal_values(ctx, ctx.rep_a.folner_mean(sys.group, n))
     deviation = float(np.max(np.abs(acc - ctx.product_values())))
     return CesaroDiagonalResult(values=acc, deviation=deviation,
-                                ergodic=len(fixed_point_algebra(sys)) == 1)
+                                ergodic=len(sys.spectrum.fixed) == 1)
 
 
 @dataclass

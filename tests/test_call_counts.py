@@ -349,3 +349,31 @@ def test_one_path_to_the_spectrum_and_the_tangent_space():
     references in tests/oracles.py only."""
     assert not hasattr(joinings, "_constraint_rows")
     assert not hasattr(gns, "_joint_eigenspaces")
+
+
+def test_fixed_space_is_read_off_the_spectrum(monkeypatch):
+    """Once a system's spectrum (and, for the diagonal average, its
+    validated mirror) is built, its fixed space, classification and ergodic
+    flags take no SVD: they read the spectrum's χ = 1 class. The null-space
+    SVD and the greedy clusterer are references in tests/oracles.py only."""
+    assert not hasattr(gns, "_null_space")
+    assert not hasattr(gns, "_cluster_values")
+    systems = [corpus.system(name) for name in ("c3", "pauli", "id3", "gibbs")]
+    for sysd in systems:
+        sysd.spectrum
+        mirror_context(sysd)
+    calls = Counter()
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls["svd"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for sysd in systems:
+        x = np.ones(sysd.dimension)
+        classify_finite(sysd)
+        gns.fixed_point_algebra(sysd)
+        gns.cesaro_correlation(sysd, x, x, 5)
+        joinings.cesaro_diagonal_average(sysd, 5)
+    assert calls["svd"] == 0

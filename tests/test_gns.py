@@ -1,14 +1,22 @@
+import itertools
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncjoin import corpus
+from ncjoin import cli, corpus, fileio
 from ncjoin.algebra import (
     AlgebraElement,
     BlockStructure,
     FiniteSystem,
     GroupDescriptor,
     Automorphism,
+    cyclic_rotation_system,
     identity_system,
+    sandwich_matrix,
     single_block_system,
     uniform_state,
 )
@@ -31,11 +39,20 @@ from ncjoin.gns import (
     modular_invariance_check,
     point_spectrum,
     point_spectrum_overlap,
+    spectral_atoms,
     spectral_interval_projection,
     verify_spectral_covariance,
 )
 
+from oracles import _null_space
+
 OMEGA3 = np.exp(2j * np.pi / 3)
+
+
+def _left_rep(sysd):
+    """π(e_i) for each basis element e_i: left multiplication in canonical coordinates."""
+    s = sysd.structure
+    return [sandwich_matrix(s.basis_element(i), s.identity()) for i in range(s.dimension)]
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +95,12 @@ def test_gram_unitarity_invariant():
 def test_left_rep_reproduces_products(c3, gibbs):
     for sysd in (c3, gibbs):
         space, _ = gns_construct(sysd)
+        left = _left_rep(sysd)
         for i in range(sysd.dimension):
             for j in range(sysd.dimension):
                 ei = sysd.structure.basis_element(i)
                 ej = sysd.structure.basis_element(j)
-                lhs = space.left_rep[i] @ space.gamma(ej)
+                lhs = left[i] @ space.gamma(ej)
                 assert np.allclose(lhs, space.gamma(ei @ ej))
 
 
@@ -175,13 +193,74 @@ def test_eigenvectors_gram_orthonormal(c5):
     assert np.allclose(g, np.eye(vecs.shape[1]), atol=1e-9)
 
 
-def test_trivial_character_matches_fixed_space():
-    for name in corpus.FINITE_SYSTEMS:
-        sysd = corpus.system(name)
-        spec = point_spectrum(sysd)
-        triv = sum(e.multiplicity for e in spec
-                   if all(abs(v - 1) < 1e-8 for v in e.eigenvalue))
-        assert triv == len(fixed_point_algebra(sysd))
+def _haar(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+@st.composite
+def generated_systems(draw):
+    """Corpus systems, and generated Z, Z^2 and Z_m systems: rotations C_p
+    acting as Z or as Z_p, identity systems, Haar Ad(u), Ad(u) with u of
+    finite order m acting as Z_m, and Ad of two commuting unitaries whose
+    eigenvalues are cube roots of unity, so that characters repeat."""
+    kind = draw(st.sampled_from(["corpus", "rotation", "identity", "haar", "order", "pair"]))
+    if kind == "corpus":
+        return corpus.system(draw(st.sampled_from(sorted(corpus.FINITE_SYSTEMS))))
+    if kind == "rotation":
+        p = draw(st.integers(min_value=2, max_value=8))
+        rot = cyclic_rotation_system(p)
+        group = draw(st.sampled_from([GroupDescriptor("Z"), GroupDescriptor("Zm", m=p)]))
+        return FiniteSystem(rot.structure, rot.state, group, rot.generators)
+    if kind == "identity":
+        sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3))
+        return identity_system(sizes, draw(st.sampled_from([
+            GroupDescriptor("Z"), GroupDescriptor("Zk", k=2), GroupDescriptor("Zm", m=3)])))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=2, max_value=4))
+    v = _haar(rng, n)
+    if kind == "haar":
+        return single_block_system(v)
+    if kind == "order":
+        m = draw(st.integers(min_value=1, max_value=4))
+        u = (v * np.exp(2j * math.pi * rng.integers(0, m, n) / m)) @ v.conj().T
+        return single_block_system(u, group=GroupDescriptor("Zm", m=m))
+    return single_block_system([(v * np.exp(2j * math.pi * rng.integers(0, 3, n) / 3))
+                                @ v.conj().T for _ in range(2)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(sysd=generated_systems())
+def test_trivial_character_matches_fixed_space(sysd):
+    """The χ = 1 class of the spectrum against the null-space SVD of the
+    stacked U_k − 1 (`oracles._null_space`)."""
+    _, rep = sysd.gns
+    svd_dim = _null_space(np.vstack([U - np.eye(len(U)) for U in rep.onb_matrices])).shape[1]
+    triv = sum(e.multiplicity for e in point_spectrum(sysd)
+               if all(abs(v - 1) < 1e-8 for v in e.eigenvalue))
+    assert triv == svd_dim
+    assert classify_finite(sysd).fixed_algebra_dimension == svd_dim
+    assert len(fixed_point_algebra(sysd)) == svd_dim
+
+
+@pytest.mark.parametrize("eps", [3e-9, 6e-9, 9e-9])
+def test_character_chains_keep_every_column(eps, tmp_path):
+    """Ad(diag(e^{iεk}), k = 0..2) has the characters 1, e^{±iε} and
+    e^{±2iε}, each within 1e-8 of the next. Single linkage merges them into
+    one class: every column is in the point spectrum, and the fixed space is
+    that class."""
+    sysd = single_block_system(np.diag(np.exp(1j * eps * np.arange(3))))
+    spec = point_spectrum(sysd)
+    assert sum(e.multiplicity for e in spec) == sysd.dimension
+    trivial = [e for e in spec if all(abs(v - 1) < 1e-8 for v in e.eigenvalue)]
+    assert len(trivial) == 1
+    assert classify_finite(sysd).fixed_algebra_dimension == trivial[0].multiplicity
+    assert len(fixed_point_algebra(sysd)) == trivial[0].multiplicity
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(fileio.dump_system(sysd)))
+    _, code = cli.run(["classify", "--system", str(path)])
+    assert code == 0
 
 
 def test_point_spectrum_overlap(c2, c3):
@@ -271,9 +350,10 @@ def test_mirror_invariants(gibbs):
     m = mirror_system(gibbs)
     space, rep = gns_construct(gibbs)
     ident = gibbs.structure.identity()
+    left = _left_rep(gibbs)
     # commutation with every left representative
     for Xc in m.commutant_basis:
-        for L in space.left_rep:
+        for L in left:
             assert np.linalg.norm(Xc @ L - L @ Xc) < 1e-9
     # mirror state is unital and invariant under the mirror dynamics
     assert m.state_of(np.eye(4, dtype=complex)) == pytest.approx(1.0)
@@ -288,7 +368,7 @@ def test_mirror_invariants(gibbs):
     for j in range(gibbs.dimension):
         f = gibbs.structure.basis_element(j)
         R = m.promoted_image(f)
-        for L in space.left_rep:
+        for L in left:
             assert np.linalg.norm(R @ L - L @ R) < 1e-12
         assert m.state_of(R) == pytest.approx(complex(m.promoted.state.value(f)))
         # star preservation under the Gram adjoint
@@ -401,6 +481,18 @@ def test_spectral_projection_idempotent_and_partition(c3, pauli):
             assert (P.adjoint() - P).norm() < 1e-10
             total = total + P
         assert (total - sysd.structure.identity()).norm() < 1e-9
+
+
+@pytest.mark.parametrize("sizes", [(3,), (1, 1, 1)])
+def test_spectral_atoms_of_a_character_chain_partition_the_identity(sizes):
+    """u = diag(1, e^{iε}, e^{2iε}) at ε = 6e-9: the three eigenvalues chain
+    into one atom, so the projectors sum to 1 and are pairwise orthogonal."""
+    s = BlockStructure(sizes)
+    u = s.from_block_matrix(np.diag(np.exp(6e-9j * np.arange(3))))
+    projectors = [p for _, p in spectral_atoms(u)]
+    assert (sum(projectors, s.zero()) - s.identity()).norm() < 1e-12
+    for p, q in itertools.combinations(projectors, 2):
+        assert (p @ q).norm() < 1e-12
 
 
 def test_spectral_covariance_residuals(c3):
