@@ -27,7 +27,8 @@ are one permutation of it, and its stacks are one fancy index per size.
 
 A `FiniteSystem` is immutable and owns its derived data: its validation
 report, GNS data, joint point spectrum and mirror system are each built on
-first use and kept on the instance. The builders `validate_system`,
+first use and kept on the instance; a promoted mirror system shares the
+report of the system it mirrors. The builders `validate_system`,
 `gns.gns_construct`, `gns.joint_spectrum` and `gns.mirror_system` stay
 uncached.
 """
@@ -373,6 +374,14 @@ class FaithfulState:
     def __post_init__(self):
         self.density = _checked_blocks(self.structure, self.density, "density")
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        """μ(e_i) over the canonical basis; read-only. μ(E_rc) = ρ[c, r], so
+        these are the coordinates of ρᵀ."""
+        out = self.density_element().transpose().coords()
+        out.flags.writeable = False
+        return out
+
     def value(self, a: AlgebraElement) -> complex:
         if a.structure.block_sizes != self.structure.block_sizes:
             raise DimensionMismatchError("state and element block structures differ")
@@ -651,7 +660,7 @@ def validate_system(sys: FiniteSystem) -> ValidationReport:
     if min_eig <= FAITHFULNESS_MIN_EIG:
         report.violations.append(Violation("faithfulness", "density", -min_eig))
 
-    mu = st.density_element().transpose().coords()
+    mu = st.values
     mats = [gen.matrix() for gen in sys.generators]
     for gi, (gen, M) in enumerate(zip(sys.generators, mats)):
         where = f"generator {gi}"

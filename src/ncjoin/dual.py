@@ -80,7 +80,7 @@ class QQi:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-_QQI_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)?(?:([+-]?(?:\d+(?:/\d+)?)?)i)?$")
+_QQI_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)??(?:([+-]?(?:\d+(?:/\d+)?)?)i)?$")
 
 
 def parse_qqi(text: str) -> QQi:
@@ -91,18 +91,15 @@ def parse_qqi(text: str) -> QQi:
     m = _QQI_RE.match(s)
     if not m or (m.group(1) is None and m.group(2) is None):
         raise InputFormatError(f"cannot parse coefficient {text!r}")
-    re_part = Fraction(m.group(1)) if m.group(1) else Fraction(0)
-    if m.group(2) is None:
-        im_part = Fraction(0)
-    else:
-        imtxt = m.group(2)
-        if imtxt in ("", "+"):
-            im_part = Fraction(1)
-        elif imtxt == "-":
-            im_part = Fraction(-1)
-        else:
-            im_part = Fraction(imtxt)
-    return QQi(re_part, im_part)
+    re_txt, im_txt = m.group(1) or "0", m.group(2)
+    if im_txt is None:
+        im_txt = "0"
+    elif im_txt in ("", "+", "-"):
+        im_txt += "1"
+    try:
+        return QQi(Fraction(re_txt), Fraction(im_txt))
+    except ZeroDivisionError:
+        raise InputFormatError(f"zero denominator in coefficient {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +219,6 @@ def parse_word(spec: TrackSpec, text: str) -> FreeWord:
         tid, idx, exp = m.group(1), int(m.group(2)), m.group(3)
         k = int(exp) if exp is not None else 1
         letter = spec.normalize((tid, idx))
-        spec.track(tid)
         e = 1 if k > 0 else -1
         seq.extend([(letter, e)] * abs(k))
     return _reduce(seq)
@@ -314,6 +310,8 @@ def parse_perm(spec: TrackSpec, text: str) -> FinPerm:
     text = text.strip()
     if text in ("", "id", "1", "e", "()"):
         return IDENTITY_PERM
+    if not re.fullmatch(r"(\([^()]*\)\s*)+", text):   # cycles, whitespace between
+        raise InputFormatError(f"cannot parse permutation {text!r}")
     cycles = []
     for chunk in re.findall(r"\(([^()]*)\)", text):
         letters = []
@@ -321,9 +319,7 @@ def parse_perm(spec: TrackSpec, text: str) -> FinPerm:
             m = re.match(r"^([A-Za-z_]+)(-?\d+)$", tok)
             if not m:
                 raise InputFormatError(f"cannot parse letter {tok!r}")
-            letter = spec.normalize((m.group(1), int(m.group(2))))
-            spec.track(letter[0])
-            letters.append(letter)
+            letters.append(spec.normalize((m.group(1), int(m.group(2)))))
         if letters:
             cycles.append(letters)
     if not cycles:
@@ -867,18 +863,24 @@ def sample_element(sys: DualSystem, rng, max_len: int = 6):
     return FinPerm(tuple(zip(chosen, images)))
 
 
-def parse_combination(sys: DualSystem, text: str) -> Combination:
-    """Combinations 'x0; -1/2 * x1 y0^-1'; omitted coefficients default to 1."""
-    out: Combination = {}
+def _terms(text: str):
+    """(term, coefficient, rest) of each nonempty ';'-separated term; the
+    coefficient is the text before the first '*', 1 without one."""
     for term in text.split(";"):
         term = term.strip()
         if not term:
             continue
         if "*" in term:
-            coef_txt, elt_txt = term.split("*", 1)
-            coef = parse_qqi(coef_txt)
+            coef_txt, rest = term.split("*", 1)
+            yield term, parse_qqi(coef_txt), rest
         else:
-            coef, elt_txt = QQi(Fraction(1)), term
+            yield term, QQi(Fraction(1)), term
+
+
+def parse_combination(sys: DualSystem, text: str) -> Combination:
+    """Combinations 'x0; -1/2 * x1 y0^-1'; omitted coefficients default to 1."""
+    out: Combination = {}
+    for _, coef, elt_txt in _terms(text):
         elt = sys.parse(elt_txt.strip())
         out[elt] = out.get(elt, QQi()) + coef
     if not out:
@@ -889,15 +891,7 @@ def parse_combination(sys: DualSystem, text: str) -> Combination:
 def parse_pair_combination(sys: DualSystem, text: str) -> PairCombination:
     """Pair combinations 'x0 | x0; -1 * x1 | x0' for Σ c λ(g) ⊗ ρ(h)."""
     out: PairCombination = {}
-    for term in text.split(";"):
-        term = term.strip()
-        if not term:
-            continue
-        if "*" in term:
-            coef_txt, rest = term.split("*", 1)
-            coef = parse_qqi(coef_txt)
-        else:
-            coef, rest = QQi(Fraction(1)), term
+    for term, coef, rest in _terms(text):
         if "|" not in rest:
             raise InputFormatError(f"pair term needs 'g | h': {term!r}")
         g_txt, h_txt = rest.split("|", 1)

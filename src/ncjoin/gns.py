@@ -9,9 +9,11 @@ orthonormal coordinates where standard numpy eigensolvers apply.
 Library functions read a system's GNS pair, joint point spectrum and
 mirror from `sys.gns`, `sys.spectrum` and `sys.mirror`, built once per
 system object; `gns_construct`, `joint_spectrum` and `mirror_system` are
-the uncached builders behind them. The spectrum takes one `eigh` of a
-Hermitian combination of the GNS unitaries; it classifies the system and
-gives the eigenvectors from which a joining's tangent space is built.
+the uncached builders behind them. The GNS unitaries are kept in canonical
+coordinates only. The spectrum takes one `eigh` of a Hermitian
+combination of their orthonormal-coordinate images C·U·C⁻¹; it classifies
+the system and gives the eigenvectors from which a joining's tangent space
+is built. The promoted mirror shares its system's validation report.
 Neither a GnsSpace, a Spectrum nor a MirrorSystem refers back to its
 system, so the cache forms no cycle.
 """
@@ -98,24 +100,23 @@ class UnitaryRep:
     """
 
     matrices: list[np.ndarray]
-    onb_matrices: list[np.ndarray]
 
-    def powers(self, k: int, lo: int, hi: int, onb: bool = False) -> np.ndarray:
+    def powers(self, k: int, lo: int, hi: int) -> np.ndarray:
         """Stack of U_k^j for j = lo..hi, built by running products."""
-        U = (self.onb_matrices if onb else self.matrices)[k]
+        U = self.matrices[k]
         table = np.empty((hi - lo + 1,) + U.shape, dtype=complex)
-        base = U if lo >= 0 else U.conj().T if onb else np.linalg.inv(U)
+        base = U if lo >= 0 else np.linalg.inv(U)
         table[0] = np.linalg.matrix_power(base, abs(lo))
         for s in range(1, len(table)):
             table[s] = table[s - 1] @ U
         return table
 
-    def of_elements(self, elements, onb: bool = False) -> np.ndarray:
+    def of_elements(self, elements) -> np.ndarray:
         """Stack of U_g over exponent tuples g, one power table per generator."""
         exps = np.array(elements, dtype=int).reshape(len(elements), -1)
         out = None
         for k, col in enumerate(exps.T):
-            step = self.powers(k, col.min(), col.max(), onb)[col - col.min()]
+            step = self.powers(k, col.min(), col.max())[col - col.min()]
             out = step if out is None else out @ step
         return out
 
@@ -156,22 +157,12 @@ def gns_construct(sys: FiniteSystem) -> tuple[GnsSpace, UnitaryRep]:
     rho = sys.state.density_element().block_matrix()
     gram = np.where(rows[:, None] == rows, rho[cols[None, :], cols[:, None]], 0)
 
-    chol_lower = np.linalg.cholesky(gram)
-    onb = chol_lower.conj().T
-    onb_inv = np.linalg.inv(onb)
+    onb = np.linalg.cholesky(gram).conj().T
+    space = GnsSpace(structure=struct, dimension=struct.dimension, gram=gram,
+                     cyclic_vector=struct.identity().coords(), onb_factor=onb,
+                     onb_factor_inv=np.linalg.inv(onb))
 
-    space = GnsSpace(
-        structure=struct,
-        dimension=struct.dimension,
-        gram=gram,
-        cyclic_vector=struct.identity().coords(),
-        onb_factor=onb,
-        onb_factor_inv=onb_inv,
-    )
-
-    mats = [gen.matrix() for gen in sys.generators]
-    rep = UnitaryRep(matrices=mats, onb_matrices=[onb @ U @ onb_inv for U in mats])
-    return space, rep
+    return space, UnitaryRep(matrices=[gen.matrix() for gen in sys.generators])
 
 
 def _linkage(points: np.ndarray) -> np.ndarray:
@@ -307,7 +298,7 @@ def joint_spectrum(sys: FiniteSystem) -> Spectrum:
     """The joint point spectrum from one `eigh`; read it as `sys.spectrum`.
 
     The Hermitian H = Σ_k Re(e^{-ik}·W_k) over the orthonormal-coordinate
-    unitaries W_k (generators counted from k = 1) has eigenvalue
+    unitaries W_k = C·U_k·C⁻¹ (generators counted from k = 1) has eigenvalue
     Σ_k cos(θ_k − k) on the joint eigenvector of characters e^{iθ_k}. The
     angles are k radians, so no two roots of unity give one eigenvalue of
     H. The characters are the Rayleigh quotients of its eigenvectors. A
@@ -318,7 +309,7 @@ def joint_spectrum(sys: FiniteSystem) -> Spectrum:
     of H, and the residuals are checked again.
     """
     space, rep = sys.gns
-    W = np.array(rep.onb_matrices)
+    W = np.array([space.onb_factor @ U @ space.onb_factor_inv for U in rep.matrices])
     X = np.exp(-1j * np.arange(1, len(W) + 1))[:, None, None] * W
     vals, Q = np.linalg.eigh(((X + X.conj().swapaxes(-1, -2)) / 2).sum(axis=0))
     C, chars, residual = _compressions(W, Q)
@@ -444,12 +435,11 @@ def compactness_net(sys: FiniteSystem, eps: float = 0.1) -> list[int]:
         side = max(2, int(round(NET_WINDOW ** (1.0 / group.k))))
         rng = range(-side, side + 1)
         exponents = [tuple(t) for t in itertools.product(rng, repeat=group.k)]
-    orbit = rep.of_elements(exponents, onb=True)
+    orbit = space.onb_factor @ rep.of_elements(exponents)   # orthonormal coordinates
     sizes = []
     for i in range(d):
-        x = space.to_onb(np.eye(d)[:, i])
         net: list[np.ndarray] = []
-        for y in orbit @ x:
+        for y in orbit[:, :, i]:
             if all(np.linalg.norm(y - z) > eps for z in net):
                 net.append(y)
         sizes.append(len(net))
@@ -550,6 +540,10 @@ def mirror_system(sys: FiniteSystem) -> MirrorSystem:
         for gen in sys.generators
     ]
     promoted = FiniteSystem(struct, promoted_state, sys.group, promoted_gens)
+    # ρᵀ has the eigenvalues, trace and Hermiticity residual of ρ, conj(u) the
+    # unitarity residuals of u, and μ'(α'(E_ab)) = μ(α(E_ba)): every validated
+    # invariant holds for the promoted system exactly when it holds for sys
+    object.__setattr__(promoted, "validation", sys.validation)
 
     return MirrorSystem(structure=struct, promoted=promoted, twist=_modular_conjugation(sys),
                         _space=space, _rep=rep)

@@ -36,6 +36,10 @@ steps end, or a rank gap too close to rounding to call, answers
 The diagonal state of a system with its mirror and its shifts Δ_n are GNS
 quantities: their value tables are Uᵀ·M·T in closed form, from the
 system's cached GNS and mirror data (`_diagonal_values`).
+
+A context holds the two systems and the layout of their product algebra
+only: every reader takes GNS data from `ctx.A.gns` and `ctx.B.gns` and the
+state values μ(e_i) from `ctx.A.state.values`, each built once per system.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from .algebra import (
     _inv_cholesky,
     _operator_norms,
     operator_norm,
+    require_valid,
 )
 from .errors import (
     DimensionMismatchError,
@@ -61,7 +66,6 @@ from .errors import (
     NonJoiningError,
     UnsupportedGroupError,
 )
-from .gns import GnsSpace, UnitaryRep
 
 DEFAULT_MAX_ITER = 500    # Newton steps of one barrier solve
 DEFAULT_WIDTH = 1e-6      # a solve ends when upper − lower ≤ width
@@ -87,23 +91,17 @@ class TensorContext:
     A: FiniteSystem
     B: FiniteSystem
     structure: BlockStructure
-    space_a: GnsSpace
-    rep_a: UnitaryRep
-    space_b: GnsSpace
-    rep_b: UnitaryRep
-    mu: np.ndarray
-    nu: np.ndarray
     pair_index: np.ndarray   # (dA, dB) -> canonical index in the product basis
     blocks: list[np.ndarray]
     hermitian_positions: tuple[np.ndarray, np.ndarray, np.ndarray]   # diagonal, upper, lower
 
     @property
     def dim_a(self) -> int:
-        return self.space_a.dimension
+        return self.A.dimension
 
     @property
     def dim_b(self) -> int:
-        return self.space_b.dimension
+        return self.B.dimension
 
     @property
     def dim(self) -> int:
@@ -123,7 +121,7 @@ class TensorContext:
         return AlgebraElement.of_vector(self.structure, v)
 
     def product_values(self) -> np.ndarray:
-        return np.outer(self.mu, self.nu)
+        return np.outer(self.A.state.values, self.B.state.values)
 
 
 @functools.lru_cache(maxsize=64)
@@ -152,22 +150,16 @@ def _product_layout(sizes_a: tuple[int, ...], sizes_b: tuple[int, ...]):
 
 
 def build_tensor_context(A: FiniteSystem, B: FiniteSystem) -> TensorContext:
-    """The product context of two systems, from their cached GNS data."""
-    space_a, rep_a = A.gns   # raises for an invalid leg, before the group check
-    space_b, rep_b = B.gns
+    """The product context of two systems; builds no GNS data."""
+    require_valid(A)   # an invalid leg raises before the group check
+    require_valid(B)
     if (A.group.kind, A.group.k, A.group.m) != (B.group.kind, B.group.k, B.group.m):
         raise UnsupportedGroupError(
             f"systems act by different groups: {A.group} vs {B.group}")
     structure, pair_index, blocks, hermitian = _product_layout(
         A.structure.block_sizes, B.structure.block_sizes)
-    # μ(E_rc) = ρ[c, r]: the state's values are the coordinates of ρᵀ
-    mu = A.state.density_element().transpose().coords()
-    nu = B.state.density_element().transpose().coords()
-    return TensorContext(
-        A=A, B=B, structure=structure,
-        space_a=space_a, rep_a=rep_a, space_b=space_b, rep_b=rep_b,
-        mu=mu, nu=nu, pair_index=pair_index, blocks=blocks, hermitian_positions=hermitian,
-    )
+    return TensorContext(A=A, B=B, structure=structure, pair_index=pair_index, blocks=blocks,
+                         hermitian_positions=hermitian)
 
 
 def _herm_blocks(z: np.ndarray, ctx: TensorContext):
@@ -193,13 +185,13 @@ def joining_residuals(ctx: TensorContext, values) -> dict:
     ub = ctx.B.structure.identity().coords()
     tr = ua @ V @ ub
     inv = max((float(np.max(np.abs(Ua.T @ V @ Ub - V)))
-               for Ua, Ub in zip(ctx.rep_a.matrices, ctx.rep_b.matrices)), default=0.0)
+               for Ua, Ub in zip(ctx.A.gns[1].matrices, ctx.B.gns[1].matrices)), default=0.0)
     return {
         "hermiticity": herm,
         "psd_floor": psd_floor,
         "trace": abs(tr.real - 1.0) + abs(tr.imag),
-        "marginal_a": float(np.max(np.abs(V @ ub - ctx.mu))),
-        "marginal_b": float(np.max(np.abs(ua @ V - ctx.nu))),
+        "marginal_a": float(np.max(np.abs(V @ ub - ctx.A.state.values))),
+        "marginal_b": float(np.max(np.abs(ua @ V - ctx.B.state.values))),
         "invariance": inv,
     }
 
@@ -261,7 +253,7 @@ def mirror_context(sys: FiniteSystem) -> TensorContext:
 
 def _state_products(ctx: TensorContext) -> np.ndarray:
     """M[p, q] = μ(e_p e_q) = gram[adj(p), q] on the first leg, since e_p = (e_adj(p))*."""
-    return ctx.space_a.gram[ctx.A.structure.adjoint_indices]
+    return ctx.A.gns[0].gram[ctx.A.structure.adjoint_indices]
 
 
 def _diagonal_values(ctx: TensorContext, shift: np.ndarray) -> np.ndarray:
@@ -292,7 +284,7 @@ def graph_joining(sys: FiniteSystem, n: int) -> JoiningMatrix:
     if sys.group.kind != "Z":
         raise UnsupportedGroupError("graph joinings need a Z action")
     ctx = mirror_context(sys)
-    values = _diagonal_values(ctx, ctx.rep_a.of_elements([(n,)])[0])
+    values = _diagonal_values(ctx, sys.gns[1].of_elements([(n,)])[0])
     return joining_from_values(ctx, values, label=f"graph:{n}")
 
 
@@ -339,8 +331,8 @@ def _tangent_space(ctx: TensorContext) -> _TangentSpace:
     eps = np.finfo(float).eps
     paired = dist <= 2 * math.sqrt(sa.chars.shape[1]) * ctx.dim * eps
     delta = float(dist[~paired].min(initial=math.inf))
-    X = ctx.space_a.onb_factor.T @ sa.onb.conj()
-    Y = ctx.space_b.onb_factor.T @ sb.onb.conj()
+    X = ctx.A.gns[0].onb_factor.T @ sa.onb.conj()
+    Y = ctx.B.gns[0].onb_factor.T @ sb.onb.conj()
     X, Y = X / np.linalg.norm(X, axis=0), Y / np.linalg.norm(Y, axis=0)
     i, j = np.nonzero(paired)
     f = len(i)
@@ -403,6 +395,18 @@ def _newton_terms(stacks, x: np.ndarray):
         hess += (W.conj() @ W.T).real
         parts.append((idx, Linv, W))
     return grad, hess, parts
+
+
+def _newton_solve(hess: np.ndarray, parts, rhs: np.ndarray) -> np.ndarray:
+    """H⁻¹·rhs by LU; where rounding near the boundary leaves H = A Aᵀ singular
+    to LU (A: the rows W_i of `_newton_terms`, real and imaginary parts side by
+    side), by the factor R of Aᵀ = QR instead: H = RᵀR and cond R = √cond H."""
+    try:
+        return np.linalg.solve(hess, rhs)
+    except np.linalg.LinAlgError:
+        A = np.concatenate([W for _, _, W in parts], axis=1)
+        R = np.linalg.qr(np.concatenate([A.real, A.imag], axis=1).T, mode="r")
+        return np.linalg.solve(R, np.linalg.solve(R.T, rhs))
 
 
 def _newton_dual(ctx: TensorContext, basis: np.ndarray, g: np.ndarray, parts,
@@ -518,8 +522,7 @@ def _barrier_solve(ctx: TensorContext, tangent: _TangentSpace, k: np.ndarray, to
     c = k.conj()
     c0 = float((k @ prod).real)
     g = (basis @ k).real
-    ident = np.outer(ctx.A.structure.identity().coords(),
-                     ctx.B.structure.identity().coords()).reshape(-1)
+    ident = ctx.structure.identity().coords()[ctx.pair_index].reshape(-1)   # 1 ⊗ 1
     flat = c0 + math.sqrt(2) * float(np.linalg.norm(g))
     upper, dual = (flat, np.zeros(ctx.dim, dtype=complex)) if flat < top else \
         (top, top * ident - c)
@@ -536,7 +539,7 @@ def _barrier_solve(ctx: TensorContext, tangent: _TangentSpace, k: np.ndarray, to
             grad, hess, parts = _newton_terms(stacks, x)
             while (upper - lower > width or lower <= floor) and steps < max_iter:
                 # dt(η) = η·H⁻¹g + H⁻¹∇ is linear in η: one solve serves both η
-                hg, hgrad = np.linalg.solve(hess, np.array([g, grad]).T).T
+                hg, hgrad = _newton_solve(hess, parts, np.array([g, grad]).T).T
                 dt = eta * hg + hgrad
                 if float(dt @ (eta * g + grad)) < 1:   # squared Newton decrement
                     z = _newton_dual(ctx, basis, g, parts, dt, eta)
@@ -690,12 +693,11 @@ def conditional_expectation(ctx: TensorContext, joining: JoiningMatrix) -> Condi
         raise NonJoiningError(
             f"matrix violates the joining battery: {joining.residuals}")
     X = np.linalg.solve(_state_products(ctx), joining.values)
-    ca, cb_inv = ctx.space_a.onb_factor, ctx.space_b.onb_factor_inv
+    ca, cb_inv = ctx.A.gns[0].onb_factor, ctx.B.gns[0].onb_factor_inv
     norm = operator_norm(ca @ X @ cb_inv)
     inter = 0.0
-    for g in range(len(ctx.A.generators)):
-        R = ctx.rep_a.matrices[g] @ X - X @ ctx.rep_b.matrices[g]
-        inter = max(inter, operator_norm(ca @ R @ cb_inv))
+    for Ua, Ub in zip(ctx.A.gns[1].matrices, ctx.B.gns[1].matrices):
+        inter = max(inter, operator_norm(ca @ (Ua @ X - X @ Ub) @ cb_inv))
     return ConditionalExpectation(matrix=X, norm=norm, intertwining_residual=inter)
 
 
@@ -737,7 +739,7 @@ def cesaro_diagonal_average(sys: FiniteSystem, n: int) -> CesaroDiagonalResult:
     limit need not be the product; the flag records that.
     """
     ctx = mirror_context(sys)
-    acc = _diagonal_values(ctx, ctx.rep_a.folner_mean(sys.group, n))
+    acc = _diagonal_values(ctx, sys.gns[1].folner_mean(sys.group, n))
     deviation = float(np.max(np.abs(acc - ctx.product_values())))
     return CesaroDiagonalResult(values=acc, deviation=deviation,
                                 ergodic=len(sys.spectrum.fixed) == 1)
@@ -788,7 +790,7 @@ def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
         raise ValueError("empty scan window")
     # one power table serves the shifted tables and the period search
     lo = min(min(ns), 1)
-    powers = ctx.rep_a.powers(0, lo, max(ns))
+    powers = ctx.A.gns[1].powers(0, lo, max(ns))
     tables = _diagonal_values(ctx, powers[np.array(ns) - lo]).reshape(len(ns), -1)
 
     # value tables of every c*c: the density blocks of c, squared as Xᴴ·X per block size

@@ -349,15 +349,21 @@ def validation_reference(sys, tol=VALIDATION_TOL):
     return out
 
 
-def element_matrix_reference(rep, g, onb=False):
-    """U_g as the ordered product of one fresh matrix power per generator."""
-    mats = rep.onb_matrices if onb else rep.matrices
+def onb_matrices_reference(sys):
+    """The GNS unitaries in orthonormal coordinates: C·U·C⁻¹ with gram = C*C."""
+    space, rep = sys.gns
+    return [space.onb_factor @ U @ space.onb_factor_inv for U in rep.matrices]
+
+
+def element_matrix_reference(mats, g, unitary=False):
+    """U_g as the ordered product of one fresh matrix power per generator
+    matrix; with `unitary`, negative powers are powers of the adjoint."""
     out = np.eye(mats[0].shape[0], dtype=complex)
     for U, e in zip(mats, g):
         if e >= 0:
             out = out @ np.linalg.matrix_power(U, e)
         else:
-            out = out @ np.linalg.matrix_power(U.conj().T if onb else np.linalg.inv(U), -e)
+            out = out @ np.linalg.matrix_power(U.conj().T if unitary else np.linalg.inv(U), -e)
     return out
 
 
@@ -365,7 +371,7 @@ def folner_mean_reference(sys, n):
     """Mean of U_g over the n-th Folner set, one element matrix at a time."""
     _, rep = sys.gns
     elements = sys.group.folner_elements(n)
-    return sum(element_matrix_reference(rep, g) for g in elements) / len(elements)
+    return sum(element_matrix_reference(rep.matrices, g) for g in elements) / len(elements)
 
 
 def folner_mean_running_reference(rep, group, n):
@@ -386,7 +392,7 @@ def cesaro_correlation_reference(sys, x, y, n):
     """Deviation of the mean of ⟨U_g x, y⟩ from ⟨x, Ω⟩⟨Ω, y⟩, summed per element."""
     space, rep = sys.gns
     elements = sys.group.folner_elements(n)
-    value = sum(space.inner(element_matrix_reference(rep, g) @ x, y)
+    value = sum(space.inner(element_matrix_reference(rep.matrices, g) @ x, y)
                 for g in elements) / len(elements)
     omega = space.cyclic_vector
     return abs(value - space.inner(x, omega) * space.inner(omega, y))
@@ -397,13 +403,13 @@ def recurrence_period_reference(sys, n_max):
     _, rep = sys.gns
     ident = np.eye(sys.dimension)
     return next((p for p in range(1, n_max + 1)
-                 if np.linalg.norm(element_matrix_reference(rep, (p,)) - ident, 2) < 1e-9),
+                 if np.linalg.norm(element_matrix_reference(rep.matrices, (p,)) - ident, 2) < 1e-9),
                 None)
 
 
 def compactness_net_reference(sys, eps=0.1, cap=512):
     """Greedy eps-net sizes of the basis-vector orbits, one element matrix per point."""
-    space, rep = sys.gns
+    space, mats = sys.gns[0], onb_matrices_reference(sys)
     d, group = space.dimension, sys.group
     if group.kind == "Zm":
         exponents = [(j,) for j in range(group.m)]
@@ -417,7 +423,7 @@ def compactness_net_reference(sys, eps=0.1, cap=512):
         x = space.to_onb(np.eye(d)[:, i])
         net = []
         for g in exponents:
-            y = element_matrix_reference(rep, g, onb=True) @ x
+            y = element_matrix_reference(mats, g, unitary=True) @ x
             if all(np.linalg.norm(y - z) > eps for z in net):
                 net.append(y)
         sizes.append(len(net))
@@ -447,7 +453,7 @@ def ornstein_ratio_reference(ctx, c, window):
     _, rep = ctx.A.gns
     coef = (c.adjoint() @ c).coords()[ctx.pair_index]
     tables = _diagonal_values(ctx, np.array(
-        [element_matrix_reference(rep, (n,)) for n in window]))
+        [element_matrix_reference(rep.matrices, (n,)) for n in window]))
     return (float(np.sum(coef * ctx.product_values()).real),
             [float(np.sum(coef * table).real) for table in tables])
 
@@ -562,7 +568,7 @@ def constraint_rows_reference(ctx):
     K = [np.outer(ua, ub).reshape(1, n),
          (np.eye(dA)[:, :, None] * ub).reshape(dA, n),
          (ua[:, None] * np.eye(dB)[:, None, :]).reshape(dB, n)]
-    for Ua, Ub in zip(ctx.rep_a.matrices, ctx.rep_b.matrices):
+    for Ua, Ub in zip(ctx.A.gns[1].matrices, ctx.B.gns[1].matrices):
         # entry (i, j) of Uaᵀ V Ub is Σ Ua[m, i] Ub[l, j] V[m, l]
         K.append(np.einsum("mi,lj->ijml", Ua, Ub).reshape(n, n) - np.eye(n))
     return np.vstack(K)

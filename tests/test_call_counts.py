@@ -2,7 +2,9 @@
 
 A system carries its validation report, GNS data and mirror system once
 built, so one command validates and builds the GNS data of each system it
-loads (and of the mirror system it promotes) once. The tracer in perfbench/
+loads once. The mirror system it promotes shares its validation report, and
+its GNS data is built only by a command that reads it: a tensor context
+builds no GNS data of its own. The tracer in perfbench/
 is loaded from its file and never modified; it is uninstalled after each
 command.
 
@@ -33,6 +35,7 @@ from ncjoin.algebra import (
     validate_system,
 )
 from ncjoin.dual import DualSystem
+from ncjoin.errors import InvalidSystemError
 from ncjoin.gns import classify_finite, mirror_system
 from ncjoin.joinings import (
     build_tensor_context,
@@ -56,19 +59,19 @@ TRACER_MODULE = _tracer_module()
 # command -> upper bounds on calls per traced layer
 BOUNDS = [
     ("ornstein --system corpus:c3 --window 0..16",
-     {"algebra.validate_system": 2, "gns.gns_construct": 2, "gns.mirror_system": 1,
+     {"algebra.validate_system": 1, "gns.gns_construct": 1, "gns.mirror_system": 1,
       "algebra.Automorphism.compose": 0, "joinings.build_tensor_context": 1}),
     ("classify --system corpus:c3",
      {"algebra.validate_system": 1, "gns.gns_construct": 1, "gns.point_spectrum": 1}),
     ("average --system corpus:c3 --x 0 --y 0 --N 100",
      {"algebra.validate_system": 1, "gns.gns_construct": 1, "gns.point_spectrum": 0}),
     ("cesaro-diagonal --system corpus:c3 --N 12",
-     {"algebra.validate_system": 2, "gns.gns_construct": 2,
+     {"algebra.validate_system": 1, "gns.gns_construct": 1,
       "algebra.Automorphism.compose": 0, "gns.point_spectrum": 0}),
     ("joinings disjoint --a corpus:c2 --b corpus:c3",
      {"algebra.validate_system": 2, "gns.gns_construct": 2}),
     ("joinings diagonal --system corpus:c2 --graph-n 1",
-     {"algebra.validate_system": 2, "gns.gns_construct": 2}),
+     {"algebra.validate_system": 1, "gns.gns_construct": 2}),
 ]
 
 
@@ -212,6 +215,31 @@ def test_basis_pairs_allocate_once_per_element(monkeypatch):
     assert _zeros_calls(monkeypatch, large) == count
 
 
+def test_contexts_build_no_gns_data(monkeypatch):
+    """A context on fresh systems validates its legs and builds no GNS data;
+    an invalid leg still raises InvalidSystemError before the group check."""
+    calls = Counter()
+    original = gns.gns_construct
+
+    def counted(*args, **kwargs):
+        calls["gns_construct"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gns, "gns_construct", counted)
+    for legs in ((cyclic_rotation_system(3), cyclic_rotation_system(4)),
+                 (corpus.system("gibbs"), corpus.system("c2")),
+                 (single_block_system(np.eye(2)), identity_system((1, 2)))):
+        ctx = build_tensor_context(*legs)
+        assert ctx.A is legs[0] and ctx.B is legs[1]
+        assert all(leg.validation.valid for leg in legs)
+    assert calls["gns_construct"] == 0
+    invalid, other_group = cyclic_rotation_system(3, [0.5, 0.3, 0.2]), corpus.system("pauli")
+    for legs in ((invalid, other_group), (other_group, invalid)):
+        with pytest.raises(InvalidSystemError):
+            build_tensor_context(*legs)
+    assert calls["gns_construct"] == 0
+
+
 def _solver_calls(monkeypatch, ctx, objective):
     calls = Counter()
 
@@ -266,8 +294,11 @@ def _lapack_calls(monkeypatch, ctx, objective):
 ], ids=["C4xC4", "c3xid3"])
 def test_one_by_one_blocks_call_no_lapack(monkeypatch, a, b, objective, steps):
     """Every density block of these products is 1×1: the factor, the
-    eigenvalues and the PSD floors are read off the diagonal."""
+    eigenvalues and the PSD floors are read off the diagonal. The legs' GNS
+    data, whose Gram matrix takes a Cholesky, is built before counting."""
     legs = [cyclic_rotation_system(4) if n == "C4" else corpus.system(n) for n in (a, b)]
+    for leg in legs:
+        leg.gns
     calls, _, report = _lapack_calls(monkeypatch, build_tensor_context(*legs), objective)
     assert report.iterations == steps
     assert sum(calls.values()) == 0, calls

@@ -41,13 +41,13 @@ def _complex_rows(ctx):
         row = np.zeros(n, dtype=complex)
         row[i * dB:(i + 1) * dB] = ub
         rows.append(row)
-        rhs.append(ctx.mu[i])
+        rhs.append(ctx.A.state.values[i])
     for j in range(dB):
         row = np.zeros(n, dtype=complex)
         row[j::dB] = ua
         rows.append(row)
-        rhs.append(ctx.nu[j])
-    for Ua, Ub in zip(ctx.rep_a.matrices, ctx.rep_b.matrices):
+        rhs.append(ctx.B.state.values[j])
+    for Ua, Ub in zip(ctx.A.gns[1].matrices, ctx.B.gns[1].matrices):
         # (Uaᵀ V Ub)[i, j] = Σ Ua[m, i] Ub[l, j] V[m, l]
         rows.extend(np.kron(Ua, Ub).T - np.eye(n))
         rhs.extend([0.0] * n)
@@ -160,7 +160,7 @@ def _pair_gap(ctx):
     eigenvectors, and U's character on v is v*Uv / v*v.
     """
     chars = []
-    for rep in (ctx.rep_a, ctx.rep_b):
+    for _, rep in (ctx.A.gns, ctx.B.gns):
         mats = np.array(rep.matrices)
         _, vecs = np.linalg.eig(np.tensordot(np.sqrt(np.arange(2, len(mats) + 2)), mats, 1))
         chars.append(np.einsum("ij,kij->jk", vecs.conj(), mats @ vecs)

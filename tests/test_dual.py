@@ -21,6 +21,7 @@ from ncjoin.dual import (
     ornstein_scan_dual,
     parse_combination,
     parse_pair_combination,
+    parse_perm,
     parse_qqi,
     parse_word,
     sample_element,
@@ -66,6 +67,57 @@ def test_qqi_arithmetic():
     assert a.abs2() == Fraction(1, 4) + Fraction(1, 9)
     with pytest.raises(InputFormatError):
         parse_qqi("one half")
+
+
+@pytest.mark.parametrize("text,re,im", [
+    ("2i", 0, 2), ("3/4i", 0, Fraction(3, 4)), ("-2i", 0, -2), ("0i", 0, 0), ("i", 0, 1),
+    ("-i", 0, -1), ("2", 2, 0), ("1+2i", 1, 2), ("1/2-i", Fraction(1, 2), -1),
+])
+def test_qqi_forms(text, re, im):
+    """A number directly before 'i' is the imaginary part, not a real part plus i."""
+    assert parse_qqi(text) == QQi(Fraction(re), Fraction(im))
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0", "1/00", "1/2+1/0i", "3/0i"])
+def test_zero_denominator_is_an_input_error(text):
+    with pytest.raises(InputFormatError, match="zero denominator"):
+        parse_qqi(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual", "correlations", "--group", "corpus:dual_shift", "--a", "1/0 * x0", "--b", "x0",
+     "--n", "0..2"],
+    ["dual", "ornstein", "--group", "corpus:dual_shift", "--window", "0..4",
+     "--elements", "1/0 * x0 | x0"],
+    ["dual", "orbit", "--group", "corpus:dual_finperm_shift", "--word", "(x0 x1) y0"],
+    ["dual", "ornstein", "--group", "corpus:dual_finperm_shift", "--window", "0..4",
+     "--elements", "(y0 y1) junk | (y0 y1)"],
+])
+def test_malformed_dual_inputs_exit_2(argv):
+    report, code = cli.run(argv)
+    assert code == 2, report
+    assert not report["error"].startswith("internal invariant violation")
+
+
+def test_permutations_are_cycles_and_nothing_else():
+    spec = corpus.dual("dual_finperm_shift").system.spec
+    for text in ("(x0 x1)(y0 y1)", " (x0 x1)  (y0 y1) ", "(y1 y0) (x1 x0)"):
+        assert format_perm(parse_perm(spec, text)) == "(x0 x1)(y0 y1)"
+    for text in ("(x0 x1) y0", "(y0 y1) junk", "x0 (x0 x1)", "(x0 x1", "(x0 (x1))", "()()"):
+        with pytest.raises(InputFormatError, match="cannot parse permutation"):
+            parse_perm(spec, text)
+
+
+def test_combinations_and_pair_combinations_split_terms_alike(dual_shift):
+    """Both split a term at its first '*'; an omitted coefficient is 1."""
+    text = "x0; -1/2 * x1 x0^-1; i*x0; ; 2 * x1"
+    single = parse_combination(dual_shift, text)
+    pairs = parse_pair_combination(dual_shift, "; ".join(
+        f"{term} | 1" for term in text.split(";") if term.strip()))
+    assert {g: c for (g, _), c in pairs.items()} == single
+    assert single[dual_shift.parse("x0")] == QQi(Fraction(1), Fraction(1))
+    with pytest.raises(InputFormatError, match="pair term needs"):
+        parse_pair_combination(dual_shift, "2 * x0")
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from ncjoin.gns import (
     verify_spectral_covariance,
 )
 
-from oracles import _null_space
+from oracles import _null_space, onb_matrices_reference
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -235,8 +235,8 @@ def generated_systems(draw):
 def test_trivial_character_matches_fixed_space(sysd):
     """The χ = 1 class of the spectrum against the null-space SVD of the
     stacked U_k − 1 (`oracles._null_space`)."""
-    _, rep = sysd.gns
-    svd_dim = _null_space(np.vstack([U - np.eye(len(U)) for U in rep.onb_matrices])).shape[1]
+    svd_dim = _null_space(np.vstack([U - np.eye(len(U))
+                                     for U in onb_matrices_reference(sysd)])).shape[1]
     triv = sum(e.multiplicity for e in point_spectrum(sysd)
                if all(abs(v - 1) < 1e-8 for v in e.eigenvalue))
     assert triv == svd_dim

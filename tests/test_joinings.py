@@ -95,7 +95,7 @@ def test_diagonal_state_values(c2):
     ctx = d.ctx
     for i in range(2):
         row_sum = d.values[i, :].sum()
-        assert row_sum == pytest.approx(ctx.mu[i])
+        assert row_sum == pytest.approx(ctx.A.state.values[i])
 
 
 def test_diagonal_state_trivial_system():
@@ -150,8 +150,8 @@ def test_graph_invariance_under_diagonal_action():
         for n in (0, 1, 2):
             jm = graph_joining(sysd, n)
             ctx = jm.ctx
-            Ua = ctx.rep_a.matrices[0]
-            Ub = ctx.rep_b.matrices[0]
+            Ua = ctx.A.gns[1].matrices[0]
+            Ub = ctx.B.gns[1].matrices[0]
             # ω((α⊗β)(e_i⊗f_j)) assembled from the transformed coordinates
             for i in range(ctx.dim_a):
                 for j in range(ctx.dim_b):
@@ -382,9 +382,9 @@ def test_compact_corpus_scan_finds_witness(c2, c3):
 def test_conditional_expectation_product_rank_one(c2, c3):
     ctx = build_tensor_context(c2, c3)
     ce = conditional_expectation(ctx, product_joining(ctx))
-    omega_a = ctx.space_a.cyclic_vector
+    omega_a = ctx.A.gns[0].cyclic_vector
     for j in range(ctx.dim_b):
-        expected = complex(ctx.nu[j]) * omega_a
+        expected = complex(ctx.B.state.values[j]) * omega_a
         assert np.allclose(ce.matrix[:, j], expected)
     assert ce.norm <= 1 + 1e-8
     assert ce.intertwining_residual < 1e-6
@@ -399,8 +399,8 @@ def test_conditional_expectation_diagonal_is_unitary(c2):
 
 def test_conditional_expectation_maps_cyclic_vectors(c3):
     d = diagonal_state(c3)
-    omega_b = d.ctx.space_b.cyclic_vector
-    omega_a = d.ctx.space_a.cyclic_vector
+    omega_b = d.ctx.B.gns[0].cyclic_vector
+    omega_a = d.ctx.A.gns[0].cyclic_vector
     ce = conditional_expectation(d.ctx, d)
     assert np.allclose(ce.matrix @ omega_b, omega_a)
 

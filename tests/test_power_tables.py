@@ -24,6 +24,7 @@ from oracles import (
     element_matrix_reference,
     folner_mean_reference,
     folner_mean_running_reference,
+    onb_matrices_reference,
     ornstein_ratio_reference,
     recurrence_period_reference,
 )
@@ -57,16 +58,22 @@ def _close(a, b):
     return np.linalg.norm(a - b) <= TOL * max(1.0, np.linalg.norm(b))
 
 
-@pytest.mark.parametrize("onb", [False, True])
+@pytest.mark.parametrize("orthonormal", [False, True])
 @pytest.mark.parametrize("name", SYSTEMS)
-def test_of_elements_matches_per_element_powers(name, onb):
+def test_of_elements_matches_per_element_powers(name, orthonormal):
+    """Canonical power tables against fresh powers of the canonical matrices,
+    and, mapped to orthonormal coordinates as `compactness_net` maps them,
+    against fresh powers of C·U·C⁻¹ (`oracles.onb_matrices_reference`)."""
     sysd = SYSTEMS[name]
-    _, rep = sysd.gns
+    space, rep = sysd.gns
+    mats = onb_matrices_reference(sysd) if orthonormal else rep.matrices
     for elements in _windows(sysd):
-        stack = rep.of_elements(elements, onb=onb)
+        stack = rep.of_elements(elements)
         assert stack.shape == (len(elements), sysd.dimension, sysd.dimension)
+        if orthonormal:
+            stack = space.onb_factor @ stack @ space.onb_factor_inv
         for g, U in zip(elements, stack):
-            assert _close(U, element_matrix_reference(rep, g, onb=onb)), (g, onb)
+            assert _close(U, element_matrix_reference(mats, g, unitary=orthonormal)), g
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -126,8 +133,7 @@ class _MatmulCounter(np.ndarray):
 def test_folner_mean_matmuls_grow_as_log_n(name):
     sysd = DOUBLING_SYSTEMS[name]
     _, rep = sysd.gns
-    counted = UnitaryRep(matrices=[U.view(_MatmulCounter) for U in rep.matrices],
-                         onb_matrices=rep.onb_matrices)
+    counted = UnitaryRep(matrices=[U.view(_MatmulCounter) for U in rep.matrices])
     k = len(rep.matrices)
     for n in FOLNER_NS + (4096,):
         _MatmulCounter.matmuls = 0

@@ -19,7 +19,9 @@ from ncjoin.algebra import (
     FaithfulState,
     FiniteSystem,
     GroupDescriptor,
+    cyclic_rotation_system,
     identity_automorphism,
+    single_block_system,
     uniform_state,
     validate_system,
 )
@@ -126,6 +128,54 @@ def test_closed_forms_match_reference_on_corpus(name):
     sysd = corpus.system(name)
     assert _assert_matches_reference(sysd).valid
     assert _assert_matches_reference(sysd.mirror.promoted).valid
+
+
+@st.composite
+def valid_systems(draw):
+    """Valid systems: corpus entries, rotations C_p, Haar Ad(u) with a
+    non-tracial density that commutes with u, block permutations with Haar
+    conjugators, and Z^k and Z_m actions by unitaries that share the
+    density's eigenbasis."""
+    kind = draw(st.sampled_from(("corpus", "rotation", "haar", "permutation", "Zk", "Zm")))
+    if kind == "corpus":
+        return corpus.system(draw(st.sampled_from(sorted(corpus.FINITE_SYSTEMS))))
+    if kind == "rotation":
+        return cyclic_rotation_system(draw(st.integers(2, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "permutation":
+        structure = BlockStructure(tuple(draw(st.lists(st.integers(1, 3), min_size=2,
+                                                       max_size=4))))
+        sizes = structure.block_sizes
+        gen = Automorphism(structure, _perm(rng, sizes), [_haar(rng, n) for n in sizes])
+        return FiniteSystem(structure, uniform_state(structure), GroupDescriptor("Z"), [gen])
+    n = draw(st.integers(2, 4))
+    v = _haar(rng, n)
+    weights = rng.uniform(0.2, 1.0, n)
+    density = (v * (weights / weights.sum())) @ v.conj().T
+
+    def unitary(order=None):
+        """Diagonal in the eigenbasis of the density, so Ad of it keeps the state."""
+        phases = rng.uniform(0, 2 * np.pi, n) if order is None else \
+            2 * np.pi * rng.integers(0, order, n) / order
+        return (v * np.exp(1j * phases)) @ v.conj().T
+
+    if kind == "haar":
+        return single_block_system(unitary(), density)
+    if kind == "Zk":
+        return single_block_system([unitary() for _ in range(draw(st.integers(2, 3)))], density)
+    m = draw(st.integers(1, 4))
+    return single_block_system(unitary(m), density, group=GroupDescriptor("Zm", m=m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_systems())
+def test_mirror_shares_the_validation_report(sysd):
+    """The promoted mirror carries its system's report itself, and a fresh
+    validation of the promoted system finds no violation either."""
+    assert sysd.validation.valid
+    promoted = sysd.mirror.promoted
+    assert promoted.validation is sysd.validation
+    assert not validate_system(promoted).violations
 
 
 def test_validation_and_gns_do_not_apply_generators(monkeypatch):
