@@ -25,12 +25,12 @@ where a larger one calls LAPACK. An `AlgebraElement` is one flat vector:
 sums and scalar multiples act on it directly, the adjoint and transpose
 are one permutation of it, and its stacks are one fancy index per size.
 
-A `FiniteSystem` is immutable and owns its derived data: its validation
-report, GNS data, joint point spectrum and mirror system are each built on
-first use and kept on the instance; a promoted mirror system shares the
-report of the system it mirrors. The builders `validate_system`,
-`gns.gns_construct`, `gns.joint_spectrum` and `gns.mirror_system` stay
-uncached.
+A `FiniteSystem` is immutable and owns its derived data: its generators'
+coordinate matrices, validation report, GNS data, joint point spectrum and
+mirror system are each built on first use and kept on the instance; a
+promoted mirror system shares the report of the system it mirrors. The
+builders `validate_system`, `gns.gns_construct`, `gns.joint_spectrum` and
+`gns.mirror_system` stay uncached.
 """
 
 from __future__ import annotations
@@ -561,6 +561,15 @@ class FiniteSystem:
         return self.structure.dimension
 
     @cached_property
+    def generator_matrices(self) -> tuple[np.ndarray, ...]:
+        """`Automorphism.matrix()` of each generator, read-only: validation,
+        the GNS unitaries and the joining battery read these."""
+        mats = tuple(gen.matrix() for gen in self.generators)
+        for M in mats:
+            M.flags.writeable = False
+        return mats
+
+    @cached_property
     def validation(self) -> ValidationReport:
         return validate_system(self)
 
@@ -661,7 +670,7 @@ def validate_system(sys: FiniteSystem) -> ValidationReport:
         report.violations.append(Violation("faithfulness", "density", -min_eig))
 
     mu = st.values
-    mats = [gen.matrix() for gen in sys.generators]
+    mats = sys.generator_matrices
     for gi, (gen, M) in enumerate(zip(sys.generators, mats)):
         where = f"generator {gi}"
         check("unitarity", where, gen.unitarity_residual())

@@ -149,7 +149,8 @@ class UnitaryRep:
 
 
 def gns_construct(sys: FiniteSystem) -> tuple[GnsSpace, UnitaryRep]:
-    """Build the GNS data and the unitaries U_g γ(a) = γ(α_g(a))."""
+    """Build the GNS data; the unitaries U_g γ(a) = γ(α_g(a)) of the
+    generators are the system's `generator_matrices`."""
     require_valid(sys)
     struct = sys.structure
     rows, cols = np.nonzero(struct.block_mask)   # of the matrix units, in canonical order
@@ -162,7 +163,7 @@ def gns_construct(sys: FiniteSystem) -> tuple[GnsSpace, UnitaryRep]:
                      cyclic_vector=struct.identity().coords(), onb_factor=onb,
                      onb_factor_inv=np.linalg.inv(onb))
 
-    return space, UnitaryRep(matrices=[gen.matrix() for gen in sys.generators])
+    return space, UnitaryRep(matrices=list(sys.generator_matrices))
 
 
 def _linkage(points: np.ndarray) -> np.ndarray:
@@ -199,12 +200,22 @@ class Spectrum:
     columns by character; every question of equal characters, and of
     characters equal to 1, reads it. `entries` groups the columns by class,
     as `point_spectrum` reports them; both are built on first read, since
-    the tangent space of a joining reads only the columns.
+    the tangent space of a joining reads only the columns and `values`.
     """
 
     onb: np.ndarray      # (d, d) unitary
     chars: np.ndarray    # (d, number of generators), of modulus 1
     space: GnsSpace
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """Column j: x = Cᵀ·conj(q_j) for the Cholesky factor C, scaled to
+        unit norm, read-only. x_i = ⟨q_j, C·e_i⟩ are the values on the basis
+        of the functional a ↦ ⟨q_j, γ(a)⟩, and Uᵀx = χx for each generator."""
+        X = self.space.onb_factor.T @ self.onb.conj()
+        X /= np.linalg.norm(X, axis=0)
+        X.flags.writeable = False
+        return X
 
     @functools.cached_property
     def classes(self) -> np.ndarray:

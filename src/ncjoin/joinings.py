@@ -54,6 +54,7 @@ from .algebra import (
     AlgebraElement,
     BlockStructure,
     FiniteSystem,
+    _adjoints,
     _eigvalsh,
     _inv_cholesky,
     _operator_norms,
@@ -162,30 +163,39 @@ def build_tensor_context(A: FiniteSystem, B: FiniteSystem) -> TensorContext:
                          hermitian_positions=hermitian)
 
 
-def _herm_blocks(z: np.ndarray, ctx: TensorContext):
-    """(positions, Hermitian parts) of the density blocks of a flat value vector,
-    one stack per block size."""
-    for idx in ctx.blocks:
-        X = z[idx]
-        yield idx, (X + X.conj().swapaxes(-1, -2)) / 2
+def _hermitian_part(X: np.ndarray) -> np.ndarray:
+    """(X + X*)/2 for each matrix of a stack."""
+    return (X + _adjoints(X)) / 2
 
 
 def joining_residuals(ctx: TensorContext, values) -> dict:
-    """Residuals of the joining constraint battery for a candidate value table."""
+    """Residuals of the joining constraint battery for a candidate value table.
+
+    A 1×1 density block is one entry: its Hermitian part is the real part,
+    its eigenvalue too, and its skew part 2i times the imaginary part."""
     z = np.asarray(values, dtype=complex).reshape(-1)
     zh = np.empty_like(z)
     herm, psd_floor = 0.0, math.inf
-    for idx, Xh in _herm_blocks(z, ctx):
+    for idx in ctx.blocks:
+        if idx.shape[-1] == 1:
+            flat = idx.reshape(-1)
+            x = z[flat]
+            zh[flat] = x.real
+            herm = max(herm, 2 * float(np.abs(x.imag).max()))
+            psd_floor = min(psd_floor, float(x.real.min()))
+            continue
+        X = z[idx]
+        Xh = _hermitian_part(X)
         zh[idx] = Xh
-        skew = 2 * (z[idx] - Xh)   # X − X*
-        herm = max(herm, float(_operator_norms(skew).max()))
+        herm = max(herm, float(_operator_norms(2 * (X - Xh)).max()))   # ‖X − X*‖
         psd_floor = min(psd_floor, float(_eigvalsh(Xh).min()))
     V = zh.reshape(ctx.dim_a, ctx.dim_b)
     ua = ctx.A.structure.identity().coords()
     ub = ctx.B.structure.identity().coords()
     tr = ua @ V @ ub
     inv = max((float(np.max(np.abs(Ua.T @ V @ Ub - V)))
-               for Ua, Ub in zip(ctx.A.gns[1].matrices, ctx.B.gns[1].matrices)), default=0.0)
+               for Ua, Ub in zip(ctx.A.generator_matrices, ctx.B.generator_matrices)),
+              default=0.0)
     return {
         "hermiticity": herm,
         "psd_floor": psd_floor,
@@ -310,17 +320,19 @@ def _tangent_space(ctx: TensorContext) -> _TangentSpace:
     """T from the joint eigenvectors of the two legs (`FiniteSystem.spectrum`).
 
     With q a joint eigenvector of the orthonormal-coordinate unitaries and
-    C the GNS Cholesky factor, x = Cᵀ·conj(q) has Uᵀx = χx. For such x of A
-    and y of B, Uaᵀ(x yᵀ)Ub = χψ·x yᵀ, and the tables x yᵀ span all tables,
-    so the invariant ones are spanned by the pairs with χψ = 1 for every
-    generator. A pair counts as one when ‖χψ − 1‖ is at the numerical-rank
-    cut, 2√k · dim · machine epsilon for k generators. Two small SVDs give
-    T: one takes the Hermitian parts of the paired tables and of i times
-    them, in coordinates on the real-orthonormal basis of the Hermitian
-    tables (the diagonal units, (E_ab + E_ba)/√2 and i(E_ab − E_ba)/√2 for
-    a < b), which the gathers of `hermitian_positions` read off. These span
-    a space of dimension f, the number of paired pairs; the other imposes
-    zero marginals, which imply trace 0.
+    C the GNS Cholesky factor, x = Cᵀ·conj(q) has Uᵀx = χx (`Spectrum.values`
+    keeps these per system). For such x of A and y of B, Uaᵀ(x yᵀ)Ub =
+    χψ·x yᵀ, and the tables x yᵀ span all tables, so the invariant ones are
+    spanned by the pairs with χψ = 1 for every generator. A pair counts as
+    one when ‖χψ − 1‖ is at the numerical-rank cut, 2√k · dim · machine
+    epsilon for k generators. Two small SVDs give T: one takes the
+    Hermitian parts of the paired tables and of i times them, in
+    coordinates on the real-orthonormal basis of the Hermitian tables (the
+    diagonal units, (E_ab + E_ba)/√2 and i(E_ab − E_ba)/√2 for a < b),
+    which the gathers of `hermitian_positions` read off; a product whose
+    blocks are all 1×1 has diagonal units only. These span a space of
+    dimension f, the number of paired pairs; the other imposes zero
+    marginals, which imply trace 0.
 
     The rank gap is min(δ, σ): δ is the smallest ‖χψ − 1‖ over the unpaired
     pairs, σ the smallest nonzero singular value of the marginal rows on
@@ -331,27 +343,30 @@ def _tangent_space(ctx: TensorContext) -> _TangentSpace:
     eps = np.finfo(float).eps
     paired = dist <= 2 * math.sqrt(sa.chars.shape[1]) * ctx.dim * eps
     delta = float(dist[~paired].min(initial=math.inf))
-    X = ctx.A.gns[0].onb_factor.T @ sa.onb.conj()
-    Y = ctx.B.gns[0].onb_factor.T @ sb.onb.conj()
-    X, Y = X / np.linalg.norm(X, axis=0), Y / np.linalg.norm(Y, axis=0)
     i, j = np.nonzero(paired)
     f = len(i)
-    G = (X[:, None, i] * Y[None, :, j]).reshape(ctx.dim, f)   # column s: x_i y_jᵀ, flat
+    G = (sa.values[:, None, i] * sb.values[None, :, j]).reshape(ctx.dim, f)   # column s: x_i y_jᵀ
     diag, upper, lower = ctx.hermitian_positions
-    h = 1 / math.sqrt(2)
-    Gd, Gs, Ga = G[diag], h * (G[upper] + G[lower]), h * (G[upper] - G[lower])
+    nd, nu = diag.size, upper.size
     # coordinates of the Hermitian parts of the tables G (left) and i·G (right)
-    R = np.concatenate([np.concatenate([Gd.real, Gs.real, Ga.imag]),
-                        -np.concatenate([Gd.imag, Gs.imag, -Ga.real])], axis=1)
+    R = np.empty((nd + 2 * nu, 2 * f))
+    Gd = G[diag]
+    R[:nd, :f], R[:nd, f:] = Gd.real, -Gd.imag
+    h = 1 / math.sqrt(2)
+    if nu:
+        Gs, Ga = h * (G[upper] + G[lower]), h * (G[upper] - G[lower])
+        R[nd:nd + nu, :f], R[nd:nd + nu, f:] = Gs.real, -Gs.imag
+        R[nd + nu:, :f], R[nd + nu:, f:] = Ga.imag, Ga.real
     E = np.linalg.svd(R, full_matrices=False)[0][:, :f]
-    v_d, v_s, v_a = np.split(E, [diag.size, diag.size + upper.size])
     tables = np.empty((ctx.dim, f), dtype=complex)
-    tables[diag], tables[upper] = v_d, h * (v_s + 1j * v_a)
-    tables[lower] = tables[upper].conj()
+    tables[diag] = E[:nd]
+    if nu:
+        tables[upper] = h * (E[nd:nd + nu] + 1j * E[nd + nu:])
+        tables[lower] = tables[upper].conj()
     V = tables.reshape(ctx.dim_a, ctx.dim_b, f)
     ua = ctx.A.structure.identity().coords()
     ub = ctx.B.structure.identity().coords()
-    marg = np.vstack([np.einsum("ijs,j->is", V, ub), np.einsum("ijs,i->js", V, ua)])
+    marg = np.vstack([ub @ V, (ua @ V.reshape(ctx.dim_a, -1)).reshape(ctx.dim_b, f)])
     M = np.vstack([marg.real, marg.imag])
     _, s, vt = np.linalg.svd(M)
     rank = int(np.sum(s > s[0] * max(M.shape) * eps))
@@ -361,19 +376,32 @@ def _tangent_space(ctx: TensorContext) -> _TangentSpace:
 
 
 def _psd_floor(ctx: TensorContext, z: np.ndarray) -> float:
-    """Smallest eigenvalue over the Hermitian parts of the density blocks of z."""
-    return min(float(_eigvalsh(X).min()) for _, X in _herm_blocks(z, ctx))
+    """Smallest eigenvalue over the Hermitian parts of the density blocks of z;
+    a 1×1 block's is its real part."""
+    return min(float(z[idx.reshape(-1)].real.min()) if idx.shape[-1] == 1 else
+               float(_eigvalsh(_hermitian_part(z[idx])).min()) for idx in ctx.blocks)
 
 
 def _block_stacks(ctx: TensorContext, basis: np.ndarray, prod: np.ndarray):
-    """Per block size: positions, the tangent basis and the product density
-    on those blocks, and the flat identity stack that reads off traces.
+    """Per block size N: (N, positions, the tangent basis and the product
+    density on those blocks, the flat identity stack that reads off traces).
 
     Built once per solve, so that a Newton step forms each iterate's blocks
-    with one matmul per block size and indexes no flat table.
+    with one matmul per block size and indexes no flat table. The 1×1
+    blocks are one group of diagonal entries, real on Hermitian tables:
+    their positions, basis and density are flat real vectors, and their
+    traces are sums.
     """
-    return [(idx, basis[:, idx], prod[idx], np.tile(np.eye(idx.shape[-1]).ravel(), len(idx)))
-            for idx in ctx.blocks]
+    stacks = []
+    for idx in ctx.blocks:
+        n = idx.shape[-1]
+        if n == 1:
+            flat = idx.reshape(-1)
+            stacks.append((1, flat, basis[:, flat].real, prod[flat].real, None))
+        else:
+            stacks.append((n, idx, basis[:, idx], prod[idx],
+                           np.tile(np.eye(n).ravel(), len(idx))))
+    return stacks
 
 
 def _newton_terms(stacks, x: np.ndarray):
@@ -382,18 +410,28 @@ def _newton_terms(stacks, x: np.ndarray):
 
     With F = L L* per block and W_i = L⁻¹ V_i L⁻*, the gradient of
     log det F(t) is tr W_i and the Hessian of −log det F(t) is ⟨W_i, W_j⟩.
-    One batched Cholesky per block size above 1 (`_inv_cholesky`); raises
-    LinAlgError when a block of F is not positive definite. Each part keeps
-    L⁻¹ and the rows W_i, flat.
+    One batched Cholesky per block size above 1 (`_inv_cholesky`); on the
+    1×1 blocks F is a vector and W_i = V_i/F. Raises LinAlgError when a
+    block of F is not positive definite. Each part keeps the block size,
+    the positions, L⁻¹ (F on the 1×1 blocks) and the rows W_i, flat.
     """
     r = len(x)
     grad, hess, parts = np.zeros(r), np.zeros((r, r)), []
-    for idx, B, P, ident in stacks:
+    for n, idx, B, P, ident in stacks:
+        if n == 1:
+            F = P + x @ B
+            if not (F > 0).all():
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            W = B / F
+            grad += W.sum(axis=1)
+            hess += W @ W.T
+            parts.append((1, idx, F, W))
+            continue
         Linv = _inv_cholesky(P + (x @ B.reshape(r, -1)).reshape(P.shape))
         W = (Linv @ B @ Linv.conj().swapaxes(-1, -2)).reshape(r, -1)
         grad += (W @ ident).real
         hess += (W.conj() @ W.T).real
-        parts.append((idx, Linv, W))
+        parts.append((n, idx, Linv, W))
     return grad, hess, parts
 
 
@@ -404,7 +442,7 @@ def _newton_solve(hess: np.ndarray, parts, rhs: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(hess, rhs)
     except np.linalg.LinAlgError:
-        A = np.concatenate([W for _, _, W in parts], axis=1)
+        A = np.concatenate([W for *_, W in parts], axis=1)
         R = np.linalg.qr(np.concatenate([A.real, A.imag], axis=1).T, mode="r")
         return np.linalg.solve(R, np.linalg.solve(R.T, rhs))
 
@@ -415,14 +453,24 @@ def _newton_dual(ctx: TensorContext, basis: np.ndarray, g: np.ndarray, parts,
 
     Z = F⁻¹(F − ΔF)F⁻¹/η with ΔF = Σ dt_i V_i is F⁻¹/η moved onto the dual
     equalities ⟨c + Z, V_i⟩ = 0 in the barrier's metric; a last Euclidean
-    projection removes what the linear solve left of their residual.
+    projection removes what the linear solve left of their residual. On the
+    1×1 blocks Z = (1 − ΔF/F)/(η·F).
     """
     z = np.empty(ctx.dim, dtype=complex)
-    for idx, Linv, W in parts:
-        step = (dt @ W).reshape(Linv.shape)   # L⁻¹ ΔF L⁻*
-        Z = Linv.conj().swapaxes(-1, -2) @ (Linv - step @ Linv) / eta
-        z[idx] = (Z + Z.conj().swapaxes(-1, -2)) / 2
+    for n, idx, L, W in parts:
+        if n == 1:
+            z[idx] = (1 - dt @ W) / (eta * L)
+            continue
+        step = (dt @ W).reshape(L.shape)   # L⁻¹ ΔF L⁻*
+        Z = L.conj().swapaxes(-1, -2) @ (L - step @ L) / eta
+        z[idx] = _hermitian_part(Z)
     return z - basis.T @ (g + (basis @ z.conj()).real)
+
+
+def _step_eigenvalues(parts, dt: np.ndarray) -> np.ndarray:
+    """Eigenvalues of L⁻¹ΔF L⁻* over all blocks; ΔF/F on the 1×1 blocks."""
+    return np.concatenate([dt @ W if n == 1 else _eigvalsh((dt @ W).reshape(L.shape)).ravel()
+                           for n, _, L, W in parts])
 
 
 def _line_search(lams: np.ndarray, slope: float) -> float:
@@ -549,9 +597,7 @@ def _barrier_solve(ctx: TensorContext, tangent: _TangentSpace, k: np.ndarray, to
                     eta *= _ETA_GROWTH   # close enough to the path: move along it
                     dt = eta * hg + hgrad
                 steps += 1
-                lams = np.concatenate([_eigvalsh((dt @ W).reshape(Linv.shape)).ravel()
-                                       for _, Linv, W in parts])
-                x = x + _line_search(lams, eta * float(g @ dt)) * dt
+                x = x + _line_search(_step_eigenvalues(parts, dt), eta * float(g @ dt)) * dt
                 grad, hess, parts = _newton_terms(stacks, x)
                 value = c0 + float(g @ x)   # = Re Σ k_q f_q at f = ρ⊗ + Σ x_i V_i
                 if value > lower:
@@ -715,9 +761,10 @@ def joining_face_dimension(ctx: TensorContext, joining: JoiningMatrix) -> int:
     if not len(basis):
         return 0
     images = []
-    for idx, X in _herm_blocks(joining.values.reshape(-1), ctx):
-        vals, vecs = np.linalg.eigh(X)
-        kernel = vecs * (vals <= 1e-7 * X.shape[-1])[:, None, :]
+    z = joining.values.reshape(-1)
+    for idx in ctx.blocks:
+        vals, vecs = np.linalg.eigh(_hermitian_part(z[idx]))
+        kernel = vecs * (vals <= 1e-7 * idx.shape[-1])[:, None, :]
         images.append((kernel.conj().swapaxes(-1, -2) @ basis[:, idx]).reshape(len(basis), -1))
     M = np.concatenate(images, axis=1)
     s = np.linalg.svd(np.concatenate([M.real, M.imag], axis=1), compute_uv=False)

@@ -28,7 +28,11 @@ stored elements as flat vectors, summed powers by doubling and checked each
 distinct sample once.
 
 The barrier line search is kept as safeguarded Newton on ψ′ itself, as
-the solver ran it before it removed the pole of ψ′ at the step bound.
+the solver ran it before it removed the pole of ψ′ at the step bound. The
+Newton step's kernels (the gradient and Hessian of the barrier, the dual
+point and the eigenvalues of a step) are kept on (m, N, N) stacks for
+every block size, 1×1 included, as the solver ran them before it carried
+the 1×1 density blocks as flat vectors.
 
 The tangent space is built from the dense constraint rows K on the dense
 (dim × dim) matrix H of a real-orthonormal basis of the tables with
@@ -45,7 +49,8 @@ import random
 import numpy as np
 from scipy.optimize import linprog
 
-from ncjoin.algebra import FAITHFULNESS_MIN_EIG, VALIDATION_TOL, AlgebraElement
+from ncjoin.algebra import (FAITHFULNESS_MIN_EIG, VALIDATION_TOL, AlgebraElement, _eigvalsh,
+                            _inv_cholesky)
 from ncjoin.dual import (IDENTITY_PERM, DeltaEvaluation, FinPerm, QQi, classify_dual,
                          word_multiply)
 from ncjoin.joinings import _diagonal_values
@@ -532,6 +537,43 @@ def line_search_reference(lams, slope):
             return nxt
         s = nxt
     return s
+
+
+def block_stacks_reference(ctx, basis, prod):
+    """Per block size: positions, the tangent basis and the product density
+    as (m, N, N) stacks, and the flat identity stack that reads off traces."""
+    return [(idx, basis[:, idx], prod[idx], np.tile(np.eye(idx.shape[-1]).ravel(), len(idx)))
+            for idx in ctx.blocks]
+
+
+def newton_terms_reference(stacks, x):
+    """(gradient, Hessian, parts) of −log det F at F = ρ⊗ + Σ x_i V_i, with
+    W_i = L⁻¹ V_i L⁻* from the inverse Cholesky factor of every block."""
+    r = len(x)
+    grad, hess, parts = np.zeros(r), np.zeros((r, r)), []
+    for idx, B, P, ident in stacks:
+        Linv = _inv_cholesky(P + (x @ B.reshape(r, -1)).reshape(P.shape))
+        W = (Linv @ B @ Linv.conj().swapaxes(-1, -2)).reshape(r, -1)
+        grad += (W @ ident).real
+        hess += (W.conj() @ W.T).real
+        parts.append((idx, Linv, W))
+    return grad, hess, parts
+
+
+def newton_dual_reference(ctx, basis, g, parts, dt, eta):
+    """Z = F⁻¹(F − ΔF)F⁻¹/η per block, projected onto ⟨c + Z, V_i⟩ = 0."""
+    z = np.empty(ctx.dim, dtype=complex)
+    for idx, Linv, W in parts:
+        step = (dt @ W).reshape(Linv.shape)   # L⁻¹ ΔF L⁻*
+        Z = Linv.conj().swapaxes(-1, -2) @ (Linv - step @ Linv) / eta
+        z[idx] = (Z + Z.conj().swapaxes(-1, -2)) / 2
+    return z - basis.T @ (g + (basis @ z.conj()).real)
+
+
+def step_eigenvalues_reference(parts, dt):
+    """Eigenvalues of L⁻¹ΔF L⁻* over all blocks."""
+    return np.concatenate([_eigvalsh((dt @ W).reshape(Linv.shape)).ravel()
+                           for _, Linv, W in parts])
 
 
 def hermitian_basis_reference(ctx):

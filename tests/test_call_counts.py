@@ -13,8 +13,10 @@ counted by wrapping numpy functions and comparing a small input with a
 large one. A barrier solve makes one linear solve per Newton step, and on
 1×1 density blocks it calls no Cholesky, inverse or eigenvalue routine.
 A system's point spectrum takes one `eigh`, however many classifications
-and joining solves read it, and contexts over one pair of block-size
-tuples share one product structure.
+and joining solves read it, its value vectors are built once for all the
+solves on it, and contexts over one pair of block-size tuples share one
+product structure. The joining battery reads the generators' coordinate
+matrices, so `joinings diagonal` builds no GNS data of the mirror.
 """
 
 import importlib.util
@@ -71,7 +73,7 @@ BOUNDS = [
     ("joinings disjoint --a corpus:c2 --b corpus:c3",
      {"algebra.validate_system": 2, "gns.gns_construct": 2}),
     ("joinings diagonal --system corpus:c2 --graph-n 1",
-     {"algebra.validate_system": 1, "gns.gns_construct": 2}),
+     {"algebra.validate_system": 1, "gns.gns_construct": 1}),
 ]
 
 
@@ -373,6 +375,29 @@ def test_one_eigh_per_system(monkeypatch):
             find_joining(ctx, objective=(0, 1))
             disjointness_test(ctx)
     assert calls["eigh"] == 3
+
+
+def test_value_vectors_are_built_once_per_system(monkeypatch):
+    """find_joining and disjointness_test read the legs' value vectors
+    x = Cᵀ·conj(q) from the cached spectrum: one build each for pauli and
+    two C3 systems over three rounds."""
+    built = Counter()
+    original = gns.Spectrum.values.func
+
+    def counted(self):
+        built["values"] += 1
+        return original(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(gns.Spectrum, "values")
+    monkeypatch.setattr(gns.Spectrum, "values", prop)
+    pauli, c3, rot3 = corpus.system("pauli"), corpus.system("c3"), cyclic_rotation_system(3)
+    for _ in range(3):
+        for a, b in ((pauli, pauli), (c3, rot3), (rot3, c3), (c3, c3)):
+            ctx = build_tensor_context(a, b)
+            find_joining(ctx, objective=(0, 1))
+            disjointness_test(ctx)
+    assert built["values"] == 3
 
 
 def test_one_path_to_the_spectrum_and_the_tangent_space():

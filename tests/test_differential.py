@@ -12,6 +12,9 @@ eigenvectors, is compared with the null space of the dense constraint rows
 on the dense Hermitian basis matrix (`oracles.tangent_space_reference`).
 The joint point spectrum from one `eigh` is compared with the iterated
 eigenspace refinement it replaced (`oracles.joint_eigenspaces_reference`).
+The Newton step's kernels, which carry 1×1 density blocks as flat vectors,
+are compared with the same kernels on (m, N, N) stacks of every size
+(`oracles.newton_terms_reference` and its neighbours).
 """
 
 import math
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ncjoin import corpus, gns
+from ncjoin import corpus, gns, joinings
 from ncjoin.algebra import (
     Automorphism,
     BlockStructure,
@@ -42,9 +45,13 @@ from ncjoin.joinings import (
 )
 
 from oracles import (
+    block_stacks_reference,
     invariant_transportation_max,
     joint_eigenspaces_reference,
+    newton_dual_reference,
+    newton_terms_reference,
     onb_matrices_reference,
+    step_eigenvalues_reference,
     tangent_space_reference,
 )
 
@@ -272,6 +279,71 @@ def test_gathered_tangent_space_matches_dense_reference(pair):
         return real.T @ real
 
     assert np.abs(projector(tangent.basis) - projector(basis)).max() <= 1e-12
+
+
+@st.composite
+def one_by_one_pairs(draw):
+    """Pairs of systems acting by one group. Commutative pairs, all of whose
+    density blocks are 1×1: permutations of points (Z), rotations C_p with
+    p | 12 as Z_12, and a rotation with a power of it (Z²). Mixed pairs: a
+    C ⊕ M_2 leg with a rotation or another C ⊕ M_2 leg (Z), whose product
+    has 1×1 blocks and larger ones."""
+    kind = draw(st.sampled_from(["Z", "Zm", "Zk", "mixed"]))
+    if kind == "Z":
+        return tuple(_permutation_system(*draw(permutation_systems())) for _ in range(2))
+    if kind == "Zm":
+        rots = [cyclic_rotation_system(draw(st.sampled_from([2, 3, 4, 6]))) for _ in range(2)]
+        return tuple(FiniteSystem(rot.structure, rot.state, GroupDescriptor("Zm", m=12),
+                                  rot.generators) for rot in rots)
+    if kind == "Zk":
+        legs = []
+        for _ in range(2):
+            rot = cyclic_rotation_system(draw(st.integers(min_value=2, max_value=5)))
+            gen = rot.generators[0]
+            legs.append(FiniteSystem(rot.structure, rot.state, GroupDescriptor("Zk", k=2),
+                                     [gen, gen.power(draw(st.integers(0, 4)))]))
+        return tuple(legs)
+    with_c = z_systems().filter(lambda sysd: 1 in sysd.structure.block_sizes)
+    return (draw(z_systems().filter(lambda sysd: sysd.structure.block_sizes == (1, 2))),
+            draw(with_c))
+
+
+def _close(flat, stacked, scale=None):
+    scale = np.linalg.norm(stacked) if scale is None else scale
+    assert np.linalg.norm(flat - stacked) <= 1e-12 * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=one_by_one_pairs(), data=st.data())
+def test_flat_kernels_match_stacked_reference(pair, data):
+    """Gradient, Hessian, dual point and step eigenvalues of the Newton step
+    with 1×1 blocks as flat vectors, against every block as a stack, at a
+    point drawn up to 90% of the way to the boundary of the joining set."""
+    ctx = build_tensor_context(*pair)
+    basis = _tangent_space(ctx).basis
+    assume(len(basis))
+    r, prod = len(basis), ctx.product_values().reshape(-1)
+    stacks = joinings._block_stacks(ctx, basis, prod)
+    reference = block_stacks_reference(ctx, basis, prod)
+    assert 1 in [n for n, *_ in stacks]
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    d = rng.standard_normal(r)
+    lams = step_eigenvalues_reference(newton_terms_reference(reference, np.zeros(r))[2], d)
+    x = data.draw(st.floats(min_value=0.0, max_value=0.9)) * d / max(-lams.min(), 1e-3)
+    grad, hess, parts = joinings._newton_terms(stacks, x)
+    grad_ref, hess_ref, parts_ref = newton_terms_reference(reference, x)
+    # tr W_i can cancel to rounding (at the product of two uniform states it
+    # is 0): it is compared on the scale of its bound |tr W_i| ≤ √ν·‖W_i‖,
+    # with ν the number of diagonal units and ‖W_i‖² = H_ii
+    nu = sum(idx.shape[0] * idx.shape[1] for idx in ctx.blocks)
+    _close(grad, grad_ref, math.sqrt(nu * np.trace(hess_ref)))
+    _close(hess, hess_ref)
+    g, dt = rng.standard_normal((2, r))
+    eta = 10.0 ** rng.uniform(-2, 3)
+    _close(joinings._newton_dual(ctx, basis, g, parts, dt, eta),
+           newton_dual_reference(ctx, basis, g, parts_ref, dt, eta))
+    _close(np.sort(joinings._step_eigenvalues(parts, dt)),
+           np.sort(step_eigenvalues_reference(parts_ref, dt)))
 
 
 def _conjugated(rng, n, phases):
