@@ -446,26 +446,19 @@ def classify_dual(sys: DualSystem) -> DualClassification:
 
     Ergodicity, weak mixing and strong mixing coincide for dual systems and
     hold exactly when only the identity has a finite orbit. Compactness
-    holds exactly when every orbit is finite. A group with 1 < |Γ| < ∞
-    cannot be ergodic, which the classification re-checks.
+    holds exactly when every orbit is finite. A group with 1 < |Γ| < ∞ is
+    not ergodic: a finite finperm group has more than one cycle letter.
     """
     spec = sys.spec
-    all_finite = len(spec.shift_tracks) == 0
+    all_finite = not spec.shift_tracks
     if sys.family == "free":
-        e_trivial = len(spec.cycle_tracks) == 0
-        gamma_finite = False
-        order = None
+        ergodic, gamma_finite, order = not spec.cycle_tracks, False, None
     else:
-        e_trivial = spec.cycle_letter_count <= 1
-        gamma_finite = all_finite
-        total = spec.cycle_letter_count if all_finite else None
-        order = math.factorial(total) if gamma_finite and total <= 64 else None
-    notes = []
-    if gamma_finite and order is not None and order > 1:
-        if e_trivial:
-            raise NcjoinError("finite nontrivial group classified ergodic")
-        notes.append(f"|Γ| = {order} is finite and larger than 1, hence not ergodic")
-    ergodic = e_trivial
+        letters = spec.cycle_letter_count
+        ergodic, gamma_finite = letters <= 1, all_finite
+        order = math.factorial(letters) if all_finite and letters <= 64 else None
+    notes = ((f"|Γ| = {order} is finite and larger than 1, hence not ergodic",)
+             if order is not None and order > 1 else ())
     return DualClassification(
         ergodic=ergodic,
         weakly_mixing=ergodic,
@@ -473,7 +466,7 @@ def classify_dual(sys: DualSystem) -> DualClassification:
         compact=all_finite,
         gamma_finite=gamma_finite,
         gamma_order=order,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 
@@ -500,24 +493,15 @@ def finite_orbit_subsystem(sys: DualSystem) -> FiniteOrbitSubsystem:
     restriction is exactly the ergodic case.
     """
     cycles = sys.spec.cycle_tracks
-    if sys.family == "free":
-        trivial = not cycles
-        description = ("trivial subgroup" if trivial else
-                       "free subgroup on the cycle-track letters "
-                       + ", ".join(t.id for t in cycles))
-    else:
-        trivial = sys.spec.cycle_letter_count <= 1
-        description = ("trivial subgroup" if trivial else
-                       "finitary permutations supported on the cycle-track letters "
-                       + ", ".join(t.id for t in cycles))
-    restricted = None
-    restricted_cls = None
-    if cycles:
-        restricted = DualSystem(sys.family, TrackSpec(tuple(cycles)))
-        restricted_cls = classify_dual(restricted)
+    trivial = classify_dual(sys).ergodic
+    description = ("trivial subgroup" if trivial else
+                   ("free subgroup on" if sys.family == "free" else
+                    "finitary permutations supported on")
+                   + " the cycle-track letters " + ", ".join(t.id for t in cycles))
+    restricted = DualSystem(sys.family, TrackSpec(cycles)) if cycles else None
     return FiniteOrbitSubsystem(
-        system=sys, description=description, trivial=trivial,
-        restricted=restricted, restricted_classification=restricted_cls,
+        system=sys, description=description, trivial=trivial, restricted=restricted,
+        restricted_classification=classify_dual(restricted) if cycles else None,
     )
 
 
@@ -719,15 +703,13 @@ def ornstein_scan_dual(sys: DualSystem, test_set, n_range,
     Each combination's square table is built once and the shift times of
     each of its keys are solved once, so a window costs one lookup per n.
 
-    On an all-shift system the support of any nonidentity word escapes, so
-    past the index span of the support the indicator collapses to the
-    diagonal pairs and the ratio is exactly one; the report records that
-    bound and the scan verifies it on the window. The outcome is
-    cross-checked against the classification: a strongly mixing system must
-    show eventual ratio one, a non-mixing one recurs.
+    On a strongly mixing system only the identity has a finite orbit, so
+    the support of any nonidentity element escapes: past the index span of
+    the support the indicator collapses to the diagonal pairs and the ratio
+    is exactly one. The report records that bound and the scan verifies it
+    on the window; a non-mixing system recurs and gets no bound.
     """
-    cls = classify_dual(sys)
-    all_shift = len(sys.spec.cycle_tracks) == 0
+    mixing = classify_dual(sys).strongly_mixing
     labels = labels or [f"element {k}" for k in range(len(test_set))]
     reports, skipped = [], []
     max_limsup = Fraction(0)
@@ -741,9 +723,9 @@ def ornstein_scan_dual(sys: DualSystem, test_set, n_range,
         ratios = list(zip(ns, _window_sums(
             sys, table, ns, lambda total: _real_square(total) / denom)))
         limsup = max(r for _, r in ratios)
-        bound = _index_span(sys, c) if all_shift else None
-        eventual = Fraction(1) if all_shift else None
-        if all_shift:
+        bound = _index_span(sys, c) if mixing else None
+        eventual = Fraction(1) if mixing else None
+        if mixing:
             for n, r in ratios:
                 if n > bound and r != 1:
                     raise NcjoinError(
@@ -753,11 +735,9 @@ def ornstein_scan_dual(sys: DualSystem, test_set, n_range,
             label=label, denominator=denom, ratios=ratios,
             limsup_window=limsup, escape_bound=bound, eventual_ratio=eventual,
         ))
-    if cls.strongly_mixing and not all_shift:
-        raise NcjoinError("classification inconsistency: mixing without all-shift tracks")
     return DualOrnsteinScan(
         reports=reports, skipped=skipped,
-        strongly_mixing=cls.strongly_mixing, max_limsup=max_limsup,
+        strongly_mixing=mixing, max_limsup=max_limsup,
     )
 
 
@@ -795,22 +775,15 @@ class OppositeJoining:
 
 def opposite_group_joining(sys: DualSystem) -> OppositeJoining:
     sub = finite_orbit_subsystem(sys)
-    cls = classify_dual(sys)
-    trivial = sub.trivial
-    if trivial != cls.ergodic:
-        raise NcjoinError("triviality of the finite-orbit joining must match ergodicity")
     witness = None
-    if not trivial:
+    if not sub.trivial:
+        cycles = sys.spec.cycle_tracks
         if sys.family == "free":
-            t = sys.spec.cycle_tracks[0]
-            g = (((t.id, 0), 1),)
+            g = (((cycles[0].id, 0), 1),)
         else:
-            letters = []
-            for t in sys.spec.cycle_tracks:
-                letters.extend((t.id, i) for i in range(t.m))
-            g = FinPerm.from_cycles([letters[:2]])
+            g = FinPerm.from_cycles([[(t.id, i) for t in cycles for i in range(t.m)][:2]])
         witness = (g, g)
-    return OppositeJoining(system=sys, subsystem=sub, trivial=trivial, witness=witness)
+    return OppositeJoining(system=sys, subsystem=sub, trivial=sub.trivial, witness=witness)
 
 
 # ---------------------------------------------------------------------------

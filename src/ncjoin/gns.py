@@ -198,9 +198,11 @@ class Spectrum:
     Column j of `onb` is a joint eigenvector in orthonormal coordinates,
     with characters `chars[j]`, one per generator. `classes` partitions the
     columns by character; every question of equal characters, and of
-    characters equal to 1, reads it. `entries` groups the columns by class,
-    as `point_spectrum` reports them; both are built on first read, since
-    the tangent space of a joining reads only the columns and `values`.
+    characters equal to 1, reads it. `fixed_basis` rotates the fixed class
+    to start with Ω; `fixed_point_algebra` and `values` read it. `entries`
+    groups the columns by class, as `point_spectrum` reports them. Each is
+    built on first read, since the tangent space of a joining reads only
+    the characters and `values`.
     """
 
     onb: np.ndarray      # (d, d) unitary
@@ -208,11 +210,28 @@ class Spectrum:
     space: GnsSpace
 
     @functools.cached_property
+    def fixed_basis(self) -> np.ndarray:
+        """Orthonormal columns spanning the fixed class, the first Ω, read-only:
+        Ω takes the place of the fixed column it overlaps most, which keeps
+        the span, and QR with a positive diagonal starts the basis with it."""
+        F = self.onb[:, self.fixed]
+        omega = self.space.to_onb(self.space.cyclic_vector)
+        j = abs(omega.conj() @ F).argmax()
+        q, r = np.linalg.qr(np.column_stack([omega, np.delete(F, j, axis=1)]))
+        q = q * (np.diagonal(r) / abs(np.diagonal(r)))
+        q.flags.writeable = False
+        return q
+
+    @functools.cached_property
     def values(self) -> np.ndarray:
         """Column j: x = Cᵀ·conj(q_j) for the Cholesky factor C, scaled to
-        unit norm, read-only. x_i = ⟨q_j, C·e_i⟩ are the values on the basis
-        of the functional a ↦ ⟨q_j, γ(a)⟩, and Uᵀx = χx for each generator."""
-        X = self.space.onb_factor.T @ self.onb.conj()
+        unit norm, read-only, with q_j from `fixed_basis` on the fixed class,
+        so column fixed[0] is Ω's and the others are orthogonal to Ω. The x_i
+        = ⟨q_j, C·e_i⟩ are the values of a ↦ ⟨q_j, γ(a)⟩ on the basis, and
+        Uᵀx = χx for each generator."""
+        Q = self.onb.copy()
+        Q[:, self.fixed] = self.fixed_basis
+        X = self.space.onb_factor.T @ Q.conj()
         X /= np.linalg.norm(X, axis=0)
         X.flags.writeable = False
         return X
@@ -367,19 +386,13 @@ def point_spectrum_overlap(entries_a, entries_b):
 def fixed_point_algebra(sys: FiniteSystem) -> list[AlgebraElement]:
     """Gram-orthonormal basis of {a : α_g(a) = a for all generators}.
 
-    It spans the fixed-space columns of `sys.spectrum` (`Spectrum.fixed`).
-    The first basis element is the identity (its μ-norm is 1). The span is
-    closed under adjoints since every α_g is *-preserving.
+    It is `sys.spectrum.fixed_basis`, the fixed-space columns of the
+    spectrum rotated to start with Ω, so the first basis element is the
+    identity (its μ-norm is 1). The span is closed under adjoints since
+    every α_g is *-preserving.
     """
-    space, spec = sys.gns[0], sys.spectrum
-    F = spec.onb[:, spec.fixed]
-    omega = space.to_onb(space.cyclic_vector)
-    # Ω takes the place of the column it overlaps most, which keeps the span;
-    # QR with a positive diagonal then starts the basis with Ω
-    j = abs(omega.conj() @ F).argmax()
-    q, r = np.linalg.qr(np.column_stack([omega, np.delete(F, j, axis=1)]))
-    q = q * (np.diagonal(r) / abs(np.diagonal(r)))
-    return [space.element(v) for v in space.from_onb(q).T]
+    space = sys.gns[0]
+    return [space.element(v) for v in space.from_onb(sys.spectrum.fixed_basis).T]
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Joinings of two systems: tangent space, rank verdicts and barrier solves.
+"""Joinings of two systems: tangent space, disjointness verdicts and barrier solves.
 
 A joining is a state ω on A ⊙ B with marginals μ and ν that is invariant
 under the diagonal action. It is stored by its values V[i, j] = ω(e_i ⊗ f_j)
@@ -10,18 +10,16 @@ every generator. Positivity of ω is positivity of every density block.
 
 The product state μ⊗ν is a joining with a positive definite density ρ⊗.
 Let T be the tangent space: the Hermitian tables that the homogeneous
-constraints (trace 0, zero marginals, invariance) map to zero. The
-invariant tables are spanned by the products x yᵀ of leg eigenvectors
-whose characters multiply to 1, read off each system's cached point
-spectrum, as in the paper's disjointness theorem; two small SVDs then take
-their Hermitian parts and impose zero marginals. The joining set is the
-spectrahedron {ρ⊗ + Σ t_i V_i ⪰ 0} over an orthonormal basis V_i of T. So:
+constraints (trace 0, zero marginals, invariance) map to zero. Its
+dimension is P − m_A(1) − m_B(1) + 1 for P pairs of leg eigenvectors whose
+characters multiply to 1 and fixed-space dimensions m(1), as in the
+paper's disjointness theorem (`_tangent_space`); a context builds it once
+(`TensorContext.tangent`). The joining set is the spectrahedron
+{ρ⊗ + Σ t_i V_i ⪰ 0} over an orthonormal basis V_i of T. So:
 
 - `disjointness_test` answers "disjoint" exactly when T = {0}: every V ≠ 0
-  in T would give the joinings ρ⊗ ± εV. The evidence is the rank gap
-  min(δ, σ): δ is the smallest distance ‖χψ − 1‖ from 1 of a product of
-  leg characters left unpaired, σ the smallest nonzero singular value of
-  the marginal rows on the invariant Hermitian tables. Otherwise the
+  in T would give the joinings ρ⊗ ± εV. The evidence is δ, the smallest
+  ‖χψ − 1‖ over the pairs of leg characters left unpaired. Otherwise the
   witness is the optimum along the first basis direction that is not
   orthogonal to T, and the verdict is "not_disjoint".
 - `find_joining` maximizes a linear objective with a log-barrier Newton
@@ -30,8 +28,8 @@ spectrahedron {ρ⊗ + Σ t_i V_i ⪰ 0} over an orthonormal basis V_i of T. So:
   table with PSD blocks.
 
 A solve whose gap upper − lower is still above its width when its Newton
-steps end, or a rank gap too close to rounding to call, answers
-"inconclusive"; no verdict is rounded either way.
+steps end, or a δ too close to rounding to call, answers "inconclusive";
+no verdict is rounded either way.
 
 The diagonal state of a system with its mirror and its shifts Δ_n are GNS
 quantities: their value tables are Uᵀ·M·T in closed form, from the
@@ -71,7 +69,7 @@ from .errors import (
 DEFAULT_MAX_ITER = 500    # Newton steps of one barrier solve
 DEFAULT_WIDTH = 1e-6      # a solve ends when upper − lower ≤ width
 CONSTRUCTOR_RESIDUAL_TOL = 1e-8
-# a rank gap or a projection onto T below this is too close to rounding to call
+# a pair gap δ or a projection onto T below this is too close to rounding to call
 _RANK_GAP_MIN = 1e-8
 
 
@@ -123,6 +121,11 @@ class TensorContext:
 
     def product_values(self) -> np.ndarray:
         return np.outer(self.A.state.values, self.B.state.values)
+
+    @functools.cached_property
+    def tangent(self) -> _TangentSpace:
+        """T at the product state, built on first read (`_tangent_space`)."""
+        return _tangent_space(self)
 
 
 @functools.lru_cache(maxsize=64)
@@ -312,39 +315,55 @@ class _TangentSpace:
     """T: the Hermitian tables z with K z = 0, the directions along which a
     joining can leave the product state."""
 
-    basis: np.ndarray   # (dim T, dim): real-orthonormal rows, each a flat value table
-    rank_gap: float     # min(δ, σ), see `_tangent_space`
+    basis: np.ndarray          # (dim T, dim): real-orthonormal rows, each a flat value table
+    pair_gap: float | None     # δ, see `_tangent_space`
+
+    @property
+    def trusted(self) -> bool:
+        """No pair was left out of T within rounding of 1."""
+        return self.pair_gap is None or self.pair_gap >= _RANK_GAP_MIN
 
 
 def _tangent_space(ctx: TensorContext) -> _TangentSpace:
     """T from the joint eigenvectors of the two legs (`FiniteSystem.spectrum`).
 
-    With q a joint eigenvector of the orthonormal-coordinate unitaries and
-    C the GNS Cholesky factor, x = Cᵀ·conj(q) has Uᵀx = χx (`Spectrum.values`
-    keeps these per system). For such x of A and y of B, Uaᵀ(x yᵀ)Ub =
-    χψ·x yᵀ, and the tables x yᵀ span all tables, so the invariant ones are
-    spanned by the pairs with χψ = 1 for every generator. A pair counts as
-    one when ‖χψ − 1‖ is at the numerical-rank cut, 2√k · dim · machine
-    epsilon for k generators. Two small SVDs give T: one takes the
-    Hermitian parts of the paired tables and of i times them, in
-    coordinates on the real-orthonormal basis of the Hermitian tables (the
-    diagonal units, (E_ab + E_ba)/√2 and i(E_ab − E_ba)/√2 for a < b),
-    which the gathers of `hermitian_positions` read off; a product whose
-    blocks are all 1×1 has diagonal units only. These span a space of
-    dimension f, the number of paired pairs; the other imposes zero
-    marginals, which imply trace 0.
+    With q a joint eigenvector of the orthonormal-coordinate unitaries and C
+    the GNS Cholesky factor, x = Cᵀ·conj(q) has Uᵀx = χx (`Spectrum.values`).
+    For such x of A and y of B, Uaᵀ(x yᵀ)Ub = χψ·x yᵀ, and these tables form
+    a basis, so the invariant tables are spanned by the P pairs with χψ = 1
+    for every generator: ‖χψ − 1‖ at the rounding cut 2√k·dim·ε for k
+    generators.
 
-    The rank gap is min(δ, σ): δ is the smallest ‖χψ − 1‖ over the unpaired
-    pairs, σ the smallest nonzero singular value of the marginal rows on
-    the invariant Hermitian tables.
+    dim T = P − m_A(1) − m_B(1) + 1, m(1) the size of a leg's fixed class.
+    As x_i = ⟨q, γ(e_i)⟩, the marginals of x yᵀ are ⟨q', Ω_B⟩·x and
+    ⟨q, Ω_A⟩·y up to scale, q' the vector of y. Each leg's fixed class is
+    rotated so that one column is Ω (`Spectrum.fixed_basis`) and the others
+    are orthogonal to it, so a paired table carries a marginal only in
+    Ω_A's row or Ω_B's column. The marginals of those m_A(1) + m_B(1) − 1
+    tables are linearly independent, since the x are and the y are, so the
+    other f = P − m_A(1) − m_B(1) + 1 pairs span the zero-marginal invariant
+    tables (zero marginals imply trace 0). With f = 0, T = {0} and no SVD
+    is taken. These tables are closed under the adjoint ω ↦ ω*, so their
+    Hermitian ones have real dimension f and are spanned by the Hermitian
+    parts of the tables and of i times them. The first f left singular
+    vectors of those parts, in coordinates on the real-orthonormal
+    Hermitian basis read off by `hermitian_positions` (diagonal units,
+    (E_ab + E_ba)/√2 and i(E_ab − E_ba)/√2 for a < b; only diagonal units
+    when every block is 1×1), are an orthonormal basis of T.
+
+    δ is the smallest ‖χψ − 1‖ over the unpaired pairs, None when every
+    pair is paired, so that no rounding decision was made.
     """
     sa, sb = ctx.A.spectrum, ctx.B.spectrum
     dist = np.linalg.norm(sa.chars[:, None, :] * sb.chars[None, :, :] - 1, axis=2)
-    eps = np.finfo(float).eps
-    paired = dist <= 2 * math.sqrt(sa.chars.shape[1]) * ctx.dim * eps
-    delta = float(dist[~paired].min(initial=math.inf))
+    paired = dist <= 2 * math.sqrt(sa.chars.shape[1]) * ctx.dim * np.finfo(float).eps
+    delta = None if paired.all() else float(dist[~paired].min())
+    paired[sa.fixed[0], :] = False   # the pairs that carry a marginal
+    paired[:, sb.fixed[0]] = False
     i, j = np.nonzero(paired)
     f = len(i)
+    if not f:
+        return _TangentSpace(basis=np.empty((0, ctx.dim), dtype=complex), pair_gap=delta)
     G = (sa.values[:, None, i] * sb.values[None, :, j]).reshape(ctx.dim, f)   # column s: x_i y_jᵀ
     diag, upper, lower = ctx.hermitian_positions
     nd, nu = diag.size, upper.size
@@ -357,22 +376,14 @@ def _tangent_space(ctx: TensorContext) -> _TangentSpace:
         Gs, Ga = h * (G[upper] + G[lower]), h * (G[upper] - G[lower])
         R[nd:nd + nu, :f], R[nd:nd + nu, f:] = Gs.real, -Gs.imag
         R[nd + nu:, :f], R[nd + nu:, f:] = Ga.imag, Ga.real
-    E = np.linalg.svd(R, full_matrices=False)[0][:, :f]
-    tables = np.empty((ctx.dim, f), dtype=complex)
-    tables[diag] = E[:nd]
+    E = np.linalg.svd(R, full_matrices=False)[0][:, :f].T
+    basis = np.empty((f, ctx.dim), dtype=complex)
+    basis[:, diag] = E[:, :nd]
     if nu:
-        tables[upper] = h * (E[nd:nd + nu] + 1j * E[nd + nu:])
-        tables[lower] = tables[upper].conj()
-    V = tables.reshape(ctx.dim_a, ctx.dim_b, f)
-    ua = ctx.A.structure.identity().coords()
-    ub = ctx.B.structure.identity().coords()
-    marg = np.vstack([ub @ V, (ua @ V.reshape(ctx.dim_a, -1)).reshape(ctx.dim_b, f)])
-    M = np.vstack([marg.real, marg.imag])
-    _, s, vt = np.linalg.svd(M)
-    rank = int(np.sum(s > s[0] * max(M.shape) * eps))
-    null = vt[rank:]
-    basis = null @ tables.T
-    return _TangentSpace(basis=basis, rank_gap=min(delta, float(s[rank - 1])))
+        basis[:, upper] = h * (E[:, nd:nd + nu] + 1j * E[:, nd + nu:])
+        basis[:, lower] = basis[:, upper].conj()
+    basis.flags.writeable = False
+    return _TangentSpace(basis=basis, pair_gap=delta)
 
 
 def _psd_floor(ctx: TensorContext, z: np.ndarray) -> float:
@@ -549,8 +560,8 @@ def _objective(ctx: TensorContext, objective) -> tuple[np.ndarray, float, str]:
     return h.coords()[ctx.pair_index].reshape(-1), top, label
 
 
-def _barrier_solve(ctx: TensorContext, tangent: _TangentSpace, k: np.ndarray, top: float,
-                   label: str, width: float, max_iter: int, beat_product: bool = False):
+def _barrier_solve(ctx: TensorContext, k: np.ndarray, top: float, label: str, width: float,
+                   max_iter: int, beat_product: bool = False):
     """Maximize Re Σ k_q z_q over the joining set ρ⊗ + Σ t_i V_i ⪰ 0.
 
     Two certificates need no solve: Z = top·1 − c gives the spectral bound
@@ -565,7 +576,7 @@ def _barrier_solve(ctx: TensorContext, tangent: _TangentSpace, k: np.ndarray, to
     barrier weight η grows. With `beat_product` the steps also go on until
     the value exceeds the product's, as a witness must.
     """
-    basis = tangent.basis
+    basis = ctx.tangent.basis
     prod = ctx.product_values().reshape(-1)
     c = k.conj()
     c0 = float((k @ prod).real)
@@ -607,12 +618,11 @@ def _barrier_solve(ctx: TensorContext, tangent: _TangentSpace, k: np.ndarray, to
     jm = JoiningMatrix(ctx=ctx, values=(prod + basis.T @ best).reshape(ctx.dim_a, ctx.dim_b),
                        label=label)
     open_gap = upper - lower > width
-    trusted = tangent.rank_gap >= _RANK_GAP_MIN
     report = SolveReport(
         converged=not open_gap,
         iterations=steps,
         residual=jm.worst_residual,
-        tangent_dim=len(tangent.basis),
+        tangent_dim=len(basis),
         achieved=lower,
         lower=lower,
         upper=upper,
@@ -620,10 +630,12 @@ def _barrier_solve(ctx: TensorContext, tangent: _TangentSpace, k: np.ndarray, to
         dual_floor=_psd_floor(ctx, dual),
         oracle_calls=solves,
         ambiguous_calls=int(open_gap),
-        inconclusive=open_gap or not trusted,
+        inconclusive=open_gap or not ctx.tangent.trusted,
         message=("gap closed" if not open_gap else
                  "gap still open when the Newton steps ended") +
-                ("" if trusted else "; rank gap below rounding, T is uncertain"),
+                ("" if ctx.tangent.trusted else
+                 "; a character product within rounding of 1 was left unpaired, "
+                 "T is uncertain"),
     )
     return jm, report
 
@@ -643,14 +655,13 @@ def find_joining(ctx: TensorContext, objective=None, max_iter: int = DEFAULT_MAX
     still above `width` after `max_iter` Newton steps.
     """
     _check_solver_options(max_iter, width)
-    tangent = _tangent_space(ctx)
     if objective is None:
         prod = product_joining(ctx)
         return prod, SolveReport(converged=True, iterations=0, residual=prod.worst_residual,
-                                 tangent_dim=len(tangent.basis),
+                                 tangent_dim=len(ctx.tangent.basis),
                                  message="product state is feasible")
     k, top, desc = _objective(ctx, objective)
-    jm, report = _barrier_solve(ctx, tangent, k, top, f"solver:{desc}", width, max_iter)
+    jm, report = _barrier_solve(ctx, k, top, f"solver:{desc}", width, max_iter)
     report.message = f"objective {desc}: " + report.message
     return jm, report
 
@@ -659,17 +670,18 @@ def find_joining(ctx: TensorContext, objective=None, max_iter: int = DEFAULT_MAX
 class DisjointnessCertificate:
     """Whether the product state is the only joining, with its evidence.
 
-    "disjoint": T = {0}, proved by `min_margin`, the rank gap min(δ, σ) of
-    `_tangent_space`. "not_disjoint":
-    `witness` is a joining other than the product, `witness_gap` above it
-    along `witness_direction`. "inconclusive": the rank gap is below
-    rounding, or the witness solve did not close its gap or did not get
-    above the product.
+    "disjoint": T = {0}, since no pair of characters is left after those
+    that carry a marginal (`_tangent_space`); `min_margin` is δ, the
+    smallest ‖χψ − 1‖ over the unpaired pairs, or None when every pair is
+    paired. "not_disjoint": `witness` is a joining other than the product,
+    `witness_gap` above it along `witness_direction`. "inconclusive": δ is
+    below rounding, or the witness solve did not close its gap or did not
+    get above the product.
     """
 
     verdict: str                      # disjoint | not_disjoint | inconclusive
     tangent_dim: int
-    min_margin: float | None = None   # the rank gap
+    min_margin: float | None = None   # δ
     max_gap_bound: float | None = None
     witness_direction: tuple | None = None
     witness_gap: float | None = None
@@ -689,10 +701,10 @@ def disjointness_test(ctx: TensorContext, max_iter: int = DEFAULT_MAX_ITER,
     exceeds the product's.
     """
     _check_solver_options(max_iter, width)
-    tangent = _tangent_space(ctx)
+    tangent = ctx.tangent
     cert = DisjointnessCertificate(verdict="inconclusive", tangent_dim=len(tangent.basis),
-                                   min_margin=tangent.rank_gap)
-    if tangent.rank_gap < _RANK_GAP_MIN:
+                                   min_margin=tangent.pair_gap)
+    if not tangent.trusted:
         return cert
     if len(tangent.basis) == 0:
         cert.verdict, cert.max_gap_bound = "disjoint", 0.0
@@ -707,7 +719,7 @@ def disjointness_test(ctx: TensorContext, max_iter: int = DEFAULT_MAX_ITER,
         cert.directions_scanned = 4 * ctx.dim
         return cert
     cert.directions_scanned = pos + 1
-    witness, report = _barrier_solve(ctx, tangent, k, top, f"witness({i},{j})", width, max_iter,
+    witness, report = _barrier_solve(ctx, k, top, f"witness({i},{j})", width, max_iter,
                                      beat_product=True)
     gap = report.lower - float((k @ ctx.product_values().reshape(-1)).real)
     if not report.inconclusive and gap > 0:
@@ -757,7 +769,7 @@ def joining_face_dimension(ctx: TensorContext, joining: JoiningMatrix) -> int:
     block of size N is spanned by its eigenvectors with eigenvalue at most
     N·1e-7. Zero means the state is an extreme point of the joining set.
     """
-    basis = _tangent_space(ctx).basis
+    basis = ctx.tangent.basis
     if not len(basis):
         return 0
     images = []

@@ -15,7 +15,8 @@ large one. A barrier solve makes one linear solve per Newton step, and on
 A system's point spectrum takes one `eigh`, however many classifications
 and joining solves read it, its value vectors are built once for all the
 solves on it, and contexts over one pair of block-size tuples share one
-product structure. The joining battery reads the generators' coordinate
+product structure. A context builds its tangent space once, with at most one
+SVD. The joining battery reads the generators' coordinate
 matrices, so `joinings diagonal` builds no GNS data of the mirror.
 """
 
@@ -398,6 +399,49 @@ def test_value_vectors_are_built_once_per_system(monkeypatch):
             find_joining(ctx, objective=(0, 1))
             disjointness_test(ctx)
     assert built["values"] == 3
+
+
+def test_one_tangent_space_per_context(monkeypatch):
+    """disjointness_test, two find_joining solves and joining_face_dimension
+    on one context read one T (`TensorContext.tangent`)."""
+    built = Counter()
+    original = joinings._tangent_space
+
+    def counted(ctx):
+        built["T"] += 1
+        return original(ctx)
+
+    monkeypatch.setattr(joinings, "_tangent_space", counted)
+    ctx = build_tensor_context(corpus.system("c3"), corpus.system("c3"))
+    assert disjointness_test(ctx).verdict == "not_disjoint"
+    jm, _ = find_joining(ctx, objective=(0, 1))
+    find_joining(ctx, objective=(1, 1))
+    joinings.joining_face_dimension(ctx, jm)
+    assert built["T"] == 1
+
+
+@pytest.mark.parametrize("a,b,svds", [
+    ("c2", "c3", 0), ("c5", "id3", 0), ("c3", "c3", 1), ("id2", "id3", 1),
+    ("gibbs", "gibbs", 1), ("pauli", "pauli", 1)])
+def test_tangent_space_takes_at_most_one_svd(monkeypatch, a, b, svds):
+    """T is read off the two spectra with one SVD, of the Hermitian parts of
+    the paired tables, and none when no pair is left: then the verdict is
+    "disjoint", reached with no SVD at all."""
+    A, B = corpus.system(a), corpus.system(b)
+    A.spectrum, B.spectrum
+    calls = Counter()
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls["svd"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    ctx = build_tensor_context(A, B)
+    ctx.tangent
+    assert calls["svd"] == svds
+    if not svds:
+        assert disjointness_test(ctx).verdict == "disjoint" and calls["svd"] == 0
 
 
 def test_one_path_to_the_spectrum_and_the_tangent_space():

@@ -10,7 +10,7 @@ import pytest
 
 import ncjoin
 from ncjoin import corpus, fileio
-from ncjoin.algebra import validate_system
+from ncjoin.algebra import identity_system, validate_system
 from ncjoin.cli import build_parser, emit_report, main, run
 from ncjoin.errors import InputFormatError
 from ncjoin.joinings import residual_magnitude
@@ -268,6 +268,25 @@ def test_joinings_disjoint_command(capsys):
     main(["joinings", "disjoint", "--a", "corpus:c2", "--b", "corpus:c3",
           "--format", "json"])
     assert capsys.readouterr().out == text
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_disjoint_reports_are_strict_json(tmp_path, capsys):
+    """When every pair of characters multiplies to 1, no pair is left
+    unpaired and `min_margin` is null, never Infinity."""
+    trivial = tmp_path / "trivial.json"
+    trivial.write_text(json.dumps(fileio.dump_system(identity_system((1,)))))
+    for a, b, verdict in (("corpus:id2", "corpus:id3", "not_disjoint"),
+                          (str(trivial), str(trivial), "disjoint")):
+        assert main(["joinings", "disjoint", "--a", a, "--b", b, "--format", "json"]) == 0
+        results = _strict_json(capsys.readouterr().out)["results"]
+        assert results["verdict"] == verdict and results["min_margin"] is None
 
 
 def test_corpus_commands(tmp_path, capsys):

@@ -1,9 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from ncjoin import cli
+from ncjoin import cli, fileio
 from ncjoin.dual import (
     CorrelationSeries,
     DualSystem,
@@ -501,6 +502,33 @@ def test_ornstein_scan_unit_element(dual_shift, dual_cycle2):
 def test_ornstein_scan_skips_degenerate(dual_shift):
     scan = ornstein_scan_dual(dual_shift, [{}], range(0, 3), labels=["empty"])
     assert scan.skipped == ["empty"]
+
+
+ONE_LETTER_CYCLE = {"family": "finperm",
+                    "tracks": [{"id": "c", "kind": "cycle", "m": 1}, {"id": "s", "kind": "shift"}]}
+
+
+@pytest.mark.parametrize("group, elements", [
+    (ONE_LETTER_CYCLE, None),
+    (ONE_LETTER_CYCLE, "(c0 s0) | (c0 s0); 2 * (c0 s-3 s7) | (s-3 c0)"),
+    ({"family": "finperm", "tracks": [{"id": "s", "kind": "shift"}], "h": {"cycles": [["p"]]}},
+     None),
+], ids=["track", "track-elements", "h-cycle"])
+def test_ornstein_scan_on_a_one_letter_cycle(tmp_path, capsys, group, elements):
+    """A finperm group with a single cycle letter is ergodic and strongly
+    mixing: its one-letter cycle permutes nothing. The scan reads that off
+    the classification, so it gives escape bounds and checks them on the
+    window instead of reporting an internal error."""
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(group))
+    argv = ["dual", "ornstein", "--group", str(path), "--window=-20..64", "--format", "json"]
+    assert cli.main(argv + ([f"--elements={elements}"] if elements else [])) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["strongly_mixing"] is True
+    assert classify_dual(fileio.load_dual(group).system).strongly_mixing
+    for elem in results["elements"]:
+        assert elem["escape_bound"] is not None and elem["eventual_ratio"] == "1"
+        assert all(r == "1" for n, r in elem["ratios"] if n > elem["escape_bound"])
 
 
 def _random_pair_combination(sysd, rng):

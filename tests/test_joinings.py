@@ -357,7 +357,7 @@ def test_every_verdict_carries_its_evidence(c2, c3, c5, id3, pauli, gibbs):
     for a, b in pairs:
         ctx = build_tensor_context(a, b)
         cert = disjointness_test(ctx)
-        assert cert.min_margin > 0.3   # the rank gap: far from rounding on the corpus
+        assert cert.min_margin > 0.3   # δ: far from rounding on the corpus
         if cert.verdict == "disjoint":
             assert cert.tangent_dim == 0 and cert.max_gap_bound == 0
             assert cert.directions_scanned == 4 * ctx.dim
