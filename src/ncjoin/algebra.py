@@ -153,10 +153,6 @@ class BlockStructure:
             SizeGroup(n, np.array(ks), np.array([offs[k] for k in ks])[:, None] + np.arange(n * n))
             for n, ks in by_size.items())
 
-    def stacks(self, blocks) -> list[np.ndarray]:
-        """One (m, n, n) array per size group of a list of blocks."""
-        return [np.array([blocks[k] for k in g.blocks.tolist()]) for g in self.size_groups]
-
     def basis_index(self, block: int, row: int, col: int) -> int:
         n = self.block_sizes[block]
         return self.offsets()[block] + row * n + col
@@ -168,10 +164,7 @@ class BlockStructure:
     def basis_address(self, i: int) -> tuple[int, int, int]:
         """Inverse of basis_index: canonical index -> (block, row, col)."""
         self._check_index(i)
-        for k, (off, n) in enumerate(zip(self.offsets(), self.block_sizes)):
-            if i < off + n * n:
-                r, c = divmod(i - off, n)
-                return k, r, c
+        return tuple(int(x[i]) for x in self.addresses())
 
     @cached_property
     def _addresses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -239,8 +232,8 @@ class BlockStructure:
         return AlgebraElement.of_vector(self, m[self.block_mask])
 
 
-def _checked_blocks(structure: BlockStructure, blocks, what: str) -> list[np.ndarray]:
-    """The blocks as complex arrays, checked against the structure.
+def _checked_blocks(structure: BlockStructure, blocks, what: str) -> "AlgebraElement":
+    """The blocks as one element, checked against the structure.
 
     Raises StructureError for a wrong block count, and otherwise names the
     first block, in block order, that has the wrong shape or a non-finite
@@ -251,9 +244,10 @@ def _checked_blocks(structure: BlockStructure, blocks, what: str) -> list[np.nda
         raise StructureError(f"{what} block count mismatch")
     out = [_as_complex(b) for b in blocks]
     sizes = structure.block_sizes
-    if all(b.shape == (n, n) for b, n in zip(out, sizes)) and \
-            np.isfinite(np.concatenate([b.reshape(-1) for b in out])).all():
-        return out
+    if all(b.shape == (n, n) for b, n in zip(out, sizes)):
+        v = np.concatenate([b.reshape(-1) for b in out])
+        if np.isfinite(v).all():
+            return AlgebraElement.of_vector(structure, v)
     for k, (b, n) in enumerate(zip(out, sizes)):
         if b.shape != (n, n):
             raise StructureError(f"{what} block {k} has shape {b.shape}, expected ({n}, {n})")
@@ -360,38 +354,40 @@ class AlgebraElement:
         return (self - other).norm() <= tol
 
 
-@dataclass
 class FaithfulState:
     """State ``a ↦ trace(ρ a)`` given by a block-diagonal density ρ.
 
     Faithful means ρ is strictly positive definite; normalization is
-    ``trace(ρ) = 1`` over the whole block-diagonal matrix.
+    ``trace(ρ) = 1`` over the whole block-diagonal matrix. ρ is kept as one
+    element; `density` lists its blocks as views. Treated as immutable.
     """
 
-    structure: BlockStructure
-    density: list[np.ndarray]
+    def __init__(self, structure: BlockStructure, density):
+        self.structure = structure
+        self._rho = _checked_blocks(structure, density, "density")
 
-    def __post_init__(self):
-        self.density = _checked_blocks(self.structure, self.density, "density")
+    @property
+    def density(self) -> list[np.ndarray]:
+        return self._rho.blocks
 
     @cached_property
     def values(self) -> np.ndarray:
         """μ(e_i) over the canonical basis; read-only. μ(E_rc) = ρ[c, r], so
         these are the coordinates of ρᵀ."""
-        out = self.density_element().transpose().coords()
+        out = self._rho.transpose().coords()
         out.flags.writeable = False
         return out
 
     def value(self, a: AlgebraElement) -> complex:
         if a.structure.block_sizes != self.structure.block_sizes:
             raise DimensionMismatchError("state and element block structures differ")
-        return complex(sum(np.trace(r @ b) for r, b in zip(self.density, a.blocks)))
+        return complex(self.values @ a.coords())
 
     def density_element(self) -> AlgebraElement:
-        return AlgebraElement(self.structure, self.density)
+        return self._rho
 
     def stacks(self) -> list[np.ndarray]:
-        return self.structure.stacks(self.density)
+        return self._rho.stacks()
 
     def min_eigenvalue(self) -> float:
         return min(float(np.linalg.eigvalsh((x + _adjoints(x)) / 2).min()) for x in self.stacks())
@@ -413,18 +409,17 @@ def uniform_state(structure: BlockStructure) -> FaithfulState:
         structure, [np.eye(n, dtype=complex) / size for n in structure.block_sizes])
 
 
-@dataclass
 class Automorphism:
-    """Normal form ``a ↦ u · perm(a) · u*``; output block k reads input block perm[k]."""
+    """Normal form ``a ↦ u · perm(a) · u*``; output block k reads input block perm[k].
 
-    structure: BlockStructure
-    block_perm: tuple[int, ...]
-    conjugator: list[np.ndarray]
+    u is kept as one element; `conjugator` lists its blocks as views.
+    Treated as immutable.
+    """
 
-    def __post_init__(self):
-        sizes = self.structure.block_sizes
+    def __init__(self, structure: BlockStructure, block_perm, conjugator):
+        sizes = structure.block_sizes
         m = len(sizes)
-        perm = tuple(self.block_perm)
+        perm = tuple(block_perm)
         if sorted(perm) != list(range(m)):
             raise StructureError(f"block_perm {perm} is not a permutation of 0..{m - 1}")
         for k in range(m):
@@ -432,8 +427,12 @@ class Automorphism:
                 raise StructureError(
                     f"block_perm maps block {perm[k]} (size {sizes[perm[k]]}) onto "
                     f"block {k} (size {sizes[k]})")
-        object.__setattr__(self, "block_perm", perm)
-        self.conjugator = _checked_blocks(self.structure, self.conjugator, "conjugator")
+        self.structure, self.block_perm = structure, perm
+        self._u = _checked_blocks(structure, conjugator, "conjugator")
+
+    @property
+    def conjugator(self) -> list[np.ndarray]:
+        return self._u.blocks
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
         if a.structure.block_sizes != self.structure.block_sizes:
@@ -490,7 +489,7 @@ class Automorphism:
         return out if out is not None else identity_automorphism(self.structure)
 
     def stacks(self) -> list[np.ndarray]:
-        return self.structure.stacks(self.conjugator)
+        return self._u.stacks()
 
     def unitarity_residual(self) -> float:
         return max(float(_operator_norms(_adjoints(u) @ u - np.eye(u.shape[-1])).max())

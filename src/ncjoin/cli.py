@@ -291,7 +291,7 @@ def _cmd_joinings_find(args):
     status = "inconclusive" if rep.inconclusive else "ok"
     results = {
         "label": jm.label,
-        "achieved": rep.achieved,
+        "achieved": rep.lower,
         "lower": rep.lower,
         "upper": rep.upper,
         "dual_floor": rep.dual_floor,

@@ -146,11 +146,7 @@ class TrackSpec:
         return (tid, idx)
 
     def advance(self, letter: Letter, n: int) -> Letter:
-        tid, idx = letter
-        t = self.track(tid)
-        if t.kind == "cycle":
-            return (tid, (idx + n) % t.m)
-        return (tid, idx + n)
+        return self.normalize((letter[0], letter[1] + n))
 
     def is_cycle_letter(self, letter: Letter) -> bool:
         return self.track(letter[0]).kind == "cycle"
@@ -405,11 +401,8 @@ class DualSystem:
         lcm = 1
         for tid in sorted(tracks):
             lcm = math.lcm(lcm, self.spec.track(tid).m)
-        period = lcm
-        for d in sorted(_divisors(lcm)):
-            if self.apply_T(g, d) == g:
-                period = d
-                break
+        # T^lcm fixes every letter involved, so the search stops at lcm at the latest
+        period = next(d for d in sorted(_divisors(lcm)) if self.apply_T(g, d) == g)
         return OrbitCertificate(element=g, kind="finite", period=period)
 
 
@@ -668,14 +661,13 @@ def delta_n_eval(sys: DualSystem, c: PairCombination, n: int) -> DeltaEvaluation
 
 
 def _index_span(sys: DualSystem, c: PairCombination) -> int:
-    indices = []
-    for (g, h) in c.keys():
-        for elt in (g, h):
-            for tid, idx in sys._letters_of(elt):
-                indices.append(idx)
-    if not indices:
-        return 0
-    return max(indices) - min(indices)
+    """Spread of the shift-letter indices of the keys of c. A strongly mixing
+    system has at most one cycle letter, which T fixes, and T moves shift
+    letters by n: past this spread Tⁿ(w) = v fails on the square table of c
+    for every w ≠ 1, since w has a shift letter (a lone letter permutes nothing)."""
+    indices = [idx for (g, h) in c.keys() for elt in (g, h)
+               for tid, idx in sys._letters_of(elt) if not sys.spec.is_cycle_letter((tid, idx))]
+    return max(indices) - min(indices) if indices else 0
 
 
 @dataclass

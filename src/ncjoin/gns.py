@@ -558,7 +558,7 @@ def mirror_system(sys: FiniteSystem) -> MirrorSystem:
     """
     space, rep = sys.gns
     struct = sys.structure
-    promoted_state = FaithfulState(struct, [b.T.copy() for b in sys.state.density])
+    promoted_state = FaithfulState(struct, [b.T for b in sys.state.density])
     promoted_gens = [
         Automorphism(struct, gen.block_perm, [u.conj() for u in gen.conjugator])
         for gen in sys.generators

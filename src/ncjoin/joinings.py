@@ -172,21 +172,11 @@ def _hermitian_part(X: np.ndarray) -> np.ndarray:
 
 
 def joining_residuals(ctx: TensorContext, values) -> dict:
-    """Residuals of the joining constraint battery for a candidate value table.
-
-    A 1×1 density block is one entry: its Hermitian part is the real part,
-    its eigenvalue too, and its skew part 2i times the imaginary part."""
+    """Residuals of the joining constraint battery for a candidate value table."""
     z = np.asarray(values, dtype=complex).reshape(-1)
     zh = np.empty_like(z)
     herm, psd_floor = 0.0, math.inf
     for idx in ctx.blocks:
-        if idx.shape[-1] == 1:
-            flat = idx.reshape(-1)
-            x = z[flat]
-            zh[flat] = x.real
-            herm = max(herm, 2 * float(np.abs(x.imag).max()))
-            psd_floor = min(psd_floor, float(x.real.min()))
-            continue
         X = z[idx]
         Xh = _hermitian_part(X)
         zh[idx] = Xh
@@ -528,11 +518,8 @@ class SolveReport:
     set, and two trace-one densities are at most √2 apart.
     """
 
-    converged: bool
     iterations: int                   # Newton steps
-    residual: float
     tangent_dim: int = 0
-    achieved: float | None = None
     lower: float | None = None
     upper: float | None = None
     dual: np.ndarray | None = None    # certificate of `upper`, as a value table
@@ -619,11 +606,8 @@ def _barrier_solve(ctx: TensorContext, k: np.ndarray, top: float, label: str, wi
                        label=label)
     open_gap = upper - lower > width
     report = SolveReport(
-        converged=not open_gap,
         iterations=steps,
-        residual=jm.worst_residual,
         tangent_dim=len(basis),
-        achieved=lower,
         lower=lower,
         upper=upper,
         dual=dual.reshape(ctx.dim_a, ctx.dim_b),
@@ -657,8 +641,7 @@ def find_joining(ctx: TensorContext, objective=None, max_iter: int = DEFAULT_MAX
     _check_solver_options(max_iter, width)
     if objective is None:
         prod = product_joining(ctx)
-        return prod, SolveReport(converged=True, iterations=0, residual=prod.worst_residual,
-                                 tangent_dim=len(ctx.tangent.basis),
+        return prod, SolveReport(iterations=0, tangent_dim=len(ctx.tangent.basis),
                                  message="product state is feasible")
     k, top, desc = _objective(ctx, objective)
     jm, report = _barrier_solve(ctx, k, top, f"solver:{desc}", width, max_iter)

@@ -9,9 +9,10 @@ The diagonal state's value tables are evaluated one basis pair at a time
 through algebra products, without the GNS matrices, and system validation
 is re-derived by brute force over the basis elements and their pairs.
 
-The blockwise kernels of validation, the GNS unitaries, the mirror and the
-density powers are kept here as they read one block at a time, one numpy
-call per block, before the package ran them once per block size.
+The blockwise kernels of validation, the GNS unitaries, the mirror, the
+state's value and the density powers are kept here as they read one block
+at a time, one numpy call per block, before the package ran them once per
+block size or on one flat vector.
 
 Group-element matrices are rebuilt one element at a time from matrix
 powers, and the dual-system square Δ_n(c*c) by the full pair loop at each
@@ -168,7 +169,7 @@ def diagonal_table(sys, alpha):
     for i, e in enumerate(basis):
         moved = alpha.apply(e)
         for j, t in enumerate(twisted):
-            out[i, j] = sys.state.value(moved @ t)
+            out[i, j] = state_value_reference(sys.state, moved @ t)
     return out
 
 
@@ -183,6 +184,11 @@ def _opnorm(m):
 
 def min_eigenvalue_reference(state):
     return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min()) for b in state.density)
+
+
+def state_value_reference(state, a):
+    """μ(a) = Σ_k tr(ρ_k a_k), one block at a time."""
+    return complex(sum(np.trace(r @ b) for r, b in zip(state.density, a.blocks)))
 
 
 def trace_reference(state):

@@ -1,28 +1,33 @@
-"""Every name the benchmark's tracer wraps must exist in the package.
+"""Every name the benchmark's tracer wraps must exist in the package, and
+every workload's checks must pass.
 
 The tracer in perfbench/ patches ncjoin functions and methods by name, and
-its extractors read fields of the solver reports; a rename in the package
-would otherwise only surface when a traced benchmark run fails. The tracer
-module is loaded from its file and never modified.
+its extractors read fields of the solver reports; the workloads' checks read
+result fields too. A rename in the package would otherwise only surface when
+a benchmark run fails. The tracer and workload modules are loaded from their
+files and never modified.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module   # a dataclass looks up the module it is defined in
     spec.loader.exec_module(module)
     return module
 
 
-TRACER_MODULE = _tracer()
+TRACER_MODULE = _load("perfbench_tracer", PERFBENCH / "tracer.py")
+WORKLOADS_MODULE = _load("perfbench_workloads", PERFBENCH / "workloads.py")
 
 
 @pytest.mark.parametrize("layer", sorted(TRACER_MODULE.SPANNED))
@@ -52,3 +57,9 @@ def _real_results():
 def test_extractors_read_real_results(layer):
     info = TRACER_MODULE.EXTRACTORS[layer](_real_results()[layer])
     assert info and all(isinstance(v, int) and v >= 0 for v in info.values()), info
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS_MODULE.WORKLOADS))
+def test_workload_checks_pass(workload, tmp_path):
+    for task in WORKLOADS_MODULE.WORKLOADS[workload](1, tmp_path):
+        assert task.check(task.run()) is None, task.name

@@ -34,6 +34,7 @@ from oracles import (
     min_eigenvalue_reference,
     modular_conjugation_reference,
     sandwich_matrix_reference,
+    state_value_reference,
     top_eigenvalue_reference,
     trace_reference,
     unitarity_reference,
@@ -121,6 +122,7 @@ def test_products_and_norms_match_blockwise_reference(sysd):
                                  + 1j * rng.standard_normal(s.dimension)) for _ in range(2))
     assert np.array_equal(sandwich_matrix(left, right), sandwich_matrix_reference(left, right))
     assert _close(left.norm(), element_norm_reference(left))
+    assert _close(sysd.state.value(left), state_value_reference(sysd.state, left))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -508,17 +508,21 @@ ONE_LETTER_CYCLE = {"family": "finperm",
                     "tracks": [{"id": "c", "kind": "cycle", "m": 1}, {"id": "s", "kind": "shift"}]}
 
 
-@pytest.mark.parametrize("group, elements", [
-    (ONE_LETTER_CYCLE, None),
-    (ONE_LETTER_CYCLE, "(c0 s0) | (c0 s0); 2 * (c0 s-3 s7) | (s-3 c0)"),
+@pytest.mark.parametrize("group, elements, bound", [
+    (ONE_LETTER_CYCLE, None, None),
+    (ONE_LETTER_CYCLE, "(c0 s0) | (c0 s0); 2 * (c0 s-3 s7) | (s-3 c0)", 10),
+    (ONE_LETTER_CYCLE, "(c0 s5 s7) | (c0 s5 s7)", 2),
+    (ONE_LETTER_CYCLE, "(s5 s7) | (s5 s7)", 2),
     ({"family": "finperm", "tracks": [{"id": "s", "kind": "shift"}], "h": {"cycles": [["p"]]}},
-     None),
-], ids=["track", "track-elements", "h-cycle"])
-def test_ornstein_scan_on_a_one_letter_cycle(tmp_path, capsys, group, elements):
+     None, None),
+], ids=["track", "track-elements", "fixed-letter", "shift-letters", "h-cycle"])
+def test_ornstein_scan_on_a_one_letter_cycle(tmp_path, capsys, group, elements, bound):
     """A finperm group with a single cycle letter is ergodic and strongly
     mixing: its one-letter cycle permutes nothing. The scan reads that off
     the classification, so it gives escape bounds and checks them on the
-    window instead of reporting an internal error."""
+    window instead of reporting an internal error. T fixes the cycle letter
+    c0, so its index does not widen a bound: it is the span of the shift
+    letters, with or without c0."""
     path = tmp_path / "group.json"
     path.write_text(json.dumps(group))
     argv = ["dual", "ornstein", "--group", str(path), "--window=-20..64", "--format", "json"]
@@ -528,6 +532,7 @@ def test_ornstein_scan_on_a_one_letter_cycle(tmp_path, capsys, group, elements):
     assert classify_dual(fileio.load_dual(group).system).strongly_mixing
     for elem in results["elements"]:
         assert elem["escape_bound"] is not None and elem["eventual_ratio"] == "1"
+        assert bound is None or elem["escape_bound"] == bound
         assert all(r == "1" for n, r in elem["ratios"] if n > elem["escape_bound"])
 
 
