@@ -154,7 +154,9 @@ class BlockStructure:
             for n, ks in by_size.items())
 
     def basis_index(self, block: int, row: int, col: int) -> int:
-        n = self.block_sizes[block]
+        n = self.block_sizes[block] if 0 <= block < self.num_blocks else 0
+        if not (0 <= row < n and 0 <= col < n):
+            raise IndexError(f"basis address {block, row, col} out of range for {self.block_sizes}")
         return self.offsets()[block] + row * n + col
 
     def _check_index(self, i: int) -> None:
@@ -219,7 +221,7 @@ class BlockStructure:
                 f"coordinate vector has length {v.size}, expected {self.dimension}")
         return AlgebraElement.of_vector(self, v)
 
-    def from_block_matrix(self, m, tol: float = VALIDATION_TOL) -> "AlgebraElement":
+    def from_block_matrix(self, m) -> "AlgebraElement":
         """Read the blocks off a block-diagonal matrix; off-block mass is an error."""
         m = _as_complex(m)
         size = self.matrix_size
@@ -227,13 +229,13 @@ class BlockStructure:
             raise StructureError(f"matrix shape {m.shape} does not match blocks {self.block_sizes}")
         rest = np.where(self.block_mask, 0, m)
         off = operator_norm(rest) if rest.any() else 0.0   # no SVD of a zero remainder
-        if off > tol:
+        if off > VALIDATION_TOL:
             raise StructureError(f"matrix has off-block entries of norm {off:.3e}")
         return AlgebraElement.of_vector(self, m[self.block_mask])
 
 
-def _checked_blocks(structure: BlockStructure, blocks, what: str) -> "AlgebraElement":
-    """The blocks as one element, checked against the structure.
+def _checked_coords(structure: BlockStructure, blocks, what: str) -> np.ndarray:
+    """The coordinate vector of a block list: the one check of count, shape and finiteness.
 
     Raises StructureError for a wrong block count, and otherwise names the
     first block, in block order, that has the wrong shape or a non-finite
@@ -247,7 +249,7 @@ def _checked_blocks(structure: BlockStructure, blocks, what: str) -> "AlgebraEle
     if all(b.shape == (n, n) for b, n in zip(out, sizes)):
         v = np.concatenate([b.reshape(-1) for b in out])
         if np.isfinite(v).all():
-            return AlgebraElement.of_vector(structure, v)
+            return v
     for k, (b, n) in enumerate(zip(out, sizes)):
         if b.shape != (n, n):
             raise StructureError(f"{what} block {k} has shape {b.shape}, expected ({n}, {n})")
@@ -267,22 +269,16 @@ def sandwich_matrix(left: "AlgebraElement", right: "AlgebraElement") -> np.ndarr
 class AlgebraElement:
     """Element of ``⊕_k M_{n_k}``, stored as its canonical coordinate vector.
 
-    `blocks` are (n, n) views of that vector, built on first read. The
+    Built from a block list it checks the list (`_checked_coords`), as a
+    state and an automorphism do; `of_vector` wraps a vector unchecked.
+    `blocks` are (n, n) views of the vector, built on first read. The
     linear operations act on the vector, and products act on one stack per
     block size. Treated as immutable.
     """
 
     def __init__(self, structure: BlockStructure, blocks):
-        if len(blocks) != structure.num_blocks:
-            raise StructureError("block count mismatch")
-        flat = []
-        for k, (b, n) in enumerate(zip(blocks, structure.block_sizes)):
-            b = _as_complex(b)
-            if b.shape != (n, n):
-                raise StructureError(f"block {k} has shape {b.shape}, expected ({n}, {n})")
-            flat.append(b.reshape(-1))
         self.structure = structure
-        self._coords = np.concatenate(flat)
+        self._coords = _checked_coords(structure, blocks, "element")
 
     @classmethod
     def of_vector(cls, structure: BlockStructure, v: np.ndarray) -> "AlgebraElement":
@@ -364,7 +360,8 @@ class FaithfulState:
 
     def __init__(self, structure: BlockStructure, density):
         self.structure = structure
-        self._rho = _checked_blocks(structure, density, "density")
+        self._rho = AlgebraElement.of_vector(
+            structure, _checked_coords(structure, density, "density"))
 
     @property
     def density(self) -> list[np.ndarray]:
@@ -428,11 +425,15 @@ class Automorphism:
                     f"block_perm maps block {perm[k]} (size {sizes[perm[k]]}) onto "
                     f"block {k} (size {sizes[k]})")
         self.structure, self.block_perm = structure, perm
-        self._u = _checked_blocks(structure, conjugator, "conjugator")
+        self._u = AlgebraElement.of_vector(
+            structure, _checked_coords(structure, conjugator, "conjugator"))
 
     @property
     def conjugator(self) -> list[np.ndarray]:
         return self._u.blocks
+
+    def conjugator_element(self) -> AlgebraElement:
+        return self._u
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
         if a.structure.block_sizes != self.structure.block_sizes:
@@ -739,8 +740,8 @@ def identity_system(block_sizes, group: GroupDescriptor | None = None) -> Finite
     return FiniteSystem(structure, uniform_state(structure), group, gens)
 
 
-def single_block_system(unitary, density=None, group: GroupDescriptor | None = None,
-                        generators=None) -> FiniteSystem:
+def single_block_system(unitary, density=None,
+                        group: GroupDescriptor | None = None) -> FiniteSystem:
     """One full matrix block M_n with Ad(u) dynamics.
 
     `unitary` may be a single matrix (one generator) or a list of matrices.
@@ -756,8 +757,5 @@ def single_block_system(unitary, density=None, group: GroupDescriptor | None = N
         state = FaithfulState(structure, [_as_complex(density)])
     if group is None:
         group = GroupDescriptor("Z") if len(mats) == 1 else GroupDescriptor("Zk", k=len(mats))
-    if generators is not None:
-        gens = generators
-    else:
-        gens = [Automorphism(structure, (0,), [u]) for u in mats]
+    gens = [Automorphism(structure, (0,), [u]) for u in mats]
     return FiniteSystem(structure, state, group, gens)

@@ -222,7 +222,7 @@ def _cmd_classify(args):
         ],
     }
     if args.net:
-        results["epsilon_net_sizes"] = compactness_net(sysd, eps=0.1)
+        results["epsilon_net_sizes"] = compactness_net(sysd)
     return {"system": rec}, results, [], "ok"
 
 
@@ -271,7 +271,8 @@ def _parse_objective_file(ctx, ref: str):
     for t in terms:
         try:
             coef = fileio._entry_from_json(t.get("coef", [1.0, 0.0]))
-            i, j = _index(t["i"], ctx.dim_a), _index(t["j"], ctx.dim_b)
+            i = _index(fileio._integer(t["i"], "objective term i"), ctx.dim_a)
+            j = _index(fileio._integer(t["j"], "objective term j"), ctx.dim_b)
             elem = elem + coef * ctx.basis_pair(i, j)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"{label}: malformed objective term {t!r}") from exc

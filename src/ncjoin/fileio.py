@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    AlgebraElement,
     Automorphism,
     BlockStructure,
     FaithfulState,
@@ -155,7 +154,7 @@ def dump_system(sys: FiniteSystem) -> dict:
         "group": group,
         "generators": [
             {"perm": list(g.block_perm),
-             "unitary": matrix_to_json(AlgebraElement(sys.structure, g.conjugator).block_matrix())}
+             "unitary": matrix_to_json(g.conjugator_element().block_matrix())}
             for g in sys.generators
         ],
     }

@@ -13,9 +13,9 @@ the uncached builders behind them. The GNS unitaries are kept in canonical
 coordinates only. The spectrum takes one `eigh` of a Hermitian
 combination of their orthonormal-coordinate images C·U·C⁻¹; it classifies
 the system and gives the eigenvectors from which a joining's tangent space
-is built. The promoted mirror shares its system's validation report.
-Neither a GnsSpace, a Spectrum nor a MirrorSystem refers back to its
-system, so the cache forms no cycle.
+is built. The mirror builds no GNS data; its promoted system shares its
+system's validation report. Neither a GnsSpace, a Spectrum nor a
+MirrorSystem refers back to its system, so the cache forms no cycle.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ SPLIT_WINDOW = 1e-6   # eigh eigenvalues this close may share a cluster that mix
 POLISH_MIN = 1e-13    # a first-order eigenvector correction below this is not taken
 SIGMA_SAMPLES = (0.1, 0.7, 1.3)   # the times t at which σ_t(P) = P is checked
 NET_WINDOW = 512                  # group elements of an infinite orbit in compactness_net
+NET_EPS = 0.1                     # the radius of the balls of compactness_net
 
 
 @dataclass
@@ -440,13 +441,13 @@ def classify_finite(sys: FiniteSystem) -> Classification:
     )
 
 
-def compactness_net(sys: FiniteSystem, eps: float = 0.1) -> list[int]:
-    """Greedy eps-net sizes for the orbits of the basis vectors.
+def compactness_net(sys: FiniteSystem) -> list[int]:
+    """Greedy NET_EPS-net sizes for the orbits of the basis vectors.
 
     Exercises total boundedness directly instead of quoting the
     finite-dimension shortcut. Orbits are enumerated over a symmetric window
     of about NET_WINDOW group elements (all of them for Z_m) and points
-    farther than eps from the net extend it.
+    farther than NET_EPS from the net extend it.
     """
     space, rep = sys.gns
     d = space.dimension
@@ -464,7 +465,7 @@ def compactness_net(sys: FiniteSystem, eps: float = 0.1) -> list[int]:
     for i in range(d):
         net: list[np.ndarray] = []
         for y in orbit[:, :, i]:
-            if all(np.linalg.norm(y - z) > eps for z in net):
+            if all(np.linalg.norm(y - z) > NET_EPS for z in net):
                 net.append(y)
         sizes.append(len(net))
     return sizes
@@ -502,61 +503,28 @@ def cesaro_correlation(sys: FiniteSystem, x, y, n: int) -> CesaroResult:
 
 @dataclass
 class MirrorSystem:
-    """Commutant picture of a system inside its own GNS space.
+    """Commutant picture of a system, realized on its own block structure.
 
-    commutant_basis spans π(A)' and is built only when read; the mirror
-    state is μ̃(X) = ⟨Ω, XΩ⟩ and the mirror dynamics conjugates by the GNS
-    unitaries. promoted realizes the same data as an ordinary system on the
-    original block structure: the commutant consists of right
-    multiplications R_b, and the *-preserving identification sends the
-    promoted basis element f to R_{ρ^{1/2} transpose(f) ρ^{-1/2}} (the
-    modular conjugation composed with the adjoint of the left action);
-    column j of `twist` holds the coordinates of that twisted element for
-    f = e_j. promoted has density transpose(ρ) and conjugators conj(u); the
-    ρ^{1/2} twist is invisible for tracial states.
+    The commutant of the left representation on the GNS space consists of
+    the right multiplications R_b, with the mirror state μ̃(X) = ⟨Ω, XΩ⟩ and
+    the mirror dynamics X ↦ U X U⁻¹. The *-preserving identification sends
+    the promoted basis element f to R_{ρ^{1/2} transpose(f) ρ^{-1/2}} (the
+    modular conjugation composed with the adjoint of the left action), a
+    unital *-isomorphism onto the commutant that carries the promoted state
+    and dynamics to the mirror ones. `promoted` has density transpose(ρ)
+    and conjugators conj(u); column j of `twist` holds the coordinates of
+    the twisted element for f = e_j. The ρ^{1/2} twist is invisible for
+    tracial states.
     """
 
-    structure: BlockStructure
     promoted: FiniteSystem
     twist: np.ndarray
-    _space: GnsSpace
-    _rep: UnitaryRep
-
-    @property
-    def commutant_basis(self) -> list[np.ndarray]:
-        """R_{e_j} over the canonical basis, built on each read."""
-        return [self.right_mult_matrix(self.structure.basis_element(j))
-                for j in range(self.structure.dimension)]
-
-    def automorphism_image(self, gen_index: int, X: np.ndarray) -> np.ndarray:
-        U = self._rep.matrices[gen_index]
-        return U @ X @ np.linalg.inv(U)
-
-    def state_of(self, X: np.ndarray) -> complex:
-        omega = self._space.cyclic_vector
-        return self._space.inner(omega, X @ omega)
-
-    def right_mult_matrix(self, b: AlgebraElement) -> np.ndarray:
-        """Matrix of x ↦ x·b in canonical GNS coordinates."""
-        return sandwich_matrix(self.structure.identity(), b)
-
-    def promoted_image(self, f: AlgebraElement) -> np.ndarray:
-        """Commutant operator carrying a promoted element.
-
-        f ↦ R_{ρ^{1/2} transpose(f) ρ^{-1/2}}; this is the composition of
-        the modular conjugation with the adjoint of the left action and is a
-        unital *-isomorphism onto the commutant.
-        """
-        return self.right_mult_matrix(self.structure.from_coords(self.twist @ f.coords()))
 
 
 def mirror_system(sys: FiniteSystem) -> MirrorSystem:
-    """Commutant of the left representation, with state and dynamics.
-
-    The commutant of the left regular representation is the algebra of
-    right multiplications, so its basis is R_{e_j} over the canonical basis.
-    """
-    space, rep = sys.gns
+    """The promoted mirror and its twist, read off the state and generators
+    without GNS data; raises InvalidSystemError if the system is invalid."""
+    require_valid(sys)
     struct = sys.structure
     promoted_state = FaithfulState(struct, [b.T for b in sys.state.density])
     promoted_gens = [
@@ -568,9 +536,7 @@ def mirror_system(sys: FiniteSystem) -> MirrorSystem:
     # unitarity residuals of u, and μ'(α'(E_ab)) = μ(α(E_ba)): every validated
     # invariant holds for the promoted system exactly when it holds for sys
     object.__setattr__(promoted, "validation", sys.validation)
-
-    return MirrorSystem(structure=struct, promoted=promoted, twist=_modular_conjugation(sys),
-                        _space=space, _rep=rep)
+    return MirrorSystem(promoted=promoted, twist=_modular_conjugation(sys))
 
 
 def eigenoperator(sys: FiniteSystem, chi) -> AlgebraElement:

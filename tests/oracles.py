@@ -12,7 +12,10 @@ is re-derived by brute force over the basis elements and their pairs.
 The blockwise kernels of validation, the GNS unitaries, the mirror, the
 state's value and the density powers are kept here as they read one block
 at a time, one numpy call per block, before the package ran them once per
-block size or on one flat vector.
+block size or on one flat vector. The mirror's commutant picture (the right
+multiplications, the mirror state and dynamics on the GNS space, and the
+operator that carries a promoted element) is kept here as the mirror system
+kept it before it reduced to its promoted system and twist.
 
 Group-element matrices are rebuilt one element at a time from matrix
 powers, and the dual-system square Δ_n(c*c) by the full pair loop at each
@@ -51,7 +54,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ncjoin.algebra import (FAITHFULNESS_MIN_EIG, VALIDATION_TOL, AlgebraElement, _eigvalsh,
-                            _inv_cholesky)
+                            _inv_cholesky, sandwich_matrix)
 from ncjoin.dual import (IDENTITY_PERM, DeltaEvaluation, FinPerm, QQi, classify_dual,
                          word_multiply)
 from ncjoin.joinings import _diagonal_values
@@ -272,6 +275,39 @@ def modular_conjugation_reference(sys):
     adjoint = [s.basis_index(k, c, r) for k, r, c in map(s.basis_address, range(sys.dimension))]
     return sandwich_matrix_reference(density_power_reference(sys, 0.5),
                                      density_power_reference(sys, -0.5))[:, adjoint]
+
+
+def right_mult_reference(structure, b):
+    """Matrix of x ↦ x·b in canonical GNS coordinates."""
+    return sandwich_matrix(structure.identity(), b)
+
+
+def commutant_basis_reference(structure):
+    """R_{e_j} over the canonical basis: the right multiplications span the
+    commutant of the left representation."""
+    return [right_mult_reference(structure, structure.basis_element(j))
+            for j in range(structure.dimension)]
+
+
+def mirror_dynamics_reference(sys, gen_index, X):
+    """U X U⁻¹ for the GNS unitary U of a generator: the mirror dynamics."""
+    U = sys.gns[1].matrices[gen_index]
+    return U @ X @ np.linalg.inv(U)
+
+
+def mirror_state_reference(sys, X):
+    """The mirror state ⟨Ω, XΩ⟩ of a GNS-space operator X."""
+    space = sys.gns[0]
+    omega = space.cyclic_vector
+    return space.inner(omega, X @ omega)
+
+
+def promoted_image_reference(sys, f):
+    """The commutant operator R_{ρ^{1/2} transpose(f) ρ^{-1/2}} that carries
+    the promoted element f; column j of the mirror's twist is that twisted
+    element for f = e_j."""
+    s = sys.structure
+    return right_mult_reference(s, s.from_coords(sys.mirror.twist @ f.coords()))
 
 
 def _column_norm_reference(structure, X):

@@ -57,6 +57,16 @@ def test_out_of_range_basis_indices_raise():
             ctx.basis_pair(i, j)
 
 
+def test_out_of_range_basis_addresses_raise():
+    """basis_index checks block, row and column as basis_address checks an index;
+    none of them wraps around or spills into the next block."""
+    s = BlockStructure((2, 1))
+    for address in ((0, 2, 0), (0, 0, 2), (-1, 0, 0), (2, 0, 0), (1, 0, 1), (1, -1, 0)):
+        with pytest.raises(IndexError):
+            s.basis_index(*address)
+    assert s.basis_index(1, 0, 0) == 4
+
+
 def _random_element(s, rng):
     return s.from_coords(rng.standard_normal(s.dimension) + 1j * rng.standard_normal(s.dimension))
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +146,25 @@ def test_json_report_roundtrips(capsys):
     text = capsys.readouterr().out
     report = json.loads(text)
     assert json.loads(emit_report(report, "json")) == report
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands():
+    """The `ncjoin …` lines of the README's command-line block, as argv lists."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("ncjoin ")]
+
+
+def test_readme_commands_run():
+    """Every documented command runs: exit 0 and status ok."""
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        report, code = run(argv)
+        assert (code, report["status"]) == (0, "ok"), argv
 
 
 def test_reports_are_deterministic():
@@ -410,7 +430,8 @@ def test_invalid_json_file_exits_2(tmp_path, command):
 
 
 @pytest.mark.parametrize("term", [{"i": -1, "j": 0}, {"i": 0, "j": 9}, {"i": "x", "j": 0},
-                                  {"i": 0, "j": 0, "coef": [float("nan"), 0.0]}])
+                                  {"i": 0, "j": 0, "coef": [float("nan"), 0.0]},
+                                  {"i": 1.9, "j": 0}, {"i": True, "j": 0}, {"i": "1", "j": 0}])
 def test_malformed_objective_term_exits_2(tmp_path, term):
     p = tmp_path / "objective.json"
     p.write_text(json.dumps({"terms": [term]}))

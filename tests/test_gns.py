@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -44,7 +45,14 @@ from ncjoin.gns import (
     verify_spectral_covariance,
 )
 
-from oracles import _null_space, onb_matrices_reference
+from oracles import (
+    _null_space,
+    commutant_basis_reference,
+    mirror_dynamics_reference,
+    mirror_state_reference,
+    onb_matrices_reference,
+    promoted_image_reference,
+)
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -338,12 +346,12 @@ def test_cesaro_multiple_of_period_invariant():
 
 def test_mirror_commutative_is_itself(c3):
     m = mirror_system(c3)
-    assert len(m.commutant_basis) == 3
+    assert len(commutant_basis_reference(m.promoted.structure)) == 3
 
 
 def test_mirror_m2_dimension():
     m = mirror_system(single_block_system(np.eye(2)))
-    assert len(m.commutant_basis) == 4
+    assert len(commutant_basis_reference(m.promoted.structure)) == 4
 
 
 def test_mirror_invariants(gibbs):
@@ -351,37 +359,45 @@ def test_mirror_invariants(gibbs):
     space, rep = gns_construct(gibbs)
     ident = gibbs.structure.identity()
     left = _left_rep(gibbs)
+    commutant = commutant_basis_reference(gibbs.structure)
     # commutation with every left representative
-    for Xc in m.commutant_basis:
+    for Xc in commutant:
         for L in left:
             assert np.linalg.norm(Xc @ L - L @ Xc) < 1e-9
     # mirror state is unital and invariant under the mirror dynamics
-    assert m.state_of(np.eye(4, dtype=complex)) == pytest.approx(1.0)
-    for Xc in m.commutant_basis:
-        moved = m.automorphism_image(0, Xc)
-        assert m.state_of(moved) == pytest.approx(complex(m.state_of(Xc)))
+    assert mirror_state_reference(gibbs, np.eye(4, dtype=complex)) == pytest.approx(1.0)
+    for Xc in commutant:
+        moved = mirror_dynamics_reference(gibbs, 0, Xc)
+        assert mirror_state_reference(gibbs, moved) == pytest.approx(
+            complex(mirror_state_reference(gibbs, Xc)))
     # promoted system embeds into the commutant through the twisted map
     def gram_adjoint(x):
         g = space.gram
         return np.linalg.solve(g, x.conj().T @ g)
 
+    def image(f):
+        return promoted_image_reference(gibbs, f)
+
     for j in range(gibbs.dimension):
         f = gibbs.structure.basis_element(j)
-        R = m.promoted_image(f)
+        R = image(f)
         for L in left:
             assert np.linalg.norm(R @ L - L @ R) < 1e-12
-        assert m.state_of(R) == pytest.approx(complex(m.promoted.state.value(f)))
+        assert mirror_state_reference(gibbs, R) == pytest.approx(
+            complex(m.promoted.state.value(f)))
         # star preservation under the Gram adjoint
-        assert np.linalg.norm(m.promoted_image(f.adjoint()) - gram_adjoint(R)) < 1e-10
+        assert np.linalg.norm(image(f.adjoint()) - gram_adjoint(R)) < 1e-10
         # equivariance: mirror dynamics matches the promoted dynamics
-        moved = m.automorphism_image(0, R)
-        assert np.linalg.norm(
-            moved - m.promoted_image(m.promoted.generators[0].apply(f))) < 1e-10
+        moved = mirror_dynamics_reference(gibbs, 0, R)
+        assert np.linalg.norm(moved - image(m.promoted.generators[0].apply(f))) < 1e-10
     # multiplicativity of the promoted embedding
     f1 = gibbs.structure.from_coords([0.2, 1j, -0.4, 0.9])
     f2 = gibbs.structure.from_coords([1.0, 0.5, 0.5j, -2.0])
-    assert np.linalg.norm(
-        m.promoted_image(f1 @ f2) - m.promoted_image(f1) @ m.promoted_image(f2)) < 1e-10
+    assert np.linalg.norm(image(f1 @ f2) - image(f1) @ image(f2)) < 1e-10
+
+
+def test_mirror_keeps_only_promoted_and_twist(gibbs):
+    assert [f.name for f in dataclasses.fields(mirror_system(gibbs))] == ["promoted", "twist"]
 
 
 def test_coordinate_matrices_match_basis_loops():
@@ -401,7 +417,7 @@ def test_coordinate_matrices_match_basis_loops():
         assert np.array_equal(m.twist, columns(lambda e: half @ e.transpose() @ mhalf)), name
         assert np.array_equal(md.conj_matrix, columns(lambda e: half @ e.adjoint() @ mhalf)), name
         assert np.array_equal(md.delta_matrix, columns(lambda e: rho @ e @ inv)), name
-        for b, R in zip(basis, m.commutant_basis):
+        for b, R in zip(basis, commutant_basis_reference(sysd.structure)):
             assert np.array_equal(R, columns(lambda e: e @ b)), name
 
 
@@ -602,8 +618,8 @@ def test_abelianness_profile_pauli(pauli):
 
 
 def test_compactness_net_sizes(c3, id3):
-    assert compactness_net(c3, 0.1) == [3, 3, 3]
-    assert compactness_net(id3, 0.1) == [1, 1, 1]
+    assert compactness_net(c3) == [3, 3, 3]
+    assert compactness_net(id3) == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ def test_ornstein_negative_window_command():
 @pytest.mark.parametrize("name", ["c3", "c5", "id2", "pauli", "gibbs", "Z4m"])
 def test_compactness_net_matches_reference(name):
     sysd = SYSTEMS[name]
-    assert compactness_net(sysd, 0.1) == compactness_net_reference(sysd, 0.1)
+    assert compactness_net(sysd) == compactness_net_reference(sysd, 0.1)
 
 
 @pytest.mark.parametrize("name", ["c3", "pauli", "gibbs", "Z4m"])

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from ncjoin import corpus
 from ncjoin.algebra import (
+    AlgebraElement,
     Automorphism,
     BlockStructure,
     FaithfulState,
@@ -214,6 +215,8 @@ def test_constructors_name_the_first_failing_block(blocks, message):
         FaithfulState(s, blocks)
     with pytest.raises(StructureError, match="conjugator " + message):
         Automorphism(s, (0, 1, 2), blocks)
+    with pytest.raises(StructureError, match="element " + message):
+        AlgebraElement(s, blocks)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
@@ -227,5 +230,8 @@ def test_constructors_reject_non_finite_blocks(bad):
     conj = [np.eye(2, dtype=complex), np.array([[bad]])]
     with pytest.raises(StructureError, match="non-finite"):
         Automorphism(s, (0, 1), conj)
+    for blocks in (density, conj):
+        with pytest.raises(StructureError, match="non-finite"):
+            AlgebraElement(s, blocks)
     # finite data still constructs
     identity_automorphism(s)
