@@ -274,8 +274,8 @@ def _parse_objective_file(ctx, ref: str):
             i = _index(fileio._integer(t["i"], "objective term i"), ctx.dim_a)
             j = _index(fileio._integer(t["j"], "objective term j"), ctx.dim_b)
             elem = elem + coef * ctx.basis_pair(i, j)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise InputFormatError(f"{label}: malformed objective term {t!r}") from exc
+        except (AttributeError, KeyError, TypeError, ValueError, InputFormatError) as exc:
+            raise InputFormatError(f"{label}: malformed objective term {t!r}: {exc}") from exc
     return elem
 
 

@@ -558,10 +558,20 @@ def _barrier_solve(ctx: TensorContext, k: np.ndarray, top: float, label: str, wi
     whose density is positive definite, so no phase 1 is needed. Each
     Newton step ends at the exact minimizer of the barrier along its
     direction, strictly inside the joining set. A step with Newton
-    decrement below 1 is close to the central path: it offers its dual
-    point as a certificate, kept only when it is checked PSD, and the
-    barrier weight η grows. With `beat_product` the steps also go on until
-    the value exceeds the product's, as a witness must.
+    decrement below 1 is centred, close to the central path: it offers its
+    dual point as a certificate, kept only when it is checked PSD, and the
+    barrier weight η grows ×30.
+
+    On the second centred step in a row η grows at least to 2ν/width,
+    where the central-path gap ν/η is half the stopping width (long-step
+    path following, Nesterov and Nemirovski 1994). Two centred steps in a
+    row show a nearly straight path, on which the long step costs little:
+    commutative products close in 3 steps. Taken on the first centred
+    step, or at the start, the long step can leave the path too far behind
+    to recover within `max_iter` (the Ad(u) M3 regression of the
+    differential tests), so a damped step resets the count. With
+    `beat_product` the steps also go on until the value exceeds the
+    product's, as a witness must.
     """
     basis = ctx.tangent.basis
     prod = ctx.product_values().reshape(-1)
@@ -580,6 +590,7 @@ def _barrier_solve(ctx: TensorContext, k: np.ndarray, top: float, label: str, wi
         nu = sum(idx.shape[0] * idx.shape[1] for idx in ctx.blocks)   # barrier parameter
         eta = nu / (upper - c0)
         x = best
+        centred = 0   # consecutive steps that arrived centred
         stacks = _block_stacks(ctx, basis, prod)
         try:
             grad, hess, parts = _newton_terms(stacks, x)
@@ -587,12 +598,16 @@ def _barrier_solve(ctx: TensorContext, k: np.ndarray, top: float, label: str, wi
                 # dt(η) = η·H⁻¹g + H⁻¹∇ is linear in η: one solve serves both η
                 hg, hgrad = _newton_solve(hess, parts, np.array([g, grad]).T).T
                 dt = eta * hg + hgrad
-                if float(dt @ (eta * g + grad)) < 1:   # squared Newton decrement
+                # squared Newton decrement below 1: a centred step
+                centred = centred + 1 if float(dt @ (eta * g + grad)) < 1 else 0
+                if centred:
                     z = _newton_dual(ctx, basis, g, parts, dt, eta)
                     bound = c0 + float(np.vdot(z, prod).real)
                     if bound < upper and _psd_floor(ctx, z) >= 0:
                         upper, dual = bound, z
                     eta *= _ETA_GROWTH   # close enough to the path: move along it
+                    if centred == 2:     # at least to the gap ν/η = width/2
+                        eta = max(eta, 2 * nu / width)
                     dt = eta * hg + hgrad
                 steps += 1
                 x = x + _line_search(_step_eigenvalues(parts, dt), eta * float(g @ dt)) * dt

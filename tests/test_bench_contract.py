@@ -1,5 +1,7 @@
 """Every name the benchmark's tracer wraps must exist in the package, and
-every workload's checks must pass.
+every workload's checks must pass. The Newton steps of the solver
+workloads over the benchmark's seeds stay within a census, so that a
+slower barrier schedule fails here without a benchmark run.
 
 The tracer in perfbench/ patches ncjoin functions and methods by name, and
 its extractors read fields of the solver reports; the workloads' checks read
@@ -63,3 +65,19 @@ def test_extractors_read_real_results(layer):
 def test_workload_checks_pass(workload, tmp_path):
     for task in WORKLOADS_MODULE.WORKLOADS[workload](1, tmp_path):
         assert task.check(task.run()) is None, task.name
+
+
+# total Newton steps over seeds 0-7 with the long-step schedule; the fixed
+# ×30 growth it replaced took 80 and 144
+STEP_CENSUS = {"corpus-find": 48, "ladder": 96}
+
+
+@pytest.mark.parametrize("workload", sorted(STEP_CENSUS))
+def test_solver_workloads_keep_their_step_census(workload, tmp_path):
+    steps = 0
+    for seed in range(8):
+        for task in WORKLOADS_MODULE.WORKLOADS[workload](seed, tmp_path):
+            result = task.run()
+            assert task.check(result) is None, (seed, task.name)
+            steps += result[1].iterations
+    assert steps <= STEP_CENSUS[workload]

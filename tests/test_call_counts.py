@@ -292,7 +292,7 @@ def _lapack_calls(monkeypatch, ctx, objective):
 
 
 @pytest.mark.parametrize("a,b,objective,steps", [
-    ("C4", "C4", (1, 0), 5),
+    ("C4", "C4", (1, 0), 3),
     ("c3", "id3", (1, 1), 0),
 ], ids=["C4xC4", "c3xid3"])
 def test_one_by_one_blocks_call_no_lapack(monkeypatch, a, b, objective, steps):

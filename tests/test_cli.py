@@ -440,6 +440,22 @@ def test_malformed_objective_term_exits_2(tmp_path, term):
     assert code == 2, report
 
 
+@pytest.mark.parametrize("term,reason", [
+    ({"i": -1, "j": 0}, "index -1 is out of range 0..1"),
+    ({"i": 0, "j": 9}, "index 9 is out of range 0..1"),
+    ({"i": 1.9, "j": 0}, "objective term i must be an integer, got 1.9"),
+    ({"i": 0, "j": "1"}, "objective term j must be an integer, got '1'"),
+])
+def test_objective_index_errors_name_the_file(tmp_path, term, reason):
+    p = tmp_path / "objective.json"
+    p.write_text(json.dumps({"terms": [term]}))
+    report, code = run(["joinings", "find", "--a", "corpus:c2", "--b", "corpus:c2",
+                        "--objective-file", str(p)])
+    assert code == 2, report
+    assert report["error"].startswith(f"{p}: malformed objective term ")
+    assert report["error"].endswith(reason)
+
+
 @pytest.mark.parametrize("name,content", [
     ("classify --system", []),
     ("dual classify --group", []),

@@ -14,7 +14,9 @@ The joint point spectrum from one `eigh` is compared with the iterated
 eigenspace refinement it replaced (`oracles.joint_eigenspaces_reference`).
 The Newton step's kernels, which carry 1×1 density blocks as flat vectors,
 are compared with the same kernels on (m, N, N) stacks of every size
-(`oracles.newton_terms_reference` and its neighbours).
+(`oracles.newton_terms_reference` and its neighbours). A seeded batch of
+Ad(u) pairs on M2-M4 bounds the Newton steps of the long-step barrier
+schedule on non-commutative legs.
 """
 
 import math
@@ -162,6 +164,28 @@ def test_m3_inconclusive_bound_regression():
     assert rep.upper >= 0.224105802
     assert float(jm.values[0, 4].real) == pytest.approx(rep.lower, abs=1e-12)
     assert residual_magnitude(jm.residuals) < BATTERY_TOL
+
+
+# The long-step schedule on the batch below: 1,041 Newton steps, at most 17
+# in one solve; the fixed ×30 growth it replaced took 1,079 and 17. Growth
+# ×1000 takes 1,658 and up to 145, and the jump to 2ν/width after the first
+# centred step ends inconclusive.
+AD_BATCH_STEPS, AD_BATCH_WORST = 1041, 17
+
+
+def test_ad_batch_newton_steps_stay_bounded():
+    steps = []
+    for n in (2, 3, 4):
+        for seed in range(4):
+            for same in (True, False):
+                ctx = _ad_context(n, seed, same)
+                rng = np.random.default_rng(seed)
+                for i, j in rng.integers(n * n, size=(4, 2)):
+                    _, rep = find_joining(ctx, objective=(int(i), int(j)))
+                    assert not rep.inconclusive, (n, seed, same, i, j)
+                    steps.append(rep.iterations)
+    assert max(steps) <= AD_BATCH_WORST
+    assert sum(steps) <= AD_BATCH_STEPS
 
 
 def test_singular_hessian_near_the_boundary_regression():

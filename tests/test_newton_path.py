@@ -3,9 +3,16 @@
 The line search is compared with the safeguarded Newton on ψ′ that it
 replaced (`oracles.line_search_reference`). The Newton step counts,
 brackets and verdicts of the solver tasks of the benchmark (seed 1
-objectives) are pinned at the values of the solver before its Newton step
-was rewritten with one linear solve per step and a pole-free line search.
+objectives) are pinned at the values of the long-step schedule: η grows
+×30 per centred step, and on the second centred step in a row at least to
+2ν/width. Each bracket holds its closed form (1/p, gcd(p, q)/(pq), the
+witness optimum 1/2), and the M2 bracket lies within 1e-5 of the optimum
+the benchmark pins. Rotation pairs C_p×C_q keep their closed form
+1/lcm(p, q) within three steps, and the corpus's not-disjoint pairs keep
+theirs at widths down to 1e-11.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -92,18 +99,18 @@ def _system(request, name):
 # (a, b, objective or None for disjointness_test, verdict,
 #  (Newton steps, lower, upper) of its barrier solve or None where none runs)
 PINNED = [
-    ("c2", "c2", (0, 1), None, (5, 0.49999998545047813, 0.5000004364860483)),
+    ("c2", "c2", (0, 1), None, (3, 0.49999999166666687, 0.500000250000125)),
     ("c2", "c3", (0, 2), None, (0, 0.16666666666666666, 0.16666666666666666)),
-    ("c3", "c3", (0, 1), None, (5, 0.33333331504343877, 0.3333336076822072)),
+    ("c3", "c3", (0, 1), None, (3, 0.33333332222222234, 0.3333335000001666)),
     ("c2", "id2", (0, 0), None, (0, 0.25, 0.25)),
     ("c3", "id3", (1, 1), None, (0, 0.1111111111111111, 0.1111111111111111)),
     ("c5", "id3", None, "disjoint", None),
     ("c2", "c3", None, "disjoint", None),
-    ("c2", "c2", None, "not_disjoint", (5, 0.49999998545047813, 0.5000004364860484)),
-    ("pauli", "pauli", None, "not_disjoint", (5, 0.49999998545047813, 0.5000004364860483)),
-    ("C4", "C4", (1, 0), None, (5, 0.24999998109961652, 0.2500001890042667)),
-    ("C5", "C5", (1, 0), None, (5, 0.19999998137661207, 0.2000001396758039)),
-    ("M2", "M2", (0, 0), None, (8, 0.49964987192103383, 0.4996500757551388)),
+    ("c2", "c2", None, "not_disjoint", (3, 0.4999999916666667, 0.5000002500001249)),
+    ("pauli", "pauli", None, "not_disjoint", (3, 0.4999999916666667, 0.5000002500001248)),
+    ("C4", "C4", (1, 0), None, (3, 0.24999998750000021, 0.2500001250001875)),
+    ("C5", "C5", (1, 0), None, (3, 0.1999999866666669, 0.2000001000002)),
+    ("M2", "M2", (0, 0), None, (6, 0.4996498831632853, 0.4996500465420498)),
 ]
 
 
@@ -135,3 +142,32 @@ def test_solver_tasks_keep_their_newton_path(request, monkeypatch, a, b, objecti
     assert report.iterations == steps
     assert report.lower == pytest.approx(lower, rel=0, abs=1e-12)
     assert report.upper == pytest.approx(upper, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p,q", [(4, 6), (6, 9), (8, 12), (3, 5)])
+def test_rotation_pairs_reach_their_closed_form_in_three_steps(p, q):
+    # e_0 ⊗ f_0 is at most the weight 1/lcm(p, q) of the orbit of (0, 0)
+    # under the joint rotation, and the invariant coupling on that orbit
+    # attains it
+    ctx = build_tensor_context(cyclic_rotation_system(p), cyclic_rotation_system(q))
+    _, report = find_joining(ctx, objective=(0, 0))
+    assert not report.inconclusive
+    assert report.iterations <= 3
+    assert report.lower - 1e-9 <= 1 / math.lcm(p, q) <= report.upper + 1e-9
+
+
+@pytest.mark.parametrize("width", [1e-3, 1e-9, 1e-11])
+@pytest.mark.parametrize("name,optimum", [("c2", 1 / 2), ("c3", 1 / 3), ("pauli", 1 / 2)])
+def test_long_steps_keep_the_closed_form_at_every_width(name, optimum, width):
+    """Every basis pair of c_p × c_p has optimum 1/p; pauli × pauli is
+    checked on its witness direction (0, 0)."""
+    sysd = corpus.system(name)
+    ctx = build_tensor_context(sysd, sysd)
+    pairs = [(0, 0)] if name == "pauli" else \
+        [(i, j) for i in range(ctx.dim_a) for j in range(ctx.dim_b)]
+    for pair in pairs:
+        _, report = find_joining(ctx, objective=pair, width=width)
+        assert not report.inconclusive, pair
+        assert report.upper - report.lower <= width
+        assert report.lower - 1e-12 <= optimum <= report.upper + 1e-12, pair
+    assert disjointness_test(ctx, width=width).verdict == "not_disjoint"
