@@ -58,8 +58,6 @@ def _as_complex(m) -> np.ndarray:
 
 def operator_norm(m: np.ndarray) -> float:
     """Largest singular value."""
-    if m.size == 0:
-        return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 

@@ -395,8 +395,6 @@ def _dual_coherence(sysd: DualSystem, samples: int, seed: int) -> dict:
         cert = sysd.orbit_length(g)
         if cert.kind == "finite":
             finite_seen += count
-            if sysd.apply_T(g, cert.period) != g:
-                violations += count
             if cls.ergodic and not sysd.is_identity(g):
                 violations += count
         else:
@@ -535,7 +533,7 @@ def _cmd_dual_joining(args):
         }
     warnings = []
     if args.experiment:
-        if not classify_dual(sysd).ergodic:
+        if not oj.trivial:
             raise InputFormatError("--experiment expects an ergodic dual system")
         findings = []
         for name in _EXPERIMENT_CANDIDATES:
@@ -563,12 +561,10 @@ def _cmd_corpus(args):
         if not args.name:
             raise InputFormatError("corpus show needs a name")
         results = {"name": args.name, "content": json.loads(corpus.text(args.name))}
-    elif args.action == "export":
+    else:   # "export", the parser's last choice
         if not args.name:
             raise InputFormatError("corpus export needs a target directory")
         results = {"written": corpus.export(args.name)}
-    else:
-        raise InputFormatError(f"unknown corpus action {args.action!r}")
     return {}, results, [], "ok"
 
 

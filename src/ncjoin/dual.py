@@ -40,10 +40,7 @@ class QQi:
     def of(x) -> "QQi":
         if isinstance(x, QQi):
             return x
-        if isinstance(x, complex):
-            return QQi(Fraction(x.real).limit_denominator(10**12),
-                       Fraction(x.imag).limit_denominator(10**12))
-        return QQi(Fraction(x))
+        return QQi(Fraction(x))   # exact: a complex raises TypeError
 
     def __add__(self, other):
         other = QQi.of(other)

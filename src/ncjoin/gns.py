@@ -536,7 +536,9 @@ def mirror_system(sys: FiniteSystem) -> MirrorSystem:
     # unitarity residuals of u, and μ'(α'(E_ab)) = μ(α(E_ba)): every validated
     # invariant holds for the promoted system exactly when it holds for sys
     object.__setattr__(promoted, "validation", sys.validation)
-    return MirrorSystem(promoted=promoted, twist=_modular_conjugation(sys))
+    twist = _modular_conjugation(sys)
+    twist.flags.writeable = False   # `modular_data` hands out the same array
+    return MirrorSystem(promoted=promoted, twist=twist)
 
 
 def eigenoperator(sys: FiniteSystem, chi) -> AlgebraElement:
@@ -672,9 +674,9 @@ def verify_spectral_covariance(sys: FiniteSystem, u: AlgebraElement, chi: comple
 class ModularData:
     """Modular objects of (A, μ) in canonical GNS coordinates.
 
-    delta_matrix is the linear map a ↦ ρ a ρ^{-1}; the conjugation acts
-    antilinearly as x ↦ conj_matrix · conj(x) and realizes
-    a ↦ ρ^{1/2} a* ρ^{-1/2}. For block-scalar (tracial) densities the
+    delta_matrix is the linear map a ↦ ρ a ρ^{-1}; conj_matrix, the mirror's
+    `twist`, realizes a ↦ ρ^{1/2} a* ρ^{-1/2} antilinearly as
+    x ↦ conj_matrix · conj(x). For block-scalar (tracial) densities the
     modular operator is the identity and J reduces to the adjoint.
     """
 
@@ -712,7 +714,7 @@ def _modular_conjugation(sys: FiniteSystem) -> np.ndarray:
 def modular_data(sys: FiniteSystem) -> ModularData:
     require_valid(sys)
     delta = sandwich_matrix(sys.state.density_element(), _density_power(sys, -1))
-    return ModularData(system=sys, delta_matrix=delta, conj_matrix=_modular_conjugation(sys))
+    return ModularData(system=sys, delta_matrix=delta, conj_matrix=sys.mirror.twist)
 
 
 @dataclass

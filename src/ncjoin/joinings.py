@@ -511,11 +511,13 @@ class SolveReport:
     """Outcome of one `find_joining` call.
 
     With an objective, every joining has value in [lower, upper]. `lower`
-    is the value of the returned joining, which passes the battery. `upper`
-    is ⟨c + Z, ρ⊗⟩ + √2·‖P_T(c + Z)‖ for the objective's table c and the
-    table `dual` = Z, whose blocks are PSD: then ⟨c, ρ⟩ ≤ ⟨c + Z, ρ⟩ for a
-    joining ρ, the part of c + Z orthogonal to T is constant on the joining
-    set, and two trace-one densities are at most √2 apart.
+    is the value of the returned joining, which passes the battery. A joining
+    ρ has ⟨c, ρ⟩ ≤ ⟨c + Z, ρ⊗⟩ + √2·‖P_T(c + Z)‖ for the objective's table c
+    and the table `dual` = Z, whose blocks are PSD: ⟨c, ρ⟩ ≤ ⟨c + Z, ρ⟩, the
+    part of c + Z orthogonal to T is constant on the joining set, and two
+    trace-one densities are at most √2 apart. `upper` drops the last term,
+    at rounding level, for Z = top·1 − c and the projected Newton duals
+    (`_newton_dual`); ROADMAP item 3 bounds it.
     """
 
     iterations: int                   # Newton steps
@@ -696,7 +698,9 @@ def disjointness_test(ctx: TensorContext, max_iter: int = DEFAULT_MAX_ITER,
     T = {0}. Otherwise the witness is the first direction w·(e_i ⊗ f_j), in
     (i, j, w) order with w = 1, i, −1, −i, whose Hermitian part is not
     orthogonal to T, maximized by `find_joining`'s solver until its value
-    exceeds the product's.
+    exceeds the product's. It pairs with V in T as Re(w·V_q), q = i·dim_b + j:
+    q is the first column of T's unit-row basis with a real (w = 1), else
+    imaginary (w = i), part above rounding; `directions_scanned` = 4q + 1 or 4q + 2.
     """
     _check_solver_options(max_iter, width)
     tangent = ctx.tangent
@@ -708,15 +712,11 @@ def disjointness_test(ctx: TensorContext, max_iter: int = DEFAULT_MAX_ITER,
         cert.verdict, cert.max_gap_bound = "disjoint", 0.0
         cert.directions_scanned = 4 * ctx.dim
         return cert
-    for pos in range(4 * ctx.dim):
-        (i, j), w = divmod(pos // 4, ctx.dim_b), 1j ** (pos % 4)
-        k, top, _ = _objective(ctx, w * ctx.basis_pair(i, j))
-        if np.linalg.norm((tangent.basis @ k).real) > _RANK_GAP_MIN:
-            break
-    else:
-        cert.directions_scanned = 4 * ctx.dim
-        return cert
-    cert.directions_scanned = pos + 1
+    norms = np.linalg.norm(tangent.basis.view(float), axis=0)   # Re, Im of column q at 2q, 2q + 1
+    q, r = divmod(int(np.argmax(norms > _RANK_GAP_MIN)), 2)
+    (i, j), w = divmod(q, ctx.dim_b), 1j ** r
+    k, top, _ = _objective(ctx, w * ctx.basis_pair(i, j))
+    cert.directions_scanned = 4 * q + r + 1
     witness, report = _barrier_solve(ctx, k, top, f"witness({i},{j})", width, max_iter,
                                      beat_product=True)
     gap = report.lower - float((k @ ctx.product_values().reshape(-1)).real)
@@ -823,10 +823,6 @@ class OrnsteinScan:
     period: int | None
     skipped: list[str]
     sup_ratio: float
-
-    @property
-    def periodic(self) -> bool:
-        return self.period is not None
 
 
 def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,

@@ -57,7 +57,7 @@ from ncjoin.algebra import (FAITHFULNESS_MIN_EIG, VALIDATION_TOL, AlgebraElement
                             _inv_cholesky, sandwich_matrix)
 from ncjoin.dual import (IDENTITY_PERM, DeltaEvaluation, FinPerm, QQi, classify_dual,
                          word_multiply)
-from ncjoin.joinings import _diagonal_values
+from ncjoin.joinings import _RANK_GAP_MIN, _diagonal_values, _objective
 
 
 def invariant_transportation_max(mu, nu, sigma, tau, cost):
@@ -706,3 +706,19 @@ def joint_eigenspaces_reference(onb_unitaries):
                 refined.append((chars + (chi / abs(chi),), Bv))
         spaces = refined
     return spaces
+
+
+def witness_direction_reference(ctx):
+    """(directions_scanned, witness_direction) of a trusted `disjointness_test`.
+
+    The first of the 4·dim directions w·(e_i ⊗ f_j), in (i, j, w) order with
+    w = 1, i, −1, −i, whose Hermitian part, built as an algebra element, has
+    a projection onto T above rounding, as the test scanned them before it
+    read the direction off T's basis; (4·dim, None) when T = {0}.
+    """
+    for pos in range(4 * ctx.dim):
+        (i, j), w = divmod(pos // 4, ctx.dim_b), 1j ** (pos % 4)
+        k, _, _ = _objective(ctx, w * ctx.basis_pair(i, j))
+        if np.linalg.norm((ctx.tangent.basis @ k).real) > _RANK_GAP_MIN:
+            return pos + 1, (i, j, w)
+    return 4 * ctx.dim, None

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -158,6 +159,28 @@ def _readme_commands():
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("ncjoin ")]
 
 
+def _readme_option_table():
+    """{command: [options]} from the README's "Each command takes only the
+    options it reads" table."""
+    section = README.read_text(encoding="utf-8").split(
+        "Each command takes only the options it reads:", 1)[1]
+    rows = section.strip().split("\n\n", 1)[0].splitlines()[2:]   # after the header
+    table = {}
+    for row in rows:
+        command, options = row.strip("|").split("|")
+        table[command.strip().strip("`")] = re.findall(r"`([^`]+)`", options)
+    return table
+
+
+def test_readme_option_table_matches_the_parser():
+    table = _readme_option_table()
+    assert table.pop("corpus") == ["list", "show NAME", "export DIR"]
+    parsed = {name: [opt for a in p._actions for opt in a.option_strings
+                     if opt not in ("-h", "--help", "--format")]
+              for name, p in _subcommands(build_parser()) if name != "corpus"}
+    assert table == parsed
+
+
 def test_readme_commands_run():
     """Every documented command runs: exit 0 and status ok."""
     commands = _readme_commands()
@@ -265,6 +288,33 @@ def test_average_command(capsys):
     assert report["results"]["deviation"] < 1e-12
 
 
+def test_classify_net_sizes():
+    for name, sizes in (("c3", [3, 3, 3]), ("pauli", [2, 4, 4, 2])):
+        report, code = run(["classify", "--system", f"corpus:{name}", "--net"])
+        assert code == 0 and report["results"]["epsilon_net_sizes"] == sizes, name
+
+
+def test_average_reads_omega_and_coefficient_vectors():
+    report, code = run(["average", "--system", "corpus:c3", "--x", "omega", "--y", "omega",
+                        "--N", "10"])
+    assert code == 0
+    assert complex(report["results"]["value"]) == 1 and report["results"]["deviation"] == 0
+    report, code = run(["average", "--system", "corpus:c3", "--x", "[1,0,0]",
+                        "--y", "[[0,1],0,0]", "--N", "10"])
+    assert code == 0 and complex(report["results"]["value"]) == pytest.approx(0.1j)
+    report, code = run(["average", "--system", "corpus:c3", "--x", "[1,0]", "--y", "0",
+                        "--N", "10"])
+    assert code == 2 and report["error"] == "vector has 2 coordinates, expected 3"
+
+
+@pytest.mark.parametrize("group, word, period", [
+    ("dual_mixed", "y1", 2), ("dual_finperm_shift", "(y0 y1)", 3)])
+def test_dual_orbit_finite_period(group, word, period):
+    report, code = run(["dual", "orbit", "--group", f"corpus:{group}", "--word", word])
+    assert code == 0
+    assert (report["results"]["orbit"], report["results"]["period"]) == ("finite", period)
+
+
 def test_joinings_diagonal_command(capsys):
     code = main(["joinings", "diagonal", "--system", "corpus:c2",
                  "--graph-n", "1", "--format", "json"])
@@ -318,6 +368,13 @@ def test_corpus_commands(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert len(report["results"]["written"]) == len(corpus.names())
+
+
+def test_corpus_show():
+    report, code = run(["corpus", "show", "c2"])
+    assert code == 0 and report["results"] == {"name": "c2", "content": corpus.raw("c2")}
+    report, code = run(["corpus", "show"])
+    assert code == 2 and report["error"] == "corpus show needs a name"
 
 
 def test_joinings_find_objective_file(tmp_path, capsys):

@@ -70,6 +70,18 @@ def test_qqi_arithmetic():
         parse_qqi("one half")
 
 
+def test_qqi_operands_stay_exact():
+    # int and Fraction operands convert exactly; a complex has no exact value
+    one = QQi(Fraction(1))
+    assert one + 2 == QQi(Fraction(3))
+    assert one * Fraction(1, 3) - Fraction(1, 2) == QQi(Fraction(-1, 6))
+    assert QQi.of(0.5) == QQi(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        one + 0.5j
+    with pytest.raises(TypeError):
+        QQi.of(2**-45 + 0j)
+
+
 @pytest.mark.parametrize("text,re,im", [
     ("2i", 0, 2), ("3/4i", 0, Fraction(3, 4)), ("-2i", 0, -2), ("0i", 0, 0), ("i", 0, 1),
     ("-i", 0, -1), ("2", 2, 0), ("1+2i", 1, 2), ("1/2-i", Fraction(1, 2), -1),

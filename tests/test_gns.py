@@ -400,6 +400,15 @@ def test_mirror_keeps_only_promoted_and_twist(gibbs):
     assert [f.name for f in dataclasses.fields(mirror_system(gibbs))] == ["promoted", "twist"]
 
 
+def test_twist_is_read_only_and_is_the_modular_conjugation():
+    sysd = corpus.system("gibbs")   # a fresh object: the session fixture stays untouched
+    twist, conj = sysd.mirror.twist, modular_data(sysd).conj_matrix
+    assert conj is twist
+    for m in (twist, conj):
+        with pytest.raises(ValueError):
+            m[0, 0] = 0
+
+
 def test_coordinate_matrices_match_basis_loops():
     # the block-Kronecker forms do the arithmetic of the per-basis products exactly
     from ncjoin.gns import _density_power

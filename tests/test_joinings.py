@@ -3,14 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 from ncjoin import corpus, joinings
 from ncjoin.algebra import (
+    Automorphism,
+    BlockStructure,
+    FiniteSystem,
     GroupDescriptor,
     cyclic_rotation_system,
     identity_automorphism,
     identity_system,
     single_block_system,
+    uniform_state,
     validate_system,
 )
 from ncjoin.errors import (
@@ -43,7 +48,7 @@ from ncjoin.joinings import (
     scan_compact_disjointness,
 )
 
-from oracles import diagonal_table, invariant_transportation_max
+from oracles import diagonal_table, invariant_transportation_max, witness_direction_reference
 
 ROTATION_IMAGES = {"c2": 2, "c3": 3, "c5": 5}
 
@@ -392,6 +397,53 @@ def test_every_verdict_carries_its_evidence(c2, c3, c5, id3, pauli, gibbs):
             assert cert.verdict == "not_disjoint" and cert.tangent_dim > 0
             assert cert.witness_gap > 0.1
             assert residual_magnitude(cert.witness.residuals) < 1e-8
+
+
+def _witness_contexts():
+    for a in corpus.FINITE_SYSTEMS:
+        for b in corpus.FINITE_SYSTEMS:
+            A, B = corpus.system(a), corpus.system(b)
+            if A.group == B.group:
+                yield f"{a}x{b}", build_tensor_context(A, B)
+    for p in range(1, 9):
+        for q in range(1, 9):
+            yield f"C{p}xC{q}", build_tensor_context(cyclic_rotation_system(p),
+                                                     cyclic_rotation_system(q))
+    for n in (2, 3):
+        for seed in range(4):
+            u, v = unitary_group.rvs(n, size=2, random_state=seed)
+            A = single_block_system(u)
+            for label, B in (("same", single_block_system(u)), ("other", single_block_system(v)),
+                             ("identity", identity_system([n]))):
+                yield f"Ad M{n} seed {seed} x {label}", build_tensor_context(A, B)
+    yield "swap x c2", build_tensor_context(_swap_system(), corpus.system("c2"))
+    yield "Ad(rotation) x id", build_tensor_context(
+        single_block_system(np.array([[0, -1], [1, 0]])), identity_system([1, 1]))
+
+
+def _swap_system():
+    """Blocks (1, 1, 1): block 0 fixed, blocks 1 and 2 swapped."""
+    s = BlockStructure((1, 1, 1))
+    return FiniteSystem(s, uniform_state(s), GroupDescriptor("Z"),
+                        [Automorphism(s, (0, 2, 1), [np.eye(1)] * 3)])
+
+
+def test_witness_direction_matches_the_scan():
+    # the direction read off T's basis is the first one the 4·dim scan accepts
+    found = {}
+    for label, ctx in _witness_contexts():
+        cert = disjointness_test(ctx)
+        scanned, direction = witness_direction_reference(ctx)
+        assert cert.verdict != "inconclusive", label
+        assert cert.directions_scanned == scanned, label
+        if cert.verdict == "not_disjoint":
+            assert cert.witness_direction == direction, label
+        found[label] = (scanned, direction)
+    # e_0 ⊗ f_j is orthogonal to T when block 0 is fixed: 9 directions
+    assert found["swap x c2"] == (9, (1, 0, 1))
+    # T is spanned by i(E_01 − E_10) ⊗ (f_0 − f_1): its entries at E_01 are imaginary
+    assert found["Ad(rotation) x id"] == (10, (1, 0, 1j))
+    assert sum(d is not None for _, d in found.values()) >= 60
 
 
 def test_compact_corpus_scan_finds_witness(c2, c3):
