@@ -28,7 +28,6 @@ from .gns import (
     MirrorSystem,
     ModularData,
     PointSpectrumEntry,
-    UnitaryRep,
     asymptotic_abelianness_profile,
     cesaro_correlation,
     classify_finite,

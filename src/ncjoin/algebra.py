@@ -20,13 +20,13 @@ Blockwise kernels run once per block size, not once per block: a
 eigenvalues and Kronecker products act on one ``(m, n, n)`` stack per size.
 So the number of numpy calls of validation, the GNS unitaries and the
 mirror does not grow with the number of blocks. A stack of 1×1 blocks
-reads norms, eigenvalues and inverse Cholesky factors off its entries
-where a larger one calls LAPACK. An `AlgebraElement` is one flat vector:
-sums and scalar multiples act on it directly, the adjoint and transpose
-are one permutation of it, and its stacks are one fancy index per size.
+reads norms and eigenvalues off its entries where a larger one calls
+LAPACK. An `AlgebraElement` is one flat vector: sums and scalar multiples
+act on it directly, the adjoint and transpose are one permutation of it,
+and its stacks are one fancy index per size.
 
 A `FiniteSystem` is immutable and owns its derived data: its generators'
-coordinate matrices, validation report, GNS data, joint point spectrum and
+coordinate matrices, validation report, GNS space, joint point spectrum and
 mirror system are each built on first use and kept on the instance; a
 promoted mirror system shares the report of the system it mirrors. The
 builders `validate_system`, `gns.gns_construct`, `gns.joint_spectrum` and
@@ -78,11 +78,6 @@ def _eigvalsh(stack: np.ndarray) -> np.ndarray:
 def _inv_cholesky(stack: np.ndarray) -> np.ndarray:
     """L⁻¹ for the Cholesky factor F = L L* of each matrix of a stack; raises
     LinAlgError, as `cholesky` does, when one is not positive definite."""
-    if stack.shape[-1] == 1:
-        f = stack.real
-        if not (f > 0).all():
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-        return 1 / np.sqrt(f)
     return np.linalg.inv(np.linalg.cholesky(stack))
 
 
@@ -553,6 +548,11 @@ class FiniteSystem:
             raise StructureError(
                 f"group {self.group.kind} expects {self.group.num_generators} generators, "
                 f"got {len(self.generators)}")
+        for label, part in [("the state", self.state),
+                            *((f"generator {k}", g) for k, g in enumerate(self.generators))]:
+            if part.structure != self.structure:
+                raise StructureError(f"{label} is built on blocks {part.structure.block_sizes}, "
+                                     f"the system on {self.structure.block_sizes}")
 
     @property
     def dimension(self) -> int:
@@ -573,7 +573,7 @@ class FiniteSystem:
 
     @cached_property
     def gns(self):
-        """The pair (GnsSpace, UnitaryRep); raises InvalidSystemError if invalid."""
+        """The gns.GnsSpace (unitaries: `generator_matrices`); raises InvalidSystemError."""
         from . import gns
         return gns.gns_construct(self)
 

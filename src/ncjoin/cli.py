@@ -226,28 +226,27 @@ def _cmd_classify(args):
     return {"system": rec}, results, [], "ok"
 
 
-def _parse_vector(text: str, space):
+def _parse_vector(text: str, sysd):
     if text == "omega":
-        return space.cyclic_vector
+        return sysd.gns.cyclic_vector
     try:
-        return np.eye(space.dimension)[:, _index(text, space.dimension)]
+        return np.eye(sysd.dimension)[:, _index(text, sysd.dimension)]
     except ValueError:
         pass
     try:
         vec = np.array([fileio._entry_from_json(x) for x in json.loads(text)])
     except (ValueError, TypeError) as exc:
         raise InputFormatError("vector must be an index, 'omega' or JSON coefficients") from exc
-    if vec.size != space.dimension:
+    if vec.size != sysd.dimension:
         raise InputFormatError(
-            f"vector has {vec.size} coordinates, expected {space.dimension}")
+            f"vector has {vec.size} coordinates, expected {sysd.dimension}")
     return vec
 
 
 def _cmd_average(args):
     sysd, rec = _load_system(args.system)
-    space, _ = sysd.gns
-    x = _parse_vector(args.x, space)
-    y = _parse_vector(args.y, space)
+    x = _parse_vector(args.x, sysd)
+    y = _parse_vector(args.y, sysd)
     res = cesaro_correlation(sysd, x, y, _folner_index(args.N))
     warnings = []
     if not res.ergodic:
@@ -381,13 +380,14 @@ def _cmd_cesaro_diagonal(args):
     return {"system": rec}, results, warnings, "ok"
 
 
-def _dual_coherence(sysd: DualSystem, samples: int, seed: int) -> dict:
-    """Sampled cross-checks between orbits, classification and correlations.
+def _dual_coherence(sysd: DualSystem, cls, samples: int, seed: int) -> dict:
+    """Sampled cross-checks of the orbits against the classification `cls`:
+    an ergodic group has no finite orbit but the identity's, and a compact
+    one no infinite orbit.
 
     Each distinct sample is checked once and counts as often as it was drawn.
     """
     rng = random.Random(seed)
-    cls = classify_dual(sysd)
     finite_seen = infinite_seen = 0
     violations = 0
     drawn = Counter(sample_element(sysd, rng) for _ in range(samples))
@@ -423,7 +423,7 @@ def _cmd_dual_classify(args):
         "notes": list(cls.notes),
     }
     if args.samples:
-        results["coherence"] = _dual_coherence(df.system, args.samples, args.seed)
+        results["coherence"] = _dual_coherence(df.system, cls, args.samples, args.seed)
     return {"group": rec}, results, [], "ok"
 
 

@@ -6,16 +6,18 @@ canonical matrix-unit basis, so the inner product is the Gram matrix
 G_ij = μ(e_i* e_j). A Cholesky factor C with G = C* C converts to
 orthonormal coordinates where standard numpy eigensolvers apply.
 
-Library functions read a system's GNS pair, joint point spectrum and
+Library functions read a system's GNS space, joint point spectrum and
 mirror from `sys.gns`, `sys.spectrum` and `sys.mirror`, built once per
 system object; `gns_construct`, `joint_spectrum` and `mirror_system` are
-the uncached builders behind them. The GNS unitaries are kept in canonical
-coordinates only. The spectrum takes one `eigh` of a Hermitian
-combination of their orthonormal-coordinate images C·U·C⁻¹; it classifies
-the system and gives the eigenvectors from which a joining's tangent space
-is built. The mirror builds no GNS data; its promoted system shares its
-system's validation report. Neither a GnsSpace, a Spectrum nor a
-MirrorSystem refers back to its system, so the cache forms no cycle.
+the uncached builders behind them. The GNS unitaries are the system's
+`generator_matrices`, in canonical coordinates only; group elements get
+theirs from power tables over them. The spectrum takes one `eigh` of a
+Hermitian combination of their orthonormal-coordinate images C·U·C⁻¹; it
+classifies the system and gives the eigenvectors from which a joining's
+tangent space is built. The mirror builds no GNS data; its promoted
+system shares its system's validation report. Neither a GnsSpace, a
+Spectrum nor a MirrorSystem refers back to its system, so the cache forms
+no cycle.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     Automorphism,
-    BlockStructure,
     FaithfulState,
     FiniteSystem,
     require_valid,
@@ -59,23 +60,16 @@ NET_EPS = 0.1                     # the radius of the balls of compactness_net
 class GnsSpace:
     """Inner-product space carrying the left representation of the algebra.
 
-    gram[i, j] = μ(e_i* e_j); cyclic_vector is γ(1). onb_factor is the
-    upper-triangular C with gram = C* C. Left multiplication by a is
-    `sandwich_matrix(a, 1)` in canonical coordinates.
+    gram[i, j] = μ(e_i* e_j); cyclic_vector is Ω = γ(1), with γ(a) =
+    `a.coords()`. onb_factor is the upper-triangular C with gram = C* C.
+    Left multiplication by a is `sandwich_matrix(a, 1)` in canonical
+    coordinates; U_g γ(a) = γ(α_g(a)) is the system's generator matrix.
     """
 
-    structure: BlockStructure
-    dimension: int
     gram: np.ndarray
     cyclic_vector: np.ndarray
     onb_factor: np.ndarray
     onb_factor_inv: np.ndarray
-
-    def gamma(self, a: AlgebraElement) -> np.ndarray:
-        return a.coords()
-
-    def element(self, coords) -> AlgebraElement:
-        return self.structure.from_coords(coords)
 
     def inner(self, x, y) -> complex:
         return complex(np.asarray(x).conj() @ self.gram @ np.asarray(y))
@@ -90,81 +84,67 @@ class GnsSpace:
         return self.onb_factor_inv @ np.asarray(x, dtype=complex)
 
 
-@dataclass
-class UnitaryRep:
-    """One matrix per generator, acting on canonical GNS coordinates.
-
-    Group elements get their matrices from power tables: a generator's
-    powers over an exponent range cost one `matrix_power` at its start and
-    one matmul per further step. Følner means need only each generator's
-    power sum over its box, which doubling gets in O(log N) matmuls.
-    """
-
-    matrices: list[np.ndarray]
-
-    def powers(self, k: int, lo: int, hi: int) -> np.ndarray:
-        """Stack of U_k^j for j = lo..hi, built by running products."""
-        U = self.matrices[k]
-        table = np.empty((hi - lo + 1,) + U.shape, dtype=complex)
-        base = U if lo >= 0 else np.linalg.inv(U)
-        table[0] = np.linalg.matrix_power(base, abs(lo))
-        for s in range(1, len(table)):
-            table[s] = table[s - 1] @ U
-        return table
-
-    def of_elements(self, elements) -> np.ndarray:
-        """Stack of U_g over exponent tuples g, one power table per generator."""
-        exps = np.array(elements, dtype=int).reshape(len(elements), -1)
-        out = None
-        for k, col in enumerate(exps.T):
-            step = self.powers(k, col.min(), col.max())[col - col.min()]
-            out = step if out is None else out @ step
-        return out
-
-    def power_sum(self, k: int, lo: int, hi: int) -> np.ndarray:
-        """Σ U_k^j over j = lo..hi (0 ≤ lo ≤ hi), by binary doubling.
-
-        Reading the bits of the count m = hi − lo + 1 from the top, the sum
-        S_m = Σ_{j<m} U^j and the power U^m double as S_2m = S_m + U^m·S_m,
-        and a set bit adds U^2m; so the sum takes O(log m) matmuls.
-        """
-        U = self.matrices[k]
-        total, power = np.eye(len(U), dtype=complex), U
-        for bit in bin(hi - lo + 1)[3:]:
-            total = total + power @ total
-            power = power @ power
-            if bit == "1":
-                total = total + power
-                power = power @ U
-        return np.linalg.matrix_power(U, lo) @ total
-
-    def folner_mean(self, group, n: int) -> np.ndarray:
-        """Mean of U_g over the n-th Folner set, a box of exponent ranges.
-
-        By distributivity the mean of the products U_1^{g_1}⋯U_k^{g_k} over
-        a box is the product of the generators' mean powers.
-        """
-        box = group.folner_range(n)
-        return functools.reduce(np.matmul, (
-            self.power_sum(k, box[0], box[-1]) / len(box) for k in range(len(self.matrices))))
-
-
-def gns_construct(sys: FiniteSystem) -> tuple[GnsSpace, UnitaryRep]:
-    """Build the GNS data; the unitaries U_g γ(a) = γ(α_g(a)) of the
-    generators are the system's `generator_matrices`."""
+def gns_construct(sys: FiniteSystem) -> GnsSpace:
+    """Build the GNS space; read it as `sys.gns`."""
     require_valid(sys)
     struct = sys.structure
     rows, cols = np.nonzero(struct.block_mask)   # of the matrix units, in canonical order
     # e_i* e_j = E_{c_i c_j} when e_i, e_j share a row, so μ(e_i* e_j) = ρ[c_j, c_i]
     rho = sys.state.density_element().block_matrix()
     gram = np.where(rows[:, None] == rows, rho[cols[None, :], cols[:, None]], 0)
-
     onb = np.linalg.cholesky(gram).conj().T
-    space = GnsSpace(structure=struct, dimension=struct.dimension, gram=gram,
-                     cyclic_vector=struct.identity().coords(), onb_factor=onb,
-                     onb_factor_inv=np.linalg.inv(onb))
+    return GnsSpace(gram=gram, cyclic_vector=struct.identity().coords(), onb_factor=onb,
+                    onb_factor_inv=np.linalg.inv(onb))
 
-    return space, UnitaryRep(matrices=list(sys.generator_matrices))
+
+def powers(U: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Stack of U^j for j = lo..hi by running products: one `matrix_power`
+    at lo and one matmul per further step."""
+    table = np.empty((hi - lo + 1,) + U.shape, dtype=complex)
+    base = U if lo >= 0 else np.linalg.inv(U)
+    table[0] = np.linalg.matrix_power(base, abs(lo))
+    for s in range(1, len(table)):
+        table[s] = table[s - 1] @ U
+    return table
+
+
+def element_matrices(mats, elements) -> np.ndarray:
+    """Stack of U_g over exponent tuples g, one power table per generator matrix."""
+    exps = np.array(elements, dtype=int).reshape(len(elements), -1)
+    out = None
+    for U, col in zip(mats, exps.T):
+        step = powers(U, col.min(), col.max())[col - col.min()]
+        out = step if out is None else out @ step
+    return out
+
+
+def power_sum(U: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Σ U^j over j = lo..hi (0 ≤ lo ≤ hi), by binary doubling.
+
+    Reading the bits of the count m = hi − lo + 1 from the top, the sum
+    S_m = Σ_{j<m} U^j and the power U^m double as S_2m = S_m + U^m·S_m,
+    and a set bit adds U^2m; so the sum takes O(log m) matmuls.
+    """
+    total, power = np.eye(len(U), dtype=complex), U
+    for bit in bin(hi - lo + 1)[3:]:
+        total = total + power @ total
+        power = power @ power
+        if bit == "1":
+            total = total + power
+            power = power @ U
+    return np.linalg.matrix_power(U, lo) @ total
+
+
+def folner_mean(sys: FiniteSystem, n: int) -> np.ndarray:
+    """Mean of U_g over the n-th Folner set, a box of exponent ranges.
+
+    By distributivity the mean of the products U_1^{g_1}⋯U_k^{g_k} over
+    a box is the product of the generators' mean powers, each a
+    `power_sum` by doubling.
+    """
+    box = sys.group.folner_range(n)
+    return functools.reduce(np.matmul, (
+        power_sum(U, box[0], box[-1]) / len(box) for U in sys.generator_matrices))
 
 
 def _linkage(points: np.ndarray) -> np.ndarray:
@@ -339,8 +319,8 @@ def joint_spectrum(sys: FiniteSystem) -> Spectrum:
     (`_polish`) then removes what rounding mixed across nearby eigenvalues
     of H, and the residuals are checked again.
     """
-    space, rep = sys.gns
-    W = np.array([space.onb_factor @ U @ space.onb_factor_inv for U in rep.matrices])
+    space = sys.gns
+    W = np.array([space.onb_factor @ U @ space.onb_factor_inv for U in sys.generator_matrices])
     X = np.exp(-1j * np.arange(1, len(W) + 1))[:, None, None] * W
     vals, Q = np.linalg.eigh(((X + X.conj().swapaxes(-1, -2)) / 2).sum(axis=0))
     C, chars, residual = _compressions(W, Q)
@@ -392,8 +372,7 @@ def fixed_point_algebra(sys: FiniteSystem) -> list[AlgebraElement]:
     identity (its μ-norm is 1). The span is closed under adjoints since
     every α_g is *-preserving.
     """
-    space = sys.gns[0]
-    return [space.element(v) for v in space.from_onb(sys.spectrum.fixed_basis).T]
+    return [sys.structure.from_coords(v) for v in sys.gns.from_onb(sys.spectrum.fixed_basis).T]
 
 
 @dataclass
@@ -449,8 +428,6 @@ def compactness_net(sys: FiniteSystem) -> list[int]:
     of about NET_WINDOW group elements (all of them for Z_m) and points
     farther than NET_EPS from the net extend it.
     """
-    space, rep = sys.gns
-    d = space.dimension
     group = sys.group
     if group.kind == "Zm":
         exponents = [(j,) for j in range(group.m)]
@@ -460,9 +437,10 @@ def compactness_net(sys: FiniteSystem) -> list[int]:
         side = max(2, int(round(NET_WINDOW ** (1.0 / group.k))))
         rng = range(-side, side + 1)
         exponents = [tuple(t) for t in itertools.product(rng, repeat=group.k)]
-    orbit = space.onb_factor @ rep.of_elements(exponents)   # orthonormal coordinates
+    # the orbits in orthonormal coordinates
+    orbit = sys.gns.onb_factor @ element_matrices(sys.generator_matrices, exponents)
     sizes = []
-    for i in range(d):
+    for i in range(sys.dimension):
         net: list[np.ndarray] = []
         for y in orbit[:, :, i]:
             if all(np.linalg.norm(y - z) > NET_EPS for z in net):
@@ -489,10 +467,10 @@ def cesaro_correlation(sys: FiniteSystem, x, y, n: int) -> CesaroResult:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    space, rep = sys.gns
+    space = sys.gns
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    value = space.inner(rep.folner_mean(sys.group, n) @ x, y)
+    value = space.inner(folner_mean(sys, n) @ x, y)
     omega = space.cyclic_vector
     limit = space.inner(x, omega) * space.inner(omega, y)
     deviation = abs(value - limit)
@@ -730,10 +708,9 @@ def modular_invariance_check(sys: FiniteSystem, P: AlgebraElement) -> ModularInv
     if ident_res > 1e-8:
         raise NonProjectionError(f"P is not a projection (residual {ident_res:.3e})")
     md = modular_data(sys)
-    space, _ = sys.gns
     res = max((md.sigma(t, P) - P).norm() for t in SIGMA_SAMPLES)
     jp = md.apply_conjugation(P.coords())
-    vec_res = space.norm(jp - P.coords())
+    vec_res = sys.gns.norm(jp - P.coords())
     return ModularInvarianceResult(
         sigma_residual=res,
         conjugation_vector_residual=vec_res,
@@ -747,10 +724,11 @@ def asymptotic_abelianness_profile(sys: FiniteSystem, a: AlgebraElement,
 
     The norm is the operator norm, exact via singular values. Folner boxes
     follow the group descriptor and are nested, so the norms are computed
-    once on the largest box, with α_g(b) from the GNS power tables.
+    once on the largest box, with α_g(b) from power tables of the generator
+    matrices; no GNS data is built.
     """
-    group, (_, rep) = sys.group, sys.gns
-    images = rep.of_elements(group.folner_elements(n_max)) @ b.coords()
+    group = sys.group
+    images = element_matrices(sys.generator_matrices, group.folner_elements(n_max)) @ b.coords()
     norms = np.array([(a @ bg - bg @ a).norm() for bg in map(sys.structure.from_coords, images)])
     norms = norms.reshape((len(group.folner_range(n_max)),) * group.num_generators)
     return [float(np.mean(norms[(slice(len(group.folner_range(n))),) * norms.ndim]))

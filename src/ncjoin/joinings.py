@@ -36,8 +36,9 @@ quantities: their value tables are Uᵀ·M·T in closed form, from the
 system's cached GNS and mirror data (`_diagonal_values`).
 
 A context holds the two systems and the layout of their product algebra
-only: every reader takes GNS data from `ctx.A.gns` and `ctx.B.gns` and the
-state values μ(e_i) from `ctx.A.state.values`, each built once per system.
+only: every reader takes the GNS spaces from `ctx.A.gns` and `ctx.B.gns`,
+the unitaries from `generator_matrices` and the state values μ(e_i) from
+`ctx.A.state.values`, each built once per system.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .errors import (
     NonJoiningError,
     UnsupportedGroupError,
 )
+from .gns import folner_mean, powers
 
 DEFAULT_MAX_ITER = 500    # Newton steps of one barrier solve
 DEFAULT_WIDTH = 1e-6      # a solve ends when upper − lower ≤ width
@@ -256,7 +258,7 @@ def mirror_context(sys: FiniteSystem) -> TensorContext:
 
 def _state_products(ctx: TensorContext) -> np.ndarray:
     """M[p, q] = μ(e_p e_q) = gram[adj(p), q] on the first leg, since e_p = (e_adj(p))*."""
-    return ctx.A.gns[0].gram[ctx.A.structure.adjoint_indices]
+    return ctx.A.gns.gram[ctx.A.structure.adjoint_indices]
 
 
 def _diagonal_values(ctx: TensorContext, shift: np.ndarray) -> np.ndarray:
@@ -287,7 +289,7 @@ def graph_joining(sys: FiniteSystem, n: int) -> JoiningMatrix:
     if sys.group.kind != "Z":
         raise UnsupportedGroupError("graph joinings need a Z action")
     ctx = mirror_context(sys)
-    values = _diagonal_values(ctx, sys.gns[1].of_elements([(n,)])[0])
+    values = _diagonal_values(ctx, powers(sys.generator_matrices[0], n, n)[0])
     return joining_from_values(ctx, values, label=f"graph:{n}")
 
 
@@ -749,10 +751,10 @@ def conditional_expectation(ctx: TensorContext, joining: JoiningMatrix) -> Condi
         raise NonJoiningError(
             f"matrix violates the joining battery: {joining.residuals}")
     X = np.linalg.solve(_state_products(ctx), joining.values)
-    ca, cb_inv = ctx.A.gns[0].onb_factor, ctx.B.gns[0].onb_factor_inv
+    ca, cb_inv = ctx.A.gns.onb_factor, ctx.B.gns.onb_factor_inv
     norm = operator_norm(ca @ X @ cb_inv)
     inter = 0.0
-    for Ua, Ub in zip(ctx.A.gns[1].matrices, ctx.B.gns[1].matrices):
+    for Ua, Ub in zip(ctx.A.generator_matrices, ctx.B.generator_matrices):
         inter = max(inter, operator_norm(ca @ (Ua @ X - X @ Ub) @ cb_inv))
     return ConditionalExpectation(matrix=X, norm=norm, intertwining_residual=inter)
 
@@ -796,7 +798,7 @@ def cesaro_diagonal_average(sys: FiniteSystem, n: int) -> CesaroDiagonalResult:
     limit need not be the product; the flag records that.
     """
     ctx = mirror_context(sys)
-    acc = _diagonal_values(ctx, sys.gns[1].folner_mean(sys.group, n))
+    acc = _diagonal_values(ctx, folner_mean(sys, n))
     deviation = float(np.max(np.abs(acc - ctx.product_values())))
     return CesaroDiagonalResult(values=acc, deviation=deviation,
                                 ergodic=len(sys.spectrum.fixed) == 1)
@@ -843,8 +845,8 @@ def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
         raise ValueError("empty scan window")
     # one power table serves the shifted tables and the period search
     lo = min(min(ns), 1)
-    powers = ctx.A.gns[1].powers(0, lo, max(ns))
-    tables = _diagonal_values(ctx, powers[np.array(ns) - lo]).reshape(len(ns), -1)
+    table = powers(ctx.A.generator_matrices[0], lo, max(ns))
+    tables = _diagonal_values(ctx, table[np.array(ns) - lo]).reshape(len(ns), -1)
 
     # value tables of every c*c: the density blocks of c, squared as Xᴴ·X per block size
     labels = labels or [f"element {k}" for k in range(len(test_elements))]
@@ -870,7 +872,7 @@ def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
             element_label=label, denominator=denom, rows=rows, sup_ratio=sup))
 
     # the first p with ‖U^p − 1‖ < 1e-9, from one batched norm over the powers 1..max
-    recur = _operator_norms(powers[1 - lo:] - np.eye(ctx.dim_a)) < 1e-9
+    recur = _operator_norms(table[1 - lo:] - np.eye(ctx.dim_a)) < 1e-9
     period = int(np.argmax(recur)) + 1 if recur.any() else None
     return OrnsteinScan(reports=reports, period=period, skipped=skipped,
                         sup_ratio=overall)

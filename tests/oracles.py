@@ -291,13 +291,13 @@ def commutant_basis_reference(structure):
 
 def mirror_dynamics_reference(sys, gen_index, X):
     """U X U⁻¹ for the GNS unitary U of a generator: the mirror dynamics."""
-    U = sys.gns[1].matrices[gen_index]
+    U = sys.generator_matrices[gen_index]
     return U @ X @ np.linalg.inv(U)
 
 
 def mirror_state_reference(sys, X):
     """The mirror state ⟨Ω, XΩ⟩ of a GNS-space operator X."""
-    space = sys.gns[0]
+    space = sys.gns
     omega = space.cyclic_vector
     return space.inner(omega, X @ omega)
 
@@ -398,8 +398,8 @@ def validation_reference(sys, tol=VALIDATION_TOL):
 
 def onb_matrices_reference(sys):
     """The GNS unitaries in orthonormal coordinates: C·U·C⁻¹ with gram = C*C."""
-    space, rep = sys.gns
-    return [space.onb_factor @ U @ space.onb_factor_inv for U in rep.matrices]
+    space = sys.gns
+    return [space.onb_factor @ U @ space.onb_factor_inv for U in sys.generator_matrices]
 
 
 def element_matrix_reference(mats, g, unitary=False):
@@ -416,17 +416,17 @@ def element_matrix_reference(mats, g, unitary=False):
 
 def folner_mean_reference(sys, n):
     """Mean of U_g over the n-th Folner set, one element matrix at a time."""
-    _, rep = sys.gns
     elements = sys.group.folner_elements(n)
-    return sum(element_matrix_reference(rep.matrices, g) for g in elements) / len(elements)
+    return sum(element_matrix_reference(sys.generator_matrices, g)
+               for g in elements) / len(elements)
 
 
-def folner_mean_running_reference(rep, group, n):
+def folner_mean_running_reference(mats, group, n):
     """Mean of U_g over the n-th Folner set, each generator's box of powers
     summed by running products, one matmul per power."""
     box = group.folner_range(n)
     out = None
-    for U in rep.matrices:
+    for U in mats:
         power, total = np.linalg.matrix_power(U, box[0]), np.zeros_like(U)
         for _ in box:
             total = total + power
@@ -437,9 +437,9 @@ def folner_mean_running_reference(rep, group, n):
 
 def cesaro_correlation_reference(sys, x, y, n):
     """Deviation of the mean of ⟨U_g x, y⟩ from ⟨x, Ω⟩⟨Ω, y⟩, summed per element."""
-    space, rep = sys.gns
+    space = sys.gns
     elements = sys.group.folner_elements(n)
-    value = sum(space.inner(element_matrix_reference(rep.matrices, g) @ x, y)
+    value = sum(space.inner(element_matrix_reference(sys.generator_matrices, g) @ x, y)
                 for g in elements) / len(elements)
     omega = space.cyclic_vector
     return abs(value - space.inner(x, omega) * space.inner(omega, y))
@@ -447,17 +447,17 @@ def cesaro_correlation_reference(sys, x, y, n):
 
 def recurrence_period_reference(sys, n_max):
     """Least p in 1..n_max with U^p = 1 (to 1e-9 in operator norm), else None."""
-    _, rep = sys.gns
     ident = np.eye(sys.dimension)
     return next((p for p in range(1, n_max + 1)
-                 if np.linalg.norm(element_matrix_reference(rep.matrices, (p,)) - ident, 2) < 1e-9),
+                 if np.linalg.norm(element_matrix_reference(sys.generator_matrices, (p,))
+                                   - ident, 2) < 1e-9),
                 None)
 
 
 def compactness_net_reference(sys, eps=0.1, cap=512):
     """Greedy eps-net sizes of the basis-vector orbits, one element matrix per point."""
-    space, mats = sys.gns[0], onb_matrices_reference(sys)
-    d, group = space.dimension, sys.group
+    space, mats = sys.gns, onb_matrices_reference(sys)
+    d, group = sys.dimension, sys.group
     if group.kind == "Zm":
         exponents = [(j,) for j in range(group.m)]
     elif group.kind == "Z":
@@ -497,10 +497,9 @@ def delta_n_reference(sys, c, n):
 
 def ornstein_ratio_reference(ctx, c, window):
     """(denominator, Δ_n values) of one element of a mirror context, one sum per n."""
-    _, rep = ctx.A.gns
     coef = (c.adjoint() @ c).coords()[ctx.pair_index]
     tables = _diagonal_values(ctx, np.array(
-        [element_matrix_reference(rep.matrices, (n,)) for n in window]))
+        [element_matrix_reference(ctx.A.generator_matrices, (n,)) for n in window]))
     return (float(np.sum(coef * ctx.product_values()).real),
             [float(np.sum(coef * table).real) for table in tables])
 
@@ -652,7 +651,7 @@ def constraint_rows_reference(ctx):
     K = [np.outer(ua, ub).reshape(1, n),
          (np.eye(dA)[:, :, None] * ub).reshape(dA, n),
          (ua[:, None] * np.eye(dB)[:, None, :]).reshape(dB, n)]
-    for Ua, Ub in zip(ctx.A.gns[1].matrices, ctx.B.gns[1].matrices):
+    for Ua, Ub in zip(ctx.A.generator_matrices, ctx.B.generator_matrices):
         # entry (i, j) of Uaᵀ V Ub is Σ Ua[m, i] Ub[l, j] V[m, l]
         K.append(np.einsum("mi,lj->ijml", Ua, Ub).reshape(n, n) - np.eye(n))
     return np.vstack(K)

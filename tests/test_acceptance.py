@@ -287,7 +287,7 @@ def test_criterion_10_conditional_expectations(solver_joinings, c2, c3):
         assert ce.intertwining_residual < 1e-6, label
     ctx = build_tensor_context(c2, c3)
     ce = conditional_expectation(ctx, product_joining(ctx))
-    omega_a = ctx.A.gns[0].cyclic_vector
+    omega_a = ctx.A.gns.cyclic_vector
     for j in range(ctx.dim_b):
         assert np.allclose(ce.matrix[:, j], complex(ctx.B.state.values[j]) * omega_a)
 

@@ -280,3 +280,16 @@ def test_system_is_immutable_and_keeps_its_derived_data():
     assert sysd.mirror is sysd.mirror
     # the builder stays uncached: a fresh report per call
     assert validate_system(sysd) is not sysd.validation
+
+
+@pytest.mark.parametrize("state_sizes,gen_sizes,part", [
+    ((2,), (1, 1, 1, 1), "the state"),
+    ((1, 1, 1, 1), (1, 1, 1), "generator 0"),
+])
+def test_system_rejects_parts_on_other_blocks(state_sizes, gen_sizes, part):
+    """A state or generator built on other blocks than the system's raises
+    StructureError naming it, before validation or a GNS build reads it."""
+    s = BlockStructure((1, 1, 1, 1))
+    with pytest.raises(StructureError, match=part):
+        FiniteSystem(s, uniform_state(BlockStructure(state_sizes)), GroupDescriptor("Z"),
+                     [identity_automorphism(BlockStructure(gen_sizes))])

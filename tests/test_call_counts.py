@@ -17,7 +17,9 @@ and joining solves read it, its value vectors are built once for all the
 solves on it, and contexts over one pair of block-size tuples share one
 product structure. A context builds its tangent space once, with at most one
 SVD. The joining battery reads the generators' coordinate
-matrices, so `joinings diagonal` builds no GNS data of the mirror.
+matrices, so `joinings diagonal` builds no GNS data of the mirror, and
+the asymptotic abelianness profile, which reads only those, builds none.
+`dual classify --samples` classifies the group once.
 """
 
 import importlib.util
@@ -241,6 +243,31 @@ def test_contexts_build_no_gns_data(monkeypatch):
         with pytest.raises(InvalidSystemError):
             build_tensor_context(*legs)
     assert calls["gns_construct"] == 0
+
+
+def test_abelianness_profile_builds_no_gns_data(monkeypatch):
+    """The profile reads only the generator matrices, so a fresh system
+    builds no GNS data for it; `sys.gns`, read after, is one GnsSpace."""
+    calls = Counter()
+    original = gns.gns_construct
+
+    def counted(*args, **kwargs):
+        calls["gns_construct"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gns, "gns_construct", counted)
+    sysd = corpus.system("c3")
+    a, b = (sysd.structure.basis_element(j) for j in (0, 1))
+    assert len(gns.asymptotic_abelianness_profile(sysd, a, b, 4)) == 4
+    assert calls["gns_construct"] == 0
+    assert isinstance(sysd.gns, gns.GnsSpace)
+    assert calls["gns_construct"] == 1
+
+
+def test_dual_classify_with_samples_classifies_once(monkeypatch):
+    """The sampled coherence check reads the classification of the report."""
+    assert _calls(monkeypatch, cli, "classify_dual",
+                  "dual classify --group corpus:dual_shift --samples 5") == 1
 
 
 def _solver_calls(monkeypatch, ctx, objective):

@@ -48,7 +48,7 @@ def _complex_rows(ctx):
         row[j::dB] = ua
         rows.append(row)
         rhs.append(ctx.B.state.values[j])
-    for Ua, Ub in zip(ctx.A.gns[1].matrices, ctx.B.gns[1].matrices):
+    for Ua, Ub in zip(ctx.A.generator_matrices, ctx.B.generator_matrices):
         # (Uaᵀ V Ub)[i, j] = Σ Ua[m, i] Ub[l, j] V[m, l]
         rows.extend(np.kron(Ua, Ub).T - np.eye(n))
         rhs.extend([0.0] * n)
@@ -161,8 +161,8 @@ def _pair_gap(ctx):
     eigenvectors, and U's character on v is v*Uv / v*v.
     """
     chars = []
-    for _, rep in (ctx.A.gns, ctx.B.gns):
-        mats = np.array(rep.matrices)
+    for leg in (ctx.A, ctx.B):
+        mats = np.array(leg.generator_matrices)
         _, vecs = np.linalg.eig(np.tensordot(np.sqrt(np.arange(2, len(mats) + 2)), mats, 1))
         chars.append(np.einsum("ij,kij->jk", vecs.conj(), mats @ vecs)
                      / np.sum(abs(vecs) ** 2, axis=0)[:, None])

@@ -1,6 +1,8 @@
 import argparse
+import importlib
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -179,6 +181,23 @@ def test_readme_option_table_matches_the_parser():
                      if opt not in ("-h", "--help", "--format")]
               for name, p in _subcommands(build_parser()) if name != "corpus"}
     assert table == parsed
+
+
+def test_readme_code_names_resolve():
+    """Every backticked `Class.attr` or `Class.attr()` in the README names
+    an attribute or a dataclass field of a class defined in ncjoin."""
+    text = README.read_text(encoding="utf-8")
+    names = set(re.findall(r"`([A-Z][A-Za-z]*)\.([a-z_]\w*)(?:\(\))?`", text))
+    assert names
+    classes = {}
+    for info in pkgutil.iter_modules(ncjoin.__path__):
+        module = importlib.import_module(f"ncjoin.{info.name}")
+        classes.update((name, obj) for name, obj in vars(module).items()
+                       if isinstance(obj, type) and obj.__module__ == module.__name__)
+    stale = [f"{cls}.{attr}" for cls, attr in sorted(names) if cls not in classes or not (
+        hasattr(classes[cls], attr)
+        or attr in getattr(classes[cls], "__dataclass_fields__", {}))]
+    assert not stale
 
 
 def test_readme_commands_run():

@@ -211,7 +211,7 @@ def test_singular_hessian_near_the_boundary_regression():
 def _eigenvalue_pairs(ctx) -> int:
     """Pairs λ of U_A and λ̄ of U_B, one eigenvalue 1 dropped on each side."""
     spectra = []
-    for U in (ctx.A.gns[1].matrices[0], ctx.B.gns[1].matrices[0]):
+    for U in (ctx.A.generator_matrices[0], ctx.B.generator_matrices[0]):
         lam = np.linalg.eigvals(U)
         spectra.append(np.delete(lam, np.argmin(abs(lam - 1))))
     la, lb = spectra
@@ -429,7 +429,7 @@ def spectral_systems(draw):
 @settings(max_examples=80, deadline=None)
 @given(sysd=spectral_systems())
 def test_one_eigh_spectrum_matches_eigenspace_refinement(sysd):
-    space = sysd.gns[0]
+    space = sysd.gns
     reference = joint_eigenspaces_reference(onb_matrices_reference(sysd))
     entries = sysd.spectrum.entries
     assert len(entries) == len(reference)

@@ -444,9 +444,10 @@ def test_sampler_matches_reference(name):
 def test_coherence_matches_per_sample_loop(name):
     """Checking each distinct sample once gives the per-sample counts."""
     sysd = corpus.dual(name).system
+    cls = classify_dual(sysd)
     for seed in (0, 5, 19):
         for samples in (1, 400):
-            assert cli._dual_coherence(sysd, samples, seed) == dual_coherence_reference(
+            assert cli._dual_coherence(sysd, cls, samples, seed) == dual_coherence_reference(
                 sysd, samples, seed)
 
 

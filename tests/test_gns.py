@@ -68,52 +68,52 @@ def _left_rep(sysd):
 
 
 def test_gns_c3_rotation(c3):
-    space, rep = gns_construct(c3)
-    assert space.dimension == 3
+    space = gns_construct(c3)
+    assert space.gram.shape == (3, 3)
     assert np.allclose(space.gram, np.eye(3) / 3)
-    assert np.allclose(rep.matrices[0], np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
+    assert np.allclose(c3.generator_matrices[0], np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
     assert np.allclose(space.cyclic_vector, np.ones(3))
 
 
 def test_gns_m2_trace_state():
     m2 = single_block_system(np.eye(2))
-    space, rep = gns_construct(m2)
-    assert space.dimension == 4
+    space = gns_construct(m2)
+    assert space.gram.shape == (4, 4)
     assert np.allclose(space.gram, np.eye(4) / 2)
-    assert np.allclose(rep.matrices[0], np.eye(4))
+    assert np.allclose(m2.generator_matrices[0], np.eye(4))
 
 
 def test_unitaries_fix_cyclic_vector():
     for name in corpus.FINITE_SYSTEMS:
         sysd = corpus.system(name)
-        space, rep = gns_construct(sysd)
-        for U in rep.matrices:
+        space = gns_construct(sysd)
+        for U in sysd.generator_matrices:
             assert np.allclose(U @ space.cyclic_vector, space.cyclic_vector)
 
 
 def test_gram_unitarity_invariant():
     for name in corpus.FINITE_SYSTEMS:
         sysd = corpus.system(name)
-        space, rep = gns_construct(sysd)
-        for U in rep.matrices:
+        space = gns_construct(sysd)
+        for U in sysd.generator_matrices:
             res = np.linalg.norm(U.conj().T @ space.gram @ U - space.gram, 2)
             assert res < 1e-9, name
 
 
 def test_left_rep_reproduces_products(c3, gibbs):
     for sysd in (c3, gibbs):
-        space, _ = gns_construct(sysd)
+        space = gns_construct(sysd)
         left = _left_rep(sysd)
         for i in range(sysd.dimension):
             for j in range(sysd.dimension):
                 ei = sysd.structure.basis_element(i)
                 ej = sysd.structure.basis_element(j)
-                lhs = left[i] @ space.gamma(ej)
-                assert np.allclose(lhs, space.gamma(ei @ ej))
+                lhs = left[i] @ ej.coords()
+                assert np.allclose(lhs, (ei @ ej).coords())
 
 
 def test_gram_matches_state_inner_products(gibbs):
-    space, _ = gns_construct(gibbs)
+    space = gns_construct(gibbs)
     for i in range(gibbs.dimension):
         for j in range(gibbs.dimension):
             ei = gibbs.structure.basis_element(i)
@@ -185,16 +185,16 @@ def test_point_spectrum_identity_system(id3):
 def test_eigen_residual_invariant():
     for name in corpus.FINITE_SYSTEMS:
         sysd = corpus.system(name)
-        space, rep = gns_construct(sysd)
+        space = gns_construct(sysd)
         for entry in point_spectrum(sysd):
             for col in range(entry.eigenvectors.shape[1]):
                 x = entry.eigenvectors[:, col]
-                for U, chi in zip(rep.matrices, entry.eigenvalue):
+                for U, chi in zip(sysd.generator_matrices, entry.eigenvalue):
                     assert space.norm(U @ x - chi * x) < 1e-8
 
 
 def test_eigenvectors_gram_orthonormal(c5):
-    space, _ = gns_construct(c5)
+    space = gns_construct(c5)
     spec = point_spectrum(c5)
     vecs = np.column_stack([e.eigenvectors for e in spec])
     g = vecs.conj().T @ space.gram @ vecs
@@ -294,7 +294,7 @@ def test_fixed_point_algebra_examples(c3, id3):
 
 def test_fixed_point_algebra_adjoint_closed(pauli):
     basis = fixed_point_algebra(pauli)
-    space, _ = gns_construct(pauli)
+    space = gns_construct(pauli)
     mat = np.column_stack([space.to_onb(b.coords()) for b in basis])
     for b in basis:
         v = space.to_onb(b.adjoint().coords())
@@ -307,7 +307,7 @@ def test_fixed_point_algebra_adjoint_closed(pauli):
 
 
 def test_cesaro_c3_exact_period(c3):
-    space, _ = gns_construct(c3)
+    space = gns_construct(c3)
     e0 = np.eye(3)[:, 0]
     res = cesaro_correlation(c3, e0, e0, 3)
     assert res.value == pytest.approx(1 / 9)
@@ -315,7 +315,7 @@ def test_cesaro_c3_exact_period(c3):
 
 
 def test_cesaro_omega_fixed(c5):
-    space, _ = gns_construct(c5)
+    space = gns_construct(c5)
     res = cesaro_correlation(c5, space.cyclic_vector, space.cyclic_vector, 7)
     assert res.value == pytest.approx(1.0)
     assert res.deviation < 1e-12
@@ -331,7 +331,7 @@ def test_cesaro_partial_period_bound(c3):
 def test_cesaro_multiple_of_period_invariant():
     for name, period in (("c2", 2), ("c3", 3), ("c5", 5)):
         sysd = corpus.system(name)
-        space, _ = gns_construct(sysd)
+        space = gns_construct(sysd)
         rng = np.random.default_rng(7)
         x = rng.normal(size=sysd.dimension) + 1j * rng.normal(size=sysd.dimension)
         y = rng.normal(size=sysd.dimension) + 1j * rng.normal(size=sysd.dimension)
@@ -356,7 +356,7 @@ def test_mirror_m2_dimension():
 
 def test_mirror_invariants(gibbs):
     m = mirror_system(gibbs)
-    space, rep = gns_construct(gibbs)
+    space = gns_construct(gibbs)
     ident = gibbs.structure.identity()
     left = _left_rep(gibbs)
     commutant = commutant_basis_reference(gibbs.structure)
@@ -558,7 +558,7 @@ def test_modular_gibbs_spectrum(gibbs):
 
 def test_modular_invariants(gibbs):
     md = modular_data(gibbs)
-    space, _ = gns_construct(gibbs)
+    space = gns_construct(gibbs)
     rng = np.random.default_rng(3)
     x = rng.normal(size=4) + 1j * rng.normal(size=4)
     # antiunitary involution fixing the cyclic vector
@@ -658,8 +658,8 @@ def test_nondiagonal_density_pipeline():
     got = sorted(np.linalg.eigvals(md.delta_matrix).real)
     lo, hi = rho_eigs
     assert np.allclose(got, sorted([1.0, 1.0, lo / hi, hi / lo]))
-    space, rep = gns_construct(sysd)
-    for U in rep.matrices:
+    space = gns_construct(sysd)
+    for U in sysd.generator_matrices:
         assert np.linalg.norm(U.conj().T @ space.gram @ U - space.gram, 2) < 1e-9
 
 
@@ -676,9 +676,9 @@ def test_twisted_block_swap_degenerate_spectrum():
     chars = sorted(np.round(e.eigenvalue[0], 8) for e in spec
                    for _ in range(e.multiplicity))
     assert len(chars) == 8
-    space, rep = gns_construct(sysd)
+    space = gns_construct(sysd)
     for entry in spec:
         for col in range(entry.eigenvectors.shape[1]):
             x = entry.eigenvectors[:, col]
             chi = entry.eigenvalue[0]
-            assert space.norm(rep.matrices[0] @ x - chi * x) < 1e-8
+            assert space.norm(sysd.generator_matrices[0] @ x - chi * x) < 1e-8

@@ -155,8 +155,8 @@ def test_graph_invariance_under_diagonal_action():
         for n in (0, 1, 2):
             jm = graph_joining(sysd, n)
             ctx = jm.ctx
-            Ua = ctx.A.gns[1].matrices[0]
-            Ub = ctx.B.gns[1].matrices[0]
+            Ua = ctx.A.generator_matrices[0]
+            Ub = ctx.B.generator_matrices[0]
             # ω((α⊗β)(e_i⊗f_j)) assembled from the transformed coordinates
             for i in range(ctx.dim_a):
                 for j in range(ctx.dim_b):
@@ -461,7 +461,7 @@ def test_compact_corpus_scan_finds_witness(c2, c3):
 def test_conditional_expectation_product_rank_one(c2, c3):
     ctx = build_tensor_context(c2, c3)
     ce = conditional_expectation(ctx, product_joining(ctx))
-    omega_a = ctx.A.gns[0].cyclic_vector
+    omega_a = ctx.A.gns.cyclic_vector
     for j in range(ctx.dim_b):
         expected = complex(ctx.B.state.values[j]) * omega_a
         assert np.allclose(ce.matrix[:, j], expected)
@@ -478,8 +478,8 @@ def test_conditional_expectation_diagonal_is_unitary(c2):
 
 def test_conditional_expectation_maps_cyclic_vectors(c3):
     d = diagonal_state(c3)
-    omega_b = d.ctx.B.gns[0].cyclic_vector
-    omega_a = d.ctx.A.gns[0].cyclic_vector
+    omega_b = d.ctx.B.gns.cyclic_vector
+    omega_a = d.ctx.A.gns.cyclic_vector
     ce = conditional_expectation(d.ctx, d)
     assert np.allclose(ce.matrix @ omega_b, omega_a)
 
@@ -589,8 +589,8 @@ def test_nontrivial_systems_never_settle():
     for name in ("c2", "c3", "c5", "id2", "id3", "gibbs"):
         sysd = corpus.system(name)
         prod = diagonal_state(sysd).ctx.product_values()
-        space, rep = gns_construct(sysd)
-        U = rep.matrices[0]
+        space = gns_construct(sysd)
+        U = sysd.generator_matrices[0]
         period = 1
         P = U.copy()
         while not np.allclose(P, np.eye(sysd.dimension), atol=1e-12):

@@ -1,12 +1,13 @@
 """Power tables against one fresh matrix power per group element.
 
-`UnitaryRep.of_elements` builds each generator's powers by running
-products, and `UnitaryRep.folner_mean` sums them by doubling; the
+`gns.element_matrices` builds each generator's powers by running
+products, and `gns.folner_mean` sums them by doubling; the
 references in `oracles.py` compute every element's matrix on its own, or
 sum one power per step, as the package did before.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ import pytest
 from ncjoin import cli, corpus
 from ncjoin.algebra import (FiniteSystem, GroupDescriptor, cyclic_rotation_system,
                             single_block_system, uniform_state)
-from ncjoin.gns import (UnitaryRep, asymptotic_abelianness_profile, cesaro_correlation,
-                        compactness_net)
+from ncjoin.gns import (asymptotic_abelianness_profile, cesaro_correlation, compactness_net,
+                        element_matrices, folner_mean)
 from ncjoin.joinings import (_diagonal_values, cesaro_diagonal_average, mirror_context,
                              ornstein_ratio_scan)
 from oracles import (
@@ -65,10 +66,10 @@ def test_of_elements_matches_per_element_powers(name, orthonormal):
     and, mapped to orthonormal coordinates as `compactness_net` maps them,
     against fresh powers of C·U·C⁻¹ (`oracles.onb_matrices_reference`)."""
     sysd = SYSTEMS[name]
-    space, rep = sysd.gns
-    mats = onb_matrices_reference(sysd) if orthonormal else rep.matrices
+    space = sysd.gns
+    mats = onb_matrices_reference(sysd) if orthonormal else sysd.generator_matrices
     for elements in _windows(sysd):
-        stack = rep.of_elements(elements)
+        stack = element_matrices(sysd.generator_matrices, elements)
         assert stack.shape == (len(elements), sysd.dimension, sysd.dimension)
         if orthonormal:
             stack = space.onb_factor @ stack @ space.onb_factor_inv
@@ -79,11 +80,10 @@ def test_of_elements_matches_per_element_powers(name, orthonormal):
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_folner_averages_match_reference(name):
     sysd = SYSTEMS[name]
-    _, rep = sysd.gns
     d = sysd.dimension
     x, y = np.eye(d)[:, 0], np.eye(d)[:, d - 1]
     for n in (1, 5, 40):
-        assert _close(rep.folner_mean(sysd.group, n), folner_mean_reference(sysd, n))
+        assert _close(folner_mean(sysd, n), folner_mean_reference(sysd, n))
         dev = cesaro_correlation(sysd, x, y, n).deviation
         assert abs(dev - cesaro_correlation_reference(sysd, x, y, n)) <= TOL
     ctx = mirror_context(sysd)
@@ -108,10 +108,10 @@ FOLNER_NS = (1, 2, 7, 8, 100, 1000)
 @pytest.mark.parametrize("name", DOUBLING_SYSTEMS)
 def test_folner_mean_by_doubling_matches_running_products(name):
     sysd = DOUBLING_SYSTEMS[name]
-    _, rep = sysd.gns
+    mats = sysd.generator_matrices
     for n in FOLNER_NS:
-        got = rep.folner_mean(sysd.group, n)
-        assert np.abs(got - folner_mean_running_reference(rep, sysd.group, n)).max() <= TOL, n
+        got = folner_mean(sysd, n)
+        assert np.abs(got - folner_mean_running_reference(mats, sysd.group, n)).max() <= TOL, n
 
 
 class _MatmulCounter(np.ndarray):
@@ -132,12 +132,12 @@ class _MatmulCounter(np.ndarray):
 @pytest.mark.parametrize("name", DOUBLING_SYSTEMS)
 def test_folner_mean_matmuls_grow_as_log_n(name):
     sysd = DOUBLING_SYSTEMS[name]
-    _, rep = sysd.gns
-    counted = UnitaryRep(matrices=[U.view(_MatmulCounter) for U in rep.matrices])
-    k = len(rep.matrices)
+    counted = SimpleNamespace(group=sysd.group, generator_matrices=[
+        U.view(_MatmulCounter) for U in sysd.generator_matrices])
+    k = len(sysd.generator_matrices)
     for n in FOLNER_NS + (4096,):
         _MatmulCounter.matmuls = 0
-        counted.folner_mean(sysd.group, n)
+        folner_mean(counted, n)
         box = len(sysd.group.folner_range(n))
         assert 1 <= _MatmulCounter.matmuls <= k * (3 * box.bit_length() + 2), (n, box)
 

@@ -187,8 +187,8 @@ def test_validation_and_gns_do_not_apply_generators(monkeypatch):
     for name in corpus.FINITE_SYSTEMS:
         sysd = corpus.system(name)
         assert validate_system(sysd).valid
-        space, rep = gns_construct(sysd)
-        assert len(rep.matrices) == len(sysd.generators)
+        gns_construct(sysd)
+        assert len(sysd.generator_matrices) == len(sysd.generators)
 
 
 def test_matrix_columns_are_images_of_basis_elements():
