@@ -24,7 +24,6 @@ import math
 import os
 import random
 import sys as _sys
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,10 +35,10 @@ from .dual import (
     classify_dual,
     correlation_series,
     opposite_group_joining,
+    orbit_kind_counts,
     ornstein_scan_dual,
     parse_combination,
     parse_pair_combination,
-    sample_element,
 )
 from .errors import (InputFormatError, InvalidSystemError, NcjoinError, StructureError,
                      UnsupportedGroupError)
@@ -385,28 +384,16 @@ def _dual_coherence(sysd: DualSystem, cls, samples: int, seed: int) -> dict:
     an ergodic group has no finite orbit but the identity's, and a compact
     one no infinite orbit.
 
-    Each distinct sample is checked once and counts as often as it was drawn.
+    The samples are counted by orbit kind as they are drawn, so each
+    violation count is read off the kind counts.
     """
-    rng = random.Random(seed)
-    finite_seen = infinite_seen = 0
-    violations = 0
-    drawn = Counter(sample_element(sysd, rng) for _ in range(samples))
-    for g, count in drawn.items():
-        cert = sysd.orbit_length(g)
-        if cert.kind == "finite":
-            finite_seen += count
-            if cls.ergodic and not sysd.is_identity(g):
-                violations += count
-        else:
-            infinite_seen += count
-            if cls.compact:
-                violations += count
+    finite, identity = orbit_kind_counts(sysd, random.Random(seed), samples)
     return {
         "samples": samples,
         "seed": seed,
-        "finite_orbits": finite_seen,
-        "infinite_orbits": infinite_seen,
-        "violations": violations,
+        "finite_orbits": finite,
+        "infinite_orbits": samples - finite,
+        "violations": cls.ergodic * (finite - identity) + cls.compact * (samples - finite),
     }
 
 

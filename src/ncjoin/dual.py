@@ -145,9 +145,6 @@ class TrackSpec:
     def advance(self, letter: Letter, n: int) -> Letter:
         return self.normalize((letter[0], letter[1] + n))
 
-    def is_cycle_letter(self, letter: Letter) -> bool:
-        return self.track(letter[0]).kind == "cycle"
-
     @property
     def cycle_tracks(self) -> tuple[Track, ...]:
         return tuple(t for t in self.tracks if t.kind == "cycle")
@@ -374,6 +371,11 @@ class DualSystem:
         return list(g.support)
 
     @functools.cached_property
+    def _shift_ids(self) -> frozenset[str]:
+        """Ids of the shift tracks: T moves a letter on one of them monotonically."""
+        return frozenset(t.id for t in self.spec.shift_tracks)
+
+    @functools.cached_property
     def _alphabet(self) -> tuple[Letter, ...]:
         """The normalized letters `sample_element` draws from."""
         letters = []
@@ -392,7 +394,7 @@ class DualSystem:
         """
         letters = self._letters_of(g)
         for letter in letters:
-            if not self.spec.is_cycle_letter(letter):
+            if letter[0] in self._shift_ids:
                 return OrbitCertificate(element=g, kind="infinite", escaping=letter)
         tracks = {tid for tid, _ in letters}
         lcm = 1
@@ -663,7 +665,7 @@ def _index_span(sys: DualSystem, c: PairCombination) -> int:
     letters by n: past this spread Tⁿ(w) = v fails on the square table of c
     for every w ≠ 1, since w has a shift letter (a lone letter permutes nothing)."""
     indices = [idx for (g, h) in c.keys() for elt in (g, h)
-               for tid, idx in sys._letters_of(elt) if not sys.spec.is_cycle_letter((tid, idx))]
+               for tid, idx in sys._letters_of(elt) if tid in sys._shift_ids]
     return max(indices) - min(indices) if indices else 0
 
 
@@ -779,43 +781,41 @@ def opposite_group_joining(sys: DualSystem) -> OppositeJoining:
 # sampling for the exact property checks
 
 
-def _below(bits, n: int) -> int:
-    """An integer in 0..n-1 drawn as `random.Random.randrange(n)` draws it:
-    n.bit_length() random bits, drawn again while they reach n."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
+def _free_codes(bits, size: int, max_len: int) -> list[int]:
+    """A reduced word of at most `max_len` letters over `size` letters, as codes
+    2·i + (sign < 0), drawn from `bits` = `rng.getrandbits` as `randrange` and
+    `choice` draw its length, letters and signs: n.bit_length() bits, drawn
+    again while they reach n. The letters are distinct, so code c ^ 1 inverts
+    code c, and the word is reduced as drawn, as `_reduce` does."""
+    if max_len < 0:
+        raise ValueError(f"empty range for randrange() (0, {max_len + 1}, {max_len + 1})")
+    n, kn, k = max_len + 1, (max_len + 1).bit_length(), size.bit_length()
+    length = bits(kn)
+    while length >= n:
+        length = bits(kn)
+    codes: list[int] = []
+    for _ in range(length):
+        i = bits(k)
+        while i >= size:
+            i = bits(k)
+        sign = bits(2)   # choice((1, -1)) draws below 2 from two bits
+        while sign >= 2:
+            sign = bits(2)
+        code = 2 * i + sign
+        if codes and codes[-1] == code ^ 1:
+            codes.pop()
+        else:
+            codes.append(code)
+    return codes
 
 
 def sample_element(sys: DualSystem, rng, max_len: int = 6):
-    """Random reduced word or finitary permutation, exact and seedable.
-
-    A word takes its length, letters and signs from `rng.getrandbits` by
-    the rejection rule of `randrange` and `choice`, so it is the word those
-    calls would draw from the same stream, without their per-call overhead.
-    """
+    """Random reduced word (drawn by `_free_codes`) or finitary permutation
+    (by `randrange`, `sample` and `shuffle`), exact and seedable."""
     letters = sys._alphabet
     if sys.family == "free":
-        bits = rng.getrandbits
-        size, k = len(letters), len(letters).bit_length()
-        word = []
-        for _ in range(_below(bits, max_len + 1)):
-            # `_below` inlined for the letter and the sign: two calls per
-            # letter cost about a tenth of a 2,000-sample `dual classify`
-            i = bits(k)
-            while i >= size:
-                i = bits(k)
-            sign = bits(2)   # choice((1, -1)) draws below 2 from two bits
-            while sign >= 2:
-                sign = bits(2)
-            e = 1 - 2 * sign
-            if word and word[-1] == (letters[i], -e):   # reduced as drawn, as `_reduce` does
-                word.pop()
-            else:
-                word.append((letters[i], e))
-        return tuple(word)
+        return tuple((letters[c >> 1], 1 - 2 * (c & 1))
+                     for c in _free_codes(rng.getrandbits, len(letters), max_len))
     k = rng.randrange(0, min(max_len, len(letters)) + 1)
     if k < 2:
         return IDENTITY_PERM
@@ -823,6 +823,26 @@ def sample_element(sys: DualSystem, rng, max_len: int = 6):
     images = chosen[:]
     rng.shuffle(images)
     return FinPerm(tuple(zip(chosen, images)))
+
+
+def orbit_kind_counts(sys: DualSystem, rng, samples: int, max_len: int = 6) -> tuple[int, int]:
+    """(finite, identity): how many of `samples` elements, drawn from `rng` as
+    `sample_element` draws them, have a finite orbit, and how many are the identity.
+
+    An orbit is finite exactly when no letter lies on a shift track, the rule
+    `DualSystem.orbit_length` certifies: a free word is tested by its codes,
+    with no word built, and a permutation by its support.
+    """
+    letters, bits, free = sys._alphabet, rng.getrandbits, sys.family == "free"
+    escaping = {code for i, letter in enumerate(letters) if letter[0] in sys._shift_ids
+                for code in ((2 * i, 2 * i + 1) if free else (letter,))}
+    finite = identity = 0
+    for _ in range(samples):
+        drawn = (_free_codes(bits, len(letters), max_len) if free
+                 else sample_element(sys, rng, max_len).support)
+        finite += escaping.isdisjoint(drawn)
+        identity += not drawn
+    return finite, identity
 
 
 def _terms(text: str):

@@ -19,7 +19,9 @@ product structure. A context builds its tangent space once, with at most one
 SVD. The joining battery reads the generators' coordinate
 matrices, so `joinings diagonal` builds no GNS data of the mirror, and
 the asymptotic abelianness profile, which reads only those, builds none.
-`dual classify --samples` classifies the group once.
+`dual classify --samples` classifies the group once, and on a free group
+it counts the orbit kinds of the samples without building an element or
+an orbit certificate.
 """
 
 import importlib.util
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncjoin import cli, corpus, fileio, gns, joinings
+from ncjoin import cli, corpus, dual, fileio, gns, joinings
 from ncjoin.algebra import (
     BlockStructure,
     cyclic_rotation_system,
@@ -268,6 +270,31 @@ def test_dual_classify_with_samples_classifies_once(monkeypatch):
     """The sampled coherence check reads the classification of the report."""
     assert _calls(monkeypatch, cli, "classify_dual",
                   "dual classify --group corpus:dual_shift --samples 5") == 1
+
+
+@pytest.mark.parametrize("name,built", [("dual_shift", 0), ("dual_finperm_shift", 2000)])
+def test_sampled_coherence_proves_no_certificate(monkeypatch, name, built):
+    """The coherence count classifies each sample as drawn: a free word stays
+    int codes, so 2,000 samples build no element, and no sample gets an orbit
+    certificate. A permutation is drawn by `sample_element`, one call each."""
+    calls = Counter()
+
+    def counted(attr, original):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    sampler = counted("sample_element", dual.sample_element)
+    with monkeypatch.context() as m:
+        m.setattr(dual, "sample_element", sampler)
+        m.setattr(cli, "sample_element", sampler, raising=False)   # a CLI-side import counts too
+        m.setattr(DualSystem, "orbit_length",
+                  counted("orbit_length", DualSystem.orbit_length))
+        _, code = cli.run(["dual", "classify", "--group", f"corpus:{name}",
+                           "--samples", "2000", "--seed", "1"])
+    assert code == 0
+    assert (calls["sample_element"], calls["orbit_length"]) == (built, 0)
 
 
 def _solver_calls(monkeypatch, ctx, objective):

@@ -19,6 +19,7 @@ from ncjoin.dual import (
     format_perm,
     format_word,
     opposite_group_joining,
+    orbit_kind_counts,
     ornstein_scan_dual,
     parse_combination,
     parse_pair_combination,
@@ -413,19 +414,31 @@ EDGE_ALPHABETS = {
 }
 
 
+def _sampled_system(name):
+    if name in EDGE_ALPHABETS:
+        return DualSystem("free", TrackSpec(EDGE_ALPHABETS[name]))
+    return corpus.dual(name).system
+
+
 @pytest.mark.parametrize("name", list(corpus.DUAL_SYSTEMS) + list(EDGE_ALPHABETS))
 def test_sampler_matches_reference(name):
-    """Same elements, and the same stream consumed, for lengths up to 0, 1, 7 and 8 too."""
-    if name in EDGE_ALPHABETS:
-        sysd = DualSystem("free", TrackSpec(EDGE_ALPHABETS[name]))
-    else:
-        sysd = corpus.dual(name).system
+    """Same elements, and the same stream consumed, for lengths up to 0, 1, 7 and 8 too;
+    the orbit kind counts are those of the same elements."""
+    sysd = _sampled_system(name)
+    max_lens = (6, 3, 6, 0, 1, 7, 8)
     for seed in (0, 1, 7, 42):
         ours, ref = random.Random(seed), random.Random(seed)
-        for max_len in (6, 3, 6, 0, 1, 7, 8):
+        for max_len in max_lens:
             for _ in range(100):
                 assert sample_element(sysd, ours, max_len) == sample_element_reference(
                     sysd, ref, max_len)
+            assert ours.getstate() == ref.getstate()
+        ours, ref = random.Random(seed), random.Random(seed)
+        for max_len in max_lens:
+            drawn = [sample_element_reference(sysd, ref, max_len) for _ in range(100)]
+            assert orbit_kind_counts(sysd, ours, 100, max_len) == (
+                sum(sysd.orbit_length(g).kind == "finite" for g in drawn),
+                sum(sysd.is_identity(g) for g in drawn))
             assert ours.getstate() == ref.getstate()
         if name in EDGE_ALPHABETS:
             continue
@@ -440,15 +453,26 @@ def test_sampler_matches_reference(name):
             kinds.count("finite"), kinds.count("infinite"))
 
 
-@pytest.mark.parametrize("name", corpus.DUAL_SYSTEMS)
+@pytest.mark.parametrize("name", list(corpus.DUAL_SYSTEMS) + list(EDGE_ALPHABETS))
 def test_coherence_matches_per_sample_loop(name):
-    """Checking each distinct sample once gives the per-sample counts."""
-    sysd = corpus.dual(name).system
+    """Counting the samples by orbit kind as they are drawn gives the per-sample counts."""
+    sysd = _sampled_system(name)
     cls = classify_dual(sysd)
     for seed in (0, 5, 19):
-        for samples in (1, 400):
+        for samples in (1, 400, 2000):
             assert cli._dual_coherence(sysd, cls, samples, seed) == dual_coherence_reference(
                 sysd, samples, seed)
+
+
+@pytest.mark.parametrize("name", corpus.DUAL_SYSTEMS)
+def test_sampler_rejects_negative_length(name):
+    """A negative length bound is an empty range for both families, as for `randrange`."""
+    sysd = corpus.dual(name).system
+    for draw in (lambda rng: sample_element(sysd, rng, -1),
+                 lambda rng: sample_element_reference(sysd, rng, -1),
+                 lambda rng: orbit_kind_counts(sysd, rng, 5, -1)):
+        with pytest.raises(ValueError, match="empty range"):
+            draw(random.Random(0))
 
 
 def test_correlation_series_empty_support(dual_shift):
