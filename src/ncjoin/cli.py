@@ -436,10 +436,11 @@ def _cmd_dual_correlations(args):
     b = parse_combination(sysd, df.resolve_text(args.b))
     window = _parse_window(args.n)
     series = correlation_series(sysd, a, b, window)
+    text = {key: str(v) for key, v in {id(v): v for v in series.centered + series.raw}.items()}
     results = {
         "n": list(series.ns),
-        "centered": [str(v) for v in series.centered],
-        "raw": [str(v) for v in series.raw],
+        "centered": [text[id(v)] for v in series.centered],
+        "raw": [text[id(v)] for v in series.raw],
         "cauchy_schwarz_ok": series.bound_satisfied(),
     }
     return {"group": rec}, results, [], "ok"

@@ -521,9 +521,9 @@ class CorrelationSeries:
     norm_b2: Fraction
 
     def bound_satisfied(self) -> bool:
-        """Cauchy-Schwarz: |centered value|² ≤ ‖a‖₂²‖b‖₂², exactly, per distinct value."""
+        """Cauchy-Schwarz: |centered value|² ≤ ‖a‖₂²‖b‖₂², exactly, per distinct object."""
         cap = self.norm_a2 * self.norm_b2
-        return all(v.abs2() <= cap for v in set(self.centered))
+        return all(v.abs2() <= cap for v in {id(v): v for v in self.centered}.values())
 
 
 def _shift_times(sys: DualSystem, w, v) -> tuple[int, int] | None:
@@ -560,9 +560,9 @@ def _window_sums(sys: DualSystem, table: dict, ns, finish=lambda total: total) -
     """finish(Σ of the coefficients whose key (w, v) has T^n(w) = v) for each n of ns.
 
     Each key's shift times are solved once; the periodic ones are summed
-    into one residue row per period. The sum at n depends only on n's
-    residues and on whether n is a single shift time, so each distinct sum
-    is added up and finished once, and the n that share it share the object.
+    into one residue row per period. The sum at n depends only on n modulo
+    the lcm of the periods and on whether n is a single shift time, so each
+    distinct sum is finished once, and the n that share it share the object.
     """
     single: dict[int, QQi] = {}
     rows: dict[int, list[QQi]] = {}
@@ -576,12 +576,13 @@ def _window_sums(sys: DualSystem, table: dict, ns, finish=lambda total: total) -
         else:
             row = rows.setdefault(p, [QQi()] * p)
             row[r] = row[r] + coef
+    lcm = math.lcm(*rows)
     finished: dict = {}
     out = []
     for n in ns:
-        key = (tuple(n % p for p in rows), n if n in single else None)
+        key = (n,) if n in single else n % lcm
         if key not in finished:
-            finished[key] = finish(sum((row[k] for row, k in zip(rows.values(), key[0])),
+            finished[key] = finish(sum((row[n % p] for p, row in rows.items()),
                                        single.get(n, QQi())))
         out.append(finished[key])
     return out
@@ -691,8 +692,9 @@ def ornstein_scan_dual(sys: DualSystem, test_set, n_range,
                        labels=None) -> DualOrnsteinScan:
     """Exact ratios Δ_n(c*c) / Σ|c|² over a window, with escape analysis.
 
-    Each combination's square table is built once and the shift times of
-    each of its keys are solved once, so a window costs one lookup per n.
+    Each combination's square table is built, and its keys' shift times
+    solved, once: a window costs a lookup per n and a comparison per
+    distinct ratio.
 
     On a strongly mixing system only the identity has a finite orbit, so
     the support of any nonidentity element escapes: past the index span of
@@ -700,11 +702,13 @@ def ornstein_scan_dual(sys: DualSystem, test_set, n_range,
     is exactly one. The report records that bound and the scan verifies it
     on the window; a non-mixing system recurs and gets no bound.
     """
+    ns = list(n_range)
+    if not ns:
+        raise ValueError("empty scan window")
     mixing = classify_dual(sys).strongly_mixing
     labels = labels or [f"element {k}" for k in range(len(test_set))]
     reports, skipped = [], []
     max_limsup = Fraction(0)
-    ns = list(n_range)
     for c, label in zip(test_set, labels):
         denom = _norm2_squared(c)
         if denom == 0:
@@ -713,12 +717,14 @@ def ornstein_scan_dual(sys: DualSystem, test_set, n_range,
         table = _square_table(sys, c)
         ratios = list(zip(ns, _window_sums(
             sys, table, ns, lambda total: _real_square(total) / denom)))
-        limsup = max(r for _, r in ratios)
+        distinct = {id(r): r for _, r in ratios}
+        limsup = max(distinct.values())
         bound = _index_span(sys, c) if mixing else None
         eventual = Fraction(1) if mixing else None
         if mixing:
+            off = {key for key, r in distinct.items() if r != 1}
             for n, r in ratios:
-                if n > bound and r != 1:
+                if n > bound and id(r) in off:
                     raise NcjoinError(
                         f"escape bound violated for {label} at n = {n}: ratio {r}")
         max_limsup = max(max_limsup, limsup)

@@ -666,32 +666,31 @@ class ModularData:
         return self.conj_matrix @ np.asarray(coords, dtype=complex).conj()
 
     def sigma(self, t: float, a: AlgebraElement) -> AlgebraElement:
-        rho_it = _density_power(self.system, 1j * t)
-        rho_mit = _density_power(self.system, -1j * t)
+        rho_it, rho_mit = _density_powers(self.system, 1j * t, -1j * t)
         return rho_it @ a @ rho_mit
 
 
-def _density_power(sys: FiniteSystem, z: complex) -> AlgebraElement:
-    """ρ^z from one batched eigendecomposition per block size."""
-    coords = np.empty(sys.dimension, dtype=complex)
+def _density_powers(sys: FiniteSystem, *zs: complex) -> list[AlgebraElement]:
+    """ρ^z for each z of zs, from one batched eigendecomposition per block size."""
+    coords = np.empty((len(zs), sys.dimension), dtype=complex)
     for g, x in zip(sys.structure.size_groups, sys.state.stacks()):
         vals, vecs = np.linalg.eigh((x + x.conj().swapaxes(-1, -2)) / 2)
-        # a diagonal factor, not a column scaling: for real z this rounds exactly
-        # as the per-block reference in tests/oracles.py
-        diag = np.exp(z * np.log(vals))[:, :, None] * np.eye(g.size)
-        coords[g.units] = (vecs @ diag @ vecs.conj().swapaxes(-1, -2)).reshape(len(x), -1)
-    return sys.structure.from_coords(coords)
+        for out, z in zip(coords, zs):
+            # a diagonal factor, not a column scaling: for real z this rounds
+            # exactly as the per-block reference in tests/oracles.py
+            diag = np.exp(z * np.log(vals))[:, :, None] * np.eye(g.size)
+            out[g.units] = (vecs @ diag @ vecs.conj().swapaxes(-1, -2)).reshape(len(x), -1)
+    return [sys.structure.from_coords(out) for out in coords]
 
 
 def _modular_conjugation(sys: FiniteSystem) -> np.ndarray:
     """Column j: coordinates of ρ^{1/2}·e_j*·ρ^{-1/2}, with e_j* = transpose(e_j)."""
-    return sandwich_matrix(_density_power(sys, 0.5),
-                           _density_power(sys, -0.5))[:, sys.structure.adjoint_indices]
+    return sandwich_matrix(*_density_powers(sys, 0.5, -0.5))[:, sys.structure.adjoint_indices]
 
 
 def modular_data(sys: FiniteSystem) -> ModularData:
     require_valid(sys)
-    delta = sandwich_matrix(sys.state.density_element(), _density_power(sys, -1))
+    delta = sandwich_matrix(sys.state.density_element(), *_density_powers(sys, -1))
     return ModularData(system=sys, delta_matrix=delta, conj_matrix=sys.mirror.twist)
 
 

@@ -871,8 +871,12 @@ def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
         reports.append(OrnsteinElementReport(
             element_label=label, denominator=denom, rows=rows, sup_ratio=sup))
 
-    # the first p with ‖U^p − 1‖ < 1e-9, from one batched norm over the powers 1..max
-    recur = _operator_norms(table[1 - lo:] - np.eye(ctx.dim_a)) < 1e-9
+    # the first p with ‖U^p − 1‖₂ < 1e-9: as ‖·‖₂ ≤ ‖·‖_F ≤ √d‖·‖₂, only the band takes an SVD
+    X = table[1 - lo:] - np.eye(ctx.dim_a)
+    frob = np.linalg.norm(X, axis=(1, 2))
+    recur, band = frob < 1e-9, (frob >= 1e-9) & (frob < np.sqrt(ctx.dim_a) * 1e-9)
+    if band.any():
+        recur[band] = _operator_norms(X[band]) < 1e-9
     period = int(np.argmax(recur)) + 1 if recur.any() else None
     return OrnsteinScan(reports=reports, period=period, skipped=skipped,
                         sup_ratio=overall)

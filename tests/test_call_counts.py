@@ -21,12 +21,14 @@ matrices, so `joinings diagonal` builds no GNS data of the mirror, and
 the asymptotic abelianness profile, which reads only those, builds none.
 `dual classify --samples` classifies the group once, and on a free group
 it counts the orbit kinds of the samples without building an element or
-an orbit certificate.
+an orbit certificate. The exact dual scans print and compare each distinct
+value of a window once.
 """
 
 import importlib.util
 import json
 from collections import Counter
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
@@ -41,7 +43,7 @@ from ncjoin.algebra import (
     single_block_system,
     validate_system,
 )
-from ncjoin.dual import DualSystem
+from ncjoin.dual import DualSystem, QQi
 from ncjoin.errors import InvalidSystemError
 from ncjoin.gns import classify_finite, mirror_system
 from ncjoin.joinings import (
@@ -112,6 +114,11 @@ WINDOW_PAIRS = [
     (DualSystem, "apply_T",
      "dual correlations --group corpus:dual_mixed --a x0;y1 --b x3^-1;y0^-1 --n 0..8",
      "dual correlations --group corpus:dual_mixed --a x0;y1 --b x3^-1;y0^-1 --n 0..512"),
+    (QQi, "__str__", "dual correlations --group corpus:dual_shift --a x0 --b x5^-1 --n 0..64",
+     "dual correlations --group corpus:dual_shift --a x0 --b x5^-1 --n 0..512"),
+    (QQi, "__str__",
+     "dual correlations --group corpus:dual_mixed --a x0;y1 --b x3^-1;y0^-1 --n 0..64",
+     "dual correlations --group corpus:dual_mixed --a x0;y1 --b x3^-1;y0^-1 --n 0..512"),
     (np.linalg, "matrix_power", "average --system corpus:c3 --x 0 --y 0 --N 10",
      "average --system corpus:c3 --x 0 --y 0 --N 1000"),
     (np.linalg, "matrix_power", "average --system corpus:pauli --x 1 --y 2 --N 10",
@@ -146,8 +153,37 @@ def test_window_independent_work_does_not_grow(monkeypatch, owner, attr, small, 
     assert _calls(monkeypatch, owner, attr, large) == count
 
 
+@pytest.mark.parametrize("group", ["dual_cycle2", "dual_shift"])
+def test_ratio_scan_compares_each_distinct_ratio_once(monkeypatch, group):
+    """The limsup and, on the strongly mixing dual_shift, the escape check
+    compare the distinct ratios, which a longer window does not add to."""
+    calls = Counter()
+
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            calls["comparisons"] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    def comparisons(window):
+        calls.clear()
+        with monkeypatch.context() as m:
+            for attr in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+                m.setattr(Fraction, attr, counted(getattr(Fraction, attr)))
+            _, code = cli.run(["dual", "ornstein", "--group", f"corpus:{group}",
+                               "--window", window])
+        assert code == 0
+        return calls["comparisons"]
+
+    count = comparisons("0..64")
+    assert count >= 1
+    assert comparisons("0..512") == count
+
+
 def test_period_search_norms_do_not_grow(monkeypatch, tmp_path):
-    """The period search takes one batched SVD, also where it finds no period.
+    """The period search takes at most one batched SVD, also where it finds
+    no period: the Frobenius norms decide every power outside the band
+    [1e-9, √d·1e-9), and the SVD covers only the powers in the band.
 
     A generic Ad(u) on M3 has no exact period, so the search covers the
     whole window.

@@ -1,10 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from ncjoin import cli, fileio
+from ncjoin import cli, dual, fileio
 from ncjoin.dual import (
     CorrelationSeries,
     DualSystem,
@@ -32,7 +33,7 @@ from ncjoin.dual import (
     _shift_times,
 )
 from ncjoin import corpus
-from ncjoin.errors import InputFormatError
+from ncjoin.errors import InputFormatError, NcjoinError
 from oracles import (correlation_reference, delta_n_reference, dual_coherence_reference,
                      sample_element_reference)
 
@@ -630,6 +631,78 @@ def test_square_table_matches_pair_loop(name):
         assert scan.reports[0].denominator == denom
         assert scan.reports[0].ratios == [
             (n, ref.square_value / denom) for n, ref in zip(window, refs)]
+
+
+# the scanned groups: on the free group with cycles of 7, 11 and 13 letters
+# the residue rows of a scan can have lcm 1001, longer than any window
+SCAN_SYSTEMS = dict(DUAL_SYSTEMS, free_7_11_13_shift=DualSystem("free", TrackSpec((
+    Track("x", "cycle", 7), Track("y", "cycle", 11), Track("z", "cycle", 13),
+    Track("s", "shift")))))
+
+
+@pytest.mark.parametrize("name", SCAN_SYSTEMS)
+def test_dual_scans_match_per_n_references(monkeypatch, name):
+    """The window scans and their readers against the per-n loops: windows
+    with negative starts, and one-n windows at single shift times.
+
+    The escape check is run with a claimed bound on every group, mixing or
+    not, so that it meets ratios other than one: it must raise at the first
+    n past the bound whose reference ratio is not one, and only then."""
+    sysd = SCAN_SYSTEMS[name]
+    rng = random.Random(sum(map(ord, name)) + 3)
+    for _ in range(6):
+        a, b = _random_combination(sysd, rng), _random_combination(sysd, rng)
+        c = _random_pair_combination(sysd, rng)
+        # for each element g of a, and each first leg g of c, a term that meets
+        # T^n(g) at a random n: a single shift time when g escapes, else a residue
+        times = [rng.randint(-40, 40) for _ in range(len(a) + len(c))]
+        for g, n in zip(list(a), times):
+            h = sysd.inverse(sysd.apply_T(g, n))
+            b[h] = b.get(h, QQi()) + QQi(Fraction(rng.randint(1, 6), rng.randint(1, 5)))
+        for (g, _), n in zip(list(c), times[len(a):]):
+            key = (g, sysd.apply_T(g, n))
+            c[key] = c.get(key, QQi()) + QQi(Fraction(rng.randint(1, 6), rng.randint(1, 5)))
+        for window in (range(-25, 31), range(-61, -44), range(times[0], times[0] + 1),
+                       range(times[-1], times[-1] + 1)):
+            series = correlation_series(sysd, a, b, window)
+            raw, centered = correlation_reference(sysd, a, b, window)
+            assert (series.ns, series.raw, series.centered) == (list(window), raw, centered)
+            cap = series.norm_a2 * series.norm_b2
+            assert series.bound_satisfied() == all(v.abs2() <= cap for v in centered)
+
+            refs = [delta_n_reference(sysd, c, n) for n in window]
+            denom = refs[0].product_square
+            ratios = [(n, ref.square_value / denom) for n, ref in zip(window, refs)]
+            scan = ornstein_scan_dual(sysd, [c], window, labels=["c"])
+            rep = scan.reports[0]
+            assert (rep.denominator, rep.ratios) == (denom, ratios)
+            assert rep.limsup_window == max(r for _, r in ratios) == scan.max_limsup
+            assert (rep.escape_bound is None) == (not scan.strongly_mixing)
+
+            bound = rng.randint(window.start - 1, window.stop)
+            first = next(((n, r) for n, r in ratios if n > bound and r != 1), None)
+            with monkeypatch.context() as m:
+                m.setattr(dual, "classify_dual", lambda _: SimpleNamespace(strongly_mixing=True))
+                m.setattr(dual, "_index_span", lambda *_: bound)
+                if first is None:
+                    assert ornstein_scan_dual(sysd, [c], window).reports[0].escape_bound == bound
+                    continue
+                with pytest.raises(NcjoinError) as err:
+                    ornstein_scan_dual(sysd, [c], window, labels=["c"])
+            assert str(err.value) == (
+                f"escape bound violated for c at n = {first[0]}: ratio {first[1]}")
+
+
+def test_ornstein_scan_rejects_an_empty_window(monkeypatch, dual_shift):
+    """An empty window raises before any square table is built, as the
+    finite ratio scan does."""
+    def built(*_):
+        raise AssertionError("square table built for an empty window")
+
+    monkeypatch.setattr(dual, "_square_table", built)
+    c = parse_pair_combination(dual_shift, "x0 | x0")
+    with pytest.raises(ValueError, match="^empty scan window$"):
+        ornstein_scan_dual(dual_shift, [c], range(0))
 
 
 # ---------------------------------------------------------------------------

@@ -411,7 +411,7 @@ def test_twist_is_read_only_and_is_the_modular_conjugation():
 
 def test_coordinate_matrices_match_basis_loops():
     # the block-Kronecker forms do the arithmetic of the per-basis products exactly
-    from ncjoin.gns import _density_power
+    from ncjoin.gns import _density_powers
 
     for name in corpus.FINITE_SYSTEMS:
         sysd = corpus.system(name)
@@ -420,7 +420,7 @@ def test_coordinate_matrices_match_basis_loops():
         def columns(f):
             return np.column_stack([f(e).coords() for e in basis])
 
-        half, mhalf, inv = (_density_power(sysd, z) for z in (0.5, -0.5, -1))
+        half, mhalf, inv = _density_powers(sysd, 0.5, -0.5, -1)
         rho = sysd.state.density_element()
         md, m = modular_data(sysd), mirror_system(sysd)
         assert np.array_equal(m.twist, columns(lambda e: half @ e.transpose() @ mhalf)), name

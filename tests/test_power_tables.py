@@ -12,9 +12,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ncjoin import cli, corpus
-from ncjoin.algebra import (FiniteSystem, GroupDescriptor, cyclic_rotation_system,
-                            single_block_system, uniform_state)
+from ncjoin import cli, corpus, joinings
+from ncjoin.algebra import (FiniteSystem, GroupDescriptor, _operator_norms,
+                            cyclic_rotation_system, single_block_system, uniform_state)
 from ncjoin.gns import (asymptotic_abelianness_profile, cesaro_correlation, compactness_net,
                         element_matrices, folner_mean)
 from ncjoin.joinings import (_diagonal_values, cesaro_diagonal_average, mirror_context,
@@ -162,6 +162,26 @@ def test_ornstein_scan_matches_reference(name):
                 assert row.n == n
                 assert abs(row.delta_value - value) <= TOL * denom
                 assert abs(row.ratio - value / denom) <= TOL
+
+
+@pytest.mark.parametrize("eps,period", [(0.8e-9, 1), (1.2e-9, None)])
+def test_period_search_decides_the_frobenius_band(monkeypatch, eps, period):
+    """Ad(diag(1, e^{iε})) on M2: U − 1 has two singular values |e^{iε} − 1| = ε,
+    so its Frobenius norm √2·ε lies in the band [1e-9, √d·1e-9) with d = 4,
+    where only the operator norm decides. U¹ recurs at ε = 0.8e-9 and no
+    power does at 1.2e-9; every higher power lies above the band."""
+    sysd = single_block_system(np.diag([1, np.exp(1j * eps)]))
+    ctx = mirror_context(sysd)
+    stacks = []
+
+    def recorded(stack):
+        stacks.append(len(stack))
+        return _operator_norms(stack)
+
+    monkeypatch.setattr(joinings, "_operator_norms", recorded)
+    scan = ornstein_ratio_scan(ctx, [ctx.basis_pair(0, 0)], range(0, 17))
+    assert scan.period == period == recurrence_period_reference(sysd, 16)
+    assert stacks == [1]
 
 
 def test_ornstein_negative_window_command():
