@@ -128,12 +128,9 @@ class BlockStructure:
         return sum(self.block_sizes)
 
     @cached_property
-    def _offsets(self) -> tuple[int, ...]:
-        return tuple(itertools.accumulate((n * n for n in self.block_sizes[:-1]), initial=0))
-
     def offsets(self) -> tuple[int, ...]:
         """Canonical index of the first matrix unit of every block."""
-        return self._offsets
+        return tuple(itertools.accumulate((n * n for n in self.block_sizes[:-1]), initial=0))
 
     @cached_property
     def size_groups(self) -> tuple[SizeGroup, ...]:
@@ -141,7 +138,7 @@ class BlockStructure:
         by_size: dict[int, list[int]] = {}
         for k, n in enumerate(self.block_sizes):
             by_size.setdefault(n, []).append(k)
-        offs = self.offsets()
+        offs = self.offsets
         return tuple(
             SizeGroup(n, np.array(ks), np.array([offs[k] for k in ks])[:, None] + np.arange(n * n))
             for n, ks in by_size.items())
@@ -150,7 +147,7 @@ class BlockStructure:
         n = self.block_sizes[block] if 0 <= block < self.num_blocks else 0
         if not (0 <= row < n and 0 <= col < n):
             raise IndexError(f"basis address {block, row, col} out of range for {self.block_sizes}")
-        return self.offsets()[block] + row * n + col
+        return self.offsets[block] + row * n + col
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.dimension:
@@ -159,19 +156,16 @@ class BlockStructure:
     def basis_address(self, i: int) -> tuple[int, int, int]:
         """Inverse of basis_index: canonical index -> (block, row, col)."""
         self._check_index(i)
-        return tuple(int(x[i]) for x in self.addresses())
+        return tuple(int(x[i]) for x in self.addresses)
 
     @cached_property
-    def _addresses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        sizes = np.array(self.block_sizes)
-        k = np.repeat(np.arange(self.num_blocks), sizes ** 2)
-        local = np.arange(self.dimension) - np.array(self.offsets())[k]
-        return k, local // sizes[k], local % sizes[k]
-
     def addresses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(block, row, col) arrays of every canonical index; basis_address, vectorized.
         Computed once per structure and shared: callers do not write to them."""
-        return self._addresses
+        sizes = np.array(self.block_sizes)
+        k = np.repeat(np.arange(self.num_blocks), sizes ** 2)
+        local = np.arange(self.dimension) - np.array(self.offsets)[k]
+        return k, local // sizes[k], local % sizes[k]
 
     @cached_property
     def block_mask(self) -> np.ndarray:
@@ -183,16 +177,12 @@ class BlockStructure:
     @cached_property
     def adjoint_indices(self) -> np.ndarray:
         """Index of the adjoint (matrix-unit transpose) of every basis element."""
-        k, r, c = self.addresses()
-        return np.array(self.offsets())[k] + c * np.array(self.block_sizes)[k] + r
-
-    def adjoint_index(self, i: int) -> int:
-        """Index of the adjoint of basis element i."""
-        return int(self.adjoint_indices[i])
+        k, r, c = self.addresses
+        return np.array(self.offsets)[k] + c * np.array(self.block_sizes)[k] + r
 
     @cached_property
     def _identity_coords(self) -> np.ndarray:
-        _, r, c = self.addresses()
+        _, r, c = self.addresses
         return (r == c).astype(complex)
 
     def zero(self) -> "AlgebraElement":
@@ -283,7 +273,7 @@ class AlgebraElement:
     @cached_property
     def blocks(self) -> list[np.ndarray]:
         v, s = self._coords, self.structure
-        return [v[off:off + n * n].reshape(n, n) for off, n in zip(s.offsets(), s.block_sizes)]
+        return [v[off:off + n * n].reshape(n, n) for off, n in zip(s.offsets, s.block_sizes)]
 
     def _check_same(self, other: "AlgebraElement"):
         if self.structure.block_sizes != other.structure.block_sizes:
@@ -445,7 +435,7 @@ class Automorphism:
         other block is zero.
         """
         s = self.structure
-        source = np.array(s.offsets())[list(self.block_perm)]   # first unit of the input block
+        source = np.array(s.offsets)[list(self.block_perm)]   # first unit of the input block
         out = np.zeros((s.dimension,) * 2, dtype=complex)
         for g, u in zip(s.size_groups, self.stacks()):
             read = source[g.blocks, None] + np.arange(g.size ** 2)
@@ -589,19 +579,6 @@ class FiniteSystem:
         from . import gns
         return gns.mirror_system(self)
 
-    def element_automorphism(self, g: tuple[int, ...]) -> Automorphism:
-        """Automorphism of a group element given as exponents of the generators.
-
-        Evaluated as the ordered product of generator powers; generators of
-        Z^k are validated to commute so the order is immaterial.
-        """
-        if len(g) != len(self.generators):
-            raise DimensionMismatchError("group element arity mismatch")
-        out = identity_automorphism(self.structure)
-        for gen, e in zip(self.generators, g):
-            out = out.compose(gen.power(e))
-        return out
-
 
 @dataclass
 class Violation:
@@ -698,16 +675,6 @@ def require_valid(sys: FiniteSystem) -> None:
     """Raise InvalidSystemError unless the system's (cached) report is clean."""
     if not sys.validation.valid:
         raise InvalidSystemError(sys.validation)
-
-
-def state_eval(state: FaithfulState, a: AlgebraElement) -> complex:
-    """Evaluate trace(ρ a). Linear; returns 1 on the identity."""
-    return state.value(a)
-
-
-def apply_automorphism(alpha: Automorphism, a: AlgebraElement) -> AlgebraElement:
-    """Apply u · perm(a) · u*."""
-    return alpha.apply(a)
 
 
 def cyclic_rotation_system(points: int, state_weights=None) -> FiniteSystem:

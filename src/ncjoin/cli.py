@@ -6,10 +6,10 @@ inputs and seed give byte-identical output. Each command takes only the
 options its handler reads: --format everywhere, the solver's --max-iter
 and --width on `joinings find` and `joinings disjoint`, and --seed on
 `dual classify`. Exit codes: 0 success, 1 internal invariant violation,
-2 malformed input (non-finite entries, out-of-range arguments, empty
-windows, unsupported groups, options a command does not take), 3
-inconclusive solver verdict. A reader that closes the output early, as
-`| head` does, ends the command quietly with its own exit code.
+2 malformed input (unreadable files, non-finite entries, out-of-range
+arguments, empty windows, unsupported groups, options a command does not
+take), 3 inconclusive solver verdict. A reader that closes the output
+early, as `| head` does, ends the command quietly with its own exit code.
 
 Input files may be replaced by corpus references like ``corpus:c3``.
 """
@@ -140,10 +140,15 @@ def _load_source(ref: str) -> tuple[str, str]:
     if ref.startswith("corpus:"):
         name = ref.split(":", 1)[1]
         return ref, corpus.text(name)
-    p = Path(ref)
-    if not p.exists():
-        raise InputFormatError(f"no such file: {ref}")
-    return ref, p.read_text()
+    try:
+        return ref, Path(ref).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFormatError(f"cannot read {ref}: {_reason(exc)}") from exc
+
+
+def _reason(exc: Exception) -> str:
+    """An OS error's own message without its errno and path; else the error's text."""
+    return getattr(exc, "strerror", None) or str(exc)
 
 
 def _load_system(ref: str):
@@ -552,7 +557,10 @@ def _cmd_corpus(args):
     else:   # "export", the parser's last choice
         if not args.name:
             raise InputFormatError("corpus export needs a target directory")
-        results = {"written": corpus.export(args.name)}
+        try:
+            results = {"written": corpus.export(args.name)}
+        except OSError as exc:
+            raise InputFormatError(f"cannot export to {args.name}: {_reason(exc)}") from exc
     return {}, results, [], "ok"
 
 

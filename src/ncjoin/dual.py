@@ -177,7 +177,7 @@ def _reduce(seq) -> FreeWord:
     return tuple(stack)
 
 
-def word_multiply(spec: TrackSpec, w1: FreeWord, w2: FreeWord) -> FreeWord:
+def word_multiply(w1: FreeWord, w2: FreeWord) -> FreeWord:
     return _reduce(list(w1) + list(w2))
 
 
@@ -339,7 +339,7 @@ class DualSystem:
 
     def multiply(self, a, b):
         if self.family == "free":
-            return word_multiply(self.spec, a, b)
+            return word_multiply(a, b)
         return a.compose(b)
 
     def inverse(self, a):

@@ -465,8 +465,6 @@ def cesaro_correlation(sys: FiniteSystem, x, y, n: int) -> CesaroResult:
     non-ergodic system is allowed but flagged, since the limit need not be
     the rank-one value there.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     space = sys.gns
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -586,8 +584,8 @@ def spectral_atoms(u: AlgebraElement):
     return out
 
 
-def spectral_interval_projection(sys: FiniteSystem, u: AlgebraElement,
-                                 theta1: float, theta2: float) -> AlgebraElement:
+def spectral_interval_projection(u: AlgebraElement, theta1: float,
+                                 theta2: float) -> AlgebraElement:
     """Sum of the spectral projections of u with argument in (theta1, theta2].
 
     Arguments of unitary eigenvalues live in (-pi, pi], so theta1 = -pi is
@@ -618,28 +616,34 @@ def verify_spectral_covariance(sys: FiniteSystem, u: AlgebraElement, chi: comple
     Requires a Z action with α(u) = χ u already established; that
     precondition is re-checked. The grid part partitions (-π, π] into `grid`
     half-open cells and reports max ‖P α^n(P) - α^n(P) P‖ over the cells.
+    u is decomposed once, and α^n(E) of each atom E is read off the power
+    table of the generator's matrix; a cell's P and α^n(P) are sums of these.
     """
     if sys.group.kind != "Z":
         raise UnsupportedGroupError("spectral covariance check needs a Z action")
     chi = complex(chi)
-    alpha = sys.generators[0]
-    if (alpha.apply(u) - chi * u).norm() > 1e-8:
+    U = sys.generator_matrices[0]
+    s = u.structure
+    if (s.from_coords(U @ u.coords()) - chi * u).norm() > 1e-8:
         raise NcjoinError("precondition failed: alpha(u) != chi * u")
-    alpha_n = alpha.power(n)
+    U_n = powers(U, n, n)[0]
     atoms = spectral_atoms(u)
+    moved = [s.from_coords(U_n @ proj.coords()) for _, proj in atoms]
     atom_res = 0.0
-    for v, proj in atoms:
+    for (v, _), image in zip(atoms, moved):
         # α^n composed with the spectral measure rotates atoms by χ^{-n}:
         # matching coefficients in α^n(u) = χ^n u gives α^n(E({v})) = E({χ^{-n} v}).
         target = chi ** (-n) * v
         best = min(atoms, key=lambda a: abs(a[0] - target))
-        atom_res = max(atom_res, (alpha_n.apply(proj) - best[1]).norm())
+        atom_res = max(atom_res, (image - best[1]).norm())
+    args = [math.atan2(v.imag, v.real) for v, _ in atoms]
     grid_res = 0.0
     for j in range(grid):
         t1 = -math.pi + 2 * math.pi * j / grid
         t2 = -math.pi + 2 * math.pi * (j + 1) / grid
-        P = spectral_interval_projection(sys, u, t1, t2)
-        Q = alpha_n.apply(P)
+        cell = [k for k, arg in enumerate(args) if t1 < arg <= t2]
+        P = sum((atoms[k][1] for k in cell), s.zero())
+        Q = sum((moved[k] for k in cell), s.zero())
         grid_res = max(grid_res, (P @ Q - Q @ P).norm())
     return SpectralCovarianceReport(
         atom_residual=atom_res,

@@ -137,16 +137,16 @@ def _product_layout(sizes_a: tuple[int, ...], sizes_b: tuple[int, ...]):
     sa, sb = BlockStructure(sizes_a), BlockStructure(sizes_b)
     structure = BlockStructure(tuple(na * nb for na in sizes_a for nb in sizes_b))
     # e_i ⊗ f_j is the unit (ra·nb + rb, ca·nb + cb) of product block ka·mB + kb
-    ka, ra, ca = (x[:, None] for x in sa.addresses())
-    kb, rb, cb = sb.addresses()
+    ka, ra, ca = (x[:, None] for x in sa.addresses)
+    kb, rb, cb = sb.addresses
     nb = np.array(sizes_b)[kb]
     k = ka * sb.num_blocks + kb
-    pair_index = (np.array(structure.offsets())[k]
+    pair_index = (np.array(structure.offsets)[k]
                   + (ra * nb + rb) * np.array(structure.block_sizes)[k] + ca * nb + cb)
     position = np.empty(structure.dimension, dtype=int)   # canonical index -> flat position
     position[pair_index.reshape(-1)] = np.arange(structure.dimension)
     blocks = [position[g.units].reshape(-1, g.size, g.size) for g in structure.size_groups]
-    _, r, c = structure.addresses()
+    _, r, c = structure.addresses
     upper = np.flatnonzero(r < c)
     hermitian = tuple(position[q] for q in (
         np.flatnonzero(r == c), upper, structure.adjoint_indices[upper]))
@@ -229,10 +229,6 @@ class JoiningMatrix:
 
     def value(self, x: AlgebraElement) -> complex:
         return complex(np.sum(x.coords()[self.ctx.pair_index] * self.values))
-
-    @property
-    def worst_residual(self) -> float:
-        return residual_magnitude(self.residuals)
 
 
 def joining_from_values(ctx: TensorContext, values, label: str,

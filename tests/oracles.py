@@ -18,8 +18,10 @@ operator that carries a promoted element) is kept here as the mirror system
 kept it before it reduced to its promoted system and twist.
 
 Group-element matrices are rebuilt one element at a time from matrix
-powers, and the dual-system square Δ_n(c*c) by the full pair loop at each
-n, as the package computed them before their power and square tables.
+powers, group-element automorphisms as ordered products of generator
+powers in normal form, and the dual-system square Δ_n(c*c) by the full
+pair loop at each n, as the package computed them before their power and
+square tables.
 The finite Ornstein ratios are summed one element and one n at a time, the
 dual correlations are tested one n at a time, and elements are drawn by the
 sampler that rebuilt its alphabet on every call, as the package did before
@@ -54,7 +56,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ncjoin.algebra import (FAITHFULNESS_MIN_EIG, VALIDATION_TOL, AlgebraElement, _eigvalsh,
-                            _inv_cholesky, sandwich_matrix)
+                            _inv_cholesky, identity_automorphism, sandwich_matrix)
 from ncjoin.dual import (IDENTITY_PERM, DeltaEvaluation, FinPerm, QQi, classify_dual,
                          word_multiply)
 from ncjoin.joinings import _RANK_GAP_MIN, _diagonal_values, _objective
@@ -226,7 +228,7 @@ def top_eigenvalue_reference(h):
 
 def automorphism_matrix_reference(gen):
     """kron(u_k, conj(u_k)) at (output block k, input block perm[k]), block by block."""
-    offs = gen.structure.offsets()
+    offs = gen.structure.offsets
     out = np.zeros((gen.structure.dimension,) * 2, dtype=complex)
     for k, (u, p) in enumerate(zip(gen.conjugator, gen.block_perm)):
         out[offs[k]:offs[k] + u.size, offs[p]:offs[p] + u.size] = np.kron(u, u.conj())
@@ -236,7 +238,7 @@ def automorphism_matrix_reference(gen):
 def sandwich_matrix_reference(left, right):
     """kron(left_k, right_kᵀ) on the diagonal block of block k, block by block."""
     out = np.zeros((left.structure.dimension,) * 2, dtype=complex)
-    for off, x, y in zip(left.structure.offsets(), left.blocks, right.blocks):
+    for off, x, y in zip(left.structure.offsets, left.blocks, right.blocks):
         out[off:off + x.size, off:off + x.size] = np.kron(x, y.T)
     return out
 
@@ -313,7 +315,7 @@ def promoted_image_reference(sys, f):
 def _column_norm_reference(structure, X):
     return max(
         float(np.linalg.norm(X[off:off + n * n].T.reshape(-1, n, n), 2, axis=(-2, -1)).max())
-        for off, n in zip(structure.offsets(), structure.block_sizes))
+        for off, n in zip(structure.offsets, structure.block_sizes))
 
 
 def blockwise_validation_reference(sys, tol=VALIDATION_TOL):
@@ -411,6 +413,15 @@ def element_matrix_reference(mats, g, unitary=False):
             out = out @ np.linalg.matrix_power(U, e)
         else:
             out = out @ np.linalg.matrix_power(U.conj().T if unitary else np.linalg.inv(U), -e)
+    return out
+
+
+def element_automorphism_reference(sys, g):
+    """The automorphism of the group element with generator exponents g, as
+    the ordered product of generator powers in normal form."""
+    out = identity_automorphism(sys.structure)
+    for gen, e in zip(sys.generators, g):
+        out = out.compose(gen.power(e))
     return out
 
 
@@ -531,7 +542,7 @@ def sample_element_reference(sys, rng, max_len=6):
         word = ()
         for _ in range(n):
             letter = sys.spec.normalize(letters[rng.randrange(len(letters))])
-            word = word_multiply(sys.spec, word, ((letter, rng.choice((1, -1))),))
+            word = word_multiply(word, ((letter, rng.choice((1, -1))),))
         return word
     k = rng.randrange(0, min(max_len, len(letters)) + 1)
     if k < 2:

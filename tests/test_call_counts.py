@@ -22,7 +22,7 @@ the asymptotic abelianness profile, which reads only those, builds none.
 `dual classify --samples` classifies the group once, and on a free group
 it counts the orbit kinds of the samples without building an element or
 an orbit certificate. The exact dual scans print and compare each distinct
-value of a window once.
+value of a window once. The spectral covariance check decomposes u once.
 """
 
 import importlib.util
@@ -37,6 +37,7 @@ import pytest
 
 from ncjoin import cli, corpus, dual, fileio, gns, joinings
 from ncjoin.algebra import (
+    Automorphism,
     BlockStructure,
     cyclic_rotation_system,
     identity_system,
@@ -405,38 +406,39 @@ def test_larger_blocks_take_one_cholesky_per_newton_terms(monkeypatch, ladder_m2
 
 
 def test_addresses_are_computed_once_per_structure(monkeypatch):
-    """A context build on fresh systems, and a solve on it, read the (block,
-    row, col) arrays of each structure from one computation."""
-    results = {}   # id of a structure -> (the structure, every result it returned)
-    original = BlockStructure.addresses
+    """A context build on fresh systems, and a solve on it, compute the
+    (block, row, col) arrays of each structure once."""
+    computed = {}   # id of a structure -> [the structure, times it computed its addresses]
+    original = BlockStructure.addresses.func
 
-    def recorded(self):
-        out = original(self)
-        results.setdefault(id(self), (self, []))[1].append(out)
-        return out
+    def counted(self):
+        computed.setdefault(id(self), [self, 0])[1] += 1
+        return original(self)
 
-    monkeypatch.setattr(BlockStructure, "addresses", recorded)
+    prop = cached_property(counted)
+    prop.__set_name__(BlockStructure, "addresses")
+    monkeypatch.setattr(BlockStructure, "addresses", prop)
     joinings._product_layout.cache_clear()   # so that the product structures are built here
     legs = (cyclic_rotation_system(3), single_block_system(np.eye(2)))
     ctx = build_tensor_context(legs[0], legs[0])
     find_joining(ctx, objective=(0, 1))
     find_joining(build_tensor_context(legs[1], legs[1]), objective=(0, 1))
-    assert {id(s.structure) for s in legs} | {id(ctx.structure)} <= set(results)
-    assert all(out is outs[0] for _, outs in results.values() for out in outs)
+    assert {id(s.structure) for s in legs} | {id(ctx.structure)} <= set(computed)
+    assert all(count == 1 for _, count in computed.values())
 
 
 def test_contexts_over_one_pair_of_block_sizes_share_one_product_structure(monkeypatch):
     """Five contexts over one pair of systems, with a solve on each, compute
     the addresses of the product structure once."""
-    computed, original = Counter(), BlockStructure._addresses.func
+    computed, original = Counter(), BlockStructure.addresses.func
 
     def counted(self):
         computed[self.block_sizes] += 1
         return original(self)
 
     prop = cached_property(counted)
-    prop.__set_name__(BlockStructure, "_addresses")
-    monkeypatch.setattr(BlockStructure, "_addresses", prop)
+    prop.__set_name__(BlockStructure, "addresses")
+    monkeypatch.setattr(BlockStructure, "addresses", prop)
     joinings._product_layout.cache_clear()
     legs = (identity_system((1, 2)), identity_system((2,)))
     contexts = [build_tensor_context(*legs) for _ in range(5)]
@@ -567,3 +569,26 @@ def test_fixed_space_is_read_off_the_spectrum(monkeypatch):
         gns.cesaro_correlation(sysd, x, x, 5)
         joinings.cesaro_diagonal_average(sysd, 5)
     assert calls["svd"] == 0
+
+
+@pytest.mark.parametrize("n, grid", [(1, 12), (-2, 12), (5, 36)])
+def test_spectral_covariance_decomposes_u_once(monkeypatch, n, grid):
+    """The covariance check takes the spectral atoms of u once, however fine
+    its grid, and reads α^n of each atom off the generator's power table
+    without composing or applying automorphisms in normal form."""
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    c3 = corpus.system("c3")
+    chi = np.exp(-2j * np.pi / 3)
+    u = gns.eigenoperator(c3, chi)
+    monkeypatch.setattr(gns, "spectral_atoms", counted("atoms", gns.spectral_atoms))
+    for meth in ("power", "compose", "apply"):
+        monkeypatch.setattr(Automorphism, meth, counted(meth, getattr(Automorphism, meth)))
+    gns.verify_spectral_covariance(c3, u, chi, n, grid=grid)
+    assert calls == {"atoms": 1}

@@ -57,7 +57,7 @@ def _complex_rows(ctx):
 
 def _adjoint_positions(ctx):
     dB = ctx.dim_b
-    return np.array([ctx.A.structure.adjoint_index(i) * dB + ctx.B.structure.adjoint_index(j)
+    return np.array([ctx.A.structure.adjoint_indices[i] * dB + ctx.B.structure.adjoint_indices[j]
                      for i in range(ctx.dim_a) for j in range(dB)])
 
 

@@ -237,6 +237,40 @@ def test_missing_file_exits_2():
     assert report["status"] == "error"
 
 
+def _unreadable_path(tmp_path, kind: str) -> Path:
+    if kind == "directory":
+        return tmp_path
+    p = tmp_path / "input.json"
+    if kind == "undecodable":
+        p.write_bytes(b"\xff\xfe{")
+    return p
+
+
+@pytest.mark.parametrize("kind", ["directory", "undecodable", "missing"])
+@pytest.mark.parametrize("command", [
+    ["classify", "--system"],
+    ["dual", "classify", "--group"],
+    ["joinings", "find", "--a", "corpus:c2", "--b", "corpus:c2", "--objective-file"],
+])
+def test_unreadable_input_exits_2(tmp_path, capsys, command, kind):
+    """A path that names a directory, bytes that are not UTF-8 or nothing at
+    all is malformed input: exit 2 with an error report, not a traceback."""
+    p = _unreadable_path(tmp_path, kind)
+    assert main(command + [str(p), "--format", "json"]) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["status"] == "error"
+    assert report["error"].startswith(f"cannot read {p}: ")
+
+
+def test_export_onto_a_file_exits_2(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("")
+    assert main(["corpus", "export", str(target), "--format", "json"]) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["status"] == "error"
+    assert report["error"].startswith(f"cannot export to {target}: ")
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         run(["classify", "--system", "corpus:c2", "--bogus"])

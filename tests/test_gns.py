@@ -44,6 +44,7 @@ from ncjoin.gns import (
     spectral_interval_projection,
     verify_spectral_covariance,
 )
+from ncjoin.joinings import cesaro_diagonal_average
 
 from oracles import (
     _null_space,
@@ -340,6 +341,16 @@ def test_cesaro_multiple_of_period_invariant():
             assert res.deviation < 1e-9
 
 
+def test_cesaro_averages_reject_folner_index_0(c3):
+    """n < 1 names no Følner set: both averages raise ValueError, from the
+    group's one range check."""
+    x = np.ones(c3.dimension)
+    with pytest.raises(ValueError, match="Folner index must be >= 1"):
+        cesaro_correlation(c3, x, x, 0)
+    with pytest.raises(ValueError, match="Folner index must be >= 1"):
+        cesaro_diagonal_average(c3, 0)
+
+
 # ---------------------------------------------------------------------------
 # mirror systems
 
@@ -486,11 +497,11 @@ def test_eigenoperator_invariants_across_spectra(c3, c5, pauli):
 
 def test_spectral_interval_projection_examples(c3):
     u = eigenoperator(c3, np.conj(OMEGA3))
-    p_mid = spectral_interval_projection(c3, u, 0.0, np.pi)
+    p_mid = spectral_interval_projection(u, 0.0, np.pi)
     assert np.allclose([b[0, 0] for b in p_mid.blocks], [0, 1, 0])
-    p_all = spectral_interval_projection(c3, u, -np.pi, np.pi)
+    p_all = spectral_interval_projection(u, -np.pi, np.pi)
     assert p_all.isclose(c3.structure.identity())
-    p_none = spectral_interval_projection(c3, u, 2.2, 2.5)
+    p_none = spectral_interval_projection(u, 2.2, 2.5)
     assert p_none.norm() < 1e-12
 
 
@@ -501,7 +512,7 @@ def test_spectral_projection_idempotent_and_partition(c3, pauli):
         for k in range(12):
             t1 = -np.pi + 2 * np.pi * k / 12
             t2 = -np.pi + 2 * np.pi * (k + 1) / 12
-            P = spectral_interval_projection(sysd, u, t1, t2)
+            P = spectral_interval_projection(u, t1, t2)
             assert (P @ P - P).norm() < 1e-10
             assert (P.adjoint() - P).norm() < 1e-10
             total = total + P
