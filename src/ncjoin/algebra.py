@@ -337,24 +337,20 @@ class FaithfulState:
     """State ``a ↦ trace(ρ a)`` given by a block-diagonal density ρ.
 
     Faithful means ρ is strictly positive definite; normalization is
-    ``trace(ρ) = 1`` over the whole block-diagonal matrix. ρ is kept as one
-    element; `density` lists its blocks as views. Treated as immutable.
+    ``trace(ρ) = 1`` over the whole block-diagonal matrix. `density` is ρ,
+    one element built from the block list. Treated as immutable.
     """
 
     def __init__(self, structure: BlockStructure, density):
         self.structure = structure
-        self._rho = AlgebraElement.of_vector(
+        self.density = AlgebraElement.of_vector(
             structure, _checked_coords(structure, density, "density"))
-
-    @property
-    def density(self) -> list[np.ndarray]:
-        return self._rho.blocks
 
     @cached_property
     def values(self) -> np.ndarray:
         """μ(e_i) over the canonical basis; read-only. μ(E_rc) = ρ[c, r], so
         these are the coordinates of ρᵀ."""
-        out = self._rho.transpose().coords()
+        out = self.density.transpose().coords()
         out.flags.writeable = False
         return out
 
@@ -363,23 +359,18 @@ class FaithfulState:
             raise DimensionMismatchError("state and element block structures differ")
         return complex(self.values @ a.coords())
 
-    def density_element(self) -> AlgebraElement:
-        return self._rho
-
-    def stacks(self) -> list[np.ndarray]:
-        return self._rho.stacks()
-
     def min_eigenvalue(self) -> float:
-        return min(float(np.linalg.eigvalsh((x + _adjoints(x)) / 2).min()) for x in self.stacks())
+        return min(float(np.linalg.eigvalsh((x + _adjoints(x)) / 2).min())
+                   for x in self.density.stacks())
 
     def trace(self) -> float:
         traces = np.empty(self.structure.num_blocks)
-        for g, x in zip(self.structure.size_groups, self.stacks()):
+        for g, x in zip(self.structure.size_groups, self.density.stacks()):
             traces[g.blocks] = np.trace(x, axis1=-2, axis2=-1).real
         return float(sum(traces.tolist()))   # in block order, whatever the grouping
 
     def hermiticity_residual(self) -> float:
-        return max(float(_operator_norms(x - _adjoints(x)).max()) for x in self.stacks())
+        return max(float(_operator_norms(x - _adjoints(x)).max()) for x in self.density.stacks())
 
 
 def uniform_state(structure: BlockStructure) -> FaithfulState:
@@ -392,8 +383,8 @@ def uniform_state(structure: BlockStructure) -> FaithfulState:
 class Automorphism:
     """Normal form ``a ↦ u · perm(a) · u*``; output block k reads input block perm[k].
 
-    u is kept as one element; `conjugator` lists its blocks as views.
-    Treated as immutable.
+    `conjugator` is u, one element built from the block list. Treated as
+    immutable.
     """
 
     def __init__(self, structure: BlockStructure, block_perm, conjugator):
@@ -408,22 +399,15 @@ class Automorphism:
                     f"block_perm maps block {perm[k]} (size {sizes[perm[k]]}) onto "
                     f"block {k} (size {sizes[k]})")
         self.structure, self.block_perm = structure, perm
-        self._u = AlgebraElement.of_vector(
+        self.conjugator = AlgebraElement.of_vector(
             structure, _checked_coords(structure, conjugator, "conjugator"))
-
-    @property
-    def conjugator(self) -> list[np.ndarray]:
-        return self._u.blocks
-
-    def conjugator_element(self) -> AlgebraElement:
-        return self._u
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
         if a.structure.block_sizes != self.structure.block_sizes:
             raise DimensionMismatchError("automorphism and element block structures differ")
         blocks = [
             u @ a.blocks[p] @ u.conj().T
-            for u, p in zip(self.conjugator, self.block_perm)
+            for u, p in zip(self.conjugator.blocks, self.block_perm)
         ]
         return AlgebraElement(self.structure, blocks)
 
@@ -437,7 +421,7 @@ class Automorphism:
         s = self.structure
         source = np.array(s.offsets)[list(self.block_perm)]   # first unit of the input block
         out = np.zeros((s.dimension,) * 2, dtype=complex)
-        for g, u in zip(s.size_groups, self.stacks()):
+        for g, u in zip(s.size_groups, self.conjugator.stacks()):
             read = source[g.blocks, None] + np.arange(g.size ** 2)
             out[g.units[:, :, None], read[:, None, :]] = _kron_stack(u, u.conj())
         return out
@@ -445,10 +429,8 @@ class Automorphism:
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other: (self.compose(other)).apply(a) == self.apply(other.apply(a))."""
         perm = tuple(other.block_perm[p] for p in self.block_perm)
-        conj = [
-            self.conjugator[k] @ other.conjugator[self.block_perm[k]]
-            for k in range(self.structure.num_blocks)
-        ]
+        u, v = self.conjugator.blocks, other.conjugator.blocks
+        conj = [u[k] @ v[self.block_perm[k]] for k in range(self.structure.num_blocks)]
         return Automorphism(self.structure, perm, conj)
 
     def inverse(self) -> "Automorphism":
@@ -456,7 +438,7 @@ class Automorphism:
         inv_perm = [0] * m
         for k, p in enumerate(self.block_perm):
             inv_perm[p] = k
-        conj = [self.conjugator[inv_perm[j]].conj().T for j in range(m)]
+        conj = [self.conjugator.blocks[inv_perm[j]].conj().T for j in range(m)]
         return Automorphism(self.structure, tuple(inv_perm), conj)
 
     def power(self, n: int) -> "Automorphism":
@@ -472,12 +454,9 @@ class Automorphism:
                 base = base.compose(base)
         return out if out is not None else identity_automorphism(self.structure)
 
-    def stacks(self) -> list[np.ndarray]:
-        return self._u.stacks()
-
     def unitarity_residual(self) -> float:
         return max(float(_operator_norms(_adjoints(u) @ u - np.eye(u.shape[-1])).max())
-                   for u in self.stacks())
+                   for u in self.conjugator.stacks())
 
 
 def identity_automorphism(structure: BlockStructure) -> Automorphism:
@@ -492,8 +471,10 @@ def identity_automorphism(structure: BlockStructure) -> Automorphism:
 class GroupDescriptor:
     """Acting group: Z (one generator), Z^k (k commuting generators), or Z_m.
 
-    Folner sets used for averages: boxes {1..N} for Z, cubes {1..N}^k for
-    Z^k, and the whole group for Z_m.
+    Canonical: Z^1 is built as Z, and `k` is the generator count of every
+    kind, so two descriptors of one group compare equal. Folner sets used
+    for averages: boxes {1..N} for Z, cubes {1..N}^k for Z^k, and the whole
+    group for Z_m.
     """
 
     kind: str
@@ -505,12 +486,18 @@ class GroupDescriptor:
             raise StructureError(f"unknown group kind {self.kind!r}")
         if self.kind == "Zk" and self.k < 1:
             raise StructureError("Zk needs k >= 1")
+        if self.kind != "Zk" and self.k != 1:
+            raise StructureError(f"{self.kind} has one generator, not k = {self.k}")
         if self.kind == "Zm" and (self.m is None or self.m < 1):
             raise StructureError("Zm needs m >= 1")
+        if self.kind != "Zm" and self.m is not None:
+            raise StructureError(f"{self.kind} has no order m")
+        if self.kind == "Zk" and self.k == 1:
+            object.__setattr__(self, "kind", "Z")
 
     @property
     def num_generators(self) -> int:
-        return self.k if self.kind == "Zk" else 1
+        return self.k
 
     def folner_range(self, n: int) -> range:
         """Exponents of each generator in the n-th Folner set, which is a box."""
@@ -652,7 +639,7 @@ def validate_system(sys: FiniteSystem) -> ValidationReport:
         moved = np.abs(mu @ M - mu)
         for i in np.flatnonzero(moved > VALIDATION_TOL):
             check("invariance", f"{where}, basis {i}", float(moved[i]))
-        stacks = gen.stacks()
+        stacks = gen.conjugator.stacks()
         check("multiplicativity", where, max(
             float((np.abs(_adjoints(u) @ u - np.eye(u.shape[-1])).max(axis=(1, 2))
                    * np.linalg.norm(u, axis=1).max(axis=1) ** 2).max())
@@ -661,10 +648,9 @@ def validate_system(sys: FiniteSystem) -> ValidationReport:
             float(_operator_norms(u @ _adjoints(u) - np.eye(u.shape[-1])).max())
             for u in stacks))
 
-    if sys.group.kind == "Zk":
-        for a, b in itertools.combinations(range(len(mats)), 2):
-            check("commutation", f"generators {a},{b}",
-                  _column_norm(sys.structure, mats[a] @ mats[b] - mats[b] @ mats[a]))
+    for a, b in itertools.combinations(range(len(mats)), 2):
+        check("commutation", f"generators {a},{b}",
+              _column_norm(sys.structure, mats[a] @ mats[b] - mats[b] @ mats[a]))
     if sys.group.kind == "Zm":
         check("generator_order", f"order {sys.group.m}", _column_norm(
             sys.structure, np.linalg.matrix_power(mats[0], sys.group.m) - np.eye(sys.dimension)))
@@ -721,6 +707,6 @@ def single_block_system(unitary, density=None,
     else:
         state = FaithfulState(structure, [_as_complex(density)])
     if group is None:
-        group = GroupDescriptor("Z") if len(mats) == 1 else GroupDescriptor("Zk", k=len(mats))
+        group = GroupDescriptor("Zk", k=len(mats))
     gens = [Automorphism(structure, (0,), [u]) for u in mats]
     return FiniteSystem(structure, state, group, gens)

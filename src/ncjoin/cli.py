@@ -222,7 +222,7 @@ def _cmd_classify(args):
         "classification": _classification_dict(cls),
         "point_spectrum": [
             {"eigenvalue": list(e.eigenvalue), "multiplicity": e.multiplicity}
-            for e in cls.point_spectrum
+            for e in sysd.spectrum.entries
         ],
     }
     if args.net:

@@ -395,14 +395,14 @@ class DualSystem:
         letters = self._letters_of(g)
         for letter in letters:
             if letter[0] in self._shift_ids:
-                return OrbitCertificate(element=g, kind="infinite", escaping=letter)
+                return OrbitCertificate(kind="infinite", escaping=letter)
         tracks = {tid for tid, _ in letters}
         lcm = 1
         for tid in sorted(tracks):
             lcm = math.lcm(lcm, self.spec.track(tid).m)
         # T^lcm fixes every letter involved, so the search stops at lcm at the latest
         period = next(d for d in sorted(_divisors(lcm)) if self.apply_T(g, d) == g)
-        return OrbitCertificate(element=g, kind="finite", period=period)
+        return OrbitCertificate(kind="finite", period=period)
 
 
 def _divisors(n: int):
@@ -416,7 +416,6 @@ def _divisors(n: int):
 
 @dataclass
 class OrbitCertificate:
-    element: object
     kind: str                     # "finite" | "infinite"
     period: int | None = None
     escaping: Letter | None = None

@@ -10,6 +10,7 @@ Matrices are nested row-major arrays whose entries are [re, im] pairs
 
 where "perm" is the block permutation in the pull convention (output block
 k reads input block perm[k]) and "unitary" is the block-diagonal conjugator.
+"Zk" with k = 1 is read as "Z", as `GroupDescriptor` builds it.
 
 A dual-system file is
 
@@ -150,11 +151,11 @@ def dump_system(sys: FiniteSystem) -> dict:
         group["m"] = sys.group.m
     return {
         "blocks": list(sys.structure.block_sizes),
-        "state": {"density": matrix_to_json(sys.state.density_element().block_matrix())},
+        "state": {"density": matrix_to_json(sys.state.density.block_matrix())},
         "group": group,
         "generators": [
             {"perm": list(g.block_perm),
-             "unitary": matrix_to_json(g.conjugator_element().block_matrix())}
+             "unitary": matrix_to_json(g.conjugator.block_matrix())}
             for g in sys.generators
         ],
     }

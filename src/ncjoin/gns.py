@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,12 +77,6 @@ class GnsSpace:
     def norm(self, x) -> float:
         return math.sqrt(max(self.inner(x, x).real, 0.0))
 
-    def to_onb(self, x) -> np.ndarray:
-        return self.onb_factor @ np.asarray(x, dtype=complex)
-
-    def from_onb(self, x) -> np.ndarray:
-        return self.onb_factor_inv @ np.asarray(x, dtype=complex)
-
 
 def gns_construct(sys: FiniteSystem) -> GnsSpace:
     """Build the GNS space; read it as `sys.gns`."""
@@ -90,7 +84,7 @@ def gns_construct(sys: FiniteSystem) -> GnsSpace:
     struct = sys.structure
     rows, cols = np.nonzero(struct.block_mask)   # of the matrix units, in canonical order
     # e_i* e_j = E_{c_i c_j} when e_i, e_j share a row, so μ(e_i* e_j) = ρ[c_j, c_i]
-    rho = sys.state.density_element().block_matrix()
+    rho = sys.state.density.block_matrix()
     gram = np.where(rows[:, None] == rows, rho[cols[None, :], cols[:, None]], 0)
     onb = np.linalg.cholesky(gram).conj().T
     return GnsSpace(gram=gram, cyclic_vector=struct.identity().coords(), onb_factor=onb,
@@ -196,7 +190,7 @@ class Spectrum:
         Ω takes the place of the fixed column it overlaps most, which keeps
         the span, and QR with a positive diagonal starts the basis with it."""
         F = self.onb[:, self.fixed]
-        omega = self.space.to_onb(self.space.cyclic_vector)
+        omega = self.space.onb_factor @ self.space.cyclic_vector
         j = abs(omega.conj() @ F).argmax()
         q, r = np.linalg.qr(np.column_stack([omega, np.delete(F, j, axis=1)]))
         q = q * (np.diagonal(r) / abs(np.diagonal(r)))
@@ -237,7 +231,7 @@ class Spectrum:
         coordinate."""
         # canonical coordinates, phases fixed: the first entry above 1e-10 of
         # each column is made real positive, exactly
-        V = self.space.from_onb(self.onb)
+        V = self.space.onb_factor_inv @ self.onb
         first, cols = np.argmax(abs(V) > 1e-10, axis=0), np.arange(V.shape[1])
         lead = V[first, cols]
         V = V * (abs(lead) / lead)
@@ -372,7 +366,8 @@ def fixed_point_algebra(sys: FiniteSystem) -> list[AlgebraElement]:
     identity (its μ-norm is 1). The span is closed under adjoints since
     every α_g is *-preserving.
     """
-    return [sys.structure.from_coords(v) for v in sys.gns.from_onb(sys.spectrum.fixed_basis).T]
+    basis = sys.gns.onb_factor_inv @ sys.spectrum.fixed_basis
+    return [sys.structure.from_coords(v) for v in basis.T]
 
 
 @dataclass
@@ -384,9 +379,6 @@ class Classification:
     fixed_algebra_dimension: int
     h0_dimension: int
     notes: tuple[str, ...] = ()
-    # the joint eigenspaces the flags were read from, as `point_spectrum` gives them
-    point_spectrum: list[PointSpectrumEntry] = field(default_factory=list, compare=False,
-                                                     repr=False)
 
 
 def classify_finite(sys: FiniteSystem) -> Classification:
@@ -416,7 +408,6 @@ def classify_finite(sys: FiniteSystem) -> Classification:
         fixed_algebra_dimension=fixed_dim,
         h0_dimension=h0,
         notes=notes,
-        point_spectrum=spec,
     )
 
 
@@ -502,9 +493,9 @@ def mirror_system(sys: FiniteSystem) -> MirrorSystem:
     without GNS data; raises InvalidSystemError if the system is invalid."""
     require_valid(sys)
     struct = sys.structure
-    promoted_state = FaithfulState(struct, [b.T for b in sys.state.density])
+    promoted_state = FaithfulState(struct, [b.T for b in sys.state.density.blocks])
     promoted_gens = [
-        Automorphism(struct, gen.block_perm, [u.conj() for u in gen.conjugator])
+        Automorphism(struct, gen.block_perm, [u.conj() for u in gen.conjugator.blocks])
         for gen in sys.generators
     ]
     promoted = FiniteSystem(struct, promoted_state, sys.group, promoted_gens)
@@ -677,7 +668,7 @@ class ModularData:
 def _density_powers(sys: FiniteSystem, *zs: complex) -> list[AlgebraElement]:
     """ρ^z for each z of zs, from one batched eigendecomposition per block size."""
     coords = np.empty((len(zs), sys.dimension), dtype=complex)
-    for g, x in zip(sys.structure.size_groups, sys.state.stacks()):
+    for g, x in zip(sys.structure.size_groups, sys.state.density.stacks()):
         vals, vecs = np.linalg.eigh((x + x.conj().swapaxes(-1, -2)) / 2)
         for out, z in zip(coords, zs):
             # a diagonal factor, not a column scaling: for real z this rounds
@@ -694,7 +685,7 @@ def _modular_conjugation(sys: FiniteSystem) -> np.ndarray:
 
 def modular_data(sys: FiniteSystem) -> ModularData:
     require_valid(sys)
-    delta = sandwich_matrix(sys.state.density_element(), *_density_powers(sys, -1))
+    delta = sandwich_matrix(sys.state.density, *_density_powers(sys, -1))
     return ModularData(system=sys, delta_matrix=delta, conj_matrix=sys.mirror.twist)
 
 
@@ -706,14 +697,18 @@ class ModularInvarianceResult:
 
 
 def modular_invariance_check(sys: FiniteSystem, P: AlgebraElement) -> ModularInvarianceResult:
-    """max_t ‖σ_t(P) - P‖ for a projection P, plus the J P Ω = P Ω residual."""
+    """max_t ‖σ_t(P) - P‖ for a projection P, plus the J P Ω = P Ω residual.
+
+    The powers ρ^{±it} at every t come from one eigendecomposition of ρ,
+    and J is the mirror's `twist`.
+    """
     ident_res = max((P @ P - P).norm(), (P.adjoint() - P).norm())
     if ident_res > 1e-8:
         raise NonProjectionError(f"P is not a projection (residual {ident_res:.3e})")
-    md = modular_data(sys)
-    res = max((md.sigma(t, P) - P).norm() for t in SIGMA_SAMPLES)
-    jp = md.apply_conjugation(P.coords())
-    vec_res = sys.gns.norm(jp - P.coords())
+    twist = sys.mirror.twist   # validates sys
+    rho = _density_powers(sys, *(z for t in SIGMA_SAMPLES for z in (1j * t, -1j * t)))
+    res = max((rho_it @ P @ rho_mit - P).norm() for rho_it, rho_mit in zip(rho[::2], rho[1::2]))
+    vec_res = sys.gns.norm(twist @ P.coords().conj() - P.coords())
     return ModularInvarianceResult(
         sigma_residual=res,
         conjugation_vector_residual=vec_res,

@@ -159,7 +159,7 @@ def build_tensor_context(A: FiniteSystem, B: FiniteSystem) -> TensorContext:
     """The product context of two systems; builds no GNS data."""
     require_valid(A)   # an invalid leg raises before the group check
     require_valid(B)
-    if (A.group.kind, A.group.k, A.group.m) != (B.group.kind, B.group.k, B.group.m):
+    if A.group != B.group:
         raise UnsupportedGroupError(
             f"systems act by different groups: {A.group} vs {B.group}")
     structure, pair_index, blocks, hermitian = _product_layout(

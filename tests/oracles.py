@@ -163,7 +163,7 @@ def diagonal_table(sys, alpha):
     powers = []
     for z in (0.5, -0.5):
         blocks = []
-        for b in sys.state.density:
+        for b in sys.state.density.blocks:
             vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
             blocks.append(vecs @ np.diag(vals ** z) @ vecs.conj().T)
         powers.append(AlgebraElement(struct, blocks))
@@ -188,33 +188,33 @@ def _opnorm(m):
 
 
 def min_eigenvalue_reference(state):
-    return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min()) for b in state.density)
+    return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min()) for b in state.density.blocks)
 
 
 def state_value_reference(state, a):
     """μ(a) = Σ_k tr(ρ_k a_k), one block at a time."""
-    return complex(sum(np.trace(r @ b) for r, b in zip(state.density, a.blocks)))
+    return complex(sum(np.trace(r @ b) for r, b in zip(state.density.blocks, a.blocks)))
 
 
 def trace_reference(state):
-    return float(sum(np.trace(b).real for b in state.density))
+    return float(sum(np.trace(b).real for b in state.density.blocks))
 
 
 def hermiticity_reference(state):
-    return max(_opnorm(b - b.conj().T) for b in state.density)
+    return max(_opnorm(b - b.conj().T) for b in state.density.blocks)
 
 
 def unitarity_reference(gen):
-    return max(_opnorm(u.conj().T @ u - np.eye(len(u))) for u in gen.conjugator)
+    return max(_opnorm(u.conj().T @ u - np.eye(len(u))) for u in gen.conjugator.blocks)
 
 
 def multiplicativity_reference(gen):
     return max(float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
-               * float(np.linalg.norm(u, axis=0).max()) ** 2 for u in gen.conjugator)
+               * float(np.linalg.norm(u, axis=0).max()) ** 2 for u in gen.conjugator.blocks)
 
 
 def unital_reference(gen):
-    return max(_opnorm(u @ u.conj().T - np.eye(len(u))) for u in gen.conjugator)
+    return max(_opnorm(u @ u.conj().T - np.eye(len(u))) for u in gen.conjugator.blocks)
 
 
 def element_norm_reference(a):
@@ -230,7 +230,7 @@ def automorphism_matrix_reference(gen):
     """kron(u_k, conj(u_k)) at (output block k, input block perm[k]), block by block."""
     offs = gen.structure.offsets
     out = np.zeros((gen.structure.dimension,) * 2, dtype=complex)
-    for k, (u, p) in enumerate(zip(gen.conjugator, gen.block_perm)):
+    for k, (u, p) in enumerate(zip(gen.conjugator.blocks, gen.block_perm)):
         out[offs[k]:offs[k] + u.size, offs[p]:offs[p] + u.size] = np.kron(u, u.conj())
     return out
 
@@ -266,7 +266,7 @@ def tensor_blocks_reference(a, b):
 
 def density_power_reference(sys, z):
     blocks = []
-    for b in sys.state.density:
+    for b in sys.state.density.blocks:
         vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
         blocks.append(vecs @ np.diag(np.exp(z * np.log(vals))) @ vecs.conj().T)
     return AlgebraElement(sys.structure, blocks)
@@ -333,7 +333,7 @@ def blockwise_validation_reference(sys, tol=VALIDATION_TOL):
     min_eig = min_eigenvalue_reference(st)
     if min_eig <= FAITHFULNESS_MIN_EIG:
         out.append(("faithfulness", "density", -min_eig))
-    mu = st.density_element().transpose().coords()
+    mu = st.density.transpose().coords()
     mats = [automorphism_matrix_reference(gen) for gen in sys.generators]
     for gi, (gen, M) in enumerate(zip(sys.generators, mats)):
         where = f"generator {gi}"
@@ -478,7 +478,7 @@ def compactness_net_reference(sys, eps=0.1, cap=512):
         exponents = list(itertools.product(range(-side, side + 1), repeat=group.k))
     sizes = []
     for i in range(d):
-        x = space.to_onb(np.eye(d)[:, i])
+        x = space.onb_factor @ np.eye(d)[:, i]
         net = []
         for g in exponents:
             y = element_matrix_reference(mats, g, unitary=True) @ x

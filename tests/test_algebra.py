@@ -236,6 +236,18 @@ def test_group_descriptor_folner_sets():
     assert zm.folner_elements(7) == [(0,), (1,), (2,), (3,)]
 
 
+def test_z_to_the_one_is_z():
+    z1 = GroupDescriptor("Zk", k=1)
+    assert z1 == GroupDescriptor("Z") and z1.kind == "Z" and z1.num_generators == 1
+    assert hash(z1) == hash(GroupDescriptor("Z"))
+
+
+@pytest.mark.parametrize("kind,k,m", [("Z", 2, None), ("Zm", 2, 3), ("Zk", 2, 3), ("Z", 1, 3)])
+def test_group_fields_outside_their_kind_raise(kind, k, m):
+    with pytest.raises(StructureError):
+        GroupDescriptor(kind, k=k, m=m)
+
+
 def test_zm_generator_order_validated():
     s = BlockStructure((1, 1, 1))
     gen = cyclic_rotation_system(3).generators[0]

@@ -85,7 +85,7 @@ def systems(draw):
     state_noise = draw(st.sampled_from((0.0, 1e-6, 0.3)))
     if state_noise:
         state = FaithfulState(structure, [b + _noise(rng, len(b), state_noise)
-                                          for b in state.density])
+                                          for b in state.density.blocks])
     kind = draw(st.sampled_from(("Z", "Zk", "Zm")))
     group = {"Z": GroupDescriptor("Z"), "Zk": GroupDescriptor("Zk", k=2),
              "Zm": GroupDescriptor("Zm", m=draw(st.integers(1, 3)))}[kind]

@@ -22,7 +22,8 @@ the asymptotic abelianness profile, which reads only those, builds none.
 `dual classify --samples` classifies the group once, and on a free group
 it counts the orbit kinds of the samples without building an element or
 an orbit certificate. The exact dual scans print and compare each distinct
-value of a window once. The spectral covariance check decomposes u once.
+value of a window once. The spectral covariance check decomposes u once,
+and the modular invariance check eigendecomposes ρ once.
 """
 
 import importlib.util
@@ -592,3 +593,27 @@ def test_spectral_covariance_decomposes_u_once(monkeypatch, n, grid):
         monkeypatch.setattr(Automorphism, meth, counted(meth, getattr(Automorphism, meth)))
     gns.verify_spectral_covariance(c3, u, chi, n, grid=grid)
     assert calls == {"atoms": 1}
+
+
+def test_modular_check_eigendecomposes_rho_once(monkeypatch):
+    """The modular invariance check takes the six powers ρ^{±it} from one
+    `_density_powers` call and J from the cached mirror, so a repeat check
+    calls it once. Each power is still taken per t: the residuals are those
+    of `ModularData.sigma` and `apply_conjugation`, bit for bit."""
+    gibbs = corpus.system("gibbs")
+    P = gibbs.structure.from_coords([0.5, 0.5, 0.5, 0.5])
+    first = gns.modular_invariance_check(gibbs, P)
+    md = gns.modular_data(gibbs)
+    assert first.sigma_residual == max((md.sigma(t, P) - P).norm() for t in gns.SIGMA_SAMPLES)
+    assert first.conjugation_vector_residual == gibbs.gns.norm(
+        md.apply_conjugation(P.coords()) - P.coords())
+    calls = Counter()
+    original = gns._density_powers
+
+    def counted(*args):
+        calls["density_powers"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(gns, "_density_powers", counted)
+    assert gns.modular_invariance_check(gibbs, P) == first
+    assert calls["density_powers"] == 1

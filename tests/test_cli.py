@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ncjoin
-from ncjoin import corpus, fileio
+from ncjoin import corpus, fileio, gns
 from ncjoin.algebra import identity_system, validate_system
 from ncjoin.cli import build_parser, emit_report, main, run
 from ncjoin.errors import InputFormatError
@@ -31,11 +31,11 @@ def test_system_roundtrip(tmp_path):
         back = fileio.load_system(data)
         assert back.structure.block_sizes == sysd.structure.block_sizes
         assert back.group.kind == sysd.group.kind
-        for b1, b2 in zip(back.state.density, sysd.state.density):
+        for b1, b2 in zip(back.state.density.blocks, sysd.state.density.blocks):
             assert np.allclose(b1, b2)
         for g1, g2 in zip(back.generators, sysd.generators):
             assert g1.block_perm == g2.block_perm
-            for u1, u2 in zip(g1.conjugator, g2.conjugator):
+            for u1, u2 in zip(g1.conjugator.blocks, g2.conjugator.blocks):
                 assert np.allclose(u1, u2)
 
 
@@ -91,6 +91,36 @@ def test_malformed_matrices_exit_2(tmp_path, capsys, kind, matrix, message):
     p.write_text(json.dumps(data))
     assert main(["classify", "--system", str(p)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    "ornstein --system {} --window 0..16",
+    "joinings diagonal --system {} --graph-n 1",
+    "joinings disjoint --a {} --b corpus:c3",
+    "classify --system {} --net",
+])
+def test_z_to_the_one_file_reads_as_z(tmp_path, monkeypatch, command):
+    """A system file that declares Zk with k = 1 acts by Z: every command
+    that needs a Z action, or the group of corpus:c3, accepts it, and the
+    ε-net walks the orbit window of Z."""
+    data = corpus.raw("c3")
+    data["group"] = {"kind": "Zk", "k": 1}
+    p = tmp_path / "c3_zk1.json"
+    p.write_text(json.dumps(data))
+    probed = []
+    original = gns.element_matrices
+
+    def recorded(mats, elements):
+        probed.append(len(elements))
+        return original(mats, elements)
+
+    monkeypatch.setattr(gns, "element_matrices", recorded)
+    report, code = run(command.format(p).split())
+    zk_probed, probed[:] = probed[:], []
+    expected, expected_code = run(command.format("corpus:c3").split())
+    assert (code, expected_code) == (0, 0)
+    assert emit_report(report["results"], "json") == emit_report(expected["results"], "json")
+    assert zk_probed == probed
 
 
 def test_corpus_integrity():

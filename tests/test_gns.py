@@ -296,9 +296,9 @@ def test_fixed_point_algebra_examples(c3, id3):
 def test_fixed_point_algebra_adjoint_closed(pauli):
     basis = fixed_point_algebra(pauli)
     space = gns_construct(pauli)
-    mat = np.column_stack([space.to_onb(b.coords()) for b in basis])
+    mat = np.column_stack([space.onb_factor @ b.coords() for b in basis])
     for b in basis:
-        v = space.to_onb(b.adjoint().coords())
+        v = space.onb_factor @ b.adjoint().coords()
         proj = mat @ (mat.conj().T @ v)
         assert np.linalg.norm(proj - v) < 1e-10
 
@@ -432,7 +432,7 @@ def test_coordinate_matrices_match_basis_loops():
             return np.column_stack([f(e).coords() for e in basis])
 
         half, mhalf, inv = _density_powers(sysd, 0.5, -0.5, -1)
-        rho = sysd.state.density_element()
+        rho = sysd.state.density
         md, m = modular_data(sysd), mirror_system(sysd)
         assert np.array_equal(m.twist, columns(lambda e: half @ e.transpose() @ mhalf)), name
         assert np.array_equal(md.conj_matrix, columns(lambda e: half @ e.adjoint() @ mhalf)), name

@@ -1,9 +1,13 @@
-"""Guards on the package's surface: one import path and no dead parameters.
+"""Guards on the package's surface: one import path, no dead parameters,
+and one name per fact.
 
 Every name is imported from its module, ``ncjoin.<module>.<name>``; the
 package itself binds only its submodules and ``__version__``. A function
 parameter that its body never reads is surface no caller needs, so none
-is allowed (``self`` and ``cls`` aside).
+is allowed (``self`` and ``cls`` aside). A public method or property that
+only hands out a private attribute set in ``__init__`` (the attribute, an
+attribute of it, or a zero-argument method result of it other than a
+``copy()``) names one fact twice: the attribute should be public instead.
 """
 
 import ast
@@ -45,3 +49,66 @@ def test_every_parameter_is_read():
     unread = [f"{path.name} {where}" for path in sorted(SOURCE.glob("*.py"))
               for where in _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))]
     assert not unread
+
+
+def _self_attribute(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "self":
+        return node.attr
+    return None
+
+
+def _accessors(tree: ast.AST):
+    """Public methods of a class whose body only returns a private attribute
+    set in its ``__init__``, an attribute of it, or a zero-argument method
+    result of it other than ``copy()``."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        methods = [n for n in cls.body if isinstance(n, ast.FunctionDef)]
+        private = {_self_attribute(n) for m in methods if m.name == "__init__"
+                   for n in ast.walk(m)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)}
+        private = {a for a in private if a and a.startswith("_") and not a.startswith("__")}
+        for m in methods:
+            body = m.body[1:] if ast.get_docstring(m) is not None else m.body
+            if m.name.startswith("_") or len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            value = body[0].value
+            if isinstance(value, ast.Call) and not value.args and not value.keywords \
+                    and isinstance(value.func, ast.Attribute) and value.func.attr != "copy":
+                value = value.func.value
+            elif isinstance(value, ast.Attribute) and _self_attribute(value) is None:
+                value = value.value
+            if _self_attribute(value) in private:
+                yield f"{cls.name}.{m.name}:{m.lineno}"
+
+
+def test_the_accessor_guard_flags_each_form():
+    source = """
+class C:
+    def __init__(self, x):
+        self._x, self.y = x, x
+    def same(self):
+        return self._x
+    @property
+    def part(self):
+        return self._x.blocks
+    def derived(self):
+        "a docstring does not hide the return"
+        return self._x.stacks()
+    def copied(self):
+        return self._x.copy()
+    def public(self):
+        return self.y.stacks()
+    def two_steps(self):
+        return self._x.blocks.tolist()
+"""
+    assert [a.split(":")[0] for a in _accessors(ast.parse(source))] == [
+        "C.same", "C.part", "C.derived"]
+
+
+def test_no_public_accessor_of_a_private_attribute():
+    found = [f"{path.name} {where}" for path in sorted(SOURCE.glob("*.py"))
+             for where in _accessors(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found

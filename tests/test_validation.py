@@ -103,7 +103,7 @@ def systems(draw):
         hermitian = draw(st.booleans())
         state = FaithfulState(structure, [
             b + _noise(rng, len(b), state_scale / structure.matrix_size, hermitian)
-            for b in state.density])
+            for b in state.density.blocks])
     return FiniteSystem(structure, state, group, gens)
 
 
