@@ -12,6 +12,9 @@ take), 3 inconclusive solver verdict. A reader that closes the output
 early, as `| head` does, ends the command quietly with its own exit code.
 
 Input files may be replaced by corpus references like ``corpus:c3``.
+
+The dual commands import ``ncjoin.dual`` in their handlers, so that a
+finite command never loads the exact dual layer.
 """
 
 from __future__ import annotations
@@ -24,22 +27,11 @@ import math
 import os
 import random
 import sys as _sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import corpus, fileio
-from .dual import (
-    DualSystem,
-    classify_dual,
-    correlation_series,
-    opposite_group_joining,
-    orbit_kind_counts,
-    ornstein_scan_dual,
-    parse_combination,
-    parse_pair_combination,
-)
 from .errors import (InputFormatError, InvalidSystemError, NcjoinError, StructureError,
                      UnsupportedGroupError)
 from .gns import (
@@ -66,27 +58,18 @@ from .joinings import (
 
 
 def _jsonify(x):
+    """JSON-ready data: complex numbers as [re, im], anything else unknown
+    (a Fraction, an exact scalar) as its string."""
     if isinstance(x, dict):
         return {str(k): _jsonify(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonify(v) for v in x]
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (bool, int, str)) or x is None:
-        return x
-    if isinstance(x, float):
-        return x
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, complex) or isinstance(x, np.complexfloating):
-        z = complex(x)
-        return [z.real, z.imag]
-    if isinstance(x, np.ndarray):
+    if hasattr(x, "tolist"):   # a numpy scalar or array
         return _jsonify(x.tolist())
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    if isinstance(x, (bool, int, float, str)) or x is None:
+        return x
     return str(x)
 
 
@@ -96,14 +79,13 @@ def _sig6(x) -> str:
         x = complex(x[0], x[1])
     elif isinstance(x, (list, tuple)):
         return "[" + ", ".join(_sig6(v) for v in x) + "]"
-    if isinstance(x, (complex, np.complexfloating)):
-        z = complex(x)
-        if abs(z.imag) < 5e-16:
-            return _sig6(z.real)
-        sign = "+" if z.imag >= 0 else "-"
-        return f"{z.real:.6g}{sign}{abs(z.imag):.6g}i"
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.6g}"
+    if isinstance(x, complex):
+        if abs(x.imag) < 5e-16:
+            return _sig6(x.real)
+        sign = "+" if x.imag >= 0 else "-"
+        return f"{x.real:.6g}{sign}{abs(x.imag):.6g}i"
+    if isinstance(x, float):
+        return f"{x:.6g}"
     return str(x)
 
 
@@ -135,11 +117,19 @@ def _input_record(ref: str, text: str) -> dict:
     return {"ref": ref, "sha256": _digest(text)}
 
 
-def _load_source(ref: str) -> tuple[str, str]:
-    """Resolve a path or corpus:NAME reference to (label, raw text)."""
+_CORPUS_FAMILIES = {"finite system": corpus.FINITE_SYSTEMS, "dual system": corpus.DUAL_SYSTEMS}
+
+
+def _load_source(ref: str, family: str | None = None) -> tuple[str, str]:
+    """Resolve a path or corpus:NAME reference to (label, raw text); a corpus
+    entry must be of `family`, a key of _CORPUS_FAMILIES, when one is given."""
     if ref.startswith("corpus:"):
         name = ref.split(":", 1)[1]
-        return ref, corpus.text(name)
+        text = corpus.text(name)
+        if family is not None and name not in _CORPUS_FAMILIES[family]:
+            other = next(f for f, names in _CORPUS_FAMILIES.items() if name in names)
+            raise InputFormatError(f"{ref} is a {other}; this command reads a {family}")
+        return ref, text
     try:
         return ref, Path(ref).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -152,7 +142,7 @@ def _reason(exc: Exception) -> str:
 
 
 def _load_system(ref: str):
-    label, text = _load_source(ref)
+    label, text = _load_source(ref, "finite system")
     sysd = fileio.load_system(json.loads(text))
     if not sysd.validation.valid:
         raise InputFormatError(f"{label}: invalid system: {sysd.validation}")
@@ -160,7 +150,7 @@ def _load_system(ref: str):
 
 
 def _load_dual(ref: str):
-    label, text = _load_source(ref)
+    label, text = _load_source(ref, "dual system")
     df = fileio.load_dual(json.loads(text))
     return df, _input_record(label, text)
 
@@ -384,7 +374,7 @@ def _cmd_cesaro_diagonal(args):
     return {"system": rec}, results, warnings, "ok"
 
 
-def _dual_coherence(sysd: DualSystem, cls, samples: int, seed: int) -> dict:
+def _dual_coherence(sysd, cls, samples: int, seed: int) -> dict:
     """Sampled cross-checks of the orbits against the classification `cls`:
     an ergodic group has no finite orbit but the identity's, and a compact
     one no infinite orbit.
@@ -392,6 +382,8 @@ def _dual_coherence(sysd: DualSystem, cls, samples: int, seed: int) -> dict:
     The samples are counted by orbit kind as they are drawn, so each
     violation count is read off the kind counts.
     """
+    from .dual import orbit_kind_counts
+
     finite, identity = orbit_kind_counts(sysd, random.Random(seed), samples)
     return {
         "samples": samples,
@@ -403,6 +395,8 @@ def _dual_coherence(sysd: DualSystem, cls, samples: int, seed: int) -> dict:
 
 
 def _cmd_dual_classify(args):
+    from .dual import classify_dual
+
     df, rec = _load_dual(args.group)
     cls = classify_dual(df.system)
     results = {
@@ -435,6 +429,8 @@ def _cmd_dual_orbit(args):
 
 
 def _cmd_dual_correlations(args):
+    from .dual import correlation_series, parse_combination
+
     df, rec = _load_dual(args.group)
     sysd = df.system
     a = parse_combination(sysd, df.resolve_text(args.a))
@@ -451,9 +447,11 @@ def _cmd_dual_correlations(args):
     return {"group": rec}, results, [], "ok"
 
 
-def _default_pair_element(sysd: DualSystem):
+def _default_pair_element(sysd):
     """Two diagonal terms λ(g) ⊗ ρ(g) over small sample elements."""
-    from .dual import QQi, FinPerm
+    from fractions import Fraction
+
+    from .dual import FinPerm, QQi
 
     spec = sysd.spec
     track = spec.tracks[0]
@@ -477,6 +475,8 @@ def _default_pair_element(sysd: DualSystem):
 
 
 def _cmd_dual_ornstein(args):
+    from .dual import ornstein_scan_dual, parse_pair_combination
+
     df, rec = _load_dual(args.group)
     sysd = df.system
     window = _parse_window(args.window)
@@ -508,6 +508,8 @@ _EXPERIMENT_CANDIDATES = ("dual_cycle2",)
 
 
 def _cmd_dual_joining(args):
+    from .dual import classify_dual, opposite_group_joining
+
     df, rec = _load_dual(args.group)
     sysd = df.system
     oj = opposite_group_joining(sysd)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,8 +40,10 @@ from .algebra import (
     FiniteSystem,
     GroupDescriptor,
 )
-from .dual import DualSystem, Track, TrackSpec
 from .errors import InputFormatError, StructureError
+
+if TYPE_CHECKING:
+    from .dual import DualSystem
 
 
 def _entry_from_json(x) -> complex:
@@ -180,6 +183,8 @@ class DualFile:
 
 def load_dual(data) -> DualFile:
     """The group of a parsed dual-system file, with its 'h' aliases."""
+    from .dual import DualSystem, Track, TrackSpec
+
     _expect(data, dict, "a dual-system file")
     family = data.get("family")
     if family not in ("free", "finperm"):

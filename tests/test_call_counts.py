@@ -306,7 +306,7 @@ def test_abelianness_profile_builds_no_gns_data(monkeypatch):
 
 def test_dual_classify_with_samples_classifies_once(monkeypatch):
     """The sampled coherence check reads the classification of the report."""
-    assert _calls(monkeypatch, cli, "classify_dual",
+    assert _calls(monkeypatch, dual, "classify_dual",
                   "dual classify --group corpus:dual_shift --samples 5") == 1
 
 

@@ -724,18 +724,56 @@ def test_wide_witness_exceeds_the_product(name, capsys):
     assert residual_magnitude(results["witness"]["residuals"]) < 1e-8
 
 
+def _source_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's ncjoin."""
+    src = str(Path(ncjoin.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def test_closed_stdout_exits_quietly():
     """A reader that goes away before the report is written (`| head`) gets
     no traceback, and the command keeps its exit code."""
-    src = str(Path(ncjoin.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.Popen(
         [sys.executable, "-m", "ncjoin.cli", "classify", "--system", "corpus:c2",
          "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_source_env())
     proc.stdout.close()   # before the interpreter has even imported numpy
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+_FINITE_PATH_PROBE = """
+import sys
+from ncjoin import cli, corpus, fileio, joinings
+codes = [cli.run(argv)[1] for argv in (
+    ["classify", "--system", "corpus:c3"],
+    ["joinings", "disjoint", "--a", "corpus:c2", "--b", "corpus:c3"],
+    ["ornstein", "--system", "corpus:c3", "--window", "0..8"])]
+corpus.system("c3")
+finite_path = [m for m in ("ncjoin.dual", "fractions") if m in sys.modules]
+code = cli.run(["dual", "orbit", "--group", "corpus:dual_mixed", "--word", "x0 y1"])[1]
+print(codes, finite_path, code, "ncjoin.dual" in sys.modules)
+"""
+
+
+def test_finite_commands_never_load_the_dual_layer():
+    """In a fresh interpreter, finite commands and the corpus load neither
+    `ncjoin.dual` nor `fractions`; the first dual command loads the former."""
+    out = subprocess.run([sys.executable, "-c", _FINITE_PATH_PROBE], env=_source_env(),
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[0, 0, 0] [] 0 True"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["classify", "--system", "corpus:dual_shift"],
+     "corpus:dual_shift is a dual system; this command reads a finite system"),
+    (["dual", "classify", "--group", "corpus:c3"],
+     "corpus:c3 is a finite system; this command reads a dual system"),
+])
+def test_corpus_entry_of_the_wrong_family_exits_2(argv, message):
+    report, code = run(argv)
+    assert code == 2
+    assert report["error"] == message
