@@ -478,15 +478,15 @@ class GroupDescriptor:
     """
 
     kind: str
-    k: int = 1
+    k: int | None = None   # given for Zk only; the other kinds have one generator
     m: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("Z", "Zk", "Zm"):
             raise StructureError(f"unknown group kind {self.kind!r}")
-        if self.kind == "Zk" and self.k < 1:
+        if self.kind == "Zk" and (self.k is None or self.k < 1):
             raise StructureError("Zk needs k >= 1")
-        if self.kind != "Zk" and self.k != 1:
+        if self.kind != "Zk" and self.k not in (None, 1):
             raise StructureError(f"{self.kind} has one generator, not k = {self.k}")
         if self.kind == "Zm" and (self.m is None or self.m < 1):
             raise StructureError("Zm needs m >= 1")
@@ -494,6 +494,7 @@ class GroupDescriptor:
             raise StructureError(f"{self.kind} has no order m")
         if self.kind == "Zk" and self.k == 1:
             object.__setattr__(self, "kind", "Z")
+        object.__setattr__(self, "k", self.k or 1)
 
     @property
     def num_generators(self) -> int:

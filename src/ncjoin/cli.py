@@ -13,8 +13,8 @@ early, as `| head` does, ends the command quietly with its own exit code.
 
 Input files may be replaced by corpus references like ``corpus:c3``.
 
-The dual commands import ``ncjoin.dual`` in their handlers, so that a
-finite command never loads the exact dual layer.
+The dual commands import ``ncjoin.dual`` in their handlers and loader, so
+that a finite command never loads the exact dual layer.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import corpus, fileio
 from .errors import (InputFormatError, InvalidSystemError, NcjoinError, StructureError,
-                     UnsupportedGroupError)
+                     UnsupportedGroupError, _integer)
 from .gns import (
     cesaro_correlation,
     classify_finite,
@@ -109,31 +109,26 @@ def emit_report(report: dict, fmt: str) -> str:
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def _load_source(ref: str, family: str | None = None) -> tuple[object, dict]:
+    """The parsed JSON of a path or corpus:NAME reference, and its input record.
 
-
-def _input_record(ref: str, text: str) -> dict:
-    return {"ref": ref, "sha256": _digest(text)}
-
-
-_CORPUS_FAMILIES = {"finite system": corpus.FINITE_SYSTEMS, "dual system": corpus.DUAL_SYSTEMS}
-
-
-def _load_source(ref: str, family: str | None = None) -> tuple[str, str]:
-    """Resolve a path or corpus:NAME reference to (label, raw text); a corpus
-    entry must be of `family`, a key of _CORPUS_FAMILIES, when one is given."""
+    An object with "blocks" is a finite system and one with "family" a dual
+    system; a source of the other family than `family` is refused.
+    """
     if ref.startswith("corpus:"):
-        name = ref.split(":", 1)[1]
-        text = corpus.text(name)
-        if family is not None and name not in _CORPUS_FAMILIES[family]:
-            other = next(f for f, names in _CORPUS_FAMILIES.items() if name in names)
-            raise InputFormatError(f"{ref} is a {other}; this command reads a {family}")
-        return ref, text
-    try:
-        return ref, Path(ref).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputFormatError(f"cannot read {ref}: {_reason(exc)}") from exc
+        text = corpus.text(ref.split(":", 1)[1])
+    else:
+        try:
+            text = Path(ref).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputFormatError(f"cannot read {ref}: {_reason(exc)}") from exc
+    data = json.loads(text)
+    if family is not None and isinstance(data, dict):
+        found = ("finite system" if "blocks" in data else
+                 "dual system" if "family" in data else family)
+        if found != family:
+            raise InputFormatError(f"{ref} is a {found}; this command reads a {family}")
+    return data, {"ref": ref, "sha256": hashlib.sha256(text.encode()).hexdigest()[:16]}
 
 
 def _reason(exc: Exception) -> str:
@@ -142,17 +137,18 @@ def _reason(exc: Exception) -> str:
 
 
 def _load_system(ref: str):
-    label, text = _load_source(ref, "finite system")
-    sysd = fileio.load_system(json.loads(text))
+    data, rec = _load_source(ref, "finite system")
+    sysd = fileio.load_system(data)
     if not sysd.validation.valid:
-        raise InputFormatError(f"{label}: invalid system: {sysd.validation}")
-    return sysd, _input_record(label, text)
+        raise InputFormatError(f"{ref}: invalid system: {sysd.validation}")
+    return sysd, rec
 
 
 def _load_dual(ref: str):
-    label, text = _load_source(ref, "dual system")
-    df = fileio.load_dual(json.loads(text))
-    return df, _input_record(label, text)
+    from .dual import load_dual
+
+    data, rec = _load_source(ref, "dual system")
+    return load_dual(data), rec
 
 
 def _parse_window(text: str) -> range:
@@ -255,20 +251,19 @@ def _cmd_average(args):
 
 
 def _parse_objective_file(ctx, ref: str):
-    label, text = _load_source(ref)
-    data = json.loads(text)
+    data, _ = _load_source(ref)
     terms = data.get("terms") if isinstance(data, dict) else None
     if not isinstance(terms, list):
-        raise InputFormatError(f"{label}: objective file needs a 'terms' list")
+        raise InputFormatError(f"{ref}: objective file needs a 'terms' list")
     elem = ctx.structure.zero()
     for t in terms:
         try:
             coef = fileio._entry_from_json(t.get("coef", [1.0, 0.0]))
-            i = _index(fileio._integer(t["i"], "objective term i"), ctx.dim_a)
-            j = _index(fileio._integer(t["j"], "objective term j"), ctx.dim_b)
+            i = _index(_integer(t["i"], "objective term i"), ctx.dim_a)
+            j = _index(_integer(t["j"], "objective term j"), ctx.dim_b)
             elem = elem + coef * ctx.basis_pair(i, j)
         except (AttributeError, KeyError, TypeError, ValueError, InputFormatError) as exc:
-            raise InputFormatError(f"{label}: malformed objective term {t!r}: {exc}") from exc
+            raise InputFormatError(f"{ref}: malformed objective term {t!r}: {exc}") from exc
     return elem
 
 
@@ -555,7 +550,7 @@ def _cmd_corpus(args):
     elif args.action == "show":
         if not args.name:
             raise InputFormatError("corpus show needs a name")
-        results = {"name": args.name, "content": json.loads(corpus.text(args.name))}
+        results = {"name": args.name, "content": corpus.raw(args.name)}
     else:   # "export", the parser's last choice
         if not args.name:
             raise InputFormatError("corpus export needs a target directory")

@@ -43,7 +43,9 @@ def system(name: str):
 def dual(name: str):
     if name not in DUAL_SYSTEMS:
         raise InputFormatError(f"{name!r} is not a dual-system corpus entry")
-    return fileio.load_dual(raw(name))
+    from .dual import load_dual
+
+    return load_dual(raw(name))
 
 
 def export(directory) -> list[str]:

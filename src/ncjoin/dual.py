@@ -10,6 +10,17 @@ coefficients are Gaussian rationals, correlations are indicator sums.
 The Haar (trace) state on the group algebra is μ(λ(g)) = [g = identity];
 the mirror leg uses right translations ρ(h), and the shifted diagonal
 values reduce to Δ_n(λ(g) ⊗ ρ(h)) = [T^n(g) = h].
+
+A dual-system file, read by `load_dual`, is the JSON object
+
+    {"family": "free" | "finperm",
+     "tracks": [{"id": "x", "kind": "shift"} | {"id": "y", "kind": "cycle", "m": 3}],
+     "h": {"cycles": [["p", "q", ...], ...]}}
+
+"h" is only meaningful for the finperm family: it spells out extra finite
+cycles of the conjugating bijection over fresh letter names, which are
+normalized into cycle tracks at load time; the original names stay usable
+in words through the returned alias table.
 """
 
 from __future__ import annotations
@@ -17,10 +28,10 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InputFormatError, NcjoinError, StructureError
+from .errors import InputFormatError, NcjoinError, StructureError, _expect, _integer
 
 Letter = tuple[str, int]
 
@@ -64,9 +75,6 @@ class QQi:
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
 
     def __str__(self):
         if self.im == 0:
@@ -494,6 +502,67 @@ def finite_orbit_subsystem(sys: DualSystem) -> FiniteOrbitSubsystem:
         system=sys, description=description, trivial=trivial, restricted=restricted,
         restricted_classification=classify_dual(restricted) if cycles else None,
     )
+
+
+# ---------------------------------------------------------------------------
+# the dual-system file
+
+
+@dataclass
+class DualFile:
+    system: DualSystem
+    aliases: dict[str, str] = field(default_factory=dict)
+
+    def resolve_text(self, text: str) -> str:
+        """Substitute alias letter names by their track tokens in a word string."""
+        if not self.aliases:
+            return text
+        return re.sub(r"[A-Za-z_]+(?![-\d])", lambda m: self.aliases.get(m[0], m[0]), text)
+
+
+def load_dual(data) -> DualFile:
+    """The group of a parsed dual-system file, with its 'h' aliases.
+
+    The family is checked first; `Track`, `TrackSpec` and `DualSystem`
+    check the rest, and their errors are reported as malformed input.
+    """
+    _expect(data, dict, "a dual-system file")
+    family = data.get("family")
+    if family not in ("free", "finperm"):
+        raise InputFormatError(f"family must be 'free' or 'finperm', got {family!r}")
+    tracks = []
+    for t in _expect(data.get("tracks", []), list, "'tracks'"):
+        try:
+            kind = t["kind"]
+            tracks.append(Track(t["id"], kind,
+                                _integer(t["m"], "track m") if kind == "cycle" else None))
+        except (KeyError, TypeError, StructureError) as exc:
+            raise InputFormatError(f"malformed track {t!r}: {exc}") from exc
+    aliases: dict[str, str] = {}
+    cycles = []   # (track id, length) of each 'h' cycle
+    if data.get("h") is not None:
+        if family != "finperm":
+            raise InputFormatError("'h' is only meaningful for the finperm family")
+        for ci, cyc in enumerate(_expect(_expect(data["h"], dict, "'h'").get("cycles", []),
+                                         list, "'h' cycles")):
+            suffix, k = "", ci
+            while k >= 0:   # ha, ..., hz, haa, ...: digits belong to indices
+                suffix, k = chr(ord("a") + k % 26) + suffix, k // 26 - 1
+            tid = f"h{suffix}"
+            names = [str(x) for x in _expect(cyc, list, "an 'h' cycle")]
+            for name in names:
+                if not re.fullmatch(r"[A-Za-z_]+", name):
+                    raise InputFormatError(f"'h' cycle letters must be bare names, got {name!r}")
+                if name in aliases:
+                    raise InputFormatError(f"letter {name!r} appears in two 'h' cycles")
+            cycles.append((tid, len(names)))
+            for pos, name in enumerate(names):
+                aliases[name] = f"{tid}{pos}"
+    try:
+        spec = TrackSpec((*tracks, *(Track(tid, "cycle", m) for tid, m in cycles)))
+        return DualFile(DualSystem(family, spec), aliases)
+    except StructureError as exc:
+        raise InputFormatError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON shape checks
+of the file readers that raise them."""
 
 
 class NcjoinError(Exception):
@@ -51,3 +52,18 @@ class NonJoiningError(NcjoinError):
 
 class InputFormatError(NcjoinError):
     """Malformed input file or command-line element specification."""
+
+
+def _expect(value, kind: type, what: str):
+    """`value`, which must be a JSON object (dict) or array (list)."""
+    if not isinstance(value, kind):
+        raise InputFormatError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, "
+                               f"got {type(value).__name__}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer; a float, boolean or string is an error, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputFormatError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -1,4 +1,4 @@
-"""JSON interchange formats for systems and dual-system groups.
+"""The JSON interchange format of finite systems.
 
 Matrices are nested row-major arrays whose entries are [re, im] pairs
 (bare numbers are accepted on input and read as real). A system file is
@@ -11,25 +11,11 @@ Matrices are nested row-major arrays whose entries are [re, im] pairs
 where "perm" is the block permutation in the pull convention (output block
 k reads input block perm[k]) and "unitary" is the block-diagonal conjugator.
 "Zk" with k = 1 is read as "Z", as `GroupDescriptor` builds it.
-
-A dual-system file is
-
-    {"family": "free" | "finperm",
-     "tracks": [{"id": "x", "kind": "shift"} | {"id": "y", "kind": "cycle", "m": 3}],
-     "h": {"cycles": [["p", "q", ...], ...]}}
-
-"h" is only meaningful for the finperm family: it spells out extra finite
-cycles of the conjugating bijection over fresh letter names, which are
-normalized into cycle tracks at load time; the original names stay usable
-in words through the returned alias table.
 """
 
 from __future__ import annotations
 
 import cmath
-import re
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,10 +26,7 @@ from .algebra import (
     FiniteSystem,
     GroupDescriptor,
 )
-from .errors import InputFormatError, StructureError
-
-if TYPE_CHECKING:
-    from .dual import DualSystem
+from .errors import InputFormatError, StructureError, _expect, _integer
 
 
 def _entry_from_json(x) -> complex:
@@ -87,35 +70,15 @@ def matrix_to_json(m: np.ndarray):
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _expect(value, kind: type, what: str):
-    """`value`, which must be a JSON object (dict) or array (list)."""
-    if not isinstance(value, kind):
-        raise InputFormatError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, "
-                               f"got {type(value).__name__}")
-    return value
-
-
-def _integer(value, what: str) -> int:
-    """A JSON integer; a float, boolean or string is an error, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputFormatError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def load_group(data) -> GroupDescriptor:
+    """The group of a system file; `GroupDescriptor` checks its fields."""
     if not isinstance(data, dict) or "kind" not in data:
         raise InputFormatError("group must be an object with a 'kind'")
-    kind = data["kind"]
+    fields = {f: _integer(data[f], f"group {f}") for f in ("k", "m") if f in data}
     try:
-        if kind == "Z":
-            return GroupDescriptor("Z")
-        if kind == "Zk":
-            return GroupDescriptor("Zk", k=_integer(data["k"], "group k"))
-        if kind == "Zm":
-            return GroupDescriptor("Zm", m=_integer(data["m"], "group m"))
-    except (KeyError, ValueError, StructureError) as exc:
-        raise InputFormatError(f"malformed group descriptor: {exc}") from exc
-    raise InputFormatError(f"unknown group kind {kind!r}")
+        return GroupDescriptor(data["kind"], **fields)
+    except StructureError as exc:
+        raise InputFormatError(str(exc)) from exc
 
 
 def load_system(data) -> FiniteSystem:
@@ -162,74 +125,3 @@ def dump_system(sys: FiniteSystem) -> dict:
             for g in sys.generators
         ],
     }
-
-
-@dataclass
-class DualFile:
-    system: DualSystem
-    aliases: dict[str, str] = field(default_factory=dict)
-
-    def resolve_text(self, text: str) -> str:
-        """Substitute alias letter names by their track tokens in a word string."""
-        if not self.aliases:
-            return text
-
-        def sub(match):
-            name = match.group(0)
-            return self.aliases.get(name, name)
-
-        return re.sub(r"[A-Za-z_]+(?![-\d])", sub, text)
-
-
-def load_dual(data) -> DualFile:
-    """The group of a parsed dual-system file, with its 'h' aliases."""
-    from .dual import DualSystem, Track, TrackSpec
-
-    _expect(data, dict, "a dual-system file")
-    family = data.get("family")
-    if family not in ("free", "finperm"):
-        raise InputFormatError(f"family must be 'free' or 'finperm', got {family!r}")
-    tracks = []
-    for t in _expect(data.get("tracks", []), list, "'tracks'"):
-        try:
-            kind = t["kind"]
-            if kind == "cycle":
-                tracks.append(Track(t["id"], "cycle", _integer(t["m"], "track m")))
-            elif kind == "shift":
-                tracks.append(Track(t["id"], "shift"))
-            else:
-                raise InputFormatError(f"unknown track kind {kind!r}")
-        except (KeyError, TypeError, ValueError, StructureError) as exc:
-            raise InputFormatError(f"malformed track {t!r}: {exc}") from exc
-    aliases: dict[str, str] = {}
-    if "h" in data and data["h"] is not None:
-        if family != "finperm":
-            raise InputFormatError("'h' is only meaningful for the finperm family")
-        cycles = _expect(_expect(data["h"], dict, "'h'").get("cycles", []), list, "'h' cycles")
-        for ci, cyc in enumerate(cycles):
-            # track ids must be purely alphabetic; digits belong to indices
-            suffix = ""
-            k = ci
-            while True:
-                suffix = chr(ord("a") + k % 26) + suffix
-                k = k // 26 - 1
-                if k < 0:
-                    break
-            tid = f"h{suffix}"
-            if any(t.id == tid for t in tracks):
-                raise InputFormatError(f"track id {tid} collides with an 'h' cycle")
-            names = [str(x) for x in _expect(cyc, list, "an 'h' cycle")]
-            for name in names:
-                if not re.fullmatch(r"[A-Za-z_]+", name):
-                    raise InputFormatError(
-                        f"'h' cycle letters must be bare names, got {name!r}")
-                if name in aliases:
-                    raise InputFormatError(f"letter {name!r} appears in two 'h' cycles")
-            tracks.append(Track(tid, "cycle", len(names)))
-            for pos, name in enumerate(names):
-                aliases[name] = f"{tid}{pos}"
-    try:
-        system = DualSystem(family, TrackSpec(tuple(tracks)))
-    except StructureError as exc:
-        raise InputFormatError(str(exc)) from exc
-    return DualFile(system=system, aliases=aliases)

@@ -242,7 +242,8 @@ def test_z_to_the_one_is_z():
     assert hash(z1) == hash(GroupDescriptor("Z"))
 
 
-@pytest.mark.parametrize("kind,k,m", [("Z", 2, None), ("Zm", 2, 3), ("Zk", 2, 3), ("Z", 1, 3)])
+@pytest.mark.parametrize("kind,k,m", [("Z", 2, None), ("Zm", 2, 3), ("Zk", 2, 3), ("Z", 1, 3),
+                                      ("Zk", None, None)])
 def test_group_fields_outside_their_kind_raise(kind, k, m):
     with pytest.raises(StructureError):
         GroupDescriptor(kind, k=k, m=m)

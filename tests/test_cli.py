@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ncjoin
-from ncjoin import corpus, fileio, gns
+from ncjoin import corpus, dual, fileio, gns
 from ncjoin.algebra import identity_system, validate_system
 from ncjoin.cli import build_parser, emit_report, main, run
 from ncjoin.errors import InputFormatError
@@ -136,7 +136,7 @@ def test_dual_file_with_h_cycles(tmp_path):
         "tracks": [{"id": "x", "kind": "shift"}],
         "h": {"cycles": [["p", "q", "r"]]},
     }
-    df = fileio.load_dual(data)
+    df = dual.load_dual(data)
     kinds = {(t.id, t.kind, t.m) for t in df.system.spec.tracks}
     assert ("ha", "cycle", 3) in kinds
     assert df.aliases == {"p": "ha0", "q": "ha1", "r": "ha2"}
@@ -149,7 +149,20 @@ def test_dual_file_with_h_cycles(tmp_path):
 
 def test_dual_file_rejects_h_for_free():
     with pytest.raises(InputFormatError):
-        fileio.load_dual({"family": "free", "tracks": [], "h": {"cycles": [["a", "b"]]}})
+        dual.load_dual({"family": "free", "tracks": [], "h": {"cycles": [["a", "b"]]}})
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"family": "free", "tracks": [{"id": "x", "kind": "spiral"}]},
+     "malformed track {'id': 'x', 'kind': 'spiral'}: unknown track kind 'spiral'"),
+    ({"family": "bogus", "tracks": []}, "family must be 'free' or 'finperm', got 'bogus'"),
+    ({"tracks": []}, "family must be 'free' or 'finperm', got None"),
+])
+def test_dual_file_errors_name_the_first_fault(data, message):
+    """Every track error carries the track; the family is checked before the tracks."""
+    with pytest.raises(InputFormatError) as exc:
+        dual.load_dual(data)
+    assert str(exc.value) == message
 
 
 def test_malformed_system_reports(tmp_path):
@@ -610,6 +623,9 @@ def test_objective_index_errors_name_the_file(tmp_path, term, reason):
     ("joinings find --a corpus:c2 --b corpus:c2 --objective-file", {"terms": 5}),
     ("joinings find --a corpus:c2 --b corpus:c2 --objective-file", {"terms": [1]}),
     ("joinings find --a corpus:c2 --b corpus:c2 --objective-file", []),
+    ("classify --system", {**corpus.raw("c2"), "group": {"kind": "Z", "k": 3}}),
+    ("classify --system", {**corpus.raw("c3"), "group": {"kind": "Zm", "m": 3, "k": 2}}),
+    ("classify --system", {**corpus.raw("c2"), "group": {"kind": "Zk"}}),
 ])
 def test_malformed_json_shapes_exit_2(tmp_path, name, content):
     p = tmp_path / "shape.json"
@@ -767,11 +783,37 @@ def test_finite_commands_never_load_the_dual_layer():
     assert out.strip() == "[0, 0, 0] [] 0 True"
 
 
+_DUAL_FILE_PROBE = """
+import sys
+from ncjoin.dual import load_dual
+df = load_dual({"family": "finperm", "tracks": [{"id": "x", "kind": "shift"}],
+                "h": {"cycles": [["p", "q"]]}})
+print(df.aliases, [m for m in ("numpy", "ncjoin.fileio", "ncjoin.algebra") if m in sys.modules])
+"""
+
+
+def test_dual_files_load_without_the_finite_layers():
+    """In a fresh interpreter, reading a dual-system file loads neither
+    numpy nor the finite format and algebra."""
+    out = subprocess.run([sys.executable, "-c", _DUAL_FILE_PROBE], env=_source_env(),
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out.strip() == "{'p': 'ha0', 'q': 'ha1'} []"
+
+
+def _corpus_file(name: str) -> str:
+    """The path of a bundled corpus file, the text `corpus export` writes."""
+    return str(Path(corpus.__file__).parent / "corpus" / f"{name}.json")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["classify", "--system", "corpus:dual_shift"],
      "corpus:dual_shift is a dual system; this command reads a finite system"),
     (["dual", "classify", "--group", "corpus:c3"],
      "corpus:c3 is a finite system; this command reads a dual system"),
+    (["classify", "--system", _corpus_file("dual_shift")],
+     f"{_corpus_file('dual_shift')} is a dual system; this command reads a finite system"),
+    (["dual", "classify", "--group", _corpus_file("c3")],
+     f"{_corpus_file('c3')} is a finite system; this command reads a dual system"),
 ])
 def test_corpus_entry_of_the_wrong_family_exits_2(argv, message):
     report, code = run(argv)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ncjoin import cli, dual, fileio
+from ncjoin import cli, dual
 from ncjoin.dual import (
     CorrelationSeries,
     DualSystem,
@@ -567,7 +567,7 @@ def test_ornstein_scan_on_a_one_letter_cycle(tmp_path, capsys, group, elements, 
     assert cli.main(argv + ([f"--elements={elements}"] if elements else [])) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["strongly_mixing"] is True
-    assert classify_dual(fileio.load_dual(group).system).strongly_mixing
+    assert classify_dual(dual.load_dual(group).system).strongly_mixing
     for elem in results["elements"]:
         assert elem["escape_bound"] is not None and elem["eventual_ratio"] == "1"
         assert bound is None or elem["escape_bound"] == bound
