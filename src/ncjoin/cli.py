@@ -13,6 +13,12 @@ early, as `| head` does, ends the command quietly with its own exit code.
 
 Input files may be replaced by corpus references like ``corpus:c3``.
 
+Where a command's result is one library object, its results section is
+that object's fields in their order, nested for each element report:
+`classify` prints `Classification` under "classification", and
+`ornstein`, `dual classify` and `dual ornstein` print `OrnsteinScan`,
+`DualClassification` and `DualOrnsteinScan`.
+
 The dual commands import ``ncjoin.dual`` in their handlers and loader, so
 that a finite command never loads the exact dual layer.
 """
@@ -185,18 +191,6 @@ def _folner_index(n: int) -> int:
     return n
 
 
-def _classification_dict(c) -> dict:
-    return {
-        "ergodic": c.ergodic,
-        "weakly_mixing": c.weakly_mixing,
-        "discrete_spectrum": c.discrete_spectrum,
-        "compact": c.compact,
-        "fixed_algebra_dimension": c.fixed_algebra_dimension,
-        "h0_dimension": c.h0_dimension,
-        "notes": list(c.notes),
-    }
-
-
 # ---------------------------------------------------------------------------
 # command handlers; each returns (results dict, warnings list, status str)
 
@@ -205,7 +199,7 @@ def _cmd_classify(args):
     sysd, rec = _load_system(args.system)
     cls = classify_finite(sysd)
     results = {
-        "classification": _classification_dict(cls),
+        "classification": vars(cls),
         "point_spectrum": [
             {"eigenvalue": list(e.eigenvalue), "multiplicity": e.multiplicity}
             for e in sysd.spectrum.entries
@@ -341,18 +335,7 @@ def _cmd_ornstein(args):
     elements = [ctx.basis_pair(i, j) for i, j in pairs]
     labels = [f"e{i}xf{j}" for i, j in pairs]
     scan = ornstein_ratio_scan(ctx, elements, window, labels=labels)
-    results = {
-        "period": scan.period,
-        "sup_ratio": scan.sup_ratio,
-        "skipped": scan.skipped,
-        "elements": [
-            {"label": r.element_label,
-             "denominator": r.denominator,
-             "ratios": [[row.n, row.ratio] for row in r.rows],
-             "sup": r.sup_ratio}
-            for r in scan.reports
-        ],
-    }
+    results = {**vars(scan), "elements": [vars(r) for r in scan.elements]}
     warnings = []
     if scan.period is None:
         warnings.append("no exact recurrence within the window")
@@ -394,15 +377,7 @@ def _cmd_dual_classify(args):
 
     df, rec = _load_dual(args.group)
     cls = classify_dual(df.system)
-    results = {
-        "ergodic": cls.ergodic,
-        "weakly_mixing": cls.weakly_mixing,
-        "strongly_mixing": cls.strongly_mixing,
-        "compact": cls.compact,
-        "gamma_finite": cls.gamma_finite,
-        "gamma_order": cls.gamma_order,
-        "notes": list(cls.notes),
-    }
+    results = dict(vars(cls))
     if args.samples:
         results["coherence"] = _dual_coherence(df.system, cls, args.samples, args.seed)
     return {"group": rec}, results, [], "ok"
@@ -482,20 +457,7 @@ def _cmd_dual_ornstein(args):
         cs = [_default_pair_element(sysd)]
         labels = ["default element"]
     scan = ornstein_scan_dual(sysd, cs, window, labels=labels)
-    results = {
-        "strongly_mixing": scan.strongly_mixing,
-        "max_limsup": scan.max_limsup,
-        "skipped": scan.skipped,
-        "elements": [
-            {"label": r.label,
-             "denominator": r.denominator,
-             "escape_bound": r.escape_bound,
-             "eventual_ratio": r.eventual_ratio,
-             "limsup_window": r.limsup_window,
-             "ratios": [[n, v] for n, v in r.ratios]}
-            for r in scan.reports
-        ],
-    }
+    results = {**vars(scan), "elements": [vars(r) for r in scan.elements]}
     return {"group": rec}, results, [], "ok"
 
 
@@ -510,7 +472,7 @@ def _cmd_dual_joining(args):
     oj = opposite_group_joining(sysd)
     sub = oj.subsystem
     results = {
-        "trivial": oj.trivial,
+        "trivial": sub.trivial,
         "finite_orbit_subsystem": sub.description,
     }
     if oj.witness is not None:
@@ -523,7 +485,7 @@ def _cmd_dual_joining(args):
         }
     warnings = []
     if args.experiment:
-        if not oj.trivial:
+        if not sub.trivial:
             raise InputFormatError("--experiment expects an ergodic dual system")
         findings = []
         for name in _EXPERIMENT_CANDIDATES:

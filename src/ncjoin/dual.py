@@ -124,6 +124,8 @@ class Track:
             raise StructureError(f"unknown track kind {self.kind!r}")
         if self.kind == "cycle" and (self.m is None or self.m < 1):
             raise StructureError(f"cycle track {self.id!r} needs length m >= 1")
+        if self.kind == "shift" and self.m is not None:
+            raise StructureError(f"shift track {self.id!r} takes no length m")
 
 
 @dataclass(frozen=True)
@@ -272,7 +274,7 @@ class FinPerm:
                 continue
             for x in cyc:
                 if x in seen:
-                    raise StructureError(f"letter {x} appears in two cycles")
+                    raise StructureError(f"letter {x[0]}{x[1]} appears twice")
                 seen.add(x)
             for i, x in enumerate(cyc):
                 pairs.append((x, cyc[(i + 1) % len(cyc)]))
@@ -477,7 +479,6 @@ class FiniteOrbitSubsystem:
     description: str
     trivial: bool
     restricted: DualSystem | None
-    restricted_classification: DualClassification | None
 
     def membership(self, g) -> bool:
         return self.system.orbit_length(g).kind == "finite"
@@ -499,9 +500,7 @@ def finite_orbit_subsystem(sys: DualSystem) -> FiniteOrbitSubsystem:
                    + " the cycle-track letters " + ", ".join(t.id for t in cycles))
     restricted = DualSystem(sys.family, TrackSpec(cycles)) if cycles else None
     return FiniteOrbitSubsystem(
-        system=sys, description=description, trivial=trivial, restricted=restricted,
-        restricted_classification=classify_dual(restricted) if cycles else None,
-    )
+        system=sys, description=description, trivial=trivial, restricted=restricted)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +534,7 @@ def load_dual(data) -> DualFile:
         try:
             kind = t["kind"]
             tracks.append(Track(t["id"], kind,
-                                _integer(t["m"], "track m") if kind == "cycle" else None))
+                                _integer(t["m"], "track m") if kind == "cycle" else t.get("m")))
         except (KeyError, TypeError, StructureError) as exc:
             raise InputFormatError(f"malformed track {t!r}: {exc}") from exc
     aliases: dict[str, str] = {}
@@ -550,14 +549,14 @@ def load_dual(data) -> DualFile:
                 suffix, k = chr(ord("a") + k % 26) + suffix, k // 26 - 1
             tid = f"h{suffix}"
             names = [str(x) for x in _expect(cyc, list, "an 'h' cycle")]
-            for name in names:
+            for pos, name in enumerate(names):
                 if not re.fullmatch(r"[A-Za-z_]+", name):
                     raise InputFormatError(f"'h' cycle letters must be bare names, got {name!r}")
                 if name in aliases:
-                    raise InputFormatError(f"letter {name!r} appears in two 'h' cycles")
-            cycles.append((tid, len(names)))
-            for pos, name in enumerate(names):
+                    raise InputFormatError(f"letter {name!r} appears " + (
+                        "twice in one 'h' cycle" if name in names[:pos] else "in two 'h' cycles"))
                 aliases[name] = f"{tid}{pos}"
+            cycles.append((tid, len(names)))
     try:
         spec = TrackSpec((*tracks, *(Track(tid, "cycle", m) for tid, m in cycles)))
         return DualFile(DualSystem(family, spec), aliases)
@@ -742,18 +741,18 @@ def _index_span(sys: DualSystem, c: PairCombination) -> int:
 class DualOrnsteinReport:
     label: str
     denominator: Fraction
-    ratios: list[tuple[int, Fraction]]
-    limsup_window: Fraction
     escape_bound: int | None
     eventual_ratio: Fraction | None
+    limsup_window: Fraction
+    ratios: list[tuple[int, Fraction]]
 
 
 @dataclass
 class DualOrnsteinScan:
-    reports: list[DualOrnsteinReport]
-    skipped: list[str]
     strongly_mixing: bool
     max_limsup: Fraction
+    skipped: list[str]
+    elements: list[DualOrnsteinReport]
 
 
 def ornstein_scan_dual(sys: DualSystem, test_set, n_range,
@@ -775,7 +774,7 @@ def ornstein_scan_dual(sys: DualSystem, test_set, n_range,
         raise ValueError("empty scan window")
     mixing = classify_dual(sys).strongly_mixing
     labels = labels or [f"element {k}" for k in range(len(test_set))]
-    reports, skipped = [], []
+    elements, skipped = [], []
     max_limsup = Fraction(0)
     for c, label in zip(test_set, labels):
         denom = _norm2_squared(c)
@@ -796,14 +795,12 @@ def ornstein_scan_dual(sys: DualSystem, test_set, n_range,
                     raise NcjoinError(
                         f"escape bound violated for {label} at n = {n}: ratio {r}")
         max_limsup = max(max_limsup, limsup)
-        reports.append(DualOrnsteinReport(
-            label=label, denominator=denom, ratios=ratios,
-            limsup_window=limsup, escape_bound=bound, eventual_ratio=eventual,
+        elements.append(DualOrnsteinReport(
+            label=label, denominator=denom, escape_bound=bound, eventual_ratio=eventual,
+            limsup_window=limsup, ratios=ratios,
         ))
-    return DualOrnsteinScan(
-        reports=reports, skipped=skipped,
-        strongly_mixing=mixing, max_limsup=max_limsup,
-    )
+    return DualOrnsteinScan(strongly_mixing=mixing, max_limsup=max_limsup,
+                            skipped=skipped, elements=elements)
 
 
 # ---------------------------------------------------------------------------
@@ -821,9 +818,7 @@ class OppositeJoining:
     trivial, which is the ergodic case.
     """
 
-    system: DualSystem
     subsystem: FiniteOrbitSubsystem
-    trivial: bool
     witness: tuple | None
 
     def evaluate(self, g, h) -> Fraction:
@@ -833,9 +828,8 @@ class OppositeJoining:
         return Fraction(1) if g == h else Fraction(0)
 
     def product_value(self, g, h) -> Fraction:
-        gv = Fraction(1) if self.system.is_identity(g) else Fraction(0)
-        hv = Fraction(1) if self.system.is_identity(h) else Fraction(0)
-        return gv * hv
+        sys = self.subsystem.system
+        return Fraction(int(sys.is_identity(g) and sys.is_identity(h)))
 
 
 def opposite_group_joining(sys: DualSystem) -> OppositeJoining:
@@ -848,7 +842,7 @@ def opposite_group_joining(sys: DualSystem) -> OppositeJoining:
         else:
             g = FinPerm.from_cycles([[(t.id, i) for t in cycles for i in range(t.m)][:2]])
         witness = (g, g)
-    return OppositeJoining(system=sys, subsystem=sub, trivial=sub.trivial, witness=witness)
+    return OppositeJoining(subsystem=sub, witness=witness)
 
 
 # ---------------------------------------------------------------------------

@@ -801,26 +801,19 @@ def cesaro_diagonal_average(sys: FiniteSystem, n: int) -> CesaroDiagonalResult:
 
 
 @dataclass
-class OrnsteinRow:
-    n: int
-    delta_value: float
-    ratio: float
-
-
-@dataclass
 class OrnsteinElementReport:
-    element_label: str
+    label: str
     denominator: float
-    rows: list[OrnsteinRow]
-    sup_ratio: float
+    ratios: list[tuple[int, float]]   # (n, Δ_n(c*c) / denominator)
+    sup: float
 
 
 @dataclass
 class OrnsteinScan:
-    reports: list[OrnsteinElementReport]
     period: int | None
-    skipped: list[str]
     sup_ratio: float
+    skipped: list[str]
+    elements: list[OrnsteinElementReport]
 
 
 def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
@@ -855,17 +848,15 @@ def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
     denoms = (squares @ ctx.product_values().reshape(-1)).real
     values = (squares @ tables.T).real
 
-    reports, skipped = [], []
-    overall = 0.0
+    elements, skipped = [], []
     for label, denom, vals in zip(labels, denoms.tolist(), values.tolist()):
         if denom <= 1e-12:
             skipped.append(label)
             continue
-        rows = [OrnsteinRow(n=n, delta_value=val, ratio=val / denom) for n, val in zip(ns, vals)]
-        sup = max(0.0, max(row.ratio for row in rows))
-        overall = max(overall, sup)
-        reports.append(OrnsteinElementReport(
-            element_label=label, denominator=denom, rows=rows, sup_ratio=sup))
+        ratios = [(n, val / denom) for n, val in zip(ns, vals)]
+        elements.append(OrnsteinElementReport(
+            label=label, denominator=denom, ratios=ratios,
+            sup=max(0.0, max(r for _, r in ratios))))
 
     # the first p with ‖U^p − 1‖₂ < 1e-9: as ‖·‖₂ ≤ ‖·‖_F ≤ √d‖·‖₂, only the band takes an SVD
     X = table[1 - lo:] - np.eye(ctx.dim_a)
@@ -874,8 +865,8 @@ def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
     if band.any():
         recur[band] = _operator_norms(X[band]) < 1e-9
     period = int(np.argmax(recur)) + 1 if recur.any() else None
-    return OrnsteinScan(reports=reports, period=period, skipped=skipped,
-                        sup_ratio=overall)
+    return OrnsteinScan(period=period, sup_ratio=max((r.sup for r in elements), default=0.0),
+                        skipped=skipped, elements=elements)
 
 
 def scan_compact_disjointness(sys: FiniteSystem, candidates) -> list[dict]:

@@ -190,7 +190,7 @@ def test_criterion_06_dual_classification(dual_shift, dual_cycle2, dual_mixed):
     assert not fos.trivial
     assert fos.membership(parse_word(dual_mixed.spec, "y0 y1^-1"))
     assert not fos.membership(parse_word(dual_mixed.spec, "x0"))
-    restricted = fos.restricted_classification
+    restricted = classify_dual(fos.restricted)
     assert restricted.compact and not restricted.ergodic
     assert {t.id for t in fos.restricted.spec.tracks} == {"y"}
 
@@ -242,11 +242,11 @@ def test_criterion_08_dual_ratio_scan(dual_shift, dual_cycle2):
             elements.append(c)
     scan = ornstein_scan_dual(dual_shift, elements, range(0, 65))
     assert scan.strongly_mixing
-    for rep in scan.reports:
+    for rep in scan.elements:
         for n, ratio in rep.ratios:
             if n > rep.escape_bound:
                 assert ratio == 1, (rep.label, n)
-    assert len(scan.reports) + len(scan.skipped) == 10
+    assert len(scan.elements) + len(scan.skipped) == 10
 
     c2 = parse_pair_combination(dual_cycle2, "x0 | x0; x1 | x1")
     scan2 = ornstein_scan_dual(dual_cycle2, [c2], range(0, 65))

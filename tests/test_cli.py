@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import importlib
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import ncjoin
-from ncjoin import corpus, dual, fileio, gns
+from ncjoin import corpus, dual, fileio, gns, joinings
 from ncjoin.algebra import identity_system, validate_system
 from ncjoin.cli import build_parser, emit_report, main, run
 from ncjoin.errors import InputFormatError
@@ -157,6 +158,15 @@ def test_dual_file_rejects_h_for_free():
      "malformed track {'id': 'x', 'kind': 'spiral'}: unknown track kind 'spiral'"),
     ({"family": "bogus", "tracks": []}, "family must be 'free' or 'finperm', got 'bogus'"),
     ({"tracks": []}, "family must be 'free' or 'finperm', got None"),
+    ({"family": "finperm", "tracks": [], "h": {"cycles": [["p", "p"]]}},
+     "letter 'p' appears twice in one 'h' cycle"),
+    ({"family": "finperm", "tracks": [], "h": {"cycles": [["p", "q"], ["r", "s", "r"]]}},
+     "letter 'r' appears twice in one 'h' cycle"),
+    ({"family": "finperm", "tracks": [{"id": "x", "kind": "shift", "m": "junk"}]},
+     "malformed track {'id': 'x', 'kind': 'shift', 'm': 'junk'}: "
+     "shift track 'x' takes no length m"),
+    ({"family": "free", "tracks": [{"id": "x", "kind": "shift", "m": 3}]},
+     "malformed track {'id': 'x', 'kind': 'shift', 'm': 3}: shift track 'x' takes no length m"),
 ])
 def test_dual_file_errors_name_the_first_fault(data, message):
     """Every track error carries the track; the family is checked before the tracks."""
@@ -192,6 +202,28 @@ def test_json_report_roundtrips(capsys):
     text = capsys.readouterr().out
     report = json.loads(text)
     assert json.loads(emit_report(report, "json")) == report
+
+
+@pytest.mark.parametrize("argv,key,result_type,element_type", [
+    (["classify", "--system", "corpus:c3"], "classification", gns.Classification, None),
+    (["dual", "classify", "--group", "corpus:dual_finperm_shift"], None,
+     dual.DualClassification, None),
+    (["ornstein", "--system", "corpus:c3", "--window", "0..4", "--elements", "0,0;1,2"], None,
+     joinings.OrnsteinScan, joinings.OrnsteinElementReport),
+    (["dual", "ornstein", "--group", "corpus:dual_shift", "--window", "0..4"], None,
+     dual.DualOrnsteinScan, dual.DualOrnsteinReport),
+])
+def test_results_are_the_result_objects_fields(argv, key, result_type, element_type):
+    """The results section names the result type's fields in their order, and so
+    does each entry of its "elements"."""
+    report, code = run(argv)
+    assert code == 0
+    section = report["results"][key] if key else report["results"]
+    assert list(section) == [f.name for f in dataclasses.fields(result_type)]
+    if element_type is not None:
+        assert section["elements"]
+        for entry in section["elements"]:
+            assert list(entry) == [f.name for f in dataclasses.fields(element_type)]
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

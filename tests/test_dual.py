@@ -33,7 +33,7 @@ from ncjoin.dual import (
     _shift_times,
 )
 from ncjoin import corpus
-from ncjoin.errors import InputFormatError, NcjoinError
+from ncjoin.errors import InputFormatError, NcjoinError, StructureError
 from oracles import (correlation_reference, delta_n_reference, dual_coherence_reference,
                      sample_element_reference)
 
@@ -121,6 +121,16 @@ def test_permutations_are_cycles_and_nothing_else():
     for text in ("(x0 x1) y0", "(y0 y1) junk", "x0 (x0 x1)", "(x0 x1", "(x0 (x1))", "()()"):
         with pytest.raises(InputFormatError, match="cannot parse permutation"):
             parse_perm(spec, text)
+
+
+def test_a_repeated_letter_is_named_as_written(dual_finperm):
+    """A letter met twice, in one cycle or in two, is named like a word names it."""
+    for text, letter in (("(x0 x0)", "x0"), ("(x0 x1)(x1 x2)", "x1"), ("(y0 y3)", "y0")):
+        with pytest.raises(StructureError, match=f"^letter {letter} appears twice$"):
+            parse_perm(dual_finperm.spec, text)
+    report, code = cli.run(["dual", "orbit", "--group", "corpus:dual_finperm_shift",
+                            "--word", "(x0 x0)"])
+    assert (code, report["error"]) == (2, "letter x0 appears twice")
 
 
 def test_combinations_and_pair_combinations_split_terms_alike(dual_shift):
@@ -322,7 +332,7 @@ def test_finite_orbit_subsystem_mixed(dual_mixed):
     assert "cycle-track letters y" in fos.description
     assert fos.membership(parse_word(dual_mixed.spec, "y0 y1"))
     assert not fos.membership(parse_word(dual_mixed.spec, "y0 x0"))
-    assert fos.restricted_classification.compact
+    assert classify_dual(fos.restricted).compact
     # multiplicative closure on samples
     rng = random.Random(31)
     members = [g for g in (sample_element(dual_mixed, rng) for _ in range(600))
@@ -513,7 +523,7 @@ def test_delta_examples(dual_shift, dual_cycle2):
 def test_ornstein_scan_shift_two_terms(dual_shift):
     c = parse_pair_combination(dual_shift, "x0 | x0; x1 | x1")
     scan = ornstein_scan_dual(dual_shift, [c], range(0, 12))
-    rep = scan.reports[0]
+    rep = scan.elements[0]
     assert rep.escape_bound == 1
     assert rep.denominator == 2
     assert all(r == 1 for n, r in rep.ratios if n >= 2)
@@ -524,7 +534,7 @@ def test_ornstein_scan_shift_two_terms(dual_shift):
 def test_ornstein_scan_cycle2_limsup(dual_cycle2):
     c = parse_pair_combination(dual_cycle2, "x0 | x0; x1 | x1")
     scan = ornstein_scan_dual(dual_cycle2, [c], range(0, 12))
-    rep = scan.reports[0]
+    rep = scan.elements[0]
     assert rep.limsup_window == Fraction(2)
     assert [r for _, r in rep.ratios[:4]] == [Fraction(2), Fraction(1), Fraction(2), Fraction(1)]
     assert not scan.strongly_mixing
@@ -534,7 +544,7 @@ def test_ornstein_scan_unit_element(dual_shift, dual_cycle2):
     for sysd in (dual_shift, dual_cycle2):
         one = parse_pair_combination(sysd, "1 | 1")
         scan = ornstein_scan_dual(sysd, [one], range(0, 6))
-        assert all(r == 1 for _, r in scan.reports[0].ratios)
+        assert all(r == 1 for _, r in scan.elements[0].ratios)
 
 
 def test_ornstein_scan_skips_degenerate(dual_shift):
@@ -628,8 +638,8 @@ def test_square_table_matches_pair_loop(name):
         if denom == 0:
             assert scan.skipped == ["c"]
             continue
-        assert scan.reports[0].denominator == denom
-        assert scan.reports[0].ratios == [
+        assert scan.elements[0].denominator == denom
+        assert scan.elements[0].ratios == [
             (n, ref.square_value / denom) for n, ref in zip(window, refs)]
 
 
@@ -674,7 +684,7 @@ def test_dual_scans_match_per_n_references(monkeypatch, name):
             denom = refs[0].product_square
             ratios = [(n, ref.square_value / denom) for n, ref in zip(window, refs)]
             scan = ornstein_scan_dual(sysd, [c], window, labels=["c"])
-            rep = scan.reports[0]
+            rep = scan.elements[0]
             assert (rep.denominator, rep.ratios) == (denom, ratios)
             assert rep.limsup_window == max(r for _, r in ratios) == scan.max_limsup
             assert (rep.escape_bound is None) == (not scan.strongly_mixing)
@@ -685,7 +695,7 @@ def test_dual_scans_match_per_n_references(monkeypatch, name):
                 m.setattr(dual, "classify_dual", lambda _: SimpleNamespace(strongly_mixing=True))
                 m.setattr(dual, "_index_span", lambda *_: bound)
                 if first is None:
-                    assert ornstein_scan_dual(sysd, [c], window).reports[0].escape_bound == bound
+                    assert ornstein_scan_dual(sysd, [c], window).elements[0].escape_bound == bound
                     continue
                 with pytest.raises(NcjoinError) as err:
                     ornstein_scan_dual(sysd, [c], window, labels=["c"])
@@ -711,14 +721,14 @@ def test_ornstein_scan_rejects_an_empty_window(monkeypatch, dual_shift):
 
 def test_opposite_joining_shift_trivial(dual_shift):
     oj = opposite_group_joining(dual_shift)
-    assert oj.trivial
+    assert oj.subsystem.trivial
     assert oj.witness is None
     assert oj.evaluate((), ()) == 1
 
 
 def test_opposite_joining_mixed_witness(dual_mixed):
     oj = opposite_group_joining(dual_mixed)
-    assert not oj.trivial
+    assert not oj.subsystem.trivial
     g, h = oj.witness
     assert oj.evaluate(g, h) == 1
     assert oj.product_value(g, h) == 0
@@ -742,6 +752,6 @@ def test_opposite_joining_marginal_and_invariance(dual_mixed):
 
 def test_opposite_joining_finperm(dual_finperm):
     oj = opposite_group_joining(dual_finperm)
-    assert not oj.trivial
+    assert not oj.subsystem.trivial
     g, h = oj.witness
     assert oj.evaluate(g, h) == 1

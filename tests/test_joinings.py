@@ -566,9 +566,9 @@ def test_ornstein_ratio_scan_c2(c2):
     elems = [ctx.basis_pair(0, 0), ctx.tensor_element(
         c2.structure.identity(), c2.structure.identity())]
     scan = ornstein_ratio_scan(ctx, elems, range(0, 8), labels=["e0xf0", "unit"])
-    ratios = [r.ratio for r in scan.reports[0].rows]
+    ratios = [r for _, r in scan.elements[0].ratios]
     assert ratios == pytest.approx([2, 0, 2, 0, 2, 0, 2, 0])
-    assert all(r.ratio == pytest.approx(1.0) for r in scan.reports[1].rows)
+    assert all(r == pytest.approx(1.0) for _, r in scan.elements[1].ratios)
     assert scan.period == 2
 
 
@@ -582,7 +582,7 @@ def test_ornstein_trivial_system_all_ratios_one():
     triv = identity_system([1])
     ctx = diagonal_state(triv).ctx
     scan = ornstein_ratio_scan(ctx, [ctx.basis_pair(0, 0)], range(0, 5))
-    assert all(r.ratio == pytest.approx(1.0) for r in scan.reports[0].rows)
+    assert all(r == pytest.approx(1.0) for _, r in scan.elements[0].ratios)
 
 
 def test_nontrivial_systems_never_settle():
@@ -673,9 +673,9 @@ def test_diagonal_tables_match_pairwise_reference(name):
     scan = ornstein_ratio_scan(ctx, pairs, range(17))
     assert not scan.skipped
     prod = ctx.product_values()
-    for c, report in zip(pairs, scan.reports):
+    for c, report in zip(pairs, scan.elements):
         coef = (c.adjoint() @ c).coords()[ctx.pair_index]
         denom = float(np.sum(coef * prod).real)
-        for row in report.rows:
-            table = diagonal_table(sysd, gen.power(row.n))
-            assert abs(row.ratio - float(np.sum(coef * table).real) / denom) < tol
+        for n, ratio in report.ratios:
+            table = diagonal_table(sysd, gen.power(n))
+            assert abs(ratio - float(np.sum(coef * table).real) / denom) < tol

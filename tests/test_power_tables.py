@@ -156,13 +156,12 @@ def test_ornstein_scan_matches_reference(name):
         scan = ornstein_ratio_scan(ctx, elements, window)
         assert scan.period == recurrence_period_reference(sysd, max(window))
         assert not scan.skipped
-        for c, report in zip(elements, scan.reports):
+        for c, report in zip(elements, scan.elements):
             denom, values = ornstein_ratio_reference(ctx, c, window)
             assert abs(report.denominator - denom) <= TOL * denom
-            for n, row, value in zip(window, report.rows, values):
-                assert row.n == n
-                assert abs(row.delta_value - value) <= TOL * denom
-                assert abs(row.ratio - value / denom) <= TOL
+            for n, (row_n, ratio), value in zip(window, report.ratios, values):
+                assert row_n == n
+                assert abs(ratio - value / denom) <= TOL
 
 
 @pytest.mark.parametrize("eps,period", [(0.8e-9, 1), (1.2e-9, None)])
