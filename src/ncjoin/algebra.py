@@ -42,11 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidSystemError,
-    StructureError,
-)
+from .errors import InputFormatError, NcjoinError, StructureError
 
 VALIDATION_TOL = 1e-9
 FAITHFULNESS_MIN_EIG = 1e-12
@@ -200,7 +196,7 @@ class BlockStructure:
     def from_coords(self, v) -> "AlgebraElement":
         v = np.array(v, dtype=complex).reshape(-1)
         if v.size != self.dimension:
-            raise DimensionMismatchError(
+            raise NcjoinError(
                 f"coordinate vector has length {v.size}, expected {self.dimension}")
         return AlgebraElement.of_vector(self, v)
 
@@ -277,7 +273,7 @@ class AlgebraElement:
 
     def _check_same(self, other: "AlgebraElement"):
         if self.structure.block_sizes != other.structure.block_sizes:
-            raise DimensionMismatchError(
+            raise NcjoinError(
                 f"block structures differ: {self.structure.block_sizes} vs "
                 f"{other.structure.block_sizes}")
 
@@ -356,7 +352,7 @@ class FaithfulState:
 
     def value(self, a: AlgebraElement) -> complex:
         if a.structure.block_sizes != self.structure.block_sizes:
-            raise DimensionMismatchError("state and element block structures differ")
+            raise NcjoinError("state and element block structures differ")
         return complex(self.values @ a.coords())
 
     def min_eigenvalue(self) -> float:
@@ -404,7 +400,7 @@ class Automorphism:
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
         if a.structure.block_sizes != self.structure.block_sizes:
-            raise DimensionMismatchError("automorphism and element block structures differ")
+            raise NcjoinError("automorphism and element block structures differ")
         blocks = [
             u @ a.blocks[p] @ u.conj().T
             for u, p in zip(self.conjugator.blocks, self.block_perm)
@@ -551,19 +547,19 @@ class FiniteSystem:
 
     @cached_property
     def gns(self):
-        """The gns.GnsSpace (unitaries: `generator_matrices`); raises InvalidSystemError."""
+        """The gns.GnsSpace (unitaries: `generator_matrices`); raises InputFormatError."""
         from . import gns
         return gns.gns_construct(self)
 
     @cached_property
     def spectrum(self):
-        """The joint point spectrum (gns.Spectrum); raises InvalidSystemError if invalid."""
+        """The joint point spectrum (gns.Spectrum); raises InputFormatError if invalid."""
         from . import gns
         return gns.joint_spectrum(self)
 
     @cached_property
     def mirror(self):
-        """The MirrorSystem; raises InvalidSystemError if invalid."""
+        """The MirrorSystem; raises InputFormatError if invalid."""
         from . import gns
         return gns.mirror_system(self)
 
@@ -659,9 +655,9 @@ def validate_system(sys: FiniteSystem) -> ValidationReport:
 
 
 def require_valid(sys: FiniteSystem) -> None:
-    """Raise InvalidSystemError unless the system's (cached) report is clean."""
+    """Raise InputFormatError unless the system's (cached) report is clean."""
     if not sys.validation.valid:
-        raise InvalidSystemError(sys.validation)
+        raise InputFormatError(sys.validation)
 
 
 def cyclic_rotation_system(points: int, state_weights=None) -> FiniteSystem:

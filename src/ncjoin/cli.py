@@ -38,8 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, fileio
-from .errors import (InputFormatError, InvalidSystemError, NcjoinError, StructureError,
-                     UnsupportedGroupError, _integer)
+from .errors import InputFormatError, NcjoinError, _integer
 from .gns import (
     cesaro_correlation,
     classify_finite,
@@ -587,9 +586,10 @@ def build_parser() -> argparse.ArgumentParser:
                 "feasible joining, optionally maximizing a direction")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--objective", default=None, help="basis direction as 'i,j'")
-    p.add_argument("--objective-file", default=None,
-                   help="JSON file {'terms': [{'i':0,'j':0,'coef':[re,im]}, ...]}")
+    objective = p.add_mutually_exclusive_group()
+    objective.add_argument("--objective", default=None, help="basis direction as 'i,j'")
+    objective.add_argument("--objective-file", default=None,
+                           help="JSON file {'terms': [{'i':0,'j':0,'coef':[re,im]}, ...]}")
     solver_options(p)
 
     p = command(jsub, "disjoint", _cmd_joinings_disjoint, "disjointness certificate")
@@ -658,8 +658,7 @@ def _execute(args) -> tuple[dict, int]:
     command = args.command + ("." + args.subcommand if hasattr(args, "subcommand") else "")
     try:
         inputs, results, warnings, status = args.func(args)
-    except (InputFormatError, StructureError, InvalidSystemError, UnsupportedGroupError,
-            json.JSONDecodeError) as exc:   # every JSON the CLI parses is input
+    except (InputFormatError, json.JSONDecodeError) as exc:   # every JSON the CLI parses is input
         return _error_report(command, str(exc)), 2
     except NcjoinError as exc:
         return _error_report(command, f"internal invariant violation: {exc}"), 1

@@ -1,57 +1,22 @@
 """Exception types shared across the package, and the JSON shape checks
-of the file readers that raise them."""
+of the file readers that raise them.
+
+A class is kept only where an `except` names it. The command line maps
+the hierarchy to its exit codes: every `InputFormatError`, a
+`StructureError` included, exits 2, and every other `NcjoinError` exits 1.
+"""
 
 
 class NcjoinError(Exception):
-    """Base class for all package errors."""
-
-
-class StructureError(NcjoinError):
-    """Malformed block structure or matrix shape."""
-
-
-class DimensionMismatchError(NcjoinError):
-    """Operands built over incompatible block structures."""
-
-
-class InvalidSystemError(NcjoinError):
-    """A dynamical system failed validation; carries the report."""
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__(str(report))
-
-
-class UnsupportedGroupError(NcjoinError):
-    """Operation requires a group kind the input does not have."""
-
-
-class NotInSpectrumError(NcjoinError):
-    """Requested eigenvalue is not in the point spectrum."""
-
-
-class AmbiguousEigenvalueError(NcjoinError):
-    """Requested eigenvalue has multiplicity larger than one."""
-
-
-class NonScalarError(NcjoinError):
-    """u*u is not a scalar; the system cannot be ergodic."""
-
-
-class NonUnitaryError(NcjoinError):
-    """Element expected to be unitary is not, within tolerance."""
-
-
-class NonProjectionError(NcjoinError):
-    """Element expected to be a projection is not, within tolerance."""
-
-
-class NonJoiningError(NcjoinError):
-    """Matrix does not satisfy the joining constraints within tolerance."""
+    """Base class for all package errors: an internal invariant violation."""
 
 
 class InputFormatError(NcjoinError):
     """Malformed input file or command-line element specification."""
+
+
+class StructureError(InputFormatError):
+    """Malformed block structure or matrix shape."""
 
 
 def _expect(value, kind: type, what: str):

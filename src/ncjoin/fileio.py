@@ -16,6 +16,7 @@ k reads input block perm[k]) and "unitary" is the block-diagonal conjugator.
 from __future__ import annotations
 
 import cmath
+from itertools import chain
 
 import numpy as np
 
@@ -30,10 +31,10 @@ from .errors import InputFormatError, StructureError, _expect, _integer
 
 
 def _entry_from_json(x) -> complex:
-    """A number or an [re, im] pair; JSON's NaN and Infinity are rejected."""
-    if isinstance(x, (list, tuple)) and len(x) == 2:
+    """A number or an [re, im] pair; JSON's NaN, Infinity and booleans are rejected."""
+    if isinstance(x, (list, tuple)) and len(x) == 2 and not any(isinstance(v, bool) for v in x):
         x = complex(float(x[0]), float(x[1]))
-    if not isinstance(x, (int, float, complex)):
+    if isinstance(x, bool) or not isinstance(x, (int, float, complex)):
         raise InputFormatError(f"matrix entry must be a number or [re, im], got {x!r}")
     if not cmath.isfinite(x):
         raise InputFormatError(f"matrix entry {x!r} is not finite")
@@ -46,12 +47,15 @@ def matrix_from_json(data) -> np.ndarray:
     One numpy conversion reads the whole matrix: pairs give an (n, n, 2)
     float array, bare numbers an (n, n) one. Rows that mix the two are
     ragged to numpy; their bare numbers are then written as pairs first.
+    numpy reads true and false as numbers, so the JSON values are checked
+    for booleans too.
     """
     try:
         a = np.array(data)
     except ValueError:
         try:
-            a = np.array([[x if isinstance(x, list) else [x, 0] for x in row] for row in data])
+            data = [[x if isinstance(x, list) else [x, 0] for x in row] for row in data]
+            a = np.array(data)
         except (TypeError, ValueError) as exc:
             raise InputFormatError(f"malformed matrix: {exc}") from exc
     if a.dtype.kind not in "biuf":   # strings, nulls, objects, integers beyond int64
@@ -59,10 +63,15 @@ def matrix_from_json(data) -> np.ndarray:
     finite = np.isfinite(a)
     if not finite.all():
         raise InputFormatError(f"matrix entry {float(a[~finite][0])!r} is not finite")
-    if a.ndim == 3 and a.shape[2] == 2:
+    pairs = a.ndim == 3 and a.shape[2] == 2
+    if pairs:
         a = np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputFormatError(f"matrix must be square, got shape {a.shape}")
+    values = chain.from_iterable(data)
+    if bool in set(map(type, chain.from_iterable(values) if pairs else values)):
+        for x in chain.from_iterable(data):
+            _entry_from_json(x)   # raises, naming the first entry that holds one
     return a.astype(complex, copy=False)
 
 

@@ -37,22 +37,14 @@ from .algebra import (
     require_valid,
     sandwich_matrix,
 )
-from .errors import (
-    AmbiguousEigenvalueError,
-    NcjoinError,
-    NonProjectionError,
-    NonScalarError,
-    NonUnitaryError,
-    NotInSpectrumError,
-    UnsupportedGroupError,
-)
+from .errors import InputFormatError, NcjoinError
 
 EIG_CLUSTER_TOL = 1e-8
 NULLSPACE_TOL = 1e-8
 SPLIT_WINDOW = 1e-6   # eigh eigenvalues this close may share a cluster that mixes characters
 POLISH_MIN = 1e-13    # a first-order eigenvector correction below this is not taken
 SIGMA_SAMPLES = (0.1, 0.7, 1.3)   # the times t at which σ_t(P) = P is checked
-NET_WINDOW = 512                  # group elements of an infinite orbit in compactness_net
+NET_WINDOW = 512                  # compactness_net's Z window; Z^k's cube side is its k-th root
 NET_EPS = 0.1                     # the radius of the balls of compactness_net
 
 
@@ -415,9 +407,10 @@ def compactness_net(sys: FiniteSystem) -> list[int]:
     """Greedy NET_EPS-net sizes for the orbits of the basis vectors.
 
     Exercises total boundedness directly instead of quoting the
-    finite-dimension shortcut. Orbits are enumerated over a symmetric window
-    of about NET_WINDOW group elements (all of them for Z_m) and points
-    farther than NET_EPS from the net extend it.
+    finite-dimension shortcut. The window is all of Z_m, the NET_WINDOW + 1
+    elements |j| ≤ NET_WINDOW/2 of Z, or the (2s+1)^k elements of [-s, s]^k
+    in Z^k, s = max(2, round(NET_WINDOW^(1/k))): 2,209 at k = 2, 117,649 at
+    k = 6. Points farther than NET_EPS from the net extend it.
     """
     group = sys.group
     if group.kind == "Zm":
@@ -490,7 +483,7 @@ class MirrorSystem:
 
 def mirror_system(sys: FiniteSystem) -> MirrorSystem:
     """The promoted mirror and its twist, read off the state and generators
-    without GNS data; raises InvalidSystemError if the system is invalid."""
+    without GNS data; raises InputFormatError if the system is invalid."""
     require_valid(sys)
     struct = sys.structure
     promoted_state = FaithfulState(struct, [b.T for b in sys.state.density.blocks])
@@ -512,9 +505,9 @@ def eigenoperator(sys: FiniteSystem, chi) -> AlgebraElement:
     """Unitary u with α_g(u) = χ(g) u, for a multiplicity-one eigenvalue.
 
     u*u is scalar whenever the system is ergodic; the returned u is the
-    normalization u/‖u‖ and is verified unitary. Raises NotInSpectrumError,
-    AmbiguousEigenvalueError, or NonScalarError (the latter signals a
-    non-ergodic system).
+    normalization u/‖u‖ and is verified unitary. Raises NcjoinError when χ is
+    not in the point spectrum, has multiplicity above one, or u*u is not
+    scalar (the last signals a non-ergodic system).
     """
     if isinstance(chi, (int, float, complex)):
         chi = (complex(chi),)
@@ -527,21 +520,21 @@ def eigenoperator(sys: FiniteSystem, chi) -> AlgebraElement:
             match = entry
             break
     if match is None:
-        raise NotInSpectrumError(f"{chi} is not in the point spectrum")
+        raise NcjoinError(f"{chi} is not in the point spectrum")
     if match.multiplicity != 1:
-        raise AmbiguousEigenvalueError(
+        raise NcjoinError(
             f"{chi} has multiplicity {match.multiplicity}; eigenoperator is ambiguous")
     u0 = sys.structure.from_coords(match.eigenvectors[:, 0])
     p = u0.adjoint() @ u0
     scale = complex(sys.state.value(p))
     ident = sys.structure.identity()
     if (p - scale * ident).norm() > 1e-8 * max(1.0, abs(scale)):
-        raise NonScalarError("u*u is not scalar; the system is not ergodic")
+        raise NcjoinError("u*u is not scalar; the system is not ergodic")
     if scale.real <= 0:
-        raise NonScalarError("u*u is a nonpositive scalar; eigenvector is degenerate")
+        raise NcjoinError("u*u is a nonpositive scalar; eigenvector is degenerate")
     u = (1.0 / math.sqrt(scale.real)) * u0
     if (u @ u.adjoint() - ident).norm() > 1e-8:
-        raise NonScalarError("uu* is not the identity; the system is not ergodic")
+        raise NcjoinError("uu* is not the identity; the system is not ergodic")
     return u
 
 
@@ -556,7 +549,7 @@ def spectral_atoms(u: AlgebraElement):
     """
     ident = u.structure.identity()
     if (u.adjoint() @ u - ident).norm() > 1e-8:
-        raise NonUnitaryError("element is not unitary within tolerance")
+        raise NcjoinError("element is not unitary within tolerance")
     per_block = [np.linalg.eig(b) for b in u.blocks]
     vals = np.concatenate([v for v, _ in per_block])
     order = sorted(range(len(vals)), key=lambda j: (round(vals[j].real, 12),
@@ -611,7 +604,7 @@ def verify_spectral_covariance(sys: FiniteSystem, u: AlgebraElement, chi: comple
     table of the generator's matrix; a cell's P and α^n(P) are sums of these.
     """
     if sys.group.kind != "Z":
-        raise UnsupportedGroupError("spectral covariance check needs a Z action")
+        raise InputFormatError("spectral covariance check needs a Z action")
     chi = complex(chi)
     U = sys.generator_matrices[0]
     s = u.structure
@@ -704,7 +697,7 @@ def modular_invariance_check(sys: FiniteSystem, P: AlgebraElement) -> ModularInv
     """
     ident_res = max((P @ P - P).norm(), (P.adjoint() - P).norm())
     if ident_res > 1e-8:
-        raise NonProjectionError(f"P is not a projection (residual {ident_res:.3e})")
+        raise NcjoinError(f"P is not a projection (residual {ident_res:.3e})")
     twist = sys.mirror.twist   # validates sys
     rho = _density_powers(sys, *(z for t in SIGMA_SAMPLES for z in (1j * t, -1j * t)))
     res = max((rho_it @ P @ rho_mit - P).norm() for rho_it, rho_mit in zip(rho[::2], rho[1::2]))

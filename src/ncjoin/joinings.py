@@ -60,12 +60,7 @@ from .algebra import (
     operator_norm,
     require_valid,
 )
-from .errors import (
-    DimensionMismatchError,
-    NcjoinError,
-    NonJoiningError,
-    UnsupportedGroupError,
-)
+from .errors import InputFormatError, NcjoinError
 from .gns import folner_mean, powers
 
 DEFAULT_MAX_ITER = 500    # Newton steps of one barrier solve
@@ -160,7 +155,7 @@ def build_tensor_context(A: FiniteSystem, B: FiniteSystem) -> TensorContext:
     require_valid(A)   # an invalid leg raises before the group check
     require_valid(B)
     if A.group != B.group:
-        raise UnsupportedGroupError(
+        raise InputFormatError(
             f"systems act by different groups: {A.group} vs {B.group}")
     structure, pair_index, blocks, hermitian = _product_layout(
         A.structure.block_sizes, B.structure.block_sizes)
@@ -283,7 +278,7 @@ def diagonal_state(sys: FiniteSystem) -> JoiningMatrix:
 def graph_joining(sys: FiniteSystem, n: int) -> JoiningMatrix:
     """Shifted diagonal state Δ_n(a ⊗ b) = ω_diag(α_n(a) ⊗ b); needs a Z action."""
     if sys.group.kind != "Z":
-        raise UnsupportedGroupError("graph joinings need a Z action")
+        raise InputFormatError("graph joinings need a Z action")
     ctx = mirror_context(sys)
     values = _diagonal_values(ctx, powers(sys.generator_matrices[0], n, n)[0])
     return joining_from_values(ctx, values, label=f"graph:{n}")
@@ -540,8 +535,8 @@ def _objective(ctx: TensorContext, objective) -> tuple[np.ndarray, float, str]:
     if not isinstance(objective, AlgebraElement):
         raise NcjoinError("objective must be an AlgebraElement or a basis index pair")
     if objective.structure.block_sizes != ctx.structure.block_sizes:
-        raise DimensionMismatchError(f"objective has blocks {objective.structure.block_sizes}, "
-                                     f"A ⊙ B has {ctx.structure.block_sizes}")
+        raise NcjoinError(f"objective has blocks {objective.structure.block_sizes}, "
+                          f"A ⊙ B has {ctx.structure.block_sizes}")
     h = 0.5 * (objective + objective.adjoint())
     top = max(float(_eigvalsh(x).max()) for x in h.stacks())
     return h.coords()[ctx.pair_index].reshape(-1), top, label
@@ -744,7 +739,7 @@ def conditional_expectation(ctx: TensorContext, joining: JoiningMatrix) -> Condi
     representations; the product state yields the rank-one map b ↦ ν(b) Ω.
     """
     if residual_magnitude(joining.residuals) > 1e-6:
-        raise NonJoiningError(
+        raise NcjoinError(
             f"matrix violates the joining battery: {joining.residuals}")
     X = np.linalg.solve(_state_products(ctx), joining.values)
     ca, cb_inv = ctx.A.gns.onb_factor, ctx.B.gns.onb_factor_inv
@@ -828,7 +823,7 @@ def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
     with a notice.
     """
     if ctx.A.group.kind != "Z":
-        raise UnsupportedGroupError("the ratio scan needs a Z action")
+        raise InputFormatError("the ratio scan needs a Z action")
     ns = list(n_range)
     if not ns:
         raise ValueError("empty scan window")

@@ -18,7 +18,7 @@ from ncjoin.algebra import (
     uniform_state,
     validate_system,
 )
-from ncjoin.errors import DimensionMismatchError, StructureError
+from ncjoin.errors import NcjoinError, StructureError
 from ncjoin.joinings import build_tensor_context
 from oracles import blocks_reference, product_blocks_reference, tensor_blocks_reference
 
@@ -167,7 +167,7 @@ def test_state_eval_examples():
 
 def test_state_eval_dimension_mismatch():
     st = uniform_state(BlockStructure((1, 1)))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(NcjoinError, match="state and element block structures differ"):
         st.value(BlockStructure((1, 1, 1)).identity())
 
 

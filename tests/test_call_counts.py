@@ -46,7 +46,7 @@ from ncjoin.algebra import (
     validate_system,
 )
 from ncjoin.dual import DualSystem, QQi
-from ncjoin.errors import InvalidSystemError
+from ncjoin.errors import InputFormatError
 from ncjoin.gns import classify_finite, mirror_system
 from ncjoin.joinings import (
     build_tensor_context,
@@ -262,7 +262,7 @@ def test_basis_pairs_allocate_once_per_element(monkeypatch):
 
 def test_contexts_build_no_gns_data(monkeypatch):
     """A context on fresh systems validates its legs and builds no GNS data;
-    an invalid leg still raises InvalidSystemError before the group check."""
+    an invalid leg still raises InputFormatError before the group check."""
     calls = Counter()
     original = gns.gns_construct
 
@@ -280,7 +280,7 @@ def test_contexts_build_no_gns_data(monkeypatch):
     assert calls["gns_construct"] == 0
     invalid, other_group = cyclic_rotation_system(3, [0.5, 0.3, 0.2]), corpus.system("pauli")
     for legs in ((invalid, other_group), (other_group, invalid)):
-        with pytest.raises(InvalidSystemError):
+        with pytest.raises(InputFormatError, match="invariance at"):
             build_tensor_context(*legs)
     assert calls["gns_construct"] == 0
 

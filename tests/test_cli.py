@@ -78,6 +78,9 @@ MALFORMED_MATRICES = [
     ("one-row-of-pairs", [[[0.5, 0], [0.5, 0]]], "square"),
     ("number", 0.5, "square"),
     ("empty", [], "square"),
+    ("boolean-matrix", [[True, False], [False, True]], "got True"),
+    ("boolean-among-floats", [[0.5, 0], [True, 0.5]], "got True"),
+    ("boolean-half-of-pair", [[[0.5, False], [0, 0]], [[0, 0], [0.5, 0]]], "0.5, False"),
 ]
 
 
@@ -559,6 +562,8 @@ def test_reused_parser_matches_fresh_parsers():
     "average --system corpus:c3 --x 0 --y 0 --N 0",
     "cesaro-diagonal --system corpus:c3 --N 0",
     "joinings diagonal --system corpus:pauli --graph-n 1",
+    "average --system corpus:c2 --x [true,false] --y 0 --N 4",
+    "average --system corpus:c2 --x [[1,false],0] --y 0 --N 4",
 ])
 def test_argument_errors_exit_2(argv):
     report, code = run(argv.split())
@@ -616,7 +621,9 @@ def test_invalid_json_file_exits_2(tmp_path, command):
 
 @pytest.mark.parametrize("term", [{"i": -1, "j": 0}, {"i": 0, "j": 9}, {"i": "x", "j": 0},
                                   {"i": 0, "j": 0, "coef": [float("nan"), 0.0]},
-                                  {"i": 1.9, "j": 0}, {"i": True, "j": 0}, {"i": "1", "j": 0}])
+                                  {"i": 1.9, "j": 0}, {"i": True, "j": 0}, {"i": "1", "j": 0},
+                                  {"i": 0, "j": 0, "coef": True},
+                                  {"i": 0, "j": 0, "coef": [1.0, False]}])
 def test_malformed_objective_term_exits_2(tmp_path, term):
     p = tmp_path / "objective.json"
     p.write_text(json.dumps({"terms": [term]}))
@@ -658,6 +665,8 @@ def test_objective_index_errors_name_the_file(tmp_path, term, reason):
     ("classify --system", {**corpus.raw("c2"), "group": {"kind": "Z", "k": 3}}),
     ("classify --system", {**corpus.raw("c3"), "group": {"kind": "Zm", "m": 3, "k": 2}}),
     ("classify --system", {**corpus.raw("c2"), "group": {"kind": "Zk"}}),
+    ("classify --system", {**corpus.raw("c2"), "generators": [
+        {"perm": [1, 0], "unitary": [[True, False], [False, True]]}]}),
 ])
 def test_malformed_json_shapes_exit_2(tmp_path, name, content):
     p = tmp_path / "shape.json"
@@ -754,6 +763,7 @@ def test_format_abbreviation_is_read_by_the_parser(capsys):
     "joinings disjoint --a corpus:c2 --b corpus:c2 --width nan",
     "joinings disjoint --a corpus:c2 --b corpus:c2 --max-iter=-1",
     "dual classify --group corpus:dual_shift --samples=-3",
+    "joinings find --a corpus:c2 --b corpus:c2 --objective 0,1 --objective-file objective.json",
 ])
 def test_foreign_or_out_of_range_options_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -8,9 +8,13 @@ is allowed (``self`` and ``cls`` aside). A public method or property that
 only hands out a private attribute set in ``__init__`` (the attribute, an
 attribute of it, or a zero-argument method result of it other than a
 ``copy()``) names one fact twice: the attribute should be public instead.
+An exception class lives in ``errors.py``, and only while some ``except``
+in the package names it: a class that nothing catches by name adds no
+exit code and no handling, so its raise sites use a surviving class.
 """
 
 import ast
+import builtins
 import importlib
 import pkgutil
 import types
@@ -112,3 +116,30 @@ def test_no_public_accessor_of_a_private_attribute():
     found = [f"{path.name} {where}" for path in sorted(SOURCE.glob("*.py"))
              for where in _accessors(ast.parse(path.read_text(encoding="utf-8")))]
     assert not found
+
+
+def _resolve(node: ast.AST, namespace: dict):
+    """The object a class base like `X` or `np.linalg.LinAlgError` names."""
+    if isinstance(node, ast.Name):
+        return namespace.get(node.id, getattr(builtins, node.id, None))
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(node.value, namespace), node.attr, None)
+    return None
+
+
+def test_exception_classes_are_caught_by_name():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))}
+    caught = {n.attr if isinstance(n, ast.Attribute) else n.id
+              for tree in trees.values() for h in ast.walk(tree)
+              if isinstance(h, ast.ExceptHandler) and h.type is not None
+              for n in ast.walk(h.type) if isinstance(n, (ast.Name, ast.Attribute))}
+    defined = {}
+    for stem, tree in trees.items():
+        namespace = vars(importlib.import_module(f"ncjoin.{stem}".removesuffix(".__init__")))
+        defined[stem] = [
+            node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(isinstance(b, type) and issubclass(b, BaseException)
+                    for b in (_resolve(base, namespace) for base in node.bases))]
+    assert [name for name in defined.pop("errors") if name not in caught] == []
+    assert {stem: names for stem, names in defined.items() if names} == {}
