@@ -492,10 +492,6 @@ class GroupDescriptor:
             object.__setattr__(self, "kind", "Z")
         object.__setattr__(self, "k", self.k or 1)
 
-    @property
-    def num_generators(self) -> int:
-        return self.k
-
     def folner_range(self, n: int) -> range:
         """Exponents of each generator in the n-th Folner set, which is a box."""
         if n < 1:
@@ -504,7 +500,7 @@ class GroupDescriptor:
 
     def folner_elements(self, n: int):
         """Group elements of the n-th Folner set, as exponent tuples."""
-        return list(itertools.product(self.folner_range(n), repeat=self.num_generators))
+        return list(itertools.product(self.folner_range(n), repeat=self.k))
 
 
 @dataclass(frozen=True)
@@ -518,9 +514,9 @@ class FiniteSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-        if len(self.generators) != self.group.num_generators:
+        if len(self.generators) != self.group.k:
             raise StructureError(
-                f"group {self.group.kind} expects {self.group.num_generators} generators, "
+                f"group {self.group.kind} expects {self.group.k} generators, "
                 f"got {len(self.generators)}")
         for label, part in [("the state", self.state),
                             *((f"generator {k}", g) for k, g in enumerate(self.generators))]:
@@ -660,31 +656,24 @@ def require_valid(sys: FiniteSystem) -> None:
         raise InputFormatError(sys.validation)
 
 
-def cyclic_rotation_system(points: int, state_weights=None) -> FiniteSystem:
-    """Rotation on `points` one-dimensional blocks, acting by e_i -> e_{i+1}.
+def cyclic_rotation_system(points: int) -> FiniteSystem:
+    """Rotation on `points` one-dimensional blocks, acting by e_i -> e_{i+1},
+    with the uniform (invariant) state.
 
     The group descriptor is Z so the same system feeds graph joinings and
-    correlation scans. With no weights the state is uniform (the invariant
-    choice); explicit weights are handy for building invalid systems in tests.
+    correlation scans.
     """
     structure = BlockStructure(tuple([1] * points))
-    if state_weights is None:
-        state = uniform_state(structure)
-    else:
-        if len(state_weights) != points:
-            raise StructureError("weight count mismatch")
-        state = FaithfulState(
-            structure, [np.array([[w]], dtype=complex) for w in state_weights])
     perm = tuple((k - 1) % points for k in range(points))
     gen = Automorphism(structure, perm, [np.eye(1, dtype=complex)] * points)
-    return FiniteSystem(structure, state, GroupDescriptor("Z"), [gen])
+    return FiniteSystem(structure, uniform_state(structure), GroupDescriptor("Z"), [gen])
 
 
 def identity_system(block_sizes, group: GroupDescriptor | None = None) -> FiniteSystem:
     """System whose every group element acts as the identity map."""
     structure = BlockStructure(tuple(block_sizes))
     group = group or GroupDescriptor("Z")
-    gens = [identity_automorphism(structure) for _ in range(group.num_generators)]
+    gens = [identity_automorphism(structure) for _ in range(group.k)]
     return FiniteSystem(structure, uniform_state(structure), group, gens)
 
 

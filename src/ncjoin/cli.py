@@ -62,19 +62,14 @@ from .joinings import (
 # serialization helpers
 
 
-def _jsonify(x):
-    """JSON-ready data: complex numbers as [re, im], anything else unknown
-    (a Fraction, an exact scalar) as its string."""
-    if isinstance(x, dict):
-        return {str(k): _jsonify(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonify(v) for v in x]
-    if hasattr(x, "tolist"):   # a numpy scalar or array
-        return _jsonify(x.tolist())
+def _json_default(x):
+    """What `json.dumps` cannot write itself: a numpy scalar or array as its
+    list, a complex number as [re, im], anything else (a Fraction, an exact
+    scalar) as its string."""
+    if hasattr(x, "tolist"):
+        return x.tolist()
     if isinstance(x, complex):
         return [x.real, x.imag]
-    if isinstance(x, (bool, int, float, str)) or x is None:
-        return x
     return str(x)
 
 
@@ -107,9 +102,9 @@ def _flatten(prefix: str, value, rows: list):
 
 def emit_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_jsonify(report), sort_keys=True, indent=2)
+        return json.dumps(report, sort_keys=True, indent=2, default=_json_default)
     rows: list[tuple[str, str]] = []
-    _flatten("", _jsonify(report), rows)
+    _flatten("", json.loads(json.dumps(report, default=_json_default)), rows)
     width = max((len(k) for k, _ in rows), default=0)
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
@@ -374,20 +369,20 @@ def _dual_coherence(sysd, cls, samples: int, seed: int) -> dict:
 def _cmd_dual_classify(args):
     from .dual import classify_dual
 
-    df, rec = _load_dual(args.group)
-    cls = classify_dual(df.system)
+    sysd, rec = _load_dual(args.group)
+    cls = classify_dual(sysd)
     results = dict(vars(cls))
     if args.samples:
-        results["coherence"] = _dual_coherence(df.system, cls, args.samples, args.seed)
+        results["coherence"] = _dual_coherence(sysd, cls, args.samples, args.seed)
     return {"group": rec}, results, [], "ok"
 
 
 def _cmd_dual_orbit(args):
-    df, rec = _load_dual(args.group)
-    g = df.system.parse(df.resolve_text(args.word))
-    cert = df.system.orbit_length(g)
+    sysd, rec = _load_dual(args.group)
+    g = sysd.parse(args.word)
+    cert = sysd.orbit_length(g)
     results = {
-        "element": df.system.format(g),
+        "element": sysd.format(g),
         "orbit": cert.kind,
     }
     if cert.kind == "finite":
@@ -400,10 +395,9 @@ def _cmd_dual_orbit(args):
 def _cmd_dual_correlations(args):
     from .dual import correlation_series, parse_combination
 
-    df, rec = _load_dual(args.group)
-    sysd = df.system
-    a = parse_combination(sysd, df.resolve_text(args.a))
-    b = parse_combination(sysd, df.resolve_text(args.b))
+    sysd, rec = _load_dual(args.group)
+    a = parse_combination(sysd, args.a)
+    b = parse_combination(sysd, args.b)
     window = _parse_window(args.n)
     series = correlation_series(sysd, a, b, window)
     text = {key: str(v) for key, v in {id(v): v for v in series.centered + series.raw}.items()}
@@ -446,11 +440,10 @@ def _default_pair_element(sysd):
 def _cmd_dual_ornstein(args):
     from .dual import ornstein_scan_dual, parse_pair_combination
 
-    df, rec = _load_dual(args.group)
-    sysd = df.system
+    sysd, rec = _load_dual(args.group)
     window = _parse_window(args.window)
     if args.elements:
-        cs = [parse_pair_combination(sysd, df.resolve_text(args.elements))]
+        cs = [parse_pair_combination(sysd, args.elements)]
         labels = ["user element"]
     else:
         cs = [_default_pair_element(sysd)]
@@ -466,8 +459,7 @@ _EXPERIMENT_CANDIDATES = ("dual_cycle2",)
 def _cmd_dual_joining(args):
     from .dual import classify_dual, opposite_group_joining
 
-    df, rec = _load_dual(args.group)
-    sysd = df.system
+    sysd, rec = _load_dual(args.group)
     oj = opposite_group_joining(sysd)
     sub = oj.subsystem
     results = {
@@ -488,7 +480,7 @@ def _cmd_dual_joining(args):
             raise InputFormatError("--experiment expects an ergodic dual system")
         findings = []
         for name in _EXPERIMENT_CANDIDATES:
-            cand = corpus.dual(name).system
+            cand = corpus.dual(name)
             findings.append({
                 "candidate": name,
                 "candidate_compact": classify_dual(cand).compact,

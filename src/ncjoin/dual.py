@@ -19,8 +19,9 @@ A dual-system file, read by `load_dual`, is the JSON object
 
 "h" is only meaningful for the finperm family: it spells out extra finite
 cycles of the conjugating bijection over fresh letter names, which are
-normalized into cycle tracks at load time; the original names stay usable
-in words through the returned alias table.
+normalized into cycle tracks at load time. The track spec keeps each
+original name with its letter, so a name stands for that letter wherever a
+permutation names one: with cycles [["p", "q"]], "(p q)" is "(ha0 ha1)".
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputFormatError, NcjoinError, StructureError, _expect, _integer
@@ -131,6 +132,7 @@ class Track:
 @dataclass(frozen=True)
 class TrackSpec:
     tracks: tuple[Track, ...]
+    names: tuple[tuple[str, Letter], ...] = ()   # 'h' letter names, like ("p", ("ha", 0))
 
     def __post_init__(self):
         if not self.tracks:
@@ -162,10 +164,6 @@ class TrackSpec:
     @property
     def shift_tracks(self) -> tuple[Track, ...]:
         return tuple(t for t in self.tracks if t.kind == "shift")
-
-    @property
-    def cycle_letter_count(self) -> int:
-        return sum(t.m for t in self.cycle_tracks)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +251,6 @@ class FinPerm:
     def support(self) -> tuple[Letter, ...]:
         return tuple(a for a, _ in self.pairs)
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.pairs
-
     def compose(self, other: "FinPerm") -> "FinPerm":
         """self after other: (self ∘ other)(x) = self(other(x))."""
         domain = set(self.support) | set(other.support)
@@ -300,7 +294,7 @@ IDENTITY_PERM = FinPerm()
 
 
 def format_perm(p: FinPerm) -> str:
-    if p.is_identity:
+    if not p.pairs:
         return "id"
     return "".join(
         "(" + " ".join(f"{tid}{idx}" for tid, idx in cyc) + ")" for cyc in p.cycles())
@@ -312,14 +306,17 @@ def parse_perm(spec: TrackSpec, text: str) -> FinPerm:
         return IDENTITY_PERM
     if not re.fullmatch(r"(\([^()]*\)\s*)+", text):   # cycles, whitespace between
         raise InputFormatError(f"cannot parse permutation {text!r}")
+    names = dict(spec.names)
     cycles = []
     for chunk in re.findall(r"\(([^()]*)\)", text):
         letters = []
         for tok in chunk.split():
-            m = re.match(r"^([A-Za-z_]+)(-?\d+)$", tok)
-            if not m:
+            if tok in names:
+                letters.append(names[tok])
+            elif m := re.match(r"^([A-Za-z_]+)(-?\d+)$", tok):
+                letters.append(spec.normalize((m.group(1), int(m.group(2)))))
+            else:
                 raise InputFormatError(f"cannot parse letter {tok!r}")
-            letters.append(spec.normalize((m.group(1), int(m.group(2)))))
         if letters:
             cycles.append(letters)
     if not cycles:
@@ -354,9 +351,6 @@ class DualSystem:
 
     def inverse(self, a):
         return word_inverse(a) if self.family == "free" else a.inverse()
-
-    def is_identity(self, a) -> bool:
-        return a == self.identity()
 
     def format(self, a) -> str:
         return format_word(a) if self.family == "free" else format_perm(a)
@@ -455,7 +449,7 @@ def classify_dual(sys: DualSystem) -> DualClassification:
     if sys.family == "free":
         ergodic, gamma_finite, order = not spec.cycle_tracks, False, None
     else:
-        letters = spec.cycle_letter_count
+        letters = sum(t.m for t in spec.cycle_tracks)
         ergodic, gamma_finite = letters <= 1, all_finite
         order = math.factorial(letters) if all_finite and letters <= 64 else None
     notes = ((f"|Γ| = {order} is finite and larger than 1, hence not ergodic",)
@@ -507,20 +501,8 @@ def finite_orbit_subsystem(sys: DualSystem) -> FiniteOrbitSubsystem:
 # the dual-system file
 
 
-@dataclass
-class DualFile:
-    system: DualSystem
-    aliases: dict[str, str] = field(default_factory=dict)
-
-    def resolve_text(self, text: str) -> str:
-        """Substitute alias letter names by their track tokens in a word string."""
-        if not self.aliases:
-            return text
-        return re.sub(r"[A-Za-z_]+(?![-\d])", lambda m: self.aliases.get(m[0], m[0]), text)
-
-
-def load_dual(data) -> DualFile:
-    """The group of a parsed dual-system file, with its 'h' aliases.
+def load_dual(data) -> DualSystem:
+    """The group of a parsed dual-system file; its spec keeps the 'h' letter names.
 
     The family is checked first; `Track`, `TrackSpec` and `DualSystem`
     check the rest, and their errors are reported as malformed input.
@@ -537,7 +519,7 @@ def load_dual(data) -> DualFile:
                                 _integer(t["m"], "track m") if kind == "cycle" else t.get("m")))
         except (KeyError, TypeError, StructureError) as exc:
             raise InputFormatError(f"malformed track {t!r}: {exc}") from exc
-    aliases: dict[str, str] = {}
+    named: dict[str, Letter] = {}
     cycles = []   # (track id, length) of each 'h' cycle
     if data.get("h") is not None:
         if family != "finperm":
@@ -552,14 +534,15 @@ def load_dual(data) -> DualFile:
             for pos, name in enumerate(names):
                 if not re.fullmatch(r"[A-Za-z_]+", name):
                     raise InputFormatError(f"'h' cycle letters must be bare names, got {name!r}")
-                if name in aliases:
+                if name in named:
                     raise InputFormatError(f"letter {name!r} appears " + (
                         "twice in one 'h' cycle" if name in names[:pos] else "in two 'h' cycles"))
-                aliases[name] = f"{tid}{pos}"
+                named[name] = (tid, pos)
             cycles.append((tid, len(names)))
     try:
-        spec = TrackSpec((*tracks, *(Track(tid, "cycle", m) for tid, m in cycles)))
-        return DualFile(DualSystem(family, spec), aliases)
+        spec = TrackSpec((*tracks, *(Track(tid, "cycle", m) for tid, m in cycles)),
+                         tuple(named.items()))
+        return DualSystem(family, spec)
     except StructureError as exc:
         raise InputFormatError(str(exc)) from exc
 
@@ -828,8 +811,7 @@ class OppositeJoining:
         return Fraction(1) if g == h else Fraction(0)
 
     def product_value(self, g, h) -> Fraction:
-        sys = self.subsystem.system
-        return Fraction(int(sys.is_identity(g) and sys.is_identity(h)))
+        return Fraction(int(g == h == self.subsystem.system.identity()))
 
 
 def opposite_group_joining(sys: DualSystem) -> OppositeJoining:

@@ -640,18 +640,17 @@ def verify_spectral_covariance(sys: FiniteSystem, u: AlgebraElement, chi: comple
 class ModularData:
     """Modular objects of (A, μ) in canonical GNS coordinates.
 
-    delta_matrix is the linear map a ↦ ρ a ρ^{-1}; conj_matrix, the mirror's
-    `twist`, realizes a ↦ ρ^{1/2} a* ρ^{-1/2} antilinearly as
-    x ↦ conj_matrix · conj(x). For block-scalar (tracial) densities the
-    modular operator is the identity and J reduces to the adjoint.
+    delta_matrix is the linear map a ↦ ρ a ρ^{-1}; the mirror's `twist`
+    realizes J: a ↦ ρ^{1/2} a* ρ^{-1/2} antilinearly as x ↦ twist · conj(x).
+    For block-scalar (tracial) densities the modular operator is the
+    identity and J reduces to the adjoint.
     """
 
     system: FiniteSystem
     delta_matrix: np.ndarray
-    conj_matrix: np.ndarray
 
     def apply_conjugation(self, coords) -> np.ndarray:
-        return self.conj_matrix @ np.asarray(coords, dtype=complex).conj()
+        return self.system.mirror.twist @ np.asarray(coords, dtype=complex).conj()
 
     def sigma(self, t: float, a: AlgebraElement) -> AlgebraElement:
         rho_it, rho_mit = _density_powers(self.system, 1j * t, -1j * t)
@@ -679,7 +678,7 @@ def _modular_conjugation(sys: FiniteSystem) -> np.ndarray:
 def modular_data(sys: FiniteSystem) -> ModularData:
     require_valid(sys)
     delta = sandwich_matrix(sys.state.density, *_density_powers(sys, -1))
-    return ModularData(system=sys, delta_matrix=delta, conj_matrix=sys.mirror.twist)
+    return ModularData(system=sys, delta_matrix=delta)
 
 
 @dataclass
@@ -721,6 +720,6 @@ def asymptotic_abelianness_profile(sys: FiniteSystem, a: AlgebraElement,
     group = sys.group
     images = element_matrices(sys.generator_matrices, group.folner_elements(n_max)) @ b.coords()
     norms = np.array([(a @ bg - bg @ a).norm() for bg in map(sys.structure.from_coords, images)])
-    norms = norms.reshape((len(group.folner_range(n_max)),) * group.num_generators)
+    norms = norms.reshape((len(group.folner_range(n_max)),) * group.k)
     return [float(np.mean(norms[(slice(len(group.folner_range(n))),) * norms.ndim]))
             for n in range(1, n_max + 1)]

@@ -45,22 +45,22 @@ def gibbs():
 
 @pytest.fixture(scope="session")
 def dual_shift():
-    return corpus.dual("dual_shift").system
+    return corpus.dual("dual_shift")
 
 
 @pytest.fixture(scope="session")
 def dual_cycle2():
-    return corpus.dual("dual_cycle2").system
+    return corpus.dual("dual_cycle2")
 
 
 @pytest.fixture(scope="session")
 def dual_mixed():
-    return corpus.dual("dual_mixed").system
+    return corpus.dual("dual_mixed")
 
 
 @pytest.fixture(scope="session")
 def dual_finperm():
-    return corpus.dual("dual_finperm_shift").system
+    return corpus.dual("dual_finperm_shift")
 
 
 @pytest.fixture(scope="session")

@@ -564,7 +564,7 @@ def dual_coherence_reference(sys, samples, seed):
         if cert.kind == "finite":
             finite += 1
             violations += (sys.apply_T(g, cert.period) != g) + (
-                cls.ergodic and not sys.is_identity(g))
+                cls.ergodic and g != sys.identity())
         else:
             infinite += 1
             violations += cls.compact

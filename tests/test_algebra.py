@@ -8,6 +8,7 @@ from ncjoin import corpus
 from ncjoin.algebra import (
     Automorphism,
     BlockStructure,
+    FaithfulState,
     FiniteSystem,
     GroupDescriptor,
     AlgebraElement,
@@ -136,7 +137,9 @@ def test_validate_c3_rotation_is_valid():
 
 
 def test_validate_reports_state_invariance_residual():
-    sysd = cyclic_rotation_system(3, state_weights=[0.5, 0.3, 0.2])
+    rot = cyclic_rotation_system(3)
+    weights = [np.array([[w]], dtype=complex) for w in (0.5, 0.3, 0.2)]
+    sysd = dataclasses.replace(rot, state=FaithfulState(rot.structure, weights))
     report = validate_system(sysd)
     assert not report.valid
     residuals = {round(v.residual, 12) for v in report.violations if v.kind == "invariance"}
@@ -238,7 +241,7 @@ def test_group_descriptor_folner_sets():
 
 def test_z_to_the_one_is_z():
     z1 = GroupDescriptor("Zk", k=1)
-    assert z1 == GroupDescriptor("Z") and z1.kind == "Z" and z1.num_generators == 1
+    assert z1 == GroupDescriptor("Z") and z1.kind == "Z" and z1.k == 1
     assert hash(z1) == hash(GroupDescriptor("Z"))
 
 

@@ -92,7 +92,7 @@ def systems(draw):
     scale = draw(st.sampled_from((0.0, 1e-6, 0.3)))
     gens = [Automorphism(structure, tuple(perm),
                          [_haar(rng, n) + _noise(rng, n, scale) for n in sizes])
-            for _ in range(group.num_generators)]
+            for _ in range(group.k)]
     return FiniteSystem(structure, state, group, gens)
 
 

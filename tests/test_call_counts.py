@@ -26,6 +26,7 @@ value of a window once. The spectral covariance check decomposes u once,
 and the modular invariance check eigendecomposes ρ once.
 """
 
+import dataclasses
 import importlib.util
 import json
 from collections import Counter
@@ -40,6 +41,7 @@ from ncjoin import cli, corpus, dual, fileio, gns, joinings
 from ncjoin.algebra import (
     Automorphism,
     BlockStructure,
+    FaithfulState,
     cyclic_rotation_system,
     identity_system,
     single_block_system,
@@ -278,7 +280,10 @@ def test_contexts_build_no_gns_data(monkeypatch):
         assert ctx.A is legs[0] and ctx.B is legs[1]
         assert all(leg.validation.valid for leg in legs)
     assert calls["gns_construct"] == 0
-    invalid, other_group = cyclic_rotation_system(3, [0.5, 0.3, 0.2]), corpus.system("pauli")
+    rot = cyclic_rotation_system(3)
+    weights = [np.array([[w]], dtype=complex) for w in (0.5, 0.3, 0.2)]
+    invalid = dataclasses.replace(rot, state=FaithfulState(rot.structure, weights))
+    other_group = corpus.system("pauli")
     for legs in ((invalid, other_group), (other_group, invalid)):
         with pytest.raises(InputFormatError, match="invariance at"):
             build_tensor_context(*legs)

@@ -15,7 +15,7 @@ import pytest
 
 import ncjoin
 from ncjoin import corpus, dual, fileio, gns, joinings
-from ncjoin.algebra import identity_system, validate_system
+from ncjoin.algebra import GroupDescriptor, identity_system, validate_system
 from ncjoin.cli import build_parser, emit_report, main, run
 from ncjoin.errors import InputFormatError
 from ncjoin.joinings import residual_magnitude
@@ -38,6 +38,14 @@ def test_system_roundtrip(tmp_path):
             assert g1.block_perm == g2.block_perm
             for u1, u2 in zip(g1.conjugator.blocks, g2.conjugator.blocks):
                 assert np.allclose(u1, u2)
+
+
+def test_zm_system_roundtrip():
+    sysd = identity_system((1, 2), GroupDescriptor("Zm", m=3))
+    data = fileio.dump_system(sysd)
+    assert data["group"] == {"kind": "Zm", "m": 3}
+    back = fileio.load_system(data)
+    assert back.group == sysd.group and fileio.dump_system(back) == data
 
 
 def test_matrix_entries_accept_bare_numbers():
@@ -140,15 +148,37 @@ def test_dual_file_with_h_cycles(tmp_path):
         "tracks": [{"id": "x", "kind": "shift"}],
         "h": {"cycles": [["p", "q", "r"]]},
     }
-    df = dual.load_dual(data)
-    kinds = {(t.id, t.kind, t.m) for t in df.system.spec.tracks}
+    sysd = dual.load_dual(data)
+    kinds = {(t.id, t.kind, t.m) for t in sysd.spec.tracks}
     assert ("ha", "cycle", 3) in kinds
-    assert df.aliases == {"p": "ha0", "q": "ha1", "r": "ha2"}
-    resolved = df.resolve_text("(p q)")
-    assert resolved == "(ha0 ha1)"
-    g = df.system.parse(resolved)
-    cert = df.system.orbit_length(g)
+    assert [sysd.format(sysd.parse(f"({x} {y})")) for x, y in ("pq", "qr", "rp")] == [
+        "(ha0 ha1)", "(ha1 ha2)", "(ha0 ha2)"]
+    g = sysd.parse("(p q)")
+    cert = sysd.orbit_length(g)
     assert cert.kind == "finite"
+
+
+H_FILE = {"family": "finperm", "tracks": [{"id": "x", "kind": "shift"}],
+          "h": {"cycles": [["i", "j", "k"], ["d", "e"]]}}
+
+
+@pytest.mark.parametrize("options,named,lettered", [
+    (["dual", "correlations", "--b", "(i j)", "--n", "0..3", "--a"],
+     "2i * (i j)", "2i * (ha0 ha1)"),
+    (["dual", "ornstein", "--window", "0..5", "--elements"],
+     "1/2i * (i j) | (i k)", "1/2i * (ha0 ha1) | (ha0 ha2)"),
+    (["dual", "orbit", "--word"], "e", "id"),
+])
+def test_h_names_are_letters_not_text(tmp_path, options, named, lettered):
+    """An 'h' name stands for its letter only where a permutation names a
+    letter: the coefficients 2i and 1/2i keep their imaginary unit beside a
+    letter named i, and "e" stays the identity beside a letter named e."""
+    p = tmp_path / "h.json"
+    p.write_text(json.dumps(H_FILE))
+    named_report, named_code = run(options + [named, "--group", str(p)])
+    lettered_report, lettered_code = run(options + [lettered, "--group", str(p)])
+    assert (named_code, lettered_code) == (0, 0), named_report
+    assert named_report["results"] == lettered_report["results"]
 
 
 def test_dual_file_rejects_h_for_free():
@@ -564,9 +594,20 @@ def test_reused_parser_matches_fresh_parsers():
     "joinings diagonal --system corpus:pauli --graph-n 1",
     "average --system corpus:c2 --x [true,false] --y 0 --N 4",
     "average --system corpus:c2 --x [[1,false],0] --y 0 --N 4",
+    "ornstein --system corpus:c2 --window abc",
+    "ornstein --system corpus:c2 --window 1..x",
+    "dual orbit --group corpus:dual_mixed --word 'x0 q1'",
+    "dual orbit --group corpus:dual_mixed --word 'x0 %'",
+    "dual orbit --group corpus:dual_finperm_shift --word '(x0 %)'",
+    "dual correlations --group corpus:dual_shift --a ; --b x0 --n 0..3",
+    "dual ornstein --group corpus:dual_shift --window 0..3 --elements ;",
+    "dual correlations --group corpus:dual_shift --a ' * x0' --b x0 --n 0..3",
+    "corpus export",
+    "classify --system corpus:nope",
+    "dual joining --group corpus:dual_mixed --experiment",
 ])
 def test_argument_errors_exit_2(argv):
-    report, code = run(argv.split())
+    report, code = run(shlex.split(argv))
     assert code == 2, report
     assert report["status"] == "error"
     assert not report["error"].startswith("internal invariant violation")
@@ -667,6 +708,12 @@ def test_objective_index_errors_name_the_file(tmp_path, term, reason):
     ("classify --system", {**corpus.raw("c2"), "group": {"kind": "Zk"}}),
     ("classify --system", {**corpus.raw("c2"), "generators": [
         {"perm": [1, 0], "unitary": [[True, False], [False, True]]}]}),
+    ("classify --system", {**corpus.raw("pauli"),
+                           "generators": corpus.raw("pauli")["generators"][:1]}),
+    ("classify --system", {**corpus.raw("c2"), "group": "Z"}),
+    ("classify --system", {**corpus.raw("c2"), "group": {"kind": "Zm"}}),
+    ("dual ornstein --window 0..3 --group", {"family": "finperm", "tracks": [
+        {"id": "y", "kind": "cycle", "m": 1}]}),
 ])
 def test_malformed_json_shapes_exit_2(tmp_path, name, content):
     p = tmp_path / "shape.json"
@@ -828,9 +875,10 @@ def test_finite_commands_never_load_the_dual_layer():
 _DUAL_FILE_PROBE = """
 import sys
 from ncjoin.dual import load_dual
-df = load_dual({"family": "finperm", "tracks": [{"id": "x", "kind": "shift"}],
-                "h": {"cycles": [["p", "q"]]}})
-print(df.aliases, [m for m in ("numpy", "ncjoin.fileio", "ncjoin.algebra") if m in sys.modules])
+sysd = load_dual({"family": "finperm", "tracks": [{"id": "x", "kind": "shift"}],
+                  "h": {"cycles": [["p", "q"]]}})
+print(sysd.format(sysd.parse("(p q)")),
+      [m for m in ("numpy", "ncjoin.fileio", "ncjoin.algebra") if m in sys.modules])
 """
 
 
@@ -839,7 +887,7 @@ def test_dual_files_load_without_the_finite_layers():
     numpy nor the finite format and algebra."""
     out = subprocess.run([sys.executable, "-c", _DUAL_FILE_PROBE], env=_source_env(),
                          capture_output=True, text=True, timeout=120, check=True).stdout
-    assert out.strip() == "{'p': 'ha0', 'q': 'ha1'} []"
+    assert out.strip() == "(ha0 ha1) []"
 
 
 def _corpus_file(name: str) -> str:

@@ -45,7 +45,7 @@ def _mixed23(family):
 
 
 # the corpus dual systems and two generated ones whose orbits mix residue classes
-DUAL_SYSTEMS = {name: corpus.dual(name).system for name in corpus.DUAL_SYSTEMS}
+DUAL_SYSTEMS = {name: corpus.dual(name) for name in corpus.DUAL_SYSTEMS}
 DUAL_SYSTEMS.update({f"{family}_2_3_shift": _mixed23(family)
                      for family in ("free", "finperm")})
 
@@ -115,7 +115,7 @@ def test_malformed_dual_inputs_exit_2(argv):
 
 
 def test_permutations_are_cycles_and_nothing_else():
-    spec = corpus.dual("dual_finperm_shift").system.spec
+    spec = corpus.dual("dual_finperm_shift").spec
     for text in ("(x0 x1)(y0 y1)", " (x0 x1)  (y0 y1) ", "(y1 y0) (x1 x0)"):
         assert format_perm(parse_perm(spec, text)) == "(x0 x1)(y0 y1)"
     for text in ("(x0 x1) y0", "(y0 y1) junk", "x0 (x0 x1)", "(x0 x1", "(x0 (x1))", "()()"):
@@ -316,7 +316,7 @@ def test_classification_coherence_with_sampled_orbits(
             cert = sysd.orbit_length(g)
             if cert.kind == "infinite":
                 all_finite = False
-            elif not sysd.is_identity(g):
+            elif g != sysd.identity():
                 nontrivial_finite = True
         assert cls.compact == all_finite
         assert cls.ergodic == (not nontrivial_finite)
@@ -428,7 +428,7 @@ EDGE_ALPHABETS = {
 def _sampled_system(name):
     if name in EDGE_ALPHABETS:
         return DualSystem("free", TrackSpec(EDGE_ALPHABETS[name]))
-    return corpus.dual(name).system
+    return corpus.dual(name)
 
 
 @pytest.mark.parametrize("name", list(corpus.DUAL_SYSTEMS) + list(EDGE_ALPHABETS))
@@ -449,7 +449,7 @@ def test_sampler_matches_reference(name):
             drawn = [sample_element_reference(sysd, ref, max_len) for _ in range(100)]
             assert orbit_kind_counts(sysd, ours, 100, max_len) == (
                 sum(sysd.orbit_length(g).kind == "finite" for g in drawn),
-                sum(sysd.is_identity(g) for g in drawn))
+                sum(g == sysd.identity() for g in drawn))
             assert ours.getstate() == ref.getstate()
         if name in EDGE_ALPHABETS:
             continue
@@ -478,7 +478,7 @@ def test_coherence_matches_per_sample_loop(name):
 @pytest.mark.parametrize("name", corpus.DUAL_SYSTEMS)
 def test_sampler_rejects_negative_length(name):
     """A negative length bound is an empty range for both families, as for `randrange`."""
-    sysd = corpus.dual(name).system
+    sysd = corpus.dual(name)
     for draw in (lambda rng: sample_element(sysd, rng, -1),
                  lambda rng: sample_element_reference(sysd, rng, -1),
                  lambda rng: orbit_kind_counts(sysd, rng, 5, -1)):
@@ -577,7 +577,7 @@ def test_ornstein_scan_on_a_one_letter_cycle(tmp_path, capsys, group, elements, 
     assert cli.main(argv + ([f"--elements={elements}"] if elements else [])) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["strongly_mixing"] is True
-    assert classify_dual(dual.load_dual(group).system).strongly_mixing
+    assert classify_dual(dual.load_dual(group)).strongly_mixing
     for elem in results["elements"]:
         assert elem["escape_bound"] is not None and elem["eventual_ratio"] == "1"
         assert bound is None or elem["escape_bound"] == bound

@@ -408,11 +408,10 @@ def test_mirror_keeps_only_promoted_and_twist(gibbs):
 
 def test_twist_is_read_only_and_is_the_modular_conjugation():
     sysd = corpus.system("gibbs")   # a fresh object: the session fixture stays untouched
-    twist, conj = sysd.mirror.twist, modular_data(sysd).conj_matrix
-    assert conj is twist
-    for m in (twist, conj):
-        with pytest.raises(ValueError):
-            m[0, 0] = 0
+    twist, x = sysd.mirror.twist, np.arange(sysd.dimension) * (1 + 2j)
+    assert np.array_equal(modular_data(sysd).apply_conjugation(x), twist @ x.conj())
+    with pytest.raises(ValueError):
+        twist[0, 0] = 0
 
 
 def test_coordinate_matrices_match_basis_loops():
@@ -430,7 +429,8 @@ def test_coordinate_matrices_match_basis_loops():
         rho = sysd.state.density
         md, m = modular_data(sysd), mirror_system(sysd)
         assert np.array_equal(m.twist, columns(lambda e: half @ e.transpose() @ mhalf)), name
-        assert np.array_equal(md.conj_matrix, columns(lambda e: half @ e.adjoint() @ mhalf)), name
+        assert np.array_equal(md.system.mirror.twist,
+                              columns(lambda e: half @ e.adjoint() @ mhalf)), name
         assert np.array_equal(md.delta_matrix, columns(lambda e: rho @ e @ inv)), name
         for b, R in zip(basis, commutant_basis_reference(sysd.structure)):
             assert np.array_equal(R, columns(lambda e: e @ b)), name

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -9,6 +10,7 @@ from ncjoin import corpus, joinings
 from ncjoin.algebra import (
     Automorphism,
     BlockStructure,
+    FaithfulState,
     FiniteSystem,
     GroupDescriptor,
     cyclic_rotation_system,
@@ -617,7 +619,9 @@ def test_uncertified_stall_is_ambiguous(monkeypatch, c2):
 
 
 def test_invalid_system_rejected_on_every_call():
-    bad = cyclic_rotation_system(3, state_weights=[0.5, 0.3, 0.2])
+    rot = cyclic_rotation_system(3)
+    weights = [np.array([[w]], dtype=complex) for w in (0.5, 0.3, 0.2)]
+    bad = dataclasses.replace(rot, state=FaithfulState(rot.structure, weights))
     builders = (gns_construct, classify_finite, mirror_system, diagonal_state,
                 lambda s: build_tensor_context(s, cyclic_rotation_system(3)))
     for build in builders:

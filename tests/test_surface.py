@@ -5,9 +5,10 @@ Every name is imported from its module, ``ncjoin.<module>.<name>``; the
 package itself binds only its submodules and ``__version__``. A function
 parameter that its body never reads is surface no caller needs, so none
 is allowed (``self`` and ``cls`` aside). A public method or property that
-only hands out a private attribute set in ``__init__`` (the attribute, an
-attribute of it, or a zero-argument method result of it other than a
-``copy()``) names one fact twice: the attribute should be public instead.
+only returns an attribute of ``self``, public or private, or that only
+hands out a private attribute set in ``__init__`` (an attribute of it, or
+a zero-argument method result of it other than a ``copy()``) names one
+fact twice: readers should read the attribute, made public if need be.
 An exception class lives in ``errors.py``, and only while some ``except``
 in the package names it: a class that nothing catches by name adds no
 exit code and no handling, so its raise sites use a surviving class.
@@ -63,9 +64,9 @@ def _self_attribute(node: ast.AST) -> str | None:
 
 
 def _accessors(tree: ast.AST):
-    """Public methods of a class whose body only returns a private attribute
-    set in its ``__init__``, an attribute of it, or a zero-argument method
-    result of it other than ``copy()``."""
+    """Public methods of a class whose body only returns an attribute of
+    ``self``, or a private attribute set in its ``__init__``, an attribute
+    of it, or a zero-argument method result of it other than ``copy()``."""
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
@@ -79,6 +80,9 @@ def _accessors(tree: ast.AST):
             if m.name.startswith("_") or len(body) != 1 or not isinstance(body[0], ast.Return):
                 continue
             value = body[0].value
+            if _self_attribute(value) is not None:
+                yield f"{cls.name}.{m.name}:{m.lineno}"
+                continue
             if isinstance(value, ast.Call) and not value.args and not value.keywords \
                     and isinstance(value.func, ast.Attribute) and value.func.attr != "copy":
                 value = value.func.value
@@ -107,9 +111,12 @@ class C:
         return self.y.stacks()
     def two_steps(self):
         return self._x.blocks.tolist()
+    @property
+    def renamed(self):
+        return self.y
 """
     assert [a.split(":")[0] for a in _accessors(ast.parse(source))] == [
-        "C.same", "C.part", "C.derived"]
+        "C.same", "C.part", "C.derived", "C.renamed"]
 
 
 def test_no_public_accessor_of_a_private_attribute():

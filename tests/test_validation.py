@@ -96,7 +96,7 @@ def systems(draw):
         gens = [base.power(j + 1) for j in range(group.k)]
     else:
         gens = [_generator(rng, structure, draw(st.sampled_from(("haar", "root"))), order, scale)
-                for _ in range(group.num_generators)]
+                for _ in range(group.k)]
     state = uniform_state(structure)
     state_scale = draw(st.sampled_from(PERTURBATIONS))
     if state_scale:
