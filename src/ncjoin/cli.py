@@ -39,11 +39,7 @@ import numpy as np
 
 from . import corpus, fileio
 from .errors import InputFormatError, NcjoinError, _integer
-from .gns import (
-    cesaro_correlation,
-    classify_finite,
-    compactness_net,
-)
+from .gns import cesaro_correlation, classify_finite
 from .joinings import (
     DEFAULT_MAX_ITER,
     DEFAULT_WIDTH,
@@ -199,8 +195,6 @@ def _cmd_classify(args):
             for e in sysd.spectrum.entries
         ],
     }
-    if args.net:
-        results["epsilon_net_sizes"] = compactness_net(sysd)
     return {"system": rec}, results, [], "ok"
 
 
@@ -226,16 +220,13 @@ def _cmd_average(args):
     x = _parse_vector(args.x, sysd)
     y = _parse_vector(args.y, sysd)
     res = cesaro_correlation(sysd, x, y, _folner_index(args.N))
-    warnings = []
-    if not res.ergodic:
-        warnings.append("system is not ergodic; the limit need not be rank one")
     results = {
         "value": complex(res.value),
         "deviation": res.deviation,
         "remainder_bound": res.bound,
         "N": args.N,
     }
-    return {"system": rec}, results, warnings, "ok"
+    return {"system": rec}, results, [], "ok"
 
 
 def _parse_objective_file(ctx, ref: str):
@@ -557,8 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command(sub, "classify", _cmd_classify, "classification and point spectrum")
     p.add_argument("--system", required=True)
-    p.add_argument("--net", action="store_true",
-                   help="also compute epsilon-net sizes for the orbit closures")
 
     p = command(sub, "average", _cmd_average, "Cesaro average of a GNS correlation")
     p.add_argument("--system", required=True)

@@ -13,7 +13,8 @@ the uncached builders behind them. The GNS unitaries are the system's
 `generator_matrices`, in canonical coordinates only; group elements get
 theirs from power tables over them. The spectrum takes one `eigh` of a
 Hermitian combination of their orthonormal-coordinate images C·U·C⁻¹; it
-classifies the system and gives the eigenvectors from which a joining's
+classifies the system, gives every Folner mean (`folner_mean`,
+`cesaro_correlation`) and gives the eigenvectors from which a joining's
 tangent space is built. The mirror builds no GNS data; its promoted
 system shares its system's validation report. Neither a GnsSpace, a
 Spectrum nor a MirrorSystem refers back to its system, so the cache forms
@@ -23,7 +24,6 @@ no cycle.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,8 +44,6 @@ NULLSPACE_TOL = 1e-8
 SPLIT_WINDOW = 1e-6   # eigh eigenvalues this close may share a cluster that mixes characters
 POLISH_MIN = 1e-13    # a first-order eigenvector correction below this is not taken
 SIGMA_SAMPLES = (0.1, 0.7, 1.3)   # the times t at which σ_t(P) = P is checked
-NET_WINDOW = 512                  # compactness_net's Z window; Z^k's cube side is its k-th root
-NET_EPS = 0.1                     # the radius of the balls of compactness_net
 
 
 @dataclass
@@ -104,33 +102,27 @@ def element_matrices(mats, elements) -> np.ndarray:
     return out
 
 
-def power_sum(U: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Σ U^j over j = lo..hi (0 ≤ lo ≤ hi), by binary doubling.
+def _mean_characters(sys: FiniteSystem, n: int) -> np.ndarray:
+    """m_n(χ) for each column of `sys.spectrum`: the mean of χ(g) over the
+    n-th Folner set.
 
-    Reading the bits of the count m = hi − lo + 1 from the top, the sum
-    S_m = Σ_{j<m} U^j and the power U^m double as S_2m = S_m + U^m·S_m,
-    and a set bit adds U^2m; so the sum takes O(log m) matmuls.
+    The set is a box, so the mean is the product over generators of the
+    mean of e^{iθj} over the exponent range lo..hi of length L, which is
+    e^{iθ(lo+hi)/2}·sinc(Lθ/2π)/sinc(θ/2π): no branch at θ = 0, and 0 up to
+    rounding over all of Z_m for θ ≠ 0.
     """
-    total, power = np.eye(len(U), dtype=complex), U
-    for bit in bin(hi - lo + 1)[3:]:
-        total = total + power @ total
-        power = power @ power
-        if bit == "1":
-            total = total + power
-            power = power @ U
-    return np.linalg.matrix_power(U, lo) @ total
+    box = sys.group.folner_range(n)
+    theta = np.angle(sys.spectrum.chars)
+    return (np.exp(0.5j * (box[0] + box[-1]) * theta)
+            * np.sinc(len(box) * theta / (2 * np.pi)) / np.sinc(theta / (2 * np.pi))).prod(axis=1)
 
 
 def folner_mean(sys: FiniteSystem, n: int) -> np.ndarray:
-    """Mean of U_g over the n-th Folner set, a box of exponent ranges.
-
-    By distributivity the mean of the products U_1^{g_1}⋯U_k^{g_k} over
-    a box is the product of the generators' mean powers, each a
-    `power_sum` by doubling.
-    """
-    box = sys.group.folner_range(n)
-    return functools.reduce(np.matmul, (
-        power_sum(U, box[0], box[-1]) / len(box) for U in sys.generator_matrices))
+    """Mean of U_g over the n-th Folner set: C⁻¹·Q·diag(m)·Q*·C, with Q the
+    joint eigenbasis of `sys.spectrum`, C the Cholesky factor and m the
+    `_mean_characters`."""
+    space, Q = sys.gns, sys.spectrum.onb
+    return space.onb_factor_inv @ (Q * _mean_characters(sys, n)) @ Q.conj().T @ space.onb_factor
 
 
 def _linkage(points: np.ndarray) -> np.ndarray:
@@ -403,62 +395,41 @@ def classify_finite(sys: FiniteSystem) -> Classification:
     )
 
 
-def compactness_net(sys: FiniteSystem) -> list[int]:
-    """Greedy NET_EPS-net sizes for the orbits of the basis vectors.
-
-    Exercises total boundedness directly instead of quoting the
-    finite-dimension shortcut. The window is all of Z_m, the NET_WINDOW + 1
-    elements |j| ≤ NET_WINDOW/2 of Z, or the (2s+1)^k elements of [-s, s]^k
-    in Z^k, s = max(2, round(NET_WINDOW^(1/k))): 2,209 at k = 2, 117,649 at
-    k = 6. Points farther than NET_EPS from the net extend it.
-    """
-    group = sys.group
-    if group.kind == "Zm":
-        exponents = [(j,) for j in range(group.m)]
-    elif group.kind == "Z":
-        exponents = [(j,) for j in range(-NET_WINDOW // 2, NET_WINDOW // 2 + 1)]
-    else:
-        side = max(2, int(round(NET_WINDOW ** (1.0 / group.k))))
-        rng = range(-side, side + 1)
-        exponents = [tuple(t) for t in itertools.product(rng, repeat=group.k)]
-    # the orbits in orthonormal coordinates
-    orbit = sys.gns.onb_factor @ element_matrices(sys.generator_matrices, exponents)
-    sizes = []
-    for i in range(sys.dimension):
-        net: list[np.ndarray] = []
-        for y in orbit[:, :, i]:
-            if all(np.linalg.norm(y - z) > NET_EPS for z in net):
-                net.append(y)
-        sizes.append(len(net))
-    return sizes
-
-
 @dataclass
 class CesaroResult:
     value: complex
     deviation: float
     bound: float
-    ergodic: bool
 
 
 def cesaro_correlation(sys: FiniteSystem, x, y, n: int) -> CesaroResult:
-    """Average ⟨U_g x, y⟩ over the n-th Folner set.
+    """Average ⟨U_g x, y⟩ over the n-th Folner set, against its limit ⟨P₁x, y⟩,
+    P₁ the projection onto the fixed space, from `sys.spectrum`.
 
-    deviation is the distance to ⟨x, Ω⟩⟨Ω, y⟩, the ergodic limit; bound is
-    the generic remainder estimate (2/n)·‖x‖‖y‖ reported alongside. A
-    non-ergodic system is allowed but flagged, since the limit need not be
-    the rank-one value there.
+    Split off Ω: x′ = x − ⟨Ω, x⟩Ω and y′ likewise, and let a = Q*·C·x′ and
+    b = Q*·C·y′ in the joint eigenbasis Q, with w_j = conj(a_j)·b_j. The
+    limit is ⟨x, Ω⟩⟨Ω, y⟩ + Σ w_j over the fixed columns, and the average
+    adds Σ w_j·conj(m_j) over the others, m the `_mean_characters`. deviation
+    is the modulus of that sum. By Cauchy–Schwarz it is at most
+    ‖x‖‖y‖·max |m_j| over the columns that are not fixed; bound is that
+    product times 1 + 8(d + 2)ε, d the dimension and ε the machine epsilon,
+    for the rounding of the d-term sums and of the norms. Both are 0 when
+    every column is fixed.
     """
-    space = sys.gns
+    space, spec = sys.gns, sys.spectrum
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    value = space.inner(folner_mean(sys, n) @ x, y)
     omega = space.cyclic_vector
-    limit = space.inner(x, omega) * space.inner(omega, y)
-    deviation = abs(value - limit)
-    bound = 2.0 / n * space.norm(x) * space.norm(y)
-    ergodic = len(sys.spectrum.fixed) == 1
-    return CesaroResult(value=value, deviation=deviation, bound=bound, ergodic=ergodic)
+    to_columns = spec.onb.conj().T @ space.onb_factor
+    w = ((to_columns @ (x - space.inner(omega, x) * omega)).conj()
+         * (to_columns @ (y - space.inner(omega, y) * omega)))
+    m = _mean_characters(sys, n).conj()
+    m[spec.fixed] = 0   # the fixed columns make up the limit
+    limit = space.inner(x, omega) * space.inner(omega, y) + complex(w[spec.fixed].sum())
+    remainder = complex(w @ m)
+    bound = space.norm(x) * space.norm(y) * float(abs(m).max())
+    return CesaroResult(value=limit + remainder, deviation=abs(remainder),
+                        bound=float(bound * (1 + 8 * (len(w) + 2) * np.finfo(float).eps)))
 
 
 @dataclass

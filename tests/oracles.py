@@ -30,8 +30,9 @@ it solved shift times once per key and batched the finite scan.
 Algebra elements are sliced into blocks and multiplied one block at a time,
 Følner means sum one power per step, and the sampled coherence counts of
 `dual classify` check every sample on its own, as the package did before it
-stored elements as flat vectors, summed powers by doubling and checked each
-distinct sample once.
+stored elements as flat vectors, read Følner means off the joint spectrum
+and checked each distinct sample once. The Cesàro limit ⟨P₁x, y⟩ takes
+the fixed space from a null space of its own, not from the spectrum.
 
 The barrier line search is kept as safeguarded Newton on ψ′ itself, as
 the solver ran it before it removed the pole of ψ′ at the step bound. The
@@ -432,28 +433,32 @@ def folner_mean_reference(sys, n):
                for g in elements) / len(elements)
 
 
-def folner_mean_running_reference(mats, group, n):
-    """Mean of U_g over the n-th Folner set, each generator's box of powers
-    summed by running products, one matmul per power."""
+def folner_mean_running_reference(mats, group, n, x=None):
+    """Mean of U_g over the n-th Folner set, applied to x (the identity when
+    x is None): each generator's box of powers summed by running products,
+    one product per power. The generators commute, so their order is free."""
     box = group.folner_range(n)
-    out = None
+    v = np.eye(len(mats[0]), dtype=complex) if x is None else np.asarray(x, dtype=complex)
     for U in mats:
-        power, total = np.linalg.matrix_power(U, box[0]), np.zeros_like(U)
+        power, total = np.linalg.matrix_power(U, box[0]) @ v, np.zeros_like(v)
         for _ in box:
             total = total + power
-            power = power @ U
-        out = total / len(box) if out is None else out @ (total / len(box))
-    return out
+            power = U @ power
+        v = total / len(box)
+    return v
 
 
 def cesaro_correlation_reference(sys, x, y, n):
-    """Deviation of the mean of ⟨U_g x, y⟩ from ⟨x, Ω⟩⟨Ω, y⟩, summed per element."""
+    """(value, deviation) of the mean of ⟨U_g x, y⟩ over the n-th Folner set,
+    from running products on the vector, against the limit ⟨P₁x, y⟩: P₁
+    projects onto the null space of the stacked orthonormal-coordinate
+    W_k − 1."""
     space = sys.gns
-    elements = sys.group.folner_elements(n)
-    value = sum(space.inner(element_matrix_reference(sys.generator_matrices, g) @ x, y)
-                for g in elements) / len(elements)
-    omega = space.cyclic_vector
-    return abs(value - space.inner(x, omega) * space.inner(omega, y))
+    value = space.inner(folner_mean_running_reference(sys.generator_matrices, sys.group, n, x), y)
+    fixed = _null_space(np.vstack([W - np.eye(len(W)) for W in onb_matrices_reference(sys)]))
+    limit = complex((fixed.conj().T @ space.onb_factor @ x).conj()
+                    @ (fixed.conj().T @ space.onb_factor @ y))
+    return value, abs(value - limit)
 
 
 def recurrence_period_reference(sys, n_max):
@@ -463,29 +468,6 @@ def recurrence_period_reference(sys, n_max):
                  if np.linalg.norm(element_matrix_reference(sys.generator_matrices, (p,))
                                    - ident, 2) < 1e-9),
                 None)
-
-
-def compactness_net_reference(sys, eps=0.1, cap=512):
-    """Greedy eps-net sizes of the basis-vector orbits, one element matrix per point."""
-    space, mats = sys.gns, onb_matrices_reference(sys)
-    d, group = sys.dimension, sys.group
-    if group.kind == "Zm":
-        exponents = [(j,) for j in range(group.m)]
-    elif group.kind == "Z":
-        exponents = [(j,) for j in range(-cap // 2, cap // 2 + 1)]
-    else:
-        side = max(2, int(round(cap ** (1.0 / group.k))))
-        exponents = list(itertools.product(range(-side, side + 1), repeat=group.k))
-    sizes = []
-    for i in range(d):
-        x = space.onb_factor @ np.eye(d)[:, i]
-        net = []
-        for g in exponents:
-            y = element_matrix_reference(mats, g, unitary=True) @ x
-            if all(np.linalg.norm(y - z) > eps for z in net):
-                net.append(y)
-        sizes.append(len(net))
-    return sizes
 
 
 def delta_n_reference(sys, c, n):

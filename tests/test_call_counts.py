@@ -123,13 +123,13 @@ WINDOW_PAIRS = [
     (QQi, "__str__",
      "dual correlations --group corpus:dual_mixed --a x0;y1 --b x3^-1;y0^-1 --n 0..64",
      "dual correlations --group corpus:dual_mixed --a x0;y1 --b x3^-1;y0^-1 --n 0..512"),
-    (np.linalg, "matrix_power", "average --system corpus:c3 --x 0 --y 0 --N 10",
+    (np.linalg, "eigh", "average --system corpus:c3 --x 0 --y 0 --N 10",
      "average --system corpus:c3 --x 0 --y 0 --N 1000"),
-    (np.linalg, "matrix_power", "average --system corpus:pauli --x 1 --y 2 --N 10",
+    (np.linalg, "eigh", "average --system corpus:pauli --x 1 --y 2 --N 10",
      "average --system corpus:pauli --x 1 --y 2 --N 60"),
     (np.linalg, "matrix_power", "ornstein --system corpus:c3 --window 0..4",
      "ornstein --system corpus:c3 --window 0..64"),
-    (np.linalg, "matrix_power", "cesaro-diagonal --system corpus:c3 --N 4",
+    (np.linalg, "eigh", "cesaro-diagonal --system corpus:c3 --N 4",
      "cesaro-diagonal --system corpus:c3 --N 64"),
 ]
 

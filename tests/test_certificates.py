@@ -236,6 +236,24 @@ def test_near_paired_characters_stay_unpaired(eps):
         assert cert.verdict == "inconclusive" and rep.inconclusive
 
 
+@pytest.mark.parametrize("eps,verdict", [(1e-9, "inconclusive"), (1e-7, "disjoint")])
+def test_untrusted_empty_tangent_space_stays_inconclusive(eps, verdict):
+    """C3 against Ad(diag(1, e^{-i(2π/3+eps)})) on M2: the characters ω^{±1}
+    of C3 and e^{∓i(2π/3+eps)} multiply to e^{∓i·eps}, eps from 1, so only
+    the fixed classes pair and T = {0}. At 1e-9 that margin is below the
+    1e-8 a verdict needs: T = {0} was a rounding call, and the verdict stays
+    inconclusive although no witness solve runs."""
+    ctx = build_tensor_context(
+        corpus.system("c3"),
+        single_block_system(np.diag([1, np.exp(-1j * (2 * math.pi / 3 + eps))])))
+    cert = disjointness_test(ctx)
+    assert cert.tangent_dim == 0
+    assert cert.min_margin == pytest.approx(eps, rel=1e-6)
+    assert cert.verdict == verdict
+    if verdict == "disjoint":
+        _verify_rank(ctx, cert)
+
+
 def _rotation_optimum(p, q, i, j):
     cost = np.zeros((p, q))
     cost[i, j] = 1.0

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import importlib
 import json
+import math
 import os
 import pkgutil
 import re
@@ -15,7 +16,8 @@ import pytest
 
 import ncjoin
 from ncjoin import corpus, dual, fileio, gns, joinings
-from ncjoin.algebra import GroupDescriptor, identity_system, validate_system
+from ncjoin.algebra import (GroupDescriptor, cyclic_rotation_system, identity_system,
+                            validate_system)
 from ncjoin.cli import build_parser, emit_report, main, run
 from ncjoin.errors import InputFormatError
 from ncjoin.joinings import residual_magnitude
@@ -109,30 +111,18 @@ def test_malformed_matrices_exit_2(tmp_path, capsys, kind, matrix, message):
     "ornstein --system {} --window 0..16",
     "joinings diagonal --system {} --graph-n 1",
     "joinings disjoint --a {} --b corpus:c3",
-    "classify --system {} --net",
 ])
-def test_z_to_the_one_file_reads_as_z(tmp_path, monkeypatch, command):
+def test_z_to_the_one_file_reads_as_z(tmp_path, command):
     """A system file that declares Zk with k = 1 acts by Z: every command
-    that needs a Z action, or the group of corpus:c3, accepts it, and the
-    ε-net walks the orbit window of Z."""
+    that needs a Z action, or the group of corpus:c3, accepts it."""
     data = corpus.raw("c3")
     data["group"] = {"kind": "Zk", "k": 1}
     p = tmp_path / "c3_zk1.json"
     p.write_text(json.dumps(data))
-    probed = []
-    original = gns.element_matrices
-
-    def recorded(mats, elements):
-        probed.append(len(elements))
-        return original(mats, elements)
-
-    monkeypatch.setattr(gns, "element_matrices", recorded)
     report, code = run(command.format(p).split())
-    zk_probed, probed[:] = probed[:], []
     expected, expected_code = run(command.format("corpus:c3").split())
     assert (code, expected_code) == (0, 0)
     assert emit_report(report["results"], "json") == emit_report(expected["results"], "json")
-    assert zk_probed == probed
 
 
 def test_corpus_integrity():
@@ -449,12 +439,6 @@ def test_average_command(capsys):
     assert report["results"]["deviation"] < 1e-12
 
 
-def test_classify_net_sizes():
-    for name, sizes in (("c3", [3, 3, 3]), ("pauli", [2, 4, 4, 2])):
-        report, code = run(["classify", "--system", f"corpus:{name}", "--net"])
-        assert code == 0 and report["results"]["epsilon_net_sizes"] == sizes, name
-
-
 def test_average_reads_omega_and_coefficient_vectors():
     report, code = run(["average", "--system", "corpus:c3", "--x", "omega", "--y", "omega",
                         "--N", "10"])
@@ -466,6 +450,33 @@ def test_average_reads_omega_and_coefficient_vectors():
     report, code = run(["average", "--system", "corpus:c3", "--x", "[1,0]", "--y", "0",
                         "--N", "10"])
     assert code == 2 and report["error"] == "vector has 2 coordinates, expected 3"
+
+
+def _c12_eigenvector_file(tmp_path):
+    path = tmp_path / "c12.json"
+    path.write_text(json.dumps(fileio.dump_system(cyclic_rotation_system(12))))
+    angles = 2 * math.pi * np.arange(12) / 12
+    return str(path), json.dumps(np.column_stack([np.cos(angles), np.sin(angles)]).tolist())
+
+
+@pytest.mark.parametrize("case,deviation", [("c12", 0.9106836025229591), ("id2", 0.0)])
+def test_average_deviation_within_remainder_bound(tmp_path, case, deviation):
+    """On C12, x = y = (e^{2πik/12})_k is an eigenvector whose character
+    χ = e^{−iπ/6} has |χ + χ² + χ³|/3 = sin(π/4)/(3 sin(π/12)) ≈ 0.9107 at
+    N = 3, which the deviation and the bound both reach (‖x‖ = 1); a bound
+    of (2/N)·‖x‖‖y‖ = 2/3 falls below it. On id2 every vector is fixed, so
+    the limit is ⟨P₁x, y⟩ = ⟨x, y⟩ itself and both are 0."""
+    if case == "c12":
+        system, x = _c12_eigenvector_file(tmp_path)
+        argv = ["average", "--system", system, "--x", x, "--y", x, "--N", "3"]
+    else:
+        argv = ["average", "--system", "corpus:id2", "--x", "0", "--y", "0", "--N", "5"]
+    report, code = run(argv)
+    assert code == 0 and report["warnings"] == []
+    results = report["results"]
+    assert results["deviation"] == pytest.approx(deviation, abs=1e-12)
+    assert results["deviation"] <= results["remainder_bound"]
+    assert results["remainder_bound"] == pytest.approx(deviation, abs=1e-12)
 
 
 @pytest.mark.parametrize("group, word, period", [
@@ -566,7 +577,7 @@ def test_reused_parser_matches_fresh_parsers():
     commands = [
         ["joinings", "find", "--a", "corpus:c2", "--b", "corpus:c2", "--objective", "0,0",
          "--width", "1e-3", "--max-iter", "9"],
-        ["classify", "--system", "corpus:c5", "--net", "--format", "json"],
+        ["cesaro-diagonal", "--system", "corpus:c5", "--N", "4", "--format", "json"],
         ["joinings", "disjoint", "--a", "corpus:c2", "--b", "corpus:c3"],
         ["dual", "ornstein", "--group", "corpus:dual_shift", "--window", "0..8"],
     ]
@@ -759,7 +770,7 @@ def test_non_integer_fields_exit_2(tmp_path, command, name, path, valid, bad):
 
 # the options of every subcommand: a new option shows up as a change to this table
 OPTIONS = {
-    "classify": {"--system", "--net"},
+    "classify": {"--system"},
     "average": {"--system", "--x", "--y", "--N"},
     "cesaro-diagonal": {"--system", "--N"},
     "joinings find": {"--a", "--b", "--objective", "--objective-file", "--max-iter", "--width"},

@@ -26,7 +26,6 @@ from ncjoin.gns import (
     asymptotic_abelianness_profile,
     cesaro_correlation,
     classify_finite,
-    compactness_net,
     eigenoperator,
     fixed_point_algebra,
     gns_construct,
@@ -318,10 +317,11 @@ def test_cesaro_omega_fixed(c5):
 
 
 def test_cesaro_partial_period_bound(c3):
+    """|m_4(ω)| = |ω⁴|/4 = 1/4 for both characters ω ≠ 1, and ‖e_0‖² = 1/3."""
     e0 = np.eye(3)[:, 0]
     res = cesaro_correlation(c3, e0, e0, 4)
     assert res.deviation <= res.bound
-    assert res.bound == pytest.approx((2 / 4) * (1 / 3))
+    assert res.bound == pytest.approx((1 / 4) * (1 / 3))
 
 
 def test_cesaro_multiple_of_period_invariant():
@@ -613,7 +613,7 @@ def test_modular_invariance_check(gibbs, pauli):
 
 
 # ---------------------------------------------------------------------------
-# abelianness profile and compactness net
+# abelianness profile
 
 
 def test_abelianness_profile_commutative(c3):
@@ -630,11 +630,6 @@ def test_abelianness_profile_pauli(pauli):
     assert np.allclose(prof, 2.0)
     unit_prof = asymptotic_abelianness_profile(pauli, x, s.identity(), 4)
     assert max(unit_prof) < 1e-14
-
-
-def test_compactness_net_sizes(c3, id3):
-    assert compactness_net(c3) == [3, 3, 3]
-    assert compactness_net(id3) == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from ncjoin.joinings import (
     graph_joining,
     joining_face_dimension,
     joining_from_values,
+    joining_residuals,
     mirror_context,
     ornstein_ratio_scan,
     product_joining,
@@ -130,6 +131,30 @@ def test_constructor_battery_on_z_corpus():
         for n in range(3):
             g = graph_joining(sysd, n)
             assert residual_magnitude(g.residuals) < 1e-8, (name, n)
+
+
+# (system on both legs, perturbation P of the product table, t, the one
+# residual that t·P breaks, its value, the battery's magnitude)
+BROKEN_TABLES = [
+    # E₀₀ − E₀₁ − E₁₀ + E₁₁ keeps trace, marginals and positivity (t < 1/9);
+    # the rotation moves it to E₁₁ − E₁₂ − E₂₁ + E₂₂, off by t at entry (0, 0)
+    ("c3", [[1, -1, 0], [-1, 1, 0], [0, 0, 0]], 0.05, "invariance", 0.05, 0.05),
+    # [[1, −1], [−1, 1]] is swap invariant with zero marginals; each entry
+    # is a 1×1 block, so the entry 1/4 − t is the PSD floor, deficit t − 1/4
+    ("c2", [[1, -1], [-1, 1]], 0.3, "psd_floor", -0.05, 0.05),
+]
+
+
+@pytest.mark.parametrize("name,perturbation,t,broken,value,magnitude", BROKEN_TABLES)
+def test_battery_reports_the_one_broken_constraint(name, perturbation, t, broken, value,
+                                                   magnitude):
+    sysd = corpus.system(name)
+    ctx = build_tensor_context(sysd, sysd)
+    residuals = joining_residuals(ctx, product_joining(ctx).values + t * np.array(perturbation))
+    assert residual_magnitude(residuals) == pytest.approx(magnitude, abs=1e-15)
+    assert residuals.pop(broken) == pytest.approx(value, abs=1e-15)
+    assert residuals.pop("psd_floor", 0.0) >= 0
+    assert max(residuals.values()) <= 1e-15
 
 
 def test_diagonal_battery_nondiagonal_density():
