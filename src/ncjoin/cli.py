@@ -220,13 +220,7 @@ def _cmd_average(args):
     x = _parse_vector(args.x, sysd)
     y = _parse_vector(args.y, sysd)
     res = cesaro_correlation(sysd, x, y, _folner_index(args.N))
-    results = {
-        "value": complex(res.value),
-        "deviation": res.deviation,
-        "remainder_bound": res.bound,
-        "N": args.N,
-    }
-    return {"system": rec}, results, [], "ok"
+    return {"system": rec}, {**vars(res), "N": args.N}, [], "ok"
 
 
 def _parse_objective_file(ctx, ref: str):

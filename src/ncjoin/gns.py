@@ -18,7 +18,9 @@ classifies the system, gives every Folner mean (`folner_mean`,
 tangent space is built. The mirror builds no GNS data; its promoted
 system shares its system's validation report. Neither a GnsSpace, a
 Spectrum nor a MirrorSystem refers back to its system, so the cache forms
-no cycle.
+no cycle. The modular objects are one family, a ↦ ρ^z·a·ρ^{-z}, whose
+coordinate matrices `modular_group` gives: σ_t at z = it, Δ at z = 1, and
+J, the mirror's `twist`, at z = 1/2 after a ↦ a*.
 """
 
 from __future__ import annotations
@@ -399,7 +401,7 @@ def classify_finite(sys: FiniteSystem) -> Classification:
 class CesaroResult:
     value: complex
     deviation: float
-    bound: float
+    remainder_bound: float
 
 
 def cesaro_correlation(sys: FiniteSystem, x, y, n: int) -> CesaroResult:
@@ -411,7 +413,7 @@ def cesaro_correlation(sys: FiniteSystem, x, y, n: int) -> CesaroResult:
     limit is ⟨x, Ω⟩⟨Ω, y⟩ + Σ w_j over the fixed columns, and the average
     adds Σ w_j·conj(m_j) over the others, m the `_mean_characters`. deviation
     is the modulus of that sum. By Cauchy–Schwarz it is at most
-    ‖x‖‖y‖·max |m_j| over the columns that are not fixed; bound is that
+    ‖x‖‖y‖·max |m_j| over the columns that are not fixed; remainder_bound is that
     product times 1 + 8(d + 2)ε, d the dimension and ε the machine epsilon,
     for the rounding of the d-term sums and of the norms. Both are 0 when
     every column is fixed.
@@ -429,7 +431,7 @@ def cesaro_correlation(sys: FiniteSystem, x, y, n: int) -> CesaroResult:
     remainder = complex(w @ m)
     bound = space.norm(x) * space.norm(y) * float(abs(m).max())
     return CesaroResult(value=limit + remainder, deviation=abs(remainder),
-                        bound=float(bound * (1 + 8 * (len(w) + 2) * np.finfo(float).eps)))
+                        remainder_bound=float(bound * (1 + 8 * (len(w) + 2) * np.finfo(float).eps)))
 
 
 @dataclass
@@ -444,8 +446,9 @@ class MirrorSystem:
     unital *-isomorphism onto the commutant that carries the promoted state
     and dynamics to the mirror ones. `promoted` has density transpose(ρ)
     and conjugators conj(u); column j of `twist` holds the coordinates of
-    the twisted element for f = e_j. The ρ^{1/2} twist is invisible for
-    tracial states.
+    the twisted element for f = e_j: `modular_group` at z = 1/2 composed
+    with a ↦ a*, so J is x ↦ twist·conj(x). The ρ^{1/2} twist is invisible
+    for tracial states.
     """
 
     promoted: FiniteSystem
@@ -467,8 +470,8 @@ def mirror_system(sys: FiniteSystem) -> MirrorSystem:
     # unitarity residuals of u, and μ'(α'(E_ab)) = μ(α(E_ba)): every validated
     # invariant holds for the promoted system exactly when it holds for sys
     object.__setattr__(promoted, "validation", sys.validation)
-    twist = _modular_conjugation(sys)
-    twist.flags.writeable = False   # `modular_data` hands out the same array
+    twist = modular_group(sys, 0.5)[0][:, struct.adjoint_indices]
+    twist.flags.writeable = False   # every reader of `sys.mirror` shares it
     return MirrorSystem(promoted=promoted, twist=twist)
 
 
@@ -607,27 +610,6 @@ def verify_spectral_covariance(sys: FiniteSystem, u: AlgebraElement, chi: comple
     )
 
 
-@dataclass
-class ModularData:
-    """Modular objects of (A, μ) in canonical GNS coordinates.
-
-    delta_matrix is the linear map a ↦ ρ a ρ^{-1}; the mirror's `twist`
-    realizes J: a ↦ ρ^{1/2} a* ρ^{-1/2} antilinearly as x ↦ twist · conj(x).
-    For block-scalar (tracial) densities the modular operator is the
-    identity and J reduces to the adjoint.
-    """
-
-    system: FiniteSystem
-    delta_matrix: np.ndarray
-
-    def apply_conjugation(self, coords) -> np.ndarray:
-        return self.system.mirror.twist @ np.asarray(coords, dtype=complex).conj()
-
-    def sigma(self, t: float, a: AlgebraElement) -> AlgebraElement:
-        rho_it, rho_mit = _density_powers(self.system, 1j * t, -1j * t)
-        return rho_it @ a @ rho_mit
-
-
 def _density_powers(sys: FiniteSystem, *zs: complex) -> list[AlgebraElement]:
     """ρ^z for each z of zs, from one batched eigendecomposition per block size."""
     coords = np.empty((len(zs), sys.dimension), dtype=complex)
@@ -641,15 +623,17 @@ def _density_powers(sys: FiniteSystem, *zs: complex) -> list[AlgebraElement]:
     return [sys.structure.from_coords(out) for out in coords]
 
 
-def _modular_conjugation(sys: FiniteSystem) -> np.ndarray:
-    """Column j: coordinates of ρ^{1/2}·e_j*·ρ^{-1/2}, with e_j* = transpose(e_j)."""
-    return sandwich_matrix(*_density_powers(sys, 0.5, -0.5))[:, sys.structure.adjoint_indices]
+def modular_group(sys: FiniteSystem, *zs: complex) -> list[np.ndarray]:
+    """Coordinate matrix of a ↦ ρ^z·a·ρ^{-z} for each z of zs, from one
+    `_density_powers` call; raises InputFormatError if the system is invalid.
 
-
-def modular_data(sys: FiniteSystem) -> ModularData:
+    z = it gives the modular automorphism σ_t, z = 1 the modular operator Δ,
+    and z = 1/2 composed with a ↦ a* the modular conjugation J, which the
+    mirror keeps as its `twist`.
+    """
     require_valid(sys)
-    delta = sandwich_matrix(sys.state.density, *_density_powers(sys, -1))
-    return ModularData(system=sys, delta_matrix=delta)
+    rho = _density_powers(sys, *(w for z in zs for w in (z, -z)))
+    return [sandwich_matrix(left, right) for left, right in zip(rho[::2], rho[1::2])]
 
 
 @dataclass
@@ -662,16 +646,15 @@ class ModularInvarianceResult:
 def modular_invariance_check(sys: FiniteSystem, P: AlgebraElement) -> ModularInvarianceResult:
     """max_t ‖σ_t(P) - P‖ for a projection P, plus the J P Ω = P Ω residual.
 
-    The powers ρ^{±it} at every t come from one eigendecomposition of ρ,
+    σ_t at every t of SIGMA_SAMPLES comes from one `modular_group` call,
     and J is the mirror's `twist`.
     """
     ident_res = max((P @ P - P).norm(), (P.adjoint() - P).norm())
     if ident_res > 1e-8:
         raise NcjoinError(f"P is not a projection (residual {ident_res:.3e})")
-    twist = sys.mirror.twist   # validates sys
-    rho = _density_powers(sys, *(z for t in SIGMA_SAMPLES for z in (1j * t, -1j * t)))
-    res = max((rho_it @ P @ rho_mit - P).norm() for rho_it, rho_mit in zip(rho[::2], rho[1::2]))
-    vec_res = sys.gns.norm(twist @ P.coords().conj() - P.coords())
+    sigma = modular_group(sys, *(1j * t for t in SIGMA_SAMPLES))
+    res = max((sys.structure.from_coords(s @ P.coords()) - P).norm() for s in sigma)
+    vec_res = sys.gns.norm(sys.mirror.twist @ P.coords().conj() - P.coords())
     return ModularInvarianceResult(
         sigma_residual=res,
         conjugation_vector_residual=vec_res,

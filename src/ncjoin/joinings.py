@@ -215,12 +215,11 @@ class JoiningMatrix:
     ctx: TensorContext
     values: np.ndarray
     label: str
-    residuals: dict = field(default=None)
+    residuals: dict = field(init=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.residuals is None:
-            self.residuals = joining_residuals(self.ctx, self.values)
+        self.residuals = joining_residuals(self.ctx, self.values)
 
     def value(self, x: AlgebraElement) -> complex:
         return complex(np.sum(x.coords()[self.ctx.pair_index] * self.values))

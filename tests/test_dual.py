@@ -297,6 +297,19 @@ def test_classify_finite_group_not_ergodic():
     assert any("finite" in note for note in cls.notes)
 
 
+def test_two_letter_finperm_group_is_compact_not_ergodic():
+    # Γ = S2 ≠ {1} is finite, so it is not ergodic
+    cls = classify_dual(DualSystem("finperm", TrackSpec((Track("y", "cycle", 2),))))
+    assert not cls.ergodic and cls.compact
+    assert cls.gamma_order == 2
+
+
+def test_four_letter_finperm_group_has_order_24():
+    cls = classify_dual(DualSystem("finperm", TrackSpec((Track("y", "cycle", 4),))))
+    assert cls.gamma_order == 24
+    assert not cls.ergodic and cls.compact
+
+
 def test_classify_trivial_finperm_group():
     sysd = DualSystem("finperm", TrackSpec((Track("y", "cycle", 1),)))
     cls = classify_dual(sysd)

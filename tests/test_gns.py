@@ -30,7 +30,7 @@ from ncjoin.gns import (
     fixed_point_algebra,
     gns_construct,
     mirror_system,
-    modular_data,
+    modular_group,
     modular_invariance_check,
     point_spectrum,
     point_spectrum_overlap,
@@ -143,6 +143,15 @@ def test_classify_pauli(pauli):
 def test_classify_trivial_system():
     cls = classify_finite(identity_system([1]))
     assert cls.ergodic and cls.weakly_mixing
+
+
+def test_characters_a_micro_radian_apart_stay_apart():
+    # only characters within EIG_CLUSTER_TOL (1e-8) merge: Ad(diag(1, e^{iφ})) on M2
+    # has characters e^{-iφ}, 1, 1, e^{iφ}, and at φ = 1e-6 they are three classes
+    sysd = single_block_system(np.diag([1, np.exp(1e-6j)]))
+    cls = classify_finite(sysd)
+    assert cls.fixed_algebra_dimension == 2 and not cls.ergodic
+    assert [e.multiplicity for e in point_spectrum(sysd)] == [1, 2, 1]
 
 
 def test_finite_dimension_facts_on_corpus():
@@ -320,8 +329,8 @@ def test_cesaro_partial_period_bound(c3):
     """|m_4(ω)| = |ω⁴|/4 = 1/4 for both characters ω ≠ 1, and ‖e_0‖² = 1/3."""
     e0 = np.eye(3)[:, 0]
     res = cesaro_correlation(c3, e0, e0, 4)
-    assert res.deviation <= res.bound
-    assert res.bound == pytest.approx((1 / 4) * (1 / 3))
+    assert res.deviation <= res.remainder_bound
+    assert res.remainder_bound == pytest.approx((1 / 4) * (1 / 3))
 
 
 def test_cesaro_multiple_of_period_invariant():
@@ -408,8 +417,9 @@ def test_mirror_keeps_only_promoted_and_twist(gibbs):
 
 def test_twist_is_read_only_and_is_the_modular_conjugation():
     sysd = corpus.system("gibbs")   # a fresh object: the session fixture stays untouched
-    twist, x = sysd.mirror.twist, np.arange(sysd.dimension) * (1 + 2j)
-    assert np.array_equal(modular_data(sysd).apply_conjugation(x), twist @ x.conj())
+    twist = sysd.mirror.twist
+    half = modular_group(sysd, 0.5)[0]
+    assert np.array_equal(twist, half[:, sysd.structure.adjoint_indices])
     with pytest.raises(ValueError):
         twist[0, 0] = 0
 
@@ -425,13 +435,13 @@ def test_coordinate_matrices_match_basis_loops():
         def columns(f):
             return np.column_stack([f(e).coords() for e in basis])
 
-        half, mhalf, inv = _density_powers(sysd, 0.5, -0.5, -1)
-        rho = sysd.state.density
-        md, m = modular_data(sysd), mirror_system(sysd)
+        half, mhalf, rho, inv = _density_powers(sysd, 0.5, -0.5, 1, -1)
+        m = mirror_system(sysd)
         assert np.array_equal(m.twist, columns(lambda e: half @ e.transpose() @ mhalf)), name
-        assert np.array_equal(md.system.mirror.twist,
+        assert np.array_equal(sysd.mirror.twist,
                               columns(lambda e: half @ e.adjoint() @ mhalf)), name
-        assert np.array_equal(md.delta_matrix, columns(lambda e: rho @ e @ inv)), name
+        assert np.array_equal(modular_group(sysd, 1)[0],
+                              columns(lambda e: rho @ e @ inv)), name
         for b, R in zip(basis, commutant_basis_reference(sysd.structure)):
             assert np.array_equal(R, columns(lambda e: e @ b)), name
 
@@ -547,43 +557,47 @@ def test_spectral_covariance_trivial_atom(c3):
 # modular data
 
 
+def _conjugation(sysd, x):
+    """J x = twist·conj(x), the mirror's modular conjugation."""
+    return sysd.mirror.twist @ np.asarray(x, dtype=complex).conj()
+
+
 def test_modular_tracial_cases(pauli):
-    md = modular_data(pauli)
-    assert np.allclose(md.delta_matrix, np.eye(4))
+    assert np.allclose(modular_group(pauli, 1)[0], np.eye(4))
     for i in range(4):
         e = pauli.structure.basis_element(i)
-        jvec = md.apply_conjugation(e.coords())
+        jvec = _conjugation(pauli, e.coords())
         assert np.allclose(jvec, e.adjoint().coords())
 
 
 def test_modular_gibbs_spectrum(gibbs):
-    md = modular_data(gibbs)
-    vals = sorted(np.linalg.eigvals(md.delta_matrix).real)
+    vals = sorted(np.linalg.eigvals(modular_group(gibbs, 1)[0]).real)
     assert np.allclose(vals, [0.5, 1.0, 1.0, 2.0])
 
 
 def test_modular_invariants(gibbs):
-    md = modular_data(gibbs)
+    delta = modular_group(gibbs, 1)[0]
     space = gns_construct(gibbs)
     rng = np.random.default_rng(3)
     x = rng.normal(size=4) + 1j * rng.normal(size=4)
     # antiunitary involution fixing the cyclic vector
-    assert np.allclose(md.apply_conjugation(md.apply_conjugation(x)), x)
-    assert np.allclose(md.apply_conjugation(space.cyclic_vector), space.cyclic_vector)
+    assert np.allclose(_conjugation(gibbs, _conjugation(gibbs, x)), x)
+    assert np.allclose(_conjugation(gibbs, space.cyclic_vector), space.cyclic_vector)
     # positivity of the modular operator in the GNS inner product
-    onb_delta = space.onb_factor @ md.delta_matrix @ space.onb_factor_inv
+    onb_delta = space.onb_factor @ delta @ space.onb_factor_inv
     evals = np.linalg.eigvalsh((onb_delta + onb_delta.conj().T) / 2)
     assert evals.min() > 0
     # J Delta^{1/2} realizes the adjoint
     dhalf = space.onb_factor_inv @ _matrix_sqrt(onb_delta) @ space.onb_factor
     a = gibbs.structure.from_coords(x)
-    svec = md.apply_conjugation(dhalf @ a.coords())
+    svec = _conjugation(gibbs, dhalf @ a.coords())
     assert np.allclose(svec, a.adjoint().coords())
     # sigma_t fixes the unit and preserves the state
-    for t in (0.1, 0.7, 1.3):
-        assert md.sigma(t, gibbs.structure.identity()).isclose(gibbs.structure.identity())
-        b = gibbs.structure.from_coords(rng.normal(size=4) + 1j * rng.normal(size=4))
-        assert complex(gibbs.state.value(md.sigma(t, b))) == pytest.approx(
+    s, one = gibbs.structure, gibbs.structure.identity()
+    for sigma in modular_group(gibbs, 0.1j, 0.7j, 1.3j):
+        assert s.from_coords(sigma @ one.coords()).isclose(one)
+        b = s.from_coords(rng.normal(size=4) + 1j * rng.normal(size=4))
+        assert complex(gibbs.state.value(s.from_coords(sigma @ b.coords()))) == pytest.approx(
             complex(gibbs.state.value(b)))
 
 
@@ -655,8 +669,7 @@ def test_nondiagonal_density_pipeline():
     cls = classify_finite(sysd)
     assert cls.h0_dimension == 4
     assert cls.fixed_algebra_dimension == 2
-    md = modular_data(sysd)
-    got = sorted(np.linalg.eigvals(md.delta_matrix).real)
+    got = sorted(np.linalg.eigvals(modular_group(sysd, 1)[0]).real)
     lo, hi = rho_eigs
     assert np.allclose(got, sorted([1.0, 1.0, lo / hi, hi / lo]))
     space = gns_construct(sysd)

@@ -600,6 +600,19 @@ def test_ornstein_scan_skips_degenerate(c2):
     assert scan.skipped == ["zero"]
 
 
+def test_ornstein_scans_an_element_of_small_denominator(c2):
+    # only a denominator at most 1e-12 counts as degenerate: 1e-3·(e_0 ⊗ f_0)
+    # has (μ ⊙ μ̃)(c*c) = 1e-6·(1/2)·(1/2) and the ratios of e_0 ⊗ f_0
+    ctx = diagonal_state(c2).ctx
+    unit = ctx.basis_pair(0, 0)
+    scan = ornstein_ratio_scan(ctx, [unit, 1e-3 * unit], range(0, 8), labels=["unit", "small"])
+    assert scan.skipped == []
+    full, small = scan.elements
+    assert small.denominator == pytest.approx(2.5e-7, rel=1e-12)
+    assert [n for n, _ in small.ratios] == [n for n, _ in full.ratios]
+    assert max(abs(r - s) for (_, r), (_, s) in zip(small.ratios, full.ratios)) <= 1e-12
+
+
 def test_ornstein_trivial_system_all_ratios_one():
     triv = identity_system([1])
     ctx = diagonal_state(triv).ctx

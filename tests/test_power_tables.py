@@ -141,7 +141,7 @@ def test_cesaro_deviation_within_its_bound(case):
     space of the reference's own."""
     sysd, x, y, n = case
     res = cesaro_correlation(sysd, x, y, n)
-    assert res.deviation <= res.bound
+    assert res.deviation <= res.remainder_bound
     value, deviation = cesaro_correlation_reference(sysd, x, y, n)
     tol = 1e-9 * max(1.0, sysd.gns.norm(x) * sysd.gns.norm(y))
     assert abs(res.value - value) <= tol
@@ -161,7 +161,7 @@ FOLNER_NS = (1, 2, 7, 8, 100, 1000)
 
 
 @pytest.mark.parametrize("name", FOLNER_SYSTEMS)
-def test_folner_mean_by_doubling_matches_running_products(name):
+def test_spectral_folner_mean_matches_running_products(name):
     """The spectral mean against one running product per power, up to
     N = 1000."""
     sysd = FOLNER_SYSTEMS[name]
