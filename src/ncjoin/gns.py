@@ -203,12 +203,14 @@ class Spectrum:
         EIG_CLUSTER_TOL (`_linkage`)."""
         return _linkage(self.chars)
 
-    @property
+    @functools.cached_property
     def fixed(self) -> np.ndarray:
-        """Indices of the columns that span the fixed space: the class of
-        the column whose characters lie nearest 1."""
+        """Indices of the columns that span the fixed space, read-only: the
+        class of the column whose characters lie nearest 1."""
         nearest = abs(self.chars - 1).max(axis=1).argmin()
-        return np.flatnonzero(self.classes == self.classes[nearest])
+        out = np.flatnonzero(self.classes == self.classes[nearest])
+        out.flags.writeable = False
+        return out
 
     @functools.cached_property
     def entries(self) -> list[PointSpectrumEntry]:

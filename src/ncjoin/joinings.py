@@ -68,6 +68,7 @@ DEFAULT_WIDTH = 1e-6      # a solve ends when upper − lower ≤ width
 CONSTRUCTOR_RESIDUAL_TOL = 1e-8
 # a pair gap δ or a projection onto T below this is too close to rounding to call
 _RANK_GAP_MIN = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -101,7 +102,7 @@ class TensorContext:
 
     @property
     def dim(self) -> int:
-        return self.dim_a * self.dim_b
+        return self.structure.dimension
 
     def basis_pair(self, i: int, j: int) -> AlgebraElement:
         """The element e_i ⊗ f_j of the product algebra."""
@@ -169,29 +170,37 @@ def _hermitian_part(X: np.ndarray) -> np.ndarray:
 
 
 def joining_residuals(ctx: TensorContext, values) -> dict:
-    """Residuals of the joining constraint battery for a candidate value table."""
+    """Residuals of the joining constraint battery for a candidate value table;
+    a 1×1 block z has ‖z − z̄‖ = 2|Im z| and Hermitian part Re z exactly."""
     z = np.asarray(values, dtype=complex).reshape(-1)
     zh = np.empty_like(z)
     herm, psd_floor = 0.0, math.inf
     for idx in ctx.blocks:
+        if idx.shape[-1] == 1:
+            flat = idx.reshape(-1)
+            x = z[flat]
+            zh[flat] = xh = x.real + 0.0   # (z + z̄)/2, whose real part is never −0.0
+            herm = max(herm, 2 * float(abs(x.imag).max()))
+            psd_floor = min(psd_floor, float(xh.min()))
+            continue
         X = z[idx]
         Xh = _hermitian_part(X)
         zh[idx] = Xh
         herm = max(herm, float(_operator_norms(2 * (X - Xh)).max()))   # ‖X − X*‖
         psd_floor = min(psd_floor, float(_eigvalsh(Xh).min()))
     V = zh.reshape(ctx.dim_a, ctx.dim_b)
-    ua = ctx.A.structure.identity().coords()
-    ub = ctx.B.structure.identity().coords()
+    ua = ctx.A.structure._identity_coords
+    ub = ctx.B.structure._identity_coords
     tr = ua @ V @ ub
-    inv = max((float(np.max(np.abs(Ua.T @ V @ Ub - V)))
+    inv = max((float(abs(Ua.T @ V @ Ub - V).max())
                for Ua, Ub in zip(ctx.A.generator_matrices, ctx.B.generator_matrices)),
               default=0.0)
     return {
         "hermiticity": herm,
         "psd_floor": psd_floor,
         "trace": abs(tr.real - 1.0) + abs(tr.imag),
-        "marginal_a": float(np.max(np.abs(V @ ub - ctx.A.state.values))),
-        "marginal_b": float(np.max(np.abs(ua @ V - ctx.B.state.values))),
+        "marginal_a": float(abs(V @ ub - ctx.A.state.values).max()),
+        "marginal_b": float(abs(ua @ V - ctx.B.state.values).max()),
         "invariance": inv,
     }
 
@@ -337,8 +346,9 @@ def _tangent_space(ctx: TensorContext) -> _TangentSpace:
     pair is paired, so that no rounding decision was made.
     """
     sa, sb = ctx.A.spectrum, ctx.B.spectrum
-    dist = np.linalg.norm(sa.chars[:, None, :] * sb.chars[None, :, :] - 1, axis=2)
-    paired = dist <= 2 * math.sqrt(sa.chars.shape[1]) * ctx.dim * np.finfo(float).eps
+    d = sa.chars[:, None, :] * sb.chars[None, :, :] - 1
+    dist = np.sqrt(np.add.reduce((d.conj() * d).real, axis=2))   # as `np.linalg.norm`
+    paired = dist <= 2 * math.sqrt(sa.chars.shape[1]) * ctx.dim * _EPS
     delta = None if paired.all() else float(dist[~paired].min())
     paired[sa.fixed[0], :] = False   # the pairs that carry a marginal
     paired[:, sb.fixed[0]] = False
@@ -462,8 +472,9 @@ def _newton_dual(ctx: TensorContext, basis: np.ndarray, g: np.ndarray, parts,
 
 def _step_eigenvalues(parts, dt: np.ndarray) -> np.ndarray:
     """Eigenvalues of L⁻¹ΔF L⁻* over all blocks; ΔF/F on the 1×1 blocks."""
-    return np.concatenate([dt @ W if n == 1 else _eigvalsh((dt @ W).reshape(L.shape)).ravel()
-                           for n, _, L, W in parts])
+    lams = [dt @ W if n == 1 else _eigvalsh((dt @ W).reshape(L.shape)).ravel()
+            for n, _, L, W in parts]
+    return lams[0] if len(lams) == 1 else np.concatenate(lams)
 
 
 def _line_search(lams: np.ndarray, slope: float) -> float:
@@ -476,9 +487,10 @@ def _line_search(lams: np.ndarray, slope: float) -> float:
     but no pole, so a minimizer close to the pole is reached without first
     bisecting towards it.
     """
-    if lams.min() >= 0:   # ΔF ⪰ 0 with trace 0: a zero step
+    least = float(lams.min())
+    if least >= 0:   # ΔF ⪰ 0 with trace 0: a zero step
         return 1.0
-    pole = -1 / lams.min()
+    pole = -1 / least
     lo, hi = 0.0, pole
     s = min(1.0, hi / 2)
     for _ in range(50):
@@ -536,9 +548,11 @@ def _objective(ctx: TensorContext, objective) -> tuple[np.ndarray, float, str]:
     if objective.structure.block_sizes != ctx.structure.block_sizes:
         raise NcjoinError(f"objective has blocks {objective.structure.block_sizes}, "
                           f"A ⊙ B has {ctx.structure.block_sizes}")
-    h = 0.5 * (objective + objective.adjoint())
-    top = max(float(_eigvalsh(x).max()) for x in h.stacks())
-    return h.coords()[ctx.pair_index].reshape(-1), top, label
+    v = objective._coords
+    h = 0.5 * (v + v[ctx.structure.adjoint_indices].conj())
+    top = max(float(_eigvalsh(h[g.units].reshape(-1, g.size, g.size)).max())
+              for g in ctx.structure.size_groups)
+    return h[ctx.pair_index].reshape(-1), top, label
 
 
 def _barrier_solve(ctx: TensorContext, k: np.ndarray, top: float, label: str, width: float,
@@ -569,13 +583,15 @@ def _barrier_solve(ctx: TensorContext, k: np.ndarray, top: float, label: str, wi
     """
     basis = ctx.tangent.basis
     prod = ctx.product_values().reshape(-1)
-    c = k.conj()
     c0 = float((k @ prod).real)
     g = (basis @ k).real
-    ident = ctx.structure.identity().coords()[ctx.pair_index].reshape(-1)   # 1 ⊗ 1
-    flat = c0 + math.sqrt(2) * float(np.linalg.norm(g))
-    upper, dual = (flat, np.zeros(ctx.dim, dtype=complex)) if flat < top else \
-        (top, top * ident - c)
+    flat = c0 + math.sqrt(2) * math.sqrt(g @ g)   # ‖g‖ as `np.linalg.norm` takes it
+    if flat < top:
+        upper, dual = flat, np.zeros(ctx.dim, dtype=complex)
+    else:   # Z = top·(1 ⊗ 1) − c
+        ident = ctx.structure._identity_coords[ctx.pair_index].reshape(-1)
+        upper, dual = top, top * ident - k.conj()
+    dual_floor = None   # the floor of `dual`, taken when a dual is accepted
     lower, best = c0, np.zeros(len(basis))
     floor = c0 if beat_product else -math.inf
     steps = solves = 0
@@ -597,8 +613,8 @@ def _barrier_solve(ctx: TensorContext, k: np.ndarray, top: float, label: str, wi
                 if centred:
                     z = _newton_dual(ctx, basis, g, parts, dt, eta)
                     bound = c0 + float(np.vdot(z, prod).real)
-                    if bound < upper and _psd_floor(ctx, z) >= 0:
-                        upper, dual = bound, z
+                    if bound < upper and (z_floor := _psd_floor(ctx, z)) >= 0:
+                        upper, dual, dual_floor = bound, z, z_floor
                     eta *= _ETA_GROWTH   # close enough to the path: move along it
                     if centred == 2:     # at least to the gap ν/η = width/2
                         eta = max(eta, 2 * nu / width)
@@ -620,7 +636,7 @@ def _barrier_solve(ctx: TensorContext, k: np.ndarray, top: float, label: str, wi
         lower=lower,
         upper=upper,
         dual=dual.reshape(ctx.dim_a, ctx.dim_b),
-        dual_floor=_psd_floor(ctx, dual),
+        dual_floor=_psd_floor(ctx, dual) if dual_floor is None else dual_floor,
         oracle_calls=solves,
         ambiguous_calls=int(open_gap),
         inconclusive=open_gap or not ctx.tangent.trusted,

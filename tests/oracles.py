@@ -51,13 +51,15 @@ found it before it took one `eigh` per system.
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
 from scipy.optimize import linprog
 
-from ncjoin.algebra import (FAITHFULNESS_MIN_EIG, VALIDATION_TOL, AlgebraElement, _eigvalsh,
-                            _inv_cholesky, identity_automorphism, sandwich_matrix)
+from ncjoin.algebra import (FAITHFULNESS_MIN_EIG, VALIDATION_TOL, AlgebraElement, _adjoints,
+                            _eigvalsh, _inv_cholesky, _operator_norms, identity_automorphism,
+                            sandwich_matrix)
 from ncjoin.dual import (IDENTITY_PERM, DeltaEvaluation, FinPerm, QQi, classify_dual,
                          word_multiply)
 from ncjoin.joinings import _RANK_GAP_MIN, _diagonal_values, _objective
@@ -610,6 +612,35 @@ def step_eigenvalues_reference(parts, dt):
                            for _, Linv, W in parts])
 
 
+def joining_residuals_reference(ctx, values):
+    """The joining battery with one Hermitian part, skew norm and `eigvalsh`
+    per block size, 1×1 blocks included."""
+    z = np.asarray(values, dtype=complex).reshape(-1)
+    zh = np.empty_like(z)
+    herm, psd_floor = 0.0, math.inf
+    for idx in ctx.blocks:
+        X = z[idx]
+        Xh = (X + _adjoints(X)) / 2
+        zh[idx] = Xh
+        herm = max(herm, float(_operator_norms(2 * (X - Xh)).max()))   # ‖X − X*‖
+        psd_floor = min(psd_floor, float(_eigvalsh(Xh).min()))
+    V = zh.reshape(ctx.dim_a, ctx.dim_b)
+    ua = ctx.A.structure.identity().coords()
+    ub = ctx.B.structure.identity().coords()
+    tr = ua @ V @ ub
+    inv = max((float(np.max(np.abs(Ua.T @ V @ Ub - V)))
+               for Ua, Ub in zip(ctx.A.generator_matrices, ctx.B.generator_matrices)),
+              default=0.0)
+    return {
+        "hermiticity": herm,
+        "psd_floor": psd_floor,
+        "trace": abs(tr.real - 1.0) + abs(tr.imag),
+        "marginal_a": float(np.max(np.abs(V @ ub - ctx.A.state.values))),
+        "marginal_b": float(np.max(np.abs(ua @ V - ctx.B.state.values))),
+        "invariance": inv,
+    }
+
+
 def hermitian_basis_reference(ctx):
     """Columns: a real-orthonormal basis of the tables with Hermitian blocks.
 
@@ -714,3 +745,70 @@ def witness_direction_reference(ctx):
         if np.linalg.norm((ctx.tangent.basis @ k).real) > _RANK_GAP_MIN:
             return pos + 1, (i, j, w)
     return 4 * ctx.dim, None
+
+
+def _shifted(lengths, letter):
+    """T on one letter: index + 1, modulo m on a cycle track of length m."""
+    tid, idx = letter
+    m = lengths[tid]
+    return (tid, (idx + 1) % m if m else idx + 1)
+
+
+def orbit_periods_reference(sys, max_len=2, shift_letters=2):
+    """[(element, period under T or None)] over a finite piece of Γ.
+
+    The piece: every reduced word of length at most `max_len` (free family),
+    or every permutation (finperm), over the letters of the cycle tracks and
+    the letters 0..shift_letters − 1 of each shift track. T is iterated one
+    step at a time on the element itself; it fixes every cycle letter after
+    L steps, L the lcm of the cycle lengths, so an element that comes back
+    comes back within L steps, and None marks one that does not.
+    """
+    lengths = {t.id: t.m for t in sys.spec.tracks}   # None on a shift track
+    letters = [(t.id, i) for t in sys.spec.tracks
+               for i in range(t.m if t.kind == "cycle" else shift_letters)]
+    bound = math.lcm(*(m for m in lengths.values() if m))
+    if sys.family == "free":
+        steps = [(x, e) for x in letters for e in (1, -1)]
+        words, frontier = [()], [()]
+        for _ in range(max_len):
+            frontier = [w + (s,) for w in frontier for s in steps
+                        if not w or w[-1] != (s[0], -s[1])]
+            words += frontier
+        shift = lambda w: tuple((_shifted(lengths, x), e) for x, e in w)   # noqa: E731
+        elements = [(w, w) for w in words]
+    else:
+        shift = lambda p: {_shifted(lengths, x): _shifted(lengths, y)   # noqa: E731
+                           for x, y in p.items()}
+        elements = []
+        for image in itertools.permutations(letters):
+            moved = {x: y for x, y in zip(letters, image) if x != y}
+            elements.append((FinPerm(tuple(moved.items())), moved))
+    out = []
+    for g, raw in elements:
+        h, period = raw, None
+        for n in range(1, bound + 1):
+            h = shift(h)
+            if h == raw:
+                period = n
+                break
+        out.append((g, period))
+    return out
+
+
+def classify_dual_reference(sys, max_len=2):
+    """(ergodic, compact, gamma_order) from `orbit_periods_reference`.
+
+    Ergodic: no element but the identity comes back. Compact: every element
+    comes back. The order is the size of the piece when every element comes
+    back and the piece is all of Γ: the words stopped short of `max_len`,
+    or the permutations moved every letter, there being no shift track.
+    """
+    periods = orbit_periods_reference(sys, max_len)
+    ergodic = all(p is None for g, p in periods if g != sys.identity())
+    compact = all(p is not None for _, p in periods)
+    if sys.family == "free":
+        whole = all(len(g) < max_len for g, _ in periods)
+    else:
+        whole = not sys.spec.shift_tracks
+    return ergodic, compact, len(periods) if compact and whole else None

@@ -4,6 +4,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncjoin import cli, dual
 from ncjoin.dual import (
@@ -34,8 +36,8 @@ from ncjoin.dual import (
 )
 from ncjoin import corpus
 from ncjoin.errors import InputFormatError, NcjoinError, StructureError
-from oracles import (correlation_reference, delta_n_reference, dual_coherence_reference,
-                     sample_element_reference)
+from oracles import (classify_dual_reference, correlation_reference, delta_n_reference,
+                     dual_coherence_reference, orbit_periods_reference, sample_element_reference)
 
 
 def _mixed23(family):
@@ -308,6 +310,36 @@ def test_four_letter_finperm_group_has_order_24():
     cls = classify_dual(DualSystem("finperm", TrackSpec((Track("y", "cycle", 4),))))
     assert cls.gamma_order == 24
     assert not cls.ergodic and cls.compact
+
+
+@st.composite
+def track_sets(draw):
+    """A free or finperm group on one to three tracks, cycles of length 1-4
+    or shifts, with at most five letters in the piece that
+    `orbit_periods_reference` enumerates (two per shift track)."""
+    family = draw(st.sampled_from(("free", "finperm")))
+    lengths = draw(st.lists(st.one_of(st.none(), st.integers(1, 4)), min_size=1, max_size=3)
+                   .filter(lambda ms: sum(m or 2 for m in ms) <= 5))
+    return DualSystem(family, TrackSpec(tuple(
+        Track(tid, "shift") if m is None else Track(tid, "cycle", m)
+        for tid, m in zip("xyz", lengths))))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sysd=track_sets())
+def test_orbits_match_an_independent_count(sysd):
+    """`orbit_length`, `finite_orbit_subsystem` and `classify_dual` against
+    T iterated on every element of a finite piece of Γ, with no escape rule
+    (`orbit_periods_reference`)."""
+    members = finite_orbit_subsystem(sysd)
+    for g, period in orbit_periods_reference(sysd):
+        cert = sysd.orbit_length(g)
+        assert (cert.kind, cert.period) == (("infinite", None) if period is None
+                                            else ("finite", period)), g
+        assert members.membership(g) == (period is not None), g
+    cls = classify_dual(sysd)
+    assert (cls.ergodic, cls.compact, cls.gamma_order) == classify_dual_reference(sysd)
+    assert members.trivial == cls.ergodic
 
 
 def test_classify_trivial_finperm_group():

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from ncjoin import corpus, joinings
@@ -47,7 +49,7 @@ from ncjoin.joinings import (
 )
 
 from oracles import (diagonal_table, element_automorphism_reference, invariant_transportation_max,
-                     witness_direction_reference)
+                     joining_residuals_reference, witness_direction_reference)
 
 ROTATION_IMAGES = {"c2": 2, "c3": 3, "c5": 5}
 
@@ -155,6 +157,42 @@ def test_battery_reports_the_one_broken_constraint(name, perturbation, t, broken
     assert residuals.pop(broken) == pytest.approx(value, abs=1e-15)
     assert residuals.pop("psd_floor", 0.0) >= 0
     assert max(residuals.values()) <= 1e-15
+
+
+# leg block structures: all 1×1, mixed 1×1 and 2×2, one 3×3 block
+LEG_SIZES = ((1, 1), (1, 1, 1), (1, 2), (2, 1, 1), (3,))
+
+
+def _invariant_leg(rng, sizes):
+    """A valid system on `sizes`: per block, a density V·diag(p)·V* and the
+    generator Ad(V·diag(phases)·V*), which commutes with it."""
+    structure = BlockStructure(sizes)
+    weights = rng.uniform(0.2, 1.0, structure.matrix_size)
+    weights /= weights.sum()
+    density, conj, start = [], [], 0
+    for n in sizes:
+        v = unitary_group.rvs(n, random_state=rng) if n > 1 else np.eye(1)
+        density.append(v @ np.diag(weights[start:start + n]) @ v.conj().T)
+        conj.append(v @ np.diag(np.exp(2j * np.pi * rng.uniform(size=n))) @ v.conj().T)
+        start += n
+    return FiniteSystem(structure, FaithfulState(structure, density), GroupDescriptor("Z"),
+                        [Automorphism(structure, tuple(range(len(sizes))), conj)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sizes_a=st.sampled_from(LEG_SIZES), sizes_b=st.sampled_from(LEG_SIZES),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from((1e-9, 1e-3, 1.0)))
+def test_battery_matches_its_blockwise_reference(sizes_a, sizes_b, seed, scale):
+    """Every residual equals the reference's exactly, on the product table
+    plus complex noise: non-Hermitian, not PSD at scale 1, not invariant
+    and off both marginals."""
+    rng = np.random.default_rng(seed)
+    ctx = build_tensor_context(_invariant_leg(rng, sizes_a), _invariant_leg(rng, sizes_b))
+    noise = rng.standard_normal((ctx.dim_a, ctx.dim_b, 2)) @ [1, 1j]
+    values = ctx.product_values() + scale * noise
+    residuals = joining_residuals(ctx, values)
+    assert residuals == joining_residuals_reference(ctx, values)
+    assert residuals["hermiticity"] > 0 and residuals["invariance"] > 0
 
 
 def test_diagonal_battery_nondiagonal_density():
