@@ -548,7 +548,7 @@ def _objective(ctx: TensorContext, objective) -> tuple[np.ndarray, float, str]:
     if objective.structure.block_sizes != ctx.structure.block_sizes:
         raise NcjoinError(f"objective has blocks {objective.structure.block_sizes}, "
                           f"A ⊙ B has {ctx.structure.block_sizes}")
-    v = objective._coords
+    v = objective.coords()
     h = 0.5 * (v + v[ctx.structure.adjoint_indices].conj())
     top = max(float(_eigvalsh(h[g.units].reshape(-1, g.size, g.size)).max())
               for g in ctx.structure.size_groups)

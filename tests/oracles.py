@@ -775,15 +775,18 @@ def orbit_periods_reference(sys, max_len=2, shift_letters=2):
             frontier = [w + (s,) for w in frontier for s in steps
                         if not w or w[-1] != (s[0], -s[1])]
             words += frontier
-        shift = lambda w: tuple((_shifted(lengths, x), e) for x, e in w)   # noqa: E731
         elements = [(w, w) for w in words]
-    else:
-        shift = lambda p: {_shifted(lengths, x): _shifted(lengths, y)   # noqa: E731
-                           for x, y in p.items()}
+    else:   # a permutation as the dict of the letters it moves
         elements = []
         for image in itertools.permutations(letters):
             moved = {x: y for x, y in zip(letters, image) if x != y}
             elements.append((FinPerm(tuple(moved.items())), moved))
+
+    def shift(h):
+        if sys.family == "free":
+            return tuple((_shifted(lengths, x), e) for x, e in h)
+        return {_shifted(lengths, x): _shifted(lengths, y) for x, y in h.items()}
+
     out = []
     for g, raw in elements:
         h, period = raw, None

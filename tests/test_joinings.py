@@ -181,17 +181,25 @@ def _invariant_leg(rng, sizes):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(sizes_a=st.sampled_from(LEG_SIZES), sizes_b=st.sampled_from(LEG_SIZES),
-       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from((1e-9, 1e-3, 1.0)))
-def test_battery_matches_its_blockwise_reference(sizes_a, sizes_b, seed, scale):
-    """Every residual equals the reference's exactly, on the product table
-    plus complex noise: non-Hermitian, not PSD at scale 1, not invariant
-    and off both marginals."""
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from((1e-9, 1e-3, 1.0)),
+       negative_zero=st.booleans())
+def test_battery_matches_its_blockwise_reference(sizes_a, sizes_b, seed, scale, negative_zero):
+    """Every residual equals the reference's bit for bit, on the product
+    table plus complex noise: non-Hermitian, not PSD at scale 1, not
+    invariant and off both marginals. A diagonal entry with real part −0.0
+    has Hermitian part +0.0, so a PSD floor of zero is +0.0."""
     rng = np.random.default_rng(seed)
     ctx = build_tensor_context(_invariant_leg(rng, sizes_a), _invariant_leg(rng, sizes_b))
     noise = rng.standard_normal((ctx.dim_a, ctx.dim_b, 2)) @ [1, 1j]
     values = ctx.product_values() + scale * noise
+    if negative_zero:
+        values.real[0, 0] = -0.0
+
+    def bits(residuals):
+        return {name: np.float64(r).tobytes() for name, r in residuals.items()}
+
     residuals = joining_residuals(ctx, values)
-    assert residuals == joining_residuals_reference(ctx, values)
+    assert bits(residuals) == bits(joining_residuals_reference(ctx, values))
     assert residuals["hermiticity"] > 0 and residuals["invariance"] > 0
 
 
