@@ -65,10 +65,19 @@ def _operator_norms(stack: np.ndarray) -> np.ndarray:
 
 
 def _eigvalsh(stack: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of each Hermitian matrix of a stack, as `eigvalsh`."""
+    """Ascending eigenvalues of each Hermitian matrix of a stack, as `eigvalsh`:
+    on 1×1 matrices the real part, + 0.0 since LAPACK returns 0.0 for −0.0."""
     if stack.shape[-1] == 1:
-        return stack[..., 0].real
+        return stack[..., 0].real + 0.0
     return np.linalg.eigvalsh(stack)
+
+
+def _eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.linalg.eigh` of each Hermitian matrix of a stack; on 1×1 matrices
+    `_eigvalsh` and eigenvectors 1, as LAPACK gives them."""
+    if stack.shape[-1] == 1:
+        return _eigvalsh(stack), np.ones_like(stack)
+    return np.linalg.eigh(stack)
 
 
 def _inv_cholesky(stack: np.ndarray) -> np.ndarray:
@@ -172,14 +181,19 @@ class BlockStructure:
 
     @cached_property
     def adjoint_indices(self) -> np.ndarray:
-        """Index of the adjoint (matrix-unit transpose) of every basis element."""
-        k, r, c = self.addresses
-        return np.array(self.offsets)[k] + c * np.array(self.block_sizes)[k] + r
+        """Index of the adjoint (matrix-unit transpose) of every basis element:
+        the units of each block, transposed as an n×n array."""
+        out = np.empty(self.dimension, dtype=int)
+        for g in self.size_groups:
+            out[g.units] = g.units.reshape(-1, g.size, g.size).swapaxes(1, 2).reshape(g.units.shape)
+        return out
 
     @cached_property
     def _identity_coords(self) -> np.ndarray:
-        _, r, c = self.addresses
-        return (r == c).astype(complex)
+        out = np.zeros(self.dimension, dtype=complex)
+        for g in self.size_groups:
+            out[g.units[:, ::g.size + 1]] = 1   # the diagonal units
+        return out
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement.of_vector(self, np.zeros(self.dimension, dtype=complex))
@@ -214,13 +228,23 @@ class BlockStructure:
 
 
 def _checked_coords(structure: BlockStructure, blocks, what: str) -> np.ndarray:
-    """The coordinate vector of a block list: the one check of count, shape and finiteness.
+    """The coordinate vector of a block list or an element: the one check of
+    count, shape and finiteness.
 
-    Raises StructureError for a wrong block count, and otherwise names the
+    An element on the same block sizes has its shapes already; its vector is
+    checked finite and taken as it is, not copied. Otherwise raises
+    StructureError for a wrong block count or block sizes, and names the
     first block, in block order, that has the wrong shape or a non-finite
     entry. Finiteness is checked once for all blocks; only a failure goes
     through them one by one to find the block it names.
     """
+    if isinstance(blocks, AlgebraElement):
+        if blocks.structure.block_sizes != structure.block_sizes:
+            raise StructureError(f"{what} has blocks {blocks.structure.block_sizes}, "
+                                 f"expected {structure.block_sizes}")
+        if np.isfinite(blocks._coords).all():
+            return blocks._coords
+        blocks = blocks.blocks
     if len(blocks) != structure.num_blocks:
         raise StructureError(f"{what} block count mismatch")
     out = [_as_complex(b) for b in blocks]
@@ -334,7 +358,8 @@ class FaithfulState:
 
     Faithful means ρ is strictly positive definite; normalization is
     ``trace(ρ) = 1`` over the whole block-diagonal matrix. `density` is ρ,
-    one element built from the block list. Treated as immutable.
+    given as a block list or an element (`_checked_coords`). Treated as
+    immutable.
     """
 
     def __init__(self, structure: BlockStructure, density):
@@ -346,7 +371,7 @@ class FaithfulState:
     def values(self) -> np.ndarray:
         """μ(e_i) over the canonical basis; read-only. μ(E_rc) = ρ[c, r], so
         these are the coordinates of ρᵀ."""
-        out = self.density.transpose().coords()
+        out = self.density._coords[self.structure.adjoint_indices]
         out.flags.writeable = False
         return out
 
@@ -356,8 +381,7 @@ class FaithfulState:
         return complex(self.values @ a.coords())
 
     def min_eigenvalue(self) -> float:
-        return min(float(np.linalg.eigvalsh((x + _adjoints(x)) / 2).min())
-                   for x in self.density.stacks())
+        return min(float(_eigvalsh((x + _adjoints(x)) / 2).min()) for x in self.density.stacks())
 
     def trace(self) -> float:
         traces = np.empty(self.structure.num_blocks)
@@ -379,8 +403,8 @@ def uniform_state(structure: BlockStructure) -> FaithfulState:
 class Automorphism:
     """Normal form ``a ↦ u · perm(a) · u*``; output block k reads input block perm[k].
 
-    `conjugator` is u, one element built from the block list. Treated as
-    immutable.
+    `conjugator` is u, given as a block list or an element (`_checked_coords`).
+    Treated as immutable.
     """
 
     def __init__(self, structure: BlockStructure, block_perm, conjugator):
@@ -595,6 +619,15 @@ def _column_norm(structure: BlockStructure, X: np.ndarray) -> float:
         for g in structure.size_groups)
 
 
+def _negligible(residuals) -> bool:
+    """Whether the arrays together have Frobenius norm f ≤ VALIDATION_TOL/2,
+    by one `vdot` each. Every operator norm among them is then at most f, and
+    for u*u − 1 so are ‖uu* − 1‖ (u u* and u*u have one spectrum) and the
+    multiplicativity residual, at most f(1 + f): no check on them can fail,
+    and none takes an SVD. The half leaves room for rounding."""
+    return sum(float(np.vdot(r, r).real) for r in residuals) <= (VALIDATION_TOL / 2) ** 2
+
+
 def validate_system(sys: FiniteSystem) -> ValidationReport:
     """Check every defining invariant, collecting residuals of the failures.
 
@@ -610,6 +643,8 @@ def validate_system(sys: FiniteSystem) -> ValidationReport:
     Commutation and generator_order are the largest operator norms over the
     columns of M_a M_b − M_b M_a and Mᵐ − 1. No "adjoint" residual exists:
     (u a u*)* = u a* u* holds for every matrix u and rounds identically.
+    The norms are taken, by SVD, only of the residuals that the Frobenius
+    norm does not clear (`_negligible`), so a valid system takes none.
     """
     report = ValidationReport()
 
@@ -618,7 +653,8 @@ def validate_system(sys: FiniteSystem) -> ValidationReport:
             report.violations.append(Violation(kind, where, residual))
 
     st = sys.state
-    check("state_hermiticity", "density", st.hermiticity_residual())
+    if not _negligible(x - _adjoints(x) for x in st.density.stacks()):
+        check("state_hermiticity", "density", st.hermiticity_residual())
     check("state_trace", "density", abs(st.trace() - 1.0))
     min_eig = st.min_eigenvalue()
     if min_eig <= FAITHFULNESS_MIN_EIG:
@@ -628,25 +664,31 @@ def validate_system(sys: FiniteSystem) -> ValidationReport:
     mats = sys.generator_matrices
     for gi, (gen, M) in enumerate(zip(sys.generators, mats)):
         where = f"generator {gi}"
-        check("unitarity", where, gen.unitarity_residual())
+        stacks = gen.conjugator.stacks()
+        defects = [_adjoints(u) @ u - np.eye(u.shape[-1]) for u in stacks]   # u*u − 1
+        unitary = _negligible(defects)
+        if not unitary:
+            check("unitarity", where, gen.unitarity_residual())
         moved = np.abs(mu @ M - mu)
         for i in np.flatnonzero(moved > VALIDATION_TOL):
             check("invariance", f"{where}, basis {i}", float(moved[i]))
-        stacks = gen.conjugator.stacks()
-        check("multiplicativity", where, max(
-            float((np.abs(_adjoints(u) @ u - np.eye(u.shape[-1])).max(axis=(1, 2))
-                   * np.linalg.norm(u, axis=1).max(axis=1) ** 2).max())
-            for u in stacks))
-        check("unital", where, max(
-            float(_operator_norms(u @ _adjoints(u) - np.eye(u.shape[-1])).max())
-            for u in stacks))
+        if not unitary:
+            check("multiplicativity", where, max(
+                float((np.abs(d).max(axis=(1, 2))
+                       * np.linalg.norm(u, axis=1).max(axis=1) ** 2).max())
+                for u, d in zip(stacks, defects)))
+            check("unital", where, max(
+                float(_operator_norms(u @ _adjoints(u) - np.eye(u.shape[-1])).max())
+                for u in stacks))
 
     for a, b in itertools.combinations(range(len(mats)), 2):
-        check("commutation", f"generators {a},{b}",
-              _column_norm(sys.structure, mats[a] @ mats[b] - mats[b] @ mats[a]))
+        X = mats[a] @ mats[b] - mats[b] @ mats[a]
+        if not _negligible([X]):
+            check("commutation", f"generators {a},{b}", _column_norm(sys.structure, X))
     if sys.group.kind == "Zm":
-        check("generator_order", f"order {sys.group.m}", _column_norm(
-            sys.structure, np.linalg.matrix_power(mats[0], sys.group.m) - np.eye(sys.dimension)))
+        X = np.linalg.matrix_power(mats[0], sys.group.m) - np.eye(sys.dimension)
+        if not _negligible([X]):
+            check("generator_order", f"order {sys.group.m}", _column_norm(sys.structure, X))
     return report
 
 

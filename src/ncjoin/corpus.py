@@ -18,6 +18,7 @@ from .errors import InputFormatError
 
 FINITE_SYSTEMS = ("c2", "c3", "c5", "id2", "id3", "pauli", "gibbs")
 DUAL_SYSTEMS = ("dual_shift", "dual_cycle2", "dual_mixed", "dual_finperm_shift")
+_FILES = resources.files(__package__).joinpath("corpus")
 
 
 def names() -> tuple[str, ...]:
@@ -27,7 +28,7 @@ def names() -> tuple[str, ...]:
 def text(name: str) -> str:
     if name not in names():
         raise InputFormatError(f"unknown corpus entry {name!r}; available: {', '.join(names())}")
-    return resources.files(__package__).joinpath("corpus", f"{name}.json").read_text()
+    return _FILES.joinpath(f"{name}.json").read_text()
 
 
 def raw(name: str) -> dict:

@@ -102,14 +102,14 @@ def load_system(data) -> FiniteSystem:
         density = structure.from_block_matrix(density_m)
     except (KeyError, TypeError, StructureError) as exc:
         raise InputFormatError(f"malformed state: {exc}") from exc
-    state = FaithfulState(structure, density.blocks)
+    state = FaithfulState(structure, density)
     group = load_group(data.get("group", {"kind": "Z"}))
     gens = []
     for gi, g in enumerate(_expect(data.get("generators", []), list, "'generators'")):
         try:
             perm = tuple(_integer(p, "a perm entry") for p in g["perm"])
             unitary = structure.from_block_matrix(matrix_from_json(g["unitary"]))
-            gens.append(Automorphism(structure, perm, unitary.blocks))
+            gens.append(Automorphism(structure, perm, unitary))
         except (KeyError, TypeError, ValueError, StructureError) as exc:
             raise InputFormatError(f"malformed generator {gi}: {exc}") from exc
     try:

@@ -26,6 +26,7 @@ J, the mirror's `twist`, at z = 1/2 after a ↦ a*.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ from .algebra import (
     Automorphism,
     FaithfulState,
     FiniteSystem,
+    _eigh,
     require_valid,
     sandwich_matrix,
 )
@@ -56,12 +58,20 @@ class GnsSpace:
     `a.coords()`. onb_factor is the upper-triangular C with gram = C* C.
     Left multiplication by a is `sandwich_matrix(a, 1)` in canonical
     coordinates; U_g γ(a) = γ(α_g(a)) is the system's generator matrix.
+    C and C⁻¹ are built on first read: the diagonal and graph joinings and
+    the ratio scan read only the Gram matrix.
     """
 
     gram: np.ndarray
     cyclic_vector: np.ndarray
-    onb_factor: np.ndarray
-    onb_factor_inv: np.ndarray
+
+    @functools.cached_property
+    def onb_factor(self) -> np.ndarray:
+        return np.linalg.cholesky(self.gram).conj().T
+
+    @functools.cached_property
+    def onb_factor_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.onb_factor)
 
     def inner(self, x, y) -> complex:
         return complex(np.asarray(x).conj() @ self.gram @ np.asarray(y))
@@ -74,13 +84,11 @@ def gns_construct(sys: FiniteSystem) -> GnsSpace:
     """Build the GNS space; read it as `sys.gns`."""
     require_valid(sys)
     struct = sys.structure
-    rows, cols = np.nonzero(struct.block_mask)   # of the matrix units, in canonical order
+    rows, cols = struct.block_mask.nonzero()   # of the matrix units, in canonical order
     # e_i* e_j = E_{c_i c_j} when e_i, e_j share a row, so μ(e_i* e_j) = ρ[c_j, c_i]
     rho = sys.state.density.block_matrix()
     gram = np.where(rows[:, None] == rows, rho[cols[None, :], cols[:, None]], 0)
-    onb = np.linalg.cholesky(gram).conj().T
-    return GnsSpace(gram=gram, cyclic_vector=struct.identity().coords(), onb_factor=onb,
-                    onb_factor_inv=np.linalg.inv(onb))
+    return GnsSpace(gram=gram, cyclic_vector=struct._identity_coords.copy())
 
 
 def powers(U: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -227,12 +235,14 @@ class Spectrum:
         labels = self.classes
         members = labels == np.flatnonzero(labels == np.arange(len(labels)))[:, None]
         sums = members @ self.chars
+        counts = members.sum(axis=1).tolist()
+        # the columns of each class, in class order: a stable sort by label
+        V = V[:, np.argsort(labels, kind="stable")]
         entries = [PointSpectrumEntry(eigenvalue=tuple(chi), multiplicity=m,
-                                      eigenvectors=V[:, cols])
-                   for chi, m, cols in zip((sums / abs(sums)).tolist(),
-                                           members.sum(axis=1).tolist(), members)]
-        entries.sort(key=lambda e: tuple(
-            (round(v.real, 10), round(v.imag, 10)) for v in e.eigenvalue))
+                                      eigenvectors=V[:, end - m:end])
+                   for chi, m, end in zip((sums / abs(sums)).tolist(), counts,
+                                          itertools.accumulate(counts))]
+        entries.sort(key=lambda e: [(round(v.real, 10), round(v.imag, 10)) for v in e.eigenvalue])
         return entries
 
 
@@ -244,7 +254,8 @@ def _compressions(W: np.ndarray, Q: np.ndarray):
     C = Q.conj().T @ (W @ Q)
     chars = np.diagonal(C, axis1=1, axis2=2).T
     off = C * (1 - np.eye(len(Q)))
-    return C, chars, np.linalg.norm(off, axis=1).max(axis=0)
+    # the column norms as `np.linalg.norm(off, axis=1)` takes them
+    return C, chars, np.sqrt(np.add.reduce((off.conj() * off).real, axis=1)).max(axis=0)
 
 
 def _split(W: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -278,7 +289,8 @@ def _polish(Q: np.ndarray, C: np.ndarray, chars: np.ndarray) -> np.ndarray | Non
     ε/g; the step leaves that mixing squared.
     """
     diff = chars[None, :, :] - chars[:, None, :]   # [i, j, k] = χ_k(j) − χ_k(i)
-    i, j = np.indices(diff.shape[:2])
+    j = np.arange(len(chars))
+    i = j[:, None]
     k = abs(diff).argmax(axis=2)
     sep = diff[i, j, k]
     Z = np.divide(C[k, i, j], sep, out=np.zeros_like(sep), where=abs(sep) >= EIG_CLUSTER_TOL)
@@ -462,12 +474,11 @@ def mirror_system(sys: FiniteSystem) -> MirrorSystem:
     without GNS data; raises InputFormatError if the system is invalid."""
     require_valid(sys)
     struct = sys.structure
-    promoted_state = FaithfulState(struct, [b.T for b in sys.state.density.blocks])
-    promoted_gens = [
-        Automorphism(struct, gen.block_perm, [u.conj() for u in gen.conjugator.blocks])
-        for gen in sys.generators
-    ]
-    promoted = FiniteSystem(struct, promoted_state, sys.group, promoted_gens)
+    # ρᵀ is one permutation of the checked vector of ρ, and conj(u) = (u*)ᵀ
+    promoted_gens = [Automorphism(struct, gen.block_perm, gen.conjugator.adjoint().transpose())
+                     for gen in sys.generators]
+    promoted = FiniteSystem(struct, FaithfulState(struct, sys.state.density.transpose()),
+                            sys.group, promoted_gens)
     # ρᵀ has the eigenvalues, trace and Hermiticity residual of ρ, conj(u) the
     # unitarity residuals of u, and μ'(α'(E_ab)) = μ(α(E_ba)): every validated
     # invariant holds for the promoted system exactly when it holds for sys
@@ -616,13 +627,14 @@ def _density_powers(sys: FiniteSystem, *zs: complex) -> list[AlgebraElement]:
     """ρ^z for each z of zs, from one batched eigendecomposition per block size."""
     coords = np.empty((len(zs), sys.dimension), dtype=complex)
     for g, x in zip(sys.structure.size_groups, sys.state.density.stacks()):
-        vals, vecs = np.linalg.eigh((x + x.conj().swapaxes(-1, -2)) / 2)
+        vals, vecs = _eigh((x + x.conj().swapaxes(-1, -2)) / 2)
+        logs, vecs_h, eye = np.log(vals), vecs.conj().swapaxes(-1, -2), np.eye(g.size)
         for out, z in zip(coords, zs):
             # a diagonal factor, not a column scaling: for real z this rounds
             # exactly as the per-block reference in tests/oracles.py
-            diag = np.exp(z * np.log(vals))[:, :, None] * np.eye(g.size)
-            out[g.units] = (vecs @ diag @ vecs.conj().swapaxes(-1, -2)).reshape(len(x), -1)
-    return [sys.structure.from_coords(out) for out in coords]
+            diag = np.exp(z * logs)[:, :, None] * eye
+            out[g.units] = (vecs @ diag @ vecs_h).reshape(len(x), -1)
+    return [AlgebraElement.of_vector(sys.structure, out) for out in coords]
 
 
 def modular_group(sys: FiniteSystem, *zs: complex) -> list[np.ndarray]:

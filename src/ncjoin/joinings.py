@@ -407,40 +407,50 @@ def _block_stacks(ctx: TensorContext, basis: np.ndarray, prod: np.ndarray):
     return stacks
 
 
-def _newton_terms(stacks, x: np.ndarray):
-    """Gradient and Hessian of −log det F in tangent coordinates, at the
-    iterate F = ρ⊗ + Σ x_i V_i.
-
-    With F = L L* per block and W_i = L⁻¹ V_i L⁻*, the gradient of
-    log det F(t) is tr W_i and the Hessian of −log det F(t) is ⟨W_i, W_j⟩.
-    One batched Cholesky per block size above 1 (`_inv_cholesky`); on the
-    1×1 blocks F is a vector and W_i = V_i/F. Raises LinAlgError when a
-    block of F is not positive definite. Each part keeps the block size,
-    the positions, L⁻¹ (F on the 1×1 blocks) and the rows W_i, flat.
-    """
-    r = len(x)
-    grad, hess, parts = np.zeros(r), np.zeros((r, r)), []
-    for n, idx, B, P, ident in stacks:
+def _factors(stacks, x: np.ndarray) -> list[np.ndarray]:
+    """The factor of each block size of the iterate F = ρ⊗ + Σ x_i V_i: L⁻¹
+    for F = L L*, by one batched Cholesky (`_inv_cholesky`), and F itself, a
+    vector, on the 1×1 blocks. Raises LinAlgError when a block of F is not
+    positive definite."""
+    factors = []
+    for n, _, B, P, _ in stacks:
         if n == 1:
             F = P + x @ B
             if not (F > 0).all():
                 raise np.linalg.LinAlgError("Matrix is not positive definite")
-            W = B / F
+            factors.append(F)
+        else:
+            factors.append(_inv_cholesky(P + (x @ B.reshape(len(x), -1)).reshape(P.shape)))
+    return factors
+
+
+def _derivatives(stacks, factors):
+    """Gradient and Hessian of −log det F in tangent coordinates, from the
+    `_factors` of the iterate F.
+
+    With F = L L* per block and W_i = L⁻¹ V_i L⁻*, the gradient of
+    log det F(t) is tr W_i and the Hessian of −log det F(t) is ⟨W_i, W_j⟩;
+    on the 1×1 blocks W_i = V_i/F. Each part keeps the block size, the
+    positions, the factor and the rows W_i, flat.
+    """
+    r = len(stacks[0][2])   # the tangent dimension: rows of each basis stack
+    grad, hess, parts = np.zeros(r), np.zeros((r, r)), []
+    for (n, idx, B, _, ident), L in zip(stacks, factors):
+        if n == 1:
+            W = B / L
             grad += W.sum(axis=1)
             hess += W @ W.T
-            parts.append((1, idx, F, W))
-            continue
-        Linv = _inv_cholesky(P + (x @ B.reshape(r, -1)).reshape(P.shape))
-        W = (Linv @ B @ Linv.conj().swapaxes(-1, -2)).reshape(r, -1)
-        grad += (W @ ident).real
-        hess += (W.conj() @ W.T).real
-        parts.append((n, idx, Linv, W))
+        else:
+            W = (L @ B @ L.conj().swapaxes(-1, -2)).reshape(r, -1)
+            grad += (W @ ident).real
+            hess += (W.conj() @ W.T).real
+        parts.append((n, idx, L, W))
     return grad, hess, parts
 
 
 def _newton_solve(hess: np.ndarray, parts, rhs: np.ndarray) -> np.ndarray:
     """H⁻¹·rhs by LU; where rounding near the boundary leaves H = A Aᵀ singular
-    to LU (A: the rows W_i of `_newton_terms`, real and imaginary parts side by
+    to LU (A: the rows W_i of `_derivatives`, real and imaginary parts side by
     side), by the factor R of Aᵀ = QR instead: H = RᵀR and cond R = √cond H."""
     try:
         return np.linalg.solve(hess, rhs)
@@ -603,8 +613,9 @@ def _barrier_solve(ctx: TensorContext, k: np.ndarray, top: float, label: str, wi
         centred = 0   # consecutive steps that arrived centred
         stacks = _block_stacks(ctx, basis, prod)
         try:
-            grad, hess, parts = _newton_terms(stacks, x)
+            factors = _factors(stacks, x)
             while (upper - lower > width or lower <= floor) and steps < max_iter:
+                grad, hess, parts = _derivatives(stacks, factors)
                 # dt(η) = η·H⁻¹g + H⁻¹∇ is linear in η: one solve serves both η
                 hg, hgrad = _newton_solve(hess, parts, np.array([g, grad]).T).T
                 dt = eta * hg + hgrad
@@ -621,7 +632,7 @@ def _barrier_solve(ctx: TensorContext, k: np.ndarray, top: float, label: str, wi
                     dt = eta * hg + hgrad
                 steps += 1
                 x = x + _line_search(_step_eigenvalues(parts, dt), eta * float(g @ dt)) * dt
-                grad, hess, parts = _newton_terms(stacks, x)
+                factors = _factors(stacks, x)   # the step is kept only where F > 0
                 value = c0 + float(g @ x)   # = Re Σ k_q f_q at f = ρ⊗ + Σ x_i V_i
                 if value > lower:
                     lower, best = value, x

@@ -189,14 +189,15 @@ def test_period_search_norms_do_not_grow(monkeypatch, tmp_path):
     no period: the Frobenius norms decide every power outside the band
     [1e-9, √d·1e-9), and the SVD covers only the powers in the band.
 
-    A generic Ad(u) on M3 has no exact period, so the search covers the
-    whole window.
+    Ad(diag(1, −e^{iδ})) on M2 with δ = 6e-10 has no exact period, so the
+    search covers the whole window. Its U² − 1 has operator norm 2 sin δ ≈
+    1.2e-9 and Frobenius norm √2 times that, inside the band, and every
+    other power lies outside it: the one SVD is the search's own, since
+    validating the system takes none.
     """
-    z = np.random.default_rng(4).standard_normal((3, 3, 2)) @ [1, 1j]
-    q, r = np.linalg.qr(z)
-    path = tmp_path / "m3.json"
+    path = tmp_path / "m2.json"
     path.write_text(json.dumps(fileio.dump_system(
-        single_block_system(q * (np.diag(r) / abs(np.diag(r)))))))
+        single_block_system(np.diag([1, -np.exp(6e-10j)])))))
     small, large = (f"ornstein --system {path} --window 0..{n}" for n in (4, 64))
     report, _ = cli.run(large.split())
     assert report["results"]["period"] is None
@@ -205,9 +206,10 @@ def test_period_search_norms_do_not_grow(monkeypatch, tmp_path):
     assert _calls(monkeypatch, np.linalg, "svd", large) == count
 
 
-# numpy kernels that a per-block loop would call once per block
+# numpy kernels that a per-block loop would call once per block; on 1×1
+# blocks only validation's Frobenius screen (`vdot`) runs of these
 BLOCK_KERNELS = [(np.linalg, "norm"), (np.linalg, "svd"), (np.linalg, "eigvalsh"),
-                 (np.linalg, "eigh"), (np, "kron")]
+                 (np.linalg, "eigh"), (np, "kron"), (np, "vdot")]
 
 
 def _kernel_calls(monkeypatch, sysd):
@@ -370,6 +372,8 @@ LAPACK_KERNELS = ("cholesky", "inv", "eigvalsh")
 
 
 def _lapack_calls(monkeypatch, ctx, objective):
+    """LAPACK calls of one solve, and the number of iterates whose
+    derivatives it forms."""
     calls, terms = Counter(), Counter()
 
     def counted(counter, name, original):
@@ -381,11 +385,11 @@ def _lapack_calls(monkeypatch, ctx, objective):
     with monkeypatch.context() as m:
         for name in LAPACK_KERNELS:
             m.setattr(np.linalg, name, counted(calls, name, getattr(np.linalg, name)))
-        m.setattr(joinings, "_newton_terms",
-                  counted(terms, "newton_terms", joinings._newton_terms))
+        m.setattr(joinings, "_derivatives",
+                  counted(terms, "derivatives", joinings._derivatives))
         _, report = find_joining(ctx, objective=objective)
     assert not report.inconclusive
-    return calls, terms["newton_terms"], report
+    return calls, terms["derivatives"], report
 
 
 @pytest.mark.parametrize("a,b,objective,steps", [
@@ -394,26 +398,33 @@ def _lapack_calls(monkeypatch, ctx, objective):
 ], ids=["C4xC4", "c3xid3"])
 def test_one_by_one_blocks_call_no_lapack(monkeypatch, a, b, objective, steps):
     """Every density block of these products is 1×1: the factor, the
-    eigenvalues and the PSD floors are read off the diagonal. The legs' GNS
-    data, whose Gram matrix takes a Cholesky, is built before counting."""
+    eigenvalues and the PSD floors are read off the diagonal. The legs'
+    spectra, whose GNS factor C takes a Cholesky and an inverse, are built
+    before counting."""
     legs = [cyclic_rotation_system(4) if n == "C4" else corpus.system(n) for n in (a, b)]
     for leg in legs:
-        leg.gns
+        leg.spectrum
     calls, _, report = _lapack_calls(monkeypatch, build_tensor_context(*legs), objective)
     assert report.iterations == steps
     assert sum(calls.values()) == 0, calls
 
 
-def test_larger_blocks_take_one_cholesky_per_newton_terms(monkeypatch, ladder_m2):
-    calls, terms, report = _lapack_calls(
+def test_larger_blocks_take_one_cholesky_per_iterate(monkeypatch, ladder_m2):
+    """The start and the end of each Newton step are factored, steps + 1
+    Choleskys in all; the gradient and Hessian are formed once per step, so
+    not at the last iterate, whose factor only shows that F > 0."""
+    calls, derivatives, report = _lapack_calls(
         monkeypatch, build_tensor_context(ladder_m2, ladder_m2), (0, 0))
     assert report.iterations > 0
-    assert calls["cholesky"] == terms > report.iterations
+    assert calls["cholesky"] == report.iterations + 1
+    assert derivatives == report.iterations
 
 
 def test_addresses_are_computed_once_per_structure(monkeypatch):
     """A context build on fresh systems, and a solve on it, compute the
-    (block, row, col) arrays of each structure once."""
+    (block, row, col) arrays of each structure they read them from once. The
+    legs' structures read none: their adjoint indices and identity
+    coordinates come from their size groups."""
     computed = {}   # id of a structure -> [the structure, times it computed its addresses]
     original = BlockStructure.addresses.func
 
@@ -429,7 +440,8 @@ def test_addresses_are_computed_once_per_structure(monkeypatch):
     ctx = build_tensor_context(legs[0], legs[0])
     find_joining(ctx, objective=(0, 1))
     find_joining(build_tensor_context(legs[1], legs[1]), objective=(0, 1))
-    assert {id(s.structure) for s in legs} | {id(ctx.structure)} <= set(computed)
+    assert id(ctx.structure) in computed
+    assert not {id(s.structure) for s in legs} & set(computed)
     assert all(count == 1 for _, count in computed.values())
 
 

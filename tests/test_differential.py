@@ -354,7 +354,7 @@ def test_flat_kernels_match_stacked_reference(pair, data):
     d = rng.standard_normal(r)
     lams = step_eigenvalues_reference(newton_terms_reference(reference, np.zeros(r))[2], d)
     x = data.draw(st.floats(min_value=0.0, max_value=0.9)) * d / max(-lams.min(), 1e-3)
-    grad, hess, parts = joinings._newton_terms(stacks, x)
+    grad, hess, parts = joinings._derivatives(stacks, joinings._factors(stacks, x))
     grad_ref, hess_ref, parts_ref = newton_terms_reference(reference, x)
     # tr W_i can cancel to rounding (at the product of two uniform states it
     # is 0): it is compared on the scale of its bound |tr W_i| ≤ √ν·‖W_i‖,

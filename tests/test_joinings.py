@@ -340,7 +340,8 @@ def test_newton_solve_falls_back_to_qr(monkeypatch, pair):
     basis = ctx.tangent.basis
     rng = np.random.default_rng(7)
     stacks = joinings._block_stacks(ctx, basis, ctx.product_values().reshape(-1))
-    _, hess, parts = joinings._newton_terms(stacks, 0.01 * rng.standard_normal(len(basis)))
+    x = 0.01 * rng.standard_normal(len(basis))
+    _, hess, parts = joinings._derivatives(stacks, joinings._factors(stacks, x))
     rhs = rng.standard_normal((len(basis), 2))
     expected = np.linalg.solve(hess, rhs)
     solve, calls = np.linalg.solve, []
