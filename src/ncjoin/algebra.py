@@ -65,16 +65,17 @@ def _operator_norms(stack: np.ndarray) -> np.ndarray:
 
 
 def _eigvalsh(stack: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of each Hermitian matrix of a stack, as `eigvalsh`:
-    on 1×1 matrices the real part, + 0.0 since LAPACK returns 0.0 for −0.0."""
+    """Ascending eigenvalues of each Hermitian matrix of a stack, as `eigvalsh`;
+    on 1×1 matrices the real part. (LAPACK returns 0.0 for −0.0, which a
+    Hermitian part (x + x*)/2 never holds.)"""
     if stack.shape[-1] == 1:
-        return stack[..., 0].real + 0.0
+        return stack[..., 0].real
     return np.linalg.eigvalsh(stack)
 
 
 def _eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`np.linalg.eigh` of each Hermitian matrix of a stack; on 1×1 matrices
-    `_eigvalsh` and eigenvectors 1, as LAPACK gives them."""
+    `_eigvalsh` and eigenvectors 1, the bits LAPACK gives for (x + x*)/2."""
     if stack.shape[-1] == 1:
         return _eigvalsh(stack), np.ones_like(stack)
     return np.linalg.eigh(stack)

@@ -18,6 +18,8 @@ from ncjoin.algebra import (
     FaithfulState,
     FiniteSystem,
     GroupDescriptor,
+    _eigh,
+    _eigvalsh,
     sandwich_matrix,
     uniform_state,
     validate_system,
@@ -152,3 +154,21 @@ def test_objective_top_eigenvalue_matches_blockwise_reference(sizes):
     d = ctx.structure.dimension
     c = ctx.structure.from_coords(rng.standard_normal(d) + 1j * rng.standard_normal(d))
     assert _close(_objective(ctx, c)[1], top_eigenvalue_reference(0.5 * (c + c.adjoint())))
+
+
+def test_one_by_one_eigen_shortcuts_match_lapack_bit_for_bit():
+    """`_eigvalsh` and `_eigh` read the Hermitian part (x + x*)/2 of a 1×1
+    matrix off its entry: the same bits as LAPACK, whose eigenvector is 1,
+    also for entries of either sign of zero and entries whose Hermitian part
+    overflows."""
+    rng = np.random.default_rng(5)
+    x = (rng.standard_normal((64, 1, 1)) * 10.0 ** rng.integers(-320, 309, (64, 1, 1))
+         + 1j * rng.standard_normal((64, 1, 1)))
+    x[:4, 0, 0] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -2.0), 1.5e308]
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (x + x.conj().swapaxes(-1, -2)) / 2
+        vals, vecs = np.linalg.eigh(h)
+        assert _eigvalsh(h).tobytes() == np.linalg.eigvalsh(h).tobytes() == vals.tobytes()
+        got_vals, got_vecs = _eigh(h)
+    assert got_vals.tobytes() == vals.tobytes()
+    assert got_vecs.tobytes() == vecs.tobytes()

@@ -42,6 +42,7 @@ from ncjoin.algebra import (
     Automorphism,
     BlockStructure,
     FaithfulState,
+    GroupDescriptor,
     cyclic_rotation_system,
     identity_system,
     single_block_system,
@@ -238,6 +239,89 @@ def test_block_kernels_run_once_per_block_size(monkeypatch, small, large):
     count = _kernel_calls(monkeypatch, small)
     assert sum(count.values()) >= 1
     assert _kernel_calls(monkeypatch, large) == count
+
+
+def _counted(monkeypatch, targets, action):
+    """Calls of each (owner, attribute) of `targets` while `action()` runs."""
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for owner, attr in targets:
+            m.setattr(owner, attr, counted(attr, getattr(owner, attr)))
+        action()
+    return calls
+
+
+def _generated_systems():
+    """Ad(u) on M3 with a non-tracial density commuting with u, a Z^2 pair
+    and a Z_3 action on it, each through the file format."""
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    v = np.linalg.qr(z)[0]
+    density = (v * np.array([0.5, 0.3, 0.2])) @ v.conj().T
+
+    def unitary(phases):
+        return (v * np.exp(1j * np.asarray(phases))) @ v.conj().T
+
+    return [single_block_system(unitary(rng.uniform(0, 6, 3)), density),
+            single_block_system([unitary(rng.uniform(0, 6, 3)) for _ in range(2)], density),
+            single_block_system(unitary(2 * np.pi * np.array([0, 1, 2]) / 3), density,
+                                group=GroupDescriptor("Zm", m=3))]
+
+
+FRESH_SYSTEMS = ([(name, corpus.raw(name)) for name in corpus.FINITE_SYSTEMS]
+                 + [(f"M3-{kind}", fileio.dump_system(sysd))
+                    for kind, sysd in zip(("Z", "Z2", "Z3"), _generated_systems())])
+
+
+@pytest.mark.parametrize("name,data", FRESH_SYSTEMS, ids=[n for n, _ in FRESH_SYSTEMS])
+def test_fresh_valid_systems_take_no_svd_and_no_second_vector(monkeypatch, name, data):
+    """A valid system loads, validates and promotes its mirror without an
+    SVD, since the Frobenius norms clear every residual, and without
+    concatenating a coordinate vector: the state and the generators keep
+    the vectors read off their matrices, and the mirror permutes and
+    conjugates those."""
+    def build():
+        sysd = fileio.load_system(data)
+        assert validate_system(sysd).valid
+        mirror_system(sysd)
+
+    calls = _counted(monkeypatch, [(np.linalg, "svd"), (np, "concatenate")], build)
+    assert calls == {}, calls
+
+
+@pytest.mark.parametrize("sysd", [cyclic_rotation_system(5), identity_system((1, 1, 1)),
+                                  corpus.system("c3")], ids=["C5", "id-1-1-1", "c3"])
+def test_one_by_one_blocks_take_no_eigenvalue_routine(monkeypatch, sysd):
+    """On 1×1 density blocks the faithfulness check and ρ^{±1/2} of the
+    mirror read the eigenvalues and eigenvectors off the entries."""
+    calls = _counted(monkeypatch, [(np.linalg, "eigvalsh"), (np.linalg, "eigh")],
+                     lambda: (validate_system(sysd), mirror_system(sysd)))
+    assert calls == {}, calls
+
+
+def test_corpus_text_resolves_the_package_once(monkeypatch):
+    calls = _counted(monkeypatch, [(corpus.resources, "files")],
+                     lambda: [corpus.text(name) for name in corpus.names()])
+    assert calls == {}
+
+
+@pytest.mark.parametrize("command", [
+    "joinings diagonal --system corpus:gibbs --graph-n 1",
+    "ornstein --system corpus:c3 --window 0..16",
+])
+def test_gram_only_commands_take_no_cholesky(monkeypatch, command):
+    """The diagonal and graph joinings and the ratio scan read the Gram
+    matrix of the GNS space, not its Cholesky factor C or C⁻¹."""
+    calls = _counted(monkeypatch, [(np.linalg, "cholesky"), (np.linalg, "inv")],
+                     lambda: cli.run(command.split()))
+    assert calls == {}, calls
 
 
 def _zeros_calls(monkeypatch, ctx):

@@ -332,6 +332,22 @@ def test_zero_objective_is_pinned(c2):
 
 
 @pytest.mark.parametrize("pair", [("c3", "c3"), ("pauli", "pauli")])
+def test_factors_refuse_an_iterate_outside_the_joining_set(pair):
+    """A barrier step is kept only where its iterate is positive definite:
+    far along a tangent direction, which has trace 0, the factor raises
+    LinAlgError, from the 1×1 entries on c3×c3 and from the Cholesky on
+    pauli×pauli."""
+    ctx = build_tensor_context(*map(corpus.system, pair))
+    basis = ctx.tangent.basis
+    stacks = joinings._block_stacks(ctx, basis, ctx.product_values().reshape(-1))
+    x = np.zeros(len(basis))
+    joinings._factors(stacks, x)   # the product state
+    x[0] = 1e3
+    with pytest.raises(np.linalg.LinAlgError):
+        joinings._factors(stacks, x)
+
+
+@pytest.mark.parametrize("pair", [("c3", "c3"), ("pauli", "pauli")])
 def test_newton_solve_falls_back_to_qr(monkeypatch, pair):
     """Where LU fails on the Hessian, the factor R of the rows W_i gives the
     same H⁻¹·rhs: on c3×c3 the rows are the flat 1×1 parts, on pauli×pauli

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from ncjoin import corpus
 from ncjoin.algebra import (
+    VALIDATION_TOL,
     AlgebraElement,
     Automorphism,
     BlockStructure,
@@ -131,6 +132,75 @@ def test_closed_forms_match_reference_on_corpus(name):
     assert _assert_matches_reference(sysd.mirror.promoted).valid
 
 
+def _band_noise(rng, n, scale, spread):
+    """Complex noise of operator norm `scale`: rank one, or spread over the
+    whole n×n block, where its Frobenius norm exceeds its operator norm."""
+    if spread:
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    else:
+        z = np.outer(*(rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))))
+    return scale * z / np.linalg.norm(z, 2)
+
+
+def _unitary_noise(rng, n, scale, spread):
+    """exp(iH) for a Hermitian H of operator norm `scale`: rank one or spread."""
+    z = _band_noise(rng, n, 1.0, spread)
+    vals, vecs = np.linalg.eigh(z + z.conj().T)
+    return (vecs * np.exp(1j * scale * vals / abs(vals).max())) @ vecs.conj().T
+
+
+@st.composite
+def near_tolerance_systems(draw):
+    """Valid systems on a 3×3 block, optionally beside a 1×1 one, moved by a
+    perturbation of norm in [VALIDATION_TOL/3, 3·VALIDATION_TOL]: the
+    density or a conjugator by additive noise, or, with the tracial state,
+    one generator of a commuting Z^k pair or the generator of a Z_m action
+    by a unitary factor, so that only commutation or the order can fail."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(VALIDATION_TOL / 3, 3 * VALIDATION_TOL))
+    spread = draw(st.booleans())
+    target = draw(st.sampled_from(("density", "conjugator", "commutation", "order")))
+    sizes = (3, 1) if draw(st.booleans()) else (3,)
+    structure = BlockStructure(sizes)
+    bases = [_haar(rng, n) for n in sizes]
+
+    def diagonal(phases, v):   # v·diag(phases)·v*
+        return (v * phases) @ v.conj().T
+
+    weights = [rng.uniform(0.2, 1.0, n) for n in sizes]
+    total = sum(w.sum() for w in weights)
+    density = [diagonal(w / total, v) for w, v in zip(weights, bases)]
+    m = draw(st.integers(2, 4))
+    group = (GroupDescriptor("Zk", k=2) if target == "commutation" else
+             GroupDescriptor("Zm", m=m) if target == "order" else GroupDescriptor("Z"))
+
+    def conjugators():
+        roots = [np.exp(2j * np.pi * rng.integers(0, m, n) / m) for n in sizes]
+        return [diagonal(r, v) for r, v in zip(roots, bases)]
+
+    gens = [conjugators() for _ in range(group.k)]
+    if target == "density":
+        density[0] = density[0] + _band_noise(rng, 3, scale, spread)
+    elif target == "conjugator":
+        gens[0][0] = gens[0][0] + _band_noise(rng, 3, scale, spread)
+    else:
+        density = [np.eye(n) / sum(sizes) for n in sizes]
+        gens[-1][0] = gens[-1][0] @ _unitary_noise(rng, 3, scale / group.m if target == "order"
+                                                   else scale, spread)
+    perm = tuple(range(len(sizes)))
+    return FiniteSystem(structure, FaithfulState(structure, density), group,
+                        [Automorphism(structure, perm, conj) for conj in gens])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(near_tolerance_systems())
+def test_residuals_near_the_tolerance_match_reference(sysd):
+    """Residuals of norm near VALIDATION_TOL, where the Frobenius screen and
+    the operator norm can disagree, give the reference's kinds, places and
+    residuals."""
+    _assert_matches_reference(sysd)
+
+
 @st.composite
 def valid_systems(draw):
     """Valid systems: corpus entries, rotations C_p, Haar Ad(u) with a
@@ -235,3 +305,21 @@ def test_constructors_reject_non_finite_blocks(bad):
             AlgebraElement(s, blocks)
     # finite data still constructs
     identity_automorphism(s)
+
+
+def test_constructors_check_an_element_as_its_blocks():
+    """A state or an automorphism built from an element takes its vector
+    when it is finite and on the same block sizes; otherwise it raises as
+    for the element's block list."""
+    s = BlockStructure((2, 1))
+    v = np.array([0.5, 0, 0, 0.3, 0.2], dtype=complex)
+    assert FaithfulState(s, s.from_coords(v)).density.coords().tobytes() == v.tobytes()
+    v[4] = np.nan
+    bad = s.from_coords(v)
+    with pytest.raises(StructureError, match="density block 1 has non-finite entries"):
+        FaithfulState(s, bad)
+    with pytest.raises(StructureError, match="conjugator block 1 has non-finite entries"):
+        Automorphism(s, (0, 1), bad)
+    other = BlockStructure((1, 2)).from_coords(np.ones(5))
+    with pytest.raises(StructureError, match=r"density has blocks \(1, 2\), expected \(2, 1\)"):
+        FaithfulState(s, other)
