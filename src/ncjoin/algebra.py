@@ -66,8 +66,7 @@ def _operator_norms(stack: np.ndarray) -> np.ndarray:
 
 def _eigvalsh(stack: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each Hermitian matrix of a stack, as `eigvalsh`;
-    on 1×1 matrices the real part. (LAPACK returns 0.0 for −0.0, which a
-    Hermitian part (x + x*)/2 never holds.)"""
+    on 1×1 matrices the real part, the bits LAPACK returns."""
     if stack.shape[-1] == 1:
         return stack[..., 0].real
     return np.linalg.eigvalsh(stack)
@@ -75,7 +74,7 @@ def _eigvalsh(stack: np.ndarray) -> np.ndarray:
 
 def _eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`np.linalg.eigh` of each Hermitian matrix of a stack; on 1×1 matrices
-    `_eigvalsh` and eigenvectors 1, the bits LAPACK gives for (x + x*)/2."""
+    `_eigvalsh` and eigenvectors 1, the bits LAPACK returns."""
     if stack.shape[-1] == 1:
         return _eigvalsh(stack), np.ones_like(stack)
     return np.linalg.eigh(stack)

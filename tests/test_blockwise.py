@@ -159,7 +159,7 @@ def test_objective_top_eigenvalue_matches_blockwise_reference(sizes):
 def test_one_by_one_eigen_shortcuts_match_lapack_bit_for_bit():
     """`_eigvalsh` and `_eigh` read the Hermitian part (x + x*)/2 of a 1×1
     matrix off its entry: the same bits as LAPACK, whose eigenvector is 1,
-    also for entries of either sign of zero and entries whose Hermitian part
+    also for zeros of either sign and entries whose Hermitian part
     overflows."""
     rng = np.random.default_rng(5)
     x = (rng.standard_normal((64, 1, 1)) * 10.0 ** rng.integers(-320, 309, (64, 1, 1))

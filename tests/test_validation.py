@@ -143,7 +143,8 @@ def _band_noise(rng, n, scale, spread):
 
 
 def _unitary_noise(rng, n, scale, spread):
-    """exp(iH) for a Hermitian H of operator norm `scale`: rank one or spread."""
+    """exp(iH) for a Hermitian H of operator norm `scale`: the Hermitian part
+    of rank-one or of spread noise."""
     z = _band_noise(rng, n, 1.0, spread)
     vals, vecs = np.linalg.eigh(z + z.conj().T)
     return (vecs * np.exp(1j * scale * vals / abs(vals).max())) @ vecs.conj().T
