@@ -522,10 +522,6 @@ class GroupDescriptor:
             raise ValueError("Folner index must be >= 1")
         return range(self.m) if self.kind == "Zm" else range(1, n + 1)
 
-    def folner_elements(self, n: int):
-        """Group elements of the n-th Folner set, as exponent tuples."""
-        return list(itertools.product(self.folner_range(n), repeat=self.k))
-
 
 @dataclass(frozen=True)
 class FiniteSystem:

@@ -759,7 +759,7 @@ def ornstein_scan_dual(sys: DualSystem, test_set, n_range,
     labels = labels or [f"element {k}" for k in range(len(test_set))]
     elements, skipped = [], []
     max_limsup = Fraction(0)
-    for c, label in zip(test_set, labels):
+    for c, label in zip(test_set, labels, strict=True):
         denom = _norm2_squared(c)
         if denom == 0:
             skipped.append(label)

@@ -869,15 +869,18 @@ def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
     denoms = (squares @ ctx.product_values().reshape(-1)).real
     values = (squares @ tables.T).real
 
+    # one division for the kept rows only: a degenerate denominator would warn on stderr
+    skip = denoms <= 1e-12
+    ratios = values[~skip] / denoms[~skip, None]
+    kept = zip(ratios.tolist(), ratios.max(axis=1).tolist())
     elements, skipped = [], []
-    for label, denom, vals in zip(labels, denoms.tolist(), values.tolist()):
-        if denom <= 1e-12:
+    for label, denom, skipped_here in zip(labels, denoms.tolist(), skip.tolist(), strict=True):
+        if skipped_here:
             skipped.append(label)
             continue
-        ratios = [(n, val / denom) for n, val in zip(ns, vals)]
-        elements.append(OrnsteinElementReport(
-            label=label, denominator=denom, ratios=ratios,
-            sup=max(0.0, max(r for _, r in ratios))))
+        row, sup = next(kept)
+        elements.append(OrnsteinElementReport(label=label, denominator=denom,
+                                              ratios=list(zip(ns, row)), sup=max(0.0, sup)))
 
     # the first p with ‖U^p − 1‖₂ < 1e-9: as ‖·‖₂ ≤ ‖·‖_F ≤ √d‖·‖₂, only the band takes an SVD
     X = table[1 - lo:] - np.eye(ctx.dim_a)
@@ -889,22 +892,3 @@ def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
     return OrnsteinScan(period=period, sup_ratio=max((r.sup for r in elements), default=0.0),
                         skipped=skipped, elements=elements)
 
-
-def scan_compact_disjointness(sys: FiniteSystem, candidates) -> list[dict]:
-    """Disjointness of `sys` from each named candidate system.
-
-    A finite corpus scan only; disjointness from every member of a corpus
-    proves nothing about the universally quantified statement, and the
-    result rows say so.
-    """
-    rows = []
-    for name, cand in candidates:
-        ctx = build_tensor_context(sys, cand)
-        cert = disjointness_test(ctx)
-        rows.append({
-            "candidate": name,
-            "verdict": cert.verdict,
-            "witness_gap": cert.witness_gap,
-            "scope": "finite corpus scan; no universal conclusion",
-        })
-    return rows

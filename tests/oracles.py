@@ -48,20 +48,29 @@ of K·H from K and before it took T from the two legs' point spectra. The
 joint point spectrum is found by iterated eigenspace refinement, one
 null-space SVD per eigenvalue cluster of each unitary, as the package
 found it before it took one `eigh` per system.
+
+The spectral toolkit that no command reads lives here as the package had
+it: the eigenoperator of a multiplicity-one character, the spectral atoms
+and interval projections of a unitary element, the covariance check of
+those projections under the dynamics, and the asymptotic-abelianness
+profile with the power-table element matrices and Folner elements it reads.
 """
 
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
-from ncjoin.algebra import (FAITHFULNESS_MIN_EIG, VALIDATION_TOL, AlgebraElement, _adjoints,
-                            _eigvalsh, _inv_cholesky, _operator_norms, identity_automorphism,
-                            sandwich_matrix)
+from ncjoin.algebra import (FAITHFULNESS_MIN_EIG, VALIDATION_TOL, AlgebraElement, FiniteSystem,
+                            _adjoints, _eigvalsh, _inv_cholesky, _operator_norms,
+                            identity_automorphism, sandwich_matrix)
 from ncjoin.dual import (IDENTITY_PERM, DeltaEvaluation, FinPerm, QQi, classify_dual,
                          word_multiply)
+from ncjoin.errors import InputFormatError, NcjoinError
+from ncjoin.gns import _linkage, point_spectrum, powers
 from ncjoin.joinings import _RANK_GAP_MIN, _diagonal_values, _objective
 
 
@@ -428,9 +437,24 @@ def element_automorphism_reference(sys, g):
     return out
 
 
+def folner_elements(group, n):
+    """Group elements of the n-th Folner set, as exponent tuples."""
+    return list(itertools.product(group.folner_range(n), repeat=group.k))
+
+
+def element_matrices(mats, elements) -> np.ndarray:
+    """Stack of U_g over exponent tuples g, one power table per generator matrix."""
+    exps = np.array(elements, dtype=int).reshape(len(elements), -1)
+    out = None
+    for U, col in zip(mats, exps.T):
+        step = powers(U, col.min(), col.max())[col - col.min()]
+        out = step if out is None else out @ step
+    return out
+
+
 def folner_mean_reference(sys, n):
     """Mean of U_g over the n-th Folner set, one element matrix at a time."""
-    elements = sys.group.folner_elements(n)
+    elements = folner_elements(sys.group, n)
     return sum(element_matrix_reference(sys.generator_matrices, g)
                for g in elements) / len(elements)
 
@@ -815,3 +839,155 @@ def classify_dual_reference(sys, max_len=2):
     else:
         whole = not sys.spec.shift_tracks
     return ergodic, compact, len(periods) if compact and whole else None
+
+
+def eigenoperator(sys: FiniteSystem, chi) -> AlgebraElement:
+    """Unitary u with α_g(u) = χ(g) u, for a multiplicity-one eigenvalue.
+
+    u*u is scalar whenever the system is ergodic; the returned u is the
+    normalization u/‖u‖ and is verified unitary. Raises NcjoinError when χ is
+    not in the point spectrum, has multiplicity above one, or u*u is not
+    scalar (the last signals a non-ergodic system).
+    """
+    if isinstance(chi, (int, float, complex)):
+        chi = (complex(chi),)
+    chi = tuple(complex(v) for v in chi)
+    spec = point_spectrum(sys)
+    match = None
+    for entry in spec:
+        if len(entry.eigenvalue) == len(chi) and all(
+                abs(a - b) < 1e-6 for a, b in zip(entry.eigenvalue, chi)):
+            match = entry
+            break
+    if match is None:
+        raise NcjoinError(f"{chi} is not in the point spectrum")
+    if match.multiplicity != 1:
+        raise NcjoinError(
+            f"{chi} has multiplicity {match.multiplicity}; eigenoperator is ambiguous")
+    u0 = sys.structure.from_coords(match.eigenvectors[:, 0])
+    p = u0.adjoint() @ u0
+    scale = complex(sys.state.value(p))
+    ident = sys.structure.identity()
+    if (p - scale * ident).norm() > 1e-8 * max(1.0, abs(scale)):
+        raise NcjoinError("u*u is not scalar; the system is not ergodic")
+    if scale.real <= 0:
+        raise NcjoinError("u*u is a nonpositive scalar; eigenvector is degenerate")
+    u = (1.0 / math.sqrt(scale.real)) * u0
+    if (u @ u.adjoint() - ident).norm() > 1e-8:
+        raise NcjoinError("uu* is not the identity; the system is not ergodic")
+    return u
+
+
+def spectral_atoms(u: AlgebraElement):
+    """Spectral decomposition of a unitary element: [(value, projector), ...].
+
+    The eigenvalues of all blocks are partitioned by single linkage at
+    EIG_CLUSTER_TOL (`_linkage`), so each lies in exactly one atom. Atoms
+    come in lexicographic (Re, Im) order, each valued at its first
+    eigenvalue in that order. Projectors are Hermitian idempotents obtained
+    blockwise; degenerate clusters are re-orthonormalized.
+    """
+    ident = u.structure.identity()
+    if (u.adjoint() @ u - ident).norm() > 1e-8:
+        raise NcjoinError("element is not unitary within tolerance")
+    per_block = [np.linalg.eig(b) for b in u.blocks]
+    vals = np.concatenate([v for v, _ in per_block])
+    order = sorted(range(len(vals)), key=lambda j: (round(vals[j].real, 12),
+                                                    round(vals[j].imag, 12)))
+    first = _linkage(vals[order, None])   # the sorted position of each atom's first value
+    labels = np.empty_like(first)
+    labels[order] = first
+    per_block_labels = np.split(labels, np.cumsum(u.structure.block_sizes)[:-1])
+    out = []
+    for atom in np.flatnonzero(first == np.arange(len(first))):
+        blocks = []
+        for (_, vecs), lab in zip(per_block, per_block_labels):
+            q, _ = np.linalg.qr(vecs[:, lab == atom])
+            blocks.append(q @ q.conj().T)
+        out.append((complex(vals[order[atom]]), AlgebraElement(u.structure, blocks)))
+    return out
+
+
+def spectral_interval_projection(u: AlgebraElement, theta1: float,
+                                 theta2: float) -> AlgebraElement:
+    """Sum of the spectral projections of u with argument in (theta1, theta2].
+
+    Arguments of unitary eigenvalues live in (-pi, pi], so theta1 = -pi is
+    allowed and acts as an open endpoint; partitions of the full circle can
+    therefore start at -pi.
+    """
+    if not (-math.pi <= theta1 < theta2 <= math.pi):
+        raise ValueError("need -pi <= theta1 < theta2 <= pi")
+    proj = u.structure.zero()
+    for v, p in spectral_atoms(u):
+        arg = math.atan2(v.imag, v.real)
+        if theta1 < arg <= theta2:
+            proj = proj + p
+    return proj
+
+
+@dataclass
+class SpectralCovarianceReport:
+    atom_residual: float
+    grid_commutation_residual: float
+    atoms: int
+
+
+def verify_spectral_covariance(sys: FiniteSystem, u: AlgebraElement, chi: complex,
+                               n: int, grid: int = 12) -> SpectralCovarianceReport:
+    """Residuals of α^n E({v}) = E({χ^n v}) and of interval-projection commutation.
+
+    Requires a Z action with α(u) = χ u already established; that
+    precondition is re-checked. The grid part partitions (-π, π] into `grid`
+    half-open cells and reports max ‖P α^n(P) - α^n(P) P‖ over the cells.
+    u is decomposed once, and α^n(E) of each atom E is read off the power
+    table of the generator's matrix; a cell's P and α^n(P) are sums of these.
+    """
+    if sys.group.kind != "Z":
+        raise InputFormatError("spectral covariance check needs a Z action")
+    chi = complex(chi)
+    U = sys.generator_matrices[0]
+    s = u.structure
+    if (s.from_coords(U @ u.coords()) - chi * u).norm() > 1e-8:
+        raise NcjoinError("precondition failed: alpha(u) != chi * u")
+    U_n = powers(U, n, n)[0]
+    atoms = spectral_atoms(u)
+    moved = [s.from_coords(U_n @ proj.coords()) for _, proj in atoms]
+    atom_res = 0.0
+    for (v, _), image in zip(atoms, moved):
+        # α^n composed with the spectral measure rotates atoms by χ^{-n}:
+        # matching coefficients in α^n(u) = χ^n u gives α^n(E({v})) = E({χ^{-n} v}).
+        target = chi ** (-n) * v
+        best = min(atoms, key=lambda a: abs(a[0] - target))
+        atom_res = max(atom_res, (image - best[1]).norm())
+    args = [math.atan2(v.imag, v.real) for v, _ in atoms]
+    grid_res = 0.0
+    for j in range(grid):
+        t1 = -math.pi + 2 * math.pi * j / grid
+        t2 = -math.pi + 2 * math.pi * (j + 1) / grid
+        cell = [k for k, arg in enumerate(args) if t1 < arg <= t2]
+        P = sum((atoms[k][1] for k in cell), s.zero())
+        Q = sum((moved[k] for k in cell), s.zero())
+        grid_res = max(grid_res, (P @ Q - Q @ P).norm())
+    return SpectralCovarianceReport(
+        atom_residual=atom_res,
+        grid_commutation_residual=grid_res,
+        atoms=len(atoms),
+    )
+
+
+def asymptotic_abelianness_profile(sys: FiniteSystem, a: AlgebraElement,
+                                   b: AlgebraElement, n_max: int) -> list[float]:
+    """Averages (1/|Λ_n|) Σ_{g in Λ_n} ‖[a, α_g(b)]‖ for n = 1..n_max.
+
+    The norm is the operator norm, exact via singular values. Folner boxes
+    follow the group descriptor and are nested, so the norms are computed
+    once on the largest box, with α_g(b) from power tables of the generator
+    matrices; no GNS data is built.
+    """
+    group = sys.group
+    images = element_matrices(sys.generator_matrices, folner_elements(group, n_max)) @ b.coords()
+    norms = np.array([(a @ bg - bg @ a).norm() for bg in map(sys.structure.from_coords, images)])
+    norms = norms.reshape((len(group.folner_range(n_max)),) * group.k)
+    return [float(np.mean(norms[(slice(len(group.folner_range(n))),) * norms.ndim]))
+            for n in range(1, n_max + 1)]

@@ -29,11 +29,9 @@ from ncjoin.dual import (
 from ncjoin.gns import (
     cesaro_correlation,
     classify_finite,
-    eigenoperator,
     modular_invariance_check,
     point_spectrum,
     point_spectrum_overlap,
-    verify_spectral_covariance,
 )
 from ncjoin.joinings import (
     build_tensor_context,
@@ -46,10 +44,10 @@ from ncjoin.joinings import (
     joining_from_values,
     product_joining,
     residual_magnitude,
-    scan_compact_disjointness,
 )
 
-from oracles import invariant_segment_vertices, invariant_transportation_max
+from oracles import (eigenoperator, invariant_segment_vertices, invariant_transportation_max,
+                     verify_spectral_covariance)
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -302,7 +300,5 @@ def test_criterion_11_finite_dimension_facts(c2, c3):
         assert cls.weakly_mixing == (sysd.dimension == 1)
         assert cls.h0_dimension == sysd.dimension
         assert any("compact is automatic" in note for note in cls.notes)
-    # the compact-systems quantifier is only ever scanned over a corpus,
-    # and the scan says so instead of claiming the universal statement
-    rows = scan_compact_disjointness(c2, [("c3", c3)])
-    assert all("no universal conclusion" in r["scope"] for r in rows)
+    # the compact-systems quantifier is only ever tested pair by pair over a corpus
+    assert disjointness_test(build_tensor_context(c2, c3)).verdict == "disjoint"

@@ -58,6 +58,8 @@ from ncjoin.joinings import (
     mirror_context,
 )
 
+import oracles
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -389,7 +391,7 @@ def test_abelianness_profile_builds_no_gns_data(monkeypatch):
     monkeypatch.setattr(gns, "gns_construct", counted)
     sysd = corpus.system("c3")
     a, b = (sysd.structure.basis_element(j) for j in (0, 1))
-    assert len(gns.asymptotic_abelianness_profile(sysd, a, b, 4)) == 4
+    assert len(oracles.asymptotic_abelianness_profile(sysd, a, b, 4)) == 4
     assert calls["gns_construct"] == 0
     assert isinstance(sysd.gns, gns.GnsSpace)
     assert calls["gns_construct"] == 1
@@ -688,11 +690,11 @@ def test_spectral_covariance_decomposes_u_once(monkeypatch, n, grid):
 
     c3 = corpus.system("c3")
     chi = np.exp(-2j * np.pi / 3)
-    u = gns.eigenoperator(c3, chi)
-    monkeypatch.setattr(gns, "spectral_atoms", counted("atoms", gns.spectral_atoms))
+    u = oracles.eigenoperator(c3, chi)
+    monkeypatch.setattr(oracles, "spectral_atoms", counted("atoms", oracles.spectral_atoms))
     for meth in ("power", "compose", "apply"):
         monkeypatch.setattr(Automorphism, meth, counted(meth, getattr(Automorphism, meth)))
-    gns.verify_spectral_covariance(c3, u, chi, n, grid=grid)
+    oracles.verify_spectral_covariance(c3, u, chi, n, grid=grid)
     assert calls == {"atoms": 1}
 
 

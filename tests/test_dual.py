@@ -760,6 +760,14 @@ def test_ornstein_scan_rejects_an_empty_window(monkeypatch, dual_shift):
         ornstein_scan_dual(dual_shift, [c], range(0))
 
 
+@pytest.mark.parametrize("labels", [["only"], ["first", "second", "extra"]])
+def test_ornstein_scan_refuses_labels_that_do_not_match_the_elements(dual_cycle2, labels):
+    # one label per element: a shorter or longer list raises, dropping nothing silently
+    cs = [parse_pair_combination(dual_cycle2, text) for text in ("x0 | x0", "x1 | x1")]
+    with pytest.raises(ValueError):
+        ornstein_scan_dual(dual_cycle2, cs, range(0, 4), labels=labels)
+
+
 # ---------------------------------------------------------------------------
 # opposite-group joining
 

@@ -23,10 +23,8 @@ from ncjoin.algebra import (
 )
 from ncjoin.errors import NcjoinError
 from ncjoin.gns import (
-    asymptotic_abelianness_profile,
     cesaro_correlation,
     classify_finite,
-    eigenoperator,
     fixed_point_algebra,
     gns_construct,
     mirror_system,
@@ -34,19 +32,21 @@ from ncjoin.gns import (
     modular_invariance_check,
     point_spectrum,
     point_spectrum_overlap,
-    spectral_atoms,
-    spectral_interval_projection,
-    verify_spectral_covariance,
 )
 from ncjoin.joinings import cesaro_diagonal_average
 
 from oracles import (
     _null_space,
+    asymptotic_abelianness_profile,
     commutant_basis_reference,
+    eigenoperator,
     mirror_dynamics_reference,
     mirror_state_reference,
     onb_matrices_reference,
     promoted_image_reference,
+    spectral_atoms,
+    spectral_interval_projection,
+    verify_spectral_covariance,
 )
 
 OMEGA3 = np.exp(2j * np.pi / 3)

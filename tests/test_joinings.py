@@ -45,11 +45,11 @@ from ncjoin.joinings import (
     ornstein_ratio_scan,
     product_joining,
     residual_magnitude,
-    scan_compact_disjointness,
 )
 
-from oracles import (diagonal_table, element_automorphism_reference, invariant_transportation_max,
-                     joining_residuals_reference, witness_direction_reference)
+from oracles import (diagonal_table, element_automorphism_reference, folner_elements,
+                     invariant_transportation_max, joining_residuals_reference,
+                     witness_direction_reference)
 
 ROTATION_IMAGES = {"c2": 2, "c3": 3, "c5": 5}
 
@@ -533,11 +533,10 @@ def test_witness_direction_matches_the_scan():
 
 
 def test_compact_corpus_scan_finds_witness(c2, c3):
-    rows = scan_compact_disjointness(c2, [("c3", c3), ("c2", corpus.system("c2"))])
-    verdicts = {r["candidate"]: r["verdict"] for r in rows}
+    verdicts = {name: disjointness_test(build_tensor_context(c2, cand)).verdict
+                for name, cand in (("c3", c3), ("c2", corpus.system("c2")))}
     assert verdicts["c3"] == "disjoint"
     assert verdicts["c2"] == "not_disjoint"
-    assert all("no universal conclusion" in r["scope"] for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +662,15 @@ def test_ornstein_scan_skips_degenerate(c2):
     assert scan.skipped == ["zero"]
 
 
+@pytest.mark.parametrize("labels", [["only"], ["first", "second", "extra"]])
+def test_ornstein_scan_refuses_labels_that_do_not_match_the_elements(c3, labels):
+    # one label per element: a shorter or longer list raises, dropping nothing silently
+    ctx = mirror_context(c3)
+    pairs = [ctx.basis_pair(0, 0), ctx.basis_pair(1, 1)]
+    with pytest.raises(ValueError):
+        ornstein_ratio_scan(ctx, pairs, range(0, 4), labels=labels)
+
+
 def test_ornstein_scans_an_element_of_small_denominator(c2):
     # only a denominator at most 1e-12 counts as degenerate: 1e-3·(e_0 ⊗ f_0)
     # has (μ ⊙ μ̃)(c*c) = 1e-6·(1/2)·(1/2) and the ratios of e_0 ⊗ f_0
@@ -758,7 +766,7 @@ def test_diagonal_tables_match_pairwise_reference(name):
     tol = 1e-12
     ident = identity_automorphism(sysd.structure)
     assert np.max(np.abs(diagonal_state(sysd).values - diagonal_table(sysd, ident))) < tol
-    elements = sysd.group.folner_elements(12)
+    elements = folner_elements(sysd.group, 12)
     reference = sum(diagonal_table(sysd, element_automorphism_reference(sysd, g))
                     for g in elements) / len(elements)
     assert np.max(np.abs(cesaro_diagonal_average(sysd, 12).values - reference)) < tol

@@ -1,6 +1,6 @@
 """Power tables and Følner means against independent references.
 
-`gns.element_matrices` builds each generator's powers by running
+`oracles.element_matrices` builds each generator's powers by running
 products, and `gns.folner_mean` and `gns.cesaro_correlation` read the
 Følner mean off the joint spectrum (`sys.spectrum`); the references in
 `oracles.py` compute every element's matrix on its own, or sum one power
@@ -17,14 +17,16 @@ from hypothesis import strategies as st
 from ncjoin import cli, corpus, joinings
 from ncjoin.algebra import (FiniteSystem, GroupDescriptor, _operator_norms,
                             cyclic_rotation_system, single_block_system, uniform_state)
-from ncjoin.gns import (asymptotic_abelianness_profile, cesaro_correlation, element_matrices,
-                        folner_mean)
+from ncjoin.gns import cesaro_correlation, folner_mean
 from ncjoin.joinings import (_diagonal_values, cesaro_diagonal_average, mirror_context,
                              ornstein_ratio_scan)
 from oracles import (
+    asymptotic_abelianness_profile,
     cesaro_correlation_reference,
     element_automorphism_reference,
     element_matrix_reference,
+    element_matrices,
+    folner_elements,
     folner_mean_reference,
     folner_mean_running_reference,
     onb_matrices_reference,
@@ -55,7 +57,7 @@ def _windows(sysd):
         sets = [list(itertools.product(range(-3, 4), repeat=group.k)), [(-4, 2)]]
     else:
         sets = [[(j,) for j in range(-group.m, 2 * group.m)]]
-    return sets + [group.folner_elements(6)]
+    return sets + [folner_elements(group, 6)]
 
 
 def _close(a, b):
@@ -190,6 +192,8 @@ def test_ornstein_scan_matches_reference(name):
             for n, (row_n, ratio), value in zip(window, report.ratios, values):
                 assert row_n == n
                 assert abs(ratio - value / denom) <= TOL
+            assert report.sup == max(0.0, max(r for _, r in report.ratios))
+        assert scan.sup_ratio == max(r.sup for r in scan.elements)
 
 
 @pytest.mark.parametrize("eps,period", [(0.8e-9, 1), (1.2e-9, None)])
@@ -229,6 +233,6 @@ def test_abelianness_profile_matches_automorphisms(name):
     profile = asymptotic_abelianness_profile(sysd, a, b, 5)
     for n, value in enumerate(profile, start=1):
         images = [element_automorphism_reference(sysd, g).apply(b)
-                  for g in sysd.group.folner_elements(n)]
+                  for g in folner_elements(sysd.group, n)]
         ref = np.mean([(a @ bg - bg @ a).norm() for bg in images])
         assert abs(value - ref) <= TOL * max(1.0, ref)

@@ -12,6 +12,9 @@ fact twice: readers should read the attribute, made public if need be.
 An exception class lives in ``errors.py``, and only while some ``except``
 in the package names it: a class that nothing catches by name adds no
 exit code and no handling, so its raise sites use a surviving class.
+A public top-level function or class is read by name somewhere else in
+the package or in ``perfbench/``, or has an owner on the ROADMAP: code
+that only tests read lives in ``tests/oracles.py``.
 """
 
 import ast
@@ -24,6 +27,17 @@ from pathlib import Path
 import ncjoin
 
 SOURCE = Path(ncjoin.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# public names that nothing in the package reads yet, with the ROADMAP item that owns each
+OWNED = {
+    "conditional_expectation": "item 4",
+    "fixed_point_algebra": "item 4",
+    "modular_invariance_check": "item 4",
+    "joining_face_dimension": "items 5 and 10",
+    "point_spectrum_overlap": "item 6",
+    "identity_system": "a system constructor, like cyclic_rotation_system",
+}
 
 
 def test_package_binds_only_submodules_and_version():
@@ -150,3 +164,33 @@ def test_exception_classes_are_caught_by_name():
                     for b in (_resolve(base, namespace) for base in node.bases))]
     assert [name for name in defined.pop("errors") if name not in caught] == []
     assert {stem: names for stem, names in defined.items() if names} == {}
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Names and attributes read by each top-level statement, its own name aside."""
+    read = set()
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        read |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+                 if isinstance(n, (ast.Name, ast.Attribute))} - {own}
+    return read
+
+
+def _spanned(tree: ast.Module) -> set[str]:
+    """The strings of the tracer's SPANNED table: the functions it wraps by name."""
+    return {n.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "SPANNED" for t in stmt.targets)
+            for n in ast.walk(stmt.value) if isinstance(n, ast.Constant)}
+
+
+def test_every_public_name_has_a_reader_or_an_owner():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))}
+    public = {node.name: path.name for path, tree in trees.items() if path.parent == SOURCE
+              for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    read = set().union(*map(_names_read, trees.values()),
+                       _spanned(trees[PERFBENCH / "tracer.py"]))
+    assert set(OWNED) <= set(public) - read
+    assert {name: where for name, where in public.items()
+            if name not in read and name not in OWNED} == {}
