@@ -348,10 +348,6 @@ class AlgebraElement:
         out[self.structure.block_mask] = self._coords
         return out
 
-    def isclose(self, other, tol=1e-10) -> bool:
-        self._check_same(other)
-        return (self - other).norm() <= tol
-
 
 class FaithfulState:
     """State ``a ↦ trace(ρ a)`` given by a block-diagonal density ρ.
@@ -597,10 +593,6 @@ class ValidationReport:
     @property
     def valid(self) -> bool:
         return not self.violations
-
-    def max_residual(self, kind: str | None = None) -> float:
-        vs = [v.residual for v in self.violations if kind is None or v.kind == kind]
-        return max(vs, default=0.0)
 
     def __str__(self):
         if self.valid:

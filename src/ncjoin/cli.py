@@ -228,16 +228,16 @@ def _parse_objective_file(ctx, ref: str):
     terms = data.get("terms") if isinstance(data, dict) else None
     if not isinstance(terms, list):
         raise InputFormatError(f"{ref}: objective file needs a 'terms' list")
-    elem = ctx.structure.zero()
+    table = np.zeros((ctx.dim_a, ctx.dim_b), dtype=complex)
     for t in terms:
         try:
             coef = fileio._entry_from_json(t.get("coef", [1.0, 0.0]))
             i = _index(_integer(t["i"], "objective term i"), ctx.dim_a)
             j = _index(_integer(t["j"], "objective term j"), ctx.dim_b)
-            elem = elem + coef * ctx.basis_pair(i, j)
+            table[i, j] += coef
         except (AttributeError, KeyError, TypeError, ValueError, InputFormatError) as exc:
             raise InputFormatError(f"{ref}: malformed objective term {t!r}: {exc}") from exc
-    return elem
+    return table
 
 
 def _cmd_joinings_find(args):
@@ -311,9 +311,11 @@ def _cmd_ornstein(args):
         pairs = [_basis_pair(ctx, chunk) for chunk in args.elements.split(";")]
     else:
         pairs = [(i, i) for i in range(ctx.dim_a)]
-    elements = [ctx.basis_pair(i, j) for i, j in pairs]
+    rows, cols = np.array(pairs).T
+    tables = np.zeros((len(pairs), ctx.dim_a, ctx.dim_b))   # the unit table of each pair
+    tables[np.arange(len(pairs)), rows, cols] = 1
     labels = [f"e{i}xf{j}" for i, j in pairs]
-    scan = ornstein_ratio_scan(ctx, elements, window, labels=labels)
+    scan = ornstein_ratio_scan(ctx, tables, window, labels=labels)
     results = {**vars(scan), "elements": [vars(r) for r in scan.elements]}
     warnings = []
     if scan.period is None:

@@ -35,6 +35,11 @@ The diagonal state of a system with its mirror and its shifts Δ_n are GNS
 quantities: their value tables are Uᵀ·M·T in closed form, from the
 system's cached GNS and mirror data (`_diagonal_values`).
 
+An element c of A ⊙ B is its coefficient table: the (dim_a, dim_b) array
+with c[i, j] the coefficient of e_i ⊗ f_j, so that ω(c) = Σ c[i, j] V[i, j].
+`find_joining` takes its objective as such a table, or as a basis pair
+(i, j), and `ornstein_ratio_scan` takes a stack of them.
+
 A context holds the two systems and the layout of their product algebra
 only: every reader takes the GNS spaces from `ctx.A.gns` and `ctx.B.gns`,
 the unitaries from `generator_matrices` and the state values μ(e_i) from
@@ -50,7 +55,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    AlgebraElement,
     BlockStructure,
     FiniteSystem,
     _adjoints,
@@ -73,12 +77,13 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass
 class TensorContext:
-    """Two systems and the product algebra A ⊙ B in which they are joined.
+    """Two systems and the layout of the product algebra A ⊙ B in which they
+    are joined.
 
-    The product algebra has one block per pair of blocks; basis pair
-    e_i ⊗ f_j is its matrix unit pair_index[i, j]. `blocks` groups the
-    product blocks by size N, each group an (m, N, N) array of the flat
-    positions i·dim_b + j of the block's matrix units in a value table.
+    The product algebra has one block per pair of blocks, and each basis
+    pair e_i ⊗ f_j is one of its matrix units. `blocks` groups the product
+    blocks by size N, each group an (m, N, N) array of the flat positions
+    i·dim_b + j of the block's matrix units in a value or coefficient table.
     `hermitian_positions` lists the flat positions of the diagonal units
     and of the units above the diagonal and their adjoints, block by block.
     These depend only on the two block structures and are shared by every
@@ -87,8 +92,6 @@ class TensorContext:
 
     A: FiniteSystem
     B: FiniteSystem
-    structure: BlockStructure
-    pair_index: np.ndarray   # (dA, dB) -> canonical index in the product basis
     blocks: list[np.ndarray]
     hermitian_positions: tuple[np.ndarray, np.ndarray, np.ndarray]   # diagonal, upper, lower
 
@@ -102,20 +105,7 @@ class TensorContext:
 
     @property
     def dim(self) -> int:
-        return self.structure.dimension
-
-    def basis_pair(self, i: int, j: int) -> AlgebraElement:
-        """The element e_i ⊗ f_j of the product algebra."""
-        if not (0 <= i < self.dim_a and 0 <= j < self.dim_b):
-            raise IndexError(f"basis pair ({i}, {j}) out of range "
-                             f"0..{self.dim_a - 1} × 0..{self.dim_b - 1}")
-        return self.structure.basis_element(int(self.pair_index[i, j]))
-
-    def tensor_element(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-        """a ⊗ b: its coordinate at pair_index[i, j] is a_i·b_j."""
-        v = np.empty(self.dim, dtype=complex)
-        v[self.pair_index] = np.outer(a.coords(), b.coords())
-        return AlgebraElement.of_vector(self.structure, v)
+        return self.dim_a * self.dim_b
 
     def product_values(self) -> np.ndarray:
         return np.outer(self.A.state.values, self.B.state.values)
@@ -128,8 +118,9 @@ class TensorContext:
 
 @functools.lru_cache(maxsize=64)
 def _product_layout(sizes_a: tuple[int, ...], sizes_b: tuple[int, ...]):
-    """(structure, pair_index, blocks, hermitian_positions) of A ⊙ B, one per
-    pair of block-size tuples; the arrays are shared, so they are read-only."""
+    """(blocks, hermitian_positions) of A ⊙ B, one per pair of block-size
+    tuples, read off the product structure; the arrays are shared, so they
+    are read-only."""
     sa, sb = BlockStructure(sizes_a), BlockStructure(sizes_b)
     structure = BlockStructure(tuple(na * nb for na in sizes_a for nb in sizes_b))
     # e_i ⊗ f_j is the unit (ra·nb + rb, ca·nb + cb) of product block ka·mB + kb
@@ -146,9 +137,9 @@ def _product_layout(sizes_a: tuple[int, ...], sizes_b: tuple[int, ...]):
     upper = np.flatnonzero(r < c)
     hermitian = tuple(position[q] for q in (
         np.flatnonzero(r == c), upper, structure.adjoint_indices[upper]))
-    for shared in (pair_index, *blocks, *hermitian):
+    for shared in (*blocks, *hermitian):
         shared.flags.writeable = False
-    return structure, pair_index, blocks, hermitian
+    return blocks, hermitian
 
 
 def build_tensor_context(A: FiniteSystem, B: FiniteSystem) -> TensorContext:
@@ -158,10 +149,8 @@ def build_tensor_context(A: FiniteSystem, B: FiniteSystem) -> TensorContext:
     if A.group != B.group:
         raise InputFormatError(
             f"systems act by different groups: {A.group} vs {B.group}")
-    structure, pair_index, blocks, hermitian = _product_layout(
-        A.structure.block_sizes, B.structure.block_sizes)
-    return TensorContext(A=A, B=B, structure=structure, pair_index=pair_index, blocks=blocks,
-                         hermitian_positions=hermitian)
+    blocks, hermitian = _product_layout(A.structure.block_sizes, B.structure.block_sizes)
+    return TensorContext(A=A, B=B, blocks=blocks, hermitian_positions=hermitian)
 
 
 def _hermitian_part(X: np.ndarray) -> np.ndarray:
@@ -229,9 +218,6 @@ class JoiningMatrix:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
         self.residuals = joining_residuals(self.ctx, self.values)
-
-    def value(self, x: AlgebraElement) -> complex:
-        return complex(np.sum(x.coords()[self.ctx.pair_index] * self.values))
 
 
 def joining_from_values(ctx: TensorContext, values, label: str,
@@ -548,21 +534,26 @@ class SolveReport:
 
 def _objective(ctx: TensorContext, objective) -> tuple[np.ndarray, float, str]:
     """Value coefficients of the objective's Hermitian part, its largest
-    eigenvalue and a label; a basis index pair (i, j) stands for e_i ⊗ f_j."""
+    eigenvalue and a label. The objective is a coefficient table, or a basis
+    index pair (i, j) for e_i ⊗ f_j."""
     label = "element"
     if isinstance(objective, tuple) and len(objective) == 2:
-        label = f"basis({objective[0]},{objective[1]})"
-        objective = ctx.basis_pair(*objective)
-    if not isinstance(objective, AlgebraElement):
-        raise NcjoinError("objective must be an AlgebraElement or a basis index pair")
-    if objective.structure.block_sizes != ctx.structure.block_sizes:
-        raise NcjoinError(f"objective has blocks {objective.structure.block_sizes}, "
-                          f"A ⊙ B has {ctx.structure.block_sizes}")
-    v = objective.coords()
-    h = 0.5 * (v + v[ctx.structure.adjoint_indices].conj())
-    top = max(float(_eigvalsh(h[g.units].reshape(-1, g.size, g.size)).max())
-              for g in ctx.structure.size_groups)
-    return h[ctx.pair_index].reshape(-1), top, label
+        i, j = objective
+        if not (0 <= i < ctx.dim_a and 0 <= j < ctx.dim_b):
+            raise IndexError(f"basis pair ({i}, {j}) out of range "
+                             f"0..{ctx.dim_a - 1} × 0..{ctx.dim_b - 1}")
+        label, objective = f"basis({i},{j})", np.zeros((ctx.dim_a, ctx.dim_b), dtype=complex)
+        objective[i, j] = 1
+    if not isinstance(objective, np.ndarray) or objective.shape != (ctx.dim_a, ctx.dim_b):
+        raise NcjoinError(f"objective must be a basis index pair or a "
+                          f"({ctx.dim_a}, {ctx.dim_b}) coefficient table")
+    v = objective.astype(complex).reshape(-1)
+    k, tops = np.empty(ctx.dim, dtype=complex), []
+    for idx in ctx.blocks:
+        X = v[idx]
+        k[idx] = H = 0.5 * (X + _adjoints(X))
+        tops.append(float(_eigvalsh(H).max()))
+    return k, max(tops), label
 
 
 def _barrier_solve(ctx: TensorContext, k: np.ndarray, top: float, label: str, width: float,
@@ -599,8 +590,8 @@ def _barrier_solve(ctx: TensorContext, k: np.ndarray, top: float, label: str, wi
     if flat < top:
         upper, dual = flat, np.zeros(ctx.dim, dtype=complex)
     else:   # Z = top·(1 ⊗ 1) − c
-        ident = ctx.structure._identity_coords[ctx.pair_index].reshape(-1)
-        upper, dual = top, top * ident - k.conj()
+        ident = np.outer(ctx.A.structure._identity_coords, ctx.B.structure._identity_coords)
+        upper, dual = top, top * ident.reshape(-1) - k.conj()
     dual_floor = None   # the floor of `dual`, taken when a dual is accepted
     lower, best = c0, np.zeros(len(basis))
     floor = c0 if beat_product else -math.inf
@@ -734,7 +725,9 @@ def disjointness_test(ctx: TensorContext, max_iter: int = DEFAULT_MAX_ITER,
     norms = np.linalg.norm(tangent.basis.view(float), axis=0)   # Re, Im of column q at 2q, 2q + 1
     q, r = divmod(int(np.argmax(norms > _RANK_GAP_MIN)), 2)
     (i, j), w = divmod(q, ctx.dim_b), 1j ** r
-    k, top, _ = _objective(ctx, w * ctx.basis_pair(i, j))
+    direction = np.zeros((ctx.dim_a, ctx.dim_b), dtype=complex)
+    direction[i, j] = w
+    k, top, _ = _objective(ctx, direction)
     cert.directions_scanned = 4 * q + r + 1
     witness, report = _barrier_solve(ctx, k, top, f"witness({i},{j})", width, max_iter,
                                      beat_product=True)
@@ -842,7 +835,8 @@ def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
     """Table of Δ_n(c*c) / (μ ⊙ μ̃)(c*c) over a window of shifts.
 
     `ctx` is `mirror_context(sys)`, the tensor algebra of the system
-    `ctx.A` with its promoted mirror, in which the elements live.
+    `ctx.A` with its promoted mirror, and `test_elements` is a stack of
+    coefficient tables c in it, (m, dim_a, dim_b).
     Nontrivial finite systems recur instead of mixing, so the scan also
     reports the recurrence period of the dynamics when one exists within
     the window. Degenerate elements (denominator at most 1e-12) are skipped
@@ -860,8 +854,7 @@ def ornstein_ratio_scan(ctx: TensorContext, test_elements, n_range,
 
     # value tables of every c*c: the density blocks of c, squared as Xᴴ·X per block size
     labels = labels or [f"element {k}" for k in range(len(test_elements))]
-    coords = np.array([c.coords()[ctx.pair_index] for c in test_elements],
-                      dtype=complex).reshape(len(test_elements), ctx.dim)
+    coords = np.asarray(test_elements, dtype=complex).reshape(len(test_elements), ctx.dim)
     squares = np.zeros_like(coords)
     for idx in ctx.blocks:
         X = coords[:, idx]

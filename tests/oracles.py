@@ -34,6 +34,11 @@ stored elements as flat vectors, read Følner means off the joint spectrum
 and checked each distinct sample once. The Cesàro limit ⟨P₁x, y⟩ takes
 the fixed space from a null space of its own, not from the spectrum.
 
+The product algebra A ⊙ B is built here as a block structure with one
+kron per pair of leg blocks, in which an element is a coordinate vector, as
+the package built objectives, witness directions and Ornstein elements
+before it took them as coefficient tables.
+
 The barrier line search is kept as safeguarded Newton on ψ′ itself, as
 the solver ran it before it removed the pole of ψ′ at the step bound. The
 Newton step's kernels (the gradient and Hessian of the barrier, the dual
@@ -56,6 +61,7 @@ those projections under the dynamics, and the asymptotic-abelianness
 profile with the power-table element matrices and Folner elements it reads.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -64,14 +70,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from ncjoin.algebra import (FAITHFULNESS_MIN_EIG, VALIDATION_TOL, AlgebraElement, FiniteSystem,
-                            _adjoints, _eigvalsh, _inv_cholesky, _operator_norms,
+from ncjoin.algebra import (FAITHFULNESS_MIN_EIG, VALIDATION_TOL, AlgebraElement, BlockStructure,
+                            FiniteSystem, _adjoints, _eigvalsh, _inv_cholesky, _operator_norms,
                             identity_automorphism, sandwich_matrix)
 from ncjoin.dual import (IDENTITY_PERM, DeltaEvaluation, FinPerm, QQi, classify_dual,
                          word_multiply)
 from ncjoin.errors import InputFormatError, NcjoinError
 from ncjoin.gns import _linkage, point_spectrum, powers
-from ncjoin.joinings import _RANK_GAP_MIN, _diagonal_values, _objective
+from ncjoin.joinings import _RANK_GAP_MIN, _diagonal_values
 
 
 def invariant_transportation_max(mu, nu, sigma, tau, cost):
@@ -274,6 +280,38 @@ def tensor_blocks_reference(a, b):
     """Blocks of a ⊗ b in the product algebra: one kron per pair of blocks."""
     return [np.kron(x, y) for x in blocks_reference(a.structure, a.coords())
             for y in blocks_reference(b.structure, b.coords())]
+
+
+def product_algebra_reference(ctx):
+    """(structure, index) of the product algebra A ⊙ B of a context, from
+    `tensor_blocks_reference`: one block of size n_k·n_l per pair of leg
+    blocks, and index[i, j] the coordinate at which the blocks of
+    e_i ⊗ f_j, read off in order, hold their one nonzero entry."""
+    return _product_algebra(ctx.A.structure.block_sizes, ctx.B.structure.block_sizes)
+
+
+@functools.cache
+def _product_algebra(sizes_a, sizes_b):
+    sa, sb = BlockStructure(sizes_a), BlockStructure(sizes_b)
+    structure = BlockStructure(tuple(na * nb for na in sizes_a for nb in sizes_b))
+    index = np.empty((sa.dimension, sb.dimension), dtype=int)
+    for i, j in np.ndindex(index.shape):
+        blocks = tensor_blocks_reference(sa.basis_element(i), sb.basis_element(j))
+        index[i, j] = np.flatnonzero(np.concatenate([x.reshape(-1) for x in blocks]))[0]
+    return structure, index
+
+
+def product_element_reference(ctx, table):
+    """The element of A ⊙ B whose coefficient of e_i ⊗ f_j is table[i, j]."""
+    structure, index = product_algebra_reference(ctx)
+    v = np.zeros(structure.dimension, dtype=complex)
+    v[index] = table
+    return structure.from_coords(v)
+
+
+def product_table_reference(ctx, c):
+    """The coefficient table of an element c of A ⊙ B."""
+    return c.coords()[product_algebra_reference(ctx)[1]]
 
 
 def density_power_reference(sys, z):
@@ -515,8 +553,10 @@ def delta_n_reference(sys, c, n):
 
 
 def ornstein_ratio_reference(ctx, c, window):
-    """(denominator, Δ_n values) of one element of a mirror context, one sum per n."""
-    coef = (c.adjoint() @ c).coords()[ctx.pair_index]
+    """(denominator, Δ_n values) of the element of a mirror context with
+    coefficient table c, squared in the product algebra, one sum per n."""
+    c = product_element_reference(ctx, c)
+    coef = product_table_reference(ctx, c.adjoint() @ c)
     tables = _diagonal_values(ctx, np.array(
         [element_matrix_reference(ctx.A.generator_matrices, (n,)) for n in window]))
     return (float(np.sum(coef * ctx.product_values()).real),
@@ -759,13 +799,17 @@ def witness_direction_reference(ctx):
     """(directions_scanned, witness_direction) of a trusted `disjointness_test`.
 
     The first of the 4·dim directions w·(e_i ⊗ f_j), in (i, j, w) order with
-    w = 1, i, −1, −i, whose Hermitian part, built as an algebra element, has
-    a projection onto T above rounding, as the test scanned them before it
-    read the direction off T's basis; (4·dim, None) when T = {0}.
+    w = 1, i, −1, −i, whose Hermitian part, built as an element of the
+    product algebra, has a projection onto T above rounding, as the test
+    scanned them before it read the direction off T's basis; (4·dim, None)
+    when T = {0}.
     """
     for pos in range(4 * ctx.dim):
         (i, j), w = divmod(pos // 4, ctx.dim_b), 1j ** (pos % 4)
-        k, _, _ = _objective(ctx, w * ctx.basis_pair(i, j))
+        table = np.zeros((ctx.dim_a, ctx.dim_b), dtype=complex)
+        table[i, j] = w
+        c = product_element_reference(ctx, table)
+        k = product_table_reference(ctx, 0.5 * (c + c.adjoint())).reshape(-1)
         if np.linalg.norm((ctx.tangent.basis @ k).real) > _RANK_GAP_MIN:
             return pos + 1, (i, j, w)
     return 4 * ctx.dim, None

@@ -35,6 +35,7 @@ from oracles import (
     hermiticity_reference,
     min_eigenvalue_reference,
     modular_conjugation_reference,
+    product_element_reference,
     sandwich_matrix_reference,
     state_value_reference,
     top_eigenvalue_reference,
@@ -151,9 +152,10 @@ def test_objective_top_eigenvalue_matches_blockwise_reference(sizes):
     sysd = FiniteSystem(s, uniform_state(s), GroupDescriptor("Z"),
                         [Automorphism(s, tuple(range(len(sizes))), [_haar(rng, n) for n in sizes])])
     ctx = mirror_context(sysd)
-    d = ctx.structure.dimension
-    c = ctx.structure.from_coords(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-    assert _close(_objective(ctx, c)[1], top_eigenvalue_reference(0.5 * (c + c.adjoint())))
+    shape = (ctx.dim_a, ctx.dim_b)
+    table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c = product_element_reference(ctx, table)
+    assert _close(_objective(ctx, table)[1], top_eigenvalue_reference(0.5 * (c + c.adjoint())))
 
 
 def test_one_by_one_eigen_shortcuts_match_lapack_bit_for_bit():

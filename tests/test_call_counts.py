@@ -15,7 +15,9 @@ large one. A barrier solve makes one linear solve per Newton step, and on
 A system's point spectrum takes one `eigh`, however many classifications
 and joining solves read it, its value vectors are built once for all the
 solves on it, and contexts over one pair of block-size tuples share one
-product structure. A context builds its tangent space once, with at most one
+product layout. Objectives, witness directions and Ornstein test elements
+are coefficient tables, so a solve or a scan builds no element of the
+product algebra. A context builds its tangent space once, with at most one
 SVD. The joining battery reads the generators' coordinate
 matrices, so `joinings diagonal` builds no GNS data of the mirror, and
 the asymptotic abelianness profile, which reads only those, builds none.
@@ -39,6 +41,7 @@ import pytest
 
 from ncjoin import cli, corpus, dual, fileio, gns, joinings
 from ncjoin.algebra import (
+    AlgebraElement,
     Automorphism,
     BlockStructure,
     FaithfulState,
@@ -326,28 +329,36 @@ def test_gram_only_commands_take_no_cholesky(monkeypatch, command):
     assert calls == {}, calls
 
 
-def _zeros_calls(monkeypatch, ctx):
-    calls = Counter()
-    original = np.zeros
+@pytest.mark.parametrize("command,dims", [
+    ("joinings find --a corpus:c3 --b corpus:c3 --objective 0,1", (3, 3)),
+    ("joinings find --a corpus:gibbs --b corpus:c3 --objective-file {file}", (4, 3)),
+    ("joinings disjoint --a corpus:c3 --b corpus:c3", (3, 3)),
+    ("ornstein --system corpus:c3 --window 0..4 --elements 0,1;2,2;1,0", (3, 3)),
+])
+def test_solves_and_scans_build_no_product_algebra_element(monkeypatch, tmp_path, command, dims):
+    """An element of A ⊙ B is its coefficient table: objectives, witness
+    directions and Ornstein test elements build no AlgebraElement with
+    dim_a·dim_b coordinates, while the legs still build theirs."""
+    built = Counter()   # coordinates of an element -> elements built
+    init, of_vector = AlgebraElement.__init__, AlgebraElement.of_vector.__func__
 
-    def counted(*args, **kwargs):
-        calls["zeros"] += 1
-        return original(*args, **kwargs)
+    def counted_init(self, structure, blocks):
+        built[structure.dimension] += 1
+        init(self, structure, blocks)
 
-    with monkeypatch.context() as m:
-        m.setattr(np, "zeros", counted)
-        for i, j in ((0, 0), (1, 2), (3, 3)):
-            ctx.basis_pair(i, j).coords()
-    return calls["zeros"]
+    def counted_of_vector(cls, structure, v):
+        built[structure.dimension] += 1
+        return of_vector(cls, structure, v)
 
-
-def test_basis_pairs_allocate_once_per_element(monkeypatch):
-    """An element is one coordinate vector: a basis pair of the 576-block C24
-    mirror context allocates as often as one of the 16-block C4 context."""
-    small, large = (mirror_context(cyclic_rotation_system(p)) for p in (4, 24))
-    count = _zeros_calls(monkeypatch, small)
-    assert count >= 1
-    assert _zeros_calls(monkeypatch, large) == count
+    path = tmp_path / "objective.json"
+    path.write_text(json.dumps({"terms": [{"i": 0, "j": 1, "coef": [1.0, 0.5]},
+                                          {"i": 3, "j": 2, "coef": -2.0}]}))
+    monkeypatch.setattr(AlgebraElement, "__init__", counted_init)
+    monkeypatch.setattr(AlgebraElement, "of_vector", classmethod(counted_of_vector))
+    report, code = cli.run(command.format(file=path).split())
+    assert code == 0, report
+    assert built[dims[0]] > 0
+    assert built[dims[0] * dims[1]] == 0, built
 
 
 def test_contexts_build_no_gns_data(monkeypatch):
@@ -526,7 +537,8 @@ def test_addresses_are_computed_once_per_structure(monkeypatch):
     ctx = build_tensor_context(legs[0], legs[0])
     find_joining(ctx, objective=(0, 1))
     find_joining(build_tensor_context(legs[1], legs[1]), objective=(0, 1))
-    assert id(ctx.structure) in computed
+    sizes = [s.block_sizes for s, _ in computed.values()]
+    assert (1,) * 9 in sizes and (4,) in sizes   # the product structures of the two layouts
     assert not {id(s.structure) for s in legs} & set(computed)
     assert all(count == 1 for _, count in computed.values())
 
@@ -548,7 +560,7 @@ def test_contexts_over_one_pair_of_block_sizes_share_one_product_structure(monke
     contexts = [build_tensor_context(*legs) for _ in range(5)]
     for ctx in contexts:
         find_joining(ctx, objective=(0, 1))
-    assert all(ctx.structure is contexts[0].structure for ctx in contexts)
+    assert all(ctx.blocks is contexts[0].blocks for ctx in contexts)
     assert computed[(2, 4)] == 1
 
 

@@ -27,7 +27,8 @@ from ncjoin.joinings import (
     residual_magnitude,
 )
 
-from oracles import invariant_transportation_max
+from oracles import (invariant_transportation_max, product_element_reference,
+                     product_table_reference)
 from test_differential import _ad_context
 
 
@@ -80,18 +81,18 @@ def _real_rows(ctx):
 def _density_floor(ctx, z):
     """Smallest eigenvalue of the Hermitian parts of the product-algebra blocks
     that the flat value table z fills."""
-    coords = np.empty(ctx.dim, dtype=complex)
-    coords[ctx.pair_index.reshape(-1)] = z
-    blocks = ctx.structure.from_coords(coords).blocks
+    blocks = product_element_reference(ctx, z.reshape(ctx.dim_a, ctx.dim_b)).blocks
     return min(np.linalg.eigvalsh((b + b.conj().T) / 2).min() for b in blocks)
 
 
 def _objective_table(ctx, objective):
-    """c with Re ω(h) = ⟨c, z⟩ = Re Σ conj(c_q) z_q for the Hermitian part h."""
+    """c with Re ω(h) = ⟨c, z⟩ = Re Σ conj(c_q) z_q for the Hermitian part h,
+    taken in the product algebra, of an objective table or basis pair."""
     if isinstance(objective, tuple):
-        objective = ctx.basis_pair(*objective)
+        objective = np.outer(np.eye(ctx.dim_a)[objective[0]], np.eye(ctx.dim_b)[objective[1]])
+    objective = product_element_reference(ctx, objective)
     h = 0.5 * (objective + objective.adjoint())
-    return h.coords()[ctx.pair_index].reshape(-1).conj()
+    return product_table_reference(ctx, h).reshape(-1).conj()
 
 
 def _verify_bound(ctx, objective, jm, rep):
@@ -200,7 +201,9 @@ def test_certificates_verify_from_raw_constraints():
         ("pauli", "pauli", (1, 2)))]
     solves += [(_ad_context(2, 2, False), (0, 0)), (_ad_context(3, 1, True), (0, 0))]
     ctx = build_tensor_context(s("pauli"), s("pauli"))
-    solves.append((ctx, 0.3j * ctx.basis_pair(0, 1) + ctx.basis_pair(3, 2)))
+    objective = np.zeros((ctx.dim_a, ctx.dim_b), dtype=complex)
+    objective[0, 1], objective[3, 2] = 0.3j, 1
+    solves.append((ctx, objective))
     kinds = set()
     for ctx, objective in solves:
         for max_iter in (2, 500):   # capped solves keep a valid, looser bound

@@ -103,10 +103,7 @@ def test_commutative_optima_match_lp_oracle(a, b, data):
         min_size=len(mu), max_size=len(mu))), dtype=float)
     ctx = build_tensor_context(_permutation_system(images_a, mu),
                                _permutation_system(images_b, nu))
-    objective = ctx.structure.zero()
-    for (i, j), c in np.ndenumerate(cost):
-        objective = objective + complex(c) * ctx.basis_pair(i, j)
-    jm, rep = find_joining(ctx, objective=objective)
+    jm, rep = find_joining(ctx, objective=cost)
     oracle, _ = invariant_transportation_max(mu, nu, images_a, images_b, cost)
     assert not rep.inconclusive
     assert rep.lower == pytest.approx(oracle, abs=LP_TOL)
@@ -197,10 +194,7 @@ def test_singular_hessian_near_the_boundary_regression():
     cost = np.array([[0, 0, 1, 1], [0, 2, 0, 0], [2, 2, 2, 0]], dtype=float)
     ctx = build_tensor_context(_permutation_system(images_a, mu),
                                _permutation_system(images_b, nu))
-    objective = ctx.structure.zero()
-    for (i, j), c in np.ndenumerate(cost):
-        objective = objective + complex(c) * ctx.basis_pair(i, j)
-    jm, rep = find_joining(ctx, objective=objective)
+    jm, rep = find_joining(ctx, objective=cost)
     oracle, _ = invariant_transportation_max(mu, nu, images_a, images_b, cost)
     assert oracle == pytest.approx(8 / 7, abs=1e-12)
     assert not rep.inconclusive

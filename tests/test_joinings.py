@@ -49,7 +49,8 @@ from ncjoin.joinings import (
 
 from oracles import (diagonal_table, element_automorphism_reference, folner_elements,
                      invariant_transportation_max, joining_residuals_reference,
-                     witness_direction_reference)
+                     product_algebra_reference, product_element_reference,
+                     product_table_reference, witness_direction_reference)
 
 ROTATION_IMAGES = {"c2": 2, "c3": 3, "c5": 5}
 
@@ -62,35 +63,50 @@ def _rotation_images(points):
 # constructors
 
 
+def _unit(ctx, i, j):
+    """The coefficient table of e_i ⊗ f_j."""
+    return np.outer(np.eye(ctx.dim_a)[i], np.eye(ctx.dim_b)[j])
+
+
+def _table_product(ctx, x, y):
+    """The table of x·y for two coefficient tables, multiplied block by block
+    through `ctx.blocks`."""
+    x, y, out = x.reshape(-1), y.reshape(-1), np.empty(ctx.dim, dtype=complex)
+    for idx in ctx.blocks:
+        out[idx] = x[idx] @ y[idx]
+    return out.reshape(ctx.dim_a, ctx.dim_b)
+
+
 def test_tensor_context_multiplication_table(c2, gibbs):
     # products of basis pairs match blockwise products on both legs
     for sysd in (c2, gibbs):
         ctx = build_tensor_context(sysd, corpus.system("c2") if sysd is c2 else
                                    corpus.system("gibbs"))
-        assert ctx.structure.dimension == ctx.dim_a * ctx.dim_b
+        assert sum(idx.size for idx in ctx.blocks) == ctx.dim == ctx.dim_a * ctx.dim_b
         for i, j, k, l in ((0, 0, 0, 1), (1, 0, 0, 1), (2, 1, 1, 2)):
             if max(i, k) >= ctx.dim_a or max(j, l) >= ctx.dim_b:
                 continue
-            lhs = ctx.basis_pair(i, j) @ ctx.basis_pair(k, l)
+            lhs = _table_product(ctx, _unit(ctx, i, j), _unit(ctx, k, l))
             ei = sysd.structure.basis_element(i) @ sysd.structure.basis_element(k)
             fj = ctx.B.structure.basis_element(j) @ ctx.B.structure.basis_element(l)
-            assert lhs.isclose(ctx.tensor_element(ei, fj))
-    # every basis pair is the matrix unit that the blockwise Kronecker product
-    # gives, here with product blocks of sizes 2, 1, 4 and 2
+            assert np.array_equal(lhs, np.outer(ei.coords(), fj.coords()))
+    # every basis pair sits at the matrix unit that the blockwise Kronecker
+    # product gives, here with product blocks of sizes 2, 1, 4 and 2
     a, b = identity_system([1, 2]), identity_system([2, 1])
     ctx = build_tensor_context(a, b)
-    for i in range(ctx.dim_a):
-        for j in range(ctx.dim_b):
-            assert ctx.basis_pair(i, j).isclose(ctx.tensor_element(
-                a.structure.basis_element(i), b.structure.basis_element(j)), tol=0)
+    structure, index = product_algebra_reference(ctx)
+    position = np.empty(ctx.dim, dtype=int)   # canonical index -> flat position i·dim_b + j
+    position[index.reshape(-1)] = np.arange(ctx.dim)
+    for idx, g in zip(ctx.blocks, structure.size_groups, strict=True):
+        assert np.array_equal(idx, position[g.units].reshape(-1, g.size, g.size))
 
 
 def test_product_joining_values(c2):
     ctx = build_tensor_context(c2, corpus.system("c2"))
     prod = product_joining(ctx)
     assert np.allclose(prod.values, 0.25)
-    assert prod.value(ctx.tensor_element(c2.structure.identity(),
-                                         c2.structure.identity())) == pytest.approx(1.0)
+    ident = c2.structure.identity().coords()
+    assert np.sum(np.outer(ident, ident) * prod.values) == pytest.approx(1.0)
     assert residual_magnitude(prod.residuals) < 1e-12
 
 
@@ -262,14 +278,19 @@ def test_solver_options_out_of_range_raise(c2, options):
         disjointness_test(ctx, **options)
 
 
-@pytest.mark.parametrize("foreign", ["pauli", "c2"])
-def test_objective_from_another_algebra_is_rejected(c2, foreign):
-    """An element of M2 has the dimension of c2 ⊙ c2 but not its blocks; one
-    of c2 is too short. Neither is an objective on the product algebra."""
-    ctx = build_tensor_context(c2, corpus.system("c2"))
-    objective = corpus.system(foreign).structure.basis_element(1)
-    with pytest.raises(NcjoinError, match="objective has blocks"):
-        find_joining(ctx, objective=objective)
+def test_objective_must_be_a_coefficient_table(c2, c3):
+    """On c2 ⊙ c3 an objective is a (2, 3) table or a basis pair in range:
+    an algebra element, a flat vector of the six coefficients and the
+    transposed table are refused, and so is a pair out of range, a negative
+    index included."""
+    ctx = build_tensor_context(c2, c3)
+    table = np.arange(6.0).reshape(2, 3)
+    for objective in (c2.structure.identity(), table.reshape(-1), table.T):
+        with pytest.raises(NcjoinError, match="coefficient table"):
+            find_joining(ctx, objective=objective)
+    for pair in ((-1, 0), (0, -1), (ctx.dim_a, 0)):
+        with pytest.raises(IndexError):
+            find_joining(ctx, objective=pair)
 
 
 def test_witness_exceeds_the_product_at_any_width(c2):
@@ -311,13 +332,9 @@ def test_commutative_cross_check_more_directions(c2):
     rng = np.random.default_rng(11)
     for _ in range(3):
         cost = rng.uniform(0, 1, size=(2, 2))
-        elem = ctx.structure.zero()
-        for i in range(2):
-            for j in range(2):
-                elem = elem + complex(cost[i, j]) * ctx.basis_pair(i, j)
         oracle, _ = invariant_transportation_max(
             [0.5, 0.5], [0.5, 0.5], _rotation_images(2), _rotation_images(2), cost)
-        jm, rep = find_joining(ctx, objective=elem)
+        jm, rep = find_joining(ctx, objective=cost)
         assert rep.lower == pytest.approx(oracle, abs=1e-5)
 
 
@@ -326,7 +343,7 @@ def test_zero_objective_is_pinned(c2):
     ctx = build_tensor_context(c2, corpus.system("c2"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        jm, rep = find_joining(ctx, objective=ctx.structure.zero())
+        jm, rep = find_joining(ctx, objective=np.zeros((ctx.dim_a, ctx.dim_b)))
     assert rep.lower == 0.0 and rep.oracle_calls == 0
     assert residual_magnitude(jm.residuals) < 1e-12
 
@@ -647,8 +664,8 @@ def test_cesaro_diagonal_average_exact_and_bounded(c3):
 
 def test_ornstein_ratio_scan_c2(c2):
     ctx = diagonal_state(c2).ctx
-    elems = [ctx.basis_pair(0, 0), ctx.tensor_element(
-        c2.structure.identity(), c2.structure.identity())]
+    ident = c2.structure.identity().coords()
+    elems = [_unit(ctx, 0, 0), np.outer(ident, ident)]
     scan = ornstein_ratio_scan(ctx, elems, range(0, 8), labels=["e0xf0", "unit"])
     ratios = [r for _, r in scan.elements[0].ratios]
     assert ratios == pytest.approx([2, 0, 2, 0, 2, 0, 2, 0])
@@ -658,7 +675,8 @@ def test_ornstein_ratio_scan_c2(c2):
 
 def test_ornstein_scan_skips_degenerate(c2):
     ctx = diagonal_state(c2).ctx
-    scan = ornstein_ratio_scan(ctx, [ctx.structure.zero()], range(0, 4), labels=["zero"])
+    scan = ornstein_ratio_scan(ctx, [np.zeros((ctx.dim_a, ctx.dim_b))], range(0, 4),
+                               labels=["zero"])
     assert scan.skipped == ["zero"]
 
 
@@ -666,7 +684,7 @@ def test_ornstein_scan_skips_degenerate(c2):
 def test_ornstein_scan_refuses_labels_that_do_not_match_the_elements(c3, labels):
     # one label per element: a shorter or longer list raises, dropping nothing silently
     ctx = mirror_context(c3)
-    pairs = [ctx.basis_pair(0, 0), ctx.basis_pair(1, 1)]
+    pairs = [_unit(ctx, 0, 0), _unit(ctx, 1, 1)]
     with pytest.raises(ValueError):
         ornstein_ratio_scan(ctx, pairs, range(0, 4), labels=labels)
 
@@ -675,7 +693,7 @@ def test_ornstein_scans_an_element_of_small_denominator(c2):
     # only a denominator at most 1e-12 counts as degenerate: 1e-3·(e_0 ⊗ f_0)
     # has (μ ⊙ μ̃)(c*c) = 1e-6·(1/2)·(1/2) and the ratios of e_0 ⊗ f_0
     ctx = diagonal_state(c2).ctx
-    unit = ctx.basis_pair(0, 0)
+    unit = _unit(ctx, 0, 0)
     scan = ornstein_ratio_scan(ctx, [unit, 1e-3 * unit], range(0, 8), labels=["unit", "small"])
     assert scan.skipped == []
     full, small = scan.elements
@@ -687,7 +705,7 @@ def test_ornstein_scans_an_element_of_small_denominator(c2):
 def test_ornstein_trivial_system_all_ratios_one():
     triv = identity_system([1])
     ctx = diagonal_state(triv).ctx
-    scan = ornstein_ratio_scan(ctx, [ctx.basis_pair(0, 0)], range(0, 5))
+    scan = ornstein_ratio_scan(ctx, [_unit(ctx, 0, 0)], range(0, 5))
     assert all(r == pytest.approx(1.0) for _, r in scan.elements[0].ratios)
 
 
@@ -777,12 +795,13 @@ def test_diagonal_tables_match_pairwise_reference(name):
         table = diagonal_table(sysd, gen.power(n))
         assert np.max(np.abs(graph_joining(sysd, n).values - table)) < tol, n
     ctx = mirror_context(sysd)
-    pairs = [ctx.basis_pair(i, i) for i in range(ctx.dim_a)]
+    pairs = [_unit(ctx, i, i) for i in range(ctx.dim_a)]
     scan = ornstein_ratio_scan(ctx, pairs, range(17))
     assert not scan.skipped
     prod = ctx.product_values()
     for c, report in zip(pairs, scan.elements):
-        coef = (c.adjoint() @ c).coords()[ctx.pair_index]
+        c = product_element_reference(ctx, c)
+        coef = product_table_reference(ctx, c.adjoint() @ c)
         denom = float(np.sum(coef * prod).real)
         for n, ratio in report.ratios:
             table = diagonal_table(sysd, gen.power(n))

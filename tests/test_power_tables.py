@@ -178,10 +178,10 @@ def test_ornstein_scan_matches_reference(name):
     sysd = SYSTEMS[name]
     ctx = mirror_context(sysd)
     rng = np.random.default_rng(3)
-    # basis pairs, then elements with every coordinate nonzero
-    elements = [ctx.basis_pair(i, i) for i in range(ctx.dim_a)] + [
-        ctx.structure.from_coords(rng.standard_normal(ctx.dim)
-                                  + 1j * rng.standard_normal(ctx.dim)) for _ in range(3)]
+    # the tables of basis pairs, then tables with every coefficient nonzero
+    shape = (ctx.dim_a, ctx.dim_b)
+    elements = [np.outer(np.eye(ctx.dim_a)[i], np.eye(ctx.dim_b)[i]) for i in range(ctx.dim_a)] + [
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(3)]
     for window in (range(-4, 5), range(0, 17), range(5, 10), range(-6, 0)):
         scan = ornstein_ratio_scan(ctx, elements, window)
         assert scan.period == recurrence_period_reference(sysd, max(window))
@@ -211,7 +211,8 @@ def test_period_search_decides_the_frobenius_band(monkeypatch, eps, period):
         return _operator_norms(stack)
 
     monkeypatch.setattr(joinings, "_operator_norms", recorded)
-    scan = ornstein_ratio_scan(ctx, [ctx.basis_pair(0, 0)], range(0, 17))
+    scan = ornstein_ratio_scan(ctx, [np.outer(np.eye(ctx.dim_a)[0], np.eye(ctx.dim_b)[0])],
+                               range(0, 17))
     assert scan.period == period == recurrence_period_reference(sysd, 16)
     assert stacks == [1]
 

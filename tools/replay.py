@@ -10,13 +10,16 @@ command per line, split as a shell would, `#` starting a comment) with
 `--format json`, in one Python process per side that imports `ncjoin`
 from that side's `src` and calls `ncjoin.cli.main` once per command. A command's result is its exit code
 and what it printed on stdout and stderr, each read as JSON where it
-parses. Placeholders such as `{C8}` name system files that the working
-tree writes once, so both sides read the same input (`PLACEHOLDERS`):
+parses. Placeholders such as `{C8}` name system and objective files that
+the working tree writes once, so both sides read the same input
+(`PLACEHOLDERS`):
 the rotations C8 and C12; Ad(u) on M3 for a Haar u drawn with seed 2008;
 valid non-tracial systems on several blocks, by Z, Z^2 and Z_3; a
 conjugator whose defect the Frobenius norm does not clear but which is
 unitary to the tolerance; and one invalid system for each kind that
-validation reports, one of them just past the tolerance.
+validation reports, one of them just past the tolerance; and two
+objective files, one on pauli ⊙ pauli with a repeated pair and complex,
+−0.0 and bare real coefficients, and one with no terms.
 
 For each command whose results differ, the command and every differing
 field are printed. The exit status is 0 when all results agree and 1
@@ -39,7 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ROOT / "tools" / "replay_commands.txt"
 PLACEHOLDERS = ("C8", "C12", "M3", "MULTI", "ZK", "ZM", "BAND", "NONHERMITIAN", "TRACE",
                 "UNFAITHFUL", "NONUNITARY", "NEARUNITARY", "NONINVARIANT", "NONCOMMUTING",
-                "ORDER")
+                "ORDER", "PAULI_OBJECTIVE", "EMPTY_OBJECTIVE")
 
 _WRITE_SYSTEMS = r"""
 import json, sys
@@ -98,9 +101,15 @@ systems = {
     "NONCOMMUTING": single_block_system([haar(2), haar(2)]),
     "ORDER": single_block_system(np.diag([1, -1, 1j]), group=GroupDescriptor("Zm", m=3)),
 }
-for name, sysd in systems.items():
+files = {name: fileio.dump_system(sysd) for name, sysd in systems.items()}
+files["PAULI_OBJECTIVE"] = {"terms": [
+    {"i": 0, "j": 1, "coef": [0.5, -0.25]}, {"i": 3, "j": 2, "coef": [-0.0, 1.0]},
+    {"i": 0, "j": 1, "coef": 2.0}, {"i": 1, "j": 1}, {"i": 2, "j": 0, "coef": [-0.0, -0.0]},
+    {"i": 2, "j": 3, "coef": [-1.5, -0.0]}]}
+files["EMPTY_OBJECTIVE"] = {"terms": []}
+for name, data in files.items():
     with open(f"{sys.argv[1]}/{name}.json", "w") as f:
-        json.dump(fileio.dump_system(sysd), f)
+        json.dump(data, f)
 """
 
 _RUN_COMMANDS = r"""
