@@ -278,6 +278,17 @@ def test_solver_options_out_of_range_raise(c2, options):
         disjointness_test(ctx, **options)
 
 
+@pytest.mark.parametrize("foreign", ["pauli", "c2"])
+def test_objective_from_another_algebra_is_rejected(c2, foreign):
+    """An element of M2 has the dimension of c2 ⊙ c2 but not its blocks; one
+    of c2 is too short. Neither is a coefficient table of the product
+    algebra, so neither is an objective on it."""
+    ctx = build_tensor_context(c2, corpus.system("c2"))
+    objective = corpus.system(foreign).structure.basis_element(1)
+    with pytest.raises(NcjoinError, match="coefficient table"):
+        find_joining(ctx, objective=objective)
+
+
 def test_objective_must_be_a_coefficient_table(c2, c3):
     """On c2 ⊙ c3 an objective is a (2, 3) table or a basis pair in range:
     an algebra element, a flat vector of the six coefficients and the
